@@ -18,8 +18,8 @@ type BBR struct {
 	state bbrState
 
 	// btlBW filter: windowed max over bbrBWWindowRounds rounds.
-	bwSamples []bwSample
-	btlBW     float64
+	bwFilter windowed[int64, float64]
+	btlBW    float64
 
 	// rtProp filter: windowed min over bbrRTWindow.
 	rtProp      time.Duration
@@ -48,7 +48,7 @@ type BBR struct {
 	// the measured excess to its window.
 	extraAckedEpochStart     time.Duration
 	extraAckedEpochDelivered int64
-	extraAcked               []bwSample // windowed max, value in bytes
+	extraAcked               windowed[int64, float64] // windowed max over the same rounds, in bytes
 
 	pacingGain float64
 	cwndGain   float64
@@ -74,11 +74,6 @@ func (s bbrState) String() string {
 	default:
 		return "probertt"
 	}
-}
-
-type bwSample struct {
-	round int64
-	bw    float64
 }
 
 const (
@@ -155,21 +150,9 @@ func (b *BBR) OnAck(ev AckEvent) {
 }
 
 func (b *BBR) updateBW(bw float64) {
-	b.bwSamples = append(b.bwSamples, bwSample{round: b.roundCount, bw: bw})
-	// Expire and recompute the windowed max.
-	cut := b.roundCount - bbrBWWindowRounds
-	keep := b.bwSamples[:0]
-	max := 0.0
-	for _, s := range b.bwSamples {
-		if s.round >= cut {
-			keep = append(keep, s)
-			if s.bw > max {
-				max = s.bw
-			}
-		}
-	}
-	b.bwSamples = keep
-	b.btlBW = max
+	b.bwFilter.add(b.roundCount, bw)
+	b.bwFilter.expire(b.roundCount - bbrBWWindowRounds)
+	b.btlBW = b.bwFilter.best()
 }
 
 // updateAckAggregation measures how far ack arrivals run ahead of the
@@ -189,27 +172,12 @@ func (b *BBR) updateAckAggregation(ev AckEvent) {
 	if max := int64(b.cwnd); extra > max {
 		extra = max
 	}
-	b.extraAcked = append(b.extraAcked, bwSample{round: b.roundCount, bw: float64(extra)})
-	cut := b.roundCount - bbrBWWindowRounds
-	keep := b.extraAcked[:0]
-	for _, s := range b.extraAcked {
-		if s.round >= cut {
-			keep = append(keep, s)
-		}
-	}
-	b.extraAcked = keep
+	b.extraAcked.add(b.roundCount, float64(extra))
+	b.extraAcked.expire(b.roundCount - bbrBWWindowRounds)
 }
 
 // maxExtraAcked returns the windowed ack-aggregation estimate in bytes.
-func (b *BBR) maxExtraAcked() int {
-	var max float64
-	for _, s := range b.extraAcked {
-		if s.bw > max {
-			max = s.bw
-		}
-	}
-	return int(max)
-}
+func (b *BBR) maxExtraAcked() int { return int(b.extraAcked.best()) }
 
 func (b *BBR) updateRTProp(now time.Duration, rtt time.Duration) {
 	expired := now-b.rtPropStamp > bbrRTWindow

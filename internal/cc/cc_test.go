@@ -1,6 +1,7 @@
 package cc
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -375,13 +376,30 @@ func TestHVCAwarePanics(t *testing.T) {
 	}
 }
 
+// BenchmarkBBROnAck is BBR's cost per ack on a steady ack clock: rounds
+// of a few hundred acks, so its ten-round filters span thousands of
+// samples — each of which every ack rescanned before the windowed
+// kernel.
 func BenchmarkBBROnAck(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	acks := make([]AckEvent, 4096)
+	for i := range acks {
+		acks[i] = AckEvent{
+			RTT:          40*time.Millisecond + time.Duration(rng.Int63n(int64(30*time.Millisecond))),
+			Bytes:        MSS,
+			InFlight:     (20 + rng.Intn(800)) * MSS,
+			DeliveryRate: 30e6 + rng.Float64()*30e6,
+		}
+	}
 	alg := NewBBR()
+	now := time.Duration(0)
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		alg.OnAck(AckEvent{
-			Now: time.Duration(i) * time.Millisecond, RTT: 50 * time.Millisecond,
-			Bytes: MSS, InFlight: 30 * MSS, DeliveryRate: 60e6,
-		})
+		now += 200 * time.Microsecond
+		ev := acks[i%len(acks)]
+		ev.Now = now
+		alg.OnAck(ev)
 	}
 }
 

@@ -37,12 +37,14 @@ type Copa struct {
 
 	// srtt smooths samples for the standing-window length (srtt/2).
 	srtt time.Duration
-	// standing holds recent samples for the RTTstanding windowed min.
-	standing []rttSample
+	// standing is the RTTstanding filter: the windowed min over the
+	// last srtt/2 of samples.
+	standing windowed[time.Duration, time.Duration]
 
-	// dqWindow holds recent queueing-delay samples over the last
-	// copaModeRTTs round trips, for nearly-empty detection.
-	dqWindow []rttSample
+	// dqMin and dqMax are the extremes of the queueing-delay samples
+	// over the last copaModeRTTs round trips, for nearly-empty
+	// detection.
+	dqMin, dqMax windowed[time.Duration, time.Duration]
 
 	// Velocity state. The direction is which side of the target rate
 	// the flow is on; crossing the target resets v to one, and v
@@ -54,11 +56,6 @@ type Copa struct {
 	lastDouble time.Duration
 	roundEnd   time.Duration // once-per-RTT competitive-mode bookkeeping
 	slowStart  bool
-}
-
-type rttSample struct {
-	at  time.Duration
-	rtt time.Duration
 }
 
 const (
@@ -95,6 +92,8 @@ const (
 // window of 10 segments and the default δ.
 func NewCopa() *Copa {
 	return &Copa{
+		standing:  windowed[time.Duration, time.Duration]{min: true},
+		dqMin:     windowed[time.Duration, time.Duration]{min: true},
 		cwnd:      10 * MSS,
 		delta:     copaDelta,
 		invDelta:  1 / copaDelta,
@@ -135,16 +134,9 @@ func (c *Copa) QueueDelay() time.Duration {
 	return st - c.minRTT
 }
 
-// rttStanding is the windowed minimum over the last srtt/2 of samples.
-func (c *Copa) rttStanding() time.Duration {
-	var min time.Duration
-	for _, s := range c.standing {
-		if min == 0 || s.rtt < min {
-			min = s.rtt
-		}
-	}
-	return min
-}
+// rttStanding is the windowed minimum over the last srtt/2 of samples,
+// 0 before the first.
+func (c *Copa) rttStanding() time.Duration { return c.standing.best() }
 
 // OnAck implements Algorithm.
 func (c *Copa) OnAck(ev AckEvent) {
@@ -164,16 +156,19 @@ func (c *Copa) OnAck(ev AckEvent) {
 		c.minRTT = ev.RTT
 		c.minRTTStamp = now
 	}
-	c.standing = append(c.standing, rttSample{at: now, rtt: ev.RTT})
-	c.standing = pruneSamples(c.standing, now-c.srtt/2)
+	c.standing.add(now, ev.RTT)
+	c.standing.expire(now - c.srtt/2)
 
 	st := c.rttStanding()
 	dq := st - c.minRTT
 	if dq < 0 {
 		dq = 0
 	}
-	c.dqWindow = append(c.dqWindow, rttSample{at: now, rtt: dq})
-	c.dqWindow = pruneSamples(c.dqWindow, now-copaModeRTTs*c.srtt)
+	modeCutoff := now - copaModeRTTs*c.srtt
+	c.dqMin.add(now, dq)
+	c.dqMin.expire(modeCutoff)
+	c.dqMax.add(now, dq)
+	c.dqMax.expire(modeCutoff)
 	c.updateMode(now, st)
 
 	// Target rate λt = MSS/(δ·dq) bytes/s; current rate λ = cwnd/RTT.
@@ -241,18 +236,6 @@ func (c *Copa) OnAck(ev AckEvent) {
 	}
 }
 
-// pruneSamples drops samples older than cutoff, keeping the backing
-// array.
-func pruneSamples(s []rttSample, cutoff time.Duration) []rttSample {
-	keep := s[:0]
-	for _, x := range s {
-		if x.at >= cutoff {
-			keep = append(keep, x)
-		}
-	}
-	return keep
-}
-
 // roundTick runs the once-per-RTT competitive-mode bookkeeping: the
 // additive increase of 1/δ on each loss-free round trip.
 func (c *Copa) roundTick(now time.Duration) {
@@ -281,18 +264,12 @@ func (c *Copa) roundTick(now time.Duration) {
 // or within the flow's own expected standing queue — the few packets a
 // lone Copa flow keeps queued by design must not read as a competitor.
 func (c *Copa) updateMode(now time.Duration, st time.Duration) {
-	if len(c.dqWindow) == 0 || now < copaModeRTTs*c.srtt {
+	if now < copaModeRTTs*c.srtt {
 		return // not enough history to judge
 	}
-	var min, max time.Duration
-	for i, s := range c.dqWindow {
-		if i == 0 || s.rtt < min {
-			min = s.rtt
-		}
-		if s.rtt > max {
-			max = s.rtt
-		}
-	}
+	// OnAck has just added this ack's sample, which no cutoff in the
+	// past can expire, so neither window is empty.
+	min, max := c.dqMin.best(), c.dqMax.best()
 	ownBand := time.Duration(float64(st) * copaOwnQueueFactor * MSS / float64(c.cwnd))
 	if cap := c.minRTT / 8; ownBand > cap {
 		ownBand = cap

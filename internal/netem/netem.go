@@ -58,31 +58,38 @@ type Stats struct {
 	BytesDelivered int64
 }
 
+// arrival is one serialized packet in propagation and the instant it
+// reaches the far end.
+type arrival struct {
+	p  *packet.Packet
+	at time.Duration
+}
+
 // A Link is one unidirectional emulated link. Create links with New;
 // the zero value is not usable.
 //
-// The per-packet state machine is allocation-free in steady state: the
-// send queue and the in-flight delivery queue are head-indexed rings
-// that reuse their backing arrays, and the three callbacks the link
-// schedules (transmission done, outage over, packet arrival) are built
-// once at construction rather than closed over each packet. Arrivals
-// are FIFO — the lastArrival clamp makes arrival times nondecreasing
-// and the loop breaks timestamp ties in schedule order — so onArrive
-// always delivers the head of the in-flight queue.
+// The per-packet state machine allocates only to grow: the send queue
+// and the in-flight delivery queue are wrapping rings that double when
+// a packet arrives to find every slot occupied and otherwise reuse
+// their slots, so a link's memory is bounded by twice its peak backlog
+// — saturated or not, however many packets pass through — and a
+// backlog that has stopped growing allocates nothing. The three
+// callbacks the link schedules (transmission done, outage over, packet
+// arrival) are built once at construction rather than closed over each
+// packet. Arrivals are FIFO — the lastArrival clamp makes arrival times
+// nondecreasing and the loop breaks timestamp ties in schedule order —
+// so onArrive always delivers the head of the in-flight ring.
 type Link struct {
 	loop *sim.Loop
 	cfg  Config
 	sink Sink
 
-	queue       []*packet.Packet // queue[head:] awaits transmission
-	head        int
+	queue       ring[*packet.Packet] // awaiting transmission, head in serialization
 	queuedBytes int
 	busy        bool
 	lastArrival time.Duration // FIFO clamp for delay decreases
 
-	inflight []*packet.Packet // inflight[inHead:] awaits arrival
-	arrivals []time.Duration  // parallel ring: each packet's arrival time
-	inHead   int
+	inflight ring[arrival] // serialized, awaiting arrival
 
 	onTxDone    func()
 	onOutageEnd func()
@@ -153,7 +160,7 @@ func (l *Link) Stats() Stats { return l.stats }
 func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // queued reports the number of packets awaiting transmission.
-func (l *Link) queued() int { return len(l.queue) - l.head }
+func (l *Link) queued() int { return l.queue.len() }
 
 // Headroom reports the queue bytes still available at entry: a packet
 // larger than this is dropped by Send. The quiet-time fast-forward in
@@ -273,7 +280,7 @@ func (l *Link) Send(p *packet.Packet) bool {
 		return false
 	}
 	p.Channel = l.cfg.Name
-	l.queue = append(l.queue, p)
+	l.queue.push(p)
 	l.queuedBytes += p.Size
 	if l.tracer.Enabled() {
 		l.tracer.Emit(telemetry.Event{
@@ -293,17 +300,14 @@ func (l *Link) kick() {
 	if l.busy {
 		return
 	}
-	if l.head == len(l.queue) {
-		// Drained: rewind the ring so the backing array is reused. An
-		// empty queue must account for exactly zero bytes — any drift in
-		// the byte counter (a size mutated while queued, a double
-		// subtract) surfaces here, at the first quiet moment.
+	if l.queue.len() == 0 {
+		// Drained. An empty queue must account for exactly zero bytes —
+		// any drift in the byte counter (a size mutated while queued, a
+		// double subtract) surfaces here, at the first quiet moment.
 		if invariant.Enabled() && l.queuedBytes != 0 {
 			invariant.Failf("netem", "queue-bytes",
 				"link %q drained its queue with %d bytes still accounted", l.cfg.Name, l.queuedBytes)
 		}
-		l.queue = l.queue[:0]
-		l.head = 0
 		return
 	}
 	if l.down {
@@ -328,7 +332,7 @@ func (l *Link) kick() {
 		l.loop.At(wake, l.onOutageEnd)
 		return
 	}
-	p := l.queue[l.head]
+	p := l.queue.front()
 	txTime := time.Duration(float64(p.Size) * 8 / rate * float64(time.Second))
 	l.busy = true
 	l.loop.After(txTime, l.onTxDone)
@@ -338,9 +342,7 @@ func (l *Link) kick() {
 // schedules its arrival after the propagation delay, and starts the
 // next packet.
 func (l *Link) finishTx() {
-	p := l.queue[l.head]
-	l.queue[l.head] = nil
-	l.head++
+	p := l.queue.pop()
 	l.queuedBytes -= p.Size
 	l.busy = false
 
@@ -371,11 +373,11 @@ func (l *Link) finishTx() {
 	}
 
 	now := l.loop.Now()
-	arrival := now + l.cfg.Trace.At(now).RTT/2 + l.extraDelay
+	at := now + l.cfg.Trace.At(now).RTT/2 + l.extraDelay
 	// Preserve FIFO delivery when the trace's delay drops between
 	// consecutive packets, as a real single path would.
-	if arrival < l.lastArrival {
-		arrival = l.lastArrival
+	if at < l.lastArrival {
+		at = l.lastArrival
 	}
 	l.stats.Delivered++
 	l.stats.BytesDelivered += int64(p.Size)
@@ -384,12 +386,11 @@ func (l *Link) finishTx() {
 	// for that instant, and deliver drains the whole burst in one
 	// callback. Arrivals are nondecreasing, so "equals the tail" is
 	// exactly "not later than every pending packet".
-	if l.inHead == len(l.inflight) || arrival > l.lastArrival {
-		l.loop.At(arrival, l.onArrive)
+	if l.inflight.len() == 0 || at > l.lastArrival {
+		l.loop.At(at, l.onArrive)
 	}
-	l.lastArrival = arrival
-	l.inflight = append(l.inflight, p)
-	l.arrivals = append(l.arrivals, arrival)
+	l.lastArrival = at
+	l.inflight.push(arrival{p, at})
 
 	l.kick()
 }
@@ -421,7 +422,7 @@ func (l *Link) deliver() {
 	now := l.loop.Now()
 	if invariant.Enabled() {
 		l.checkConservation()
-		if l.inHead >= len(l.inflight) {
+		if l.inflight.len() == 0 {
 			invariant.Failf("netem", "inflight-ring",
 				"link %q: arrival event with empty in-flight ring", l.cfg.Name)
 		}
@@ -433,10 +434,8 @@ func (l *Link) deliver() {
 				"link %q: delivery at %v after last scheduled arrival %v", l.cfg.Name, now, l.lastArrival)
 		}
 	}
-	for l.inHead < len(l.inflight) && l.arrivals[l.inHead] <= now {
-		p := l.inflight[l.inHead]
-		l.inflight[l.inHead] = nil
-		l.inHead++
+	for l.inflight.len() > 0 && l.inflight.front().at <= now {
+		p := l.inflight.pop().p
 		if l.tracer.Enabled() {
 			l.tracer.Emit(telemetry.Event{
 				Layer: telemetry.LayerChannel, Name: telemetry.EvDeliver,
@@ -446,10 +445,5 @@ func (l *Link) deliver() {
 			l.tracer.Count("netem_delivered_bytes_total", float64(p.Size), "channel", l.cfg.Name)
 		}
 		l.sink(p)
-	}
-	if l.inHead == len(l.inflight) {
-		l.inflight = l.inflight[:0]
-		l.arrivals = l.arrivals[:0]
-		l.inHead = 0
 	}
 }

@@ -77,3 +77,84 @@ func BenchmarkRoundTrip(b *testing.B) {
 		loop.Run()
 	}
 }
+
+// A saturated link never drains, so its rings never get a quiet moment
+// to rewind: their memory must be bounded by the backlog all the same.
+// Capacity only ever doubles on a push that finds every slot occupied,
+// so after any number of packets it is below twice the peak occupancy.
+func TestRingsBoundedUnderSaturation(t *testing.T) {
+	loop := sim.NewLoop(1)
+	l := New(loop, Config{
+		Name:       "l",
+		Trace:      trace.Constant("c", 10*time.Millisecond, 1e9),
+		QueueBytes: 64 << 20,
+	}, func(*packet.Packet) {})
+	const backlog = 1024
+	pkts := make([]packet.Packet, 4096) // more than the link ever holds at once
+	for i := range pkts {
+		pkts[i] = packet.Packet{ID: uint64(i), Size: 1500}
+	}
+	peakQueue, peakInflight := 0, 0
+	for k := 0; k < 200*backlog; k++ {
+		l.Send(&pkts[k%len(pkts)])
+		if k >= backlog {
+			// One packet in, two events out: until the first arrival, 5 ms
+			// in, both are serializations; from then on one is an arrival,
+			// and the backlog holds (~600 queued, ~400 in propagation).
+			loop.Step()
+			loop.Step()
+		}
+		peakQueue = max(peakQueue, l.queue.len())
+		peakInflight = max(peakInflight, l.inflight.len())
+	}
+	if l.queue.len() < backlog/4 || l.stats.DroppedQueue > 0 {
+		t.Fatalf("link not saturated: %d queued, %d tail drops", l.queue.len(), l.stats.DroppedQueue)
+	}
+	if c := len(l.queue.buf); c > 2*peakQueue {
+		t.Errorf("send ring holds %d slots for a peak of %d packets, want <= 2x", c, peakQueue)
+	}
+	if c := len(l.inflight.buf); c > 2*peakInflight {
+		t.Errorf("in-flight ring holds %d slots for a peak of %d packets, want <= 2x", c, peakInflight)
+	}
+	loop.Run()
+}
+
+// FIFO order survives growth from a wrapped state, and popped slots are
+// zeroed.
+func TestRingWrapAndGrow(t *testing.T) {
+	var r ring[*int]
+	next, want := 0, 0
+	push := func(n int) {
+		for i := 0; i < n; i++ {
+			v := next
+			next++
+			r.push(&v)
+		}
+	}
+	pop := func(n int) {
+		for i := 0; i < n; i++ {
+			if got := *r.front(); got != want {
+				t.Fatalf("front = %d, want %d", got, want)
+			}
+			if got := *r.pop(); got != want {
+				t.Fatalf("pop = %d, want %d", got, want)
+			}
+			want++
+		}
+	}
+	push(8)  // full at the initial capacity
+	pop(5)   // head mid-buffer
+	push(5)  // wrapped, full again
+	push(20) // grows twice from the wrapped state
+	pop(10)
+	push(3)
+	pop(r.len())
+	if r.len() != 0 || want != next {
+		t.Fatalf("ring holds %d after draining; popped %d of %d", r.len(), want, next)
+	}
+	for i, p := range r.buf {
+		if p != nil {
+			t.Errorf("slot %d still holds a popped element", i)
+		}
+	}
+}

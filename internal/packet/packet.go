@@ -132,7 +132,17 @@ func (g *IDGen) Next() uint64 {
 // deliberately reuses. Callers must overwrite every field they rely
 // on, and must not Put a packet that any other component still
 // references.
-type Pool struct{ free []*Packet }
+//
+// A packet reused for a different kind cannot keep its box, so the pool
+// also holds the detached boxes, one stack per kind (PutBox/GetBox).
+// They live here rather than with either endpoint because packets
+// cross the group: the side that detaches a box of one kind is never
+// the side that next needs one, and only a cache both sides share lets
+// the boxes circulate with the packets.
+type Pool struct {
+	free  []*Packet
+	boxes [Control + 1][]any
+}
 
 // Get returns a recycled packet, or a fresh one when the pool is empty.
 func (pl *Pool) Get() *Packet {
@@ -151,4 +161,22 @@ func (pl *Pool) Put(p *Packet) {
 		return
 	}
 	pl.free = append(pl.free, p)
+}
+
+// PutBox parks a payload box detached from a pooled packet, filed
+// under the kind of packet it serves.
+func (pl *Pool) PutBox(k Kind, box any) { pl.boxes[k] = append(pl.boxes[k], box) }
+
+// GetBox returns a parked payload box for packets of kind k, or nil
+// when there is none. Its contents are stale; callers overwrite.
+func (pl *Pool) GetBox(k Kind) any {
+	s := pl.boxes[k]
+	n := len(s)
+	if n == 0 {
+		return nil
+	}
+	box := s[n-1]
+	s[n-1] = nil
+	pl.boxes[k] = s[:n-1]
+	return box
 }

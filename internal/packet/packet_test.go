@@ -63,3 +63,31 @@ func TestStringMentionsKeyFields(t *testing.T) {
 		}
 	}
 }
+
+// Parked payload boxes come back LIFO under the kind they were filed
+// with, and never under another.
+func TestPoolBoxesPerKind(t *testing.T) {
+	var pl Pool
+	if pl.GetBox(Data) != nil {
+		t.Fatal("empty pool returned a box")
+	}
+	a, b, c := new(int), new(int), new(string)
+	pl.PutBox(Data, a)
+	pl.PutBox(Data, b)
+	pl.PutBox(Ack, c)
+	if got := pl.GetBox(Control); got != nil {
+		t.Fatalf("GetBox(Control) = %v, want nil", got)
+	}
+	if got := pl.GetBox(Ack); got != c {
+		t.Fatalf("GetBox(Ack) = %v, want the ack box", got)
+	}
+	if got := pl.GetBox(Data); got != b {
+		t.Fatalf("GetBox(Data) = %v, want the last box parked", got)
+	}
+	if got := pl.GetBox(Data); got != a {
+		t.Fatalf("GetBox(Data) = %v, want the first box parked", got)
+	}
+	if pl.GetBox(Data) != nil || pl.GetBox(Ack) != nil {
+		t.Fatal("drained pool returned a box")
+	}
+}

@@ -133,15 +133,18 @@ type Conn struct {
 	synTimer    sim.Timer
 
 	// Send state. sentOrder is the in-flight set itself: tracking
-	// records in send order (ascending seq), pruned as packets are
-	// acked or declared lost. Acks arrive as ascending ranges, so one
-	// merge-join pass replaces the per-packet map lookups that used to
-	// dominate the bulk-transfer profile.
+	// records in send order (strictly ascending seq), pruned as packets
+	// are acked or declared lost. Acks arrive as ascending ranges, so
+	// each range is resolved against it by binary search (resolveAcked)
+	// with no lookup structure. sentBase is the start of sentOrder's
+	// backing array, kept so that appendSent can reuse the slots acks
+	// vacate at the front.
 	sched         *scheduler
 	nextSeq       uint64
 	nextMsgID     uint64
 	nextStream    uint32
 	sentOrder     []*sentInfo
+	sentBase      []*sentInfo
 	bytesInFlight int
 	// Channel names are interned to dense integer IDs so the
 	// per-channel send/acked counters are slice indexes, not map keys.

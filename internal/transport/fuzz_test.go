@@ -1,6 +1,10 @@
 package transport
 
-import "testing"
+import (
+	"math"
+	"slices"
+	"testing"
+)
 
 // FuzzRangeSetOps drives the SACK range set with an arbitrary script
 // of insertions, checking the structural invariants after each step.
@@ -39,6 +43,137 @@ func FuzzRangeSetOps(f *testing.F) {
 			if !r.contains(v) {
 				t.Fatalf("lost value %d", v)
 			}
+		}
+	})
+}
+
+// linearAck is the single-pass merge-join that resolved acks before
+// the indexed resolution (ackRanges) replaced it, kept verbatim as the
+// oracle: it walks and rewrites every outstanding record on every ack.
+func linearAck(c *Conn, ranges []seqRange) (newlyBytes int, newest *sentInfo) {
+	c.ackedInfos = c.ackedInfos[:0]
+	ri := 0
+	remaining := c.sentOrder[:0]
+	for _, info := range c.sentOrder {
+		for ri < len(ranges) && ranges[ri].hi < info.seq {
+			ri++
+		}
+		if ri == len(ranges) || info.seq < ranges[ri].lo {
+			remaining = append(remaining, info)
+			continue
+		}
+		c.ackedInfos = append(c.ackedInfos, info)
+		c.bytesInFlight -= info.size
+		c.delivered += int64(info.size)
+		newlyBytes += info.size
+		c.stats.BytesAcked += int64(info.size)
+		for i, id := range info.chIDs {
+			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
+				c.ackedIndex[id] = idx
+			}
+		}
+		newest = info
+	}
+	c.sentOrder = remaining
+	return newlyBytes, newest
+}
+
+// FuzzAckResolve checks the indexed ack resolution against the linear
+// merge-join on arbitrary flights and SACK lists. The script's first
+// byte sizes the flight and the second sets how far below it the first
+// range starts; then one byte per record (seq gap, carrying channels)
+// and two per range (distance from the previous range's start — zero
+// repeats it — and length), so ranges ascend by lo but may repeat,
+// overlap, fall in holes, or lie wholly below, above or across the
+// flight. A final odd byte stretches the last range to the top of the
+// sequence space.
+func FuzzAckResolve(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 9})                               // one range over the whole flight
+	f.Add([]byte{8, 0, 0, 1, 0, 2, 0, 0, 1, 0, 0, 1, 0, 1, 3, 0, 3, 0}) // holes, a duplicate range
+	f.Add([]byte{3, 9, 0, 0, 0, 0, 2, 1, 1})                            // wholly below the flight: pure duplicate
+	f.Add([]byte{5, 0, 3, 3, 3, 3, 3, 40, 5, 40, 5, 1})                 // above the flight, then to the top
+	f.Add([]byte{16, 2, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 2, 0, 5, 9, 3, 1})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		next := func() int {
+			if len(script) == 0 {
+				return 0
+			}
+			b := script[0]
+			script = script[1:]
+			return int(b)
+		}
+		nRec, below := next(), next()%16
+
+		// A flight with holes over two channels, shared by both sides
+		// (neither mutates the records).
+		const base = 1000
+		got := &Conn{sentIndex: make([]int64, 2), ackedIndex: make([]int64, 2)}
+		seq := uint64(base)
+		for i := 0; i < nRec; i++ {
+			b := next()
+			seq += 1 + uint64(b%4)
+			info := &sentInfo{seq: seq, size: 100 + b}
+			for id := 0; id < 2; id++ {
+				if id == 0 && b&4 == 0 || id == 1 && b&8 != 0 {
+					got.sentIndex[id]++
+					info.chIDs = append(info.chIDs, id)
+					info.chIdx = append(info.chIdx, got.sentIndex[id])
+				}
+			}
+			got.bytesInFlight += info.size
+			got.appendSent(info)
+		}
+		want := &Conn{
+			sentOrder:     append([]*sentInfo(nil), got.sentOrder...),
+			ackedIndex:    make([]int64, 2),
+			bytesInFlight: got.bytesInFlight,
+		}
+
+		var ranges []seqRange
+		lo := uint64(base - below)
+		for len(script) >= 2 && len(ranges) < 40 {
+			lo += uint64(next() % 48)
+			ranges = append(ranges, seqRange{lo, lo + uint64(next()%24)})
+		}
+		if next()%2 == 1 && len(ranges) > 0 {
+			ranges[len(ranges)-1].hi = math.MaxUint64
+		}
+
+		backing := got.sentOrder
+		gotBytes, gotNewest := got.ackRanges(ranges)
+		wantBytes, wantNewest := linearAck(want, ranges)
+
+		if gotBytes != wantBytes || gotNewest != wantNewest {
+			t.Fatalf("ackRanges = (%d, %p), linear = (%d, %p)", gotBytes, gotNewest, wantBytes, wantNewest)
+		}
+		if !slices.Equal(got.ackedInfos, want.ackedInfos) {
+			t.Fatalf("acked records differ: %d vs %d, or their order", len(got.ackedInfos), len(want.ackedInfos))
+		}
+		if !slices.Equal(got.sentOrder, want.sentOrder) {
+			t.Fatalf("remaining flight differs: %d vs %d records, or their order", len(got.sentOrder), len(want.sentOrder))
+		}
+		if !slices.Equal(got.ackedIndex, want.ackedIndex) || got.bytesInFlight != want.bytesInFlight ||
+			got.delivered != want.delivered || got.stats != want.stats {
+			t.Fatalf("accounting differs: acked index %v vs %v, in flight %d vs %d",
+				got.ackedIndex, want.ackedIndex, got.bytesInFlight, want.bytesInFlight)
+		}
+		// The flight stays inside its old backing array, and every slot
+		// it vacated is cleared.
+		live := 0
+		for i := range backing {
+			if len(got.sentOrder) > 0 && &backing[i] == &got.sentOrder[0] {
+				live = len(got.sentOrder)
+			}
+			if live > 0 {
+				live--
+			} else if backing[i] != nil {
+				t.Fatalf("slot %d of %d outside the flight still holds a record", i, len(backing))
+			}
+		}
+		if len(got.sentOrder) > 0 && &got.sentOrder[len(got.sentOrder)-1] != &backing[len(backing)-1] &&
+			&got.sentOrder[0] != &backing[0] {
+			t.Fatalf("flight of %d is anchored at neither end of its old %d-slot span", len(got.sentOrder), len(backing))
 		}
 	})
 }

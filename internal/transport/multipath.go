@@ -153,7 +153,7 @@ func (c *Conn) sendChunkOn(sf *subflow, ch *chunk) bool {
 		c.notifySubflowLoss(sf, now, size, false)
 		return false
 	}
-	c.sentOrder = append(c.sentOrder, info)
+	c.appendSent(info)
 	c.armRTO()
 	return true
 }
@@ -168,43 +168,20 @@ func (c *Conn) multiAck(pl *ackPayload) {
 		newest *sentInfo
 	}
 	shares := make(map[*subflow]*share)
-	var newestAll *sentInfo
-	c.ackedInfos = c.ackedInfos[:0]
-	// Same merge-join as handleAck: ascending sentOrder against the
-	// ack's ascending ranges.
-	ranges := pl.ranges
-	ri := 0
-	remaining := c.sentOrder[:0]
-	for _, info := range c.sentOrder {
-		for ri < len(ranges) && ranges[ri].hi < info.seq {
-			ri++
-		}
-		if ri == len(ranges) || info.seq < ranges[ri].lo {
-			remaining = append(remaining, info)
+	_, newestAll := c.ackRanges(pl.ranges)
+	for _, info := range c.ackedInfos {
+		if info.sub == nil {
 			continue
 		}
-		c.ackedInfos = append(c.ackedInfos, info)
-		c.bytesInFlight -= info.size
-		c.delivered += int64(info.size)
-		c.stats.BytesAcked += int64(info.size)
-		for i, id := range info.chIDs {
-			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
-				c.ackedIndex[id] = idx
-			}
+		info.sub.inflight -= info.size
+		s := shares[info.sub]
+		if s == nil {
+			s = &share{}
+			shares[info.sub] = s
 		}
-		if info.sub != nil {
-			info.sub.inflight -= info.size
-			s := shares[info.sub]
-			if s == nil {
-				s = &share{}
-				shares[info.sub] = s
-			}
-			s.bytes += info.size
-			s.newest = info
-		}
-		newestAll = info
+		s.bytes += info.size
+		s.newest = info
 	}
-	c.sentOrder = remaining
 	if newestAll == nil {
 		return
 	}
@@ -259,15 +236,11 @@ func (c *Conn) multiAck(pl *ackPayload) {
 func (c *Conn) detectMultiLosses(now time.Duration) {
 	lost := make(map[*subflow]int)
 	order := c.sentOrder
-	remaining := order[:0]
-	for i, info := range order {
-		if info.seq > c.largestAcked {
-			// Send indexes are seq-ordered per channel, so nothing past
-			// the largest acked seq can meet the threshold (see
-			// detectLosses).
-			remaining = append(remaining, order[i:]...)
-			break
-		}
+	// Send indexes are seq-ordered per channel, so nothing past the
+	// largest acked seq can meet the threshold (see detectLosses).
+	w, r := 0, 0
+	for ; r < len(order) && order[r].seq <= c.largestAcked; r++ {
+		info := order[r]
 		isLost := len(info.chIDs) > 0
 		for j, id := range info.chIDs {
 			if c.ackedIndex[id] < info.chIdx[j]+ackAfterGap {
@@ -276,7 +249,8 @@ func (c *Conn) detectMultiLosses(now time.Duration) {
 			}
 		}
 		if !isLost {
-			remaining = append(remaining, info)
+			order[w] = info
+			w++
 			continue
 		}
 		if info.sub != nil {
@@ -285,7 +259,7 @@ func (c *Conn) detectMultiLosses(now time.Duration) {
 		}
 		c.requeue(info)
 	}
-	c.sentOrder = remaining
+	c.closeSentGap(w, r)
 	for _, name := range c.subflowOrder {
 		sf := c.subflows[name]
 		if bytes := lost[sf]; bytes > 0 {

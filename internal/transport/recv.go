@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"time"
 
 	"hvc/internal/cc"
@@ -179,36 +180,7 @@ func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
 		return
 	}
 	now := c.loop.Now()
-	var newlyBytes int
-	var newest *sentInfo
-	c.ackedInfos = c.ackedInfos[:0]
-	// Merge-join: sentOrder is ascending by seq and the ack's ranges
-	// are ascending and disjoint, so one linear pass over both decides
-	// every outstanding packet without a lookup structure.
-	ranges := pl.ranges
-	ri := 0
-	remaining := c.sentOrder[:0]
-	for _, info := range c.sentOrder {
-		for ri < len(ranges) && ranges[ri].hi < info.seq {
-			ri++
-		}
-		if ri == len(ranges) || info.seq < ranges[ri].lo {
-			remaining = append(remaining, info)
-			continue
-		}
-		c.ackedInfos = append(c.ackedInfos, info)
-		c.bytesInFlight -= info.size
-		c.delivered += int64(info.size)
-		newlyBytes += info.size
-		c.stats.BytesAcked += int64(info.size)
-		for i, id := range info.chIDs {
-			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
-				c.ackedIndex[id] = idx
-			}
-		}
-		newest = info // ascending scan: the last acked is the newest
-	}
-	c.sentOrder = remaining
+	newlyBytes, newest := c.ackRanges(pl.ranges)
 	if newest == nil {
 		return // pure duplicate: nothing new
 	}
@@ -263,6 +235,91 @@ func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
 	c.trySend()
 }
 
+// ackRanges retires every in-flight packet the ack's ranges cover. It
+// is the one ack-range resolution routine, shared by the single-path
+// and multipath ack handlers: the covered records leave sentOrder for
+// ackedInfos (ascending seq, so the last is the newest), and the
+// connection-level accounting — bytes in flight, delivered bytes, the
+// per-channel highest acked send index — is settled for each. It
+// returns the newly acked payload bytes and the newest acked record,
+// nil for a pure duplicate. The caller recycles ackedInfos once its
+// controller has heard about them.
+func (c *Conn) ackRanges(ranges []seqRange) (newlyBytes int, newest *sentInfo) {
+	c.ackedInfos = c.ackedInfos[:0]
+	c.resolveAcked(ranges)
+	for _, info := range c.ackedInfos {
+		c.bytesInFlight -= info.size
+		c.delivered += int64(info.size)
+		newlyBytes += info.size
+		c.stats.BytesAcked += int64(info.size)
+		for i, id := range info.chIDs {
+			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
+				c.ackedIndex[id] = idx
+			}
+		}
+	}
+	if n := len(c.ackedInfos); n > 0 {
+		newest = c.ackedInfos[n-1] // ascending: the last acked is the newest
+	}
+	return newlyBytes, newest
+}
+
+// resolveAcked moves the records covered by ranges (ascending by lo,
+// as rangeSet produces them) from sentOrder to ackedInfos. sentOrder is
+// strictly ascending by seq, so the records one range covers are one
+// contiguous span, and because the ranges ascend too, that span lies
+// wholly after the previous range's: two searches (seqIndex) over the
+// not-yet-examined suffix find it exactly. Only the search probes and
+// the spans themselves are read, so an ack costs O(ranges·log flight +
+// newly acked) however deep the window is; a stale range wholly below
+// the flight, or one that falls in a hole of it, costs two probes.
+func (c *Conn) resolveAcked(ranges []seqRange) {
+	order := c.sentOrder
+	// order[:w] holds the survivors of order[:r], compacted.
+	w, r := 0, 0
+	for _, rg := range ranges {
+		if r == len(order) {
+			break
+		}
+		lo := r + seqIndex(order[r:], rg.lo)
+		hi := len(order)
+		if rg.hi < math.MaxUint64 {
+			hi = lo + seqIndex(order[lo:], rg.hi+1)
+		}
+		w += copy(order[w:], order[r:lo])
+		c.ackedInfos = append(c.ackedInfos, order[lo:hi]...)
+		r = hi
+	}
+	c.closeSentGap(w, r)
+}
+
+// seqIndex returns the index of the first record in order (ascending
+// by seq) whose seq is at least seq, len(order) when there is none. It
+// gallops out from the front before bisecting, so the cost is
+// logarithmic in the answer rather than in len(order): acks mostly
+// retire the few oldest packets, and those records are the only ones
+// the search then touches.
+func seqIndex(order []*sentInfo, seq uint64) int {
+	// Every record before lo is below seq; none at or after hi is.
+	lo, hi := 0, len(order)
+	for step := 1; lo+step <= len(order); step <<= 1 {
+		if order[lo+step-1].seq >= seq {
+			hi = lo + step - 1
+			break
+		}
+		lo += step
+	}
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if order[mid].seq < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // recycleAcked returns this ack event's retired tracking records and
 // their chunks to the free lists. An acknowledged chunk can never be
 // retransmitted again, so both are dead once the controller has been
@@ -301,18 +358,15 @@ func (c *Conn) updateRTT(rtt time.Duration) {
 // Per-channel send indexes are assigned in seq order, so a packet with
 // seq above largestAcked has a higher index on every channel it rode
 // than any acked packet does — it can never satisfy the threshold.
-// The scan therefore stops at the first such packet and keeps the
-// whole tail, turning the common dense-ack case into O(acked window)
-// instead of O(flight size).
+// The scan therefore stops at the first such packet and never touches
+// the tail, so the common dense-ack case costs O(packets at or below
+// largestAcked), not O(flight size).
 func (c *Conn) detectLosses(now time.Duration) {
 	var lostBytes int
 	order := c.sentOrder
-	remaining := order[:0]
-	for i, info := range order {
-		if info.seq > c.largestAcked {
-			remaining = append(remaining, order[i:]...)
-			break
-		}
+	w, r := 0, 0
+	for ; r < len(order) && order[r].seq <= c.largestAcked; r++ {
+		info := order[r]
 		lost := len(info.chIDs) > 0
 		for j, id := range info.chIDs {
 			if c.ackedIndex[id] < info.chIdx[j]+ackAfterGap {
@@ -321,13 +375,14 @@ func (c *Conn) detectLosses(now time.Duration) {
 			}
 		}
 		if !lost {
-			remaining = append(remaining, info)
+			order[w] = info
+			w++
 			continue
 		}
 		lostBytes += info.size
 		c.requeue(info)
 	}
-	c.sentOrder = remaining
+	c.closeSentGap(w, r)
 	if lostBytes > 0 {
 		c.notifyLoss(now, lostBytes)
 	}

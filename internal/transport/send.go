@@ -52,6 +52,9 @@ type scheduler struct {
 	msgs map[packet.Priority][]*message
 	// prios tracks nonempty buckets in ascending priority.
 	prios []packet.Priority
+	// queued counts the messages across all buckets, so empty() — asked
+	// once per packet — need not walk the map.
+	queued int
 
 	freeMsgs   []*message
 	freeChunks []*chunk
@@ -105,6 +108,7 @@ func (s *scheduler) push(m *message) {
 		s.insertPrio(m.prio)
 	}
 	s.msgs[m.prio] = append(q, m)
+	s.queued++
 }
 
 func (s *scheduler) insertPrio(p packet.Priority) {
@@ -122,17 +126,7 @@ func (s *scheduler) insertPrio(p packet.Priority) {
 
 func (s *scheduler) pushRetx(ch *chunk) { s.retx = append(s.retx, ch) }
 
-func (s *scheduler) empty() bool {
-	if len(s.retx) > 0 {
-		return false
-	}
-	for _, q := range s.msgs {
-		if len(q) > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (s *scheduler) empty() bool { return len(s.retx) == 0 && s.queued == 0 }
 
 // next carves the next chunk of at most mss bytes, or nil when idle.
 func (s *scheduler) next(mss int, unreliable bool) *chunk {
@@ -168,6 +162,7 @@ func (s *scheduler) next(mss int, unreliable bool) *chunk {
 		if m.offset >= m.size {
 			ch.frag.data = m.data
 			s.msgs[p] = q[1:]
+			s.queued--
 			s.freeMsg(m)
 		}
 		return ch
@@ -331,9 +326,53 @@ func (c *Conn) sendChunk(ch *chunk) bool {
 		c.notifyLoss(now, size)
 		return false
 	}
-	c.sentOrder = append(c.sentOrder, info)
+	c.appendSent(info)
 	c.armRTO()
 	return true
+}
+
+// appendSent adds a freshly sent packet's record at the tail of the
+// in-flight set. Acks retire records from the front by advancing the
+// slice (closeSentGap), so the live window drifts toward the end of its
+// backing array. When it gets there it slides back to the start — of
+// the same array if the window fills at most half of it, else of one
+// twice the size, so that the next time it will. A slide moves at most
+// as many records as it frees slots, so appends stay O(1) amortised,
+// and a flight that has stopped growing allocates nothing.
+func (c *Conn) appendSent(info *sentInfo) {
+	if len(c.sentOrder) == cap(c.sentOrder) {
+		base := c.sentBase[:cap(c.sentBase)]
+		if 2*len(c.sentOrder) > len(base) {
+			base = make([]*sentInfo, max(2*len(base), 64))
+		}
+		n := copy(base, c.sentOrder)
+		clear(c.sentOrder) // never overlaps base[:n]: the window was in the back half, or in the old array
+		c.sentBase, c.sentOrder = base[:0], base[:n]
+	}
+	c.sentOrder = append(c.sentOrder, info)
+}
+
+// closeSentGap drops the dead span sentOrder[w:r] — records just acked
+// or declared lost, already handed on by the caller — by moving the
+// shorter live side across it: the survivors below the span up to meet
+// the tail, or the tail down to meet them. Dense acks retire the head
+// of the flight (w == 0), which moves nothing at all. Vacated slots
+// are cleared so no recycled record stays reachable from the backing
+// array.
+func (c *Conn) closeSentGap(w, r int) {
+	if w == r {
+		return
+	}
+	order := c.sentOrder
+	if w <= len(order)-r {
+		copy(order[r-w:r], order[:w])
+		clear(order[:r-w])
+		c.sentOrder = order[r-w:]
+		return
+	}
+	n := w + copy(order[w:], order[r:])
+	clear(order[n:])
+	c.sentOrder = order[:n]
 }
 
 // rto returns the current retransmission timeout.

@@ -50,13 +50,6 @@ type Endpoint struct {
 	// list is discarded (control and ack packets).
 	ctrlNames []string
 
-	// Payload-box caches. Pooled packets keep their last payload box
-	// attached; when a packet is reused for a different kind, the
-	// mismatched box is swapped through these free lists instead of
-	// being reallocated.
-	fragBoxes []*fragment
-	ackBoxes  []*ackPayload
-
 	listenCfg func() Config
 	accept    func(*Conn)
 }
@@ -277,20 +270,20 @@ func (e *Endpoint) clone(p *packet.Packet) *packet.Packet {
 	return q
 }
 
-// fragBox returns a fragment payload box for the pooled packet p,
-// reusing p's attached box when the type matches and recycling a
-// mismatched ack box. The box contents are stale; callers overwrite.
+// fragBox returns a fragment payload box for the pooled packet p:
+// p's attached box when the type matches, else one the group's pool
+// has parked, else a fresh one. A mismatched ack box is parked in turn
+// — in the pool, not here, because this endpoint mostly sends one kind
+// and receives the other: the boxes it detaches are the ones its peer
+// needs. The box contents are stale; callers overwrite.
 func (e *Endpoint) fragBox(p *packet.Packet) *fragment {
 	switch old := p.Payload.(type) {
 	case *fragment:
 		return old
 	case *ackPayload:
-		e.ackBoxes = append(e.ackBoxes, old)
+		e.pool.PutBox(packet.Ack, old)
 	}
-	if n := len(e.fragBoxes); n > 0 {
-		f := e.fragBoxes[n-1]
-		e.fragBoxes[n-1] = nil
-		e.fragBoxes = e.fragBoxes[:n-1]
+	if f, ok := e.pool.GetBox(packet.Data).(*fragment); ok {
 		return f
 	}
 	return new(fragment)
@@ -302,12 +295,9 @@ func (e *Endpoint) ackBox(p *packet.Packet) *ackPayload {
 	case *ackPayload:
 		return old
 	case *fragment:
-		e.fragBoxes = append(e.fragBoxes, old)
+		e.pool.PutBox(packet.Data, old)
 	}
-	if n := len(e.ackBoxes); n > 0 {
-		a := e.ackBoxes[n-1]
-		e.ackBoxes[n-1] = nil
-		e.ackBoxes = e.ackBoxes[:n-1]
+	if a, ok := e.pool.GetBox(packet.Ack).(*ackPayload); ok {
 		return a
 	}
 	return new(ackPayload)
