@@ -15,10 +15,13 @@ import (
 
 // Config parameterizes one connection.
 type Config struct {
-	// CC is the congestion-control algorithm; required for reliable
-	// connections, ignored for unreliable ones.
+	// CC is the congestion-control algorithm of a single-path
+	// connection's one subflow; required for reliable connections,
+	// ignored for unreliable and multipath ones.
 	CC cc.Algorithm
-	// Steer picks the channel for every outgoing packet; required.
+	// Steer picks the channel for every packet of a single-path
+	// connection's one subflow, data and control alike; required unless
+	// Multipath.
 	Steer steering.Policy
 	// FlowPriority is stamped on every packet of the flow; steering
 	// policies use it to keep bulk flows off constrained channels.
@@ -28,12 +31,13 @@ type Config struct {
 	// media. Senders pace themselves (the video app sends one frame
 	// per tick).
 	Unreliable bool
-	// Multipath enables MPTCP-style operation: one subflow per channel
-	// in the group, each with its own congestion controller built by
-	// NewCC, scheduled min-RTT-first. Steer is ignored for data in
-	// this mode (the scheduler replaces it); CC is unused.
+	// Multipath builds the MPTCP-style subflow set instead: one subflow
+	// pinned to each channel of the group, scheduled min-RTT-first,
+	// control packets on the first. Steer and CC are unused (the
+	// scheduler replaces the one, NewCC the other).
 	Multipath bool
-	// NewCC builds each multipath subflow's congestion controller.
+	// NewCC builds the congestion controller of each subflow of a
+	// Multipath connection; required for those, unused otherwise.
 	NewCC func() cc.Algorithm
 	// MSS is the maximum payload per packet; 0 means packet.MaxPayload.
 	MSS int
@@ -138,7 +142,8 @@ type Conn struct {
 	// each range is resolved against it by binary search (resolveAcked)
 	// with no lookup structure. sentBase is the start of sentOrder's
 	// backing array, kept so that appendSent can reuse the slots acks
-	// vacate at the front.
+	// vacate at the front. bytesInFlight is the connection's total; each
+	// record's bytes also count against the subflow that sent it.
 	sched         *scheduler
 	nextSeq       uint64
 	nextMsgID     uint64
@@ -152,8 +157,8 @@ type Conn struct {
 	chanNames     []string
 	sentIndex     []int64 // per-channel send counter, indexed by channel ID
 	ackedIndex    []int64 // per-channel highest acked counter
-	pacingNext    time.Duration
 	pacingTimer   sim.Timer
+	pacingAt      time.Duration // when pacingTimer fires
 	retryTimer    sim.Timer
 	rtoTimer      sim.Timer
 	srtt, rttvar  time.Duration
@@ -161,7 +166,11 @@ type Conn struct {
 	delivered     int64
 	deliveredTime time.Duration
 	largestAcked  uint64
-	recoverySeq   uint64
+
+	// The subflow set (see multipath.go): sub0 alone for a single-path
+	// connection, one per group channel for a multipath one.
+	subs []subflow
+	sub0 [1]subflow
 
 	// Receive state. doneMsgs records completed (delivered or expired)
 	// message IDs: retransmissions carry fresh sequence numbers, so
@@ -174,10 +183,6 @@ type Conn struct {
 	ackPending int
 	ackTimer   sim.Timer
 	rcvMsgs    map[uint64]*rcvMsg
-
-	// Multipath state (nil unless Config.Multipath).
-	subflows     map[string]*subflow
-	subflowOrder []string
 
 	// Pre-bound timer callbacks: evaluating a method value allocates a
 	// closure, so each recurring callback is materialized exactly once.
@@ -226,9 +231,7 @@ func newConn(e *Endpoint, flow packet.FlowID, cfg Config, client bool) *Conn {
 		c.wakePending = false
 		c.trySend()
 	}
-	if cfg.Multipath {
-		c.initMultipath()
-	}
+	c.initSubflows()
 	return c
 }
 
@@ -260,7 +263,7 @@ func (c *Conn) newSentInfo() *sentInfo {
 }
 
 // freeSentInfo recycles a tracking record no longer reachable from
-// sentOrder or multipath share state.
+// sentOrder or a subflow's ack scratch.
 func (c *Conn) freeSentInfo(info *sentInfo) {
 	info.sub = nil
 	info.chunk = nil
@@ -410,44 +413,50 @@ func (c *Conn) handlePacket(p *packet.Packet) {
 	}
 }
 
-// transmitCtrl sends a control or acknowledgment packet through the
-// steering policy, or on the initial subflow in multipath mode.
+// transmitCtrl sends a control or acknowledgment packet on the first
+// subflow: through the steering policy for a single-path connection,
+// on the first channel for a multipath one (MPTCP's initial subflow
+// plays the same role).
 func (c *Conn) transmitCtrl(p *packet.Packet) {
-	if c.subflows != nil {
-		c.multiTransmitCtrl(p)
-		return
-	}
-	c.ep.ctrlNames = c.ep.transmit(c, p, c.ep.ctrlNames[:0])
+	c.ep.ctrlNames = c.transmit(&c.subs[0], p, c.ep.ctrlNames[:0])
 }
 
-// traceCC records the congestion controller's post-event state: a
-// cwnd trace event (and pacing, for paced algorithms) tagged with the
-// algorithm name, plus the cc_* gauges.
 // flowLabel renders a flow ID as a metric label value.
 func flowLabel(f packet.FlowID) string { return strconv.FormatUint(uint64(f), 10) }
 
-func (c *Conn) traceCC(alg cc.Algorithm) {
+// traceCC records a subflow's congestion controller's post-event
+// state: a cwnd trace event (and pacing, for paced algorithms) tagged
+// with the algorithm name and the subflow's channel, plus the cc_*
+// gauges.
+func (c *Conn) traceCC(sf *subflow) {
 	// traceCC runs after every congestion-controller event, so it is the
-	// one place the cwnd/inflight invariants cover every algorithm.
+	// one place the cwnd/inflight invariants cover every algorithm on
+	// every subflow.
 	if invariant.Enabled() {
-		c.checkCC(alg)
+		c.checkCC(sf.alg)
 	}
 	if c.tracer == nil {
 		return
 	}
-	flow := flowLabel(c.flow)
+	alg := sf.alg
+	// One gauge series per controller: pinned subflows add their channel
+	// to the flow's labels.
+	labels := []string{"flow", flowLabel(c.flow), "alg", alg.Name()}
+	if sf.ch != nil {
+		labels = append(labels, "channel", sf.name)
+	}
 	cwnd := float64(alg.CWND())
 	c.tracer.Emit(telemetry.Event{
-		Layer: telemetry.LayerCC, Name: telemetry.EvCwnd,
+		Layer: telemetry.LayerCC, Name: telemetry.EvCwnd, Channel: sf.name,
 		Flow: uint32(c.flow), Value: cwnd, Detail: alg.Name(),
 	})
-	c.tracer.SetGauge("cc_cwnd_bytes", cwnd, "flow", flow, "alg", alg.Name())
+	c.tracer.SetGauge("cc_cwnd_bytes", cwnd, labels...)
 	if rate := alg.PacingRate(); rate > 0 {
 		c.tracer.Emit(telemetry.Event{
-			Layer: telemetry.LayerCC, Name: telemetry.EvPacing,
+			Layer: telemetry.LayerCC, Name: telemetry.EvPacing, Channel: sf.name,
 			Flow: uint32(c.flow), Value: rate, Detail: alg.Name(),
 		})
-		c.tracer.SetGauge("cc_pacing_bps", rate, "flow", flow, "alg", alg.Name())
+		c.tracer.SetGauge("cc_pacing_bps", rate, labels...)
 	}
 }
 
@@ -459,9 +468,11 @@ const maxSaneCwnd = 1 << 30
 
 // checkCC asserts the congestion-control accounting invariants after a
 // controller event: the window stays positive and sane, in-flight
-// bytes never go negative, and an empty in-flight table accounts for
-// exactly zero bytes (the cheap O(1) cross-check that catches
-// double-subtracts and leaks in the sent-info lifecycle).
+// bytes never go negative on the connection or any subflow, the
+// subflows' shares add up to the connection's total, and an empty
+// in-flight table accounts for exactly zero bytes (the cheap
+// cross-check that catches double-subtracts and leaks in the sent-info
+// lifecycle).
 func (c *Conn) checkCC(alg cc.Algorithm) {
 	if cwnd := alg.CWND(); cwnd <= 0 || cwnd > maxSaneCwnd {
 		invariant.Failf("transport", "cwnd-bounds",
@@ -471,11 +482,20 @@ func (c *Conn) checkCC(alg cc.Algorithm) {
 		invariant.Failf("transport", "cwnd-bounds",
 			"flow %d: %s negative pacing rate %v", c.flow, alg.Name(), rate)
 	}
-	if c.bytesInFlight < 0 {
-		invariant.Failf("transport", "inflight-bytes",
-			"flow %d: negative bytes in flight %d", c.flow, c.bytesInFlight)
+	sum := 0
+	for i := range c.subs {
+		sf := &c.subs[i]
+		if sf.inflight < 0 {
+			invariant.Failf("transport", "inflight-bytes",
+				"flow %d: subflow %q: negative bytes in flight %d", c.flow, sf.name, sf.inflight)
+		}
+		sum += sf.inflight
 	}
-	if len(c.sentOrder) == 0 && c.subflows == nil && c.bytesInFlight != 0 {
+	if sum != c.bytesInFlight {
+		invariant.Failf("transport", "inflight-bytes",
+			"flow %d: subflows account for %d bytes in flight, the connection for %d", c.flow, sum, c.bytesInFlight)
+	}
+	if len(c.sentOrder) == 0 && c.bytesInFlight != 0 {
 		invariant.Failf("transport", "inflight-bytes",
 			"flow %d: empty in-flight set accounts for %d bytes", c.flow, c.bytesInFlight)
 	}

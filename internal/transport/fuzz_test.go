@@ -50,6 +50,7 @@ func FuzzRangeSetOps(f *testing.F) {
 // linearAck is the single-pass merge-join that resolved acks before
 // the indexed resolution (ackRanges) replaced it, kept verbatim as the
 // oracle: it walks and rewrites every outstanding record on every ack.
+// It predates subflows, so it settles the connection's totals only.
 func linearAck(c *Conn, ranges []seqRange) (newlyBytes int, newest *sentInfo) {
 	c.ackedInfos = c.ackedInfos[:0]
 	ri := 0
@@ -109,11 +110,13 @@ func FuzzAckResolve(f *testing.F) {
 		// (neither mutates the records).
 		const base = 1000
 		got := &Conn{sentIndex: make([]int64, 2), ackedIndex: make([]int64, 2)}
+		got.subs = got.sub0[:]
+		sf := &got.subs[0]
 		seq := uint64(base)
 		for i := 0; i < nRec; i++ {
 			b := next()
 			seq += 1 + uint64(b%4)
-			info := &sentInfo{seq: seq, size: 100 + b}
+			info := &sentInfo{seq: seq, size: 100 + b, sub: sf}
 			for id := 0; id < 2; id++ {
 				if id == 0 && b&4 == 0 || id == 1 && b&8 != 0 {
 					got.sentIndex[id]++
@@ -122,6 +125,7 @@ func FuzzAckResolve(f *testing.F) {
 				}
 			}
 			got.bytesInFlight += info.size
+			sf.inflight += info.size
 			got.appendSent(info)
 		}
 		want := &Conn{
@@ -141,11 +145,12 @@ func FuzzAckResolve(f *testing.F) {
 		}
 
 		backing := got.sentOrder
-		gotBytes, gotNewest := got.ackRanges(ranges)
+		gotNewest := got.ackRanges(ranges)
 		wantBytes, wantNewest := linearAck(want, ranges)
 
-		if gotBytes != wantBytes || gotNewest != wantNewest {
-			t.Fatalf("ackRanges = (%d, %p), linear = (%d, %p)", gotBytes, gotNewest, wantBytes, wantNewest)
+		if sf.ackBytes != wantBytes || gotNewest != wantNewest || sf.ackNewest != wantNewest {
+			t.Fatalf("ackRanges = (%d, %p, subflow's newest %p), linear = (%d, %p)",
+				sf.ackBytes, gotNewest, sf.ackNewest, wantBytes, wantNewest)
 		}
 		if !slices.Equal(got.ackedInfos, want.ackedInfos) {
 			t.Fatalf("acked records differ: %d vs %d, or their order", len(got.ackedInfos), len(want.ackedInfos))
@@ -154,7 +159,7 @@ func FuzzAckResolve(f *testing.F) {
 			t.Fatalf("remaining flight differs: %d vs %d records, or their order", len(got.sentOrder), len(want.sentOrder))
 		}
 		if !slices.Equal(got.ackedIndex, want.ackedIndex) || got.bytesInFlight != want.bytesInFlight ||
-			got.delivered != want.delivered || got.stats != want.stats {
+			sf.inflight != want.bytesInFlight || got.delivered != want.delivered || got.stats != want.stats {
 			t.Fatalf("accounting differs: acked index %v vs %v, in flight %d vs %d",
 				got.ackedIndex, want.ackedIndex, got.bytesInFlight, want.bytesInFlight)
 		}

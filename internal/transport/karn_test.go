@@ -15,115 +15,92 @@ import (
 // matches nothing in the merge-join and takes the pure-duplicate early
 // return — it must not feed srtt/rttvar (no negative or
 // cross-attributed samples), nor double-count delivered bytes, nor
-// move largestAcked. These tests replay exactly that sequence against
-// both ack paths and fail if any estimator or counter moves.
+// move largestAcked. The test replays exactly that sequence against
+// both subflow sets — one steered subflow, one pinned subflow per
+// channel — and fails if any estimator or counter moves, on the
+// connection or on any subflow.
 
 func TestLateAckAfterRetransmitIgnored(t *testing.T) {
-	w := newWorld(51)
-	var got []Message
-	w.listen(serverCfg(w), &got)
-	c := w.client.Dial(Config{CC: cc.NewCubic(), Steer: w.dchannel(channel.A)})
-	const size = 2 << 20
-	c.SendMessage(c.NewStream(), 0, size, nil)
-	w.loop.RunUntil(300 * time.Millisecond)
+	for _, mode := range []struct {
+		name   string
+		seed   int64
+		client func(*world) Config
+		server func(*world) func() Config
+	}{
+		{"single-path", 51,
+			func(w *world) Config { return Config{CC: cc.NewCubic(), Steer: w.dchannel(channel.A)} },
+			serverCfg},
+		{"multipath", 52,
+			func(*world) Config { return multipathCfg() },
+			func(*world) func() Config { return multipathCfg }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			w := newWorld(mode.seed)
+			var got []Message
+			w.listen(mode.server(w), &got)
+			c := w.client.Dial(mode.client(w))
+			const size = 2 << 20
+			c.SendMessage(c.NewStream(), 0, size, nil)
+			w.loop.RunUntil(300 * time.Millisecond)
 
-	if len(c.sentOrder) == 0 {
-		t.Fatal("nothing in flight at 300ms")
-	}
-	lo := c.sentOrder[0].seq
-	hi := c.sentOrder[len(c.sentOrder)-1].seq
+			if len(c.sentOrder) == 0 {
+				t.Fatal("nothing in flight at 300ms")
+			}
+			lo := c.sentOrder[0].seq
+			hi := c.sentOrder[len(c.sentOrder)-1].seq
 
-	// Timeout: every in-flight packet is requeued and retransmitted
-	// under fresh sequence numbers.
-	c.onRTO()
-	if c.stats.Retransmits == 0 {
-		t.Fatal("RTO did not requeue anything")
-	}
-	for _, info := range c.sentOrder {
-		if info.seq <= hi {
-			t.Fatalf("retransmission reused old seq %d (<= %d)", info.seq, hi)
-		}
-	}
+			// Timeout: every in-flight packet is requeued and retransmitted
+			// under fresh sequence numbers.
+			c.onRTO()
+			if c.stats.Retransmits == 0 {
+				t.Fatal("RTO did not requeue anything")
+			}
+			for _, info := range c.sentOrder {
+				if info.seq <= hi {
+					t.Fatalf("retransmission reused old seq %d (<= %d)", info.seq, hi)
+				}
+			}
 
-	srtt, rttvar := c.srtt, c.rttvar
-	bif := c.bytesInFlight
-	acked := c.stats.BytesAcked
-	delivered := c.delivered
-	largest := c.largestAcked
+			srtt, rttvar := c.srtt, c.rttvar
+			bif := c.bytesInFlight
+			subs := append([]subflow(nil), c.subs...)
+			acked := c.stats.BytesAcked
+			delivered := c.delivered
+			largest := c.largestAcked
 
-	// The network finally delivers the ack for the original
-	// transmissions.
-	c.handleAck(nil, &ackPayload{ranges: []seqRange{{lo: lo, hi: hi}}})
+			// The network finally delivers the ack for the original
+			// transmissions.
+			c.handleAck(nil, &ackPayload{ranges: []seqRange{{lo: lo, hi: hi}}})
 
-	if c.srtt != srtt || c.rttvar != rttvar {
-		t.Fatalf("late ack moved RTT estimators: srtt %v->%v rttvar %v->%v",
-			srtt, c.srtt, rttvar, c.rttvar)
-	}
-	if c.bytesInFlight != bif {
-		t.Fatalf("late ack changed bytesInFlight %d->%d", bif, c.bytesInFlight)
-	}
-	if c.stats.BytesAcked != acked || c.delivered != delivered {
-		t.Fatalf("late ack double-counted delivery: acked %d->%d delivered %d->%d",
-			acked, c.stats.BytesAcked, delivered, c.delivered)
-	}
-	if c.largestAcked != largest {
-		t.Fatalf("late ack moved largestAcked %d->%d", largest, c.largestAcked)
-	}
-	if c.srtt < 0 || c.rttvar < 0 {
-		t.Fatalf("negative estimator: srtt=%v rttvar=%v", c.srtt, c.rttvar)
-	}
+			if c.srtt != srtt || c.rttvar != rttvar {
+				t.Fatalf("late ack moved RTT estimators: srtt %v->%v rttvar %v->%v",
+					srtt, c.srtt, rttvar, c.rttvar)
+			}
+			if c.bytesInFlight != bif {
+				t.Fatalf("late ack changed bytesInFlight %d->%d", bif, c.bytesInFlight)
+			}
+			for i, was := range subs {
+				if sf := c.subs[i]; sf.srtt != was.srtt || sf.inflight != was.inflight {
+					t.Fatalf("late ack touched subflow %q: srtt %v->%v inflight %d->%d",
+						sf.name, was.srtt, sf.srtt, was.inflight, sf.inflight)
+				}
+			}
+			if c.stats.BytesAcked != acked || c.delivered != delivered {
+				t.Fatalf("late ack double-counted delivery: acked %d->%d delivered %d->%d",
+					acked, c.stats.BytesAcked, delivered, c.delivered)
+			}
+			if c.largestAcked != largest {
+				t.Fatalf("late ack moved largestAcked %d->%d", largest, c.largestAcked)
+			}
+			if c.srtt < 0 || c.rttvar < 0 {
+				t.Fatalf("negative estimator: srtt=%v rttvar=%v", c.srtt, c.rttvar)
+			}
 
-	// The transfer still completes, exactly once.
-	w.loop.RunUntil(30 * time.Second)
-	if len(got) != 1 || got[0].Size != size {
-		t.Fatalf("transfer after spurious ack: %v", got)
-	}
-}
-
-func TestLateAckAfterRetransmitIgnoredMultipath(t *testing.T) {
-	w := newWorld(52)
-	var got []Message
-	w.listen(func() Config { return multipathCfg() }, &got)
-	c := w.client.Dial(multipathCfg())
-	const size = 2 << 20
-	c.SendMessage(c.NewStream(), 0, size, nil)
-	w.loop.RunUntil(300 * time.Millisecond)
-
-	if len(c.sentOrder) == 0 {
-		t.Fatal("nothing in flight at 300ms")
-	}
-	lo := c.sentOrder[0].seq
-	hi := c.sentOrder[len(c.sentOrder)-1].seq
-	c.onMultiRTO()
-
-	srtt, rttvar := c.srtt, c.rttvar
-	subSrtt := map[string]time.Duration{}
-	subInflight := map[string]int{}
-	for _, name := range c.subflowOrder {
-		subSrtt[name] = c.subflows[name].srtt
-		subInflight[name] = c.subflows[name].inflight
-	}
-	acked := c.stats.BytesAcked
-
-	c.handleAck(nil, &ackPayload{ranges: []seqRange{{lo: lo, hi: hi}}})
-
-	if c.srtt != srtt || c.rttvar != rttvar {
-		t.Fatalf("late ack moved shared RTT estimators: srtt %v->%v rttvar %v->%v",
-			srtt, c.srtt, rttvar, c.rttvar)
-	}
-	for _, name := range c.subflowOrder {
-		sf := c.subflows[name]
-		if sf.srtt != subSrtt[name] || sf.inflight != subInflight[name] {
-			t.Fatalf("late ack touched subflow %s: srtt %v->%v inflight %d->%d",
-				name, subSrtt[name], sf.srtt, subInflight[name], sf.inflight)
-		}
-	}
-	if c.stats.BytesAcked != acked {
-		t.Fatalf("late ack double-counted: acked %d->%d", acked, c.stats.BytesAcked)
-	}
-
-	w.loop.RunUntil(30 * time.Second)
-	if len(got) != 1 || got[0].Size != size {
-		t.Fatalf("transfer after spurious ack: %v", got)
+			// The transfer still completes, exactly once.
+			w.loop.RunUntil(30 * time.Second)
+			if len(got) != 1 || got[0].Size != size {
+				t.Fatalf("transfer after spurious ack: %v", got)
+			}
+		})
 	}
 }

@@ -59,9 +59,11 @@ func (f fixedWindow) OnAck(cc.AckEvent)         {}
 func (f fixedWindow) OnLoss(cc.LossEvent)       {}
 
 // bulkDrive is one endless bulk flow holding a fixed window of packets
-// in flight over an ideal channel (10 ms, 10 Gbps, no loss): every RTT
+// in flight over ideal channels (10 ms, 10 Gbps, no loss): every RTT
 // the whole window is sent, delivered, acked, and refilled, so the
-// flow stays saturated for as many packets as a test asks for.
+// flow stays saturated for as many packets as a test asks for. With
+// one channel the flow is single-path; with more it is multipath, one
+// subflow and one window per channel.
 type bulkDrive struct {
 	loop     *sim.Loop
 	conn     *Conn
@@ -69,23 +71,30 @@ type bulkDrive struct {
 	deadline time.Duration
 }
 
-func newBulkDrive(window int) *bulkDrive {
+func newBulkDrive(window, channels int) *bulkDrive {
 	loop := sim.NewLoop(1)
-	ch := channel.New(loop, channel.Config{
-		Props:      channel.Properties{Name: "ideal", BaseRTT: 10 * time.Millisecond, Bandwidth: 10e9},
-		DownTrace:  trace.Constant("ideal", 10*time.Millisecond, 10e9),
-		QueueBytes: 64 << 20,
-	})
-	g := channel.NewGroup(ch)
+	var chs []*channel.Channel
+	for i := 0; i < channels; i++ {
+		name := fmt.Sprint("ideal", i)
+		chs = append(chs, channel.New(loop, channel.Config{
+			Props:      channel.Properties{Name: name, BaseRTT: 10 * time.Millisecond, Bandwidth: 10e9},
+			DownTrace:  trace.Constant(name, 10*time.Millisecond, 10e9),
+			QueueBytes: 64 << 20,
+		}))
+	}
+	g := channel.NewGroup(chs...)
 	client, server := NewEndpoint(loop, g, channel.A), NewEndpoint(loop, g, channel.B)
 	d := &bulkDrive{loop: loop}
-	only := steering.NewSingle(ch)
-	server.Listen(func() Config {
-		return Config{CC: fixedWindow{64 * cc.MSS}, Steer: only}
-	}, func(c *Conn) { d.srv = c })
-	d.conn = client.Dial(Config{CC: fixedWindow{window * cc.MSS}, Steer: only})
+	cfg := func(window int) Config {
+		if channels > 1 {
+			return Config{Multipath: true, NewCC: func() cc.Algorithm { return fixedWindow{window * cc.MSS} }}
+		}
+		return Config{CC: fixedWindow{window * cc.MSS}, Steer: steering.NewSingle(chs[0])}
+	}
+	server.Listen(func() Config { return cfg(64) }, func(c *Conn) { d.srv = c })
+	d.conn = client.Dial(cfg(window))
 	d.conn.SendMessage(d.conn.NewStream(), 0, 1<<40, nil)
-	d.run(2 * window) // handshake, then fill the window and every free list
+	d.run(2 * window * channels) // handshake, then fill the windows and every free list
 	return d
 }
 
@@ -109,20 +118,25 @@ func (d *bulkDrive) run(pkts int) int {
 }
 
 // ackDrive is a bare connection's send-side state with a standing
-// flight of window packets, for exercising the ack path with nothing
-// under or over it: each step sends two packets and applies the ack
-// that retires the two oldest, exactly the sequence handleAck runs
-// (resolve, settle, recycle, detect losses) minus the controller and
-// the timers.
+// flight of window packets, dealt round-robin to its subflows (one
+// channel each), for exercising the ack path with nothing under or
+// over it: each step sends two packets and applies the ack that
+// retires the two oldest, exactly the sequence handleAck runs
+// (resolve, settle per subflow, recycle, detect losses) minus the
+// controllers and the timers.
 type ackDrive struct {
 	c      *Conn
-	ch     int
+	chs    []int // each subflow's channel ID
+	turn   int   // the subflow the next packet goes to
 	ranges []seqRange
 }
 
-func newAckDrive(window int) *ackDrive {
+func newAckDrive(window, subflows int) *ackDrive {
 	d := &ackDrive{c: &Conn{sched: newScheduler(), chanIDs: map[string]int{}}, ranges: make([]seqRange, 1)}
-	d.ch = d.c.chanID("ideal")
+	d.c.subs = make([]subflow, subflows)
+	for i := range d.c.subs {
+		d.chs = append(d.chs, d.c.chanID(fmt.Sprint("ideal", i)))
+	}
 	for i := 0; i < window; i++ {
 		d.send()
 	}
@@ -136,11 +150,18 @@ func (d *ackDrive) send() {
 	c := d.c
 	info := c.newSentInfo()
 	c.nextSeq++
-	c.sentIndex[d.ch]++
+	i := d.turn
+	if d.turn++; d.turn == len(c.subs) {
+		d.turn = 0
+	}
+	ch := d.chs[i]
+	c.sentIndex[ch]++
 	info.seq, info.size, info.chunk = c.nextSeq, packet.MaxPayload, c.sched.newChunk()
-	info.chIDs = append(info.chIDs, d.ch)
-	info.chIdx = append(info.chIdx, c.sentIndex[d.ch])
+	info.sub = &c.subs[i]
+	info.chIDs = append(info.chIDs, ch)
+	info.chIdx = append(info.chIdx, c.sentIndex[ch])
 	c.bytesInFlight += info.size
+	info.sub.inflight += info.size
 	c.appendSent(info)
 }
 
@@ -149,26 +170,32 @@ func (d *ackDrive) step() {
 	d.send()
 	d.send()
 	d.ranges[0] = seqRange{1, c.sentOrder[1].seq} // cumulative, as a loss-free receiver acks
-	_, newest := c.ackRanges(d.ranges)
-	c.largestAcked = newest.seq
+	c.largestAcked = c.ackRanges(d.ranges).seq
+	for i := range c.subs {
+		c.subs[i].ackNewest, c.subs[i].ackBytes = nil, 0 // as subflowAcked consumes them
+	}
 	c.recycleAcked()
 	c.detectLosses(0)
 }
 
 // BenchmarkAckPath reports the ack path's cost per acknowledged packet
-// at three flight depths; TestAckPathWindowIndependent holds the
-// deepest within 1.5× of the shallowest.
+// at three flight depths of one subflow — TestAckPathWindowIndependent
+// holds the deepest within 1.5× of the shallowest — and with the
+// flight split over two subflows.
 func BenchmarkAckPath(b *testing.B) {
-	for _, window := range []int{32, 2048, 8192} {
-		b.Run(fmt.Sprintf("w%d", window), func(b *testing.B) {
-			d := newAckDrive(window)
+	for _, shape := range []struct {
+		name             string
+		window, subflows int
+	}{{"w32", 32, 1}, {"w2048", 2048, 1}, {"w8192", 8192, 1}, {"multipath", 2048, 2}} {
+		b.Run(shape.name, func(b *testing.B) {
+			d := newAckDrive(shape.window, shape.subflows)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i += 2 {
 				d.step()
 			}
-			if got := len(d.c.sentOrder); got != window {
-				b.Fatalf("flight is %d packets, want %d", got, window)
+			if got := len(d.c.sentOrder); got != shape.window {
+				b.Fatalf("flight is %d packets, want %d", got, shape.window)
 			}
 		})
 	}
@@ -191,7 +218,7 @@ func TestAckPathWindowIndependent(t *testing.T) {
 		}
 		return time.Since(start)
 	}
-	shallow, deep := newAckDrive(32), newAckDrive(8192)
+	shallow, deep := newAckDrive(32, 1), newAckDrive(8192, 1)
 	var ratios []float64
 	for try := 0; try < 7; try++ {
 		ratio := float64(timeSteps(deep)) / float64(timeSteps(shallow))
@@ -210,35 +237,52 @@ func TestAckPathWindowIndependent(t *testing.T) {
 // wrap instead of appending, and the in-flight set slides within its
 // backing array. Before the boxes moved to the group's pool and the
 // rings wrapped, this flow grew by 70 bytes and 1.5 objects per packet sent.
+//
+// Nor does the steady flow allocate garbage, whichever subflow set it
+// runs over: acks are grouped per subflow in the subflows' own scratch.
+// The separate multipath ack path this replaces built two maps per ack.
 func TestBulkFlowMemoryBounded(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are inflated under -race")
 	}
-	const window = 256
-	d := newBulkDrive(window)
-	live := func() (bytes, objects uint64) {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc, ms.HeapObjects
+	for _, shape := range []struct {
+		name     string
+		channels int
+	}{{"single-path", 1}, {"multipath", 2}} {
+		t.Run(shape.name, func(t *testing.T) {
+			const window = 256
+			d := newBulkDrive(window, shape.channels)
+			live := func() (bytes, objects, mallocs uint64) {
+				var ms runtime.MemStats
+				runtime.GC()
+				runtime.ReadMemStats(&ms)
+				return ms.HeapAlloc, ms.HeapObjects, ms.Mallocs
+			}
+			d.run(20 * window)
+			bytes0, objs0, mallocs0 := live()
+			sent := d.run(400 * window)
+			bytes1, objs1, mallocs1 := live()
+			if st := d.conn.Stats(); st.Retransmits != 0 || st.RTOs != 0 {
+				t.Fatalf("ideal channel saw %d retransmits, %d RTOs", st.Retransmits, st.RTOs)
+			}
+			// Slack for the runtime's own bookkeeping; the leak this guards
+			// against was megabytes and more than one object per packet. The
+			// byte budget is the heap scheduler's: the timing wheel (-tags
+			// sim_wheel) sizes each of its 1024 buckets as events first crowd
+			// it, which takes minutes of virtual time to settle.
+			if grown := int64(bytes1) - int64(bytes0); grown > 64<<10 && sim.DefaultScheduler == sim.Heap {
+				t.Errorf("live heap grew %d bytes over %d packets, want a bounded footprint", grown, sent)
+			}
+			if grown := int64(objs1) - int64(objs0); grown > 256 {
+				t.Errorf("live heap grew %d objects over %d packets, want a bounded footprint", grown, sent)
+			}
+			// The timing wheel still allocates as its buckets settle (one
+			// object per ~40 packets here); a path that allocates per ack
+			// costs one per packet or more.
+			if n := mallocs1 - mallocs0; n > uint64(sent)/10 {
+				t.Errorf("%d allocations over %d packets, want a steady flow to allocate nothing", n, sent)
+			}
+			runtime.KeepAlive(d)
+		})
 	}
-	d.run(20 * window)
-	bytes0, objs0 := live()
-	sent := d.run(400 * window)
-	bytes1, objs1 := live()
-	if st := d.conn.Stats(); st.Retransmits != 0 || st.RTOs != 0 {
-		t.Fatalf("ideal channel saw %d retransmits, %d RTOs", st.Retransmits, st.RTOs)
-	}
-	// Slack for the runtime's own bookkeeping; the leak this guards
-	// against was megabytes and more than one object per packet. The
-	// byte budget is the heap scheduler's: the timing wheel (-tags
-	// sim_wheel) sizes each of its 1024 buckets as events first crowd
-	// it, which takes minutes of virtual time to settle.
-	if grown := int64(bytes1) - int64(bytes0); grown > 64<<10 && sim.DefaultScheduler == sim.Heap {
-		t.Errorf("live heap grew %d bytes over %d packets, want a bounded footprint", grown, sent)
-	}
-	if grown := int64(objs1) - int64(objs0); grown > 256 {
-		t.Errorf("live heap grew %d objects over %d packets, want a bounded footprint", grown, sent)
-	}
-	runtime.KeepAlive(d)
 }

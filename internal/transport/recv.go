@@ -173,14 +173,14 @@ func (c *Conn) sendAck() {
 	c.transmitCtrl(p)
 }
 
-// handleAck processes acknowledgment state from the peer.
+// handleAck processes acknowledgment state from the peer: the newly
+// acked bytes are grouped per subflow, each subflow's controller hears
+// about its own share with its own RTT sample, and the connection's
+// RTT estimate — which feeds the one RTO — takes the newest sample
+// overall.
 func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
-	if c.subflows != nil {
-		c.multiAck(pl)
-		return
-	}
 	now := c.loop.Now()
-	newlyBytes, newest := c.ackRanges(pl.ranges)
+	newest := c.ackRanges(pl.ranges)
 	if newest == nil {
 		return // pure duplicate: nothing new
 	}
@@ -189,42 +189,13 @@ func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
 	}
 	c.deliveredTime = now
 	c.rtoBackoff = 0
+	c.updateRTT(now - newest.sentAt)
 
-	rtt := now - newest.sentAt
-	c.updateRTT(rtt)
-	chName := ""
-	if len(newest.channels) == 1 {
-		chName = newest.channels[0]
+	for i := range c.subs {
+		if sf := &c.subs[i]; sf.ackNewest != nil {
+			c.subflowAcked(sf, now)
+		}
 	}
-	if c.onRTTSample != nil {
-		c.onRTTSample(now, rtt, chName)
-	}
-	if c.tracer.Enabled() {
-		c.tracer.Emit(telemetry.Event{
-			Layer: telemetry.LayerTransport, Name: telemetry.EvAck,
-			Flow: uint32(c.flow), Seq: newest.seq, Bytes: newlyBytes,
-		})
-		c.tracer.Emit(telemetry.Event{
-			Layer: telemetry.LayerTransport, Name: telemetry.EvRTT,
-			Channel: chName, Flow: uint32(c.flow), Seq: newest.seq, Dur: rtt,
-		})
-		c.tracer.Count("transport_acked_bytes_total", float64(newlyBytes), "flow", flowLabel(c.flow))
-	}
-
-	var rate float64
-	if dt := now - newest.deliveredTimeAtSent; dt > 0 {
-		rate = float64(c.delivered-newest.deliveredAtSent) * 8 / dt.Seconds()
-	}
-	c.cfg.CC.OnAck(cc.AckEvent{
-		Now:          now,
-		RTT:          rtt,
-		Bytes:        newlyBytes,
-		InFlight:     c.bytesInFlight,
-		DeliveryRate: rate,
-		Channel:      chName,
-		AppLimited:   newest.appLimited,
-	})
-	c.traceCC(c.cfg.CC)
 
 	c.recycleAcked()
 	c.detectLosses(now)
@@ -235,33 +206,85 @@ func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
 	c.trySend()
 }
 
-// ackRanges retires every in-flight packet the ack's ranges cover. It
-// is the one ack-range resolution routine, shared by the single-path
-// and multipath ack handlers: the covered records leave sentOrder for
-// ackedInfos (ascending seq, so the last is the newest), and the
-// connection-level accounting — bytes in flight, delivered bytes, the
-// per-channel highest acked send index — is settled for each. It
-// returns the newly acked payload bytes and the newest acked record,
-// nil for a pure duplicate. The caller recycles ackedInfos once its
-// controller has heard about them.
-func (c *Conn) ackRanges(ranges []seqRange) (newlyBytes int, newest *sentInfo) {
+// subflowAcked consumes the share of the current ack that ackRanges
+// left in sf's scratch: one RTT sample from the newest record, the
+// observers, and the controller's OnAck.
+func (c *Conn) subflowAcked(sf *subflow, now time.Duration) {
+	newest, bytes := sf.ackNewest, sf.ackBytes
+	sf.ackNewest, sf.ackBytes = nil, 0
+
+	rtt := now - newest.sentAt
+	if sf.srtt == 0 {
+		sf.srtt = rtt
+	} else {
+		sf.srtt = (7*sf.srtt + rtt) / 8
+	}
+	chName := ""
+	if len(newest.channels) == 1 {
+		chName = newest.channels[0]
+	}
+	if c.onRTTSample != nil {
+		c.onRTTSample(now, rtt, chName)
+	}
+	if c.tracer.Enabled() {
+		c.tracer.Emit(telemetry.Event{
+			Layer: telemetry.LayerTransport, Name: telemetry.EvAck, Channel: sf.name,
+			Flow: uint32(c.flow), Seq: newest.seq, Bytes: bytes,
+		})
+		c.tracer.Emit(telemetry.Event{
+			Layer: telemetry.LayerTransport, Name: telemetry.EvRTT,
+			Channel: chName, Flow: uint32(c.flow), Seq: newest.seq, Dur: rtt,
+		})
+		c.tracer.Count("transport_acked_bytes_total", float64(bytes), "flow", flowLabel(c.flow))
+	}
+
+	var rate float64
+	if dt := now - newest.deliveredTimeAtSent; dt > 0 {
+		rate = float64(c.delivered-newest.deliveredAtSent) * 8 / dt.Seconds()
+	}
+	sf.alg.OnAck(cc.AckEvent{
+		Now:          now,
+		RTT:          rtt,
+		Bytes:        bytes,
+		InFlight:     sf.inflight,
+		DeliveryRate: rate,
+		Channel:      chName,
+		AppLimited:   newest.appLimited,
+	})
+	c.traceCC(sf)
+}
+
+// ackRanges retires every in-flight packet the ack's ranges cover: the
+// covered records leave sentOrder for ackedInfos (ascending seq, so the
+// last is the newest), and the accounting is settled for each — bytes
+// in flight and delivered, the per-channel highest acked send index,
+// and the sending subflow's in-flight count and share of this ack
+// (ackBytes, ackNewest). It returns the newest acked record, nil for a
+// pure duplicate. The caller consumes the subflows' shares, then
+// recycles ackedInfos once the controllers have heard about them.
+func (c *Conn) ackRanges(ranges []seqRange) (newest *sentInfo) {
 	c.ackedInfos = c.ackedInfos[:0]
 	c.resolveAcked(ranges)
+	var bytes int
 	for _, info := range c.ackedInfos {
-		c.bytesInFlight -= info.size
-		c.delivered += int64(info.size)
-		newlyBytes += info.size
-		c.stats.BytesAcked += int64(info.size)
+		bytes += info.size
 		for i, id := range info.chIDs {
 			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
 				c.ackedIndex[id] = idx
 			}
 		}
+		sf := info.sub
+		sf.inflight -= info.size
+		sf.ackBytes += info.size
+		sf.ackNewest = info // ascending: the last acked is the newest
 	}
+	c.bytesInFlight -= bytes
+	c.delivered += int64(bytes)
+	c.stats.BytesAcked += int64(bytes)
 	if n := len(c.ackedInfos); n > 0 {
-		newest = c.ackedInfos[n-1] // ascending: the last acked is the newest
+		newest = c.ackedInfos[n-1]
 	}
-	return newlyBytes, newest
+	return newest
 }
 
 // resolveAcked moves the records covered by ranges (ascending by lo,
@@ -353,7 +376,8 @@ func (c *Conn) updateRTT(rtt time.Duration) {
 
 // detectLosses applies the per-channel packet-threshold rule: an
 // outstanding packet is lost once ackAfterGap later packets have been
-// acknowledged on every channel that carried a copy of it.
+// acknowledged on every channel that carried a copy of it. Each
+// subflow's controller is told about its own losses.
 //
 // Per-channel send indexes are assigned in seq order, so a packet with
 // seq above largestAcked has a higher index on every channel it rode
@@ -362,7 +386,6 @@ func (c *Conn) updateRTT(rtt time.Duration) {
 // the tail, so the common dense-ack case costs O(packets at or below
 // largestAcked), not O(flight size).
 func (c *Conn) detectLosses(now time.Duration) {
-	var lostBytes int
 	order := c.sentOrder
 	w, r := 0, 0
 	for ; r < len(order) && order[r].seq <= c.largestAcked; r++ {
@@ -379,11 +402,15 @@ func (c *Conn) detectLosses(now time.Duration) {
 			w++
 			continue
 		}
-		lostBytes += info.size
+		info.sub.lostBytes += info.size
 		c.requeue(info)
 	}
 	c.closeSentGap(w, r)
-	if lostBytes > 0 {
-		c.notifyLoss(now, lostBytes)
+	for i := range c.subs {
+		if sf := &c.subs[i]; sf.lostBytes > 0 {
+			bytes := sf.lostBytes
+			sf.lostBytes = 0
+			c.notifyLoss(sf, now, bytes)
+		}
 	}
 }

@@ -175,7 +175,7 @@ func (s *scheduler) next(mss int, unreliable bool) *chunk {
 // packet's per-channel send index on it (for loss detection).
 type sentInfo struct {
 	seq                 uint64
-	sub                 *subflow // multipath only
+	sub                 *subflow // the subflow that sent it
 	size                int      // payload bytes
 	chunk               *chunk
 	sentAt              time.Duration
@@ -187,39 +187,25 @@ type sentInfo struct {
 	appLimited          bool
 }
 
-// trySend transmits as much queued data as the congestion window and
-// pacing allow.
+// trySend transmits as much queued data as the subflows' congestion
+// windows and pacing allow. An unreliable connection has neither and
+// sends everything at once on its one subflow.
 func (c *Conn) trySend() {
-	if c.subflows != nil {
-		c.tryMultiSend()
-		return
-	}
 	if c.closed || !c.established {
 		return
 	}
-	for {
-		if c.sched.empty() {
-			return
-		}
+	for !c.sched.empty() {
+		sf := &c.subs[0]
 		if !c.cfg.Unreliable {
-			if c.bytesInFlight >= c.cfg.CC.CWND() {
-				return // an ack will reopen the window
-			}
-			if rate := c.cfg.CC.PacingRate(); rate > 0 {
-				now := c.loop.Now()
-				if c.pacingNext > now {
-					if !c.pacingTimer.Active() {
-						c.pacingTimer = c.loop.At(c.pacingNext, c.trySendFn)
-					}
-					return
-				}
+			if sf = c.pickSubflow(); sf == nil {
+				return
 			}
 		}
 		ch := c.sched.next(c.cfg.MSS, c.cfg.Unreliable)
 		if ch == nil {
 			return
 		}
-		if !c.sendChunk(ch) {
+		if !c.sendChunk(sf, ch) {
 			c.backoffSend()
 			return
 		}
@@ -251,9 +237,9 @@ func (c *Conn) backoffSend() {
 	}
 }
 
-// sendChunk packetizes and transmits one chunk, reporting whether any
-// channel accepted the packet.
-func (c *Conn) sendChunk(ch *chunk) bool {
+// sendChunk packetizes one chunk and transmits it on sf, reporting
+// whether any channel accepted the packet.
+func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	now := c.loop.Now()
 	p := c.newPacket(packet.Data, ch.frag.length+packet.HeaderBytes)
 	c.nextSeq++
@@ -269,11 +255,11 @@ func (c *Conn) sendChunk(ch *chunk) bool {
 	var carried []string
 	var info *sentInfo
 	if c.cfg.Unreliable {
-		c.ep.ctrlNames = c.ep.transmit(c, p, c.ep.ctrlNames[:0])
+		c.ep.ctrlNames = c.transmit(sf, p, c.ep.ctrlNames[:0])
 		carried = c.ep.ctrlNames
 	} else {
 		info = c.newSentInfo()
-		info.channels = c.ep.transmit(c, p, info.channels[:0])
+		info.channels = c.transmit(sf, p, info.channels[:0])
 		carried = info.channels
 	}
 	c.stats.BytesSent += int64(ch.frag.length)
@@ -295,6 +281,7 @@ func (c *Conn) sendChunk(ch *chunk) bool {
 
 	size := ch.frag.length
 	info.seq = p.Seq
+	info.sub = sf
 	info.size = size
 	info.chunk = ch
 	info.sentAt = now
@@ -307,15 +294,16 @@ func (c *Conn) sendChunk(ch *chunk) bool {
 		info.chIdx = append(info.chIdx, c.sentIndex[id])
 	}
 	c.bytesInFlight += size
-	c.cfg.CC.OnSent(now, size)
+	sf.inflight += size
+	sf.alg.OnSent(now, size)
 	info.appLimited = c.sched.empty()
 
-	if rate := c.cfg.CC.PacingRate(); rate > 0 {
+	if rate := sf.alg.PacingRate(); rate > 0 {
 		interval := time.Duration(float64(p.Size) * 8 / rate * float64(time.Second))
-		if c.pacingNext < now {
-			c.pacingNext = now
+		if sf.pacingNext < now {
+			sf.pacingNext = now
 		}
-		c.pacingNext += interval
+		sf.pacingNext += interval
 	}
 	if len(carried) == 0 {
 		// Every copy was dropped at channel entry: the packet will
@@ -323,7 +311,7 @@ func (c *Conn) sendChunk(ch *chunk) bool {
 		// it. Declare it lost at once — entry drops are queue
 		// overflow, i.e. a congestion signal.
 		c.requeue(info)
-		c.notifyLoss(now, size)
+		c.notifyLoss(sf, now, size)
 		return false
 	}
 	c.appendSent(info)
@@ -405,10 +393,6 @@ func (c *Conn) armRTO() {
 }
 
 func (c *Conn) onRTO() {
-	if c.subflows != nil {
-		c.onMultiRTO()
-		return
-	}
 	if c.closed {
 		return
 	}
@@ -432,27 +416,35 @@ func (c *Conn) onRTO() {
 	})
 	c.tracer.Count("transport_rtos_total", 1, "flow", flowLabel(c.flow))
 	// Declare everything outstanding lost and rebuild from the model.
-	var lostBytes int
 	for _, info := range c.sentOrder {
-		lostBytes += info.size
+		info.sub.lostBytes += info.size
 		c.requeue(info)
 	}
 	c.sentOrder = c.sentOrder[:0]
-	c.cfg.CC.OnLoss(cc.LossEvent{
-		Now:     c.loop.Now(),
-		Bytes:   lostBytes,
-		Timeout: true,
-	})
-	c.traceCC(c.cfg.CC)
+	for i := range c.subs {
+		sf := &c.subs[i]
+		if sf.lostBytes == 0 {
+			continue
+		}
+		sf.alg.OnLoss(cc.LossEvent{
+			Now:     c.loop.Now(),
+			Bytes:   sf.lostBytes,
+			Timeout: true,
+		})
+		sf.lostBytes = 0
+		c.traceCC(sf)
+	}
 	c.rtoTimer = c.loop.After(c.rto(), c.onRTOFn)
 	c.trySend()
 }
 
-// requeue returns an in-flight packet's chunk to the scheduler and
-// recycles its tracking record; the caller removes info from sentOrder
-// and must not use it after.
+// requeue returns an in-flight packet's chunk to the scheduler, takes
+// its bytes off the connection's and its subflow's in-flight counts,
+// and recycles its tracking record; the caller removes info from
+// sentOrder and must not use it after.
 func (c *Conn) requeue(info *sentInfo) {
 	c.bytesInFlight -= info.size
+	info.sub.inflight -= info.size
 	c.stats.Retransmits++
 	c.sched.pushRetx(info.chunk)
 	if c.tracer.Enabled() {
@@ -466,18 +458,19 @@ func (c *Conn) requeue(info *sentInfo) {
 	c.freeSentInfo(info)
 }
 
-// notifyLoss reports non-timeout loss to congestion control, at most
-// once per recovery window (TCP fast-recovery semantics: one window
-// reduction per flight, however many packets it lost).
-func (c *Conn) notifyLoss(now time.Duration, bytes int) {
-	if c.largestAcked < c.recoverySeq {
+// notifyLoss reports non-timeout loss to a subflow's congestion
+// controller, at most once per recovery window (TCP fast-recovery
+// semantics: one window reduction per flight, however many packets it
+// lost).
+func (c *Conn) notifyLoss(sf *subflow, now time.Duration, bytes int) {
+	if c.largestAcked < sf.recoverySeq {
 		return // still recovering from the previous notification
 	}
-	c.recoverySeq = c.nextSeq
-	c.cfg.CC.OnLoss(cc.LossEvent{
+	sf.recoverySeq = c.nextSeq
+	sf.alg.OnLoss(cc.LossEvent{
 		Now:      now,
 		Bytes:    bytes,
-		InFlight: c.bytesInFlight,
+		InFlight: sf.inflight,
 	})
-	c.traceCC(c.cfg.CC)
+	c.traceCC(sf)
 }
