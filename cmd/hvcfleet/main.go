@@ -10,6 +10,10 @@
 //	hvcfleet -spec "ues=1000 mix=video:1 policy=dchannel trace=lowband-driving,mmwave-driving dur=4s"
 //	hvcfleet -spec "ues=500 fault=outage:ch=embb,at=10s,dur=2s stagger=30s" -progress 2s
 //
+// DESIGN.md "Spec grammars" lists every key, kind and default; omitted
+// keys default, and an explicit dur=0s or stagger=0s is a usage error
+// (exit 2, nothing on stdout) rather than a request for the default.
+//
 // Each UE's workload, steering policy, trace realization, seed, and
 // start offset derive by pure hashing from (fleet seed, UE index), so
 // the run is deterministic end to end: stdout's table and the -json

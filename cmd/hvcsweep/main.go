@@ -19,7 +19,9 @@
 // defaults to two eMBB blackouts scaled to dur. The flows/mix/join/
 // rttspread keys (exp=arena only) shape the contention run: competitor
 // count, weighted CCA mix (cc:weight, assigned cyclically), join
-// stagger, and RTT heterogeneity.
+// stagger, and RTT heterogeneity. DESIGN.md "Spec grammars" lists every
+// key, kind and default; a key that does not apply to the experiment,
+// or an explicit dur=0s, is a usage error (exit 2, nothing on stdout).
 //
 // The default grid is the paper's Figure 1a (four CCAs under DChannel
 // steering vs eMBB-only) over five seeds.

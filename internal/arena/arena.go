@@ -96,7 +96,7 @@ type Result struct {
 // Run executes the arena described by spec and blocks until the
 // virtual clock reaches spec.Dur.
 func Run(spec Spec, opt Options) (Result, error) {
-	if err := spec.defaultAndValidate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
 	fspec, err := fault.ParseSpec(opt.Fault)

@@ -1,8 +1,9 @@
 package arena
 
 import (
-	"reflect"
 	"testing"
+
+	"hvc/internal/spec"
 )
 
 // FuzzArenaSpecParse drives the spec grammar with arbitrary input and
@@ -19,18 +20,16 @@ func FuzzArenaSpecParse(f *testing.F) {
 	f.Add("join=-5s seed=-9223372036854775808")
 	f.Add("flows=2 flows=2")
 	f.Add("epoch=9ms dur=600ms")
+	f.Add("epoch=0s")
+	f.Add("dur=0s join=0s")
 
 	f.Fuzz(func(t *testing.T, in string) {
 		s1, err := ParseSpec(in)
 		if err != nil {
 			return
 		}
-		s2, err := ParseSpec(s1.String())
-		if err != nil {
-			t.Fatalf("canonical form %q of accepted input %q rejected: %v", s1.String(), in, err)
-		}
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("round trip of %q:\n got %+v\nwant %+v", in, s2, s1)
+		if err := spec.RoundTrip(s1, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 		// Derived per-flow values must stay in their documented bounds
 		// for every accepted spec.

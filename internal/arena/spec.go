@@ -22,12 +22,13 @@
 package arena
 
 import (
+	"cmp"
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
 	"hvc/internal/core"
+	"hvc/internal/spec"
 )
 
 // maxFlows bounds an arena so a typo cannot expand into an unbounded
@@ -35,12 +36,9 @@ import (
 // that).
 const maxFlows = 64
 
-// A MixEntry weights one congestion-control algorithm in the arena's
-// flow mix.
-type MixEntry struct {
-	CC     string
-	Weight int
-}
+// A MixEntry weights one congestion-control algorithm (Name) in the
+// arena's flow mix.
+type MixEntry = spec.Weighted
 
 // A Spec describes one arena run. The zero value is invalid; build
 // specs with ParseSpec or populate fields and call Validate.
@@ -74,155 +72,60 @@ type Spec struct {
 	FlowSeeds []int64
 }
 
-// specKeys is the canonical key order String emits and the complete
-// set ParseSpec accepts.
-var specKeys = []string{"flows", "mix", "join", "rttspread", "seed", "dur", "epoch", "policy", "trace"}
-
 // ParseSpec parses the arena-spec syntax described in the package
-// comment. Unknown keys, duplicate keys, and names the core package
-// does not accept are errors; omitted keys default (see
-// defaultAndValidate). The result is canonical: parsing the String of
-// a parsed spec yields the same spec.
+// comment: a field table over internal/spec, in canonical key order.
+// Unknown keys, duplicate keys, and names the core package does not
+// accept are errors; omitted keys default (see Validate), and
+// an explicit zero dur or epoch is rejected rather than defaulted. The
+// result is canonical: parsing the String of a parsed spec yields the
+// same spec.
 func ParseSpec(s string) (Spec, error) {
-	spec := Spec{Seed: 1}
-	seen := map[string]bool{}
-	for _, field := range strings.Fields(s) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || val == "" {
-			return Spec{}, fmt.Errorf("arena: field %q is not key=value", field)
-		}
-		if seen[key] {
-			return Spec{}, fmt.Errorf("arena: duplicate key %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "flows":
-			spec.Flows, err = parseInt(key, val)
-		case "mix":
-			spec.Mix, err = parseMix(val)
-		case "join":
-			spec.Join, err = parseDur(key, val)
-		case "rttspread":
-			spec.RTTSpread, err = parseDur(key, val)
-		case "seed":
-			spec.Seed, err = strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("arena: seed %q is not an integer", val)
-			}
-		case "dur":
-			spec.Dur, err = parseDur(key, val)
-		case "epoch":
-			spec.Epoch, err = parseDur(key, val)
-		case "policy":
-			spec.Policy = val
-		case "trace":
-			spec.Trace = val
-		default:
-			return Spec{}, fmt.Errorf("arena: unknown key %q (valid: %s)", key, strings.Join(specKeys, ", "))
-		}
-		if err != nil {
-			return Spec{}, err
-		}
-	}
-	if err := spec.defaultAndValidate(); err != nil {
+	sp := Spec{Seed: 1}
+	if _, err := spec.Parse("arena", strings.Fields(s), []spec.Field{
+		spec.Int("flows", &sp.Flows),
+		spec.Weights("mix", "CCA", &sp.Mix),
+		spec.Dur("join", &sp.Join),
+		spec.Dur("rttspread", &sp.RTTSpread),
+		spec.Int64("seed", &sp.Seed),
+		spec.PosDur("dur", &sp.Dur),
+		spec.PosDur("epoch", &sp.Epoch),
+		spec.String("policy", &sp.Policy),
+		spec.String("trace", &sp.Trace),
+	}); err != nil {
 		return Spec{}, err
 	}
-	return spec, nil
+	if err := sp.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return sp, nil
 }
 
-func parseInt(key, val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("arena: %s %q is not a positive integer", key, val)
-	}
-	return n, nil
-}
-
-func parseDur(key, val string) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("arena: %s %q is not a non-negative duration", key, val)
-	}
-	return d, nil
-}
-
-func parseMix(val string) ([]MixEntry, error) {
-	var mix []MixEntry
-	seen := map[string]bool{}
-	for _, part := range strings.Split(val, ",") {
-		cc, weightStr, hasWeight := strings.Cut(part, ":")
-		e := MixEntry{CC: cc, Weight: 1}
-		if hasWeight {
-			w, err := strconv.Atoi(weightStr)
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("arena: mix weight %q is not a positive integer", weightStr)
-			}
-			e.Weight = w
-		}
-		if cc == "" {
-			return nil, fmt.Errorf("arena: mix has an empty CCA name")
-		}
-		if seen[cc] {
-			return nil, fmt.Errorf("arena: mix lists %q twice", cc)
-		}
-		seen[cc] = true
-		mix = append(mix, e)
-	}
-	return mix, nil
-}
-
-// defaultAndValidate fills defaults and checks every name against the
-// core package.
-func (s *Spec) defaultAndValidate() error {
-	if s.Flows == 0 {
-		s.Flows = 2
-	}
+// Validate fills defaults for zero fields (ParseSpec and hand-built
+// specs alike) and checks every name against the core package.
+func (s *Spec) Validate() error {
+	s.Flows = cmp.Or(s.Flows, 2)
 	if s.Flows < 1 || s.Flows > maxFlows {
 		return fmt.Errorf("arena: flows %d out of [1,%d]", s.Flows, maxFlows)
 	}
 	if s.Mix == nil {
-		s.Mix = []MixEntry{{CC: "cubic", Weight: 1}}
+		s.Mix = []MixEntry{{Name: "cubic", Weight: 1}}
 	}
-	if s.Dur == 0 {
-		s.Dur = 15 * time.Second
-	}
+	s.Dur = cmp.Or(s.Dur, 15*time.Second)
 	if s.Dur < 500*time.Millisecond {
 		return fmt.Errorf("arena: dur %v below 500ms", s.Dur)
 	}
-	if s.Epoch == 0 {
-		s.Epoch = s.Dur / 30
-		if s.Epoch < 100*time.Millisecond {
-			s.Epoch = 100 * time.Millisecond
-		}
-		if s.Epoch > time.Second {
-			s.Epoch = time.Second
-		}
-	}
+	s.Epoch = cmp.Or(s.Epoch, min(max(s.Dur/30, 100*time.Millisecond), time.Second))
 	if s.Epoch < 10*time.Millisecond || s.Epoch >= s.Dur {
 		return fmt.Errorf("arena: epoch %v out of [10ms,dur)", s.Epoch)
 	}
-	if s.Policy == "" {
-		s.Policy = core.PolicyDChannel
-	}
-	if s.Trace == "" {
-		s.Trace = "fixed"
-	}
+	s.Policy, s.Trace = cmp.Or(s.Policy, core.PolicyDChannel), cmp.Or(s.Trace, "fixed")
 
-	for _, e := range s.Mix {
-		if !core.ValidCC(e.CC) {
-			return fmt.Errorf("arena: unknown congestion control %q in mix", e.CC)
-		}
+	ccs := make([]string, len(s.Mix))
+	for i, e := range s.Mix {
+		ccs[i] = e.Name
 	}
-	if !core.ValidPolicy(s.Policy) {
-		return fmt.Errorf("arena: unknown steering policy %q", s.Policy)
-	}
-	valid := false
-	for _, tr := range core.TraceNames() {
-		valid = valid || tr == s.Trace
-	}
-	if !valid {
-		return fmt.Errorf("arena: unknown trace %q (valid: %s)", s.Trace, strings.Join(core.TraceNames(), ", "))
+	if err := core.CheckNames(ccs, []string{s.Policy}, []string{s.Trace}); err != nil {
+		return fmt.Errorf("arena: %w", err)
 	}
 	// Every flow must be joined with room to measure: at least one full
 	// epoch after the last join.
@@ -235,53 +138,18 @@ func (s *Spec) defaultAndValidate() error {
 	return nil
 }
 
-// Validate checks a programmatically built spec, filling defaults for
-// zero fields exactly as ParseSpec does.
-func (s *Spec) Validate() error { return s.defaultAndValidate() }
-
 // String renders the spec canonically: every grammar key, fixed order.
 // ParseSpec(s.String()) reproduces s (FlowSeeds, test-only, excluded).
 func (s Spec) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "flows=%d mix=%s join=%s rttspread=%s", s.Flows, mixString(s.Mix), s.Join, s.RTTSpread)
+	fmt.Fprintf(&b, "flows=%d mix=%s join=%s rttspread=%s", s.Flows, spec.WeightedString(s.Mix), s.Join, s.RTTSpread)
 	fmt.Fprintf(&b, " seed=%d dur=%s epoch=%s policy=%s trace=%s", s.Seed, s.Dur, s.Epoch, s.Policy, s.Trace)
 	return b.String()
 }
 
-func mixString(mix []MixEntry) string {
-	parts := make([]string, len(mix))
-	for i, e := range mix {
-		parts[i] = fmt.Sprintf("%s:%d", e.CC, e.Weight)
-	}
-	return strings.Join(parts, ",")
-}
-
-// ParseMix parses the mix grammar alone — comma-separated cc or
-// cc:weight entries — without validating the names against core. The
-// sweep engine uses it to fold each mix CCA's config fingerprint into
-// its cache keys.
-func ParseMix(val string) ([]MixEntry, error) { return parseMix(val) }
-
-// MixString renders a mix canonically: cc:weight, comma-separated.
-// ParseMix(MixString(m)) reproduces m.
-func MixString(mix []MixEntry) string { return mixString(mix) }
-
 // CCFor returns flow i's congestion-control name: the weight-expanded
 // mix, assigned cyclically.
-func (s Spec) CCFor(i int) string {
-	total := 0
-	for _, e := range s.Mix {
-		total += e.Weight
-	}
-	slot := i % total
-	for _, e := range s.Mix {
-		if slot < e.Weight {
-			return e.CC
-		}
-		slot -= e.Weight
-	}
-	return s.Mix[len(s.Mix)-1].CC // unreachable
-}
+func (s Spec) CCFor(i int) string { return spec.Pick(s.Mix, uint64(i)) }
 
 // CCs returns every flow's CCA in flow order.
 func (s Spec) CCs() []string {

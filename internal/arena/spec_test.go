@@ -1,10 +1,13 @@
 package arena
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"hvc/internal/spec"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
@@ -15,7 +18,7 @@ func TestParseSpecDefaults(t *testing.T) {
 	want := Spec{
 		Flows:  2,
 		Seed:   1,
-		Mix:    []MixEntry{{CC: "cubic", Weight: 1}},
+		Mix:    []MixEntry{{Name: "cubic", Weight: 1}},
 		Dur:    15 * time.Second,
 		Epoch:  500 * time.Millisecond,
 		Policy: "dchannel",
@@ -37,12 +40,8 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", in, err)
 		}
-		s2, err := ParseSpec(s1.String())
-		if err != nil {
-			t.Fatalf("ParseSpec(String(%q)) = %q: %v", in, s1.String(), err)
-		}
-		if !reflect.DeepEqual(s1, s2) {
-			t.Fatalf("round trip of %q:\n got %+v\nwant %+v", in, s2, s1)
+		if err := spec.RoundTrip(s1, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 	}
 }
@@ -65,6 +64,10 @@ func TestParseSpecErrors(t *testing.T) {
 		{"policy=nosuchpolicy", "unknown steering policy"},
 		{"trace=nosuchtrace", "unknown trace"},
 		{"flows=4 join=10s dur=15s", "leaves no full epoch"},
+		// Explicit zero is not "unset": these were silently replaced by
+		// the 15s / dur-derived defaults.
+		{"dur=0s", "not a positive duration; omit the key"},
+		{"epoch=0s", "not a positive duration; omit the key"},
 	} {
 		_, err := ParseSpec(tc.in)
 		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
@@ -131,5 +134,30 @@ func TestExtraDelayRamp(t *testing.T) {
 	solo := Spec{Flows: 1, RTTSpread: 30 * time.Millisecond}
 	if got := solo.ExtraDelay(0); got != 0 {
 		t.Fatalf("solo ExtraDelay = %v, want 0", got)
+	}
+}
+
+// TestCanonicalGolden pins String() byte for byte against a corpus
+// rendered by the hand-rolled parser this package had before
+// internal/spec (testdata/canonical.txt, "input => String()"): sweep cache keys and tracer run labels carry these strings,
+// so they must not move.
+func TestCanonicalGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/canonical.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		in, want, _ := strings.Cut(line, " => ")
+		got, err := ParseSpec(in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", in, err)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("ParseSpec(%q).String()\n got %s\nwant %s", in, got, want)
+		}
+		if err := spec.RoundTrip(got, ParseSpec); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
 	}
 }

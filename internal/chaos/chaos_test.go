@@ -12,6 +12,7 @@ import (
 	"hvc/internal/fault"
 	"hvc/internal/invariant"
 	"hvc/internal/sketch"
+	"hvc/internal/spec"
 )
 
 func TestMain(m *testing.M) {
@@ -23,12 +24,8 @@ func TestJobStringRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
 		j := genJob(rng, 4*time.Second)
-		got, err := ParseJob(j.String())
-		if err != nil {
-			t.Fatalf("ParseJob(%q): %v", j.String(), err)
-		}
-		if got.String() != j.String() {
-			t.Fatalf("round trip changed the job:\n  in:  %s\n  out: %s", j, got)
+		if err := spec.RoundTrip(j, ParseJob); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
@@ -43,6 +40,10 @@ func TestParseJobRejects(t *testing.T) {
 		"exp=outage policy=dchannel seed=x dur=2s fault=none",
 		"exp=outage policy=dchannel seed=1 dur=2s fault=bogus:ch=embb",
 		"exp=outage exp=outage policy=dchannel seed=1 dur=2s fault=none",
+		// Names are checked at parse time: a typo in a -repro string is a
+		// usage error, not a "reproduced" finding with a flight dump.
+		"exp=bulk cc=tahoe policy=dchannel seed=1 dur=2s fault=none",
+		"exp=outage policy=teleport seed=1 dur=2s fault=none",
 	} {
 		if _, err := ParseJob(s); err == nil {
 			t.Errorf("ParseJob(%q) accepted", s)
@@ -50,19 +51,41 @@ func TestParseJobRejects(t *testing.T) {
 	}
 }
 
+// TestCanonicalGolden pins Job.String() byte for byte against a corpus
+// rendered by the hand-rolled parser this package had before
+// internal/spec (testdata/canonical.txt, "input => String()"): it is
+// the -repro format, so a counterexample saved from an old soak must
+// still replay.
+func TestCanonicalGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/canonical.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		in, want, _ := strings.Cut(line, " => ")
+		j, err := ParseJob(in)
+		if err != nil {
+			t.Errorf("ParseJob(%q): %v", in, err)
+			continue
+		}
+		if j.String() != want {
+			t.Errorf("ParseJob(%q).String()\n got %s\nwant %s", in, j, want)
+		}
+		if err := spec.RoundTrip(j, ParseJob); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
+	}
+}
+
 func TestGenSpecAlwaysValid(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
-		spec := genSpec(rng, 4*time.Second)
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("generated spec invalid: %v\n%s", err, spec)
+		sched := genSpec(rng, 4*time.Second)
+		if err := sched.Validate(); err != nil {
+			t.Fatalf("generated spec invalid: %v\n%s", err, sched)
 		}
-		back, err := fault.ParseSpec(spec.String())
-		if err != nil {
-			t.Fatalf("canonical form does not re-parse: %v\n%s", err, spec)
-		}
-		if back.String() != spec.String() {
-			t.Fatalf("spec not canonical:\n  in:  %s\n  out: %s", spec, back)
+		if err := spec.RoundTrip(sched, fault.ParseSpec); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"hvc/internal/fault"
+	"hvc/internal/spec"
 )
 
 // FuzzChaosScheduleGen drives the schedule generator with arbitrary
@@ -25,26 +26,19 @@ func FuzzChaosScheduleGen(f *testing.F) {
 		}
 		dur := time.Duration(durMS) * time.Millisecond
 		rng := rand.New(rand.NewSource(seed))
-		spec := genSpec(rng, dur)
-		if err := spec.Validate(); err != nil {
-			t.Fatalf("seed=%d dur=%v: invalid spec: %v\n%s", seed, dur, err, spec)
+		sched := genSpec(rng, dur)
+		if err := sched.Validate(); err != nil {
+			t.Fatalf("seed=%d dur=%v: invalid spec: %v\n%s", seed, dur, err, sched)
 		}
-		back, err := fault.ParseSpec(spec.String())
-		if err != nil {
-			t.Fatalf("seed=%d dur=%v: canonical form does not re-parse: %v\n%s", seed, dur, err, spec)
-		}
-		if back.String() != spec.String() {
-			t.Fatalf("seed=%d dur=%v: not canonical:\n  in:  %s\n  out: %s", seed, dur, spec, back)
+		if err := spec.RoundTrip(sched, fault.ParseSpec); err != nil {
+			t.Fatalf("seed=%d dur=%v: %v", seed, dur, err)
 		}
 
-		// The job wrapper must round-trip too.
+		// The job wrapper must round-trip too: generated jobs are valid by
+		// construction, names included.
 		j := genJob(rand.New(rand.NewSource(seed)), dur)
-		got, err := ParseJob(j.String())
-		if err != nil {
-			t.Fatalf("seed=%d dur=%v: job does not re-parse: %v\n%s", seed, dur, err, j)
-		}
-		if got.String() != j.String() {
-			t.Fatalf("seed=%d dur=%v: job not canonical:\n  in:  %s\n  out: %s", seed, dur, j, got)
+		if err := spec.RoundTrip(j, ParseJob); err != nil {
+			t.Fatalf("seed=%d dur=%v: %v", seed, dur, err)
 		}
 	})
 }

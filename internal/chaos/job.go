@@ -12,11 +12,12 @@ package chaos
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 
+	"hvc/internal/core"
 	"hvc/internal/fault"
+	"hvc/internal/spec"
 )
 
 // Experiments a chaos job can drive. Bulk exercises the reliable
@@ -62,43 +63,27 @@ func (j Job) String() string {
 	return b.String()
 }
 
-// ParseJob parses the String form back into a Job.
+// ParseJob parses the String form back into a Job: a field table over
+// internal/spec in canonical key order, then the cross-field rules.
+// Names are checked here, so a typo in a -repro string is a usage
+// error and whatever dispatch reports comes from the simulation.
 func ParseJob(s string) (Job, error) {
 	var j Job
-	seen := map[string]bool{}
-	for _, field := range strings.Fields(s) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || val == "" {
-			return Job{}, fmt.Errorf("chaos: field %q is not key=value", field)
-		}
-		if seen[key] {
-			return Job{}, fmt.Errorf("chaos: duplicate key %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "exp":
-			j.Exp = val
-		case "cc":
-			j.CC = val
-		case "policy":
-			j.Policy = val
-		case "seed":
-			j.Seed, err = strconv.ParseInt(val, 10, 64)
-		case "dur":
-			j.Dur, err = time.ParseDuration(val)
-		case "reliable":
-			j.Reliable, err = strconv.ParseBool(val)
-		case "fault":
-			// val is everything after the first '=', so the '='s inside
-			// the spec's own key=value pairs pass through intact.
+	if _, err := spec.Parse("chaos", strings.Fields(s), []spec.Field{
+		spec.String("exp", &j.Exp),
+		spec.String("cc", &j.CC),
+		spec.String("policy", &j.Policy),
+		spec.Int64("seed", &j.Seed),
+		spec.Dur("dur", &j.Dur),
+		spec.Bool("reliable", &j.Reliable),
+		// The value is everything after the first '=', so the '='s inside
+		// the scenario's own key=value pairs pass through intact.
+		spec.Func("fault", func(val string) (err error) {
 			j.Fault, err = fault.ParseSpec(val)
-		default:
-			return Job{}, fmt.Errorf("chaos: unknown key %q", key)
-		}
-		if err != nil {
-			return Job{}, fmt.Errorf("chaos: %s: %w", key, err)
-		}
+			return err
+		}),
+	}); err != nil {
+		return Job{}, err
 	}
 	switch j.Exp {
 	case ExpBulk:
@@ -117,6 +102,13 @@ func ParseJob(s string) (Job, error) {
 	}
 	if j.Policy == "" || j.Dur <= 0 {
 		return Job{}, fmt.Errorf("chaos: job %q needs policy= and a positive dur=", s)
+	}
+	var ccs []string
+	if j.CC != "" { // bulk only, by the rules above
+		ccs = []string{j.CC}
+	}
+	if err := core.CheckNames(ccs, []string{j.Policy}, nil); err != nil {
+		return Job{}, fmt.Errorf("chaos: %w", err)
 	}
 	return j, nil
 }

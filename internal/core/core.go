@@ -7,10 +7,12 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"time"
 
 	"hvc/internal/cc"
@@ -31,82 +33,102 @@ const (
 	PolicyRedundant        = "redundant"         // replicate across all live channels
 )
 
-// CCNames lists the congestion-control algorithms NewCC accepts, in
-// the order Fig. 1a reports them. Each name also has an "hvc-" variant
-// wrapping it in the §3.2 channel-aware filter.
-func CCNames() []string { return []string{"cubic", "bbr", "vegas", "vivace", "reno", "copa"} }
+// An entry names one member of a namespace (congestion controls,
+// traces, steering policies). Each namespace is one ordered table that
+// its constructor, validator, name list and fingerprint all read, so a
+// name is spelled — and a policy's configuration written — once.
+type entry[T any] struct {
+	name string
+	val  T
+}
+
+func lookup[T any](table []entry[T], name string) (val T, ok bool) {
+	for _, e := range table {
+		if e.name == name {
+			return e.val, true
+		}
+	}
+	return val, false
+}
+
+func names[T any](table []entry[T]) []string {
+	out := make([]string, len(table))
+	for i, e := range table {
+		out[i] = e.name
+	}
+	return out
+}
+
+// ccTable lists the congestion-control algorithms in the order Fig. 1a
+// reports them.
+var ccTable = []entry[func() cc.Algorithm]{
+	{"cubic", func() cc.Algorithm { return cc.NewCubic() }},
+	{"bbr", func() cc.Algorithm { return cc.NewBBR() }},
+	{"vegas", func() cc.Algorithm { return cc.NewVegas() }},
+	{"vivace", func() cc.Algorithm { return cc.NewVivace() }},
+	{"reno", func() cc.Algorithm { return cc.NewReno() }},
+	{"copa", func() cc.Algorithm { return cc.NewCopa() }},
+}
+
+// CCNames lists the congestion-control algorithms NewCC accepts. Each
+// name also has an "hvc-" variant wrapping it in the §3.2 channel-aware
+// filter.
+func CCNames() []string { return names(ccTable) }
 
 // NewCC builds a congestion-control algorithm by name. An "hvc-"
 // prefix wraps the inner algorithm in cc.HVCAware bound to the eMBB
 // channel.
 func NewCC(name string) (cc.Algorithm, error) {
-	if inner, ok := cutPrefix(name, "hvc-"); ok {
+	if inner, ok := strings.CutPrefix(name, "hvc-"); ok {
 		alg, err := NewCC(inner)
 		if err != nil {
 			return nil, err
 		}
 		return cc.NewHVCAware(alg, channel.NameEMBB), nil
 	}
-	switch name {
-	case "cubic":
-		return cc.NewCubic(), nil
-	case "reno":
-		return cc.NewReno(), nil
-	case "bbr":
-		return cc.NewBBR(), nil
-	case "vegas":
-		return cc.NewVegas(), nil
-	case "vivace":
-		return cc.NewVivace(), nil
-	case "copa":
-		return cc.NewCopa(), nil
-	default:
+	build, ok := lookup(ccTable, name)
+	if !ok {
 		return nil, fmt.Errorf("core: unknown congestion control %q", name)
 	}
+	return build(), nil
 }
 
 // ValidCC reports whether name is an algorithm NewCC accepts,
 // including "hvc-"-wrapped variants.
 func ValidCC(name string) bool {
-	if inner, ok := cutPrefix(name, "hvc-"); ok {
-		return ValidCC(inner)
+	for strings.HasPrefix(name, "hvc-") {
+		name = strings.TrimPrefix(name, "hvc-")
 	}
-	switch name {
-	case "cubic", "reno", "bbr", "vegas", "vivace", "copa":
-		return true
-	}
-	return false
+	_, ok := lookup(ccTable, name)
+	return ok
 }
 
-func cutPrefix(s, prefix string) (string, bool) {
-	if len(s) >= len(prefix) && s[:len(prefix)] == prefix {
-		return s[len(prefix):], true
-	}
-	return s, false
+var traceTable = []entry[func(seed int64, dur time.Duration) *trace.Trace]{
+	{"lowband-stationary", trace.LowbandStationary},
+	{"lowband-walking", trace.LowbandWalking},
+	{"lowband-driving", trace.LowbandDriving},
+	{"mmwave-driving", trace.MmWaveDriving},
+	{"fixed", func(int64, time.Duration) *trace.Trace {
+		return trace.Constant("embb-fixed", 50*time.Millisecond, 60e6)
+	}},
 }
 
-// TraceNames lists the synthetic 5G trace generators RunVideo and
-// RunWeb accept.
-func TraceNames() []string {
-	return []string{"lowband-stationary", "lowband-walking", "lowband-driving", "mmwave-driving", "fixed"}
+// TraceNames lists the synthetic 5G trace generators NewTrace accepts.
+func TraceNames() []string { return names(traceTable) }
+
+// ValidTrace reports whether name is a trace NewTrace accepts.
+func ValidTrace(name string) bool {
+	_, ok := lookup(traceTable, name)
+	return ok
 }
 
 // NewTrace builds a named eMBB trace of the given duration from seed.
 func NewTrace(name string, seed int64, dur time.Duration) (*trace.Trace, error) {
-	switch name {
-	case "lowband-stationary":
-		return trace.LowbandStationary(seed, dur), nil
-	case "lowband-walking":
-		return trace.LowbandWalking(seed, dur), nil
-	case "lowband-driving":
-		return trace.LowbandDriving(seed, dur), nil
-	case "mmwave-driving":
-		return trace.MmWaveDriving(seed, dur), nil
-	case "fixed":
-		return trace.Constant("embb-fixed", 50*time.Millisecond, 60e6), nil
-	default:
+	build, ok := lookup(traceTable, name)
+	if !ok {
 		return nil, fmt.Errorf("core: unknown trace %q", name)
 	}
+	return build(seed, dur), nil
 }
 
 // Cellular assembles the paper's two-channel cellular scenario: a
@@ -115,39 +137,87 @@ func Cellular(loop *sim.Loop, embb *trace.Trace) *channel.Group {
 	return channel.NewGroup(channel.EMBB(loop, embb), channel.URLLC(loop))
 }
 
+// A policySpec is one steering policy's table row: the canonical
+// configuration of what build constructs (cache-key material, see
+// PolicyFingerprint) beside the constructor itself. The per-kind
+// helpers below take the config once and derive both, so the two
+// cannot drift.
+type policySpec struct {
+	fingerprint string
+	build       func(g *channel.Group, side channel.Side) (steering.Policy, error)
+}
+
+func dchannelPolicy(cfg steering.DChannelConfig) policySpec {
+	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewDChannel(g, side, cfg), nil
+	}}
+}
+
+func priorityPolicy(cfg steering.PriorityConfig) policySpec {
+	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewPriority(g, side, cfg), nil
+	}}
+}
+
+func objectMapPolicy(cfg steering.ObjectMapConfig) policySpec {
+	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewObjectMap(g, side, cfg), nil
+	}}
+}
+
+var policyTable = []entry[policySpec]{
+	{PolicyEMBBOnly, policySpec{"single/v1 ch=" + channel.NameEMBB,
+		func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
+			embb := g.Get(channel.NameEMBB)
+			if embb == nil {
+				return nil, fmt.Errorf("core: group has no %q channel", channel.NameEMBB)
+			}
+			return steering.NewSingle(embb), nil
+		}}},
+	{PolicyDChannel, dchannelPolicy(steering.DChannelConfig{})},
+	{PolicyPriority, priorityPolicy(steering.PriorityConfig{AdmitPrio: 0})},
+	{PolicyDChannelPriority, priorityPolicy(steering.PriorityConfig{AdmitPrio: -1, Heuristic: true})},
+	{PolicyObjectMap, objectMapPolicy(steering.ObjectMapConfig{})},
+	{PolicyRedundant, policySpec{"redundant/v1 live-channels",
+		func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
+			return steering.NewRedundant(g), nil
+		}}},
+}
+
 // NewPolicy builds a steering policy by name over g as seen from side.
 func NewPolicy(name string, g *channel.Group, side channel.Side) (steering.Policy, error) {
-	switch name {
-	case PolicyEMBBOnly:
-		embb := g.Get(channel.NameEMBB)
-		if embb == nil {
-			return nil, fmt.Errorf("core: group has no %q channel", channel.NameEMBB)
-		}
-		return steering.NewSingle(embb), nil
-	case PolicyDChannel:
-		return steering.NewDChannel(g, side, steering.DChannelConfig{}), nil
-	case PolicyPriority:
-		return steering.NewPriority(g, side, steering.PriorityConfig{AdmitPrio: 0}), nil
-	case PolicyDChannelPriority:
-		return steering.NewPriority(g, side, steering.PriorityConfig{AdmitPrio: -1, Heuristic: true}), nil
-	case PolicyObjectMap:
-		return steering.NewObjectMap(g, side, steering.ObjectMapConfig{}), nil
-	case PolicyRedundant:
-		return steering.NewRedundant(g), nil
-	default:
+	p, ok := lookup(policyTable, name)
+	if !ok {
 		return nil, fmt.Errorf("core: unknown steering policy %q", name)
 	}
+	return p.build(g, side)
 }
 
 // ValidPolicy reports whether name is a steering policy NewPolicy
 // accepts.
 func ValidPolicy(name string) bool {
-	switch name {
-	case PolicyEMBBOnly, PolicyDChannel, PolicyPriority, PolicyDChannelPriority, PolicyObjectMap,
-		PolicyRedundant:
-		return true
+	_, ok := lookup(policyTable, name)
+	return ok
+}
+
+// CheckNames reports the first of ccs, policies and traces that NewCC,
+// NewPolicy or NewTrace would reject, with the names it would accept.
+// The error carries no package prefix: the spec grammars that validate
+// their axes through it add their own.
+func CheckNames(ccs, policies, traces []string) error {
+	return cmp.Or(
+		checkNames("congestion control", ccs, ValidCC, CCNames),
+		checkNames("steering policy", policies, ValidPolicy, func() []string { return names(policyTable) }),
+		checkNames("trace", traces, ValidTrace, TraceNames))
+}
+
+func checkNames(what string, list []string, valid func(string) bool, all func() []string) error {
+	for _, n := range list {
+		if !valid(n) {
+			return fmt.Errorf("unknown %s %q (valid: %s)", what, n, strings.Join(all(), ", "))
+		}
 	}
-	return false
+	return nil
 }
 
 // mustPolicy is NewPolicy for validated names inside runners.

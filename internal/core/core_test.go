@@ -73,6 +73,85 @@ func TestNewPolicyKnownNames(t *testing.T) {
 	}
 }
 
+// TestNameTables walks the three name tables: every entry constructs,
+// validates and fingerprints through the public functions, hvc- wraps
+// (nested too) still resolve, and the policy fingerprints — cache-key
+// material that used to be a hand-kept mirror of NewPolicy — are the
+// exact strings the mirror produced.
+func TestNameTables(t *testing.T) {
+	for _, e := range ccTable {
+		for _, name := range []string{e.name, "hvc-" + e.name, "hvc-hvc-" + e.name} {
+			if alg, err := NewCC(name); err != nil || alg.Name() != name {
+				t.Errorf("NewCC(%q) = %v, %v", name, alg, err)
+			}
+			if fp, err := CCFingerprint(name); err != nil || !strings.Contains(fp, e.name+"/v") {
+				t.Errorf("CCFingerprint(%q) = %q, %v", name, fp, err)
+			}
+			if !ValidCC(name) {
+				t.Errorf("ValidCC(%q) = false", name)
+			}
+		}
+	}
+	for _, bad := range []string{"", "hvc-", "hvc", "hvc-hvc-", "cubic-hvc", "Cubic"} {
+		if _, err := NewCC(bad); err == nil || ValidCC(bad) {
+			t.Errorf("cc %q accepted (NewCC err %v, ValidCC %t)", bad, err, ValidCC(bad))
+		}
+	}
+	if got := strings.Join(CCNames(), " "); got != "cubic bbr vegas vivace reno copa" {
+		t.Errorf("CCNames() = %s: Fig. 1a order moved", got)
+	}
+
+	for _, e := range traceTable {
+		if tr, err := NewTrace(e.name, 1, time.Second); err != nil || tr == nil || !ValidTrace(e.name) {
+			t.Errorf("trace %q: NewTrace err %v, ValidTrace %t", e.name, err, ValidTrace(e.name))
+		}
+	}
+	if ValidTrace("starlink") || ValidTrace("") {
+		t.Error("ValidTrace accepts an unknown name")
+	}
+
+	loop := sim.NewLoop(1)
+	g := Cellular(loop, trace.Constant("e", 50*time.Millisecond, 60e6))
+	want := map[string]string{
+		PolicyEMBBOnly:         "single/v1 ch=embb",
+		PolicyDChannel:         "dchannel/v1 wide=embb narrow=urllc beta=1",
+		PolicyPriority:         "priority/v1 admit=0 heuristic=false fallback=(dchannel/v1 wide=embb narrow=urllc beta=1)",
+		PolicyDChannelPriority: "priority/v1 admit=-1 heuristic=true fallback=(dchannel/v1 wide=embb narrow=urllc beta=1)",
+		PolicyObjectMap:        "objectmap/v1 wide=embb narrow=urllc small=10240",
+		PolicyRedundant:        "redundant/v1 live-channels",
+	}
+	if len(policyTable) != len(want) {
+		t.Errorf("policy table has %d entries, fingerprints pinned for %d", len(policyTable), len(want))
+	}
+	for _, e := range policyTable {
+		if p, err := NewPolicy(e.name, g, channel.A); err != nil || p == nil || !ValidPolicy(e.name) {
+			t.Errorf("policy %q: NewPolicy err %v, ValidPolicy %t", e.name, err, ValidPolicy(e.name))
+		}
+		if fp, err := PolicyFingerprint(e.name); err != nil || fp != want[e.name] {
+			t.Errorf("PolicyFingerprint(%q) = %q, %v; want %q", e.name, fp, err, want[e.name])
+		}
+	}
+	if _, err := NewPolicy(PolicyEMBBOnly, channel.NewGroup(channel.URLLC(loop)), channel.A); err == nil {
+		t.Error("embb-only over a group without eMBB accepted")
+	}
+
+	if err := CheckNames([]string{"cubic", "hvc-bbr"}, []string{PolicyRedundant}, []string{"fixed"}); err != nil {
+		t.Errorf("CheckNames on valid names: %v", err)
+	}
+	for _, tc := range []struct {
+		ccs, policies, traces []string
+		want                  string
+	}{
+		{[]string{"cubic", "tahoe"}, nil, nil, `unknown congestion control "tahoe" (valid: cubic, bbr, vegas, vivace, reno, copa)`},
+		{nil, []string{"teleport"}, []string{"starlink"}, `unknown steering policy "teleport" (valid: embb-only, dchannel, priority, dchannel+priority, objectmap, redundant)`},
+		{nil, nil, []string{"fixed", "starlink"}, `unknown trace "starlink" (valid: lowband-stationary, lowband-walking, lowband-driving, mmwave-driving, fixed)`},
+	} {
+		if err := CheckNames(tc.ccs, tc.policies, tc.traces); err == nil || err.Error() != tc.want {
+			t.Errorf("CheckNames(%v, %v, %v) = %v, want %s", tc.ccs, tc.policies, tc.traces, err, tc.want)
+		}
+	}
+}
+
 func TestCellularGroup(t *testing.T) {
 	loop := sim.NewLoop(1)
 	g := Cellular(loop, trace.Constant("e", 50*time.Millisecond, 60e6))

@@ -4,8 +4,6 @@ import (
 	"fmt"
 
 	"hvc/internal/cc"
-	"hvc/internal/channel"
-	"hvc/internal/steering"
 )
 
 // CCFingerprint returns the canonical tuning description of the
@@ -25,23 +23,11 @@ func CCFingerprint(name string) (string, error) {
 
 // PolicyFingerprint returns the canonical configuration of the
 // steering policy NewPolicy builds for name, without needing a channel
-// group. The cases mirror NewPolicy's construction exactly; keep the
-// two in sync.
+// group: the policy table keeps it beside the constructor.
 func PolicyFingerprint(name string) (string, error) {
-	switch name {
-	case PolicyEMBBOnly:
-		return "single/v1 ch=" + channel.NameEMBB, nil
-	case PolicyDChannel:
-		return steering.DChannelConfig{}.Canonical(), nil
-	case PolicyPriority:
-		return steering.PriorityConfig{AdmitPrio: 0}.Canonical(), nil
-	case PolicyDChannelPriority:
-		return steering.PriorityConfig{AdmitPrio: -1, Heuristic: true}.Canonical(), nil
-	case PolicyObjectMap:
-		return steering.ObjectMapConfig{}.Canonical(), nil
-	case PolicyRedundant:
-		return "redundant/v1 live-channels", nil
-	default:
+	p, ok := lookup(policyTable, name)
+	if !ok {
 		return "", fmt.Errorf("core: unknown steering policy %q", name)
 	}
+	return p.fingerprint, nil
 }

@@ -1,13 +1,16 @@
 package fault
 
 import (
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"hvc/internal/channel"
 	"hvc/internal/packet"
 	"hvc/internal/sim"
+	"hvc/internal/spec"
 	"hvc/internal/telemetry"
 	"hvc/internal/trace"
 )
@@ -50,20 +53,12 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"spike:ch=urllc,at=1.5s,dur=500ms,delay=80ms",
 		"outage:ch=embb,at=5s,dur=2s;burst:ch=embb,at=10s,dur=5s,pgb=0.01,pbg=0.25,loss=1,lossgood=0",
 	} {
-		spec, err := ParseSpec(s)
+		sp, err := ParseSpec(s)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", s, err)
 		}
-		canon := spec.String()
-		again, err := ParseSpec(canon)
-		if err != nil {
-			t.Fatalf("ParseSpec(String(%q)) = ParseSpec(%q): %v", s, canon, err)
-		}
-		if !reflect.DeepEqual(spec, again) {
-			t.Fatalf("round trip of %q via %q changed the spec:\n%+v\n%+v", s, canon, spec, again)
-		}
-		if again.String() != canon {
-			t.Fatalf("String not a fixed point: %q then %q", canon, again.String())
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", s, err)
 		}
 	}
 }
@@ -129,6 +124,8 @@ func TestParseSpecErrors(t *testing.T) {
 		"slump key on burst":  "burst:ch=embb,at=0s,dur=1s,factor=0.5",
 		"spike key on slump":  "slump:ch=embb,at=0s,dur=1s,delay=10ms",
 		"past horizon":        "outage:ch=embb,at=999h,dur=2h",
+		"prob NaN":            "burst:ch=embb,at=0s,dur=1s,pgb=NaN",
+		"factor NaN":          "slump:ch=embb,at=0s,dur=1s,factor=NaN",
 	} {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("%s: ParseSpec(%q) accepted, want error", name, s)
@@ -446,5 +443,30 @@ func TestInjectOutageWindowRestoreAcrossJump(t *testing.T) {
 	}
 	if got := ch.DownUntil(); got != 0 {
 		t.Errorf("DownUntil after restore = %v, want 0", got)
+	}
+}
+
+// TestCanonicalGolden pins String() byte for byte against a corpus
+// rendered by the hand-rolled parser this package had before
+// internal/spec (testdata/canonical.txt, "input => String()"): sweep cache keys, fleet reports and -repro strings embed these scenarios,
+// so they must not move.
+func TestCanonicalGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/canonical.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		in, want, _ := strings.Cut(line, " => ")
+		got, err := ParseSpec(in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", in, err)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("ParseSpec(%q).String()\n got %s\nwant %s", in, got, want)
+		}
+		if err := spec.RoundTrip(got, ParseSpec); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
 	}
 }

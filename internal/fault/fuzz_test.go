@@ -1,8 +1,9 @@
 package fault
 
 import (
-	"reflect"
 	"testing"
+
+	"hvc/internal/spec"
 )
 
 // FuzzFaultSpecParse exercises the scenario parser with arbitrary
@@ -21,21 +22,15 @@ func FuzzFaultSpecParse(f *testing.F) {
 	f.Add("burst:ch=x,at=0s,dur=1s,pgb=1e-300")
 	f.Add("outage:ch=embb,at=999h,dur=2h")
 	f.Add(";;;")
+	f.Add("burst:ch=x,at=0s,dur=1s,pgb=NaN")
+	f.Add("slump:ch=x,at=0s,dur=1s,factor=+Inf")
 	f.Fuzz(func(t *testing.T, in string) {
-		spec, err := ParseSpec(in)
+		sp, err := ParseSpec(in)
 		if err != nil {
 			return // rejected: fine, as long as no panic
 		}
-		canonical := spec.String()
-		back, err := ParseSpec(canonical)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %q -> %q: %v", in, canonical, err)
-		}
-		if !reflect.DeepEqual(back, spec) {
-			t.Fatalf("round-trip changed the spec:\n in: %+v\nout: %+v", spec, back)
-		}
-		if again := back.String(); again != canonical {
-			t.Fatalf("canonical form not a fixed point: %q -> %q", canonical, again)
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 	})
 }

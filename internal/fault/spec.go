@@ -34,6 +34,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"hvc/internal/spec"
 )
 
 // Kind names a fault process type.
@@ -117,105 +119,41 @@ func ParseSpec(s string) (Spec, error) {
 	return spec, nil
 }
 
+// parseClause parses one kind:key=value,... clause: a field table over
+// internal/spec holding the common window keys plus the keys of the
+// clause's kind, so a key of another kind is an unknown key.
 func parseClause(clause string) (Event, error) {
 	kindStr, rest, ok := strings.Cut(clause, ":")
 	if !ok || rest == "" {
 		return Event{}, fmt.Errorf("fault: clause %q is not kind:key=value,...", clause)
 	}
 	ev := Event{Kind: Kind(kindStr), Count: 1}
+	fields := []spec.Field{
+		spec.String("ch", &ev.Channel),
+		spec.DurIn("at", &ev.At, 0, maxTime),
+		spec.DurIn("dur", &ev.Dur, 1, maxTime),
+		spec.DurIn("every", &ev.Every, 1, maxTime),
+		spec.Int("count", &ev.Count),
+	}
 	switch ev.Kind {
 	case Outage:
 	case Burst:
 		ev.PGB, ev.PBG, ev.LossBad = 0.01, 0.25, 1
+		fields = append(fields, spec.Prob("pgb", &ev.PGB), spec.Prob("pbg", &ev.PBG),
+			spec.Prob("loss", &ev.LossBad), spec.Prob("lossgood", &ev.LossGood))
 	case Slump:
 		ev.Factor = 0.1
+		fields = append(fields, spec.PosFloat("factor", &ev.Factor))
 	case Spike:
 		ev.Delay = 100 * time.Millisecond
+		fields = append(fields, spec.DurIn("delay", &ev.Delay, 1, maxTime))
 	default:
 		return Event{}, fmt.Errorf("fault: unknown kind %q (outage, burst, slump, spike)", kindStr)
 	}
-	seen := map[string]bool{}
-	for _, field := range strings.Split(rest, ",") {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || val == "" {
-			return Event{}, fmt.Errorf("fault: field %q is not key=value", field)
-		}
-		if seen[key] {
-			return Event{}, fmt.Errorf("fault: duplicate key %q in clause %q", key, clause)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "ch":
-			ev.Channel = val
-		case "at":
-			ev.At, err = parseDur(key, val, 0)
-		case "dur":
-			ev.Dur, err = parseDur(key, val, 1)
-		case "every":
-			ev.Every, err = parseDur(key, val, 1)
-		case "count":
-			n, cerr := strconv.Atoi(val)
-			if cerr != nil || n < 1 || n > maxCount {
-				err = fmt.Errorf("fault: count %q out of [1,%d]", val, maxCount)
-			}
-			ev.Count = n
-		case "pgb", "pbg", "loss", "lossgood":
-			if ev.Kind != Burst {
-				return Event{}, fmt.Errorf("fault: key %q only applies to burst", key)
-			}
-			var p float64
-			p, err = parseProb(key, val)
-			switch key {
-			case "pgb":
-				ev.PGB = p
-			case "pbg":
-				ev.PBG = p
-			case "loss":
-				ev.LossBad = p
-			case "lossgood":
-				ev.LossGood = p
-			}
-		case "factor":
-			if ev.Kind != Slump {
-				return Event{}, fmt.Errorf("fault: key %q only applies to slump", key)
-			}
-			f, ferr := strconv.ParseFloat(val, 64)
-			if ferr != nil || f <= 0 {
-				err = fmt.Errorf("fault: factor %q must be a positive number", val)
-			}
-			ev.Factor = f
-		case "delay":
-			if ev.Kind != Spike {
-				return Event{}, fmt.Errorf("fault: key %q only applies to spike", key)
-			}
-			ev.Delay, err = parseDur(key, val, 1)
-		default:
-			return Event{}, fmt.Errorf("fault: unknown key %q in clause %q", key, clause)
-		}
-		if err != nil {
-			return Event{}, err
-		}
+	if _, err := spec.Parse("fault", strings.Split(rest, ","), fields); err != nil {
+		return Event{}, fmt.Errorf("%w in clause %q", err, clause)
 	}
 	return ev, nil
-}
-
-// parseDur parses a duration bounded by maxTime; min 0 allows zero,
-// min 1 requires a positive value.
-func parseDur(key, val string, min time.Duration) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil || d < min || d > maxTime {
-		return 0, fmt.Errorf("fault: %s %q is not a duration in [%v,%v]", key, val, min, maxTime)
-	}
-	return d, nil
-}
-
-func parseProb(key, val string) (float64, error) {
-	p, err := strconv.ParseFloat(val, 64)
-	if err != nil || p < 0 || p > 1 {
-		return 0, fmt.Errorf("fault: %s %q is not a probability in [0,1]", key, val)
-	}
-	return p, nil
 }
 
 // Validate checks the scenario's internal consistency: every clause
@@ -240,6 +178,9 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("fault: %s clause on %q: at=%v out of range", ev.Kind, ev.Channel, ev.At)
 		}
 		n := ev.occurrences()
+		if n > maxCount {
+			return fmt.Errorf("fault: %s clause on %q: count=%d out of [1,%d]", ev.Kind, ev.Channel, n, maxCount)
+		}
 		if n > 1 {
 			if ev.Every < ev.Dur {
 				return fmt.Errorf("fault: %s clause on %q repeats every %v, shorter than its dur %v",

@@ -64,7 +64,7 @@ var testRunUE func(p Profile, g *sketch.Group) error
 // aggregate through exact merges. Memory is O(workers) shard groups
 // plus one session at a time per worker — flat in the fleet size.
 func Run(spec Spec, opt Options) (*Result, error) {
-	if err := spec.defaultAndValidate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
 	fs, err := fault.ParseSpec(spec.Fault)
@@ -164,7 +164,7 @@ func runUE(p Profile, spec Spec, g *sketch.Group) error {
 		// includes intra-UE fairness, not just across-UE spread.
 		as := arena.Spec{
 			Flows: 2, Seed: p.Seed,
-			Mix:    []arena.MixEntry{{CC: spec.CC, Weight: 1}},
+			Mix:    []arena.MixEntry{{Name: spec.CC, Weight: 1}},
 			Join:   spec.Dur / 8,
 			Dur:    spec.Dur,
 			Policy: p.Policy, Trace: p.Trace,

@@ -1,8 +1,9 @@
 package fleet
 
 import (
-	"reflect"
 	"testing"
+
+	"hvc/internal/spec"
 )
 
 // FuzzFleetSpecParse exercises the fleet-spec parser with arbitrary
@@ -25,20 +26,12 @@ func FuzzFleetSpecParse(f *testing.F) {
 	f.Add("mix=web:1 policy=priority")
 	f.Add("fault=none")
 	f.Fuzz(func(t *testing.T, in string) {
-		spec, err := ParseSpec(in)
+		sp, err := ParseSpec(in)
 		if err != nil {
 			return // rejected: fine, as long as no panic
 		}
-		canonical := spec.String()
-		back, err := ParseSpec(canonical)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %q -> %q: %v", in, canonical, err)
-		}
-		if !reflect.DeepEqual(back, spec) {
-			t.Fatalf("round-trip changed the spec:\n in: %+v\nout: %+v", spec, back)
-		}
-		if again := back.String(); again != canonical {
-			t.Fatalf("canonical form not a fixed point: %q -> %q", canonical, again)
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 	})
 }

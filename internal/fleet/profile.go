@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"hvc/internal/fault"
+	"hvc/internal/spec"
 )
 
 // Per-UE inputs are derived by pure hashing from (fleet seed, UE
@@ -64,20 +65,7 @@ type Profile struct {
 }
 
 // appFor draws the UE's app from the weighted mix.
-func (s Spec) appFor(ue int) string {
-	total := 0
-	for _, e := range s.Mix {
-		total += e.Weight
-	}
-	r := int(derive(s.Seed, ue, saltApp) % uint64(total))
-	for _, e := range s.Mix {
-		if r < e.Weight {
-			return e.App
-		}
-		r -= e.Weight
-	}
-	return s.Mix[len(s.Mix)-1].App // unreachable: weights sum to total
-}
+func (s Spec) appFor(ue int) string { return spec.Pick(s.Mix, derive(s.Seed, ue, saltApp)) }
 
 // offsetFor draws the UE's start offset.
 func (s Spec) offsetFor(ue int) time.Duration {

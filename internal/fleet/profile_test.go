@@ -99,8 +99,8 @@ func TestProfileFields(t *testing.T) {
 		}
 	}
 	for _, e := range spec.Mix {
-		if !usedApp[e.App] {
-			t.Errorf("app %q never drawn across %d UEs", e.App, spec.UEs)
+		if !usedApp[e.Name] {
+			t.Errorf("app %q never drawn across %d UEs", e.Name, spec.UEs)
 		}
 	}
 	if len(offsets) < spec.UEs/2 {

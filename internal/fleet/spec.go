@@ -31,15 +31,17 @@
 package fleet
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
 	"hvc/internal/channel"
 	"hvc/internal/core"
 	"hvc/internal/fault"
+	"hvc/internal/spec"
 )
 
 // The app workloads a mix can weight.
@@ -53,12 +55,6 @@ const (
 // maxUEs bounds a fleet so a typo cannot expand into an unbounded run.
 const maxUEs = 1_000_000
 
-// A MixEntry weights one app workload in the fleet's mix.
-type MixEntry struct {
-	App    string
-	Weight int
-}
-
 // A Spec describes one fleet. The zero value is invalid; build specs
 // with ParseSpec or populate fields and call Validate.
 type Spec struct {
@@ -66,8 +62,9 @@ type Spec struct {
 	UEs int
 	// Seed is the fleet seed every per-UE derivation hashes from.
 	Seed int64
-	// Mix weights the app workloads; each UE draws one by hash.
-	Mix []MixEntry
+	// Mix weights the app workloads (Name is one of the App constants);
+	// each UE draws one by hash.
+	Mix []spec.Weighted
 	// CC names the congestion control bulk and arena sessions run (web
 	// fixes CUBIC per the paper; video is unreliable and uses none).
 	CC string
@@ -89,197 +86,87 @@ type Spec struct {
 	Fault string
 }
 
-// specKeys is the canonical key order String emits and the complete
-// set ParseSpec accepts.
-var specKeys = []string{"ues", "seed", "mix", "cc", "policy", "trace", "dur", "pages", "loads", "stagger", "fault"}
-
 // ParseSpec parses the fleet-spec syntax described in the package
-// comment. Unknown keys, duplicate keys, duplicate list values, and
-// names the core package does not accept are errors; omitted keys
-// default (see defaultAndValidate). The result is validated and
-// canonical: parsing the String of a parsed spec yields the same spec.
+// comment: a field table over internal/spec, in canonical key order.
+// Unknown keys, duplicate keys, duplicate list values, and names the
+// core package does not accept are errors; omitted keys default (see
+// Validate), and an explicit zero dur or stagger is rejected
+// rather than defaulted. The result is validated and canonical: parsing
+// the String of a parsed spec yields the same spec.
 func ParseSpec(s string) (Spec, error) {
-	spec := Spec{Seed: 1}
-	seen := map[string]bool{}
-	for _, field := range strings.Fields(s) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || val == "" {
-			return Spec{}, fmt.Errorf("fleet: field %q is not key=value", field)
-		}
-		if seen[key] {
-			return Spec{}, fmt.Errorf("fleet: duplicate key %q", key)
-		}
-		seen[key] = true
-		var err error
-		switch key {
-		case "ues":
-			spec.UEs, err = parseInt(key, val)
-		case "seed":
-			spec.Seed, err = strconv.ParseInt(val, 10, 64)
-			if err != nil {
-				err = fmt.Errorf("fleet: seed %q is not an integer", val)
-			}
-		case "mix":
-			spec.Mix, err = parseMix(val)
-		case "cc":
-			spec.CC = val
-		case "policy":
-			spec.Policies, err = parseList(key, val)
-		case "trace":
-			spec.Traces, err = parseList(key, val)
-		case "dur":
-			spec.Dur, err = parseDur(key, val)
-		case "pages":
-			spec.Pages, err = parseInt(key, val)
-		case "loads":
-			spec.Loads, err = parseInt(key, val)
-		case "stagger":
-			spec.Stagger, err = parseDur(key, val)
-		case "fault":
-			spec.Fault = val
-		default:
-			return Spec{}, fmt.Errorf("fleet: unknown key %q (valid: %s)", key, strings.Join(specKeys, ", "))
-		}
-		if err != nil {
-			return Spec{}, err
-		}
-	}
-	if err := spec.defaultAndValidate(); err != nil {
+	sp := Spec{Seed: 1}
+	if _, err := spec.Parse("fleet", strings.Fields(s), []spec.Field{
+		spec.Int("ues", &sp.UEs),
+		spec.Int64("seed", &sp.Seed),
+		spec.Weights("mix", "app", &sp.Mix),
+		spec.String("cc", &sp.CC),
+		spec.List("policy", &sp.Policies),
+		spec.List("trace", &sp.Traces),
+		spec.PosDur("dur", &sp.Dur),
+		spec.Int("pages", &sp.Pages),
+		spec.Int("loads", &sp.Loads),
+		spec.PosDur("stagger", &sp.Stagger),
+		spec.String("fault", &sp.Fault),
+	}); err != nil {
 		return Spec{}, err
 	}
-	return spec, nil
+	if err := sp.Validate(); err != nil {
+		return Spec{}, err
+	}
+	return sp, nil
 }
 
-func parseInt(key, val string) (int, error) {
-	n, err := strconv.Atoi(val)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("fleet: %s %q is not a positive integer", key, val)
-	}
-	return n, nil
-}
-
-func parseDur(key, val string) (time.Duration, error) {
-	d, err := time.ParseDuration(val)
-	if err != nil || d < 0 {
-		return 0, fmt.Errorf("fleet: %s %q is not a non-negative duration", key, val)
-	}
-	return d, nil
-}
-
-func parseList(key, val string) ([]string, error) {
-	parts := strings.Split(val, ",")
-	seen := map[string]bool{}
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("fleet: %s has an empty list element", key)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("fleet: %s lists %q twice", key, p)
-		}
-		seen[p] = true
-	}
-	return parts, nil
-}
-
-func parseMix(val string) ([]MixEntry, error) {
-	var mix []MixEntry
-	seen := map[string]bool{}
-	for _, part := range strings.Split(val, ",") {
-		app, weightStr, hasWeight := strings.Cut(part, ":")
-		e := MixEntry{App: app, Weight: 1}
-		if hasWeight {
-			w, err := strconv.Atoi(weightStr)
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("fleet: mix weight %q is not a positive integer", weightStr)
-			}
-			e.Weight = w
-		}
-		switch e.App {
-		case AppBulk, AppVideo, AppWeb, AppArena:
-		default:
-			return nil, fmt.Errorf("fleet: unknown app %q in mix (bulk, video, web, arena)", e.App)
-		}
-		if seen[e.App] {
-			return nil, fmt.Errorf("fleet: mix lists %q twice", e.App)
-		}
-		seen[e.App] = true
-		mix = append(mix, e)
-	}
-	return mix, nil
-}
-
-// defaultAndValidate fills defaults, checks every axis value against
-// the core package's accepted names, and canonicalizes the fault
-// scenario. The defaults favor throughput on small machines: BBR bulk
-// flows and short sessions, so a 10k-UE fleet finishes in minutes.
-func (s *Spec) defaultAndValidate() error {
-	if s.UEs == 0 {
-		s.UEs = 1000
-	}
+// Validate fills defaults for zero fields (ParseSpec and hand-built
+// specs alike), checks every axis value against the core package's
+// accepted names, and canonicalizes the fault scenario. The defaults
+// favor throughput on small machines: BBR bulk flows and short
+// sessions, so a 10k-UE fleet finishes in minutes.
+func (s *Spec) Validate() error {
+	s.UEs = cmp.Or(s.UEs, 1000)
 	if s.UEs < 1 || s.UEs > maxUEs {
 		return fmt.Errorf("fleet: ues %d out of [1,%d]", s.UEs, maxUEs)
 	}
 	if s.Mix == nil {
-		s.Mix = []MixEntry{{AppBulk, 1}, {AppVideo, 1}, {AppWeb, 1}}
+		s.Mix = []spec.Weighted{{Name: AppBulk, Weight: 1}, {Name: AppVideo, Weight: 1}, {Name: AppWeb, Weight: 1}}
 	}
-	if s.CC == "" {
-		s.CC = "bbr"
-	}
+	s.CC = cmp.Or(s.CC, "bbr")
 	if s.Policies == nil {
 		s.Policies = []string{core.PolicyDChannel}
 	}
 	if s.Traces == nil {
 		s.Traces = []string{"lowband-driving"}
 	}
-	if s.Dur == 0 {
-		s.Dur = 2 * time.Second
-	}
+	s.Dur = cmp.Or(s.Dur, 2*time.Second)
 	if s.Dur < 100*time.Millisecond {
 		return fmt.Errorf("fleet: dur %v below 100ms", s.Dur)
 	}
-	if s.Pages == 0 {
-		s.Pages = 1
-	}
-	if s.Loads == 0 {
-		s.Loads = 1
-	}
-	if s.Stagger == 0 {
-		s.Stagger = 5 * time.Second
-	}
+	s.Pages, s.Loads = cmp.Or(s.Pages, 1), cmp.Or(s.Loads, 1)
+	s.Stagger = cmp.Or(s.Stagger, 5*time.Second)
 
 	hasApp := map[string]bool{}
 	for _, e := range s.Mix {
-		hasApp[e.App] = true
+		switch e.Name {
+		case AppBulk, AppVideo, AppWeb, AppArena:
+		default:
+			return fmt.Errorf("fleet: unknown app %q in mix (bulk, video, web, arena)", e.Name)
+		}
+		hasApp[e.Name] = true
 	}
 	if hasApp[AppArena] && s.Dur < 500*time.Millisecond {
 		return fmt.Errorf("fleet: arena sessions need dur >= 500ms, got %v", s.Dur)
 	}
-	if !core.ValidCC(s.CC) {
-		return fmt.Errorf("fleet: unknown congestion control %q", s.CC)
+	if err := core.CheckNames([]string{s.CC}, s.Policies, s.Traces); err != nil {
+		return fmt.Errorf("fleet: %w", err)
 	}
-	for _, p := range s.Policies {
-		if !core.ValidPolicy(p) {
-			return fmt.Errorf("fleet: unknown steering policy %q", p)
-		}
-		if hasApp[AppWeb] && p == core.PolicyPriority {
-			return fmt.Errorf("fleet: web sessions do not support policy %q; drop web from the mix or the policy from the library", p)
-		}
-	}
-	valid := map[string]bool{}
-	for _, tr := range core.TraceNames() {
-		valid[tr] = true
-	}
-	for _, tr := range s.Traces {
-		if !valid[tr] {
-			return fmt.Errorf("fleet: unknown trace %q (valid: %s)", tr, strings.Join(core.TraceNames(), ", "))
-		}
+	if hasApp[AppWeb] && slices.Contains(s.Policies, core.PolicyPriority) {
+		return fmt.Errorf("fleet: web sessions do not support policy %q; drop web from the mix or the policy from the library", core.PolicyPriority)
 	}
 
 	// Canonicalize the shared scenario and pin it to the two channels
 	// every session has.
 	fs, err := fault.ParseSpec(s.Fault)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: %w", err)
 	}
 	for _, ev := range fs.Events {
 		if ev.Channel != channel.NameEMBB && ev.Channel != channel.NameURLLC {
@@ -291,27 +178,15 @@ func (s *Spec) defaultAndValidate() error {
 	return nil
 }
 
-// Validate checks a programmatically built spec, filling defaults for
-// zero fields exactly as ParseSpec does.
-func (s *Spec) Validate() error { return s.defaultAndValidate() }
-
 // String renders the spec canonically: every key, fixed order.
 // ParseSpec(s.String()) reproduces s.
 func (s Spec) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "ues=%d seed=%d mix=%s", s.UEs, s.Seed, mixString(s.Mix))
+	fmt.Fprintf(&b, "ues=%d seed=%d mix=%s", s.UEs, s.Seed, spec.WeightedString(s.Mix))
 	fmt.Fprintf(&b, " cc=%s policy=%s trace=%s", s.CC, strings.Join(s.Policies, ","), strings.Join(s.Traces, ","))
 	fmt.Fprintf(&b, " dur=%s pages=%d loads=%d stagger=%s fault=%s",
 		s.Dur, s.Pages, s.Loads, s.Stagger, s.Fault)
 	return b.String()
-}
-
-func mixString(mix []MixEntry) string {
-	parts := make([]string, len(mix))
-	for i, e := range mix {
-		parts[i] = fmt.Sprintf("%s:%d", e.App, e.Weight)
-	}
-	return strings.Join(parts, ",")
 }
 
 // AppCounts reports how many UEs draw each app, computed from the
@@ -320,7 +195,7 @@ func mixString(mix []MixEntry) string {
 func (s Spec) AppCounts() map[string]int {
 	counts := make(map[string]int, len(s.Mix))
 	for _, e := range s.Mix {
-		counts[e.App] = 0
+		counts[e.Name] = 0
 	}
 	for ue := 0; ue < s.UEs; ue++ {
 		counts[s.appFor(ue)]++
@@ -332,7 +207,7 @@ func (s Spec) AppCounts() map[string]int {
 func (s Spec) apps() []string {
 	out := make([]string, len(s.Mix))
 	for i, e := range s.Mix {
-		out[i] = e.App
+		out[i] = e.Name
 	}
 	sort.Strings(out)
 	return out

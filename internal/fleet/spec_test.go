@@ -1,27 +1,30 @@
 package fleet
 
 import (
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
+
+	"hvc/internal/spec"
 )
 
 func TestParseSpecDefaults(t *testing.T) {
-	spec, err := ParseSpec("")
+	got, err := ParseSpec("")
 	if err != nil {
 		t.Fatalf("empty spec: %v", err)
 	}
 	want := Spec{
 		UEs:  1000,
 		Seed: 1,
-		Mix:  []MixEntry{{AppBulk, 1}, {AppVideo, 1}, {AppWeb, 1}},
+		Mix:  []spec.Weighted{{Name: AppBulk, Weight: 1}, {Name: AppVideo, Weight: 1}, {Name: AppWeb, Weight: 1}},
 		CC:   "bbr", Policies: []string{"dchannel"}, Traces: []string{"lowband-driving"},
 		Dur: 2 * time.Second, Pages: 1, Loads: 1,
 		Stagger: 5 * time.Second, Fault: "none",
 	}
-	if !reflect.DeepEqual(spec, want) {
-		t.Fatalf("defaults:\n got %+v\nwant %+v", spec, want)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("defaults:\n got %+v\nwant %+v", got, want)
 	}
 }
 
@@ -40,20 +43,12 @@ func TestParseSpecRoundTrip(t *testing.T) {
 		"mix=video",
 		"mix=arena:2,bulk:1 cc=cubic dur=1s",
 	} {
-		spec, err := ParseSpec(in)
+		sp, err := ParseSpec(in)
 		if err != nil {
 			t.Fatalf("ParseSpec(%q): %v", in, err)
 		}
-		canonical := spec.String()
-		back, err := ParseSpec(canonical)
-		if err != nil {
-			t.Fatalf("reparse %q: %v", canonical, err)
-		}
-		if !reflect.DeepEqual(back, spec) {
-			t.Errorf("%q round-trip changed the spec:\n got %+v\nwant %+v", in, back, spec)
-		}
-		if again := back.String(); again != canonical {
-			t.Errorf("%q canonical form not a fixed point: %q -> %q", in, canonical, again)
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Errorf("%q: %v", in, err)
 		}
 	}
 }
@@ -83,6 +78,11 @@ func TestParseSpecErrors(t *testing.T) {
 		{"fault=outage:ch=embb,at=1s", "dur"},
 		{"fault=outage:ch=mmwave,at=1s,dur=1s", "channel"},
 		{"mix=arena:1 dur=200ms", "arena sessions need dur >= 500ms"},
+		// Explicit zero is not "unset": these were silently replaced by
+		// the 5s / 2s defaults.
+		{"stagger=0s", "not a positive duration; omit the key"},
+		{"dur=0s", "not a positive duration; omit the key"},
+		{"mix=:2", "empty app name"},
 	} {
 		_, err := ParseSpec(tc.in)
 		if err == nil {
@@ -157,5 +157,30 @@ func TestSpecFaultCanonicalized(t *testing.T) {
 	}
 	if a.Fault != b.Fault {
 		t.Fatalf("equivalent fault spellings canonicalize differently: %q vs %q", a.Fault, b.Fault)
+	}
+}
+
+// TestCanonicalGolden pins String() byte for byte against a corpus
+// rendered by the hand-rolled parser this package had before
+// internal/spec (testdata/canonical.txt, "input => String()"): the spec field of hvc-fleet-report/v1 and the fleet half of sim_digest carry these strings,
+// so they must not move.
+func TestCanonicalGolden(t *testing.T) {
+	data, err := os.ReadFile("testdata/canonical.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
+		in, want, _ := strings.Cut(line, " => ")
+		got, err := ParseSpec(in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", in, err)
+			continue
+		}
+		if got.String() != want {
+			t.Errorf("ParseSpec(%q).String()\n got %s\nwant %s", in, got, want)
+		}
+		if err := spec.RoundTrip(got, ParseSpec); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
 	}
 }

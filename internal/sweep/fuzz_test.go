@@ -1,8 +1,9 @@
 package sweep
 
 import (
-	"reflect"
 	"testing"
+
+	"hvc/internal/spec"
 )
 
 // FuzzSweepSpecParse exercises the grid-spec parser with arbitrary
@@ -30,21 +31,15 @@ func FuzzSweepSpecParse(f *testing.F) {
 	f.Add("exp=arena mix=cubic,cubic")
 	f.Add("exp=arena flows=2 join=10s dur=5s")
 	f.Add("exp=bulk flows=4")
+	f.Add("exp=bulk dur=0s")
+	f.Add("exp=bulk join=0s")
 	f.Fuzz(func(t *testing.T, in string) {
-		spec, err := ParseSpec(in)
+		sp, err := ParseSpec(in)
 		if err != nil {
 			return // rejected: fine, as long as no panic
 		}
-		canonical := spec.String()
-		back, err := ParseSpec(canonical)
-		if err != nil {
-			t.Fatalf("canonical form rejected: %q -> %q: %v", in, canonical, err)
-		}
-		if !reflect.DeepEqual(back, spec) {
-			t.Fatalf("round-trip changed the spec:\n in: %+v\nout: %+v", spec, back)
-		}
-		if again := back.String(); again != canonical {
-			t.Fatalf("canonical form not a fixed point: %q -> %q", canonical, again)
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Fatalf("%q: %v", in, err)
 		}
 	})
 }

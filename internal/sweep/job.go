@@ -39,25 +39,8 @@ type MetricValue struct {
 // results invalidate when those change (see cache.go for the rule).
 func (j job) key() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n", cellSchema)
-	fmt.Fprintf(&b, "exp=%s", j.spec.Exp)
-	if j.cell.CC != "" {
-		fmt.Fprintf(&b, " cc=%s", j.cell.CC)
-	}
-	fmt.Fprintf(&b, " policy=%s trace=%s seed=%d", j.cell.Policy, j.cell.Trace, j.seed)
-	if j.spec.Exp == ExpWeb {
-		fmt.Fprintf(&b, " pages=%d loads=%d", j.spec.Pages, j.spec.Loads)
-	} else {
-		fmt.Fprintf(&b, " dur=%s", j.spec.Dur)
-	}
-	if j.spec.Exp == ExpOutage {
-		fmt.Fprintf(&b, " fault=%s", j.spec.Fault)
-	}
-	if j.spec.Exp == ExpArena {
-		fmt.Fprintf(&b, " flows=%d mix=%s join=%s rttspread=%s",
-			j.spec.Flows, j.spec.Mix, j.spec.Join, j.spec.RTTSpread)
-	}
-	b.WriteString("\n")
+	fmt.Fprintf(&b, "%s\n%s\n", cellSchema,
+		j.spec.render(j.cell.CC, j.cell.Policy, j.cell.Trace, fmt.Sprintf("seed=%d", j.seed)))
 	if j.cell.CC != "" {
 		fp, _ := core.CCFingerprint(j.cell.CC)
 		fmt.Fprintf(&b, "cc-config=%s\n", fp)
@@ -65,9 +48,8 @@ func (j job) key() string {
 	if j.spec.Exp == ExpArena {
 		// Arena cells have no cc axis; the mix is the CCA knob, so every
 		// algorithm it names folds its fingerprint in, in mix order.
-		mix, _ := arena.ParseMix(j.spec.Mix)
-		for _, e := range mix {
-			fp, _ := core.CCFingerprint(e.CC)
+		for _, e := range j.spec.Mix {
+			fp, _ := core.CCFingerprint(e.Name)
 			fmt.Fprintf(&b, "cc-config=%s\n", fp)
 		}
 	}
@@ -200,14 +182,11 @@ func (j job) run() ([]MetricValue, error) {
 			{"delay_p99_ms", r.Delay.Percentile(99)},
 		}, nil
 	case ExpArena:
-		as, err := arena.ParseSpec(fmt.Sprintf(
-			"flows=%d mix=%s join=%s rttspread=%s seed=%d dur=%s policy=%s trace=%s",
-			j.spec.Flows, j.spec.Mix, j.spec.Join, j.spec.RTTSpread,
-			j.seed, j.spec.Dur, j.cell.Policy, j.cell.Trace))
-		if err != nil {
-			return nil, err
-		}
-		r, err := arena.Run(as, arena.Options{})
+		r, err := arena.Run(arena.Spec{
+			Flows: j.spec.Flows, Seed: j.seed, Mix: j.spec.Mix,
+			Join: j.spec.Join, RTTSpread: j.spec.RTTSpread, Dur: j.spec.Dur,
+			Policy: j.cell.Policy, Trace: j.cell.Trace,
+		}, arena.Options{})
 		if err != nil {
 			return nil, err
 		}

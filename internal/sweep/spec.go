@@ -13,7 +13,9 @@
 package sweep
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -22,6 +24,7 @@ import (
 	"hvc/internal/channel"
 	"hvc/internal/core"
 	"hvc/internal/fault"
+	"hvc/internal/spec"
 )
 
 // Experiment kinds a Spec can sweep. Each maps to one internal/core
@@ -40,8 +43,8 @@ const (
 const maxSeeds = 1_000_000
 
 // A Spec describes one experiment grid. The zero value is invalid;
-// build specs with ParseSpec or populate every applicable field and
-// call Validate.
+// build specs with ParseSpec, or populate the applicable fields and let
+// Run validate them and fill defaults for the zero ones.
 type Spec struct {
 	// Exp is the experiment kind: bulk, video, web, or abr.
 	Exp string
@@ -65,268 +68,162 @@ type Spec struct {
 	// scaled to Dur; stored canonically.
 	Fault string
 	// Flows, Mix, Join, and RTTSpread shape the arena contention run
-	// (arena only): competitor count, weighted CCA mix (arena mix
-	// grammar, stored canonically), join stagger, and RTT heterogeneity.
-	// The cc axis does not apply to arena — the mix is its CCA knob.
+	// (arena only): competitor count, weighted CCA mix, join stagger, and
+	// RTT heterogeneity. The cc axis does not apply to arena — the mix is
+	// its CCA knob.
 	Flows           int
-	Mix             string
+	Mix             []spec.Weighted
 	Join, RTTSpread time.Duration
 }
-
-// specKeys is the canonical key order String emits and the complete
-// set ParseSpec accepts.
-var specKeys = []string{"exp", "cc", "policy", "trace", "seeds", "dur", "pages", "loads", "fault", "flows", "mix", "join", "rttspread"}
 
 // ParseSpec parses the grid-spec syntax: space-separated key=value
 // fields, list values comma-separated, for example
 //
 //	exp=bulk cc=cubic,bbr policy=dchannel,embb-only seeds=1..5 dur=15s
 //
-// Keys: exp (bulk|video|web|abr|outage|arena), cc, policy, trace,
-// seeds (N or A..B inclusive), dur (Go duration), pages, loads, fault
-// (an internal/fault scenario, outage only), flows, mix, join,
-// rttspread (arena contention knobs, arena only). Unknown keys,
-// duplicate keys, duplicate list values, and names the core package
-// does not accept are errors. Omitted axes default per experiment
-// (see Default). The result is validated and canonical: parsing the
-// String of a parsed spec yields the same spec.
+// Keys (a field table over internal/spec, in canonical order): exp
+// (bulk|video|web|abr|outage|arena), cc, policy, trace, seeds (N or
+// A..B inclusive), dur (positive Go duration), pages, loads, fault (an
+// internal/fault scenario, outage only), flows, mix, join, rttspread
+// (arena contention knobs, arena only). Unknown keys, duplicate keys,
+// duplicate list values, a key that does not apply to the experiment
+// (whatever its value), and names the core package does not accept are
+// errors. Omitted axes default per experiment (see defaultAndValidate).
+// The result is validated and canonical: parsing the String of a
+// parsed spec yields the same spec.
 func ParseSpec(s string) (Spec, error) {
-	spec := Spec{SeedFirst: 1, SeedCount: 1}
-	seen := map[string]bool{}
-	for _, field := range strings.Fields(s) {
-		key, val, ok := strings.Cut(field, "=")
-		if !ok || val == "" {
-			return Spec{}, fmt.Errorf("sweep: field %q is not key=value", field)
-		}
-		if seen[key] {
-			return Spec{}, fmt.Errorf("sweep: duplicate key %q", key)
-		}
-		seen[key] = true
-		switch key {
-		case "exp":
-			spec.Exp = val
-		case "cc":
-			list, err := parseList(key, val)
-			if err != nil {
-				return Spec{}, err
-			}
-			spec.CCs = list
-		case "policy":
-			list, err := parseList(key, val)
-			if err != nil {
-				return Spec{}, err
-			}
-			spec.Policies = list
-		case "trace":
-			list, err := parseList(key, val)
-			if err != nil {
-				return Spec{}, err
-			}
-			spec.Traces = list
-		case "seeds":
-			first, count, err := parseSeeds(val)
-			if err != nil {
-				return Spec{}, err
-			}
-			spec.SeedFirst, spec.SeedCount = first, count
-		case "dur":
-			d, err := time.ParseDuration(val)
-			if err != nil {
-				return Spec{}, fmt.Errorf("sweep: dur %q: %v", val, err)
-			}
-			spec.Dur = d
-		case "pages", "loads":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return Spec{}, fmt.Errorf("sweep: %s %q is not a positive integer", key, val)
-			}
-			if key == "pages" {
-				spec.Pages = n
-			} else {
-				spec.Loads = n
-			}
-		case "fault":
-			spec.Fault = val
-		case "flows":
-			n, err := strconv.Atoi(val)
-			if err != nil || n <= 0 {
-				return Spec{}, fmt.Errorf("sweep: flows %q is not a positive integer", val)
-			}
-			spec.Flows = n
-		case "mix":
-			spec.Mix = val
-		case "join", "rttspread":
-			d, err := time.ParseDuration(val)
-			if err != nil || d < 0 {
-				return Spec{}, fmt.Errorf("sweep: %s %q is not a non-negative duration", key, val)
-			}
-			if key == "join" {
-				spec.Join = d
-			} else {
-				spec.RTTSpread = d
-			}
-		default:
-			return Spec{}, fmt.Errorf("sweep: unknown key %q (valid: %s)", key, strings.Join(specKeys, ", "))
-		}
-	}
-	if err := spec.defaultAndValidate(); err != nil {
+	sp := Spec{SeedFirst: 1, SeedCount: 1}
+	present, err := spec.Parse("sweep", strings.Fields(s), []spec.Field{
+		spec.String("exp", &sp.Exp),
+		spec.List("cc", &sp.CCs),
+		spec.List("policy", &sp.Policies),
+		spec.List("trace", &sp.Traces),
+		spec.Func("seeds", func(val string) (err error) {
+			sp.SeedFirst, sp.SeedCount, err = parseSeeds(val)
+			return err
+		}),
+		spec.PosDur("dur", &sp.Dur),
+		spec.Int("pages", &sp.Pages),
+		spec.Int("loads", &sp.Loads),
+		spec.String("fault", &sp.Fault),
+		spec.Int("flows", &sp.Flows),
+		spec.Weights("mix", "CCA", &sp.Mix),
+		spec.Dur("join", &sp.Join),
+		spec.Dur("rttspread", &sp.RTTSpread),
+	})
+	if err != nil {
 		return Spec{}, err
 	}
-	return spec, nil
-}
-
-func parseList(key, val string) ([]string, error) {
-	parts := strings.Split(val, ",")
-	seen := map[string]bool{}
-	for _, p := range parts {
-		if p == "" {
-			return nil, fmt.Errorf("sweep: %s has an empty list element", key)
-		}
-		if seen[p] {
-			return nil, fmt.Errorf("sweep: %s lists %q twice", key, p)
-		}
-		seen[p] = true
+	if err := sp.defaultAndValidate(present); err != nil {
+		return Spec{}, err
 	}
-	return parts, nil
+	return sp, nil
 }
 
 func parseSeeds(val string) (first int64, count int, err error) {
 	lo, hi, ranged := strings.Cut(val, "..")
 	a, err := strconv.ParseInt(lo, 10, 64)
 	if err != nil {
-		return 0, 0, fmt.Errorf("sweep: seeds %q: bad start", val)
+		return 0, 0, fmt.Errorf("seeds %q: bad start", val)
 	}
 	if !ranged {
 		return a, 1, nil
 	}
 	b, err := strconv.ParseInt(hi, 10, 64)
 	if err != nil {
-		return 0, 0, fmt.Errorf("sweep: seeds %q: bad end", val)
+		return 0, 0, fmt.Errorf("seeds %q: bad end", val)
 	}
 	if b < a {
-		return 0, 0, fmt.Errorf("sweep: seeds %q: end below start", val)
+		return 0, 0, fmt.Errorf("seeds %q: end below start", val)
 	}
 	// b-a can wrap for extreme ranges (a very negative, b very
 	// positive); a negative difference is exactly that overflow.
 	if d := b - a; d < 0 || d > maxSeeds-1 {
-		return 0, 0, fmt.Errorf("sweep: seeds %q spans more than %d seeds", val, maxSeeds)
+		return 0, 0, fmt.Errorf("seeds %q spans more than %d seeds", val, maxSeeds)
 	}
 	return a, int(b - a + 1), nil
 }
 
-// defaultAndValidate fills per-experiment defaults, then checks every
-// axis value against the core package's accepted names.
-func (s *Spec) defaultAndValidate() error {
+// expDefaults holds each experiment's values for omitted axes (dur is
+// unused for web, which sizes itself by pages/loads).
+var expDefaults = map[string]struct {
+	policies []string
+	trace    string
+	dur      time.Duration
+}{
+	ExpBulk:   {[]string{core.PolicyDChannel}, "fixed", 15 * time.Second},
+	ExpVideo:  {[]string{core.PolicyDChannel}, "lowband-driving", 20 * time.Second},
+	ExpWeb:    {[]string{core.PolicyDChannel}, "lowband-stationary", 0},
+	ExpABR:    {[]string{core.PolicyDChannel}, "mmwave-driving", 60 * time.Second},
+	ExpOutage: {[]string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyRedundant}, "fixed", 8 * time.Second},
+	ExpArena:  {[]string{core.PolicyDChannel}, "fixed", 15 * time.Second},
+}
+
+// setKeys reports the experiment-specific keys a hand-built spec sets.
+// A struct has no "present but zero", so non-zero is what set means
+// here; ParseSpec passes the parser's own present set instead.
+func (s Spec) setKeys() map[string]bool {
+	return map[string]bool{
+		"cc": s.CCs != nil, "dur": s.Dur != 0, "pages": s.Pages != 0, "loads": s.Loads != 0,
+		"fault": s.Fault != "", "flows": s.Flows != 0, "mix": s.Mix != nil,
+		"join": s.Join != 0, "rttspread": s.RTTSpread != 0,
+	}
+}
+
+// defaultAndValidate rejects keys in present that do not apply to the
+// experiment, fills per-experiment defaults, then checks every axis
+// value against the core package's accepted names.
+func (s *Spec) defaultAndValidate(present map[string]bool) error {
+	def, ok := expDefaults[s.Exp]
+	if s.Exp == "" {
+		return fmt.Errorf("sweep: spec needs exp=bulk|video|web|abr|outage|arena")
+	} else if !ok {
+		return fmt.Errorf("sweep: unknown experiment %q (bulk, video, web, abr, outage, arena)", s.Exp)
+	}
+	// A key applies to an experiment exactly when the canonical form
+	// prints it (values are space-free), so render alone decides.
+	canonical := " " + s.String()
+	for _, key := range []string{"cc", "dur", "pages", "loads", "fault", "flows", "mix", "join", "rttspread"} {
+		if present[key] && !strings.Contains(canonical, " "+key+"=") {
+			return fmt.Errorf("sweep: %s does not apply to exp=%s", key, s.Exp)
+		}
+	}
+	if s.Policies == nil {
+		s.Policies = slices.Clone(def.policies)
+	}
+	if s.Traces == nil {
+		s.Traces = []string{def.trace}
+	}
+	s.Dur = cmp.Or(s.Dur, def.dur)
+	if s.Dur < 0 {
+		return fmt.Errorf("sweep: negative dur")
+	}
+	if s.SeedCount < 1 || s.SeedCount > maxSeeds {
+		return fmt.Errorf("sweep: seed count %d out of range", s.SeedCount)
+	}
 	switch s.Exp {
 	case ExpBulk:
 		if s.CCs == nil {
 			s.CCs = []string{"cubic"}
 		}
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyDChannel}
-		}
-		if s.Traces == nil {
-			s.Traces = []string{"fixed"}
-		}
-		if s.Dur == 0 {
-			s.Dur = 15 * time.Second
-		}
-	case ExpVideo:
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyDChannel}
-		}
-		if s.Traces == nil {
-			s.Traces = []string{"lowband-driving"}
-		}
-		if s.Dur == 0 {
-			s.Dur = 20 * time.Second
-		}
 	case ExpWeb:
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyDChannel}
-		}
-		if s.Traces == nil {
-			s.Traces = []string{"lowband-stationary"}
-		}
-		if s.Pages == 0 {
-			s.Pages = 6
-		}
-		if s.Loads == 0 {
-			s.Loads = 2
-		}
-	case ExpABR:
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyDChannel}
-		}
-		if s.Traces == nil {
-			s.Traces = []string{"mmwave-driving"}
-		}
-		if s.Dur == 0 {
-			s.Dur = 60 * time.Second
-		}
-	case ExpOutage:
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyRedundant}
-		}
-		if s.Traces == nil {
-			s.Traces = []string{"fixed"}
-		}
-		if s.Dur == 0 {
-			s.Dur = 8 * time.Second
-		}
+		s.Pages, s.Loads = cmp.Or(s.Pages, 6), cmp.Or(s.Loads, 2)
 	case ExpArena:
-		if s.Policies == nil {
-			s.Policies = []string{core.PolicyDChannel}
+		// The arena's own validator owns the contention rules (flow
+		// bounds, mix names, last join fits in dur) and the flows/mix
+		// defaults; String and the cache key then name what it filled.
+		as := arena.Spec{Flows: s.Flows, Mix: s.Mix, Join: s.Join, RTTSpread: s.RTTSpread, Dur: s.Dur}
+		if err := as.Validate(); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
-		if s.Traces == nil {
-			s.Traces = []string{"fixed"}
-		}
-		if s.Dur == 0 {
-			s.Dur = 15 * time.Second
-		}
-		if s.Flows == 0 {
-			s.Flows = 2
-		}
-		if s.Mix == "" {
-			s.Mix = "cubic"
-		}
-	case "":
-		return fmt.Errorf("sweep: spec needs exp=bulk|video|web|abr|outage|arena")
-	default:
-		return fmt.Errorf("sweep: unknown experiment %q (bulk, video, web, abr, outage, arena)", s.Exp)
-	}
-
-	if s.Exp != ExpBulk && s.CCs != nil {
-		return fmt.Errorf("sweep: cc axis only applies to exp=bulk")
-	}
-	if s.Exp == ExpWeb {
-		if s.Dur != 0 {
-			return fmt.Errorf("sweep: dur does not apply to exp=web (use pages/loads)")
-		}
-	} else if s.Pages != 0 || s.Loads != 0 {
-		return fmt.Errorf("sweep: pages/loads only apply to exp=web")
-	}
-	if s.Exp == ExpArena {
-		// Delegate the contention knobs to the arena's own validator (it
-		// owns the mix grammar, flow bounds, and the last-join-fits-in-dur
-		// rule), then store the mix canonically (cc:weight form) so String
-		// and the cache key are exact.
-		as, err := arena.ParseSpec(fmt.Sprintf("flows=%d mix=%s join=%s rttspread=%s dur=%s",
-			s.Flows, s.Mix, s.Join, s.RTTSpread, s.Dur))
-		if err != nil {
-			return err
-		}
-		s.Mix = arena.MixString(as.Mix)
-	} else if s.Flows != 0 || s.Mix != "" || s.Join != 0 || s.RTTSpread != 0 {
-		return fmt.Errorf("sweep: flows/mix/join/rttspread only apply to exp=arena")
-	}
-	if s.Exp == ExpOutage {
+		s.Flows, s.Mix = as.Flows, as.Mix
+	case ExpOutage:
 		// Canonicalize the scenario (or materialize the default blackout
 		// schedule) so String and the cache key name the exact faults the
 		// jobs will run.
 		fs, err := fault.ParseSpec(s.Fault)
 		if err != nil {
-			return err
+			return fmt.Errorf("sweep: %w", err)
 		}
 		if fs.Empty() {
 			fs = fault.Default(channel.NameEMBB, s.Dur)
@@ -338,40 +235,16 @@ func (s *Spec) defaultAndValidate() error {
 			}
 		}
 		s.Fault = fs.String()
-	} else if s.Fault != "" {
-		return fmt.Errorf("sweep: fault only applies to exp=outage")
-	}
-	if s.Dur < 0 {
-		return fmt.Errorf("sweep: negative dur")
-	}
-	if s.SeedCount < 1 || s.SeedCount > maxSeeds {
-		return fmt.Errorf("sweep: seed count %d out of range", s.SeedCount)
 	}
 
-	for _, cc := range s.CCs {
-		if !core.ValidCC(cc) {
-			return fmt.Errorf("sweep: unknown congestion control %q", cc)
-		}
+	if err := core.CheckNames(s.CCs, s.Policies, s.Traces); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
-	for _, p := range s.Policies {
-		if !core.ValidPolicy(p) {
-			return fmt.Errorf("sweep: unknown steering policy %q", p)
-		}
-		if s.Exp == ExpWeb && p == core.PolicyPriority {
-			return fmt.Errorf("sweep: exp=web does not support policy %q", p)
-		}
+	if s.Exp == ExpWeb && slices.Contains(s.Policies, core.PolicyPriority) {
+		return fmt.Errorf("sweep: exp=web does not support policy %q", core.PolicyPriority)
 	}
-	valid := map[string]bool{}
-	for _, tr := range core.TraceNames() {
-		valid[tr] = true
-	}
-	for _, tr := range s.Traces {
-		if !valid[tr] {
-			return fmt.Errorf("sweep: unknown trace %q", tr)
-		}
-		if s.Exp == ExpOutage && tr != "fixed" {
-			return fmt.Errorf("sweep: exp=outage only supports trace=fixed")
-		}
+	if s.Exp == ExpOutage && slices.ContainsFunc(s.Traces, func(tr string) bool { return tr != "fixed" }) {
+		return fmt.Errorf("sweep: exp=outage only supports trace=fixed")
 	}
 	return nil
 }
@@ -379,14 +252,19 @@ func (s *Spec) defaultAndValidate() error {
 // String renders the spec canonically: every applicable key, fixed
 // order, seeds always as A..B. ParseSpec(s.String()) reproduces s.
 func (s Spec) String() string {
+	return s.render(strings.Join(s.CCs, ","), strings.Join(s.Policies, ","), strings.Join(s.Traces, ","),
+		fmt.Sprintf("seeds=%d..%d", s.SeedFirst, s.SeedFirst+int64(s.SeedCount)-1))
+}
+
+// render is the one canonical key order, shared by String (the axes as
+// lists) and job.key (one cell at one seed).
+func (s Spec) render(cc, policy, trace, seeds string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exp=%s", s.Exp)
 	if s.Exp == ExpBulk {
-		fmt.Fprintf(&b, " cc=%s", strings.Join(s.CCs, ","))
+		fmt.Fprintf(&b, " cc=%s", cc)
 	}
-	fmt.Fprintf(&b, " policy=%s", strings.Join(s.Policies, ","))
-	fmt.Fprintf(&b, " trace=%s", strings.Join(s.Traces, ","))
-	fmt.Fprintf(&b, " seeds=%d..%d", s.SeedFirst, s.SeedFirst+int64(s.SeedCount)-1)
+	fmt.Fprintf(&b, " policy=%s trace=%s %s", policy, trace, seeds)
 	if s.Exp == ExpWeb {
 		fmt.Fprintf(&b, " pages=%d loads=%d", s.Pages, s.Loads)
 	} else {
@@ -396,7 +274,8 @@ func (s Spec) String() string {
 		fmt.Fprintf(&b, " fault=%s", s.Fault)
 	}
 	if s.Exp == ExpArena {
-		fmt.Fprintf(&b, " flows=%d mix=%s join=%s rttspread=%s", s.Flows, s.Mix, s.Join, s.RTTSpread)
+		fmt.Fprintf(&b, " flows=%d mix=%s join=%s rttspread=%s",
+			s.Flows, spec.WeightedString(s.Mix), s.Join, s.RTTSpread)
 	}
 	return b.String()
 }

@@ -52,7 +52,7 @@ var testRunJob func(job) ([]MetricValue, error)
 // bit-identical for any worker count and any cache state, because
 // cells aggregate in grid order over per-seed values in seed order.
 func Run(spec Spec, opt Options) (*Matrix, error) {
-	if err := spec.defaultAndValidate(); err != nil {
+	if err := spec.defaultAndValidate(spec.setKeys()); err != nil {
 		return nil, err
 	}
 	cells := spec.cells()

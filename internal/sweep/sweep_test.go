@@ -6,12 +6,14 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"hvc/internal/core"
 	"hvc/internal/sketch"
+	"hvc/internal/spec"
 	"hvc/internal/telemetry"
 )
 
@@ -54,14 +56,13 @@ func TestParseSpecCanonicalRoundTrip(t *testing.T) {
 			"exp=arena policy=dchannel trace=fixed seeds=1..2 dur=4s flows=4 mix=cubic:2,bbr:1 join=250ms rttspread=20ms"},
 	}
 	for _, c := range cases {
-		spec := mustParse(t, c.in)
-		if got := spec.String(); got != c.canonical {
+		sp := mustParse(t, c.in)
+		if got := sp.String(); got != c.canonical {
 			t.Errorf("ParseSpec(%q).String() = %q, want %q", c.in, got, c.canonical)
 			continue
 		}
-		back := mustParse(t, spec.String())
-		if back.String() != spec.String() {
-			t.Errorf("canonical form not a fixed point: %q -> %q", spec.String(), back.String())
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Errorf("%q: %v", c.in, err)
 		}
 	}
 }
@@ -104,10 +105,75 @@ func TestParseSpecRejects(t *testing.T) {
 		"exp=arena join=-1s",                           // negative duration
 		"exp=arena flows=2 join=10s dur=5s",            // last join after dur
 		"exp=arena pages=2",                            // pages outside web
+		// Explicit zero is not "unset", and a key that does not apply is
+		// rejected whatever its value (each was accepted before
+		// internal/spec).
+		"exp=bulk dur=0s",        // was silently 15s
+		"exp=web dur=0s",         // dur on web, zero or not
+		"exp=bulk join=0s",       // arena knob outside arena, zero or not
+		"exp=video rttspread=0s", // arena knob outside arena, zero or not
+		"exp=arena dur=0s",       // was silently 15s
 	}
 	for _, s := range bad {
 		if _, err := ParseSpec(s); err == nil {
 			t.Errorf("ParseSpec(%q) accepted, want error", s)
+		}
+	}
+}
+
+// TestParseSpecErrorsAreSweeps pins the error prefix: whatever layer
+// rejects a sweep spec — the kernel, this package's cross-field rules,
+// the arena validator behind exp=arena, or the fault grammar behind
+// fault= — the message starts with "sweep:" (exp=arena dur=-3s and
+// mix=cubic:0 used to surface as "arena: ...", a bad scenario as
+// "fault: ...").
+func TestParseSpecErrorsAreSweeps(t *testing.T) {
+	for _, in := range []string{
+		"exp=arena dur=-3s", "exp=arena mix=cubic:0", "exp=arena flows=65", "exp=arena mix=tcp-tahoe",
+		"exp=web dur=5s", "exp=bulk fault=none", "exp=bulk seeds=a..b", "exp=bulk trace=starlink",
+		"exp=outage fault=meteor:ch=embb,at=0s,dur=1s", "exp=outage fault=outage:ch=embb,zap=1",
+	} {
+		if _, err := ParseSpec(in); err == nil || !strings.HasPrefix(err.Error(), "sweep: ") {
+			t.Errorf("ParseSpec(%q) = %v, want a sweep: error", in, err)
+		}
+	}
+}
+
+// TestCanonicalGolden pins String() and the job cache key byte for
+// byte against corpora rendered by the hand-rolled parser this package
+// had before internal/spec (testdata/canonical.txt, "input =>
+// String()"; testdata/jobkeys.txt, "input => quoted key of the first
+// cell at the first seed, code= line dropped"): the key is the
+// .hvcsweep/ address, so an existing cache stays a hit only if neither
+// moves.
+func TestCanonicalGolden(t *testing.T) {
+	lines := func(path string) []string {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	}
+	for _, line := range lines("testdata/canonical.txt") {
+		in, want, _ := strings.Cut(line, " => ")
+		sp, err := ParseSpec(in)
+		if err != nil {
+			t.Errorf("ParseSpec(%q): %v", in, err)
+			continue
+		}
+		if got := sp.String(); got != want {
+			t.Errorf("ParseSpec(%q).String()\n got %s\nwant %s", in, got, want)
+		}
+		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+			t.Errorf("%q: %v", in, err)
+		}
+	}
+	for _, line := range lines("testdata/jobkeys.txt") {
+		in, want, _ := strings.Cut(line, " => ")
+		sp := mustParse(t, in)
+		key := job{spec: sp, cell: sp.cells()[0], seed: sp.SeedFirst}.key()
+		if got := strconv.Quote(key[:strings.Index(key, "code=")]); got != want {
+			t.Errorf("job key of %q\n got %s\nwant %s", in, got, want)
 		}
 	}
 }
