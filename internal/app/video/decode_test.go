@@ -16,7 +16,7 @@ import (
 // time, as if it had just arrived.
 func deliver(r *Receiver, frame, layer int, sentAt time.Duration) {
 	r.onMessage(transport.Message{
-		Data:   layerMsg{frame: frame, layer: layer},
+		Data:   &layerMsg{frame: frame, layer: layer},
 		SentAt: sentAt,
 	})
 }

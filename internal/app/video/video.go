@@ -65,6 +65,12 @@ func (cfg *Config) fillDefaults() {
 	}
 }
 
+// frameCount is how many frames a stream of the configured duration
+// holds.
+func (cfg *Config) frameCount() int {
+	return int(cfg.Duration / (time.Second / time.Duration(cfg.FPS)))
+}
+
 // layerMsg identifies one layer of one frame on the wire.
 type layerMsg struct {
 	frame int
@@ -81,6 +87,10 @@ type Sender struct {
 	stream uint32
 	frames int
 	sizes  [Layers]int
+	// msgs holds every message's payload, frame-major; messages carry
+	// pointers into it. sent counts the frames sent so far.
+	msgs []layerMsg
+	sent int
 }
 
 // NewSender builds a sender over conn (which must be unreliable — the
@@ -88,11 +98,10 @@ type Sender struct {
 func NewSender(loop *sim.Loop, conn *transport.Conn, cfg Config) *Sender {
 	cfg.fillDefaults()
 	s := &Sender{loop: loop, conn: conn, cfg: cfg, stream: conn.NewStream()}
-	interval := time.Second / time.Duration(cfg.FPS)
 	for l := range s.sizes {
 		s.sizes[l] = int(LayerBitrates[l] / float64(cfg.FPS) / 8)
 	}
-	s.frames = int(cfg.Duration / interval)
+	s.frames = cfg.frameCount()
 	return s
 }
 
@@ -100,19 +109,24 @@ func NewSender(loop *sim.Loop, conn *transport.Conn, cfg Config) *Sender {
 func (s *Sender) FrameCount() int { return s.frames }
 
 // Start schedules the whole stream: one tick per frame, three
-// messages per tick.
+// messages per tick. The ticks fire in frame order, so they share one
+// callback that counts them.
 func (s *Sender) Start() {
 	interval := time.Second / time.Duration(s.cfg.FPS)
+	s.msgs = make([]layerMsg, s.frames*Layers)
+	tick := s.sendFrame
 	for f := 0; f < s.frames; f++ {
-		f := f
-		s.loop.At(time.Duration(f)*interval, func() { s.sendFrame(f) })
+		s.loop.At(time.Duration(f)*interval, tick)
 	}
 }
 
-func (s *Sender) sendFrame(f int) {
+func (s *Sender) sendFrame() {
 	for l := 0; l < Layers; l++ {
-		s.conn.SendMessage(s.stream, packet.Priority(l), s.sizes[l], layerMsg{frame: f, layer: l})
+		lm := &s.msgs[s.sent*Layers+l]
+		*lm = layerMsg{frame: s.sent, layer: l}
+		s.conn.SendMessage(s.stream, packet.Priority(l), s.sizes[l], lm)
 	}
+	s.sent++
 }
 
 // Receiver applies the decode rule and accumulates the latency and
@@ -122,8 +136,9 @@ type Receiver struct {
 	cfg    Config
 	tracer *telemetry.Tracer
 
-	frames  map[int]*frameState
-	decoded map[int]int // frame → decoded layer (-1 not decoded)
+	// frames holds every frame of the stream, sized once from the
+	// configured duration.
+	frames []frameState
 
 	// Latency and SSIM are distributions over decoded frames, in ms
 	// and SSIM units respectively.
@@ -147,12 +162,11 @@ type frameState struct {
 // with Attach.
 func NewReceiver(loop *sim.Loop, cfg Config) *Receiver {
 	cfg.fillDefaults()
-	return &Receiver{
-		loop:    loop,
-		cfg:     cfg,
-		frames:  make(map[int]*frameState),
-		decoded: make(map[int]int),
+	r := &Receiver{loop: loop, cfg: cfg, frames: make([]frameState, cfg.frameCount())}
+	for f := range r.frames {
+		r.frames[f].decodedL = -1
 	}
+	return r
 }
 
 // SetTracer installs the telemetry hook; nil disables tracing.
@@ -172,11 +186,14 @@ func (r *Receiver) deadline() time.Duration {
 }
 
 func (r *Receiver) onMessage(m transport.Message) {
-	lm, ok := m.Data.(layerMsg)
+	lm, ok := m.Data.(*layerMsg)
 	if !ok {
 		panic(fmt.Sprintf("video: unexpected message payload %T", m.Data))
 	}
 	fs := r.frame(lm.frame)
+	if fs == nil {
+		panic(fmt.Sprintf("video: frame %d of a %d-frame stream", lm.frame, len(r.frames)))
+	}
 	if fs.decodedL >= 0 {
 		return // frame already decoded; late enhancement data discarded
 	}
@@ -192,24 +209,20 @@ func (r *Receiver) onMessage(m transport.Message) {
 	}
 }
 
+// frame returns frame f's state, nil when the stream has no such frame.
 func (r *Receiver) frame(f int) *frameState {
-	fs, ok := r.frames[f]
-	if !ok {
-		fs = &frameState{decodedL: -1}
-		r.frames[f] = fs
+	if f < 0 || f >= len(r.frames) {
+		return nil
 	}
-	return fs
+	return &r.frames[f]
 }
 
 // maybeTriggerEarlier decodes frames f-2 and f-1 early when their
 // wait condition ("layer 0 of the next two frames arrived") now holds.
 func (r *Receiver) maybeTriggerEarlier(f int) {
 	for _, earlier := range []int{f - 2, f - 1, f} {
-		if earlier < 0 {
-			continue
-		}
-		fs, ok := r.frames[earlier]
-		if !ok || fs.decodedL >= 0 || !fs.got[0] {
+		fs := r.frame(earlier)
+		if fs == nil || fs.decodedL >= 0 || !fs.got[0] {
 			continue
 		}
 		if r.l0Arrived(earlier+1) && r.l0Arrived(earlier+2) {
@@ -219,15 +232,15 @@ func (r *Receiver) maybeTriggerEarlier(f int) {
 }
 
 func (r *Receiver) l0Arrived(f int) bool {
-	fs, ok := r.frames[f]
-	return ok && (fs.got[0] || fs.decodedL >= 0)
+	fs := r.frame(f)
+	return fs != nil && (fs.got[0] || fs.decodedL >= 0)
 }
 
 // decode finalizes a frame at the highest layer whose SVC dependency
 // chain is intact: all lower layers of this frame received, and the
 // same layer decoded in the previous frame (reset at keyframes).
 func (r *Receiver) decode(f int) {
-	fs := r.frames[f]
+	fs := r.frame(f)
 	if fs == nil || fs.decodedL >= 0 || !fs.got[0] {
 		return
 	}
@@ -244,7 +257,6 @@ func (r *Receiver) decode(f int) {
 		level = l
 	}
 	fs.decodedL = level
-	r.decoded[f] = level
 	r.Decoded++
 	latency := r.loop.Now() - fs.sentAt
 	r.Latency.AddDuration(latency)
@@ -272,8 +284,8 @@ func (r *Receiver) prevSupports(f, l int) bool {
 	if f%r.cfg.KeyframeInterval == 0 {
 		return true
 	}
-	prevLevel, ok := r.decoded[f-1]
-	return ok && prevLevel >= l
+	prev := r.frame(f - 1)
+	return prev != nil && prev.decodedL >= l
 }
 
 // Frozen reports frames sent but never decoded, given the sender's

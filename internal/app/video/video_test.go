@@ -211,3 +211,43 @@ func TestConfigValidation(t *testing.T) {
 	}()
 	NewReceiver(sim.NewLoop(1), Config{})
 }
+
+// streamAllocs reports what a whole world streaming for dur allocates,
+// from construction to drained, with a server that discards the
+// messages: everything the sender and the transport under it cost.
+func streamAllocs(dur time.Duration) float64 {
+	return testing.AllocsPerRun(3, func() {
+		loop := sim.NewLoop(1)
+		g := channel.NewGroup(cleanChannels(loop)...)
+		client := transport.NewEndpoint(loop, g, channel.A)
+		server := transport.NewEndpoint(loop, g, channel.B)
+		server.Listen(func() transport.Config {
+			return transport.Config{Steer: embbOnly(g), Unreliable: true}
+		}, func(c *transport.Conn) { c.OnMessage(func(*transport.Conn, transport.Message) {}) })
+		conn := client.Dial(transport.Config{Steer: embbOnly(g), Unreliable: true})
+		NewSender(loop, conn, Config{Duration: dur}).Start()
+		loop.RunUntil(dur + time.Second)
+	})
+}
+
+// The sender's cost is the stream's set-up, not its length: one tick
+// callback and one payload array serve every frame. A world's arrays
+// grow to the stream's peak, which two seconds reach, so two more
+// seconds of frames must add next to nothing — they used to add a timer
+// closure per frame and a boxed payload and an expiry closure per
+// message, seven objects a frame.
+func TestVideoSenderAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	if sim.DefaultScheduler != sim.Heap {
+		t.Skip("the timing wheel (-tags sim_wheel) grows a bucket wherever events first land")
+	}
+	short, long := streamAllocs(2*time.Second), streamAllocs(4*time.Second)
+	const frames = 60 // the extra two seconds
+	t.Logf("2 s: %.0f objects, 4 s: %.0f", short, long)
+	if extra := long - short; extra > frames/4 {
+		t.Errorf("two more seconds of stream (%d frames) allocated %.0f more objects (%.0f -> %.0f), want O(1)",
+			frames, extra, short, long)
+	}
+}

@@ -291,3 +291,29 @@ func TestKindPriorityTable(t *testing.T) {
 		t.Fatal("images must rank below scripts")
 	}
 }
+
+// Load closes the client connection at onLoad, and nothing tells the
+// server: its Conn stays in the endpoint's table, and whenever the
+// client's last delayed ack died with the client's timers, the server
+// retransmits its unacknowledged tail on every (backed-off) RTO for the
+// life of the world. A closed peer should be signalled and the server
+// should release the connection; then the world falls silent.
+func TestServerQuiescesAfterPeerClose(t *testing.T) {
+	t.Skip("known gap: ROADMAP, independent oracles")
+	for seed := int64(1); seed <= 5; seed++ {
+		e := newEnv(seed)
+		e.serve()
+		loaded := false
+		Load(e.client, e.clientCfg(), GenerateCorpus(seed, 1)[0], func(LoadResult) { loaded = true })
+		e.loop.RunUntil(5 * time.Second)
+		if !loaded {
+			t.Fatalf("seed %d: page did not load in 5 s", seed)
+		}
+		quiet := e.loop.Events()
+		e.loop.RunUntil(5 * time.Minute)
+		if n := e.loop.Events() - quiet; n != 0 || e.loop.Pending() != 0 {
+			t.Errorf("seed %d: %d events in the five minutes after onLoad, %d still pending: the server is retransmitting to a closed peer",
+				seed, n, e.loop.Pending())
+		}
+	}
+}

@@ -729,3 +729,18 @@ func TestRepeatOverVideoSeeds(t *testing.T) {
 		t.Fatalf("priority p95 varies too much across seeds: %+v", s)
 	}
 }
+
+// BenchmarkVideoSession is one fleet UE: a 2 s video session from
+// world construction to drained. What it costs beyond its events is
+// what a short session pays for being short.
+func BenchmarkVideoSession(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunVideo(VideoConfig{
+			Seed: 1, Duration: 2 * time.Second,
+			Trace: "lowband-driving", Policy: PolicyPriority,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

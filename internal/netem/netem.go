@@ -98,7 +98,8 @@ type Link struct {
 	// rng is the link's private loss stream, seeded from the loop seed
 	// and the link's name+salt: drawing from it never perturbs any
 	// other link's deliveries, so adding a link (or a fault process)
-	// leaves unrelated links' traces unchanged.
+	// leaves unrelated links' traces unchanged. It is seeded on the first
+	// draw (lossRand), so a link without random loss never builds it.
 	rng *rand.Rand
 
 	// Fault-injection overrides (see internal/fault). All are inert in
@@ -129,11 +130,6 @@ func New(loop *sim.Loop, cfg Config, sink Sink) *Link {
 		panic(fmt.Sprintf("netem: link %q loss probability %v out of [0,1]", cfg.Name, cfg.LossProb))
 	}
 	l := &Link{loop: loop, cfg: cfg, sink: sink, rateScale: 1}
-	h := fnv.New64a()
-	h.Write([]byte(cfg.Name))
-	h.Write([]byte{0})
-	h.Write([]byte(cfg.Salt))
-	l.rng = rand.New(rand.NewSource(loop.Seed() ^ int64(h.Sum64())))
 	l.onTxDone = l.finishTx
 	l.onOutageEnd = func() {
 		l.busy = false
@@ -141,6 +137,18 @@ func New(loop *sim.Loop, cfg Config, sink Sink) *Link {
 	}
 	l.onArrive = l.deliver
 	return l
+}
+
+// lossRand returns the link's private loss stream.
+func (l *Link) lossRand() *rand.Rand {
+	if l.rng == nil {
+		h := fnv.New64a()
+		h.Write([]byte(l.cfg.Name))
+		h.Write([]byte{0})
+		h.Write([]byte(l.cfg.Salt))
+		l.rng = rand.New(rand.NewSource(l.loop.Seed() ^ int64(h.Sum64())))
+	}
+	return l.rng
 }
 
 // Name reports the link's configured name.
@@ -355,7 +363,7 @@ func (l *Link) finishTx() {
 	if l.lossFn != nil && l.lossFn() {
 		drop, reason = true, "burst"
 	}
-	if !drop && l.cfg.LossProb > 0 && l.rng.Float64() < l.cfg.LossProb {
+	if !drop && l.cfg.LossProb > 0 && l.lossRand().Float64() < l.cfg.LossProb {
 		drop = true
 	}
 	if drop {

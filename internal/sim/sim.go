@@ -110,7 +110,7 @@ func NewLoop(seed int64) *Loop {
 // NewLoopSched returns a Loop backed by an explicit scheduler choice.
 // Results are independent of the choice; only speed differs.
 func NewLoopSched(seed int64, s Scheduler) *Loop {
-	l := &Loop{seed: seed, rng: rand.New(rand.NewSource(seed))}
+	l := &Loop{seed: seed}
 	if s == Wheel {
 		l.wheel = &wheelQueue{}
 	}
@@ -129,8 +129,15 @@ func (l *Loop) Now() time.Duration { return l.now }
 
 // Rand returns the loop's deterministic random source. All stochastic
 // behaviour in a simulation (loss, trace noise, workload generation)
-// must draw from it so that a seed fully determines a run.
-func (l *Loop) Rand() *rand.Rand { return l.rng }
+// must draw from it so that a seed fully determines a run. The source
+// is seeded on first use — a 607-word generator state is not worth
+// building for the many loops nothing ever draws from.
+func (l *Loop) Rand() *rand.Rand {
+	if l.rng == nil {
+		l.rng = rand.New(rand.NewSource(l.seed))
+	}
+	return l.rng
+}
 
 // Pending reports the number of scheduled events that have neither run
 // nor been cancelled.

@@ -1,0 +1,114 @@
+package transport
+
+import (
+	"hvc/internal/invariant"
+	"hvc/internal/packet"
+)
+
+// An arena holds one endpoint's free transport records: in-flight
+// tracking records, chunks, queued messages and reassembly state.
+// Connections borrow from it and return what they hold as packets are
+// acknowledged, as messages complete, and at Close, so a world's next
+// connection runs on the records its earlier ones grew. Every record
+// names its owner — the borrowing flow, zero (no flow's ID) while free —
+// so that a stale pointer across connections is caught, not obeyed.
+type arena struct {
+	freeInfos   []*sentInfo
+	freeChunks  []*chunk
+	freeMsgs    []*message
+	freeRcvMsgs []*rcvMsg
+}
+
+// pop takes the last record off a free list, or makes a fresh one.
+func pop[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	*free = (*free)[:n-1]
+	return x
+}
+
+// The owner checks panic with fixed violations: a call (invariant.Failf)
+// would keep the accessors, four per packet, from inlining.
+var (
+	errNotOwner   = &invariant.Violation{Layer: "transport", Name: "record-owner", Detail: "a record is not held by the flow using it: a pointer kept past release, or a free list lending a held record"}
+	errDoubleFree = &invariant.Violation{Layer: "transport", Name: "double-free", Detail: "a record was released to its arena twice"}
+)
+
+// own passes a record from one owner to the next; 0 is the arena, and
+// from == to only asserts that the record stays where it is.
+func own(owner *packet.FlowID, from, to packet.FlowID) {
+	if invariant.Enabled() && *owner != from {
+		panic(errNotOwner)
+	}
+	*owner = to
+}
+
+// disown is own(owner, flow, 0) for the release paths.
+func disown(owner *packet.FlowID, flow packet.FlowID) {
+	if invariant.Enabled() && *owner == 0 {
+		panic(errDoubleFree)
+	}
+	own(owner, flow, 0)
+}
+
+// holds asserts that a record c reached through its own state is its.
+func (c *Conn) holds(owner *packet.FlowID) { own(owner, c.flow, c.flow) }
+
+// The accessors. newX lends flow a record: a tracking record with empty
+// channel slices, a chunk whose frag the caller overwrites, a zeroed
+// message, a reassembly record with an empty range set. freeX takes it
+// back once nothing of the connection can reach it (a chunk: acked, sent
+// unreliably, or discarded at Close; never while the retx queue holds
+// it), keeping its arrays and expiry callback for the next borrower.
+
+func (a *arena) newSentInfo(flow packet.FlowID) *sentInfo {
+	info := pop(&a.freeInfos)
+	own(&info.owner, 0, flow)
+	return info
+}
+
+func (a *arena) freeSentInfo(flow packet.FlowID, info *sentInfo) {
+	disown(&info.owner, flow)
+	info.sub, info.chunk = nil, nil
+	info.channels, info.chIDs, info.chIdx = info.channels[:0], info.chIDs[:0], info.chIdx[:0]
+	a.freeInfos = append(a.freeInfos, info)
+}
+
+func (a *arena) newChunk(flow packet.FlowID) *chunk {
+	ch := pop(&a.freeChunks)
+	own(&ch.owner, 0, flow)
+	return ch
+}
+
+func (a *arena) freeChunk(flow packet.FlowID, ch *chunk) {
+	disown(&ch.owner, flow)
+	ch.frag = fragment{} // release the message data reference
+	a.freeChunks = append(a.freeChunks, ch)
+}
+
+func (a *arena) newMsg(flow packet.FlowID) *message {
+	m := pop(&a.freeMsgs)
+	own(&m.owner, 0, flow)
+	return m
+}
+
+func (a *arena) freeMsg(flow packet.FlowID, m *message) {
+	disown(&m.owner, flow)
+	*m = message{}
+	a.freeMsgs = append(a.freeMsgs, m)
+}
+
+func (a *arena) newRcvMsg(flow packet.FlowID) *rcvMsg {
+	rm := pop(&a.freeRcvMsgs)
+	own(&rm.owner, 0, flow)
+	return rm
+}
+
+func (a *arena) freeRcvMsg(flow packet.FlowID, rm *rcvMsg) {
+	disown(&rm.owner, flow)
+	*rm = rcvMsg{got: rangeSet{rs: rm.got.rs[:0]}, expireFn: rm.expireFn}
+	a.freeRcvMsgs = append(a.freeRcvMsgs, rm)
+}

@@ -1,0 +1,292 @@
+package transport
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"hvc/internal/cc"
+	"hvc/internal/channel"
+	"hvc/internal/invariant"
+	"hvc/internal/packet"
+	"hvc/internal/sim"
+	"hvc/internal/steering"
+	"hvc/internal/trace"
+)
+
+// shortConns is an endpoint pair whose server answers every request
+// with a 40-packet response: the many-short-connections regime of a
+// page load, one connection at a time.
+type shortConns struct {
+	w        *world
+	srv      *Conn // the server side of the session in progress
+	deadline time.Duration
+}
+
+const shortConnPackets = 40
+
+func newShortConns() *shortConns {
+	s := &shortConns{w: newWorld(1)}
+	s.w.server.Listen(serverCfg(s.w), func(c *Conn) {
+		s.srv = c
+		c.OnMessage(func(c *Conn, m Message) {
+			c.SendMessage(m.Stream, m.Priority, shortConnPackets*packet.MaxPayload, nil)
+		})
+	})
+	return s
+}
+
+// session runs one connection from dial to close: handshake, request,
+// response, and both ends closed once the last ack has gone out.
+func (s *shortConns) session() {
+	c := s.w.client.Dial(Config{CC: cc.NewCubic(), Steer: s.w.dchannel(channel.A)})
+	c.SendMessage(c.NewStream(), 0, 400, nil)
+	s.deadline += 2 * time.Second
+	s.w.loop.RunUntil(s.deadline)
+	if got := c.Stats().MsgsDelivered; got != 1 {
+		panic("short connection delivered no response")
+	}
+	c.Close()
+	s.srv.Close()
+}
+
+// sessionSetupAllocs is what one shortConns session may allocate: the
+// two connections themselves — each side's Conn, its two maps, its
+// pre-bound callbacks, its controller and steering policy, and the
+// arrays a Conn owns (in-flight window, channel table, SACK ranges,
+// the scheduler's priority level) — and nothing per packet. At the
+// parent commit the same session cost this plus five allocations for
+// every packet up to its peak window.
+const sessionSetupAllocs = 60
+
+// A world's second connection runs on the records its first one grew.
+func TestSecondConnectionAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	if sim.DefaultScheduler != sim.Heap {
+		t.Skip("the timing wheel (-tags sim_wheel) grows a bucket wherever events first land")
+	}
+	s := newShortConns()
+	s.session() // warm: grows the arenas, the packet pool, the link rings, the loop
+	got := testing.AllocsPerRun(10, s.session)
+	if got > sessionSetupAllocs {
+		t.Errorf("a warm endpoint pair's next %d-packet connection allocated %.0f objects, want <= %d (connection set-up only)",
+			shortConnPackets, got, sessionSetupAllocs)
+	}
+	t.Logf("%.0f allocations per session", got)
+}
+
+// BenchmarkShortConns is the short-connection regime BenchmarkMessage-
+// RoundTrip's one long-lived connection cannot see: dial, a 40-packet
+// response, close, repeated over one endpoint pair.
+func BenchmarkShortConns(b *testing.B) {
+	s := newShortConns()
+	s.session()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.session()
+	}
+}
+
+// A steady message stream costs the send scheduler nothing: its FIFOs
+// reuse their arrays and its records come back from the arena.
+func TestSchedulerFIFOAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	rec := &arena{}
+	s := &scheduler{rec: rec, flow: 2}
+	for _, prios := range []int{1, 3} {
+		stream := func() {
+			for i := 0; i < 1000; i++ {
+				m := rec.newMsg(2)
+				m.id, m.prio, m.size = uint64(i), packet.Priority(i%prios), 100
+				s.push(m)
+				ch := s.next(1456, false)
+				// A loss now and then: the chunk goes round the retx queue
+				// before it is done.
+				if i%4 == 0 {
+					s.retx.push(ch)
+					ch = s.next(1456, false)
+				}
+				if ch.frag.msgID != uint64(i) {
+					t.Fatalf("message %d came out as chunk of %d", i, ch.frag.msgID)
+				}
+				rec.freeChunk(2, ch)
+			}
+		}
+		stream() // warm-up
+		if got := testing.AllocsPerRun(3, stream); got != 0 {
+			t.Errorf("1000 push/next at %d priorities allocated %.0f objects, want 0", prios, got)
+		}
+		if !s.empty() {
+			t.Fatal("scheduler kept something")
+		}
+	}
+}
+
+// A standing backlog must not make the FIFO grow with the messages
+// that have passed through it.
+func TestFIFOBoundedUnderBacklog(t *testing.T) {
+	var f fifo[int]
+	for i := 0; i < 8; i++ {
+		f.push(i)
+	}
+	for i := 8; i < 100_000; i++ {
+		f.push(i)
+		if got := f.pop(); got != i-8 {
+			t.Fatalf("popped %d, want %d", got, i-8)
+		}
+	}
+	if f.len() != 8 || cap(f.q) > 64 {
+		t.Fatalf("backlog of %d sits in an array of %d", f.len(), cap(f.q))
+	}
+}
+
+// violation runs fn and returns the invariant violation it panics with.
+func violation(t *testing.T, fn func()) (v *invariant.Violation) {
+	t.Helper()
+	defer func() {
+		err, _ := recover().(error)
+		if !errors.As(err, &v) {
+			t.Fatalf("want an invariant violation, got %v", err)
+		}
+	}()
+	fn()
+	return nil
+}
+
+// Records cross connections now, so the arena polices who holds them.
+func TestRecordOwnerInvariants(t *testing.T) {
+	if !invariant.Compiled {
+		t.Skip("invariant layer compiled out")
+	}
+	rec := &arena{}
+	info := rec.newSentInfo(2)
+	if v := violation(t, func() { rec.freeSentInfo(4, info) }); v.Layer != "transport" || v.Name != "record-owner" {
+		t.Errorf("another flow's release: %v", v)
+	}
+	rec.freeSentInfo(2, info)
+	if v := violation(t, func() { rec.freeSentInfo(2, info) }); v.Name != "double-free" {
+		t.Errorf("second release: %v", v)
+	}
+	// A connection that kept a pointer past release trips on it the next
+	// time its ack path gets there, whoever holds the record by then.
+	c := &Conn{rec: rec, flow: 2, sched: scheduler{rec: rec, flow: 2}}
+	stale := rec.newSentInfo(2)
+	stale.seq, stale.chunk = 1, rec.newChunk(2)
+	c.appendSent(stale)
+	rec.freeSentInfo(2, stale)
+	if got := rec.newSentInfo(4); got != stale {
+		t.Fatal("the arena is not LIFO")
+	}
+	if v := violation(t, func() { c.ackRanges([]seqRange{{1, 1}}) }); v.Name != "record-owner" {
+		t.Errorf("ack of a record lent to another flow: %v", v)
+	}
+	// And a free list must never hand out a record somebody holds.
+	rec.freeInfos = append(rec.freeInfos, stale)
+	if v := violation(t, func() { rec.newSentInfo(6) }); v.Name != "record-owner" {
+		t.Errorf("acquire of a held record: %v", v)
+	}
+}
+
+// liveTimers counts the connection's armed timers.
+func liveTimers(c *Conn) int {
+	n := 0
+	for _, tm := range []*sim.Timer{&c.synTimer, &c.pacingTimer, &c.retryTimer, &c.rtoTimer, &c.ackTimer} {
+		if tm.Active() {
+			n++
+		}
+	}
+	for _, rm := range c.rcvMsgs {
+		if rm.expiry.Active() {
+			n++
+		}
+	}
+	return n
+}
+
+// Close used to stop five timers and forget the flow: an unreliable
+// receiver's expiry timers stayed armed and went on counting expired
+// messages on the closed connection, and every record it held was
+// abandoned.
+func TestCloseLeavesNothingBehind(t *testing.T) {
+	loop := sim.NewLoop(8)
+	lossy := channel.New(loop, channel.Config{
+		Props:     channel.Properties{Name: channel.NameEMBB, BaseRTT: 20 * time.Millisecond, Bandwidth: 50e6, LossProb: 0.3},
+		DownTrace: trace.Constant("e", 20*time.Millisecond, 50e6),
+	})
+	clean := channel.New(loop, channel.Config{
+		Props:     channel.Properties{Name: "clean", BaseRTT: 20 * time.Millisecond, Bandwidth: 50e6},
+		DownTrace: trace.Constant("c", 20*time.Millisecond, 50e6),
+	})
+	g := channel.NewGroup(lossy, clean)
+	client, server := NewEndpoint(loop, g, channel.A), NewEndpoint(loop, g, channel.B)
+	var rx, tx *Conn
+	server.Listen(func() Config {
+		return Config{CC: cc.NewCubic(), Steer: steering.NewSingle(clean), MsgTimeout: 200 * time.Millisecond}
+	}, func(c *Conn) {
+		if c.cfg.Unreliable {
+			rx = c
+		} else {
+			tx = c
+			c.OnMessage(func(c *Conn, m Message) { c.SendMessage(m.Stream, 0, 1<<20, nil) })
+		}
+	})
+
+	// An unreliable stream over a lossy channel, whose messages mostly
+	// lose a packet (rx holds them half-reassembled, one expiry timer
+	// each), and a reliable request over a clean one, whose megabyte
+	// response is in full flight (tx holds a window of records, a queued
+	// message, an RTO).
+	media := client.Dial(Config{Steer: steering.NewSingle(lossy), Unreliable: true})
+	st := media.NewStream()
+	for i := 0; i < 10; i++ {
+		loop.At(time.Duration(i)*10*time.Millisecond, func() { media.SendMessage(st, 0, 30_000, nil) })
+	}
+	page := client.Dial(Config{CC: cc.NewCubic(), Steer: steering.NewSingle(clean)})
+	page.SendMessage(page.NewStream(), 0, 400, nil)
+	loop.RunUntil(150 * time.Millisecond)
+
+	if rx == nil || tx == nil {
+		t.Fatalf("server connections: unreliable %v, reliable %v", rx, tx)
+	}
+	if len(rx.rcvMsgs) == 0 || len(tx.sentOrder) == 0 || tx.sched.empty() {
+		t.Fatalf("nothing to leave behind: %d partial messages, %d packets in flight, scheduler empty: %v",
+			len(rx.rcvMsgs), len(tx.sentOrder), tx.sched.empty())
+	}
+	for _, c := range []*Conn{rx, tx} {
+		timers, pending := liveTimers(c), loop.Pending()
+		held := len(c.rcvMsgs)
+		free := len(server.rec.freeRcvMsgs)
+		if timers == 0 {
+			t.Fatalf("flow %d has no timer armed", c.Flow())
+		}
+		c.Close()
+		c.Close() // idempotent
+		if got := pending - loop.Pending(); got != timers {
+			t.Errorf("flow %d: Close cancelled %d events, want its %d timers", c.Flow(), got, timers)
+		}
+		if n := liveTimers(c); n != 0 {
+			t.Errorf("flow %d: %d timers survive Close", c.Flow(), n)
+		}
+		if got := len(server.rec.freeRcvMsgs) - free; got != held {
+			t.Errorf("flow %d: %d reassembly records came back, want %d", c.Flow(), got, held)
+		}
+		if len(c.sentOrder) != 0 || !c.sched.empty() || len(c.rcvMsgs) != 0 {
+			t.Errorf("flow %d still holds records after Close", c.Flow())
+		}
+	}
+	for _, info := range server.rec.freeInfos {
+		if info.owner != 0 || info.chunk != nil {
+			t.Fatalf("free tracking record still stamped: %+v", info)
+		}
+	}
+	rxStats, txStats := rx.Stats(), tx.Stats()
+	loop.RunUntil(10 * time.Second)
+	if rx.Stats() != rxStats || tx.Stats() != txStats {
+		t.Errorf("closed connections kept counting:\n%+v -> %+v\n%+v -> %+v", rxStats, rx.Stats(), txStats, tx.Stats())
+	}
+}

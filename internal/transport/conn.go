@@ -127,6 +127,7 @@ type Stats struct {
 type Conn struct {
 	ep     *Endpoint
 	loop   *sim.Loop
+	rec    *arena // the endpoint's record free lists
 	flow   packet.FlowID
 	cfg    Config
 	client bool
@@ -144,7 +145,7 @@ type Conn struct {
 	// backing array, kept so that appendSent can reuse the slots acks
 	// vacate at the front. bytesInFlight is the connection's total; each
 	// record's bytes also count against the subflow that sent it.
-	sched         *scheduler
+	sched         scheduler
 	nextSeq       uint64
 	nextMsgID     uint64
 	nextStream    uint32
@@ -197,10 +198,7 @@ type Conn struct {
 	wakePending bool
 	wakeFn      func()
 
-	// Free lists and scratch buffers for the per-packet hot path.
-	freeInfos   []*sentInfo
-	freeRcvMsgs []*rcvMsg
-	ackedInfos  []*sentInfo // acked-this-event scratch, freed in bulk
+	ackedInfos []*sentInfo // acked-this-event scratch, freed in bulk
 
 	onMessage   func(*Conn, Message)
 	onRTTSample func(now, rtt time.Duration, ch string)
@@ -214,10 +212,11 @@ func newConn(e *Endpoint, flow packet.FlowID, cfg Config, client bool) *Conn {
 	c := &Conn{
 		ep:        e,
 		loop:      e.loop,
+		rec:       &e.rec,
 		flow:      flow,
 		cfg:       cfg,
 		client:    client,
-		sched:     newScheduler(),
+		sched:     scheduler{rec: &e.rec, flow: flow},
 		chanIDs:   make(map[string]int, 4),
 		rcvMsgs:   make(map[uint64]*rcvMsg),
 		nextMsgID: 1,
@@ -248,29 +247,6 @@ func (c *Conn) chanID(name string) int {
 		c.ackedIndex = append(c.ackedIndex, 0)
 	}
 	return id
-}
-
-// newSentInfo returns a recycled (or fresh) in-flight tracking record
-// with empty channel slices.
-func (c *Conn) newSentInfo() *sentInfo {
-	if n := len(c.freeInfos); n > 0 {
-		info := c.freeInfos[n-1]
-		c.freeInfos[n-1] = nil
-		c.freeInfos = c.freeInfos[:n-1]
-		return info
-	}
-	return &sentInfo{}
-}
-
-// freeSentInfo recycles a tracking record no longer reachable from
-// sentOrder or a subflow's ack scratch.
-func (c *Conn) freeSentInfo(info *sentInfo) {
-	info.sub = nil
-	info.chunk = nil
-	info.channels = info.channels[:0]
-	info.chIDs = info.chIDs[:0]
-	info.chIdx = info.chIdx[:0]
-	c.freeInfos = append(c.freeInfos, info)
 }
 
 // Flow returns the connection's flow ID.
@@ -316,23 +292,18 @@ func (c *Conn) SendMessage(stream uint32, prio packet.Priority, size int, data a
 	}
 	id := c.nextMsgID
 	c.nextMsgID++
-	m := c.sched.newMsg()
-	*m = message{
-		id:     id,
-		stream: stream,
-		prio:   prio,
-		size:   size,
-		data:   data,
-		sentAt: c.loop.Now(),
-	}
+	m := c.rec.newMsg(c.flow)
+	m.id, m.stream, m.prio, m.size, m.data, m.sentAt = id, stream, prio, size, data, c.loop.Now()
 	c.stats.MsgsSent++
 	c.sched.push(m)
 	c.trySend()
 	return id
 }
 
-// Close tears the connection down: timers stop, queued data is
-// discarded, and the endpoint forgets the flow. Close is idempotent.
+// Close tears the connection down: every timer stops, per-message
+// expiry timers included; queued, in-flight and half-reassembled data
+// is discarded, its records returned to the arena; the endpoint forgets
+// the flow. Nothing runs or counts afterwards. Close is idempotent.
 func (c *Conn) Close() {
 	if c.closed {
 		return
@@ -343,7 +314,22 @@ func (c *Conn) Close() {
 	c.retryTimer.Stop()
 	c.rtoTimer.Stop()
 	c.ackTimer.Stop()
+	for id, rm := range c.rcvMsgs {
+		rm.expiry.Stop()
+		c.rec.freeRcvMsg(c.flow, rm)
+		delete(c.rcvMsgs, id)
+	}
+	for _, info := range c.sentOrder {
+		c.rec.freeChunk(c.flow, info.chunk)
+		c.rec.freeSentInfo(c.flow, info)
+	}
+	c.sentOrder, c.sentBase = nil, nil
+	c.sched.discard()
 	c.ep.forget(c.flow)
+	// Only a Close from inside the ack handler (OnRTTSample) gets here.
+	if invariant.Enabled() && len(c.ackedInfos) > 0 {
+		invariant.Failf("transport", "record-owner", "flow %d closed holding %d acked records", c.flow, len(c.ackedInfos))
+	}
 }
 
 // handshake ---------------------------------------------------------

@@ -1,9 +1,17 @@
 package transport
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"testing"
+	"time"
+
+	"hvc/internal/cc"
+	"hvc/internal/channel"
+	"hvc/internal/packet"
+	"hvc/internal/sim"
+	"hvc/internal/steering"
 )
 
 // FuzzRangeSetOps drives the SACK range set with an arbitrary script
@@ -179,6 +187,115 @@ func FuzzAckResolve(f *testing.F) {
 		if len(got.sentOrder) > 0 && &got.sentOrder[len(got.sentOrder)-1] != &backing[len(backing)-1] &&
 			&got.sentOrder[0] != &backing[0] {
 			t.Fatalf("flight of %d is anchored at neither end of its old %d-slot span", len(got.sentOrder), len(backing))
+		}
+	})
+}
+
+// arenaProgram runs a script of dials, sends, and closes over one lossy
+// channel and returns everything observable: each delivery with its
+// virtual time, every connection's final Stats, and the loop's event
+// count. With private set, every connection gets an arena of its own —
+// records scoped to the connection, as they were before the endpoint
+// lent them — instead of borrowing from its endpoint's.
+func arenaProgram(script []byte, private bool) (log []string) {
+	next := func() int {
+		if len(script) == 0 {
+			return 0
+		}
+		b := script[0]
+		script = script[1:]
+		return int(b)
+	}
+	loop := sim.NewLoop(1)
+	ch := lossyBothWays(loop, float64(next()%4)*0.05)
+	g := channel.NewGroup(ch)
+	client, server := NewEndpoint(loop, g, channel.A), NewEndpoint(loop, g, channel.B)
+	cfg := func() Config {
+		return Config{CC: cc.NewCubic(), Steer: steering.NewSingle(ch), MsgTimeout: 300 * time.Millisecond}
+	}
+	var conns []*Conn // the client sides, in dial order
+	adopt := func(c *Conn) {
+		if private {
+			c.rec = &arena{}
+			c.sched.rec = c.rec
+		}
+		c.OnMessage(func(c *Conn, m Message) {
+			log = append(log, fmt.Sprintf("%v flow %d client %v: message %d, %d bytes, sent %v",
+				loop.Now(), c.Flow(), c.client, m.ID, m.Size, m.SentAt))
+			if reply, ok := m.Data.(int); ok && !c.closed {
+				c.SendMessage(m.Stream, m.Priority, reply, nil)
+			}
+		})
+	}
+	accepted := map[packet.FlowID]*Conn{}
+	server.Listen(cfg, func(c *Conn) {
+		accepted[c.Flow()] = c
+		adopt(c)
+	})
+
+	var at time.Duration
+	for ops := 0; len(script) > 0 && ops < 64; ops++ {
+		op, arg := next(), next()
+		at += time.Duration(op>>2%8) * 5 * time.Millisecond
+		loop.At(at, func() {
+			if op%4 == 0 && len(conns) < 6 {
+				c := cfg()
+				c.Unreliable = arg%2 == 1
+				conns = append(conns, client.Dial(c))
+				adopt(conns[len(conns)-1])
+			}
+			if len(conns) == 0 {
+				return
+			}
+			c := conns[arg%len(conns)]
+			switch {
+			case op%4 == 3:
+				c.Close()
+				if peer := accepted[c.Flow()]; peer != nil && arg&8 != 0 {
+					peer.Close()
+				}
+			case !c.closed:
+				// A request: the peer answers with arg·100 bytes.
+				c.SendMessage(c.NewStream(), packet.Priority(arg%3), 1+op*40, 1+arg*100)
+			}
+		})
+	}
+	// Not Run: a server whose peer closed retransmits its tail forever.
+	loop.RunUntil(at + 5*time.Second)
+
+	for _, c := range conns {
+		log = append(log, fmt.Sprintf("flow %d client: %+v", c.Flow(), c.Stats()))
+		if peer := accepted[c.Flow()]; peer != nil {
+			log = append(log, fmt.Sprintf("flow %d server: %+v", c.Flow(), peer.Stats()))
+		}
+	}
+	return append(log, fmt.Sprint(loop.Events(), " events"))
+}
+
+// FuzzSharedArenaVsPrivate holds the endpoint-scoped record arena to
+// being unobservable: whichever connection a record served last, and
+// whatever a Close handed back, the program delivers the same messages
+// at the same virtual times with the same Stats as when every
+// connection recycles only its own records. The owner invariants are
+// armed (TestMain), so a record reaching the wrong flow fails here too.
+func FuzzSharedArenaVsPrivate(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 4, 9, 8, 1, 17, 2, 3, 0})                             // one reliable request/response, then close
+	f.Add([]byte{2, 0, 1, 6, 200, 5, 100, 0, 2, 30, 1, 3, 1, 6, 150, 0, 8})     // lossy: reliable and unreliable side by side, close mid-flight
+	f.Add([]byte{1, 0, 0, 40, 7, 3, 8, 0, 0, 41, 9, 3, 9, 0, 0, 42, 11, 3, 10}) // dial, use, close both ends, again
+	f.Add([]byte{3, 0, 1, 255, 255, 255, 254, 7, 9, 3, 1, 0, 3, 255, 1})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) > 160 {
+			script = script[:160]
+		}
+		shared, own := arenaProgram(script, false), arenaProgram(script, true)
+		if !slices.Equal(shared, own) {
+			for i := range shared {
+				if i >= len(own) || shared[i] != own[i] {
+					t.Fatalf("endpoint arena and private arenas diverge at line %d of %d/%d:\n%s\n%s",
+						i, len(shared), len(own), shared[i], append(own, "(nothing)")[i])
+				}
+			}
+			t.Fatalf("private arenas logged %d extra lines: %s", len(own)-len(shared), own[len(shared)])
 		}
 	})
 }

@@ -132,7 +132,8 @@ type ackDrive struct {
 }
 
 func newAckDrive(window, subflows int) *ackDrive {
-	d := &ackDrive{c: &Conn{sched: newScheduler(), chanIDs: map[string]int{}}, ranges: make([]seqRange, 1)}
+	rec := &arena{}
+	d := &ackDrive{c: &Conn{rec: rec, flow: 2, sched: scheduler{rec: rec, flow: 2}, chanIDs: map[string]int{}}, ranges: make([]seqRange, 1)}
 	d.c.subs = make([]subflow, subflows)
 	for i := range d.c.subs {
 		d.chs = append(d.chs, d.c.chanID(fmt.Sprint("ideal", i)))
@@ -148,7 +149,7 @@ func newAckDrive(window, subflows int) *ackDrive {
 
 func (d *ackDrive) send() {
 	c := d.c
-	info := c.newSentInfo()
+	info := c.rec.newSentInfo(c.flow)
 	c.nextSeq++
 	i := d.turn
 	if d.turn++; d.turn == len(c.subs) {
@@ -156,7 +157,7 @@ func (d *ackDrive) send() {
 	}
 	ch := d.chs[i]
 	c.sentIndex[ch]++
-	info.seq, info.size, info.chunk = c.nextSeq, packet.MaxPayload, c.sched.newChunk()
+	info.seq, info.size, info.chunk = c.nextSeq, packet.MaxPayload, c.rec.newChunk(c.flow)
 	info.sub = &c.subs[i]
 	info.chIDs = append(info.chIDs, ch)
 	info.chIdx = append(info.chIdx, c.sentIndex[ch])

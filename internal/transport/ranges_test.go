@@ -152,10 +152,10 @@ func TestRangeSetAddRangeCountProperty(t *testing.T) {
 }
 
 func TestSchedulerPriorityAndFIFO(t *testing.T) {
-	s := newScheduler()
-	s.push(&message{id: 1, prio: 3, size: 100})
-	s.push(&message{id: 2, prio: 0, size: 100})
-	s.push(&message{id: 3, prio: 3, size: 100})
+	s := &scheduler{rec: &arena{}, flow: 2}
+	s.push(&message{owner: 2, id: 1, prio: 3, size: 100})
+	s.push(&message{owner: 2, id: 2, prio: 0, size: 100})
+	s.push(&message{owner: 2, id: 3, prio: 3, size: 100})
 	var order []uint64
 	for {
 		ch := s.next(1456, false)
@@ -173,8 +173,8 @@ func TestSchedulerPriorityAndFIFO(t *testing.T) {
 }
 
 func TestSchedulerChunking(t *testing.T) {
-	s := newScheduler()
-	s.push(&message{id: 1, prio: 0, size: 3000, data: "x"})
+	s := &scheduler{rec: &arena{}, flow: 2}
+	s.push(&message{owner: 2, id: 1, prio: 0, size: 3000, data: "x"})
 	var lens []int
 	var lastData any
 	for {
@@ -194,9 +194,9 @@ func TestSchedulerChunking(t *testing.T) {
 }
 
 func TestSchedulerRetxBeforeFresh(t *testing.T) {
-	s := newScheduler()
-	s.push(&message{id: 1, prio: 0, size: 100})
-	s.pushRetx(&chunk{frag: fragment{msgID: 99, length: 50}})
+	s := &scheduler{rec: &arena{}, flow: 2}
+	s.push(&message{owner: 2, id: 1, prio: 0, size: 100})
+	s.retx.push(&chunk{owner: 2, frag: fragment{msgID: 99, length: 50}})
 	first := s.next(1456, false)
 	if first.frag.msgID != 99 {
 		t.Fatalf("retransmission should go first, got msg %d", first.frag.msgID)

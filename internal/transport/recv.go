@@ -24,8 +24,15 @@ type ackPayload struct {
 	ranges []seqRange
 }
 
-// rcvMsg is a message under reassembly on the receive side.
+// rcvMsg is a message under reassembly on the receive side. expireFn is
+// its expire method, bound when an unreliable connection first arms the
+// timeout and kept across recycling, so arming allocates nothing.
 type rcvMsg struct {
+	owner    packet.FlowID // see arena
+	conn     *Conn
+	id       uint64
+	expireFn func()
+
 	stream  uint32
 	prio    packet.Priority
 	total   int
@@ -58,7 +65,7 @@ func (c *Conn) handleData(p *packet.Packet, frag *fragment) {
 
 	rm, ok := c.rcvMsgs[frag.msgID]
 	if !ok {
-		rm = c.newRcvMsg()
+		rm = c.rec.newRcvMsg(c.flow)
 		rm.stream = frag.stream
 		rm.prio = frag.prio
 		rm.total = frag.total
@@ -66,8 +73,11 @@ func (c *Conn) handleData(p *packet.Packet, frag *fragment) {
 		rm.started = c.loop.Now()
 		c.rcvMsgs[frag.msgID] = rm
 		if c.cfg.Unreliable {
-			id := frag.msgID
-			rm.expiry = c.loop.After(c.cfg.MsgTimeout, func() { c.expireMsg(id) })
+			rm.conn, rm.id = c, frag.msgID
+			if rm.expireFn == nil {
+				rm.expireFn = rm.expire
+			}
+			rm.expiry = c.loop.After(c.cfg.MsgTimeout, rm.expireFn)
 		}
 	}
 	if frag.length > 0 {
@@ -105,43 +115,21 @@ func (c *Conn) deliverMsg(id uint64, rm *rcvMsg) {
 		SentAt:      rm.sentAt,
 		DeliveredAt: c.loop.Now(),
 	}
-	c.freeRcvMsg(rm)
+	c.rec.freeRcvMsg(c.flow, rm)
 	if c.onMessage == nil {
 		return
 	}
 	c.onMessage(c, m)
 }
 
-func (c *Conn) expireMsg(id uint64) {
-	rm, ok := c.rcvMsgs[id]
-	if !ok {
-		return
-	}
-	delete(c.rcvMsgs, id)
-	c.doneMsgs.add(id)
+// expire is the timeout of an incomplete unreliable message; delivery
+// and Close stop the timer, so it only fires on a record still live.
+func (rm *rcvMsg) expire() {
+	c := rm.conn
+	delete(c.rcvMsgs, rm.id)
+	c.doneMsgs.add(rm.id)
 	c.stats.MsgsExpired++
-	c.freeRcvMsg(rm)
-}
-
-// newRcvMsg returns a recycled (or fresh) reassembly record with an
-// empty range set.
-func (c *Conn) newRcvMsg() *rcvMsg {
-	if n := len(c.freeRcvMsgs); n > 0 {
-		rm := c.freeRcvMsgs[n-1]
-		c.freeRcvMsgs[n-1] = nil
-		c.freeRcvMsgs = c.freeRcvMsgs[:n-1]
-		return rm
-	}
-	return &rcvMsg{}
-}
-
-// freeRcvMsg recycles a delivered or expired reassembly record,
-// keeping its range-set backing array.
-func (c *Conn) freeRcvMsg(rm *rcvMsg) {
-	rs := rm.got.rs[:0]
-	*rm = rcvMsg{}
-	rm.got.rs = rs
-	c.freeRcvMsgs = append(c.freeRcvMsgs, rm)
+	c.rec.freeRcvMsg(c.flow, rm)
 }
 
 // scheduleAck decides when to acknowledge: immediately on reordering
@@ -267,6 +255,7 @@ func (c *Conn) ackRanges(ranges []seqRange) (newest *sentInfo) {
 	c.resolveAcked(ranges)
 	var bytes int
 	for _, info := range c.ackedInfos {
+		c.holds(&info.owner)
 		bytes += info.size
 		for i, id := range info.chIDs {
 			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
@@ -349,8 +338,8 @@ func seqIndex(order []*sentInfo, seq uint64) int {
 // told about the ack.
 func (c *Conn) recycleAcked() {
 	for i, info := range c.ackedInfos {
-		c.sched.freeChunk(info.chunk)
-		c.freeSentInfo(info)
+		c.rec.freeChunk(c.flow, info.chunk)
+		c.rec.freeSentInfo(c.flow, info)
 		c.ackedInfos[i] = nil
 	}
 	c.ackedInfos = c.ackedInfos[:0]

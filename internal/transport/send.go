@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"slices"
 	"time"
 
 	"hvc/internal/cc"
@@ -10,6 +11,7 @@ import (
 
 // message is a queued application message on the send side.
 type message struct {
+	owner  packet.FlowID // see arena
 	id     uint64
 	stream uint32
 	prio   packet.Priority
@@ -37,117 +39,87 @@ type fragment struct {
 
 // chunk pairs a fragment with retransmission bookkeeping.
 type chunk struct {
-	frag fragment
+	owner packet.FlowID // see arena
+	frag  fragment
+}
+
+// A fifo is a queue over a reused array: pop advances a head index, and
+// push slides the backlog back over a full array's popped half (if it is
+// one) rather than grow: a steady stream allocates nothing.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+func (f *fifo[T]) len() int { return len(f.q) - f.head }
+
+func (f *fifo[T]) front() T { return f.q[f.head] }
+
+func (f *fifo[T]) push(x T) {
+	if len(f.q) == cap(f.q) && 2*f.head >= len(f.q) {
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+	f.q = append(f.q, x)
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	x := f.q[f.head]
+	f.q[f.head] = zero
+	f.head++
+	return x
 }
 
 // scheduler orders outgoing work: strict priority across messages,
 // FIFO within a priority level, retransmissions ahead of fresh data at
-// the same priority. It also owns the connection's message and chunk
-// free lists, so steady-state sending recycles both.
+// the same priority. Messages and chunks are the arena's (rec).
 type scheduler struct {
-	// retx holds chunks awaiting retransmission, in loss-detection
-	// order.
-	retx []*chunk
-	// msgs holds partially sent messages per priority bucket.
-	msgs map[packet.Priority][]*message
-	// prios tracks nonempty buckets in ascending priority.
-	prios []packet.Priority
-	// queued counts the messages across all buckets, so empty() — asked
-	// once per packet — need not walk the map.
+	rec  *arena
+	flow packet.FlowID
+	// retx holds chunks awaiting retransmission, in loss-detection order.
+	retx fifo[*chunk]
+	// msgs holds the unsent messages of every priority the connection
+	// has used, ascending; an idle level keeps its place and its array.
+	msgs []prioQueue
+	// queued counts the messages across all levels, so empty() — asked
+	// once per packet — need not walk them.
 	queued int
-
-	freeMsgs   []*message
-	freeChunks []*chunk
 }
 
-func newScheduler() *scheduler {
-	return &scheduler{msgs: make(map[packet.Priority][]*message)}
-}
-
-// newMsg returns a recycled (or fresh) zeroed message.
-func (s *scheduler) newMsg() *message {
-	if n := len(s.freeMsgs); n > 0 {
-		m := s.freeMsgs[n-1]
-		s.freeMsgs[n-1] = nil
-		s.freeMsgs = s.freeMsgs[:n-1]
-		return m
-	}
-	return &message{}
-}
-
-// freeMsg recycles a fully packetized message.
-func (s *scheduler) freeMsg(m *message) {
-	*m = message{}
-	s.freeMsgs = append(s.freeMsgs, m)
-}
-
-// newChunk returns a recycled (or fresh) chunk; the caller overwrites
-// frag entirely.
-func (s *scheduler) newChunk() *chunk {
-	if n := len(s.freeChunks); n > 0 {
-		ch := s.freeChunks[n-1]
-		s.freeChunks[n-1] = nil
-		s.freeChunks = s.freeChunks[:n-1]
-		return ch
-	}
-	return new(chunk)
-}
-
-// freeChunk recycles a chunk whose data no component references any
-// more: its packet was acknowledged, or the flow is unreliable and the
-// packet left the sender. A chunk awaiting retransmission must not be
-// freed — it is owned by the retx queue.
-func (s *scheduler) freeChunk(ch *chunk) {
-	ch.frag = fragment{} // release the message data reference
-	s.freeChunks = append(s.freeChunks, ch)
+type prioQueue struct {
+	prio packet.Priority
+	fifo[*message]
 }
 
 func (s *scheduler) push(m *message) {
-	q := s.msgs[m.prio]
-	if len(q) == 0 {
-		s.insertPrio(m.prio)
+	i := 0
+	for i < len(s.msgs) && s.msgs[i].prio < m.prio {
+		i++
 	}
-	s.msgs[m.prio] = append(q, m)
+	if i == len(s.msgs) || s.msgs[i].prio != m.prio {
+		s.msgs = slices.Insert(s.msgs, i, prioQueue{prio: m.prio})
+	}
+	s.msgs[i].push(m)
 	s.queued++
 }
 
-func (s *scheduler) insertPrio(p packet.Priority) {
-	for i, q := range s.prios {
-		if q == p {
-			return
-		}
-		if q > p {
-			s.prios = append(s.prios[:i], append([]packet.Priority{p}, s.prios[i:]...)...)
-			return
-		}
-	}
-	s.prios = append(s.prios, p)
-}
-
-func (s *scheduler) pushRetx(ch *chunk) { s.retx = append(s.retx, ch) }
-
-func (s *scheduler) empty() bool { return len(s.retx) == 0 && s.queued == 0 }
+func (s *scheduler) empty() bool { return s.retx.len() == 0 && s.queued == 0 }
 
 // next carves the next chunk of at most mss bytes, or nil when idle.
 func (s *scheduler) next(mss int, unreliable bool) *chunk {
-	if len(s.retx) > 0 {
-		ch := s.retx[0]
-		s.retx = s.retx[1:]
-		return ch
+	if s.retx.len() > 0 {
+		return s.retx.pop()
 	}
-	for len(s.prios) > 0 {
-		p := s.prios[0]
-		q := s.msgs[p]
-		if len(q) == 0 {
-			s.prios = s.prios[1:]
+	for i := range s.msgs {
+		q := &s.msgs[i]
+		if q.len() == 0 {
 			continue
 		}
-		m := q[0]
-		n := m.size - m.offset
-		if n > mss {
-			n = mss
-		}
-		ch := s.newChunk()
+		m := q.front()
+		n := min(m.size-m.offset, mss)
+		ch := s.rec.newChunk(s.flow)
 		ch.frag = fragment{
 			stream:     m.stream,
 			msgID:      m.id,
@@ -161,19 +133,33 @@ func (s *scheduler) next(mss int, unreliable bool) *chunk {
 		m.offset += n
 		if m.offset >= m.size {
 			ch.frag.data = m.data
-			s.msgs[p] = q[1:]
+			q.pop()
 			s.queued--
-			s.freeMsg(m)
+			s.rec.freeMsg(s.flow, m)
 		}
 		return ch
 	}
 	return nil
 }
 
+// discard returns everything queued to the arena, for Close.
+func (s *scheduler) discard() {
+	for s.retx.len() > 0 {
+		s.rec.freeChunk(s.flow, s.retx.pop())
+	}
+	for i := range s.msgs {
+		for q := &s.msgs[i]; q.len() > 0; {
+			s.rec.freeMsg(s.flow, q.pop())
+		}
+	}
+	s.queued = 0
+}
+
 // sentInfo tracks one in-flight data packet. chIDs/chIdx are parallel
 // slices: the interned ID of each channel that carried a copy, and the
 // packet's per-channel send index on it (for loss detection).
 type sentInfo struct {
+	owner               packet.FlowID // see arena
 	seq                 uint64
 	sub                 *subflow // the subflow that sent it
 	size                int      // payload bytes
@@ -258,7 +244,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 		c.ep.ctrlNames = c.transmit(sf, p, c.ep.ctrlNames[:0])
 		carried = c.ep.ctrlNames
 	} else {
-		info = c.newSentInfo()
+		info = c.rec.newSentInfo(c.flow)
 		info.channels = c.transmit(sf, p, info.channels[:0])
 		carried = info.channels
 	}
@@ -275,7 +261,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	if c.cfg.Unreliable {
 		// Fire and forget; entry drops are just loss, and the chunk is
 		// done the moment it leaves (no retransmission state).
-		c.sched.freeChunk(ch)
+		c.rec.freeChunk(c.flow, ch)
 		return true
 	}
 
@@ -443,10 +429,11 @@ func (c *Conn) onRTO() {
 // and recycles its tracking record; the caller removes info from
 // sentOrder and must not use it after.
 func (c *Conn) requeue(info *sentInfo) {
+	c.holds(&info.chunk.owner) // info's own stamp is checked at its release below
 	c.bytesInFlight -= info.size
 	info.sub.inflight -= info.size
 	c.stats.Retransmits++
-	c.sched.pushRetx(info.chunk)
+	c.sched.retx.push(info.chunk)
 	if c.tracer.Enabled() {
 		c.tracer.Emit(telemetry.Event{
 			Layer: telemetry.LayerTransport, Name: telemetry.EvRetransmit,
@@ -455,7 +442,7 @@ func (c *Conn) requeue(info *sentInfo) {
 		})
 		c.tracer.Count("transport_retransmits_total", 1, "flow", flowLabel(c.flow))
 	}
-	c.freeSentInfo(info)
+	c.rec.freeSentInfo(c.flow, info)
 }
 
 // notifyLoss reports non-timeout loss to a subflow's congestion

@@ -49,6 +49,8 @@ type Endpoint struct {
 	// ctrlNames is scratch for transmit calls whose carried-channel
 	// list is discarded (control and ack packets).
 	ctrlNames []string
+	// rec lends every connection of the endpoint its transport records.
+	rec arena
 
 	listenCfg func() Config
 	accept    func(*Conn)
