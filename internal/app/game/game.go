@@ -89,6 +89,9 @@ type Session struct {
 	clientConn *transport.Conn
 	inStream   uint32
 	nextInput  int
+	// inputs and frames schedule the two pre-planned streams; each
+	// keeps only its next tick in the loop's queue.
+	inputs, frames sim.Lane
 
 	// Server state (attached through Attach).
 	latestInput     int
@@ -140,8 +143,9 @@ func (s *Session) Attach(server *transport.Conn) {
 func (s *Session) Start() {
 	interval := time.Second / time.Duration(s.cfg.InputHz)
 	n := int(s.cfg.Duration / interval)
+	s.inputs = sim.NewLane(s.loop, s.sendInput)
 	for i := 0; i < n; i++ {
-		s.loop.At(time.Duration(i)*interval, s.sendInput)
+		s.inputs.Push(time.Duration(i) * interval)
 	}
 }
 
@@ -157,22 +161,23 @@ func (s *Session) startFrames(server *transport.Conn) {
 	stream := server.NewStream()
 	n := int(s.cfg.Duration / interval)
 	base := s.loop.Now() // frames start when the server attaches
+	// The ticks fire in frame order, so one callback counts them.
+	s.frames = sim.NewLane(s.loop, func() {
+		fm := frameMsg{frame: s.FramesSent}
+		// A frame reflects the newest input that arrived at least
+		// RenderDelay ago — and is credited only once.
+		if s.hasInput && s.loop.Now()-s.latestInputRcvd >= s.cfg.RenderDelay &&
+			s.latestInput > s.appliedInput {
+			fm.input = s.latestInput
+			fm.inputAt = s.latestInputAt
+			fm.hasInput = true
+			s.appliedInput = s.latestInput
+		}
+		s.FramesSent++
+		server.SendMessage(stream, s.cfg.FramePriority, frameBytes, fm)
+	})
 	for i := 0; i < n; i++ {
-		i := i
-		s.loop.At(base+time.Duration(i)*interval, func() {
-			fm := frameMsg{frame: i}
-			// A frame reflects the newest input that arrived at least
-			// RenderDelay ago — and is credited only once.
-			if s.hasInput && s.loop.Now()-s.latestInputRcvd >= s.cfg.RenderDelay &&
-				s.latestInput > s.appliedInput {
-				fm.input = s.latestInput
-				fm.inputAt = s.latestInputAt
-				fm.hasInput = true
-				s.appliedInput = s.latestInput
-			}
-			s.FramesSent++
-			server.SendMessage(stream, s.cfg.FramePriority, frameBytes, fm)
-		})
+		s.frames.Push(base + time.Duration(i)*interval)
 	}
 }
 

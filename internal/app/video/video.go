@@ -91,6 +91,8 @@ type Sender struct {
 	// pointers into it. sent counts the frames sent so far.
 	msgs []layerMsg
 	sent int
+	// ticks schedules the stream's frames; only the next one is queued.
+	ticks sim.Lane
 }
 
 // NewSender builds a sender over conn (which must be unreliable — the
@@ -114,9 +116,9 @@ func (s *Sender) FrameCount() int { return s.frames }
 func (s *Sender) Start() {
 	interval := time.Second / time.Duration(s.cfg.FPS)
 	s.msgs = make([]layerMsg, s.frames*Layers)
-	tick := s.sendFrame
+	s.ticks = sim.NewLane(s.loop, s.sendFrame)
 	for f := 0; f < s.frames; f++ {
-		s.loop.At(time.Duration(f)*interval, tick)
+		s.ticks.Push(time.Duration(f) * interval)
 	}
 }
 

@@ -77,8 +77,9 @@ type arrival struct {
 // callbacks the link schedules (transmission done, outage over, packet
 // arrival) are built once at construction rather than closed over each
 // packet. Arrivals are FIFO — the lastArrival clamp makes arrival times
-// nondecreasing and the loop breaks timestamp ties in schedule order —
-// so onArrive always delivers the head of the in-flight ring.
+// nondecreasing — so they are scheduled on a sim.Lane: however many
+// packets are propagating, the loop's queue holds the next arrival
+// only, and each arrival delivers the head of the in-flight ring.
 type Link struct {
 	loop *sim.Loop
 	cfg  Config
@@ -90,10 +91,12 @@ type Link struct {
 	lastArrival time.Duration // FIFO clamp for delay decreases
 
 	inflight ring[arrival] // serialized, awaiting arrival
+	// arrivals holds one occurrence of deliver per distinct arrival
+	// timestamp in the in-flight ring.
+	arrivals sim.Lane
 
 	onTxDone    func()
 	onOutageEnd func()
-	onArrive    func()
 
 	// rng is the link's private loss stream, seeded from the loop seed
 	// and the link's name+salt: drawing from it never perturbs any
@@ -135,7 +138,7 @@ func New(loop *sim.Loop, cfg Config, sink Sink) *Link {
 		l.busy = false
 		l.kick()
 	}
-	l.onArrive = l.deliver
+	l.arrivals = sim.NewLane(loop, l.deliver)
 	return l
 }
 
@@ -390,12 +393,12 @@ func (l *Link) finishTx() {
 	l.stats.Delivered++
 	l.stats.BytesDelivered += int64(p.Size)
 	// One arrival event per distinct timestamp: a packet whose clamped
-	// arrival equals the ring tail's rides the event already scheduled
+	// arrival equals the ring tail's rides the occurrence already pushed
 	// for that instant, and deliver drains the whole burst in one
 	// callback. Arrivals are nondecreasing, so "equals the tail" is
 	// exactly "not later than every pending packet".
 	if l.inflight.len() == 0 || at > l.lastArrival {
-		l.loop.At(at, l.onArrive)
+		l.arrivals.Push(at)
 	}
 	l.lastArrival = at
 	l.inflight.push(arrival{p, at})
@@ -435,11 +438,15 @@ func (l *Link) deliver() {
 				"link %q: arrival event with empty in-flight ring", l.cfg.Name)
 		}
 		// Arrivals are FIFO by construction (the lastArrival clamp);
-		// a delivery past the recorded horizon means the ring and the
-		// scheduled arrival events have come apart.
+		// a delivery past the recorded horizon, or one the ring's head is
+		// not due at, means the ring and the arrival lane have come apart.
 		if now > l.lastArrival {
 			invariant.Failf("netem", "fifo-arrival",
 				"link %q: delivery at %v after last scheduled arrival %v", l.cfg.Name, now, l.lastArrival)
+		}
+		if head := l.inflight.front().at; head != now {
+			invariant.Failf("netem", "fifo-arrival",
+				"link %q: arrival at %v with the in-flight ring's head due at %v", l.cfg.Name, now, head)
 		}
 	}
 	for l.inflight.len() > 0 && l.inflight.front().at <= now {
@@ -453,5 +460,12 @@ func (l *Link) deliver() {
 			l.tracer.Count("netem_delivered_bytes_total", float64(p.Size), "channel", l.cfg.Name)
 		}
 		l.sink(p)
+	}
+	// The lane holds an occurrence for each timestamp still in the ring:
+	// one runs dry exactly when the other does.
+	if invariant.Enabled() && (l.arrivals.Len() == 0) != (l.inflight.len() == 0) {
+		invariant.Failf("netem", "inflight-ring",
+			"link %q: %d arrival occurrences pending with %d packets in flight",
+			l.cfg.Name, l.arrivals.Len(), l.inflight.len())
 	}
 }

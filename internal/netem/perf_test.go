@@ -80,6 +80,89 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 }
 
+// BenchmarkLaneArrivals is a link at a standing 256-packet in-flight
+// depth — one bulk flow's window over the eMBB pipe: each op offers a
+// packet and runs the two events it costs, the end of a serialization
+// and an arrival. The arrivals wait in the link's lane, so the loop's
+// queue holds two entries however deep the pipe is.
+func BenchmarkLaneArrivals(b *testing.B) {
+	loop := sim.NewLoop(1)
+	// 12 us per 1500-byte packet, 3.072 ms one way: 256 in propagation.
+	l := New(loop, Config{
+		Name:       "l",
+		Trace:      trace.Constant("c", 6144*time.Microsecond, 1e9),
+		QueueBytes: 64 << 20,
+	}, func(*packet.Packet) {})
+	pkts := make([]packet.Packet, 1024)
+	for i := range pkts {
+		pkts[i] = packet.Packet{ID: uint64(i), Size: 1500}
+	}
+	for k := 0; k < 256; k++ { // fill the pipe
+		l.Send(&pkts[k])
+		loop.Step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.Send(&pkts[(256+i)%len(pkts)])
+		loop.Step()
+		loop.Step()
+	}
+	b.StopTimer()
+	if n := l.inflight.len(); n < 200 || n > 300 {
+		b.Fatalf("%d packets in flight, want a standing ~256", n)
+	}
+	loop.Run()
+}
+
+// The arrival lane holds one occurrence per distinct arrival timestamp
+// in the in-flight ring — packets whose clamped arrivals coincide share
+// one — and the loop's queue holds the lane's head, never the packets:
+// checked after every event of a run whose delay collapses (clamped
+// bursts) and recovers, the O(ring) form of the check deliver makes in
+// O(1).
+func TestArrivalLaneTracksRing(t *testing.T) {
+	loop := sim.NewLoop(1)
+	tr := &trace.Trace{Name: "d", Samples: []trace.Sample{
+		{At: 0, RTT: 40 * time.Millisecond, Rate: 80e6},
+		{At: 3 * time.Millisecond, RTT: 2 * time.Millisecond, Rate: 80e6},
+		{At: 9 * time.Millisecond, RTT: 30 * time.Millisecond, Rate: 80e6},
+		{At: 15 * time.Millisecond, RTT: 10 * time.Millisecond, Rate: 80e6},
+	}}
+	delivered := 0
+	l := New(loop, Config{Name: "l", Trace: tr}, func(*packet.Packet) { delivered++ })
+	const pkts = 200 // 100 us each: 20 ms of transmission
+	for i := 0; i < pkts; i++ {
+		l.Send(&packet.Packet{ID: uint64(i), Size: 1000})
+	}
+	peakShared := 0
+	for loop.Step() {
+		ring := &l.inflight
+		at := func(i int) time.Duration { return ring.buf[(ring.head+i)&(len(ring.buf)-1)].at }
+		distinct := 0
+		for i := 0; i < ring.len(); i++ {
+			if i == 0 || at(i) != at(i-1) {
+				distinct++
+			}
+		}
+		if got := l.arrivals.Len(); got != distinct {
+			t.Fatalf("at %v: lane holds %d occurrences, ring has %d distinct arrival times over %d packets",
+				loop.Now(), got, distinct, l.inflight.len())
+		}
+		peakShared = max(peakShared, l.inflight.len()-distinct)
+		// The serialization in progress and the next arrival.
+		if n := loop.Queued(); n > 2 {
+			t.Fatalf("at %v: %d entries queued with %d packets in flight, want <= 2", loop.Now(), n, l.inflight.len())
+		}
+	}
+	if delivered != pkts {
+		t.Fatalf("delivered %d of %d packets", delivered, pkts)
+	}
+	if peakShared == 0 {
+		t.Fatal("no two packets ever shared an arrival time: the delay collapse did not clamp")
+	}
+}
+
 // A saturated link never drains, so its rings never get a quiet moment
 // to rewind: their memory must be bounded by the backlog all the same.
 // Capacity only ever doubles on a push that finds every slot occupied,

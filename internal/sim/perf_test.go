@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 )
@@ -26,7 +27,7 @@ func TestCancelledEventsAreCompacted(t *testing.T) {
 				t.Fatal("Stop on a pending timer returned false")
 			}
 		}
-		if n := l.queueSize(); n > maxHeap {
+		if n := l.Queued(); n > maxHeap {
 			maxHeap = n
 		}
 		if n := len(l.slots); n > maxSlots {
@@ -45,7 +46,7 @@ func TestCancelledEventsAreCompacted(t *testing.T) {
 		t.Errorf("Pending = %d after cancelling everything, want 0", l.Pending())
 	}
 	l.Run() // must not fire anything (t.Error above catches it)
-	if n := l.queueSize(); n != 0 {
+	if n := l.Queued(); n != 0 {
 		t.Errorf("queue holds %d entries after Run, want 0", n)
 	}
 }
@@ -136,6 +137,45 @@ func TestPeriodicReArmAllocationFree(t *testing.T) {
 	}
 }
 
+// Re-arming a queued timer and pushing and firing lane occurrences
+// allocate nothing once the lane's ring has grown to its backlog: a
+// Reset touches only the slot, and a lane's head reuses one slot and
+// one queue entry for every occurrence behind it.
+func TestResetAndLaneAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, kind := range []Scheduler{Heap, Wheel} {
+		l := NewLoopSched(1, kind)
+		fn := func() {}
+		ln := NewLane(l, fn)
+		tm := l.After(time.Hour, fn)
+		for i := 0; i < 128; i++ { // warm up: a 64-deep lane, the loop's arrays
+			ln.Push(l.Now() + time.Duration(i)*time.Microsecond)
+			if i%2 == 1 {
+				l.Step()
+			}
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			l.Reset(&tm, time.Hour, fn) // pushed out in place
+			ln.Push(l.Now() + 200*time.Microsecond)
+			l.Step()
+		}); avg != 0 {
+			t.Errorf("scheduler %d: Reset + Lane.Push + Step allocates %v/op in steady state, want 0", kind, avg)
+		}
+		if avg := testing.AllocsPerRun(200, func() {
+			tm.Stop()
+			l.Reset(&tm, time.Hour, fn)   // revived in place
+			l.Reset(&tm, time.Minute, fn) // pulled in: stop and schedule
+		}); avg != 0 {
+			t.Errorf("scheduler %d: Stop + Reset allocates %v/op in steady state, want 0", kind, avg)
+		}
+		if n := ln.Len(); n != 64 {
+			t.Errorf("scheduler %d: lane holds %d occurrences, want the 64 it was warmed to", kind, n)
+		}
+	}
+}
+
 func BenchmarkAfterStep(b *testing.B) {
 	l := NewLoop(1)
 	fn := func() {}
@@ -166,6 +206,38 @@ func BenchmarkScheduleStopChurn(b *testing.B) {
 		}
 		for l.Step() {
 		}
+	}
+}
+
+// BenchmarkResetChurn re-arms one standing timer per op beside P other
+// timers, the way a connection pushes its RTO out on every ack: the
+// sibling of BenchmarkScheduleStopChurn for the re-arm primitive. One op
+// in 64 lets the loop run an event, so the standing population turns
+// over as it does in a simulation.
+func BenchmarkResetChurn(b *testing.B) {
+	for _, standing := range []int{16, 512} {
+		b.Run(fmt.Sprintf("p%d", standing), func(b *testing.B) {
+			l := NewLoop(1)
+			var fire func()
+			i := 0
+			fire = func() {
+				i++
+				l.After(time.Duration(1+i%97)*100*time.Microsecond, fire)
+			}
+			for t := 0; t < standing; t++ {
+				fire()
+			}
+			fn := func() {}
+			rto := l.After(200*time.Millisecond, fn)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for k := 0; k < b.N; k++ {
+				l.Reset(&rto, 200*time.Millisecond, fn)
+				if k%64 == 0 {
+					l.Step()
+				}
+			}
+		})
 	}
 }
 

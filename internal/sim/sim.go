@@ -14,20 +14,31 @@
 // slot table recycled through a free list, and Timer handles carry a
 // generation counter instead of a pointer, so scheduling, firing, and
 // cancelling events never allocates once the loop's arrays have grown
-// to the simulation's working set. See DESIGN.md "Performance".
+// to the simulation's working set.
+//
+// The queue holds only what can be next. An event's (at, seq) key is
+// drawn when the simulation schedules it, but a Lane — a FIFO of
+// occurrences sharing one callback — keeps only its head in the queue,
+// and a timer re-armed with Reset keeps its queued entry where it is
+// and is re-filed under its current key when that entry surfaces.
+// Firing order is the (at, seq) total order either way. See DESIGN.md
+// "Performance".
 package sim
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
 	"hvc/internal/invariant"
 )
 
-// A heapEntry is one scheduled occurrence in the event heap. Entries
-// are ordered by (at, seq): seq is the global schedule order, which
-// breaks timestamp ties deterministically.
+// A heapEntry is one entry of the event queue. Entries are ordered by
+// (at, seq): seq is the global schedule order, which breaks timestamp
+// ties deterministically. An entry whose seq is not its slot's is stale
+// (the timer was re-armed since it was filed) and never sorts after the
+// slot's key.
 type heapEntry struct {
 	at   time.Duration
 	seq  uint64
@@ -43,11 +54,15 @@ const (
 	slotCancelled
 )
 
-// An eventSlot holds the callback and liveness of one scheduled event.
-// Slots are addressed by index from heap entries and Timer handles; the
-// generation counter invalidates stale handles after reuse.
+// An eventSlot holds the callback, current key and liveness of one
+// queued event. Slots are addressed by index from heap entries and
+// Timer handles; the generation counter invalidates stale handles after
+// reuse or re-arming. lane is set while the slot carries a Lane's head.
 type eventSlot struct {
 	fn    func()
+	lane  *Lane
+	at    time.Duration
+	seq   uint64
 	gen   uint32
 	state uint8
 }
@@ -80,15 +95,19 @@ type Loop struct {
 	// wheel, when non-nil, replaces the heap as the event queue; every
 	// queue operation branches on this one nil check so the heap path
 	// stays exactly as fast as before the wheel existed.
-	wheel   *wheelQueue
-	slots   []eventSlot
-	free    []int32
-	seq     uint64
-	seed    int64
-	rng     *rand.Rand
-	stopped bool
-	// pending counts scheduled, non-cancelled events. It lets Run
-	// terminate without draining cancelled timers one by one.
+	wheel *wheelQueue
+	slots []eventSlot
+	// freeHead threads the free slots through the table itself: it is
+	// the most recently freed slot's index + 1 (0: none), and a free
+	// slot's seq holds the next link.
+	freeHead int32
+	seq      uint64
+	seed     int64
+	rng      *rand.Rand
+	stopped  bool
+	// pending counts scheduled, non-cancelled events: live queue
+	// entries plus the occurrences lanes hold behind their heads. It
+	// lets Run terminate without draining cancelled timers one by one.
 	pending int
 	// cancelled counts dead entries still occupying heap space; when
 	// they outnumber the live ones the heap is compacted in one pass.
@@ -148,10 +167,11 @@ func (l *Loop) Pending() int { return l.pending }
 // measures real scheduler work.
 func (l *Loop) Events() uint64 { return l.events }
 
-// queueSize reports the event queue's physical occupancy, including
-// cancelled entries not yet removed. Tests use it to pin the compaction
-// bound.
-func (l *Loop) queueSize() int {
+// Queued reports the event queue's physical occupancy: entries filed,
+// including cancelled ones not yet removed. Occurrences a Lane holds
+// behind its head are pending but not queued. Tests use it to pin the
+// compaction bound and that a flow's packets stay out of the queue.
+func (l *Loop) Queued() int {
 	if l.wheel != nil {
 		return l.wheel.size()
 	}
@@ -209,19 +229,18 @@ func (l *Loop) At(at time.Duration, fn func()) Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, l.now))
 	}
 	var slot int32
-	if n := len(l.free); n > 0 {
-		slot = l.free[n-1]
-		l.free = l.free[:n-1]
+	if l.freeHead != 0 {
+		slot = l.freeHead - 1
+		l.freeHead = int32(l.slots[slot].seq)
 	} else {
 		l.slots = append(l.slots, eventSlot{})
 		slot = int32(len(l.slots) - 1)
 	}
-	sl := &l.slots[slot]
-	sl.fn = fn
-	sl.state = slotLive
 	seq := l.seq
 	l.seq++
 	l.pending++
+	sl := &l.slots[slot]
+	sl.fn, sl.at, sl.seq, sl.state = fn, at, seq, slotLive
 	e := heapEntry{at: at, seq: seq, slot: slot}
 	if l.wheel != nil {
 		l.wheel.push(e)
@@ -240,23 +259,111 @@ func (l *Loop) After(d time.Duration, fn func()) Timer {
 	return l.At(l.now+d, fn)
 }
 
+// Reset re-arms t to run fn d from now. It is observably t.Stop()
+// followed by *t = l.After(d, fn) — the same fresh sequence number, the
+// same Pending, the old handle's copies stale — but when t's entry is
+// still queued (live, or stopped and not yet discarded) and the new
+// deadline is no earlier than the one recorded for it, the entry stays
+// where it is and only the slot's key moves: the queue re-files the
+// entry under that key when it surfaces. A timer that is pushed out
+// again and again (an RTO re-armed per ack, a delayed-ack timer) costs
+// one queue operation per deadline actually reached, not two per
+// re-arm. A zero, fired or foreign-loop handle, or an earlier deadline,
+// takes the plain stop-and-schedule path.
+func (l *Loop) Reset(t *Timer, d time.Duration, fn func()) {
+	if d < 0 {
+		d = 0
+	}
+	l.ResetAt(t, l.now+d, fn)
+}
+
+// ResetAt is Reset with an absolute deadline: observably t.Stop()
+// followed by *t = l.At(at, fn).
+func (l *Loop) ResetAt(t *Timer, at time.Duration, fn func()) {
+	if t.loop == l && t.slot != 0 && fn != nil && at >= l.now {
+		// A matching generation means the slot has not been freed since
+		// the handle was issued: its entry is still queued.
+		if sl := &l.slots[t.slot-1]; sl.gen == t.gen && at >= sl.at {
+			if sl.state == slotCancelled {
+				sl.state = slotLive
+				l.cancelled--
+				l.pending++
+			}
+			sl.fn, sl.at, sl.seq = fn, at, l.seq
+			l.seq++
+			sl.gen++
+			t.gen = sl.gen
+			return
+		}
+	}
+	t.Stop()
+	*t = l.At(at, fn)
+}
+
 // Step runs the single earliest pending event and reports whether one
 // existed. Cancelled events are discarded without running.
-func (l *Loop) Step() bool {
-	if l.wheel != nil {
-		return l.stepWheel()
-	}
-	for len(l.heap) > 0 {
-		e := l.heap[0]
-		l.popRoot()
+func (l *Loop) Step() bool { return l.step(math.MaxInt64) }
+
+// step runs the earliest pending event if it is due at or before limit.
+// Entries that surface dead are discarded and entries that surface
+// stale — their timer re-armed since they were filed — are re-filed
+// under their slot's key, neither counting as an event; a queued key
+// never sorts after its slot's, so what fires is always the (at, seq)
+// minimum over everything pending. The heap and the wheel differ only
+// in the three queue operations, spelled out here rather than behind
+// methods too large to inline on the one path every event takes.
+func (l *Loop) step(limit time.Duration) bool {
+	w := l.wheel
+	for {
+		var e heapEntry
+		if w != nil {
+			var ok bool
+			if e, ok = w.front(); !ok {
+				return false
+			}
+		} else if len(l.heap) > 0 {
+			e = l.heap[0]
+		} else {
+			return false
+		}
+		if e.at > limit {
+			return false
+		}
 		sl := &l.slots[e.slot]
-		if sl.state == slotCancelled {
+		var fn func()
+		requeue := false // the slot stays queued, under its own key
+		switch {
+		case sl.state == slotCancelled:
 			l.cancelled--
+		case sl.seq != e.seq:
+			requeue = true
+		default:
+			fn = sl.fn
+			// A lane's next occurrence takes over the slot and the entry.
+			requeue = sl.lane != nil && sl.lane.pop(sl)
+		}
+		if requeue {
+			// e is the minimum and the slot's key does not sort before
+			// it: on the heap, one sift instead of a pop and a push.
+			next := heapEntry{at: sl.at, seq: sl.seq, slot: e.slot}
+			if w != nil {
+				w.dropFront()
+				w.push(next)
+			} else {
+				l.heap[0] = next
+				l.siftDown(0)
+			}
+		} else {
+			if w != nil {
+				w.dropFront()
+			} else {
+				l.popRoot()
+			}
 			l.freeSlot(e.slot)
+		}
+		if fn == nil {
 			continue
 		}
-		fn := sl.fn
-		l.freeSlot(e.slot)
 		l.pending--
 		if invariant.Enabled() && e.at < l.now {
 			invariant.Failf("sim", "monotonic-time",
@@ -267,7 +374,6 @@ func (l *Loop) Step() bool {
 		fn()
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -285,12 +391,7 @@ func (l *Loop) Run() {
 // remain queued.
 func (l *Loop) RunUntil(deadline time.Duration) {
 	l.stopped = false
-	for !l.stopped {
-		at, ok := l.peek()
-		if !ok || at > deadline {
-			break
-		}
-		l.Step()
+	for !l.stopped && l.step(deadline) {
 	}
 	if l.now < deadline {
 		l.now = deadline
@@ -301,18 +402,17 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 }
 
 // checkIntegrity audits the scheduler's structural invariants in one
-// O(heap + slots) pass: the 4-ary heap property holds over (at, seq),
-// no queued event lies in the past, every heap entry points at a
-// live or cancelled slot, the pending and cancelled counters match the
-// occupancy, and free-listed slots are really free. It runs at the end
-// of Run and RunUntil when checking is enabled — once per drive of the
-// loop, so the audit never changes the complexity of a simulation.
+// O(queue + slots + lane rings) pass: the 4-ary heap property holds
+// over (at, seq), and every queue entry passes auditEntry and the
+// counters auditCounts. It runs at the end of Run and RunUntil when
+// checking is enabled — once per drive of the loop, so the audit never
+// changes the complexity of a simulation.
 func (l *Loop) checkIntegrity() {
 	if l.wheel != nil {
 		l.checkWheelIntegrity()
 		return
 	}
-	var live, cancelled int
+	var a queueAudit
 	for i, e := range l.heap {
 		if i > 0 {
 			parent := (i - 1) >> 2
@@ -322,37 +422,90 @@ func (l *Loop) checkIntegrity() {
 					i, e.at, e.seq, parent, l.heap[parent].at, l.heap[parent].seq)
 			}
 		}
-		if e.slot < 0 || int(e.slot) >= len(l.slots) {
-			invariant.Failf("sim", "heap-slot", "entry %d references slot %d of %d", i, e.slot, len(l.slots))
+		l.auditEntry(&a, "heap", e)
+	}
+	l.auditCounts(&a)
+}
+
+// queueAudit tallies what one integrity pass finds in the queue.
+type queueAudit struct {
+	live, cancelled int
+	laneHeld        int // occurrences lanes hold behind their queued heads
+}
+
+// auditEntry checks one queue entry against its slot, whichever region
+// of whichever queue holds it: the slot exists and is live or
+// cancelled, no live event lies in the past, the entry's key does not
+// sort after the slot's (a stale entry must surface no later than its
+// timer is due), and an entry carrying a lane's head agrees with the
+// lane, whose ring is nondecreasing in (at, seq).
+func (l *Loop) auditEntry(a *queueAudit, region string, e heapEntry) {
+	if e.slot < 0 || int(e.slot) >= len(l.slots) {
+		invariant.Failf("sim", "heap-slot", "%s entry references slot %d of %d", region, e.slot, len(l.slots))
+	}
+	sl := &l.slots[e.slot]
+	switch sl.state {
+	case slotLive:
+		a.live++
+		// A Stop() mid-run legitimately leaves live events behind
+		// the clock: RunUntil advances to its deadline regardless,
+		// preserving the queue for a resume.
+		if e.at < l.now && !l.stopped {
+			invariant.Failf("sim", "monotonic-time",
+				"live event queued at %v behind clock %v", e.at, l.now)
 		}
-		switch l.slots[e.slot].state {
-		case slotLive:
-			live++
-			// A Stop() mid-run legitimately leaves live events behind
-			// the clock: RunUntil advances to its deadline regardless,
-			// preserving the queue for a resume.
-			if e.at < l.now && !l.stopped {
-				invariant.Failf("sim", "monotonic-time",
-					"live event queued at %v behind clock %v", e.at, l.now)
-			}
-			if l.slots[e.slot].fn == nil {
-				invariant.Failf("sim", "slot-state", "live slot %d has nil callback", e.slot)
-			}
-		case slotCancelled:
-			cancelled++
-		default:
-			invariant.Failf("sim", "slot-state", "heap entry %d references free slot %d", i, e.slot)
+		if sl.fn == nil {
+			invariant.Failf("sim", "slot-state", "live slot %d has nil callback", e.slot)
 		}
+	case slotCancelled:
+		a.cancelled++
+	default:
+		invariant.Failf("sim", "slot-state", "%s entry references free slot %d", region, e.slot)
 	}
-	if live != l.pending {
-		invariant.Failf("sim", "pending-count", "%d live heap entries but pending=%d", live, l.pending)
+	if entryLess(heapEntry{at: sl.at, seq: sl.seq}, e) {
+		invariant.Failf("sim", "stale-key",
+			"%s entry (at=%v seq=%d) sorts after its slot's key (at=%v seq=%d)",
+			region, e.at, e.seq, sl.at, sl.seq)
 	}
-	if cancelled != l.cancelled {
-		invariant.Failf("sim", "cancelled-count", "%d cancelled heap entries but cancelled=%d", cancelled, l.cancelled)
+	ln := sl.lane
+	if ln == nil {
+		return
 	}
-	for _, slot := range l.free {
-		if l.slots[slot].state != slotFree {
-			invariant.Failf("sim", "free-list", "slot %d on the free list in state %d", slot, l.slots[slot].state)
+	if ln.n == 0 || ln.slot != e.slot || sl.state != slotLive {
+		invariant.Failf("sim", "lane-order",
+			"%s entry's slot %d (state %d) carries a lane holding %d occurrences at slot %d",
+			region, e.slot, sl.state, ln.n, ln.slot)
+	}
+	a.laneHeld += ln.n - 1
+	prev := heapEntry{at: sl.at, seq: sl.seq}
+	for i := 0; i < ln.n-1; i++ {
+		k := ln.buf[(ln.head+i)&(len(ln.buf)-1)]
+		cur := heapEntry{at: k.at, seq: k.seq}
+		if entryLess(cur, prev) {
+			invariant.Failf("sim", "lane-order",
+				"lane occurrence %d (at=%v seq=%d) sorts before its predecessor (at=%v seq=%d)",
+				i+1, k.at, k.seq, prev.at, prev.seq)
+		}
+		prev = cur
+	}
+}
+
+// auditCounts checks the loop's counters against what the pass found:
+// pending is the live queue entries plus what lanes hold behind them,
+// cancelled the dead entries still queued, and free-listed slots are
+// really free.
+func (l *Loop) auditCounts(a *queueAudit) {
+	if a.live+a.laneHeld != l.pending {
+		invariant.Failf("sim", "pending-count",
+			"%d live queue entries + %d lane-held occurrences but pending=%d", a.live, a.laneHeld, l.pending)
+	}
+	if a.cancelled != l.cancelled {
+		invariant.Failf("sim", "cancelled-count", "%d cancelled queue entries but cancelled=%d", a.cancelled, l.cancelled)
+	}
+	for next, n := l.freeHead, 0; next != 0; next, n = int32(l.slots[next-1].seq), n+1 {
+		if n > len(l.slots) || l.slots[next-1].state != slotFree {
+			invariant.Failf("sim", "free-list", "slot %d on the free list in state %d (link %d of %d slots)",
+				next-1, l.slots[next-1].state, n, len(l.slots))
 		}
 	}
 }
@@ -361,32 +514,16 @@ func (l *Loop) checkIntegrity() {
 // callback completes. The queue is preserved, so the loop can resume.
 func (l *Loop) Stop() { l.stopped = true }
 
-// peek reports the timestamp of the earliest live event, discarding
-// any cancelled entries it finds at the root on the way.
-func (l *Loop) peek() (time.Duration, bool) {
-	if l.wheel != nil {
-		return l.peekWheel()
-	}
-	for len(l.heap) > 0 {
-		e := l.heap[0]
-		if l.slots[e.slot].state == slotLive {
-			return e.at, true
-		}
-		l.popRoot()
-		l.cancelled--
-		l.freeSlot(e.slot)
-	}
-	return 0, false
-}
-
 // freeSlot recycles a slot onto the free list, bumping its generation
 // so outstanding Timer handles go stale.
 func (l *Loop) freeSlot(slot int32) {
 	sl := &l.slots[slot]
 	sl.fn = nil
+	sl.lane = nil
 	sl.state = slotFree
 	sl.gen++
-	l.free = append(l.free, slot)
+	sl.seq = uint64(l.freeHead)
+	l.freeHead = slot + 1
 }
 
 // maybeCompact removes cancelled entries in one pass once they occupy

@@ -265,53 +265,6 @@ func (w *wheelQueue) rebase() {
 	w.overflow = keep
 }
 
-// stepWheel is Loop.Step for a wheel-backed loop: identical observable
-// behaviour, with front/dropFront standing in for the heap root.
-func (l *Loop) stepWheel() bool {
-	w := l.wheel
-	for {
-		e, ok := w.front()
-		if !ok {
-			return false
-		}
-		w.dropFront()
-		sl := &l.slots[e.slot]
-		if sl.state == slotCancelled {
-			l.cancelled--
-			l.freeSlot(e.slot)
-			continue
-		}
-		fn := sl.fn
-		l.freeSlot(e.slot)
-		l.pending--
-		if invariant.Enabled() && e.at < l.now {
-			invariant.Failf("sim", "monotonic-time",
-				"event at %v popped with clock already at %v", e.at, l.now)
-		}
-		l.now = e.at
-		l.events++
-		fn()
-		return true
-	}
-}
-
-// peekWheel is Loop.peek for a wheel-backed loop.
-func (l *Loop) peekWheel() (time.Duration, bool) {
-	w := l.wheel
-	for {
-		e, ok := w.front()
-		if !ok {
-			return 0, false
-		}
-		if l.slots[e.slot].state == slotLive {
-			return e.at, true
-		}
-		w.dropFront()
-		l.cancelled--
-		l.freeSlot(e.slot)
-	}
-}
-
 // wheelCompact removes cancelled entries from every wheel region in one
 // pass, the wheel's analogue of the heap's maybeCompact sweep. Removal
 // cannot perturb pop order: surviving entries keep their buckets and
@@ -366,30 +319,10 @@ func (l *Loop) wheelCompact() {
 // consistent.
 func (l *Loop) checkWheelIntegrity() {
 	w := l.wheel
-	var live, cancelled int
-	checkSlot := func(region string, e heapEntry) {
-		if e.slot < 0 || int(e.slot) >= len(l.slots) {
-			invariant.Failf("sim", "heap-slot", "%s entry references slot %d of %d", region, e.slot, len(l.slots))
-		}
-		switch l.slots[e.slot].state {
-		case slotLive:
-			live++
-			if e.at < l.now && !l.stopped {
-				invariant.Failf("sim", "monotonic-time",
-					"live event queued at %v behind clock %v", e.at, l.now)
-			}
-			if l.slots[e.slot].fn == nil {
-				invariant.Failf("sim", "slot-state", "live slot %d has nil callback", e.slot)
-			}
-		case slotCancelled:
-			cancelled++
-		default:
-			invariant.Failf("sim", "slot-state", "%s entry references free slot %d", region, e.slot)
-		}
-	}
+	var a queueAudit
 	for i := w.readyHead; i < len(w.ready); i++ {
 		e := w.ready[i]
-		checkSlot("ready", e)
+		l.auditEntry(&a, "ready", e)
 		if i > w.readyHead && entryLess(e, w.ready[i-1]) {
 			invariant.Failf("sim", "heap-order",
 				"ready entry %d (at=%v seq=%d) sorts before its predecessor", i, e.at, e.seq)
@@ -410,7 +343,7 @@ func (l *Loop) checkWheelIntegrity() {
 			}
 			count += len(b)
 			for _, e := range b {
-				checkSlot("bucket", e)
+				l.auditEntry(&a, "bucket", e)
 				t := wheelTick(e.at)
 				if t < w.cur || (t^w.cur)>>horizonBits != 0 {
 					invariant.Failf("sim", "heap-order",
@@ -427,21 +360,11 @@ func (l *Loop) checkWheelIntegrity() {
 		invariant.Failf("sim", "pending-count", "%d bucketed entries but count=%d", count, w.count)
 	}
 	for _, e := range w.overflow {
-		checkSlot("overflow", e)
+		l.auditEntry(&a, "overflow", e)
 		if t := wheelTick(e.at); (t^w.cur)>>horizonBits == 0 {
 			invariant.Failf("sim", "heap-order",
 				"overflow holds tick %d within the horizon of cur %d", t, w.cur)
 		}
 	}
-	if live != l.pending {
-		invariant.Failf("sim", "pending-count", "%d live wheel entries but pending=%d", live, l.pending)
-	}
-	if cancelled != l.cancelled {
-		invariant.Failf("sim", "cancelled-count", "%d cancelled wheel entries but cancelled=%d", cancelled, l.cancelled)
-	}
-	for _, slot := range l.free {
-		if l.slots[slot].state != slotFree {
-			invariant.Failf("sim", "free-list", "slot %d on the free list in state %d", slot, l.slots[slot].state)
-		}
-	}
+	l.auditCounts(&a)
 }

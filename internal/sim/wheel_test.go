@@ -6,151 +6,35 @@ import (
 	"time"
 )
 
-// FuzzWheelVsHeap drives a heap-backed and a wheel-backed loop with the
-// same byte-derived program of schedule / cancel / step operations and
-// demands identical observable behaviour: firing order, clock, pending
-// count, and Stop results. Delays are drawn at three magnitudes so the
-// program exercises the ready buffer (sub-tick), the level hierarchy
-// (seconds to minutes), and the overflow list (days, past the ~78 h
-// horizon).
+// FuzzWheelVsHeap drives a wheel-backed loop that re-arms with Reset and
+// schedules lane occurrences with Lane.Push, and a heap-backed loop
+// running the reference program — Stop then After, one At per
+// occurrence — with the same byte-derived program (runProgram), and
+// demands identical observable behaviour. Delays come at three
+// magnitudes, so stale and lane entries are re-filed into the ready
+// buffer (sub-tick), the level hierarchy (seconds to minutes) and the
+// overflow list (days, past the ~78 h horizon).
 func FuzzWheelVsHeap(f *testing.F) {
-	f.Add([]byte{0, 10, 0, 5, 2, 0, 1, 0, 0, 0})
-	f.Add([]byte{4, 200, 0, 0, 2, 0, 4, 100, 2, 0, 2, 0})
-	// Horizon-crossing schedule mixed with short timers.
-	f.Add([]byte{5, 1, 0, 3, 2, 0, 5, 2, 2, 0, 2, 0, 2, 0})
-	// Cancel-heavy churn across magnitudes.
-	seed := make([]byte, 0, 400)
-	for i := 0; i < 50; i++ {
-		seed = append(seed, byte(i%6), byte(i*11))
-	}
-	for i := 0; i < 50; i++ {
-		seed = append(seed, 1, byte(i*3))
-	}
-	f.Add(seed)
+	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		hl := NewLoopSched(1, Heap)
-		wl := NewLoopSched(1, Wheel)
-		var hGot, wGot []int
-		var hTimers, wTimers []Timer
-		nextID := 0
-		for i := 0; i+1 < len(data); i += 2 {
-			op, arg := data[i]%6, data[i+1]
-			switch op {
-			case 0, 3: // schedule sub-tick to a few ms
-				id := nextID
-				nextID++
-				d := time.Duration(arg) * 37 * time.Microsecond
-				hTimers = append(hTimers, hl.After(d, func() { hGot = append(hGot, id) }))
-				wTimers = append(wTimers, wl.After(d, func() { wGot = append(wGot, id) }))
-			case 4: // schedule across wheel levels
-				id := nextID
-				nextID++
-				d := time.Duration(arg) * 977 * time.Millisecond
-				hTimers = append(hTimers, hl.After(d, func() { hGot = append(hGot, id) }))
-				wTimers = append(wTimers, wl.After(d, func() { wGot = append(wGot, id) }))
-			case 5: // schedule past the wheel horizon
-				id := nextID
-				nextID++
-				d := time.Duration(arg) * 13 * time.Hour
-				hTimers = append(hTimers, hl.After(d, func() { hGot = append(hGot, id) }))
-				wTimers = append(wTimers, wl.After(d, func() { wGot = append(wGot, id) }))
-			case 1: // cancel an arbitrary earlier timer
-				if len(hTimers) == 0 {
-					continue
-				}
-				j := int(arg) % len(hTimers)
-				hs, ws := hTimers[j].Stop(), wTimers[j].Stop()
-				if hs != ws {
-					t.Fatalf("op %d: Stop(timer %d): heap %v, wheel %v", i/2, j, hs, ws)
-				}
-			case 2: // run one event
-				hs, ws := hl.Step(), wl.Step()
-				if hs != ws {
-					t.Fatalf("op %d: Step(): heap %v, wheel %v", i/2, hs, ws)
-				}
-			}
-			if hl.Now() != wl.Now() {
-				t.Fatalf("op %d: clock diverged: heap %v, wheel %v", i/2, hl.Now(), wl.Now())
-			}
-			if hl.Pending() != wl.Pending() {
-				t.Fatalf("op %d: pending diverged: heap %d, wheel %d", i/2, hl.Pending(), wl.Pending())
-			}
-		}
-		hl.Run()
-		wl.Run()
-		if len(hGot) != len(wGot) {
-			t.Fatalf("heap fired %d events, wheel fired %d", len(hGot), len(wGot))
-		}
-		for i := range hGot {
-			if hGot[i] != wGot[i] {
-				t.Fatalf("firing order diverges at %d: heap ran %d, wheel ran %d\nheap:  %v\nwheel: %v",
-					i, hGot[i], wGot[i], hGot, wGot)
-			}
-		}
-		if hl.Now() != wl.Now() {
-			t.Fatalf("final clock: heap %v, wheel %v", hl.Now(), wl.Now())
-		}
-		if hl.Events() != wl.Events() {
-			t.Fatalf("events counter: heap %d, wheel %d", hl.Events(), wl.Events())
-		}
+		runProgram(t, data, newLoopTarget(Wheel, false), newLoopTarget(Heap, true))
 	})
 }
 
 // A long randomized soak of the same differential property, so plain
 // `go test` exercises deep wheel behaviour (cascades, compaction,
-// rebase) without waiting for the fuzzer.
+// rebase, re-filing) without waiting for the fuzzer — and the heap's,
+// against the reference scheduler.
 func TestWheelMatchesHeapRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
-		hl := NewLoopSched(1, Heap)
-		wl := NewLoopSched(1, Wheel)
-		var hGot, wGot []time.Duration
-		var hTimers, wTimers []Timer
-		for op := 0; op < 4000; op++ {
-			switch rng.Intn(5) {
-			case 0, 1:
-				var d time.Duration
-				switch rng.Intn(4) {
-				case 0:
-					d = time.Duration(rng.Intn(1000)) * time.Microsecond
-				case 1:
-					d = time.Duration(rng.Intn(1000)) * time.Millisecond
-				case 2:
-					d = time.Duration(rng.Intn(100)) * time.Second
-				case 3:
-					d = time.Duration(rng.Intn(200)) * time.Hour // overflow territory
-				}
-				hTimers = append(hTimers, hl.After(d, func() { hGot = append(hGot, hl.Now()) }))
-				wTimers = append(wTimers, wl.After(d, func() { wGot = append(wGot, wl.Now()) }))
-			case 2:
-				if len(hTimers) > 0 {
-					j := rng.Intn(len(hTimers))
-					if hs, ws := hTimers[j].Stop(), wTimers[j].Stop(); hs != ws {
-						t.Fatalf("trial %d: Stop diverged: heap %v wheel %v", trial, hs, ws)
-					}
-				}
-			case 3, 4:
-				if hs, ws := hl.Step(), wl.Step(); hs != ws {
-					t.Fatalf("trial %d: Step diverged", trial)
-				}
-			}
-		}
-		hl.Run()
-		wl.Run()
-		if len(hGot) != len(wGot) {
-			t.Fatalf("trial %d: heap fired %d, wheel fired %d", trial, len(hGot), len(wGot))
-		}
-		for i := range hGot {
-			if hGot[i] != wGot[i] {
-				t.Fatalf("trial %d: firing time %d diverged: heap %v, wheel %v", trial, i, hGot[i], wGot[i])
-			}
-		}
-		if hl.Now() != wl.Now() {
-			t.Fatalf("trial %d: final clock heap %v wheel %v", trial, hl.Now(), wl.Now())
-		}
+		data := make([]byte, 8000)
+		rng.Read(data)
+		runProgram(t, data, newLoopTarget(Wheel, false), newLoopTarget(Heap, true))
+		runProgram(t, data[:2000], newLoopTarget(Heap, false), newRefSched())
 	}
 }
 
@@ -173,7 +57,7 @@ func TestWheelCancelledEventsAreCompacted(t *testing.T) {
 				t.Fatal("Stop on a pending timer returned false")
 			}
 		}
-		if n := l.queueSize(); n > maxQueue {
+		if n := l.Queued(); n > maxQueue {
 			maxQueue = n
 		}
 	}
@@ -181,7 +65,7 @@ func TestWheelCancelledEventsAreCompacted(t *testing.T) {
 		t.Errorf("wheel occupancy reached %d entries, want <= %d", maxQueue, bound)
 	}
 	l.Run()
-	if n := l.queueSize(); n != 0 {
+	if n := l.Queued(); n != 0 {
 		t.Errorf("queue holds %d entries after Run, want 0", n)
 	}
 }

@@ -109,6 +109,6 @@ func (a *arena) newRcvMsg(flow packet.FlowID) *rcvMsg {
 
 func (a *arena) freeRcvMsg(flow packet.FlowID, rm *rcvMsg) {
 	disown(&rm.owner, flow)
-	*rm = rcvMsg{got: rangeSet{rs: rm.got.rs[:0]}, expireFn: rm.expireFn}
+	*rm = rcvMsg{got: rangeSet{rs: rm.got.rs[:0]}, expireFn: rm.expireFn, expiry: rm.expiry}
 	a.freeRcvMsgs = append(a.freeRcvMsgs, rm)
 }

@@ -148,9 +148,8 @@ func (c *Conn) pickSubflow() *subflow {
 		// A subflow whose window an ack just reopened can be due before
 		// the one the timer was armed for.
 		if !c.pacingTimer.Active() || paced < c.pacingAt {
-			c.pacingTimer.Stop()
 			c.pacingAt = paced
-			c.pacingTimer = c.loop.At(paced, c.trySendFn)
+			c.loop.ResetAt(&c.pacingTimer, paced, c.trySendFn)
 		}
 	case down == len(c.subs):
 		c.backoffSend()

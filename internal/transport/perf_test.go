@@ -231,6 +231,34 @@ func TestAckPathWindowIndependent(t *testing.T) {
 	t.Errorf("ack path at w8192 costs %.2f× its w32 cost per packet in every try, want <= 1.5×", ratios)
 }
 
+// The event queue holds the flow's timers, not its packets: however
+// many packets a saturated flow keeps in flight, the loop files a link's
+// next arrival only (the rest wait in the link's lane) and the RTO,
+// pushed out on every ack, keeps its one entry. Physical occupancy —
+// tombstones included — after every event of two windows' worth of
+// steady state stays within a handful of entries at every depth; with
+// one entry per in-flight packet and a cancelled RTO per ack it was of
+// the order of the window.
+func TestQueueHoldsTimersNotPackets(t *testing.T) {
+	for _, window := range []int{32, 2048, 8192} {
+		d := newBulkDrive(window, 1)
+		peak, start := 0, d.received()
+		for d.received()-start < 2*window {
+			if !d.loop.Step() {
+				t.Fatalf("w%d: the flow stalled", window)
+			}
+			peak = max(peak, d.loop.Queued())
+		}
+		if st := d.conn.Stats(); st.Retransmits != 0 || st.RTOs != 0 {
+			t.Fatalf("w%d: ideal channel saw %d retransmits, %d RTOs", window, st.Retransmits, st.RTOs)
+		}
+		t.Logf("w%d: peak queue occupancy %d", window, peak)
+		if peak > 32 {
+			t.Errorf("w%d: the event queue reached %d entries, want <= 32 at every depth", window, peak)
+		}
+	}
+}
+
 // After many windows' worth of packets through a saturated flow, the
 // stack holds no more memory than after the first few: payload boxes
 // circulate with the pooled packets (either kind's total is bounded by

@@ -77,7 +77,9 @@ func (c *Conn) handleData(p *packet.Packet, frag *fragment) {
 			if rm.expireFn == nil {
 				rm.expireFn = rm.expire
 			}
-			rm.expiry = c.loop.After(c.cfg.MsgTimeout, rm.expireFn)
+			// The handle survives recycling with the record: a timer
+			// stopped at delivery and still queued is revived in place.
+			c.loop.Reset(&rm.expiry, c.cfg.MsgTimeout, rm.expireFn)
 		}
 	}
 	if frag.length > 0 {
@@ -142,7 +144,7 @@ func (c *Conn) scheduleAck(p *packet.Packet) {
 		return
 	}
 	if !c.ackTimer.Active() {
-		c.ackTimer = c.loop.After(c.cfg.MaxAckDelay, c.sendAckFn)
+		c.loop.Reset(&c.ackTimer, c.cfg.MaxAckDelay, c.sendAckFn)
 	}
 }
 
@@ -189,8 +191,7 @@ func (c *Conn) handleAck(_ *packet.Packet, pl *ackPayload) {
 	c.detectLosses(now)
 
 	// Fresh forward progress: push the timeout out.
-	c.rtoTimer.Stop()
-	c.armRTO()
+	c.restartRTO()
 	c.trySend()
 }
 

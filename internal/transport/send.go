@@ -368,14 +368,20 @@ func (c *Conn) rto() time.Duration {
 }
 
 func (c *Conn) armRTO() {
+	if len(c.sentOrder) != 0 && c.rtoTimer.Active() {
+		return
+	}
+	c.restartRTO()
+}
+
+// restartRTO times the retransmission timeout from now — pushing a
+// running timer out in place — or stops it when nothing is outstanding.
+func (c *Conn) restartRTO() {
 	if len(c.sentOrder) == 0 {
 		c.rtoTimer.Stop()
 		return
 	}
-	if c.rtoTimer.Active() {
-		return
-	}
-	c.rtoTimer = c.loop.After(c.rto(), c.onRTOFn)
+	c.loop.Reset(&c.rtoTimer, c.rto(), c.onRTOFn)
 }
 
 func (c *Conn) onRTO() {
