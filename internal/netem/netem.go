@@ -98,6 +98,14 @@ type Link struct {
 	onTxDone    func()
 	onOutageEnd func()
 
+	// seg is the trace sample in force and segUntil the instant it stops
+	// holding (trace.Segment): a trace's conditions change every 100 ms
+	// or never, a link asks for them several times per packet. The cursor
+	// is the link's own — the trace is shared and immutable — and cond
+	// is its one reader.
+	seg      trace.Sample
+	segUntil time.Duration
+
 	// rng is the link's private loss stream, seeded from the loop seed
 	// and the link's name+salt: drawing from it never perturbs any
 	// other link's deliveries, so adding a link (or a fault process)
@@ -154,6 +162,33 @@ func (l *Link) lossRand() *rand.Rand {
 	return l.rng
 }
 
+// cond returns the trace conditions in force at now, the loop's clock:
+// the cached sample until the clock reaches the segment's end, then the
+// next one. Look-ups at other instants (the outage scans) go to the
+// trace directly and leave the cache alone. The slow path is one call
+// so that the per-packet path inlines.
+func (l *Link) cond(now time.Duration) trace.Sample {
+	if now >= l.segUntil || invariant.Enabled() {
+		l.advanceSegment(now)
+	}
+	return l.seg
+}
+
+// advanceSegment moves the cache to the segment holding now if it has
+// ended, and, when checking is on, holds the cache to the trace.
+func (l *Link) advanceSegment(now time.Duration) {
+	if now >= l.segUntil {
+		l.seg, l.segUntil = l.cfg.Trace.Segment(now)
+	}
+	if invariant.Enabled() {
+		if want := l.cfg.Trace.At(now); l.seg != want {
+			invariant.Failf("netem", "trace-segment",
+				"link %q: cached sample %+v (until %v) at %v, the trace says %+v",
+				l.cfg.Name, l.seg, l.segUntil, now, want)
+		}
+	}
+}
+
 // Name reports the link's configured name.
 func (l *Link) Name() string { return l.cfg.Name }
 
@@ -196,7 +231,7 @@ func (l *Link) QueueDelay() time.Duration {
 		return time.Hour
 	}
 	now := l.loop.Now()
-	rate := l.cfg.Trace.At(now).Rate * l.rateScale
+	rate := l.cond(now).Rate * l.rateScale
 	if rate > 0 {
 		return time.Duration(float64(l.queuedBytes) * 8 / rate * float64(time.Second))
 	}
@@ -327,8 +362,7 @@ func (l *Link) kick() {
 		return
 	}
 	now := l.loop.Now()
-	cond := l.cfg.Trace.At(now)
-	rate := cond.Rate * l.rateScale
+	rate := l.cond(now).Rate * l.rateScale
 	if rate <= 0 {
 		// Trace outage: sleep straight to the first boundary that
 		// restores capacity instead of waking at every intermediate
@@ -384,7 +418,7 @@ func (l *Link) finishTx() {
 	}
 
 	now := l.loop.Now()
-	at := now + l.cfg.Trace.At(now).RTT/2 + l.extraDelay
+	at := now + l.cond(now).RTT/2 + l.extraDelay
 	// Preserve FIFO delivery when the trace's delay drops between
 	// consecutive packets, as a real single path would.
 	if at < l.lastArrival {

@@ -115,6 +115,84 @@ func BenchmarkLaneArrivals(b *testing.B) {
 	loop.Run()
 }
 
+// BenchmarkLinkTraced is a backlogged link over five minutes of
+// lowband-driving conditions, asked what a sender asks per packet: the
+// queue delay (steering), a send, and the two events it costs. The
+// conditions change every 100 ms and the link reads them four times per
+// packet, from its cached segment.
+func BenchmarkLinkTraced(b *testing.B) {
+	loop := sim.NewLoop(1)
+	l := New(loop, Config{
+		Name:       "l",
+		Trace:      trace.LowbandDriving(1, 5*time.Minute),
+		QueueBytes: 64 << 20,
+	}, func(*packet.Packet) {})
+	p := &packet.Packet{ID: 1, Size: 1500}
+	for i := 0; i < 256; i++ { // a standing backlog
+		l.Send(p)
+	}
+	var delay time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		delay += l.QueueDelay()
+		l.Send(p)
+		loop.Step()
+		loop.Step()
+	}
+	b.StopTimer()
+	if delay == 0 {
+		b.Fatal("a backlogged link reported no queue delay")
+	}
+	loop.Run()
+}
+
+// The link's cached trace segment is the trace's, boundary after
+// boundary and around the wrap: packets sent mid-segment are serialized
+// at that segment's rate and delayed by its RTT, one sent into an outage
+// leaves when it ends, and the outage scans (kick's, QueueDelay's) look
+// ahead without moving the cache. With checking on, every read of the
+// cache is also held to Trace.At (netem/trace-segment).
+func TestSegmentCacheFollowsTrace(t *testing.T) {
+	const ms = time.Millisecond
+	tr := &trace.Trace{Name: "steps", Samples: []trace.Sample{
+		{At: 0, RTT: 10 * ms, Rate: 8e6}, // 1 ms per 1000-byte packet
+		{At: 100 * ms, RTT: 20 * ms, Rate: 16e6},
+		{At: 200 * ms, RTT: 40 * ms, Rate: 0},
+		{At: 300 * ms, RTT: 30 * ms, Rate: 8e6},
+	}} // repeats every 400 ms
+	loop := sim.NewLoop(1)
+	var arrivals []time.Duration
+	l := New(loop, Config{Name: "l", Trace: tr}, func(*packet.Packet) { arrivals = append(arrivals, loop.Now()) })
+	var segments []time.Duration // the cached sample's offset after each send
+	for _, at := range []time.Duration{50 * ms, 150 * ms, 250 * ms, 350 * ms, 450 * ms, 550 * ms, 1250 * ms} {
+		loop.At(at, func() {
+			l.Send(&packet.Packet{ID: uint64(at), Size: 1000})
+			delay := l.QueueDelay()
+			now := loop.Now()
+			if want, until := tr.Segment(now); l.seg != want || l.segUntil != until {
+				t.Errorf("at %v the link holds %+v until %v, the trace says %+v until %v", now, l.seg, l.segUntil, want, until)
+			}
+			// 1000 bytes queued: 1 ms at 8 Mbps, half that at 16; in the
+			// outage, the 50 ms left of it first.
+			if want := map[time.Duration]time.Duration{0: ms, 100 * ms: ms / 2, 200 * ms: 51 * ms, 300 * ms: ms}[l.seg.At]; delay != want {
+				t.Errorf("at %v (segment %v) QueueDelay = %v, want %v", now, l.seg.At, delay, want)
+			}
+			segments = append(segments, l.seg.At)
+		})
+	}
+	loop.Run()
+	if want := []time.Duration{0, 100 * ms, 200 * ms, 300 * ms, 0, 100 * ms, 0}; !slices.Equal(segments, want) {
+		t.Errorf("cached segments at the sends: %v, want %v", segments, want)
+	}
+	// Send time + serialization + RTT/2, each of the segment in force;
+	// the third waits for the outage to end at 300 ms.
+	want := []time.Duration{56 * ms, 160*ms + ms/2, 316 * ms, 366 * ms, 456 * ms, 560*ms + ms/2, 1256 * ms}
+	if !slices.Equal(arrivals, want) {
+		t.Errorf("arrivals %v, want %v", arrivals, want)
+	}
+}
+
 // The arrival lane holds one occurrence per distinct arrival timestamp
 // in the in-flight ring — packets whose clamped arrivals coincide share
 // one — and the loop's queue holds the lane's head, never the packets:

@@ -40,19 +40,45 @@ func FuzzReadCSV(f *testing.F) {
 	})
 }
 
-// FuzzTraceAt checks that At and NextChange never panic on generated
-// traces for arbitrary query times, and that NextChange makes forward
-// progress.
+// FuzzTraceAt checks that At, NextChange and Segment never panic for
+// arbitrary query times, that NextChange makes forward progress, and
+// that Segment is the pair of them from one search — on a generated
+// trace (shape 0), on one clipped to a few samples so that most queries
+// land on the sample that wraps around (shape 1), and on a constant one
+// (shape 2).
 func FuzzTraceAt(f *testing.F) {
-	f.Add(int64(1), uint32(0))
-	f.Add(int64(2), uint32(1_000_000))
-	f.Fuzz(func(t *testing.T, seed int64, ms uint32) {
+	f.Add(int64(1), uint32(0), uint8(0))
+	f.Add(int64(2), uint32(1_000_000), uint8(0))
+	f.Add(int64(3), uint32(4_999), uint8(0)) // the last sample of the first repetition
+	f.Add(int64(3), uint32(5_000), uint8(0)) // the first of the second
+	f.Add(int64(4), uint32(299), uint8(1))
+	f.Add(int64(4), uint32(300), uint8(1))
+	f.Add(int64(5), uint32(123_456), uint8(2))
+	f.Fuzz(func(t *testing.T, seed int64, ms uint32, shape uint8) {
 		tr := LowbandDriving(seed, 5*time.Second)
+		switch shape % 3 {
+		case 1:
+			tr = tr.Clip(300 * time.Millisecond)
+		case 2:
+			tr = Constant("c", tr.Samples[0].RTT, tr.Samples[0].Rate)
+		}
 		now := time.Duration(ms) * time.Millisecond
-		_ = tr.At(now)
+		at := tr.At(now)
 		next := tr.NextChange(now)
 		if next <= now {
 			t.Fatalf("NextChange(%v) = %v did not advance", now, next)
+		}
+		if s, until := tr.Segment(now); s != at || until != next {
+			t.Fatalf("Segment(%v) = %+v until %v, want At's %+v and NextChange's %v", now, s, until, at, next)
+		}
+		// The sample holds to the end of its segment and no further.
+		if last := tr.At(next - 1); last != at {
+			t.Fatalf("At(%v) = %+v, but the segment from %v holds %+v until %v", next-1, last, now, at, next)
+		}
+		if len(tr.Samples) > 1 {
+			if s, _ := tr.Segment(next); s.At == at.At {
+				t.Fatalf("Segment(%v) is still the sample at offset %v", next, at.At)
+			}
 		}
 	})
 }

@@ -58,16 +58,8 @@ func (t *Trace) Duration() time.Duration {
 // At returns the conditions in force at virtual time now, wrapping
 // around the trace's duration. It panics on an empty trace.
 func (t *Trace) At(now time.Duration) Sample {
-	if len(t.Samples) == 0 {
-		panic("trace: At on empty trace " + t.Name)
-	}
-	if len(t.Samples) == 1 {
-		return t.Samples[0]
-	}
-	now %= t.Duration()
-	// Find the last sample with At <= now.
-	i := sort.Search(len(t.Samples), func(i int) bool { return t.Samples[i].At > now })
-	return t.Samples[i-1]
+	s, _ := t.Segment(now)
+	return s
 }
 
 // NextChange returns the earliest time strictly after now at which the
@@ -78,14 +70,39 @@ func (t *Trace) NextChange(now time.Duration) time.Duration {
 	if len(t.Samples) <= 1 {
 		return now + time.Second
 	}
+	_, until := t.Segment(now)
+	return until
+}
+
+// Segment returns At(now) together with NextChange(now): the conditions
+// in force and the absolute time they stop holding, from one search. A
+// reader that keeps both (a link does) need not come back before then.
+// It panics on an empty trace.
+func (t *Trace) Segment(now time.Duration) (s Sample, until time.Duration) {
+	if len(t.Samples) == 0 {
+		panic("trace: empty trace " + t.Name)
+	}
+	if len(t.Samples) == 1 {
+		return t.Samples[0], now + time.Second
+	}
 	dur := t.Duration()
 	pos := now % dur
-	base := now - pos
-	i := sort.Search(len(t.Samples), func(i int) bool { return t.Samples[i].At > pos })
-	if i == len(t.Samples) {
-		return base + dur // wraps to the first sample of the next repetition
+	// Bisect for the first sample after pos; the one before it is in
+	// force. Every sample below lo is at or before pos, none from hi on is.
+	lo, hi := 0, len(t.Samples)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if t.Samples[mid].At <= pos {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
 	}
-	return base + t.Samples[i].At
+	until = now - pos + dur // wraps to the first sample of the next repetition
+	if lo < len(t.Samples) {
+		until = now - pos + t.Samples[lo].At
+	}
+	return t.Samples[lo-1], until
 }
 
 // RTTStats summarizes the RTT values across one repetition, weighted

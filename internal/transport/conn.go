@@ -55,8 +55,12 @@ type Config struct {
 	// RxDelay holds every packet arriving for this connection for the
 	// given extra time before processing, emulating per-flow path-length
 	// differences (e.g. a distant peer) on a shared channel set. The
-	// contention arena uses it to give flows heterogeneous RTTs. Zero
-	// (the default) adds no work to the receive path.
+	// contention arena uses it to give flows heterogeneous RTTs. Held
+	// packets wait in the connection's own FIFO (rxHold), which keeps one
+	// entry in the event queue however many it holds. Closing the
+	// connection does not cancel them: each still comes due, is ignored,
+	// and goes back to the pool. Zero (the default) adds no work to the
+	// receive path and no state beyond a nil pointer.
 	RxDelay time.Duration
 }
 
@@ -184,6 +188,7 @@ type Conn struct {
 	ackPending int
 	ackTimer   sim.Timer
 	rcvMsgs    map[uint64]*rcvMsg
+	rx         *rxHold // packets held for cfg.RxDelay; nil until the first
 
 	// Pre-bound timer callbacks: evaluating a method value allocates a
 	// closure, so each recurring callback is materialized exactly once.

@@ -87,15 +87,29 @@ func linearAck(c *Conn, ranges []seqRange) (newlyBytes int, newest *sentInfo) {
 	return newlyBytes, newest
 }
 
+// ackScript writes a FuzzAckResolve input: a flight of nRec consecutive
+// packets from seq 1001 up, and ranges given as {distance from the
+// previous range's start, length − 1}, the first measured from
+// 1000 − below.
+func ackScript(nRec, below byte, ranges ...[2]byte) []byte {
+	script := append([]byte{nRec, below}, make([]byte, nRec)...)
+	for _, rg := range ranges {
+		script = append(script, rg[0], rg[1])
+	}
+	return script
+}
+
 // FuzzAckResolve checks the indexed ack resolution against the linear
 // merge-join on arbitrary flights and SACK lists. The script's first
 // byte sizes the flight and the second sets how far below it the first
 // range starts; then one byte per record (seq gap, carrying channels)
 // and two per range (distance from the previous range's start — zero
-// repeats it — and length), so ranges ascend by lo but may repeat,
-// overlap, fall in holes, or lie wholly below, above or across the
-// flight. A final odd byte stretches the last range to the top of the
-// sequence space.
+// repeats it — and length), so ranges ascend by lo and, stretched to the
+// previous range's end where they would stop short of it, by hi — the
+// order any list of disjoint ranges has, and all resolveAcked asks —
+// but may repeat, overlap, fall in holes, or lie wholly below, above or
+// across the flight. A final odd byte stretches the last range to the
+// top of the sequence space.
 func FuzzAckResolve(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{4, 0, 0, 0, 0, 0, 0, 9})                               // one range over the whole flight
@@ -103,6 +117,22 @@ func FuzzAckResolve(f *testing.F) {
 	f.Add([]byte{3, 9, 0, 0, 0, 0, 2, 1, 1})                            // wholly below the flight: pure duplicate
 	f.Add([]byte{5, 0, 3, 3, 3, 3, 3, 40, 5, 40, 5, 1})                 // above the flight, then to the top
 	f.Add([]byte{16, 2, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 0, 1, 2, 3, 1, 2, 2, 0, 5, 9, 3, 1})
+	// A receiver's history: maxAckRanges ranges of which none, one, all
+	// but one and all lie below the flight (seqs 1001–1064). run is n
+	// ranges two wide and one apart.
+	run := func(n int) (rs [][2]byte) {
+		for len(rs) < n {
+			rs = append(rs, [2]byte{3, 1})
+		}
+		return rs
+	}
+	f.Add(ackScript(64, 2, run(maxAckRanges)...))                                  // 1001–1002, 1004–1005, …: none below
+	f.Add(ackScript(64, 10, append([][2]byte{{0, 0}, {11, 1}}, run(30)...)...))    // 990, then 31 from 1001 up
+	f.Add(ackScript(64, 100, append(run(31), [2]byte{47, 5})...))                  // 903–904 … 993–994, then 1040–1045
+	f.Add(ackScript(64, 200, run(maxAckRanges)...))                                // all 32 below: a pure duplicate
+	f.Add(ackScript(64, 5, [2]byte{0, 10}))                                        // 995–1005 straddles the oldest packet
+	f.Add(ackScript(64, 100, append(run(30), [2]byte{10, 23}, [2]byte{30, 2})...)) // 30 below, 1000–1023 straddling, 1030–1032 inside
+	f.Add(ackScript(0, 100, run(maxAckRanges)...))                                 // an empty flight
 	f.Fuzz(func(t *testing.T, script []byte) {
 		next := func() int {
 			if len(script) == 0 {
@@ -112,7 +142,7 @@ func FuzzAckResolve(f *testing.F) {
 			script = script[1:]
 			return int(b)
 		}
-		nRec, below := next(), next()%16
+		nRec, below := next(), next()
 
 		// A flight with holes over two channels, shared by both sides
 		// (neither mutates the records).
@@ -143,10 +173,11 @@ func FuzzAckResolve(f *testing.F) {
 		}
 
 		var ranges []seqRange
-		lo := uint64(base - below)
+		lo, hi := uint64(base-below), uint64(0)
 		for len(script) >= 2 && len(ranges) < 40 {
 			lo += uint64(next() % 48)
-			ranges = append(ranges, seqRange{lo, lo + uint64(next()%24)})
+			hi = max(hi, lo+uint64(next()%24))
+			ranges = append(ranges, seqRange{lo, hi})
 		}
 		if next()%2 == 1 && len(ranges) > 0 {
 			ranges[len(ranges)-1].hi = math.MaxUint64

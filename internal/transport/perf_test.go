@@ -129,6 +129,9 @@ type ackDrive struct {
 	chs    []int // each subflow's channel ID
 	turn   int   // the subflow the next packet goes to
 	ranges []seqRange
+	// split acks the two oldest packets as a range each, after whatever
+	// stale ranges withStale put in front, instead of cumulatively.
+	split bool
 }
 
 func newAckDrive(window, subflows int) *ackDrive {
@@ -144,6 +147,22 @@ func newAckDrive(window, subflows int) *ackDrive {
 	for i := 0; i < 2*window; i++ { // drift the flight once around its backing array
 		d.step()
 	}
+	return d
+}
+
+// withStale turns the drive's ack into what a receiver sends once it
+// has holes that will never fill: n ranges wholly below the flight,
+// then one range for each of the two packets a step retires.
+func (d *ackDrive) withStale(n int) *ackDrive {
+	d.split = true
+	d.ranges = d.ranges[:0]
+	for i := 0; i < n; i++ {
+		d.ranges = append(d.ranges, seqRange{uint64(2*i + 1), uint64(2*i + 1)})
+	}
+	if n > 0 && d.ranges[n-1].hi >= d.c.sentOrder[0].seq {
+		panic("the stale ranges reach the flight")
+	}
+	d.ranges = append(d.ranges, seqRange{}, seqRange{})
 	return d
 }
 
@@ -170,7 +189,11 @@ func (d *ackDrive) step() {
 	c := d.c
 	d.send()
 	d.send()
-	d.ranges[0] = seqRange{1, c.sentOrder[1].seq} // cumulative, as a loss-free receiver acks
+	if s0, s1 := c.sentOrder[0].seq, c.sentOrder[1].seq; d.split {
+		d.ranges[len(d.ranges)-2], d.ranges[len(d.ranges)-1] = seqRange{s0, s0}, seqRange{s1, s1}
+	} else {
+		d.ranges[0] = seqRange{1, s1} // cumulative, as a loss-free receiver acks
+	}
 	c.largestAcked = c.ackRanges(d.ranges).seq
 	for i := range c.subs {
 		c.subs[i].ackNewest, c.subs[i].ackBytes = nil, 0 // as subflowAcked consumes them
@@ -202,6 +225,52 @@ func BenchmarkAckPath(b *testing.B) {
 	}
 }
 
+// BenchmarkAckResolveStale32 is the ack a flow sees for the rest of its
+// life after its first losses: maxAckRanges ranges of which two reach the
+// flight. Per acknowledged packet, like BenchmarkAckPath.
+func BenchmarkAckResolveStale32(b *testing.B) {
+	d := newAckDrive(2048, 1).withStale(maxAckRanges - 2)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i += 2 {
+		d.step()
+	}
+	if got := len(d.c.sentOrder); got != 2048 {
+		b.Fatalf("flight is %d packets, want 2048", got)
+	}
+}
+
+// timeSteps times steps steps of an ack drive.
+func timeSteps(d *ackDrive, steps int) time.Duration {
+	start := time.Now()
+	for i := 0; i < steps; i++ {
+		d.step()
+	}
+	return time.Since(start)
+}
+
+// An ack pays for the ranges that reach the flight, not for the history
+// in front of them: 30 stale ranges ahead of the two live ones must not
+// double its cost. Probing each stale range, as the resolution did, made
+// the 32-range ack several times the 2-range one. Timed in alternation,
+// one clean pair is enough (see TestAckPathWindowIndependent).
+func TestStaleRangesAreSkipped(t *testing.T) {
+	if raceEnabled || testing.Short() {
+		t.Skip("timing budget: not under -race or -short")
+	}
+	const steps = 200_000
+	live, stale := newAckDrive(2048, 1).withStale(0), newAckDrive(2048, 1).withStale(maxAckRanges-2)
+	var ratios []float64
+	for try := 0; try < 7; try++ {
+		ratio := float64(timeSteps(stale, steps)) / float64(timeSteps(live, steps))
+		if ratio <= 2 {
+			return
+		}
+		ratios = append(ratios, ratio)
+	}
+	t.Errorf("a 32-range ack with 2 live ranges costs %.2f× a 2-range ack in every try, want <= 2×", ratios)
+}
+
 // The ack path's cost must not depend on how deep the flight is: the
 // O(flight) merge-join this replaces was 5× slower at 2048 packets
 // than at 32, and worse beyond. Timing on a shared machine is noisy,
@@ -212,17 +281,10 @@ func TestAckPathWindowIndependent(t *testing.T) {
 		t.Skip("timing budget: not under -race or -short")
 	}
 	const steps = 200_000
-	timeSteps := func(d *ackDrive) time.Duration {
-		start := time.Now()
-		for i := 0; i < steps; i++ {
-			d.step()
-		}
-		return time.Since(start)
-	}
 	shallow, deep := newAckDrive(32, 1), newAckDrive(8192, 1)
 	var ratios []float64
 	for try := 0; try < 7; try++ {
-		ratio := float64(timeSteps(deep)) / float64(timeSteps(shallow))
+		ratio := float64(timeSteps(deep, steps)) / float64(timeSteps(shallow, steps))
 		if ratio <= 1.5 {
 			return
 		}
@@ -255,6 +317,59 @@ func TestQueueHoldsTimersNotPackets(t *testing.T) {
 		t.Logf("w%d: peak queue occupancy %d", window, peak)
 		if peak > 32 {
 			t.Errorf("w%d: the event queue reached %d entries, want <= 32 at every depth", window, peak)
+		}
+	}
+
+	// Nor the packets a delayed flow has on hold (Config.RxDelay): 64
+	// flows held 20–52 ms one way and 30 ms the other keep most of their
+	// windows on hold, each end's share in that connection's own lane. The
+	// queue is a few entries per flow — lane heads, RTO, delayed ack —
+	// whether the flows hold a thousand packets between them or sixteen
+	// times that; with a timer per held packet it held them all.
+	const flows = 64
+	for _, window := range []int{16, 256} {
+		loop := sim.NewLoop(1)
+		ch := channel.New(loop, channel.Config{
+			Props:      channel.Properties{Name: "ideal", BaseRTT: 10 * time.Millisecond, Bandwidth: 10e9},
+			DownTrace:  trace.Constant("ideal", 10*time.Millisecond, 10e9),
+			QueueBytes: 64 << 20,
+		})
+		g := channel.NewGroup(ch)
+		client, server := NewEndpoint(loop, g, channel.A), NewEndpoint(loop, g, channel.B)
+		var conns []*Conn
+		server.Listen(func() Config {
+			return Config{CC: fixedWindow{64 * cc.MSS}, Steer: steering.NewSingle(ch), RxDelay: 30 * time.Millisecond}
+		}, func(c *Conn) { conns = append(conns, c) })
+		for i := 0; i < flows; i++ {
+			c := client.Dial(Config{CC: fixedWindow{window * cc.MSS}, Steer: steering.NewSingle(ch),
+				RxDelay: 20*time.Millisecond + time.Duration(i)*time.Millisecond/2})
+			c.SendMessage(c.NewStream(), 0, 1<<40, nil)
+			conns = append(conns, c)
+		}
+		loop.RunUntil(time.Second)
+		if len(conns) != 2*flows {
+			t.Fatalf("%d connections, want %d and their peers", len(conns), flows)
+		}
+		peak, peakHeld := 0, 0
+		for n := 0; loop.Now() < 1200*time.Millisecond; n++ {
+			if !loop.Step() {
+				t.Fatalf("%d flows of w%d stalled", flows, window)
+			}
+			peak = max(peak, loop.Queued())
+			if n%64 == 0 {
+				held := 0
+				for _, c := range conns {
+					held += c.rx.q.len()
+				}
+				peakHeld = max(peakHeld, held)
+			}
+		}
+		t.Logf("%d delayed flows of w%d: peak queue occupancy %d with up to %d packets on hold", flows, window, peak, peakHeld)
+		if peakHeld < flows*window/2 {
+			t.Errorf("%d flows of w%d held at most %d packets, want at least half their windows", flows, window, peakHeld)
+		}
+		if peak > 8*flows {
+			t.Errorf("%d flows of w%d: the event queue reached %d entries, want <= %d however many are held", flows, window, peak, 8*flows)
 		}
 	}
 }

@@ -86,15 +86,33 @@ func (r *rangeSet) addRange(lo, hi uint64) uint64 {
 	return newly
 }
 
+// firstRangeReaching returns the index of the first of ranges whose hi
+// is at least seq, len(ranges) when every one ends below it. The his
+// must not descend — true of disjoint ranges in order: a rangeSet's own
+// (contains, covered) and the tail of one that an ack carries
+// (resolveAcked).
+func firstRangeReaching(ranges []seqRange, seq uint64) int {
+	lo, hi := 0, len(ranges)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ranges[mid].hi < seq {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
 // contains reports whether v is covered.
 func (r *rangeSet) contains(v uint64) bool {
-	i := sort.Search(len(r.rs), func(i int) bool { return r.rs[i].hi >= v })
+	i := firstRangeReaching(r.rs, v)
 	return i < len(r.rs) && r.rs[i].lo <= v
 }
 
 // covered reports whether every value in [lo, hi] is present.
 func (r *rangeSet) covered(lo, hi uint64) bool {
-	i := sort.Search(len(r.rs), func(i int) bool { return r.rs[i].hi >= lo })
+	i := firstRangeReaching(r.rs, lo)
 	return i < len(r.rs) && r.rs[i].lo <= lo && r.rs[i].hi >= hi
 }
 

@@ -43,6 +43,60 @@ type rcvMsg struct {
 	started time.Duration
 }
 
+// rxHold is the receive-side hold behind Config.RxDelay: arriving
+// packets wait in q in arrival order, each with one occurrence of
+// release on the lane. The delay is constant and the clock never runs
+// backwards, so due times are nondecreasing — what a sim.Lane requires —
+// and Lane.Push files an occurrence under the (at, seq) key a timer set
+// at the same point would get: packets are processed exactly when, and
+// in the order, one timer per packet would process them, while the event
+// queue holds the flow's next release only. Lane occurrences cannot be
+// cancelled, so the hold outlives a Close: see release.
+type rxHold struct {
+	conn *Conn
+	lane sim.Lane
+	q    fifo[heldPacket]
+}
+
+type heldPacket struct {
+	p   *packet.Packet
+	due time.Duration
+}
+
+// hold queues an arriving packet for processing cfg.RxDelay from now.
+func (c *Conn) hold(p *packet.Packet) {
+	h := c.rx
+	if h == nil {
+		h = &rxHold{conn: c}
+		h.lane = sim.NewLane(c.loop, h.release)
+		c.rx = h
+	}
+	due := c.loop.Now() + c.cfg.RxDelay
+	h.q.push(heldPacket{p, due})
+	h.lane.Push(due)
+}
+
+// release is the lane's callback: the oldest held packet is due. The
+// packet dies here as it would have in Endpoint.receive. A connection
+// closed in the meantime ignores it (handlePacket), so what Close leaves
+// held drains to the pool as it comes due.
+func (h *rxHold) release() {
+	c := h.conn
+	held := h.q.pop()
+	if invariant.Enabled() {
+		if now := c.loop.Now(); held.due != now {
+			invariant.Failf("transport", "rx-hold",
+				"flow %d: release at %v of a packet due at %v", c.flow, now, held.due)
+		}
+		if h.lane.Len() != h.q.len() {
+			invariant.Failf("transport", "rx-hold",
+				"flow %d: %d releases pending for %d held packets", c.flow, h.lane.Len(), h.q.len())
+		}
+	}
+	c.handlePacket(held.p)
+	c.ep.pool.Put(held.p)
+}
+
 // handleData processes one arriving data packet.
 func (c *Conn) handleData(p *packet.Packet, frag *fragment) {
 	isNew := c.rcvRanges.add(p.Seq)
@@ -277,20 +331,31 @@ func (c *Conn) ackRanges(ranges []seqRange) (newest *sentInfo) {
 	return newest
 }
 
-// resolveAcked moves the records covered by ranges (ascending by lo,
-// as rangeSet produces them) from sentOrder to ackedInfos. sentOrder is
-// strictly ascending by seq, so the records one range covers are one
-// contiguous span, and because the ranges ascend too, that span lies
-// wholly after the previous range's: two searches (seqIndex) over the
-// not-yet-examined suffix find it exactly. Only the search probes and
-// the spans themselves are read, so an ack costs O(ranges·log flight +
-// newly acked) however deep the window is; a stale range wholly below
-// the flight, or one that falls in a hole of it, costs two probes.
+// resolveAcked moves the records covered by ranges (ascending by lo and
+// by hi, as rangeSet produces them) from sentOrder to ackedInfos.
+// sentOrder is strictly ascending by seq, so the records one range
+// covers are one contiguous span, and because the ranges ascend too,
+// that span lies wholly after the previous range's: two searches
+// (seqIndex) over the not-yet-examined suffix find it exactly. Only the
+// search probes and the spans themselves are read, so a range that
+// reaches into the flight costs O(log flight + the records it retires)
+// however deep the window is, two probes when it falls in a hole.
+//
+// Ranges wholly below the flight are not looked at: retransmissions
+// take fresh sequence numbers, so a receiver's holes never fill, and
+// after a flow's first loss every ack repeats up to maxAckRanges ranges
+// of which all but the last few lie below the oldest packet still
+// outstanding. One bisection over the his (firstRangeReaching) finds
+// where the live ones start, so an ack costs O(log ranges) plus the
+// ranges that reach the flight.
 func (c *Conn) resolveAcked(ranges []seqRange) {
 	order := c.sentOrder
+	if len(order) == 0 {
+		return
+	}
 	// order[:w] holds the survivors of order[:r], compacted.
 	w, r := 0, 0
-	for _, rg := range ranges {
+	for _, rg := range ranges[firstRangeReaching(ranges, order[0].seq):] {
 		if r == len(order) {
 			break
 		}

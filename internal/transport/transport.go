@@ -132,16 +132,10 @@ func (e *Endpoint) receive(p *packet.Packet) {
 			return // no listener, or a stray packet: drop
 		}
 	}
-	if d := c.cfg.RxDelay; d > 0 {
-		// Per-flow extra path delay: hold the packet (still owned by the
-		// pool entry) and process it later. Arrival times are monotone
-		// per channel and the delay is constant, so per-channel FIFO
-		// order is preserved; the closure allocation only happens on
-		// flows that opt in.
-		e.loop.After(d, func() {
-			c.handlePacket(p)
-			e.pool.Put(p)
-		})
+	if c.cfg.RxDelay > 0 {
+		// Per-flow extra path delay: the connection holds the packet
+		// (rxHold) and processes it, then pools it, when the delay is up.
+		c.hold(p)
 		return
 	}
 	c.handlePacket(p)
