@@ -240,9 +240,6 @@ func TestVideoSenderAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	if sim.DefaultScheduler != sim.Heap {
-		t.Skip("the timing wheel (-tags sim_wheel) grows a bucket wherever events first land")
-	}
 	short, long := streamAllocs(2*time.Second), streamAllocs(4*time.Second)
 	const frames = 60 // the extra two seconds
 	t.Logf("2 s: %.0f objects, 4 s: %.0f", short, long)

@@ -1,7 +1,6 @@
 package netem
 
 import (
-	"math/rand"
 	"slices"
 	"testing"
 	"time"
@@ -350,13 +349,6 @@ var goldenDrops = []int{28, 29, 31, 35, 66, 73, 82, 83, 99, 112, 113, 128, 135, 
 // were always given: the draws are the same, and a stream nothing
 // draws from costs nothing.
 func TestLazyRNGStreamsIdentical(t *testing.T) {
-	loop := sim.NewLoop(7)
-	want := rand.New(rand.NewSource(7))
-	for i := 0; i < 16; i++ {
-		if got, want := loop.Rand().Int63(), want.Int63(); got != want {
-			t.Fatalf("Loop.Rand() draw %d = %d, want %d", i, got, want)
-		}
-	}
 	if got := lossyDrops(); !slices.Equal(got, goldenDrops) {
 		t.Errorf("a 10%% loss link dropped packets\n%v, want\n%v", got, goldenDrops)
 	}
@@ -365,6 +357,7 @@ func TestLazyRNGStreamsIdentical(t *testing.T) {
 	}
 	// The Link, its two bound methods and its outage closure; the seeded
 	// generator was six objects and 5 KB more.
+	loop := sim.NewLoop(7)
 	cfg := Config{Name: "embb", Trace: trace.Constant("c", 10*time.Millisecond, 100e6)}
 	if got := testing.AllocsPerRun(100, func() { New(loop, cfg, func(*packet.Packet) {}) }); got > 4 {
 		t.Errorf("netem.New of a loss-free link allocates %.0f objects, want <= 4 (no generator)", got)

@@ -1,11 +1,13 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 )
 
-// A target is one scheduler driven by a fuzz program. Timers are named
+// A target is one scheduler driven by a fuzz program: the event loop or
+// the reference it is held to. Timers are named
 // by handle index (after returns the new handle's; reset re-arms a
 // handle in place), lanes by number, and every callback records the id
 // it was scheduled with. Handle 0 is the zero Timer and handle 1 a
@@ -28,9 +30,9 @@ type target interface {
 const fuzzLanes = 2
 
 // A loopTarget drives a real Loop, either with the primitives under
-// test (Reset, Lane) or — plain — with the program they must be
-// indistinguishable from: Stop followed by After, and one At per lane
-// occurrence.
+// test (Reset / ResetAt, Lane.Push) or — plain — with the program they
+// must be indistinguishable from: Stop followed by After, and one At per
+// lane occurrence.
 type loopTarget struct {
 	l       *Loop
 	foreign *Loop
@@ -41,8 +43,8 @@ type loopTarget struct {
 	got     []int
 }
 
-func newLoopTarget(kind Scheduler, plain bool) *loopTarget {
-	lt := &loopTarget{l: NewLoopSched(1, kind), foreign: NewLoopSched(2, kind), plain: plain}
+func newLoopTarget(plain bool) *loopTarget {
+	lt := &loopTarget{l: NewLoop(1), foreign: NewLoop(2), plain: plain}
 	lt.timers = []Timer{{}, lt.foreign.After(time.Hour, func() {})}
 	for k := range lt.lanes {
 		k := k
@@ -229,10 +231,11 @@ func (r *refSched) pending() int {
 func (r *refSched) foreignPending() int { return r.foreign }
 func (r *refSched) fired() []int        { return r.got }
 
-// fuzzDelay draws a delay at one of three magnitudes, so a program
-// exercises the wheel's ready buffer (sub-tick), its level hierarchy
-// (seconds to minutes) and its overflow list (days, past the ~78 h
-// horizon).
+// fuzzDelay draws a delay at one of three magnitudes: tens of
+// microseconds to a few milliseconds, where keys tie and interleave
+// below a millisecond; seconds to minutes, where timers stand long
+// enough to be cancelled and re-armed in bulk and drive compaction; and
+// hours to days, far-future keys that sit under everything else.
 func fuzzDelay(class, mag byte) time.Duration {
 	switch class % 3 {
 	case 0:
@@ -259,17 +262,17 @@ func runProgram(t *testing.T, data []byte, a, b target) {
 		op, hi, arg := data[i]%9, data[i]/9, data[i+1]
 		id := nextID
 		switch op {
-		case 0, 3: // schedule sub-tick to a few ms
+		case 0, 3: // schedule tens of µs to a few ms out
 			nextID++
 			a.after(fuzzDelay(0, arg), id)
 			b.after(fuzzDelay(0, arg), id)
 			handles++
-		case 4: // schedule across wheel levels
+		case 4: // schedule seconds to minutes out
 			nextID++
 			a.after(fuzzDelay(1, arg), id)
 			b.after(fuzzDelay(1, arg), id)
 			handles++
-		case 5: // schedule past the wheel horizon
+		case 5: // schedule hours to days out
 			nextID++
 			a.after(fuzzDelay(2, arg), id)
 			b.after(fuzzDelay(2, arg), id)
@@ -347,7 +350,7 @@ func compareTargets(t *testing.T, op int, a, b target) {
 func fuzzSeeds(f *testing.F) {
 	f.Add([]byte{0, 10, 0, 5, 2, 0, 1, 2, 0, 0})
 	f.Add([]byte{4, 200, 0, 0, 2, 0, 4, 100, 2, 0, 2, 0})
-	// Horizon-crossing schedule mixed with short timers.
+	// Far-future schedule mixed with short timers.
 	f.Add([]byte{5, 1, 0, 3, 2, 0, 5, 2, 2, 0, 2, 0, 2, 0})
 	// One timer (handle 2) pushed out again and again, then pulled in,
 	// with deadlines between its stale key and its current one; then the
@@ -390,6 +393,38 @@ func FuzzLoopSchedule(f *testing.F) {
 		if len(data) > 4096 {
 			data = data[:4096]
 		}
-		runProgram(t, data, newLoopTarget(DefaultScheduler, false), newRefSched())
+		runProgram(t, data, newLoopTarget(false), newRefSched())
 	})
+}
+
+// FuzzWheelVsHeap keeps the name it had when the loop could run on a
+// timing wheel or a heap; with one queue left, it holds the loop's
+// in-place primitives to the plain program on a second loop of the same
+// kind. One loop re-arms with Reset / ResetAt and schedules lane
+// occurrences with Lane.Push; the other runs Stop then After, and one At
+// per occurrence. Where FuzzLoopSchedule checks the loop against an
+// independent oracle, this checks that Reset's in-place re-filing and a
+// lane's single queued head are observably nothing more than the
+// operations they replace, on the same heap.
+func FuzzWheelVsHeap(f *testing.F) {
+	fuzzSeeds(f)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		runProgram(t, data, newLoopTarget(false), newLoopTarget(true))
+	})
+}
+
+// A long randomized soak of the same properties, so plain `go test`
+// exercises deep schedules — compaction, re-filing, lanes refilled
+// mid-run — without waiting for the fuzzer.
+func TestLoopMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 20; trial++ {
+		data := make([]byte, 8000)
+		rng.Read(data)
+		runProgram(t, data, newLoopTarget(false), newRefSched())
+		runProgram(t, data, newLoopTarget(false), newLoopTarget(true))
+	}
 }

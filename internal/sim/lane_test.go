@@ -119,50 +119,45 @@ func TestResetMatchesStopAfter(t *testing.T) {
 			probe(w, "handle", &tm)
 		}},
 	}
-	for _, kind := range []Scheduler{Heap, Wheel} {
-		for _, tc := range cases {
-			run := func(reset bool) []string {
-				w := &world{l: NewLoopSched(1, kind), other: NewLoopSched(2, kind)}
-				w.rearm = func(tm *Timer, d time.Duration, fn func()) {
-					if reset {
-						w.l.Reset(tm, d, fn)
-					} else {
-						tm.Stop()
-						*tm = w.l.After(d, fn)
-					}
+	for _, tc := range cases {
+		run := func(reset bool) []string {
+			w := &world{l: NewLoop(1), other: NewLoop(2)}
+			w.rearm = func(tm *Timer, d time.Duration, fn func()) {
+				if reset {
+					w.l.Reset(tm, d, fn)
+				} else {
+					tm.Stop()
+					*tm = w.l.After(d, fn)
 				}
-				w.l.After(ms, mark(w, "bystander"))
-				tc.run(w)
-				w.l.Run()
-				w.log = append(w.log, fmt.Sprintf("end now=%v pending=%d events=%d", w.l.Now(), w.l.Pending(), w.l.Events()))
-				return w.log
 			}
-			if got, want := run(true), run(false); !slices.Equal(got, want) {
-				t.Errorf("scheduler %d, %s:\nReset:      %q\nStop+After: %q", kind, tc.name, got, want)
-			}
+			w.l.After(ms, mark(w, "bystander"))
+			tc.run(w)
+			w.l.Run()
+			w.log = append(w.log, fmt.Sprintf("end now=%v pending=%d events=%d", w.l.Now(), w.l.Pending(), w.l.Events()))
+			return w.log
+		}
+		if got, want := run(true), run(false); !slices.Equal(got, want) {
+			t.Errorf("%s:\nReset:      %q\nStop+After: %q", tc.name, got, want)
 		}
 	}
 }
 
 // The point of Reset: pushing a queued timer out leaves the queue alone.
 func TestResetKeepsTheQueuedEntry(t *testing.T) {
-	for _, kind := range []Scheduler{Heap, Wheel} {
-		l := NewLoopSched(1, kind)
-		fired := 0
-		tm := l.After(time.Millisecond, func() { fired++ })
-		for i := 0; i < 1000; i++ {
-			l.Reset(&tm, time.Duration(i+2)*time.Millisecond, func() { fired++ })
-			tm.Stop()
-			l.Reset(&tm, time.Duration(i+2)*time.Millisecond, func() { fired++ })
-			if n := l.Queued(); n != 1 {
-				t.Fatalf("scheduler %d: %d entries queued after %d re-arms, want 1", kind, n, i+1)
-			}
+	l := NewLoop(1)
+	fired := 0
+	tm := l.After(time.Millisecond, func() { fired++ })
+	for i := 0; i < 1000; i++ {
+		l.Reset(&tm, time.Duration(i+2)*time.Millisecond, func() { fired++ })
+		tm.Stop()
+		l.Reset(&tm, time.Duration(i+2)*time.Millisecond, func() { fired++ })
+		if n := l.Queued(); n != 1 {
+			t.Fatalf("%d entries queued after %d re-arms, want 1", n, i+1)
 		}
-		l.Run()
-		if fired != 1 || l.Now() != 1001*time.Millisecond || l.Events() != 1 {
-			t.Fatalf("scheduler %d: fired %d times, %d events, clock %v; want once at 1.001s",
-				kind, fired, l.Events(), l.Now())
-		}
+	}
+	l.Run()
+	if fired != 1 || l.Now() != 1001*time.Millisecond || l.Events() != 1 {
+		t.Fatalf("fired %d times, %d events, clock %v; want once at 1.001s", fired, l.Events(), l.Now())
 	}
 }
 
@@ -170,59 +165,57 @@ func TestResetKeepsTheQueuedEntry(t *testing.T) {
 // would run them, interleaved with everything else by (at, seq), while
 // only the lane's head occupies the queue.
 func TestLaneFiresLikeAt(t *testing.T) {
-	for _, kind := range []Scheduler{Heap, Wheel} {
-		run := func(lanes bool) (log []string, peak int) {
-			l := NewLoopSched(1, kind)
-			mark := func(what string) func() {
-				return func() {
-					log = append(log, fmt.Sprintf("%s@%v", what, l.Now()))
-					peak = max(peak, l.Queued())
-				}
+	run := func(lanes bool) (log []string, peak int) {
+		l := NewLoop(1)
+		mark := func(what string) func() {
+			return func() {
+				log = append(log, fmt.Sprintf("%s@%v", what, l.Now()))
+				peak = max(peak, l.Queued())
 			}
-			n := 0
-			ln := NewLane(l, func() { n++; mark(fmt.Sprint("lane", n))() })
-			push := func(at time.Duration) {
-				if lanes {
-					ln.Push(at)
-				} else {
-					l.At(at, ln.fn)
-				}
-			}
-			for i := 0; i < 100; i++ {
-				at := time.Duration(i/3) * time.Millisecond // bursts of three per instant
-				if i%10 == 0 {
-					l.At(at, mark("timer-before"))
-				}
-				push(at)
-				if i%10 == 5 {
-					l.At(at, mark("timer-after"))
-				}
-			}
-			if l.Pending() != 120 {
-				t.Fatalf("Pending = %d after 100 pushes and 20 timers, want 120", l.Pending())
-			}
-			if lanes && (l.Queued() != 21 || ln.Len() != 100) {
-				t.Fatalf("Queued = %d, Len = %d; want the 20 timers and the lane's head queued, 100 held", l.Queued(), ln.Len())
-			}
-			l.RunUntil(10 * time.Millisecond)
-			// Refill a lane that is part-drained, from inside a run.
-			push(35 * time.Millisecond)
-			push(40 * time.Millisecond)
-			l.Run()
-			// And one that ran dry.
-			push(l.Now())
-			l.Run()
-			log = append(log, fmt.Sprintf("end now=%v pending=%d events=%d", l.Now(), l.Pending(), l.Events()))
-			return log, peak
 		}
-		got, peak := run(true)
-		want, _ := run(false)
-		if !slices.Equal(got, want) {
-			t.Errorf("scheduler %d:\nlane: %q\nAt:   %q", kind, got, want)
+		n := 0
+		ln := NewLane(l, func() { n++; mark(fmt.Sprint("lane", n))() })
+		push := func(at time.Duration) {
+			if lanes {
+				ln.Push(at)
+			} else {
+				l.At(at, ln.fn)
+			}
 		}
-		if peak > 21 {
-			t.Errorf("scheduler %d: queue held %d entries, want the 20 timers and the lane's head", kind, peak)
+		for i := 0; i < 100; i++ {
+			at := time.Duration(i/3) * time.Millisecond // bursts of three per instant
+			if i%10 == 0 {
+				l.At(at, mark("timer-before"))
+			}
+			push(at)
+			if i%10 == 5 {
+				l.At(at, mark("timer-after"))
+			}
 		}
+		if l.Pending() != 120 {
+			t.Fatalf("Pending = %d after 100 pushes and 20 timers, want 120", l.Pending())
+		}
+		if lanes && (l.Queued() != 21 || ln.Len() != 100) {
+			t.Fatalf("Queued = %d, Len = %d; want the 20 timers and the lane's head queued, 100 held", l.Queued(), ln.Len())
+		}
+		l.RunUntil(10 * time.Millisecond)
+		// Refill a lane that is part-drained, from inside a run.
+		push(35 * time.Millisecond)
+		push(40 * time.Millisecond)
+		l.Run()
+		// And one that ran dry.
+		push(l.Now())
+		l.Run()
+		log = append(log, fmt.Sprintf("end now=%v pending=%d events=%d", l.Now(), l.Pending(), l.Events()))
+		return log, peak
+	}
+	got, peak := run(true)
+	want, _ := run(false)
+	if !slices.Equal(got, want) {
+		t.Errorf("lane: %q\nAt:   %q", got, want)
+	}
+	if peak > 21 {
+		t.Errorf("queue held %d entries, want the 20 timers and the lane's head", peak)
 	}
 }
 

@@ -145,34 +145,32 @@ func TestResetAndLaneAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	for _, kind := range []Scheduler{Heap, Wheel} {
-		l := NewLoopSched(1, kind)
-		fn := func() {}
-		ln := NewLane(l, fn)
-		tm := l.After(time.Hour, fn)
-		for i := 0; i < 128; i++ { // warm up: a 64-deep lane, the loop's arrays
-			ln.Push(l.Now() + time.Duration(i)*time.Microsecond)
-			if i%2 == 1 {
-				l.Step()
-			}
-		}
-		if avg := testing.AllocsPerRun(200, func() {
-			l.Reset(&tm, time.Hour, fn) // pushed out in place
-			ln.Push(l.Now() + 200*time.Microsecond)
+	l := NewLoop(1)
+	fn := func() {}
+	ln := NewLane(l, fn)
+	tm := l.After(time.Hour, fn)
+	for i := 0; i < 128; i++ { // warm up: a 64-deep lane, the loop's arrays
+		ln.Push(l.Now() + time.Duration(i)*time.Microsecond)
+		if i%2 == 1 {
 			l.Step()
-		}); avg != 0 {
-			t.Errorf("scheduler %d: Reset + Lane.Push + Step allocates %v/op in steady state, want 0", kind, avg)
 		}
-		if avg := testing.AllocsPerRun(200, func() {
-			tm.Stop()
-			l.Reset(&tm, time.Hour, fn)   // revived in place
-			l.Reset(&tm, time.Minute, fn) // pulled in: stop and schedule
-		}); avg != 0 {
-			t.Errorf("scheduler %d: Stop + Reset allocates %v/op in steady state, want 0", kind, avg)
-		}
-		if n := ln.Len(); n != 64 {
-			t.Errorf("scheduler %d: lane holds %d occurrences, want the 64 it was warmed to", kind, n)
-		}
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		l.Reset(&tm, time.Hour, fn) // pushed out in place
+		ln.Push(l.Now() + 200*time.Microsecond)
+		l.Step()
+	}); avg != 0 {
+		t.Errorf("Reset + Lane.Push + Step allocates %v/op in steady state, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		tm.Stop()
+		l.Reset(&tm, time.Hour, fn)   // revived in place
+		l.Reset(&tm, time.Minute, fn) // pulled in: stop and schedule
+	}); avg != 0 {
+		t.Errorf("Stop + Reset allocates %v/op in steady state, want 0", avg)
+	}
+	if n := ln.Len(); n != 64 {
+		t.Errorf("lane holds %d occurrences, want the 64 it was warmed to", n)
 	}
 }
 
@@ -187,6 +185,23 @@ func BenchmarkAfterStep(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		l.After(time.Microsecond, fn)
+		l.Step()
+	}
+}
+
+// BenchmarkDenseTimers schedules and fires one timer per op beside a
+// standing population of 8k timers spread over 100ms, the regime where
+// the heap's O(log n) sift is deepest.
+func BenchmarkDenseTimers(b *testing.B) {
+	l := NewLoop(1)
+	fn := func() {}
+	for i := 0; i < 8192; i++ {
+		l.After(time.Duration(i%100)*time.Millisecond+time.Duration(i)*time.Microsecond, fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l.After(50*time.Millisecond, fn)
 		l.Step()
 	}
 }

@@ -1,12 +1,13 @@
 // Package sim provides the deterministic discrete-event simulation core
 // on which every other package in this repository runs.
 //
-// A Loop owns a virtual clock and an event queue. Callbacks scheduled
-// with At or After run in strictly nondecreasing virtual-time order;
-// events scheduled for the same instant run in the order they were
-// scheduled, so a simulation is a pure function of its inputs and seed.
-// The loop is single-goroutine by design: determinism is what makes the
-// experiment harness reproducible and the test suite meaningful.
+// A Loop owns a virtual clock, an event queue and a seed. Callbacks
+// scheduled with At or After run in strictly nondecreasing virtual-time
+// order; events scheduled for the same instant run in the order they
+// were scheduled, and every random stream is derived from the seed, so
+// a simulation is a pure function of its inputs and seed. The loop is
+// single-goroutine by design: determinism is what makes the experiment
+// harness reproducible and the test suite meaningful.
 //
 // The scheduler is built for a steady state of zero heap allocations:
 // the event queue is an inline 4-ary min-heap of value-type records
@@ -28,7 +29,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"time"
 
 	"hvc/internal/invariant"
@@ -72,30 +72,13 @@ type eventSlot struct {
 // to discard at pop time than to filter out.
 const compactMin = 64
 
-// A Scheduler selects the Loop's event-queue implementation. Both
-// produce the exact same firing order — (at, seq) is a total order and
-// FuzzWheelVsHeap holds them to identical observable behaviour — so the
-// choice is purely a performance trade: the heap does O(log n) ordered
-// work per operation, the wheel does O(1) amortized bucketing and
-// re-sorts only one tick's worth of events at a time.
-type Scheduler uint8
-
-const (
-	// Heap is the inline 4-ary min-heap, the reference implementation.
-	Heap Scheduler = iota
-	// Wheel is the hierarchical timing wheel (see wheel.go).
-	Wheel
-)
-
 // A Loop is a virtual-time event scheduler. The zero value is not ready
 // for use; create one with NewLoop.
 type Loop struct {
-	now  time.Duration
-	heap []heapEntry
-	// wheel, when non-nil, replaces the heap as the event queue; every
-	// queue operation branches on this one nil check so the heap path
-	// stays exactly as fast as before the wheel existed.
-	wheel *wheelQueue
+	now time.Duration
+	// heap is the event queue, a 4-ary min-heap over (at, seq); slots
+	// holds what each entry names.
+	heap  []heapEntry
 	slots []eventSlot
 	// freeHead threads the free slots through the table itself: it is
 	// the most recently freed slot's index + 1 (0: none), and a free
@@ -103,7 +86,6 @@ type Loop struct {
 	freeHead int32
 	seq      uint64
 	seed     int64
-	rng      *rand.Rand
 	stopped  bool
 	// pending counts scheduled, non-cancelled events: live queue
 	// entries plus the occurrences lanes hold behind their heads. It
@@ -118,45 +100,23 @@ type Loop struct {
 	events uint64
 }
 
-// NewLoop returns a Loop whose clock reads zero and whose random source
-// is seeded with seed, using the build's default scheduler. Two loops
-// created with the same seed and driven by the same schedule of
-// callbacks produce identical executions.
+// NewLoop returns a Loop whose clock reads zero and whose Seed is seed.
+// Two loops created with the same seed and driven by the same schedule
+// of callbacks produce identical executions.
 func NewLoop(seed int64) *Loop {
-	return NewLoopSched(seed, DefaultScheduler)
+	return &Loop{seed: seed}
 }
 
-// NewLoopSched returns a Loop backed by an explicit scheduler choice.
-// Results are independent of the choice; only speed differs.
-func NewLoopSched(seed int64, s Scheduler) *Loop {
-	l := &Loop{seed: seed}
-	if s == Wheel {
-		l.wheel = &wheelQueue{}
-	}
-	return l
-}
-
-// Seed reports the seed the loop was created with. Components that
-// need their own random stream (so that drawing from one does not
-// perturb another — netem links, fault processes) derive a private
-// source from it instead of sharing Rand.
+// Seed reports the seed the loop was created with. The loop draws no
+// random numbers itself: each component that needs a random stream
+// (netem loss, fault processes, trace synthesis, the web corpus)
+// derives a private source from the seed, so drawing from one never
+// perturbs another and a seed fully determines a run.
 func (l *Loop) Seed() int64 { return l.seed }
 
 // Now reports the current virtual time, measured from the start of the
 // simulation.
 func (l *Loop) Now() time.Duration { return l.now }
-
-// Rand returns the loop's deterministic random source. All stochastic
-// behaviour in a simulation (loss, trace noise, workload generation)
-// must draw from it so that a seed fully determines a run. The source
-// is seeded on first use — a 607-word generator state is not worth
-// building for the many loops nothing ever draws from.
-func (l *Loop) Rand() *rand.Rand {
-	if l.rng == nil {
-		l.rng = rand.New(rand.NewSource(l.seed))
-	}
-	return l.rng
-}
 
 // Pending reports the number of scheduled events that have neither run
 // nor been cancelled.
@@ -171,12 +131,7 @@ func (l *Loop) Events() uint64 { return l.events }
 // including cancelled ones not yet removed. Occurrences a Lane holds
 // behind its head are pending but not queued. Tests use it to pin the
 // compaction bound and that a flow's packets stay out of the queue.
-func (l *Loop) Queued() int {
-	if l.wheel != nil {
-		return l.wheel.size()
-	}
-	return len(l.heap)
-}
+func (l *Loop) Queued() int { return len(l.heap) }
 
 // A Timer is a handle to a scheduled callback: a slot index plus the
 // generation the slot had when the event was scheduled, so a handle
@@ -241,12 +196,7 @@ func (l *Loop) At(at time.Duration, fn func()) Timer {
 	l.pending++
 	sl := &l.slots[slot]
 	sl.fn, sl.at, sl.seq, sl.state = fn, at, seq, slotLive
-	e := heapEntry{at: at, seq: seq, slot: slot}
-	if l.wheel != nil {
-		l.wheel.push(e)
-	} else {
-		l.push(e)
-	}
+	l.push(heapEntry{at: at, seq: seq, slot: slot})
 	return Timer{loop: l, slot: slot + 1, gen: sl.gen}
 }
 
@@ -309,23 +259,10 @@ func (l *Loop) Step() bool { return l.step(math.MaxInt64) }
 // stale — their timer re-armed since they were filed — are re-filed
 // under their slot's key, neither counting as an event; a queued key
 // never sorts after its slot's, so what fires is always the (at, seq)
-// minimum over everything pending. The heap and the wheel differ only
-// in the three queue operations, spelled out here rather than behind
-// methods too large to inline on the one path every event takes.
+// minimum over everything pending.
 func (l *Loop) step(limit time.Duration) bool {
-	w := l.wheel
-	for {
-		var e heapEntry
-		if w != nil {
-			var ok bool
-			if e, ok = w.front(); !ok {
-				return false
-			}
-		} else if len(l.heap) > 0 {
-			e = l.heap[0]
-		} else {
-			return false
-		}
+	for len(l.heap) > 0 {
+		e := l.heap[0]
 		if e.at > limit {
 			return false
 		}
@@ -344,21 +281,11 @@ func (l *Loop) step(limit time.Duration) bool {
 		}
 		if requeue {
 			// e is the minimum and the slot's key does not sort before
-			// it: on the heap, one sift instead of a pop and a push.
-			next := heapEntry{at: sl.at, seq: sl.seq, slot: e.slot}
-			if w != nil {
-				w.dropFront()
-				w.push(next)
-			} else {
-				l.heap[0] = next
-				l.siftDown(0)
-			}
+			// it: one sift of the root instead of a pop and a push.
+			l.heap[0] = heapEntry{at: sl.at, seq: sl.seq, slot: e.slot}
+			l.siftDown(0)
 		} else {
-			if w != nil {
-				w.dropFront()
-			} else {
-				l.popRoot()
-			}
+			l.popRoot()
 			l.freeSlot(e.slot)
 		}
 		if fn == nil {
@@ -374,6 +301,7 @@ func (l *Loop) step(limit time.Duration) bool {
 		fn()
 		return true
 	}
+	return false
 }
 
 // Run executes events until the queue is empty or Stop is called.
@@ -408,10 +336,6 @@ func (l *Loop) RunUntil(deadline time.Duration) {
 // checking is enabled — once per drive of the loop, so the audit never
 // changes the complexity of a simulation.
 func (l *Loop) checkIntegrity() {
-	if l.wheel != nil {
-		l.checkWheelIntegrity()
-		return
-	}
 	var a queueAudit
 	for i, e := range l.heap {
 		if i > 0 {
@@ -422,7 +346,7 @@ func (l *Loop) checkIntegrity() {
 					i, e.at, e.seq, parent, l.heap[parent].at, l.heap[parent].seq)
 			}
 		}
-		l.auditEntry(&a, "heap", e)
+		l.auditEntry(&a, e)
 	}
 	l.auditCounts(&a)
 }
@@ -433,15 +357,14 @@ type queueAudit struct {
 	laneHeld        int // occurrences lanes hold behind their queued heads
 }
 
-// auditEntry checks one queue entry against its slot, whichever region
-// of whichever queue holds it: the slot exists and is live or
-// cancelled, no live event lies in the past, the entry's key does not
-// sort after the slot's (a stale entry must surface no later than its
-// timer is due), and an entry carrying a lane's head agrees with the
-// lane, whose ring is nondecreasing in (at, seq).
-func (l *Loop) auditEntry(a *queueAudit, region string, e heapEntry) {
+// auditEntry checks one heap entry against its slot: the slot exists
+// and is live or cancelled, no live event lies in the past, the entry's
+// key does not sort after the slot's (a stale entry must surface no
+// later than its timer is due), and an entry carrying a lane's head
+// agrees with the lane, whose ring is nondecreasing in (at, seq).
+func (l *Loop) auditEntry(a *queueAudit, e heapEntry) {
 	if e.slot < 0 || int(e.slot) >= len(l.slots) {
-		invariant.Failf("sim", "heap-slot", "%s entry references slot %d of %d", region, e.slot, len(l.slots))
+		invariant.Failf("sim", "heap-slot", "heap entry references slot %d of %d", e.slot, len(l.slots))
 	}
 	sl := &l.slots[e.slot]
 	switch sl.state {
@@ -460,12 +383,12 @@ func (l *Loop) auditEntry(a *queueAudit, region string, e heapEntry) {
 	case slotCancelled:
 		a.cancelled++
 	default:
-		invariant.Failf("sim", "slot-state", "%s entry references free slot %d", region, e.slot)
+		invariant.Failf("sim", "slot-state", "heap entry references free slot %d", e.slot)
 	}
 	if entryLess(heapEntry{at: sl.at, seq: sl.seq}, e) {
 		invariant.Failf("sim", "stale-key",
-			"%s entry (at=%v seq=%d) sorts after its slot's key (at=%v seq=%d)",
-			region, e.at, e.seq, sl.at, sl.seq)
+			"heap entry (at=%v seq=%d) sorts after its slot's key (at=%v seq=%d)",
+			e.at, e.seq, sl.at, sl.seq)
 	}
 	ln := sl.lane
 	if ln == nil {
@@ -473,8 +396,8 @@ func (l *Loop) auditEntry(a *queueAudit, region string, e heapEntry) {
 	}
 	if ln.n == 0 || ln.slot != e.slot || sl.state != slotLive {
 		invariant.Failf("sim", "lane-order",
-			"%s entry's slot %d (state %d) carries a lane holding %d occurrences at slot %d",
-			region, e.slot, sl.state, ln.n, ln.slot)
+			"heap entry's slot %d (state %d) carries a lane holding %d occurrences at slot %d",
+			e.slot, sl.state, ln.n, ln.slot)
 	}
 	a.laneHeld += ln.n - 1
 	prev := heapEntry{at: sl.at, seq: sl.seq}
@@ -531,12 +454,6 @@ func (l *Loop) freeSlot(slot int32) {
 // cancels most of its timers (pacing, retransmission, delayed acks)
 // keeps the queue proportional to the live event count.
 func (l *Loop) maybeCompact() {
-	if l.wheel != nil {
-		if l.cancelled >= compactMin && l.cancelled > l.wheel.size()/2 {
-			l.wheelCompact()
-		}
-		return
-	}
 	if l.cancelled < compactMin || l.cancelled <= len(l.heap)/2 {
 		return
 	}

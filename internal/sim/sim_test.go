@@ -199,15 +199,6 @@ func TestPendingCount(t *testing.T) {
 	}
 }
 
-func TestDeterministicRand(t *testing.T) {
-	a, b := NewLoop(42), NewLoop(42)
-	for i := 0; i < 100; i++ {
-		if a.Rand().Int63() != b.Rand().Int63() {
-			t.Fatal("same seed must yield identical random streams")
-		}
-	}
-}
-
 // Property: for any batch of events with arbitrary nonnegative delays,
 // the loop fires them in nondecreasing time order and fires all of them.
 func TestEventOrderProperty(t *testing.T) {

@@ -64,9 +64,6 @@ func TestSecondConnectionAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	if sim.DefaultScheduler != sim.Heap {
-		t.Skip("the timing wheel (-tags sim_wheel) grows a bucket wherever events first land")
-	}
 	s := newShortConns()
 	s.session() // warm: grows the arenas, the packet pool, the link rings, the loop
 	got := testing.AllocsPerRun(10, s.session)
