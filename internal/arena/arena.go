@@ -202,6 +202,7 @@ func Run(spec Spec, opt Options) (Result, error) {
 	loop.After(spec.Epoch, sample)
 
 	loop.RunUntil(spec.Dur)
+	transport.CheckLedger(client, server)
 
 	return summarize(spec, conns, srvByFlow, epochs), nil
 }

@@ -264,7 +264,8 @@ func (c *Channel) LossFnInstalled(from Side) bool { return c.link(from).LossFnIn
 // A Group is the set of channels available between one pair of hosts.
 // It also owns the simulation's packet free list: the group is the one
 // object both endpoints share, so packets recycled by the receiving
-// side are reused by the sending side (see packet.Pool).
+// side are reused by the sending side (see packet.Pool), and its links
+// return to it every packet they lose in flight.
 type Group struct {
 	channels  []*Channel
 	byName    map[string]*Channel
@@ -281,6 +282,8 @@ func NewGroup(chs ...*Channel) *Group {
 			panic("channel: duplicate channel name " + c.Name())
 		}
 		c.group = g
+		c.toA.SetPool(&g.pool)
+		c.toB.SetPool(&g.pool)
 		g.channels = append(g.channels, c)
 		g.byName[c.Name()] = c
 	}
@@ -323,6 +326,16 @@ func (g *Group) All() []*Channel { return g.channels }
 
 // Pool returns the group's shared packet free list.
 func (g *Group) Pool() *packet.Pool { return &g.pool }
+
+// Packets reports the packets on the group's links, both directions of
+// every channel: queued, in serialization or propagating.
+func (g *Group) Packets() int {
+	n := 0
+	for _, c := range g.channels {
+		n += c.toA.Packets() + c.toB.Packets()
+	}
+	return n
+}
 
 // Get returns the named channel, or nil when absent.
 func (g *Group) Get(name string) *Channel { return g.byName[name] }

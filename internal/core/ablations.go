@@ -68,6 +68,7 @@ func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant 
 		})
 	}
 	loop.RunUntil(time.Duration(count)*interval + 5*time.Second)
+	transport.CheckLedger(client, server)
 
 	res.DeliveryRate = float64(delivered) / float64(count)
 	for _, ch := range g.All() {
@@ -136,6 +137,7 @@ func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec fl
 		})
 	}
 	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
+	transport.CheckLedger(client, server)
 
 	if ca, ok := clientPolicy.(*steering.CostAware); ok {
 		res.SpentBytes = ca.SpentBytes()
@@ -240,6 +242,7 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 		})
 	}
 	loop.RunUntil(dur)
+	transport.CheckLedger(client, server)
 
 	if bulkSrv != nil {
 		res.BulkMbps = metrics.Mbps(float64(bulkSrv.Stats().BytesReceived) * 8 / dur.Seconds())
@@ -302,6 +305,7 @@ func RunBetaSweep(seed int64, dur time.Duration, betas []float64) []BetaPoint {
 		snd := newVideoSender(loop, conn, vcfg)
 		snd.Start()
 		loop.RunUntil(dur + 20*time.Second)
+		transport.CheckLedger(client, server)
 
 		counts := counter.Counts()
 		total := counts[channel.NameEMBB] + counts[channel.NameURLLC]
@@ -367,6 +371,7 @@ func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost
 		})
 	}
 	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
+	transport.CheckLedger(client, server)
 	return res
 }
 
@@ -421,6 +426,7 @@ func RunTSN(seed int64, dur time.Duration, useTSN bool) TSNResult {
 
 	plant.Start()
 	loop.RunUntil(dur + 2*time.Second)
+	transport.CheckLedger(client, server)
 
 	mode := "best-effort"
 	if useTSN {

@@ -63,6 +63,7 @@ func RunABR(cfg ABRConfig) (ABRResult, error) {
 	// Run well past the media length so stalls resolve and playback
 	// finishes.
 	loop.RunUntil(cfg.Media * 4)
+	transport.CheckLedger(client, server)
 
 	return ABRResult{Policy: cfg.Policy, Result: c.Result()}, nil
 }
@@ -128,6 +129,7 @@ func RunGame(cfg GameConfig) (GameResult, error) {
 
 	s.Start()
 	loop.RunUntil(cfg.Duration + 10*time.Second)
+	transport.CheckLedger(client, server)
 	return GameResult{
 		Policy:         cfg.Policy,
 		InputToDisplay: s.InputToDisplay,

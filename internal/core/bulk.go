@@ -130,6 +130,7 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	conn.SendMessage(conn.NewStream(), 0, size, nil)
 
 	loop.RunUntil(cfg.Duration)
+	transport.CheckLedger(client, server)
 	if res.Capture != nil {
 		res.Capture.Stop()
 	}

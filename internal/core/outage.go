@@ -183,6 +183,7 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	}
 
 	loop.RunUntil(cfg.Duration)
+	transport.CheckLedger(client, server)
 	res.Events = loop.Events()
 
 	// The tail gap counts: a flow still stalled at the end of the run

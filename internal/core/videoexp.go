@@ -101,6 +101,7 @@ func RunVideo(cfg VideoConfig) (VideoResult, error) {
 	// Run past the stream's end so queued tail traffic (multi-second
 	// under mmWave driving) arrives and decodes.
 	loop.RunUntil(cfg.Duration + 20*time.Second)
+	transport.CheckLedger(client, server)
 
 	return VideoResult{
 		Trace:   cfg.Trace,

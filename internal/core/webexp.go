@@ -147,6 +147,7 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 	}
 	runLoad(0, 0)
 	loop.RunUntil(4 * time.Hour) // generous ceiling; Stop ends it early
+	transport.CheckLedger(client, server)
 
 	if !done {
 		return res, fmt.Errorf("core: web experiment did not finish (%d loads done)", res.PLT.N())

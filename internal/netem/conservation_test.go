@@ -60,6 +60,11 @@ func conservationUnder(t *testing.T, spec fault.Spec, seed int64) {
 	if sent == 0 || delivered == 0 {
 		t.Fatalf("degenerate run: sent=%d delivered=%d", sent, delivered)
 	}
+	// The sinks pool what arrives, the offer loop what is refused, and
+	// the links what they lose: drained, the pool has everything back.
+	if live := g.Pool().Live(); live != 0 {
+		t.Errorf("%d packets never came back to the pool", live)
+	}
 	for _, ch := range g.All() {
 		for _, side := range []channel.Side{channel.A, channel.B} {
 			st := ch.Stats(side)

@@ -80,6 +80,10 @@ type arrival struct {
 // nondecreasing — so they are scheduled on a sim.Lane: however many
 // packets are propagating, the loop's queue holds the next arrival
 // only, and each arrival delivers the head of the in-flight ring.
+//
+// A packet Send accepts is the link's from then on: it reaches the sink,
+// or — lost in flight — goes back to the packet pool SetPool named, once
+// the drop is counted and traced (with no pool, to the collector).
 type Link struct {
 	loop *sim.Loop
 	cfg  Config
@@ -119,6 +123,9 @@ type Link struct {
 	rateScale  float64       // multiplies the trace rate; 1 = nominal
 	extraDelay time.Duration // added one-way propagation delay
 	lossFn     func() bool   // extra per-packet drop process (bursts)
+
+	// pool takes back the packets lost in flight; nil outside a group.
+	pool *packet.Pool
 
 	stats  Stats
 	tracer *telemetry.Tracer
@@ -307,10 +314,20 @@ func (l *Link) ExtraDelay() time.Duration { return l.extraDelay }
 // installed.
 func (l *Link) LossFnInstalled() bool { return l.lossFn != nil }
 
+// SetPool makes the link hand every packet it loses in flight — to
+// LossProb or to an installed loss process — back to pl. channel.NewGroup
+// wires each link of a group to the group's packet pool.
+func (l *Link) SetPool(pl *packet.Pool) { l.pool = pl }
+
+// Packets reports how many packets the link holds: queued (the one in
+// serialization included) or propagating.
+func (l *Link) Packets() int { return l.queue.len() + l.inflight.len() }
+
 // Send offers a packet to the link. It reports false when the packet
-// was dropped at entry (queue overflow — a congestion signal) and true
-// when it was accepted. Random wireless loss happens in flight, after
-// serialization, so an accepted packet may still never arrive.
+// was dropped at entry (queue overflow — a congestion signal), and the
+// packet stays the caller's; true when it was accepted, and the packet
+// is the link's (see Link). Random wireless loss happens in flight,
+// after serialization, so an accepted packet may still never arrive.
 func (l *Link) Send(p *packet.Packet) bool {
 	l.stats.Sent++
 	if l.queuedBytes+p.Size > l.cfg.QueueBytes {
@@ -412,6 +429,9 @@ func (l *Link) finishTx() {
 				Bytes: p.Size, Detail: reason,
 			})
 			l.tracer.Count("netem_dropped_total", 1, "channel", l.cfg.Name, "reason", reason)
+		}
+		if l.pool != nil {
+			l.pool.Put(p)
 		}
 		l.kick()
 		return

@@ -7,6 +7,8 @@ package packet
 import (
 	"fmt"
 	"time"
+
+	"hvc/internal/invariant"
 )
 
 // A FlowID names one end-to-end flow. IDs are allocated by the caller
@@ -92,6 +94,9 @@ type Packet struct {
 	// Copy reports that this packet is a redundant duplicate created
 	// by reliability-oriented steering; receivers deduplicate on ID.
 	Copy bool
+	// pooled marks a packet sitting in a Pool's free list (Put sets it,
+	// Get clears it). It lives in Copy's padding, so it costs no space.
+	pooled bool
 
 	// Payload carries an opaque reference for the endpoint above the
 	// network layer (a transport segment or an application message
@@ -123,9 +128,11 @@ func (g *IDGen) Next() uint64 {
 // is not safe for concurrent use, matching the single-threaded core).
 // Sharing one pool between both endpoints of a channel group closes
 // the allocation cycle: packets freed where they arrive are reused
-// where the next transmission originates, so a steady-state flow
-// allocates no packets at all. The zero value is an empty pool ready
-// for use.
+// where the next transmission originates, and what the network
+// discards comes back too — the group's links return the packets they
+// lose in flight, the transport the ones a channel refuses at entry —
+// so a steady-state flow allocates no packets at all, lossy or not.
+// The zero value is an empty pool ready for use.
 //
 // Get does not clear the returned packet — in particular Payload may
 // still hold the previous use's payload box, which the transport
@@ -139,17 +146,32 @@ func (g *IDGen) Next() uint64 {
 // cross the group: the side that detaches a box of one kind is never
 // the side that next needs one, and only a cache both sides share lets
 // the boxes circulate with the packets.
+//
+// The pool keeps the books its world is held to: Live counts the
+// packets handed out and not yet returned, which the packet ledger
+// (invariant packet/ledger, transport.CheckLedger) balances against
+// what the world's links and endpoints hold. Put marks a packet pooled
+// and Get clears the mark, so that with invariant checking on, a second
+// Put of the same packet fails packet/double-put.
 type Pool struct {
 	free  []*Packet
 	boxes [Control + 1][]any
+	live  int
 }
+
+// errDoublePut is a fixed violation: formatting one on the failure path
+// would keep Put from inlining.
+var errDoublePut = &invariant.Violation{Layer: "packet", Name: "double-put",
+	Detail: "a packet was put back into its pool while already there"}
 
 // Get returns a recycled packet, or a fresh one when the pool is empty.
 func (pl *Pool) Get() *Packet {
+	pl.live++
 	if n := len(pl.free); n > 0 {
 		p := pl.free[n-1]
 		pl.free[n-1] = nil
 		pl.free = pl.free[:n-1]
+		p.pooled = false
 		return p
 	}
 	return &Packet{}
@@ -160,8 +182,17 @@ func (pl *Pool) Put(p *Packet) {
 	if p == nil {
 		return
 	}
+	if p.pooled && invariant.Enabled() {
+		panic(errDoublePut)
+	}
+	p.pooled = true
+	pl.live--
 	pl.free = append(pl.free, p)
 }
+
+// Live reports how many packets Get has handed out that Put has not
+// taken back.
+func (pl *Pool) Live() int { return pl.live }
 
 // PutBox parks a payload box detached from a pooled packet, filed
 // under the kind of packet it serves.

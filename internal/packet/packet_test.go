@@ -3,7 +3,19 @@ package packet
 import (
 	"strings"
 	"testing"
+	"unsafe"
 )
+
+// The pool's mark sits in padding: a Packet is as large as it was
+// without it.
+func TestPacketSize(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("size pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(Packet{}); got != 112 {
+		t.Fatalf("unsafe.Sizeof(Packet{}) = %d, want 112", got)
+	}
+}
 
 func TestKindString(t *testing.T) {
 	cases := []struct {

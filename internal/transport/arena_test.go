@@ -189,6 +189,26 @@ func TestRecordOwnerInvariants(t *testing.T) {
 	}
 }
 
+// The packet ledger holds a world to its pool: a packet taken from the
+// pool and never sent is on no link and on no hold, and a packet put
+// back twice is caught at the second Put.
+func TestPacketLedgerInvariants(t *testing.T) {
+	if !invariant.Compiled {
+		t.Skip("invariant layer compiled out")
+	}
+	w := newWorld(1)
+	pool := w.group.Pool()
+	p := pool.Get()
+	if v := violation(t, func() { CheckLedger(w.client, w.server) }); v.Layer != "packet" || v.Name != "ledger" {
+		t.Errorf("a packet out of the pool and nowhere else: %v", v)
+	}
+	pool.Put(p)
+	CheckLedger(w.client, w.server)
+	if v := violation(t, func() { pool.Put(p) }); v.Layer != "packet" || v.Name != "double-put" {
+		t.Errorf("second Put of one packet: %v", v)
+	}
+}
+
 // liveTimers counts the connection's armed timers.
 func liveTimers(c *Conn) int {
 	n := 0

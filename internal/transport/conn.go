@@ -355,20 +355,9 @@ func (c *Conn) sendSYN() {
 		return
 	}
 	p := c.newPacket(packet.Control, packet.HeaderBytes)
-	p.Payload = ctrlBox(p, ctrlPayload{syn: true})
+	p.Payload = c.ep.ctrlBox(p, ctrlPayload{syn: true})
 	c.transmitCtrl(p)
 	c.synTimer = c.loop.After(time.Duration(c.synTries)*time.Second, c.sendSYNFn)
-}
-
-// ctrlBox reuses the pooled packet's payload box for a control payload
-// when the type matches, else allocates one.
-func ctrlBox(p *packet.Packet, v ctrlPayload) *ctrlPayload {
-	pl, ok := p.Payload.(*ctrlPayload)
-	if !ok {
-		pl = new(ctrlPayload)
-	}
-	*pl = v
-	return pl
 }
 
 func (c *Conn) handleCtrl(pl *ctrlPayload) {
@@ -376,7 +365,7 @@ func (c *Conn) handleCtrl(pl *ctrlPayload) {
 	case pl.syn:
 		// Duplicate SYN for an existing conn: re-answer.
 		p := c.newPacket(packet.Control, packet.HeaderBytes)
-		p.Payload = ctrlBox(p, ctrlPayload{synack: true})
+		p.Payload = c.ep.ctrlBox(p, ctrlPayload{synack: true})
 		c.transmitCtrl(p)
 	case pl.synack:
 		if !c.established {

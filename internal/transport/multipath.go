@@ -82,13 +82,16 @@ func (c *Conn) initSubflows() {
 // transmit sends p on the subflow's path — its pinned channel, or for
 // the steered subflow whatever the steering policy picks, replicas
 // included — and appends the names of the channels that accepted a
-// copy to carried (see Endpoint.transmit).
+// copy to carried. Like Endpoint.transmit it takes p: a packet the
+// pinned channel refuses goes back to the pool.
 func (c *Conn) transmit(sf *subflow, p *packet.Packet, carried []string) []string {
 	if sf.ch == nil {
 		return c.ep.transmit(c, p, carried)
 	}
 	if sf.ch.Send(c.ep.side, p) {
 		carried = append(carried, sf.name)
+	} else {
+		c.ep.pool.Put(p)
 	}
 	return carried
 }

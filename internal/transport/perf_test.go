@@ -65,10 +65,11 @@ func (f fixedWindow) OnLoss(cc.LossEvent)       {}
 // one channel the flow is single-path; with more it is multipath, one
 // subflow and one window per channel.
 type bulkDrive struct {
-	loop     *sim.Loop
-	conn     *Conn
-	srv      *Conn
-	deadline time.Duration
+	loop           *sim.Loop
+	client, server *Endpoint
+	conn           *Conn
+	srv            *Conn
+	deadline       time.Duration
 }
 
 func newBulkDrive(window, channels int) *bulkDrive {
@@ -82,20 +83,74 @@ func newBulkDrive(window, channels int) *bulkDrive {
 			QueueBytes: 64 << 20,
 		}))
 	}
-	g := channel.NewGroup(chs...)
-	client, server := NewEndpoint(loop, g, channel.A), NewEndpoint(loop, g, channel.B)
-	d := &bulkDrive{loop: loop}
 	cfg := func(window int) Config {
 		if channels > 1 {
 			return Config{Multipath: true, NewCC: func() cc.Algorithm { return fixedWindow{window * cc.MSS} }}
 		}
 		return Config{CC: fixedWindow{window * cc.MSS}, Steer: steering.NewSingle(chs[0])}
 	}
-	server.Listen(func() Config { return cfg(64) }, func(c *Conn) { d.srv = c })
-	d.conn = client.Dial(cfg(window))
-	d.conn.SendMessage(d.conn.NewStream(), 0, 1<<40, nil)
+	d := startDrive(loop, channel.NewGroup(chs...), cfg, window)
 	d.run(2 * window * channels) // handshake, then fill the windows and every free list
 	return d
+}
+
+// startDrive dials the drive's flow across g: cfg(window) for the
+// client, cfg(64) for the server, which only acknowledges.
+func startDrive(loop *sim.Loop, g *channel.Group, cfg func(window int) Config, window int) *bulkDrive {
+	d := &bulkDrive{loop: loop, client: NewEndpoint(loop, g, channel.A), server: NewEndpoint(loop, g, channel.B)}
+	d.server.Listen(func() Config { return cfg(64) }, func(c *Conn) { d.srv = c })
+	d.conn = d.client.Dial(cfg(window))
+	d.conn.SendMessage(d.conn.NewStream(), 0, 1<<40, nil)
+	return d
+}
+
+// newLossyDrive is a bulk flow over two lossy, shallow channels — 2 %
+// i.i.d. loss each way, a 16 KB entry queue against a window of more
+// than the path holds — that stays on the first channel or replicates
+// every packet over both. In every round trip data and acks are lost
+// in flight and data is refused at entry, the original of a replicated
+// packet included.
+func newLossyDrive(replicate bool) *bulkDrive {
+	loop := sim.NewLoop(1)
+	var chs []*channel.Channel
+	for i := 0; i < 2; i++ {
+		name := fmt.Sprint("lossy", i)
+		chs = append(chs, channel.New(loop, channel.Config{
+			Props:      channel.Properties{Name: name, BaseRTT: 10 * time.Millisecond, Bandwidth: 100e6, LossProb: 0.02},
+			DownTrace:  trace.Constant(name, 10*time.Millisecond, 100e6),
+			QueueBytes: 16 << 10,
+		}))
+	}
+	g := channel.NewGroup(chs...)
+	cfg := func(window int) Config {
+		pol := steering.Policy(steering.NewSingle(chs[0]))
+		if replicate {
+			pol = steering.NewRedundant(g)
+		}
+		return Config{CC: fixedWindow{window * cc.MSS}, Steer: pol}
+	}
+	d := startDrive(loop, g, cfg, 128)
+	d.run(4096) // handshake, then grow every free list to the losses' churn
+	return d
+}
+
+// lossyShapes are the lossy drive's two steering regimes.
+var lossyShapes = []struct {
+	name      string
+	replicate bool
+}{{"single-path", false}, {"replicated", true}}
+
+// losses counts the packets the drive's links dropped, at entry or in
+// flight.
+func (d *bulkDrive) losses() int {
+	n := 0
+	for _, ch := range d.client.group.All() {
+		for _, side := range []channel.Side{channel.A, channel.B} {
+			st := ch.Stats(side)
+			n += st.DroppedQueue + st.DroppedRandom
+		}
+	}
+	return n
 }
 
 // received reports the data packets delivered so far.
@@ -424,6 +479,51 @@ func TestBulkFlowMemoryBounded(t *testing.T) {
 				t.Errorf("%d allocations over %d packets, want a steady flow to allocate nothing", n, sent)
 			}
 			runtime.KeepAlive(d)
+		})
+	}
+}
+
+// Nor does a lossy flow, once warm: what the network discards — packets
+// lost in flight, packets a full queue refuses at entry, the original of
+// a replicated packet among them — goes back to the group's pool with
+// its payload box and is the next packet sent. Without that, every loss
+// cost a packet and a box. What remains is the receiver's range set,
+// which grows by one range per lost sequence number (amortised, a few
+// allocations in ten thousand packets).
+func TestLossyFlowAllocFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, shape := range lossyShapes {
+		t.Run(shape.name, func(t *testing.T) {
+			d := newLossyDrive(shape.replicate)
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			mallocs0, losses0 := ms.Mallocs, d.losses()
+			sent := d.run(10_000)
+			runtime.ReadMemStats(&ms)
+			n, losses := ms.Mallocs-mallocs0, d.losses()-losses0
+			t.Logf("%d allocations over %d packets and %d losses", n, sent, losses)
+			if losses < sent/50 {
+				t.Fatalf("%d losses over %d packets: the drive is not lossy", losses, sent)
+			}
+			if n > 16 {
+				t.Errorf("%d allocations over %d packets and %d losses, want a lossy flow to allocate nothing", n, sent, losses)
+			}
+			CheckLedger(d.client, d.server)
+		})
+	}
+}
+
+// BenchmarkLossyFlow reports what a lossy flow costs per delivered
+// packet once warm, allocations included (0 expected).
+func BenchmarkLossyFlow(b *testing.B) {
+	for _, shape := range lossyShapes {
+		b.Run(shape.name, func(b *testing.B) {
+			d := newLossyDrive(shape.replicate)
+			b.ReportAllocs()
+			b.ResetTimer()
+			d.run(b.N)
 		})
 	}
 }

@@ -52,6 +52,7 @@ func exactlyOnceUnder(t *testing.T, spec fault.Spec, seed int64) {
 			// Run far past the schedule so every retransmission and every
 			// stale copy stranded on a blacked-out channel drains out.
 			w.loop.RunUntil(60 * time.Second)
+			CheckLedger(w.client, w.server)
 
 			seen := make(map[int]int)
 			for _, m := range got {

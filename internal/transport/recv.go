@@ -74,6 +74,7 @@ func (c *Conn) hold(p *packet.Packet) {
 	due := c.loop.Now() + c.cfg.RxDelay
 	h.q.push(heldPacket{p, due})
 	h.lane.Push(due)
+	c.ep.held++
 }
 
 // release is the lane's callback: the oldest held packet is due. The
@@ -95,6 +96,7 @@ func (h *rxHold) release() {
 	}
 	c.handlePacket(held.p)
 	c.ep.pool.Put(held.p)
+	c.ep.held--
 }
 
 // handleData processes one arriving data packet.

@@ -227,9 +227,12 @@ func (c *Conn) backoffSend() {
 // whether any channel accepted the packet.
 func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	now := c.loop.Now()
-	p := c.newPacket(packet.Data, ch.frag.length+packet.HeaderBytes)
+	size := ch.frag.length
+	wire := size + packet.HeaderBytes
+	p := c.newPacket(packet.Data, wire)
 	c.nextSeq++
-	p.Seq = c.nextSeq
+	seq := c.nextSeq
+	p.Seq = seq
 	p.Priority = ch.frag.prio
 	p.MsgID = ch.frag.msgID
 	p.MsgRemaining = ch.frag.total - ch.frag.offset - ch.frag.length
@@ -238,6 +241,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	*frag = ch.frag
 	p.Payload = frag
 
+	// transmit takes p; from here on seq, size and wire describe it.
 	var carried []string
 	var info *sentInfo
 	if c.cfg.Unreliable {
@@ -248,14 +252,14 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 		info.channels = c.transmit(sf, p, info.channels[:0])
 		carried = info.channels
 	}
-	c.stats.BytesSent += int64(ch.frag.length)
+	c.stats.BytesSent += int64(size)
 	if c.tracer.Enabled() {
 		c.tracer.Emit(telemetry.Event{
 			Layer: telemetry.LayerTransport, Name: telemetry.EvSend,
 			Channel: telemetry.JoinNames(carried), Flow: uint32(c.flow),
-			Seq: p.Seq, Msg: p.MsgID, Bytes: ch.frag.length,
+			Seq: seq, Msg: ch.frag.msgID, Bytes: size,
 		})
-		c.tracer.Count("transport_sent_bytes_total", float64(ch.frag.length), "flow", flowLabel(c.flow))
+		c.tracer.Count("transport_sent_bytes_total", float64(size), "flow", flowLabel(c.flow))
 	}
 
 	if c.cfg.Unreliable {
@@ -265,8 +269,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 		return true
 	}
 
-	size := ch.frag.length
-	info.seq = p.Seq
+	info.seq = seq
 	info.sub = sf
 	info.size = size
 	info.chunk = ch
@@ -285,7 +288,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	info.appLimited = c.sched.empty()
 
 	if rate := sf.alg.PacingRate(); rate > 0 {
-		interval := time.Duration(float64(p.Size) * 8 / rate * float64(time.Second))
+		interval := time.Duration(float64(wire) * 8 / rate * float64(time.Second))
 		if sf.pacingNext < now {
 			sf.pacingNext = now
 		}

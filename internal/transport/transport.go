@@ -51,6 +51,10 @@ type Endpoint struct {
 	ctrlNames []string
 	// rec lends every connection of the endpoint its transport records.
 	rec arena
+	// held counts the packets on hold for the endpoint's delayed
+	// connections (Config.RxDelay), closed ones included — a hold drains
+	// after its connection closes — for the packet ledger (CheckLedger).
+	held int
 
 	listenCfg func() Config
 	accept    func(*Conn)
@@ -175,10 +179,35 @@ func (e *Endpoint) acceptConn(p *packet.Packet) *Conn {
 // forget removes a closed connection from the demux table.
 func (e *Endpoint) forget(flow packet.FlowID) { delete(e.conns, flow) }
 
+// CheckLedger asserts packet/ledger for the world of eps, the endpoints
+// of one channel group, when invariant checking is on: every packet the
+// group's pool has handed out and not taken back is on one of its links
+// (queued, in serialization or propagating) or on hold at one of eps.
+// Any other packet has leaked — discarded without going back to the
+// pool, or still referenced by a component done with it. Call it where
+// a run ends, between events.
+func CheckLedger(eps ...*Endpoint) {
+	if !invariant.Enabled() || len(eps) == 0 {
+		return
+	}
+	g := eps[0].group
+	onLinks, held := g.Packets(), 0
+	for _, e := range eps {
+		held += e.held
+	}
+	if live := g.Pool().Live(); live != onLinks+held {
+		invariant.Failf("packet", "ledger",
+			"%d packets out of the pool, %d on links and %d on hold", live, onLinks, held)
+	}
+}
+
 // transmit steers and transmits p, cloning it per channel when the
 // policy replicates. Channel names of the copies that were accepted
 // are appended to carried (pass a reusable buffer sliced to zero
 // length; an empty result means every copy was dropped at entry).
+// transmit takes p: once it returns, the caller must not touch it. An
+// accepted copy is its link's; a refused one is back in the pool — the
+// original too, once the clones have been copied from it.
 func (e *Endpoint) transmit(c *Conn, p *packet.Packet, carried []string) []string {
 	chs := c.cfg.Steer.Pick(p)
 	if len(chs) == 0 {
@@ -203,18 +232,23 @@ func (e *Endpoint) transmit(c *Conn, p *packet.Packet, carried []string) []strin
 				"policy", c.cfg.Steer.Name(), "channel", name, "reason", reason)
 		}
 	}
+	refused := false
 	for i, ch := range chs {
 		q := p
 		if i > 0 {
 			q = e.clone(p)
 		}
-		if ch.Send(e.side, q) {
+		switch {
+		case ch.Send(e.side, q):
 			carried = append(carried, ch.Name())
-		} else if i > 0 {
-			// A clone refused at entry is dead on the spot; the
-			// original stays with the caller, which may still read it.
+		case i > 0:
 			e.pool.Put(q)
+		default:
+			refused = true // the clones are still to be copied from it
 		}
+	}
+	if refused {
+		e.pool.Put(p)
 	}
 	return carried
 }
@@ -260,25 +294,22 @@ func (e *Endpoint) clone(p *packet.Packet) *packet.Packet {
 		na.ranges = append(na.ranges[:0], pl.ranges...)
 		q.Payload = na
 	case *ctrlPayload:
-		nc := *pl
-		q.Payload = &nc
+		q.Payload = e.ctrlBox(q, *pl)
 	}
 	return q
 }
 
 // fragBox returns a fragment payload box for the pooled packet p:
 // p's attached box when the type matches, else one the group's pool
-// has parked, else a fresh one. A mismatched ack box is parked in turn
-// — in the pool, not here, because this endpoint mostly sends one kind
-// and receives the other: the boxes it detaches are the ones its peer
-// needs. The box contents are stale; callers overwrite.
+// has parked, else a fresh one. A mismatched box is parked in turn
+// (park) — in the pool, not here, because this endpoint mostly sends
+// one kind and receives the other: the boxes it detaches are the ones
+// its peer needs. The box contents are stale; callers overwrite.
 func (e *Endpoint) fragBox(p *packet.Packet) *fragment {
-	switch old := p.Payload.(type) {
-	case *fragment:
-		return old
-	case *ackPayload:
-		e.pool.PutBox(packet.Ack, old)
+	if f, ok := p.Payload.(*fragment); ok {
+		return f
 	}
+	e.park(p.Payload)
 	if f, ok := e.pool.GetBox(packet.Data).(*fragment); ok {
 		return f
 	}
@@ -287,14 +318,39 @@ func (e *Endpoint) fragBox(p *packet.Packet) *fragment {
 
 // ackBox is fragBox's counterpart for acknowledgment payloads.
 func (e *Endpoint) ackBox(p *packet.Packet) *ackPayload {
-	switch old := p.Payload.(type) {
-	case *ackPayload:
-		return old
-	case *fragment:
-		e.pool.PutBox(packet.Data, old)
+	if a, ok := p.Payload.(*ackPayload); ok {
+		return a
 	}
+	e.park(p.Payload)
 	if a, ok := e.pool.GetBox(packet.Ack).(*ackPayload); ok {
 		return a
 	}
 	return new(ackPayload)
+}
+
+// ctrlBox is fragBox's counterpart for control payloads, filled with v.
+func (e *Endpoint) ctrlBox(p *packet.Packet, v ctrlPayload) *ctrlPayload {
+	pl, ok := p.Payload.(*ctrlPayload)
+	if !ok {
+		e.park(p.Payload)
+		if pl, ok = e.pool.GetBox(packet.Control).(*ctrlPayload); !ok {
+			pl = new(ctrlPayload)
+		}
+	}
+	*pl = v
+	return pl
+}
+
+// park files a payload box detached from a pooled packet with the
+// group's pool, under the kind of packet it serves. A fresh packet has
+// none (nil), which is dropped.
+func (e *Endpoint) park(box any) {
+	switch box.(type) {
+	case *fragment:
+		e.pool.PutBox(packet.Data, box)
+	case *ackPayload:
+		e.pool.PutBox(packet.Ack, box)
+	case *ctrlPayload:
+		e.pool.PutBox(packet.Control, box)
+	}
 }
