@@ -88,10 +88,6 @@ type Channel struct {
 	// group is the owning Group (set by NewGroup); outage recovery
 	// notifies its wake-on-up waiters.
 	group *Group
-	// downUntil is the advisory end time of the active fault outage
-	// (0 = none or unknown), recorded by SetOutageUntil so the outage
-	// experiment's fast-forward can prove how long the blackout lasts.
-	downUntil time.Duration
 }
 
 // New builds a channel on the given loop. Delivery sinks start unset;
@@ -193,36 +189,10 @@ func (c *Channel) SetOutage(down bool) {
 	wasDown := c.Down()
 	c.toA.SetDown(down)
 	c.toB.SetDown(down)
-	if !down {
-		c.downUntil = 0
-		if wasDown && c.group != nil {
-			c.group.notifyUp()
-		}
+	if !down && wasDown && c.group != nil {
+		c.group.notifyUp()
 	}
 }
-
-// SetOutageUntil blacks out the channel like SetOutage(true) and
-// records the scheduled recovery time as an advisory hint readable via
-// DownUntil. The fault layer knows each window's duration, so it can
-// tell consumers how long the blackout will last — which is what lets
-// the outage experiment fast-forward across it.
-func (c *Channel) SetOutageUntil(until time.Duration) {
-	c.SetOutage(true)
-	c.downUntil = until
-}
-
-// DownUntil reports the advisory recovery time of the active outage,
-// or 0 when the channel is up or the outage has no known end.
-func (c *Channel) DownUntil() time.Duration { return c.downUntil }
-
-// Headroom reports the entry-queue bytes still available in the
-// direction leaving side from.
-func (c *Channel) Headroom(from Side) int { return c.link(from).Headroom() }
-
-// Transmitting reports whether the direction leaving side from has a
-// packet mid-serialization (or a trace wake pending); see
-// netem.Link.Transmitting.
-func (c *Channel) Transmitting(from Side) bool { return c.link(from).Transmitting() }
 
 // Down reports whether a fault outage is active on either direction.
 // Steering policies consult it to fail over off a dead channel and to

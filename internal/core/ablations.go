@@ -5,13 +5,13 @@ import (
 	"time"
 
 	"hvc/internal/app/iot"
+	"hvc/internal/app/video"
 	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/metrics"
 	"hvc/internal/packet"
 	"hvc/internal/sim"
 	"hvc/internal/steering"
-	"hvc/internal/trace"
 	"hvc/internal/transport"
 )
 
@@ -61,11 +61,14 @@ func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant 
 
 	conn := client.Dial(transport.Config{Steer: policy, Unreliable: true})
 	st := conn.NewStream()
+	// The sends fire in message order, so one callback numbers them.
+	next := 0
+	sends := sim.NewLane(loop, func() {
+		conn.SendMessage(st, 0, sizeBytes, next)
+		next++
+	})
 	for i := 0; i < count; i++ {
-		i := i
-		loop.At(time.Duration(i)*interval, func() {
-			conn.SendMessage(st, 0, sizeBytes, i)
-		})
+		sends.Push(time.Duration(i) * interval)
 	}
 	loop.RunUntil(time.Duration(count)*interval + 5*time.Second)
 	transport.CheckLedger(client, server)
@@ -131,10 +134,11 @@ func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec fl
 		res.Latency.AddDuration(loop.Now() - meta.at)
 	})
 	st := conn.NewStream()
+	requests := sim.NewLane(loop, func() {
+		conn.SendMessage(st, 0, 1_000, reqMeta{at: loop.Now()})
+	})
 	for i := 0; i < count; i++ {
-		loop.At(time.Duration(i)*interval, func() {
-			conn.SendMessage(st, 0, 1_000, reqMeta{at: loop.Now()})
-		})
+		requests.Push(time.Duration(i) * interval)
 	}
 	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
 	transport.CheckLedger(client, server)
@@ -232,14 +236,14 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 	})
 	probeStream := probe.NewStream()
 	// One probe every 100 ms after a 2 s warmup, plus a queue sampler.
+	probes := sim.NewLane(loop, func() {
+		probe.SendMessage(probeStream, 0, probeBytes, nil)
+		if q := g.Get(channel.NameURLLC).QueuedBytes(channel.A); q > res.URLLCMaxQueue {
+			res.URLLCMaxQueue = q
+		}
+	})
 	for at := 2 * time.Second; at < dur; at += 100 * time.Millisecond {
-		at := at
-		loop.At(at, func() {
-			probe.SendMessage(probeStream, 0, probeBytes, nil)
-			if q := g.Get(channel.NameURLLC).QueuedBytes(channel.A); q > res.URLLCMaxQueue {
-				res.URLLCMaxQueue = q
-			}
-		})
+		probes.Push(at)
 	}
 	loop.RunUntil(dur)
 	transport.CheckLedger(client, server)
@@ -253,10 +257,6 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 // probeBytes is the latency probe's message size: small enough that a
 // healthy URLLC delivers it in a handful of milliseconds.
 const probeBytes = 500
-
-func fixedEMBB() *trace.Trace {
-	return trace.Constant("embb-fixed", 50*time.Millisecond, 60e6)
-}
 
 // BetaPoint reports one point of the DChannel reward/cost β sweep: how
 // aggressively the heuristic spends the narrow channel, evaluated on
@@ -286,8 +286,8 @@ func RunBetaSweep(seed int64, dur time.Duration, betas []float64) []BetaPoint {
 		client := transport.NewEndpoint(loop, g, channel.A)
 		server := transport.NewEndpoint(loop, g, channel.B)
 
-		vcfg := videoConfigFor(dur)
-		recv := newVideoReceiver(loop, vcfg)
+		vcfg := video.Config{Duration: dur}
+		recv := video.NewReceiver(loop, vcfg)
 		server.Listen(func() transport.Config {
 			return transport.Config{
 				Steer:      steering.NewDChannel(g, channel.B, steering.DChannelConfig{Beta: beta}),
@@ -302,7 +302,7 @@ func RunBetaSweep(seed int64, dur time.Duration, betas []float64) []BetaPoint {
 			Unreliable: true,
 			MsgTimeout: 30 * time.Second,
 		})
-		snd := newVideoSender(loop, conn, vcfg)
+		snd := video.NewSender(loop, conn, vcfg)
 		snd.Start()
 		loop.RunUntil(dur + 20*time.Second)
 		transport.CheckLedger(client, server)
@@ -365,10 +365,11 @@ func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost
 	alg, _ := NewCC("cubic")
 	conn := client.Dial(transport.Config{CC: alg, Steer: mkPolicy(channel.A)})
 	st := conn.NewStream()
+	sends := sim.NewLane(loop, func() {
+		conn.SendMessage(st, 0, msgBytes, nil)
+	})
 	for i := 0; i < count; i++ {
-		loop.At(time.Duration(i)*interval, func() {
-			conn.SendMessage(st, 0, msgBytes, nil)
-		})
+		sends.Push(time.Duration(i) * interval)
 	}
 	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
 	transport.CheckLedger(client, server)

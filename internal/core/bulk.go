@@ -77,7 +77,7 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	}
 	embb := cfg.EMBB
 	if embb == nil {
-		embb = trace.Constant("embb-fixed", 50*time.Millisecond, 60e6)
+		embb = fixedEMBB()
 	}
 	alg, err := NewCC(cfg.CC)
 	if err != nil {

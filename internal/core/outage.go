@@ -7,11 +7,9 @@ import (
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
-	"hvc/internal/packet"
 	"hvc/internal/sim"
 	"hvc/internal/steering"
 	"hvc/internal/telemetry"
-	"hvc/internal/trace"
 	"hvc/internal/transport"
 )
 
@@ -37,11 +35,6 @@ type OutageConfig struct {
 	// the regime where stale fresh-seq retransmissions race their
 	// recovered originals, so the chaos harness leans on it.
 	Reliable bool
-	// QueueBytes caps each channel direction's entry queue; 0 keeps
-	// the channels' defaults. Benchmarks use a small cap so a blackout
-	// saturates the queues quickly, which is what arms the quiet-time
-	// fast-forward.
-	QueueBytes int
 	// Tracer receives cross-layer telemetry (fault windows included);
 	// nil disables tracing.
 	Tracer *telemetry.Tracer
@@ -52,8 +45,8 @@ type OutageResult struct {
 	Policy string
 	// Fault is the canonical form of the injected scenario.
 	Fault string
-	// Sent and Delivered count frames; the stream is unreliable, so a
-	// frame lost to the blackout stays lost.
+	// Sent and Delivered count frames. Unless Reliable was set, a frame
+	// lost to the blackout stays lost.
 	Sent, Delivered int
 	// Stall is the longest delivery gap the receiver observed — the
 	// user-visible freeze an outage causes. It includes the tail gap to
@@ -62,9 +55,9 @@ type OutageResult struct {
 	Stall time.Duration
 	// Delay is the frame-latency distribution in ms.
 	Delay metrics.Distribution
-	// Events counts the loop events the run executed — the quiet-time
-	// fast-forward's figure of merit (cancelled frame timers never
-	// fire, so an hour-long blackout costs ~zero events).
+	// Events counts the loop events the run executed, one per frame
+	// included: the run's simulation cost, and the same whether or not
+	// it was traced.
 	Events uint64
 }
 
@@ -99,7 +92,7 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	}
 
 	loop := sim.NewLoop(cfg.Seed)
-	g := cellularQueued(loop, trace.Constant("embb-fixed", 50*time.Millisecond, 60e6), cfg.QueueBytes)
+	g := Cellular(loop, fixedEMBB())
 	client := transport.NewEndpoint(loop, g, channel.A)
 	server := transport.NewEndpoint(loop, g, channel.B)
 
@@ -145,41 +138,20 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	conn := client.Dial(tc)
 	st := conn.NewStream()
 
-	// ~30 fps of 1200-byte frames for the whole run. Each frame gets
-	// its own pre-scheduled timer (so event sequence numbers — and
-	// with them every timestamp tie-break — are identical whether or
-	// not the fast-forward below fires), and the frame callback may
-	// cancel upcoming timers wholesale when the run is provably quiet.
+	// ~30 fps of 1200-byte frames for the whole run, pushed up front
+	// onto one lane. Push draws each frame's sequence number as one
+	// timer per frame would, so timestamp tie-breaks are unchanged; the
+	// ticks fire in frame order, so one callback numbers them.
 	const frameEvery = 33 * time.Millisecond
 	const frameBytes = 1200
-	// A frame rides a single fragment (frameBytes <= packet.MaxPayload),
-	// so this is the exact wire size a channel must accept.
-	const frameWire = frameBytes + packet.HeaderBytes
-	canSkip := !cfg.Tracer.Enabled() && !cfg.Reliable
-	nFrames := int((cfg.Duration - 1) / frameEvery)
-	frameTimers := make([]sim.Timer, nFrames)
-	for i := range frameTimers {
-		i := i
-		id := res.Sent
-		res.Sent++
-		frameTimers[i] = loop.At(time.Duration(i+1)*frameEvery, func() {
-			if canSkip {
-				if wake, quiet := quietUntil(loop, g, frameWire); quiet {
-					// Provably blocked until wake: this frame and every
-					// one before the recovery would be dropped at
-					// channel entry with no observable effect, so skip
-					// their events instead of executing them.
-					for j := i + 1; j < nFrames; j++ {
-						if time.Duration(j+1)*frameEvery >= wake {
-							break
-						}
-						frameTimers[j].Stop()
-					}
-					return
-				}
-			}
-			conn.SendMessage(st, 0, frameBytes, id)
-		})
+	res.Sent = int((cfg.Duration - 1) / frameEvery)
+	next := 0
+	frames := sim.NewLane(loop, func() {
+		conn.SendMessage(st, 0, frameBytes, next)
+		next++
+	})
+	for i := 1; i <= res.Sent; i++ {
+		frames.Push(time.Duration(i) * frameEvery)
 	}
 
 	loop.RunUntil(cfg.Duration)
@@ -193,68 +165,4 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	}
 	res.Stall = maxGap
 	return res, nil
-}
-
-// quietUntil reports whether an unreliable frame send is provably a
-// no-op until some future instant, and when that instant is. It holds
-// when every channel is down with a known recovery time, nothing is
-// mid-serialization toward the server, and no A→B queue can accept a
-// frame. Down links never start serializing, so queued bytes are
-// frozen and the headroom deficit persists: every frame until the
-// earliest recovery would be dropped at channel entry, mutating
-// nothing the experiment observes. (Steering state is safe too: the
-// policies the outage experiment offers touch only per-decision
-// scratch, and cost-aware spending requires an up channel.)
-func quietUntil(loop *sim.Loop, g *channel.Group, wire int) (time.Duration, bool) {
-	now := loop.Now()
-	wake := time.Duration(1<<63 - 1)
-	for _, ch := range g.All() {
-		if !ch.Down() {
-			return 0, false
-		}
-		until := ch.DownUntil()
-		if until <= now {
-			return 0, false // no recovery hint: never skip
-		}
-		if ch.Transmitting(channel.A) {
-			return 0, false // a finishing packet could free headroom
-		}
-		if ch.Headroom(channel.A) >= wire {
-			return 0, false // a frame would be queued, not dropped
-		}
-		if until < wake {
-			wake = until
-		}
-	}
-	return wake, true
-}
-
-// cellularQueued is the outage experiment's channel group: Cellular
-// with an optional per-direction entry-queue cap on both channels
-// (0 keeps the defaults).
-func cellularQueued(loop *sim.Loop, embb *trace.Trace, queueBytes int) *channel.Group {
-	if queueBytes == 0 {
-		return Cellular(loop, embb)
-	}
-	s := embb.At(0)
-	e := channel.New(loop, channel.Config{
-		Props: channel.Properties{
-			Name:      channel.NameEMBB,
-			BaseRTT:   s.RTT,
-			Bandwidth: s.Rate,
-		},
-		DownTrace:  embb,
-		QueueBytes: queueBytes,
-	})
-	u := channel.New(loop, channel.Config{
-		Props: channel.Properties{
-			Name:      channel.NameURLLC,
-			BaseRTT:   5 * time.Millisecond,
-			Bandwidth: 2e6,
-			Reliable:  true,
-		},
-		DownTrace:  trace.URLLC(),
-		QueueBytes: queueBytes,
-	})
-	return channel.NewGroup(e, u)
 }

@@ -1,83 +1,73 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"hvc/internal/cc"
+	"hvc/internal/channel"
+	"hvc/internal/fault"
+	"hvc/internal/sim"
+	"hvc/internal/steering"
 	"hvc/internal/telemetry"
+	"hvc/internal/transport"
 )
 
-// ffScenario is the hour-blackout scenario the fast-forward targets:
-// both channels down for an hour with a couple of seconds of live
-// traffic on either side, queues capped small enough to saturate
-// within the lead-in.
-var ffScenario = OutageConfig{
-	Seed:       1,
-	Duration:   3604 * time.Second,
-	Policy:     PolicyRedundant,
-	Fault:      "outage:ch=embb,at=2s,dur=3600s;outage:ch=urllc,at=2s,dur=3600s",
-	QueueBytes: 64 << 10,
+// dualBlackout is a fault scenario taking both channels down for d,
+// starting 2 s into the run.
+func dualBlackout(d time.Duration) string {
+	return "outage:ch=embb,at=2s,dur=" + d.String() + ";outage:ch=urllc,at=2s,dur=" + d.String()
 }
 
-// The quiet-time fast-forward must be invisible in every reported
-// figure: skipping frame events during a provably dead blackout may
-// change only the event count. An enabled tracer disables the skip
-// (traced runs must log every frame decision), which is exactly the
-// reference execution to compare against.
+// Tracing only observes: a traced run executes the same frames and the
+// same events as an untraced one, so every reported figure — the event
+// count included — matches, even through a blackout with every channel
+// down.
 func TestOutageFastForwardMatchesFullRun(t *testing.T) {
 	for _, policy := range []string{PolicyEMBBOnly, PolicyDChannel, PolicyRedundant} {
-		cfg := ffScenario
-		cfg.Policy = policy
-		cfg.Duration = 64 * time.Second
-		cfg.Fault = "outage:ch=embb,at=2s,dur=60s;outage:ch=urllc,at=2s,dur=60s"
-		skip, err := RunOutage(cfg)
+		cfg := OutageConfig{
+			Seed:     1,
+			Duration: 64 * time.Second,
+			Policy:   policy,
+			Fault:    dualBlackout(60 * time.Second),
+		}
+		plain, err := RunOutage(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg.Tracer = telemetry.New()
-		full, err := RunOutage(cfg)
+		traced, err := RunOutage(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if skip.Sent != full.Sent || skip.Delivered != full.Delivered ||
-			skip.Stall != full.Stall || skip.Delay.N() != full.Delay.N() ||
-			skip.Delay.Mean() != full.Delay.Mean() ||
-			skip.Delay.Percentile(99) != full.Delay.Percentile(99) {
-			t.Errorf("policy %s: fast-forward changed results:\nskip: %+v\nfull: %+v", policy, skip, full)
-		}
-		// Only the replicating policy saturates every channel's queue,
-		// which is what the policy-agnostic skip condition needs: under
-		// a single-channel policy the untouched channel keeps headroom,
-		// so a frame could be queued (and delivered after recovery) —
-		// skipping would be unsound, and the experiment correctly
-		// doesn't.
-		if policy == PolicyRedundant && skip.Events >= full.Events {
-			t.Errorf("policy %s: fast-forward saved nothing: %d vs %d events", policy, skip.Events, full.Events)
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("policy %s: tracing changed results:\nuntraced: %+v\ntraced:   %+v", policy, plain, traced)
 		}
 	}
 }
 
-// The hour-long blackout is the acceptance scenario: with every
-// channel provably dead and the queues saturated, the blackout's
-// frame timers are cancelled wholesale and the run executes at least
-// 100x fewer loop events than the frame-by-frame execution.
+// A blackout costs one event per frame and nothing more: once every
+// channel is down and the queues are full, a frame is refused at entry
+// without scheduling anything. Doubling an hour-long dual blackout
+// under replication adds exactly one event per added frame, so the
+// events beyond the frames themselves are the same at 1 h and 2 h.
 func TestOutageFastForwardEventCollapse(t *testing.T) {
-	skip, err := RunOutage(ffScenario)
-	if err != nil {
-		t.Fatal(err)
+	overhead := func(blackout time.Duration) int64 {
+		res, err := RunOutage(OutageConfig{
+			Seed:     1,
+			Duration: blackout + 4*time.Second,
+			Policy:   PolicyRedundant,
+			Fault:    dualBlackout(blackout),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return int64(res.Events) - int64(res.Sent)
 	}
-	cfg := ffScenario
-	cfg.Tracer = telemetry.New()
-	full, err := RunOutage(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if skip.Delivered != full.Delivered || skip.Stall != full.Stall {
-		t.Fatalf("fast-forward changed results: %+v vs %+v", skip, full)
-	}
-	if full.Events < 100*skip.Events {
-		t.Errorf("hour blackout: %d events with fast-forward, %d without — want >= 100x reduction",
-			skip.Events, full.Events)
+	if hour, twoHours := overhead(time.Hour), overhead(2*time.Hour); hour != twoHours {
+		t.Errorf("events beyond one per frame: %d over a 1 h blackout, %d over 2 h — the blackout costs more than its frames",
+			hour, twoHours)
 	}
 }
 
@@ -86,30 +76,50 @@ func TestOutageFastForwardEventCollapse(t *testing.T) {
 // retry timer, so event counts stay bounded by RTO backoff, not by
 // blackout length. Doubling the blackout may only add a handful of
 // (exponentially backed-off) RTO events, not tens of thousands of
-// polls.
+// polls. The world is the outage experiment's, with both channels'
+// queues capped at 64 KiB so the blackout fills them and the sender
+// meets entry drops.
 func TestReliableBlackoutDoesNotPoll(t *testing.T) {
-	run := func(blackout time.Duration) OutageResult {
-		res, err := RunOutage(OutageConfig{
-			Seed:     1,
-			Duration: blackout + 4*time.Second,
-			Policy:   PolicyRedundant,
-			Fault: "outage:ch=embb,at=2s,dur=" + blackout.String() +
-				";outage:ch=urllc,at=2s,dur=" + blackout.String(),
+	run := func(blackout time.Duration) uint64 {
+		loop := sim.NewLoop(1)
+		tr := fixedEMBB()
+		s := tr.At(0)
+		embb := channel.New(loop, channel.Config{
+			Props:      channel.Properties{Name: channel.NameEMBB, BaseRTT: s.RTT, Bandwidth: s.Rate},
+			DownTrace:  tr,
 			QueueBytes: 64 << 10,
-			Reliable:   true,
 		})
+		g := channel.NewGroup(embb, channel.URLLC(loop)) // URLLC's queue is 64 KiB already
+		client := transport.NewEndpoint(loop, g, channel.A)
+		server := transport.NewEndpoint(loop, g, channel.B)
+		server.Listen(func() transport.Config {
+			return transport.Config{CC: cc.NewCubic(), Steer: steering.NewRedundant(g)}
+		}, func(*transport.Conn) {})
+		conn := client.Dial(transport.Config{CC: cc.NewCubic(), Steer: steering.NewRedundant(g)})
+		st := conn.NewStream()
+
+		spec, err := fault.ParseSpec(dualBlackout(blackout))
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if err := fault.Inject(loop, g, spec, nil); err != nil {
+			t.Fatal(err)
+		}
+		// The outage experiment's frame stream: 1200 bytes every 33 ms.
+		dur := blackout + 4*time.Second
+		frames := sim.NewLane(loop, func() { conn.SendMessage(st, 0, 1200, nil) })
+		for at := 33 * time.Millisecond; at < dur; at += 33 * time.Millisecond {
+			frames.Push(at)
+		}
+		loop.RunUntil(dur)
+		return loop.Events()
 	}
 	short, long := run(600*time.Second), run(1200*time.Second)
 	// The extra 600 s of blackout unavoidably costs one event per
-	// 33 ms frame timer (~18k; reliable mode cannot skip frames — they
-	// queue for retransmission). The 10 ms entry-drop retry timer
-	// would add another ~60k polls on top; the wake-on-up path must
-	// keep the total near the frame floor.
-	if extra := int64(long.Events) - int64(short.Events); extra > 25_000 {
+	// 33 ms frame (~18k; reliable mode queues frames for retransmission).
+	// The 10 ms entry-drop retry timer would add another ~60k polls on
+	// top; the wake-on-up path must keep the total near the frame floor.
+	if extra := int64(long) - int64(short); extra > 25_000 {
 		t.Errorf("reliable blackout still polls: doubling the blackout added %d events", extra)
 	}
 }

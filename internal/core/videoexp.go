@@ -128,19 +128,3 @@ func Fig2(seed int64, dur time.Duration, traceName string, tr *telemetry.Tracer)
 	}
 	return out, nil
 }
-
-// videoConfigFor builds the standard Fig. 2 video configuration for a
-// stream of the given duration. Shared by RunVideo and the β sweep.
-func videoConfigFor(dur time.Duration) video.Config {
-	return video.Config{Duration: dur}
-}
-
-// newVideoReceiver and newVideoSender re-export the app constructors
-// so sibling files in this package read uniformly.
-func newVideoReceiver(loop *sim.Loop, cfg video.Config) *video.Receiver {
-	return video.NewReceiver(loop, cfg)
-}
-
-func newVideoSender(loop *sim.Loop, conn *transport.Conn, cfg video.Config) *video.Sender {
-	return video.NewSender(loop, conn, cfg)
-}

@@ -75,11 +75,7 @@ func Inject(loop *sim.Loop, g *channel.Group, spec Spec, tr *telemetry.Tracer) e
 func actions(loop *sim.Loop, ch *channel.Channel, ev Event, clause int) (apply, clear func()) {
 	switch ev.Kind {
 	case Outage:
-		// The injector knows each window's duration, so it records the
-		// scheduled recovery time as an advisory hint: consumers (the
-		// outage experiment's fast-forward) can prove how long the
-		// blackout lasts without peeking at the fault schedule.
-		return func() { ch.SetOutageUntil(loop.Now() + ev.Dur) }, func() { ch.SetOutage(false) }
+		return func() { ch.SetOutage(true) }, func() { ch.SetOutage(false) }
 	case Burst:
 		a := newGE(loop.Seed(), ev, clause, "a")
 		b := newGE(loop.Seed(), ev, clause, "b")

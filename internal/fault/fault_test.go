@@ -401,12 +401,10 @@ func TestInjectDeterministic(t *testing.T) {
 	}
 }
 
-// The outage apply hook records an advisory recovery hint
-// (DownUntil) that the quiet-time fast-forward reads to prove a
-// blackout dead. The hint must be visible mid-window with the exact
-// recovery instant, and the restore hook must clear it — even when the
-// loop has nothing else scheduled inside the window, i.e. when the
-// scheduler jumps straight across the blackout.
+// An outage window holds across a scheduler jump: with nothing else
+// scheduled inside the window, the loop leaps from the apply event to a
+// lone timer deep in the blackout and then to the restore, and the
+// channel must read down mid-window and up again after it.
 func TestInjectOutageWindowRestoreAcrossJump(t *testing.T) {
 	loop, g, _ := world(1)
 	spec, err := ParseSpec("outage:ch=embb,at=1s,dur=1h")
@@ -419,16 +417,12 @@ func TestInjectOutageWindowRestoreAcrossJump(t *testing.T) {
 	ch := g.All()[0]
 	const recovery = time.Second + time.Hour
 	// One lone timer deep inside the blackout: the loop leaps from the
-	// apply event to here in a single step, and the hint must already
-	// be in place.
+	// apply event to here in a single step.
 	var sawMid bool
 	loop.At(30*time.Minute, func() {
 		sawMid = true
 		if !ch.Down() {
 			t.Error("channel up mid-blackout")
-		}
-		if got := ch.DownUntil(); got != recovery {
-			t.Errorf("DownUntil mid-blackout = %v, want %v", got, recovery)
 		}
 	})
 	loop.Run()
@@ -440,9 +434,6 @@ func TestInjectOutageWindowRestoreAcrossJump(t *testing.T) {
 	}
 	if ch.Down() {
 		t.Error("channel still down after the window")
-	}
-	if got := ch.DownUntil(); got != 0 {
-		t.Errorf("DownUntil after restore = %v, want 0", got)
 	}
 }
 

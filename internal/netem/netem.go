@@ -215,17 +215,6 @@ func (l *Link) QueuedBytes() int { return l.queuedBytes }
 // queued reports the number of packets awaiting transmission.
 func (l *Link) queued() int { return l.queue.len() }
 
-// Headroom reports the queue bytes still available at entry: a packet
-// larger than this is dropped by Send. The quiet-time fast-forward in
-// the outage experiment uses it to prove a send cannot be accepted.
-func (l *Link) Headroom() int { return l.cfg.QueueBytes - l.queuedBytes }
-
-// Transmitting reports whether the link has work in progress: a packet
-// mid-serialization or a trace-outage wake pending. While it is false
-// and the link is down, the queue cannot drain, so Headroom cannot
-// grow — the monotonicity the fast-forward soundness argument needs.
-func (l *Link) Transmitting() bool { return l.busy }
-
 // QueueDelay estimates how long a newly arriving byte would wait before
 // starting transmission, given current conditions. During an outage it
 // reports the time to drain the queue at the trace's next nonzero rate

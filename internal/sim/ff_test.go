@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// A quiet-time jump is what the loop (and the outage fast-forward)
-// produce when every event between now and some far deadline is
-// cancelled: the clock leaps there in one step. A Periodic must keep
+// A quiet-time jump is what the loop produces when every event between
+// now and some far deadline is cancelled: the clock leaps there in one
+// step. A Periodic must keep
 // re-arming across such a jump with its cadence intact, and timers
 // scheduled *inside* the jumped-over interval by surviving callbacks
 // must still fire in order.

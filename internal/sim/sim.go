@@ -95,8 +95,7 @@ type Loop struct {
 	// they outnumber the live ones the heap is compacted in one pass.
 	cancelled int
 	// events counts callbacks actually run (cancelled pops excluded):
-	// the denominator of every events-per-simulated-second measurement
-	// and the witness for quiet-time fast-forward savings.
+	// the denominator of every events-per-simulated-second measurement.
 	events uint64
 }
 
@@ -123,8 +122,7 @@ func (l *Loop) Now() time.Duration { return l.now }
 func (l *Loop) Pending() int { return l.pending }
 
 // Events reports the number of callbacks the loop has run. Cancelled
-// timers and fast-forwarded (skipped) events do not count, so the value
-// measures real scheduler work.
+// timers do not count, so the value measures real scheduler work.
 func (l *Loop) Events() uint64 { return l.events }
 
 // Queued reports the event queue's physical occupancy: entries filed,
