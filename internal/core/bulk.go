@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"hvc/internal/capture"
@@ -52,9 +53,11 @@ type BulkResult struct {
 	// RTT holds every RTT sample the sender took (value in ms),
 	// Fig. 1b's time series.
 	RTT metrics.TimeSeries
-	// RTTChannels labels each RTT sample's data channel, aligned with
-	// RTT's points.
-	RTTChannels []string
+	// rttLabel holds one byte per RTT sample, aligned with RTT's
+	// points: an index into rttLabels, the run's distinct channel
+	// labels. RTTChannel reads them.
+	rttLabel  []uint8
+	rttLabels []string
 	// Retransmits and RTOs summarize loss-recovery activity.
 	Retransmits int
 	RTOs        int
@@ -64,6 +67,28 @@ type BulkResult struct {
 	// Capture holds per-channel time series when BulkConfig.CaptureEvery
 	// was set; nil otherwise.
 	Capture *capture.Sampler
+}
+
+// RTTChannel reports the channel the data of RTT sample i traveled
+// on, or "" when copies traveled on several.
+func (r *BulkResult) RTTChannel(i int) string { return r.rttLabels[r.rttLabel[i]] }
+
+// addRTT records one RTT sample and its channel label. The label
+// slice grows in step with the series, so it too allocates at most
+// twice what it keeps.
+func (r *BulkResult) addRTT(now, rtt time.Duration, ch string) {
+	r.RTT.Add(now, float64(rtt)/float64(time.Millisecond))
+	label := slices.Index(r.rttLabels, ch)
+	if label < 0 {
+		label = len(r.rttLabels)
+		r.rttLabels = append(r.rttLabels, ch)
+	}
+	if n := len(r.rttLabel); n == cap(r.rttLabel) {
+		grown := make([]uint8, n, cap(r.RTT.Points()))
+		copy(grown, r.rttLabel)
+		r.rttLabel = grown
+	}
+	r.rttLabel = append(r.rttLabel, uint8(label))
 }
 
 // RunBulk executes the experiment and blocks until the virtual clock
@@ -119,10 +144,7 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	steer := steering.NewCounter(mustPolicy(cfg.Policy, g, channel.A))
 	conn := client.Dial(transport.Config{CC: alg, Steer: steer})
 
-	conn.OnRTTSample(func(now, rtt time.Duration, ch string) {
-		res.RTT.Add(now, float64(rtt)/float64(time.Millisecond))
-		res.RTTChannels = append(res.RTTChannels, ch)
-	})
+	conn.OnRTTSample(res.addRTT)
 
 	// Offer more data than the channels can move in cfg.Duration so
 	// the flow never goes idle: eMBB peak is well under 1 Gbps.

@@ -229,8 +229,21 @@ func TestFig1bRTTOscillates(t *testing.T) {
 	if lo == 0 || hi == 0 {
 		t.Fatalf("RTT not bimodal: %d low, %d high of %d", lo, hi, r.RTT.N())
 	}
-	if len(r.RTTChannels) != r.RTT.N() {
+	if len(r.rttLabel) != r.RTT.N() {
 		t.Fatal("channel labels misaligned")
+	}
+	seen := map[string]int{}
+	for i := range r.RTT.N() {
+		ch := r.RTTChannel(i)
+		switch ch {
+		case channel.NameEMBB, channel.NameURLLC, "":
+		default:
+			t.Fatalf("sample %d labeled %q", i, ch)
+		}
+		seen[ch]++
+	}
+	if seen[channel.NameEMBB] == 0 || seen[channel.NameURLLC] == 0 {
+		t.Fatalf("both channels should carry sampled data: %v", seen)
 	}
 }
 

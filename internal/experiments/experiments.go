@@ -170,7 +170,7 @@ func fig1b(e Env) error {
 	if e.CDF {
 		fmt.Fprintln(e.Out, "t_s\trtt_ms\tchannel")
 		for i, p := range r.RTT.Points() {
-			fmt.Fprintf(e.Out, "%.3f\t%.2f\t%s\n", p.At.Seconds(), p.Value, r.RTTChannels[i])
+			fmt.Fprintf(e.Out, "%.3f\t%.2f\t%s\n", p.At.Seconds(), p.Value, r.RTTChannel(i))
 		}
 	} else {
 		fmt.Fprintf(e.Out, "%8s %10s %10s %10s\n", "t", "min_ms", "mean_ms", "max_ms")

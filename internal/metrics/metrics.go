@@ -41,12 +41,22 @@ func (d *Distribution) Add(v float64) {
 			d.sorted = false
 		}
 	}
+	if n := len(d.values); n == cap(d.values) && n >= doubleFrom {
+		d.Grow(n)
+	}
 	d.values = append(d.values, v)
 	d.sum += v
 }
 
+// doubleFrom is the length from which Add doubles a full container
+// itself. Below it append already doubles, so small containers (fleet
+// keeps many) grow exactly as append grows them. From it on append
+// grows by about 1.25×, which allocates about 5N elements for N kept;
+// doubling allocates at most twice the final capacity.
+const doubleFrom = 256
+
 // Grow ensures capacity for at least n more observations without
-// reallocating, for callers that know their sample count up front.
+// reallocating. Add grows a full distribution by its own length.
 func (d *Distribution) Grow(n int) {
 	if n <= 0 || cap(d.values)-len(d.values) >= n {
 		return
@@ -201,11 +211,15 @@ type TimeSeries struct {
 
 // Add records an observation at virtual time at.
 func (ts *TimeSeries) Add(at time.Duration, v float64) {
+	if n := len(ts.points); n == cap(ts.points) && n >= doubleFrom {
+		ts.Grow(n)
+	}
 	ts.points = append(ts.points, TimePoint{At: at, Value: v})
 }
 
 // Grow ensures capacity for at least n more points without
-// reallocating, for callers that know their sample count up front.
+// reallocating. Add grows a full series by its own length (see
+// doubleFrom).
 func (ts *TimeSeries) Grow(n int) {
 	if n <= 0 || cap(ts.points)-len(ts.points) >= n {
 		return

@@ -151,6 +151,9 @@ func generate(cfg genConfig, seed int64, dur time.Duration) *Trace {
 	)
 	state := stGood
 	tr := &Trace{Name: cfg.name}
+	if dur > 0 {
+		tr.Samples = make([]Sample, 0, (dur+step-1)/step)
+	}
 	for at := time.Duration(0); at < dur; at += step {
 		var s Sample
 		s.At = at

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -316,5 +317,39 @@ func TestLowbandWalkingBetweenStationaryAndDriving(t *testing.T) {
 	if !(stP98 <= wkP98 && wkP98 <= drP98) {
 		t.Fatalf("p98 ordering violated: stationary %v, walking %v, driving %v",
 			stP98, wkP98, drP98)
+	}
+}
+
+// TestGenerateSizesSamplesOnce pins the synthesis cost: a synthetic
+// trace holds exactly ⌈dur/step⌉ samples in one allocation, at the
+// 32 s a fleet UE's video trace spans and the 5 min a web run spans.
+// Three allocations remain — the random source, the Trace and its
+// Samples — with no growth steps among them.
+func TestGenerateSizesSamplesOnce(t *testing.T) {
+	gens := []struct {
+		name string
+		gen  func(int64, time.Duration) *Trace
+	}{
+		{"lowband-stationary", LowbandStationary},
+		{"lowband-walking", LowbandWalking},
+		{"lowband-driving", LowbandDriving},
+		{"mmwave-driving", MmWaveDriving},
+	}
+	// Settle the heap first: without it, a collection begun by the
+	// package's earlier tests was measured adding an allocation per run.
+	runtime.GC()
+	for _, g := range gens {
+		for _, dur := range []time.Duration{32 * time.Second, 5 * time.Minute, 5*time.Minute + 1} {
+			tr := g.gen(1, dur)
+			if want := int((dur + step - 1) / step); len(tr.Samples) != want || cap(tr.Samples) != want {
+				t.Errorf("%s %v: len %d cap %d, want %d", g.name, dur, len(tr.Samples), cap(tr.Samples), want)
+			}
+			if raceEnabled {
+				continue
+			}
+			if allocs := testing.AllocsPerRun(5, func() { g.gen(1, dur) }); allocs != 3 {
+				t.Errorf("%s %v: %v allocations, want 3", g.name, dur, allocs)
+			}
+		}
 	}
 }
