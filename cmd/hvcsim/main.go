@@ -12,12 +12,18 @@
 // Perfetto-loadable Chrome trace of the run (bulk, video, and web
 // workloads; -trace names the eMBB bandwidth trace, hence the longer
 // flag for the event trace).
+//
+// A usage error (an unknown name, a non-positive -dur or -pages, a flag
+// the workload does not read) exits 2 before simulating, with nothing
+// on stdout. Output files are created before the run; if one cannot
+// be, or the run fails, hvcsim exits 1 and removes them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"time"
 
 	"hvc/internal/core"
@@ -26,13 +32,23 @@ import (
 	"hvc/internal/telemetry"
 )
 
+// workloadFlags lists the flags each workload reads (besides
+// -workload); setting any other flag is a usage error.
+var workloadFlags = map[string][]string{
+	"bulk":  {"cc", "policy", "trace", "dur", "seed", "capture", "report", "tracefile"},
+	"video": {"policy", "trace", "dur", "seed", "report", "tracefile"},
+	"web":   {"policy", "trace", "seed", "pages", "report", "tracefile"},
+	"abr":   {"policy", "trace", "dur", "seed"},
+	"game":  {"policy", "trace", "dur", "seed"},
+}
+
 func main() {
 	var (
 		workload  = flag.String("workload", "bulk", "bulk, video, web, abr, or game")
-		ccName    = flag.String("cc", "cubic", "congestion control for bulk/web (cubic, reno, bbr, vegas, vivace, hvc-*)")
-		policy    = flag.String("policy", core.PolicyDChannel, "steering policy (embb-only, dchannel, priority, dchannel+priority)")
-		traceNm   = flag.String("trace", "fixed", "eMBB trace (fixed, lowband-stationary, lowband-driving, mmwave-driving)")
-		dur       = flag.Duration("dur", 30*time.Second, "run duration")
+		ccName    = flag.String("cc", "cubic", "bulk: congestion control (cubic, reno, bbr, vegas, vivace, copa, hvc-*)")
+		policy    = flag.String("policy", core.PolicyDChannel, "steering policy (embb-only, dchannel, priority, dchannel+priority, objectmap, redundant)")
+		traceNm   = flag.String("trace", "fixed", "eMBB trace (fixed, lowband-stationary, lowband-walking, lowband-driving, mmwave-driving)")
+		dur       = flag.Duration("dur", 30*time.Second, "run duration (abr: media duration; not read by web)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		pages     = flag.Int("pages", 5, "web: pages to load")
 		capFile   = flag.String("capture", "", "bulk: write per-channel time series CSV to this file")
@@ -41,10 +57,16 @@ func main() {
 	)
 	flag.Parse()
 
-	obs, err := newObserver(*workload, *seed, *report, *traceFile)
-	if err != nil {
+	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "hvcsim: %v\n", err)
-		os.Exit(1)
+		os.Exit(code)
+	}
+	if err := checkUsage(*workload, *ccName, *policy, *traceNm, *dur, *pages); err != nil {
+		fail(2, err)
+	}
+	obs, err := newObserver(*workload, *seed, *report, *traceFile, *capFile)
+	if err != nil {
+		fail(1, err)
 	}
 	obs.config("workload", *workload)
 	obs.config("policy", *policy)
@@ -54,7 +76,7 @@ func main() {
 	case "bulk":
 		obs.config("cc", *ccName)
 		obs.config("dur", dur.String())
-		err = runBulk(*seed, *dur, *ccName, *policy, *traceNm, *capFile, obs)
+		err = runBulk(*seed, *dur, *ccName, *policy, *traceNm, obs)
 	case "video":
 		obs.config("dur", dur.String())
 		err = runVideo(*seed, *dur, *policy, *traceNm, obs)
@@ -65,50 +87,101 @@ func main() {
 		err = runABR(*seed, *dur, *policy, *traceNm)
 	case "game":
 		err = runGame(*seed, *dur, *policy, *traceNm)
-	default:
-		err = fmt.Errorf("unknown workload %q", *workload)
 	}
 	if err == nil {
-		err = obs.finish(*report)
+		err = obs.finish()
 	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsim: %v\n", err)
-		os.Exit(1)
+		obs.discard()
+		fail(1, err)
 	}
 }
 
-// observer bundles the optional tracer and run report of one scenario.
-// The zero observer (no -report/-tracefile) is fully inert.
-type observer struct {
-	tracer    *telemetry.Tracer
-	report    *telemetry.Report
-	traceFile *os.File
+// checkUsage rejects what hvcsim would otherwise find out only while
+// simulating, or not at all: unknown names, out-of-range values, and
+// flags the workload would silently ignore.
+func checkUsage(workload, ccName, policy, traceNm string, dur time.Duration, pages int) error {
+	reads, ok := workloadFlags[workload]
+	if !ok {
+		return fmt.Errorf("unknown workload %q (valid: bulk, video, web, abr, game)", workload)
+	}
+	if flag.NArg() > 0 {
+		return fmt.Errorf("unexpected argument %q", flag.Arg(0))
+	}
+	var ignored string
+	flag.Visit(func(f *flag.Flag) {
+		if ignored == "" && f.Name != "workload" && !slices.Contains(reads, f.Name) {
+			ignored = f.Name
+		}
+	})
+	if ignored != "" {
+		return fmt.Errorf("workload %s does not read -%s", workload, ignored)
+	}
+	// A workload that does not read -cc has rejected it above, so
+	// ccName is then the valid default.
+	if err := core.CheckNames([]string{ccName}, []string{policy}, []string{traceNm}); err != nil {
+		return err
+	}
+	switch {
+	case workload == "web" && policy == core.PolicyPriority:
+		return fmt.Errorf("workload web does not support policy %q", policy)
+	case dur <= 0:
+		return fmt.Errorf("-dur must be positive, got %v", dur)
+	case pages < 1:
+		return fmt.Errorf("-pages must be at least 1, got %d", pages)
+	}
+	return nil
 }
 
-func newObserver(workload string, seed int64, reportPath, tracePath string) (*observer, error) {
+// observer bundles the optional outputs of one scenario: the tracer
+// and its trace file, the run report and its file, and the bulk
+// capture file. All files exist before the run starts. The zero
+// observer (no output flags) is fully inert.
+type observer struct {
+	tracer                         *telemetry.Tracer
+	report                         *telemetry.Report
+	reportFile, traceFile, capFile *os.File
+	files                          []*os.File // the ones created
+}
+
+func newObserver(workload string, seed int64, reportPath, tracePath, capPath string) (*observer, error) {
 	o := &observer{}
+	for _, out := range []struct {
+		path string
+		f    **os.File
+	}{{reportPath, &o.reportFile}, {tracePath, &o.traceFile}, {capPath, &o.capFile}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			o.discard()
+			return nil, err
+		}
+		*out.f = f
+		o.files = append(o.files, f)
+	}
 	if reportPath == "" && tracePath == "" {
 		return o, nil
 	}
-	switch workload {
-	case "bulk", "video", "web":
-	default:
-		return nil, fmt.Errorf("-report/-tracefile are not supported for workload %q", workload)
-	}
 	var sinks []telemetry.Sink
-	if tracePath != "" {
-		f, err := os.Create(tracePath)
-		if err != nil {
-			return nil, err
-		}
-		o.traceFile = f
-		sinks = append(sinks, telemetry.NewChromeTrace(f))
+	if o.traceFile != nil {
+		sinks = append(sinks, telemetry.NewChromeTrace(o.traceFile))
 	}
 	o.tracer = telemetry.New(sinks...)
-	if reportPath != "" {
+	if o.reportFile != nil {
 		o.report = telemetry.NewReport(workload, seed)
 	}
 	return o, nil
+}
+
+// discard closes and removes every output file, so a failed run
+// leaves no partial output behind.
+func (o *observer) discard() {
+	for _, f := range o.files {
+		f.Close()
+		os.Remove(f.Name())
+	}
 }
 
 func (o *observer) config(key, value string) {
@@ -150,57 +223,43 @@ func (o *observer) sketchSeries(name string, ts *metrics.TimeSeries) {
 	o.report.AddSketch(name, s)
 }
 
-// finish flushes the trace and, when requested, writes the report.
-func (o *observer) finish(reportPath string) error {
+// finish writes the report, flushes the trace and closes every output
+// file.
+func (o *observer) finish() error {
 	if o.report != nil {
 		o.report.AttachCounters(o.tracer.Registry())
-		f, err := os.Create(reportPath)
-		if err != nil {
-			return err
-		}
-		if err := o.report.WriteJSON(f); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := o.report.WriteJSON(o.reportFile); err != nil {
 			return err
 		}
 	}
 	if err := o.tracer.Close(); err != nil {
 		return err
 	}
-	if o.traceFile != nil {
-		return o.traceFile.Close()
+	for _, f := range o.files {
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
 	return nil
 }
 
-func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm, capFile string, obs *observer) error {
-	tr, err := core.NewTrace(traceNm, seed, dur+time.Minute)
-	if err != nil {
-		return err
-	}
+func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm string, obs *observer) error {
 	cfg := core.BulkConfig{
-		Seed: seed, Duration: dur, CC: ccName, Policy: policy, EMBB: tr,
+		Seed: seed, Duration: dur, CC: ccName, Policy: policy, Trace: traceNm,
 		Tracer: obs.tracer,
 	}
-	if capFile != "" {
+	if obs.capFile != nil {
 		cfg.CaptureEvery = 100 * time.Millisecond
 	}
 	r, err := core.RunBulk(cfg)
 	if err != nil {
 		return err
 	}
-	if capFile != "" {
-		f, err := os.Create(capFile)
-		if err != nil {
+	if obs.capFile != nil {
+		if err := r.Capture.WriteCSV(obs.capFile); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := r.Capture.WriteCSV(f); err != nil {
-			return err
-		}
-		fmt.Printf("  capture      wrote %s\n", capFile)
+		fmt.Printf("  capture      wrote %s\n", obs.capFile.Name())
 	}
 	fmt.Printf("bulk %s/%s over %s for %v\n", ccName, policy, traceNm, dur)
 	fmt.Printf("  goodput      %.2f Mbps\n", r.Mbps)

@@ -1,10 +1,10 @@
 package arena
 
 import (
-	"fmt"
 	"math"
 	"time"
 
+	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/core"
 	"hvc/internal/fault"
@@ -108,27 +108,19 @@ func Run(spec Spec, opt Options) (Result, error) {
 		return Result{}, err
 	}
 
-	loop := sim.NewLoop(spec.Seed)
-	g := core.Cellular(loop, embb)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	opt.Tracer.BeginRun(fmt.Sprintf("arena %s", spec))
-	opt.Tracer.BindClock(loop.Now)
-	g.SetTracer(opt.Tracer)
-	client.SetTracer(opt.Tracer)
-	server.SetTracer(opt.Tracer)
-	if !fspec.Empty() {
-		if err := fault.Inject(loop, g, fspec, opt.Tracer); err != nil {
-			return Result{}, err
-		}
+	w := core.NewWorld(spec.Seed, func(loop *sim.Loop) *channel.Group {
+		return core.Cellular(loop, embb)
+	})
+	loop, g := w.Loop, w.Group
+	if err := w.Observe(opt.Tracer, fspec, "arena %s", spec); err != nil {
+		return Result{}, err
 	}
 
 	// The server accepts every competitor; received-byte counts are read
 	// per flow through this table.
 	srvByFlow := make(map[packet.FlowID]*transport.Conn, spec.Flows)
-	server.Listen(func() transport.Config {
-		ccSrv, _ := core.NewCC("cubic") // server sends only ACKs; CC idle
+	w.Server.Listen(func() transport.Config {
+		ccSrv := cc.NewCubic() // server sends only ACKs; CC idle
 		pol, _ := core.NewPolicy(spec.Policy, g, channel.B)
 		return transport.Config{CC: ccSrv, Steer: pol}
 	}, func(c *transport.Conn) { srvByFlow[c.Flow()] = c })
@@ -151,7 +143,7 @@ func Run(spec Spec, opt Options) (Result, error) {
 		}
 		joinAt := spec.JoinAt(i)
 		loop.At(joinAt, func() {
-			c := client.Dial(transport.Config{
+			c := w.Client.Dial(transport.Config{
 				CC:      alg,
 				Steer:   pol,
 				RxDelay: spec.ExtraDelay(i),
@@ -201,8 +193,7 @@ func Run(spec Spec, opt Options) (Result, error) {
 	}
 	loop.After(spec.Epoch, sample)
 
-	loop.RunUntil(spec.Dur)
-	transport.CheckLedger(client, server)
+	w.Run(spec.Dur)
 
 	return summarize(spec, conns, srvByFlow, epochs), nil
 }

@@ -33,11 +33,10 @@ type MLOResult struct {
 // RunMLO sends count messages of size bytes, one every interval, over
 // the Wi-Fi MLO pair, unreliably (time-sensitive TSN-style traffic).
 func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant bool) MLOResult {
-	loop := sim.NewLoop(seed)
-	b5, b6 := channel.WiFiMLO(loop)
-	g := channel.NewGroup(b5, b6)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
+	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+		return channel.NewGroup(channel.WiFiMLO(loop))
+	})
+	g, b5 := w.Group, w.Group.Get("wifi5")
 
 	var policy steering.Policy
 	mode := "wifi5-only"
@@ -50,7 +49,7 @@ func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant 
 
 	res := MLOResult{Mode: mode}
 	delivered := 0
-	server.Listen(func() transport.Config {
+	w.Server.Listen(func() transport.Config {
 		return transport.Config{Steer: policy, Unreliable: true, MsgTimeout: 10 * time.Second}
 	}, func(c *transport.Conn) {
 		c.OnMessage(func(_ *transport.Conn, m transport.Message) {
@@ -59,19 +58,18 @@ func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant 
 		})
 	})
 
-	conn := client.Dial(transport.Config{Steer: policy, Unreliable: true})
+	conn := w.Client.Dial(transport.Config{Steer: policy, Unreliable: true})
 	st := conn.NewStream()
 	// The sends fire in message order, so one callback numbers them.
 	next := 0
-	sends := sim.NewLane(loop, func() {
+	sends := sim.NewLane(w.Loop, func() {
 		conn.SendMessage(st, 0, sizeBytes, next)
 		next++
 	})
 	for i := 0; i < count; i++ {
 		sends.Push(time.Duration(i) * interval)
 	}
-	loop.RunUntil(time.Duration(count)*interval + 5*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(time.Duration(count)*interval + 5*time.Second)
 
 	res.DeliveryRate = float64(delivered) / float64(count)
 	for _, ch := range g.All() {
@@ -96,11 +94,10 @@ type CostResult struct {
 // down), one every interval, steering with a budgeted CostAware policy
 // on the client; budget 0 disables the priced path entirely.
 func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec float64) CostResult {
-	loop := sim.NewLoop(seed)
-	fiber, mw := channel.CISP(loop)
-	g := channel.NewGroup(fiber, mw)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
+	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+		return channel.NewGroup(channel.CISP(loop))
+	})
+	loop, g, fiber := w.Loop, w.Group, w.Group.Get("fiber")
 
 	newPolicy := func(side channel.Side) steering.Policy {
 		if budgetBytesPerSec <= 0 {
@@ -114,17 +111,15 @@ func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec fl
 	clientPolicy := newPolicy(channel.A)
 
 	res := CostResult{BudgetBytesPerSec: budgetBytesPerSec}
-	server.Listen(func() transport.Config {
-		alg, _ := NewCC("cubic")
-		return transport.Config{CC: alg, Steer: newPolicy(channel.B)}
+	w.Server.Listen(func() transport.Config {
+		return transport.Config{CC: cc.NewCubic(), Steer: newPolicy(channel.B)}
 	}, func(c *transport.Conn) {
 		c.OnMessage(func(conn *transport.Conn, m transport.Message) {
 			conn.SendMessage(m.Stream, 0, 20_000, m.Data)
 		})
 	})
 
-	alg, _ := NewCC("cubic")
-	conn := client.Dial(transport.Config{CC: alg, Steer: clientPolicy})
+	conn := w.Client.Dial(transport.Config{CC: cc.NewCubic(), Steer: clientPolicy})
 	type reqMeta struct{ at time.Duration }
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) {
 		meta, ok := m.Data.(reqMeta)
@@ -140,8 +135,7 @@ func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec fl
 	for i := 0; i < count; i++ {
 		requests.Push(time.Duration(i) * interval)
 	}
-	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(time.Duration(count)*interval + 10*time.Second)
 
 	if ca, ok := clientPolicy.(*steering.CostAware); ok {
 		res.SpentBytes = ca.SpentBytes()
@@ -176,18 +170,15 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 	default:
 		panic(fmt.Sprintf("core: unknown multipath-comparison mode %q", mode))
 	}
-	loop := sim.NewLoop(seed)
-	g := Cellular(loop, fixedEMBB())
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
+	w := NewWorld(seed, cellular(fixedEMBB()))
+	g := w.Group
 
 	res := MultipathResult{Mode: mode}
 
 	var bulkSrv *transport.Conn
-	server.Listen(func() transport.Config {
-		alg, _ := NewCC("cubic")
+	w.Server.Listen(func() transport.Config {
 		return transport.Config{
-			CC:    alg,
+			CC:    cc.NewCubic(),
 			Steer: steering.NewDChannel(g, channel.B, steering.DChannelConfig{}),
 		}
 	}, func(c *transport.Conn) {
@@ -206,37 +197,32 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 	case "multipath":
 		bulkCfg = transport.Config{
 			Multipath: true,
-			NewCC: func() cc.Algorithm {
-				alg, _ := NewCC("cubic")
-				return alg
-			},
+			NewCC:     func() cc.Algorithm { return cc.NewCubic() },
 		}
 	case "dchannel":
-		alg, _ := NewCC("cubic")
 		bulkCfg = transport.Config{
-			CC:    alg,
+			CC:    cc.NewCubic(),
 			Steer: steering.NewDChannel(g, channel.A, steering.DChannelConfig{}),
 		}
 	case "priority":
 		// The §3.3 fix: the application declares the flow bulk, and a
 		// priority-aware policy keeps it off URLLC entirely.
-		alg, _ := NewCC("cubic")
 		bulkCfg = transport.Config{
-			CC:           alg,
+			CC:           cc.NewCubic(),
 			Steer:        mustPolicy(PolicyDChannelPriority, g, channel.A),
 			FlowPriority: packet.PriorityBulk,
 		}
 	}
-	bulk := client.Dial(bulkCfg)
+	bulk := w.Client.Dial(bulkCfg)
 	bulk.SendMessage(bulk.NewStream(), 0, int(1e9/8*dur.Seconds()), nil)
 
-	probe := client.Dial(transport.Config{
+	probe := w.Client.Dial(transport.Config{
 		Steer:      steering.NewDChannel(g, channel.A, steering.DChannelConfig{}),
 		Unreliable: true,
 	})
 	probeStream := probe.NewStream()
 	// One probe every 100 ms after a 2 s warmup, plus a queue sampler.
-	probes := sim.NewLane(loop, func() {
+	probes := sim.NewLane(w.Loop, func() {
 		probe.SendMessage(probeStream, 0, probeBytes, nil)
 		if q := g.Get(channel.NameURLLC).QueuedBytes(channel.A); q > res.URLLCMaxQueue {
 			res.URLLCMaxQueue = q
@@ -245,8 +231,7 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 	for at := 2 * time.Second; at < dur; at += 100 * time.Millisecond {
 		probes.Push(at)
 	}
-	loop.RunUntil(dur)
-	transport.CheckLedger(client, server)
+	w.Run(dur)
 
 	if bulkSrv != nil {
 		res.BulkMbps = metrics.Mbps(float64(bulkSrv.Stats().BytesReceived) * 8 / dur.Seconds())
@@ -281,31 +266,27 @@ func RunBetaSweep(seed int64, dur time.Duration, betas []float64) []BetaPoint {
 		if err != nil {
 			panic(err)
 		}
-		loop := sim.NewLoop(seed)
-		g := Cellular(loop, tr)
-		client := transport.NewEndpoint(loop, g, channel.A)
-		server := transport.NewEndpoint(loop, g, channel.B)
+		w := NewWorld(seed, cellular(tr))
 
 		vcfg := video.Config{Duration: dur}
-		recv := video.NewReceiver(loop, vcfg)
-		server.Listen(func() transport.Config {
+		recv := video.NewReceiver(w.Loop, vcfg)
+		w.Server.Listen(func() transport.Config {
 			return transport.Config{
-				Steer:      steering.NewDChannel(g, channel.B, steering.DChannelConfig{Beta: beta}),
+				Steer:      steering.NewDChannel(w.Group, channel.B, steering.DChannelConfig{Beta: beta}),
 				Unreliable: true,
 				MsgTimeout: 30 * time.Second,
 			}
 		}, func(c *transport.Conn) { recv.Attach(c) })
 
-		counter := steering.NewCounter(steering.NewDChannel(g, channel.A, steering.DChannelConfig{Beta: beta}))
-		conn := client.Dial(transport.Config{
+		counter := steering.NewCounter(steering.NewDChannel(w.Group, channel.A, steering.DChannelConfig{Beta: beta}))
+		conn := w.Client.Dial(transport.Config{
 			Steer:      counter,
 			Unreliable: true,
 			MsgTimeout: 30 * time.Second,
 		})
-		snd := video.NewSender(loop, conn, vcfg)
+		snd := video.NewSender(w.Loop, conn, vcfg)
 		snd.Start()
-		loop.RunUntil(dur + 20*time.Second)
-		transport.CheckLedger(client, server)
+		w.Run(dur + 20*time.Second)
 
 		counts := counter.Counts()
 		total := counts[channel.NameEMBB] + counts[channel.NameURLLC]
@@ -335,15 +316,12 @@ type TailBoostResult struct {
 // RunTailBoost sends count messages of msgBytes every interval over
 // the fixed cellular pair, eMBB-only versus eMBB with tail-boost.
 func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost bool) TailBoostResult {
-	loop := sim.NewLoop(seed)
-	g := Cellular(loop, fixedEMBB())
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
+	w := NewWorld(seed, cellular(fixedEMBB()))
 
 	mkPolicy := func(side channel.Side) steering.Policy {
-		base := steering.Policy(steering.NewSingle(g.Get(channel.NameEMBB)))
+		base := steering.Policy(steering.NewSingle(w.Group.Get(channel.NameEMBB)))
 		if boost {
-			return steering.NewTailBoost(base, g, side, steering.TailBoostConfig{})
+			return steering.NewTailBoost(base, w.Group, side, steering.TailBoostConfig{})
 		}
 		return base
 	}
@@ -353,26 +331,23 @@ func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost
 	}
 	res := TailBoostResult{Mode: mode}
 
-	server.Listen(func() transport.Config {
-		alg, _ := NewCC("cubic")
-		return transport.Config{CC: alg, Steer: mkPolicy(channel.B)}
+	w.Server.Listen(func() transport.Config {
+		return transport.Config{CC: cc.NewCubic(), Steer: mkPolicy(channel.B)}
 	}, func(c *transport.Conn) {
 		c.OnMessage(func(_ *transport.Conn, m transport.Message) {
 			res.Latency.AddDuration(m.Latency())
 		})
 	})
 
-	alg, _ := NewCC("cubic")
-	conn := client.Dial(transport.Config{CC: alg, Steer: mkPolicy(channel.A)})
+	conn := w.Client.Dial(transport.Config{CC: cc.NewCubic(), Steer: mkPolicy(channel.A)})
 	st := conn.NewStream()
-	sends := sim.NewLane(loop, func() {
+	sends := sim.NewLane(w.Loop, func() {
 		conn.SendMessage(st, 0, msgBytes, nil)
 	})
 	for i := 0; i < count; i++ {
 		sends.Push(time.Duration(i) * interval)
 	}
-	loop.RunUntil(time.Duration(count)*interval + 10*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(time.Duration(count)*interval + 10*time.Second)
 	return res
 }
 
@@ -392,11 +367,11 @@ type TSNResult struct {
 // ~160 Mbps loss-tolerant blast saturates the best-effort channel.
 // With useTSN the control traffic is steered onto the TSN channel.
 func RunTSN(seed int64, dur time.Duration, useTSN bool) TSNResult {
-	loop := sim.NewLoop(seed)
-	tsn, be := channel.WiFiTSN(loop, 2)
-	g := channel.NewGroup(tsn, be)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
+	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+		return channel.NewGroup(channel.WiFiTSN(loop, 2))
+	})
+	loop, g := w.Loop, w.Group
+	tsn, be := g.Get("wifi-tsn"), g.Get("wifi-be")
 
 	mkPolicy := func(side channel.Side) steering.Policy {
 		if useTSN {
@@ -407,27 +382,25 @@ func RunTSN(seed int64, dur time.Duration, useTSN bool) TSNResult {
 		return steering.NewSingle(be)
 	}
 
-	server.Listen(func() transport.Config {
-		alg, _ := NewCC("cubic")
-		return transport.Config{CC: alg, Steer: mkPolicy(channel.B)}
+	w.Server.Listen(func() transport.Config {
+		return transport.Config{CC: cc.NewCubic(), Steer: mkPolicy(channel.B)}
 	}, func(c *transport.Conn) {
 		iot.ServeController(loop, c, 2*time.Millisecond, 0)
 	})
 
-	conn := client.Dial(transport.Config{
+	conn := w.Client.Dial(transport.Config{
 		Steer: mkPolicy(channel.A), Unreliable: true, MsgTimeout: 5 * time.Second,
 	})
 	plant := iot.NewPlant(loop, conn, iot.Config{Duration: dur, Cycle: 60 * time.Millisecond})
 
-	blast := client.Dial(transport.Config{Steer: steering.NewSingle(be), Unreliable: true})
+	blast := w.Client.Dial(transport.Config{Steer: steering.NewSingle(be), Unreliable: true})
 	blastStream := blast.NewStream()
 	sim.Every(loop, 10*time.Millisecond, func() {
 		blast.SendMessage(blastStream, 0, 200_000, nil)
 	})
 
 	plant.Start()
-	loop.RunUntil(dur + 2*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(dur + 2*time.Second)
 
 	mode := "best-effort"
 	if useTSN {

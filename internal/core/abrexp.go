@@ -6,9 +6,9 @@ import (
 
 	"hvc/internal/app/abr"
 	"hvc/internal/app/game"
+	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/metrics"
-	"hvc/internal/sim"
 	"hvc/internal/transport"
 )
 
@@ -46,24 +46,17 @@ func RunABR(cfg ABRConfig) (ABRResult, error) {
 		return ABRResult{}, err
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, tr)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	abr.Serve(server, func() transport.Config {
-		alg, _ := NewCC("cubic")
-		return transport.Config{CC: alg, Steer: mustPolicy(cfg.Policy, g, channel.B)}
+	w := NewWorld(cfg.Seed, cellular(tr))
+	abr.Serve(w.Server, func() transport.Config {
+		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, w.Group, channel.B)}
 	})
-	alg, _ := NewCC("cubic")
-	conn := client.Dial(transport.Config{CC: alg, Steer: mustPolicy(cfg.Policy, g, channel.A)})
+	conn := w.Client.Dial(transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, w.Group, channel.A)})
 
-	c := abr.NewClient(loop, conn, abr.Config{Duration: cfg.Media})
+	c := abr.NewClient(w.Loop, conn, abr.Config{Duration: cfg.Media})
 	c.Start()
 	// Run well past the media length so stalls resolve and playback
 	// finishes.
-	loop.RunUntil(cfg.Media * 4)
-	transport.CheckLedger(client, server)
+	w.Run(cfg.Media * 4)
 
 	return ABRResult{Policy: cfg.Policy, Result: c.Result()}, nil
 }
@@ -112,24 +105,19 @@ func RunGame(cfg GameConfig) (GameResult, error) {
 		return GameResult{}, err
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, tr)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	conn := client.Dial(transport.Config{
-		Steer: mustPolicy(cfg.Policy, g, channel.A), Unreliable: true, MsgTimeout: 10 * time.Second,
+	w := NewWorld(cfg.Seed, cellular(tr))
+	conn := w.Client.Dial(transport.Config{
+		Steer: mustPolicy(cfg.Policy, w.Group, channel.A), Unreliable: true, MsgTimeout: 10 * time.Second,
 	})
-	s := game.NewSession(loop, conn, game.Config{Duration: cfg.Duration})
-	server.Listen(func() transport.Config {
+	s := game.NewSession(w.Loop, conn, game.Config{Duration: cfg.Duration})
+	w.Server.Listen(func() transport.Config {
 		return transport.Config{
-			Steer: mustPolicy(cfg.Policy, g, channel.B), Unreliable: true, MsgTimeout: 10 * time.Second,
+			Steer: mustPolicy(cfg.Policy, w.Group, channel.B), Unreliable: true, MsgTimeout: 10 * time.Second,
 		}
 	}, func(c *transport.Conn) { s.Attach(c) })
 
 	s.Start()
-	loop.RunUntil(cfg.Duration + 10*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(cfg.Duration + 10*time.Second)
 	return GameResult{
 		Policy:         cfg.Policy,
 		InputToDisplay: s.InputToDisplay,

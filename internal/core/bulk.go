@@ -1,18 +1,18 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"time"
 
 	"hvc/internal/capture"
+	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
-	"hvc/internal/sim"
 	"hvc/internal/steering"
 	"hvc/internal/telemetry"
-	"hvc/internal/trace"
 	"hvc/internal/transport"
 )
 
@@ -31,9 +31,9 @@ type BulkConfig struct {
 	// channel, and the determinism matrix depends on that — unlike
 	// OutageConfig, where empty selects the default blackout schedule.
 	Fault string
-	// EMBB overrides the eMBB trace; nil means the paper's fixed
-	// 50 ms / 60 Mbps channel.
-	EMBB *trace.Trace
+	// Trace names the eMBB trace (see TraceNames); empty means
+	// "fixed", the paper's 50 ms / 60 Mbps channel.
+	Trace string
 	// CaptureEvery, when positive, attaches a channel sampler at that
 	// cadence; the result's Capture field exposes the recorded series.
 	CaptureEvery time.Duration
@@ -97,12 +97,13 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	if cfg.Duration <= 0 {
 		return BulkResult{}, fmt.Errorf("core: bulk duration must be positive")
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyDChannel
+	cfg.Policy, cfg.Trace = cmp.Or(cfg.Policy, PolicyDChannel), cmp.Or(cfg.Trace, "fixed")
+	if !ValidPolicy(cfg.Policy) {
+		return BulkResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	embb := cfg.EMBB
-	if embb == nil {
-		embb = fixedEMBB()
+	embb, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Duration+time.Second)
+	if err != nil {
+		return BulkResult{}, err
 	}
 	alg, err := NewCC(cfg.CC)
 	if err != nil {
@@ -113,36 +114,23 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 		return BulkResult{}, err
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, embb)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	cfg.Tracer.BeginRun(fmt.Sprintf("bulk cc=%s policy=%s seed=%d", cfg.CC, cfg.Policy, cfg.Seed))
-	cfg.Tracer.BindClock(loop.Now)
-	g.SetTracer(cfg.Tracer)
-	client.SetTracer(cfg.Tracer)
-	server.SetTracer(cfg.Tracer)
-
-	if !spec.Empty() {
-		if err := fault.Inject(loop, g, spec, cfg.Tracer); err != nil {
-			return BulkResult{}, err
-		}
+	w := NewWorld(cfg.Seed, cellular(embb))
+	if err := w.Observe(cfg.Tracer, spec, "bulk cc=%s policy=%s seed=%d", cfg.CC, cfg.Policy, cfg.Seed); err != nil {
+		return BulkResult{}, err
 	}
 
 	res := BulkResult{CC: cfg.CC, Policy: cfg.Policy}
 	if cfg.CaptureEvery > 0 {
-		res.Capture = capture.NewSampler(loop, g, cfg.CaptureEvery)
+		res.Capture = capture.NewSampler(w.Loop, w.Group, cfg.CaptureEvery)
 	}
 
 	var srv *transport.Conn
-	server.Listen(func() transport.Config {
-		ccSrv, _ := NewCC("cubic") // server sends only ACKs; CC idle
-		return transport.Config{CC: ccSrv, Steer: mustPolicy(cfg.Policy, g, channel.B)}
+	w.Server.Listen(func() transport.Config { // the server sends only ACKs; its CC idles
+		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, w.Group, channel.B)}
 	}, func(c *transport.Conn) { srv = c })
 
-	steer := steering.NewCounter(mustPolicy(cfg.Policy, g, channel.A))
-	conn := client.Dial(transport.Config{CC: alg, Steer: steer})
+	steer := steering.NewCounter(mustPolicy(cfg.Policy, w.Group, channel.A))
+	conn := w.Client.Dial(transport.Config{CC: alg, Steer: steer})
 
 	conn.OnRTTSample(res.addRTT)
 
@@ -151,8 +139,7 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	size := int(1e9 / 8 * cfg.Duration.Seconds())
 	conn.SendMessage(conn.NewStream(), 0, size, nil)
 
-	loop.RunUntil(cfg.Duration)
-	transport.CheckLedger(client, server)
+	w.Run(cfg.Duration)
 	if res.Capture != nil {
 		res.Capture.Stop()
 	}

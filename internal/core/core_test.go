@@ -182,6 +182,60 @@ func TestRunBulkValidation(t *testing.T) {
 	}
 }
 
+// TestRunnersRejectUnknownNames gives every config-taking runner one
+// unknown name at a time — congestion control, steering policy or
+// trace, wherever its config has the field. Each must return an error,
+// never panic.
+func TestRunnersRejectUnknownNames(t *testing.T) {
+	const dur = time.Second
+	runners := []struct {
+		name  string
+		reads []string // the names the config carries
+		run   func(cc, policy, trace string) error
+	}{
+		{"bulk", []string{"cc", "policy", "trace"}, func(cc, policy, trace string) error {
+			_, err := RunBulk(BulkConfig{Seed: 1, Duration: dur, CC: cc, Policy: policy, Trace: trace})
+			return err
+		}},
+		{"video", []string{"policy", "trace"}, func(_, policy, trace string) error {
+			_, err := RunVideo(VideoConfig{Seed: 1, Duration: dur, Policy: policy, Trace: trace})
+			return err
+		}},
+		{"web", []string{"policy", "trace"}, func(_, policy, trace string) error {
+			_, err := RunWeb(WebConfig{Seed: 1, Pages: 1, Loads: 1, Policy: policy, Trace: trace})
+			return err
+		}},
+		{"outage", []string{"policy"}, func(_, policy, _ string) error {
+			_, err := RunOutage(OutageConfig{Seed: 1, Duration: dur, Policy: policy})
+			return err
+		}},
+		{"abr", []string{"policy", "trace"}, func(_, policy, trace string) error {
+			_, err := RunABR(ABRConfig{Seed: 1, Media: dur, Policy: policy, Trace: trace})
+			return err
+		}},
+		{"game", []string{"policy", "trace"}, func(_, policy, trace string) error {
+			_, err := RunGame(GameConfig{Seed: 1, Duration: dur, Policy: policy, Trace: trace})
+			return err
+		}},
+	}
+	for _, r := range runners {
+		for _, bad := range r.reads {
+			t.Run(r.name+"/"+bad, func(t *testing.T) {
+				names := map[string]string{"cc": "cubic", "policy": PolicyDChannel, "trace": "fixed"}
+				names[bad] = "bogus"
+				defer func() {
+					if p := recover(); p != nil {
+						t.Fatalf("unknown %s panicked: %v", bad, p)
+					}
+				}()
+				if err := r.run(names["cc"], names["policy"], names["trace"]); err == nil {
+					t.Fatalf("unknown %s: no error", bad)
+				}
+			})
+		}
+	}
+}
+
 func TestFig1aShapeShort(t *testing.T) {
 	results, err := Fig1a(1, 15*time.Second, nil)
 	if err != nil {

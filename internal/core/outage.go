@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
+	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
@@ -77,9 +79,7 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	if cfg.Duration <= 0 {
 		return OutageResult{}, fmt.Errorf("core: outage duration must be positive")
 	}
-	if cfg.Policy == "" {
-		cfg.Policy = PolicyEMBBOnly
-	}
+	cfg.Policy = cmp.Or(cfg.Policy, PolicyEMBBOnly)
 	if !ValidPolicy(cfg.Policy) {
 		return OutageResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
@@ -91,31 +91,20 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 		spec = fault.Default(channel.NameEMBB, cfg.Duration)
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, fixedEMBB())
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	cfg.Tracer.BeginRun(fmt.Sprintf("outage policy=%s fault=%s seed=%d", cfg.Policy, spec, cfg.Seed))
-	cfg.Tracer.BindClock(loop.Now)
-	g.SetTracer(cfg.Tracer)
-	client.SetTracer(cfg.Tracer)
-	server.SetTracer(cfg.Tracer)
-
-	if err := fault.Inject(loop, g, spec, cfg.Tracer); err != nil {
+	w := NewWorld(cfg.Seed, cellular(fixedEMBB()))
+	if err := w.Observe(cfg.Tracer, spec, "outage policy=%s fault=%s seed=%d", cfg.Policy, spec, cfg.Seed); err != nil {
 		return OutageResult{}, err
 	}
 
 	res := OutageResult{Policy: cfg.Policy, Fault: spec.String()}
 	var lastDelivery, maxGap time.Duration
-	server.Listen(func() transport.Config {
+	w.Server.Listen(func() transport.Config {
 		tc := transport.Config{
-			Steer: mustPolicy(cfg.Policy, g, channel.B), Unreliable: true,
+			Steer: mustPolicy(cfg.Policy, w.Group, channel.B), Unreliable: true,
 			MsgTimeout: 10 * time.Second,
 		}
 		if cfg.Reliable {
-			ccSrv, _ := NewCC("cubic")
-			tc.CC, tc.Unreliable, tc.MsgTimeout = ccSrv, false, 0
+			tc.CC, tc.Unreliable, tc.MsgTimeout = cc.NewCubic(), false, 0
 		}
 		return tc
 	}, func(c *transport.Conn) {
@@ -129,13 +118,12 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 		})
 	})
 
-	steer := steering.NewCounter(mustPolicy(cfg.Policy, g, channel.A))
+	steer := steering.NewCounter(mustPolicy(cfg.Policy, w.Group, channel.A))
 	tc := transport.Config{Steer: steer, Unreliable: true}
 	if cfg.Reliable {
-		ccCli, _ := NewCC("cubic")
-		tc.CC, tc.Unreliable = ccCli, false
+		tc.CC, tc.Unreliable = cc.NewCubic(), false
 	}
-	conn := client.Dial(tc)
+	conn := w.Client.Dial(tc)
 	st := conn.NewStream()
 
 	// ~30 fps of 1200-byte frames for the whole run, pushed up front
@@ -146,7 +134,7 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	const frameBytes = 1200
 	res.Sent = int((cfg.Duration - 1) / frameEvery)
 	next := 0
-	frames := sim.NewLane(loop, func() {
+	frames := sim.NewLane(w.Loop, func() {
 		conn.SendMessage(st, 0, frameBytes, next)
 		next++
 	})
@@ -154,9 +142,8 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 		frames.Push(time.Duration(i) * frameEvery)
 	}
 
-	loop.RunUntil(cfg.Duration)
-	transport.CheckLedger(client, server)
-	res.Events = loop.Events()
+	w.Run(cfg.Duration)
+	res.Events = w.Loop.Events()
 
 	// The tail gap counts: a flow still stalled at the end of the run
 	// scores the remainder as freeze.

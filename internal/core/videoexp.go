@@ -8,7 +8,6 @@ import (
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
-	"hvc/internal/sim"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
 )
@@ -62,46 +61,33 @@ func RunVideo(cfg VideoConfig) (VideoResult, error) {
 		return VideoResult{}, err
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, tr)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	cfg.Tracer.BeginRun(fmt.Sprintf("video trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed))
-	cfg.Tracer.BindClock(loop.Now)
-	g.SetTracer(cfg.Tracer)
-	client.SetTracer(cfg.Tracer)
-	server.SetTracer(cfg.Tracer)
-
-	if !spec.Empty() {
-		if err := fault.Inject(loop, g, spec, cfg.Tracer); err != nil {
-			return VideoResult{}, err
-		}
+	w := NewWorld(cfg.Seed, cellular(tr))
+	if err := w.Observe(cfg.Tracer, spec, "video trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed); err != nil {
+		return VideoResult{}, err
 	}
 
 	vcfg := video.Config{Duration: cfg.Duration}
-	recv := video.NewReceiver(loop, vcfg)
+	recv := video.NewReceiver(w.Loop, vcfg)
 	recv.SetTracer(cfg.Tracer)
-	server.Listen(func() transport.Config {
+	w.Server.Listen(func() transport.Config {
 		return transport.Config{
-			Steer:      mustPolicy(cfg.Policy, g, channel.B),
+			Steer:      mustPolicy(cfg.Policy, w.Group, channel.B),
 			Unreliable: true,
 			MsgTimeout: 30 * time.Second,
 		}
 	}, func(c *transport.Conn) { recv.Attach(c) })
 
-	conn := client.Dial(transport.Config{
-		Steer:      mustPolicy(cfg.Policy, g, channel.A),
+	conn := w.Client.Dial(transport.Config{
+		Steer:      mustPolicy(cfg.Policy, w.Group, channel.A),
 		Unreliable: true,
 		MsgTimeout: 30 * time.Second,
 	})
-	snd := video.NewSender(loop, conn, vcfg)
+	snd := video.NewSender(w.Loop, conn, vcfg)
 	snd.Start()
 
 	// Run past the stream's end so queued tail traffic (multi-second
 	// under mmWave driving) arrives and decodes.
-	loop.RunUntil(cfg.Duration + 20*time.Second)
-	transport.CheckLedger(client, server)
+	w.Run(cfg.Duration + 20*time.Second)
 
 	return VideoResult{
 		Trace:   cfg.Trace,

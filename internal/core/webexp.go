@@ -1,15 +1,16 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
 	"hvc/internal/app/web"
+	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/packet"
-	"hvc/internal/sim"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
 )
@@ -61,12 +62,7 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 	if !ValidPolicy(cfg.Policy) || cfg.Policy == PolicyPriority {
 		return WebResult{}, fmt.Errorf("core: web does not support policy %q", cfg.Policy)
 	}
-	if cfg.Pages == 0 {
-		cfg.Pages = 30
-	}
-	if cfg.Loads == 0 {
-		cfg.Loads = 5
-	}
+	cfg.Pages, cfg.Loads = cmp.Or(cfg.Pages, 30), cmp.Or(cfg.Loads, 5)
 	tr, err := NewTrace(cfg.Trace, cfg.Seed, 5*time.Minute)
 	if err != nil {
 		return WebResult{}, err
@@ -76,31 +72,18 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 		return WebResult{}, err
 	}
 
-	loop := sim.NewLoop(cfg.Seed)
-	g := Cellular(loop, tr)
-	client := transport.NewEndpoint(loop, g, channel.A)
-	server := transport.NewEndpoint(loop, g, channel.B)
-
-	cfg.Tracer.BeginRun(fmt.Sprintf("web trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed))
-	cfg.Tracer.BindClock(loop.Now)
-	g.SetTracer(cfg.Tracer)
-	client.SetTracer(cfg.Tracer)
-	server.SetTracer(cfg.Tracer)
-
-	if !spec.Empty() {
-		if err := fault.Inject(loop, g, spec, cfg.Tracer); err != nil {
-			return WebResult{}, err
-		}
+	w := NewWorld(cfg.Seed, cellular(tr))
+	loop, g := w.Loop, w.Group
+	if err := w.Observe(cfg.Tracer, spec, "web trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed); err != nil {
+		return WebResult{}, err
 	}
 
-	web.Serve(server, func() transport.Config {
-		alg, _ := NewCC("cubic") // the paper uses TCP CUBIC throughout
-		return transport.Config{CC: alg, Steer: mustPolicy(cfg.Policy, g, channel.B)}
+	web.Serve(w.Server, func() transport.Config { // the paper uses TCP CUBIC throughout
+		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, g, channel.B)}
 	})
 
 	pageCfg := func() transport.Config {
-		alg, _ := NewCC("cubic")
-		return transport.Config{CC: alg, Steer: mustPolicy(cfg.Policy, g, channel.A)}
+		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, g, channel.A)}
 	}
 
 	res := WebResult{Trace: cfg.Trace, Policy: cfg.Policy}
@@ -111,10 +94,9 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 		if cfg.Policy == PolicyDChannelPriority {
 			bgPrio = packet.PriorityBulk
 		}
-		bg = web.StartBackground(client, func() transport.Config {
-			alg, _ := NewCC("cubic")
+		bg = web.StartBackground(w.Client, func() transport.Config {
 			return transport.Config{
-				CC:           alg,
+				CC:           cc.NewCubic(),
 				Steer:        mustPolicy(cfg.Policy, g, channel.A),
 				FlowPriority: bgPrio,
 			}
@@ -133,7 +115,7 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 			loop.Stop()
 			return
 		}
-		web.LoadWith(client, pageCfg(), corpus[page], web.LoadOptions{Tracer: cfg.Tracer}, func(r web.LoadResult) {
+		web.LoadWith(w.Client, pageCfg(), corpus[page], web.LoadOptions{Tracer: cfg.Tracer}, func(r web.LoadResult) {
 			res.PLT.AddDuration(r.PLT)
 			next := func() {
 				if iter+1 < cfg.Loads {
@@ -146,8 +128,7 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 		})
 	}
 	runLoad(0, 0)
-	loop.RunUntil(4 * time.Hour) // generous ceiling; Stop ends it early
-	transport.CheckLedger(client, server)
+	w.Run(4 * time.Hour) // generous ceiling; Stop ends it early
 
 	if !done {
 		return res, fmt.Errorf("core: web experiment did not finish (%d loads done)", res.PLT.N())

@@ -120,13 +120,9 @@ func runUE(p Profile, spec Spec, g *sketch.Group) error {
 	}
 	switch p.App {
 	case AppBulk:
-		tr, err := core.NewTrace(p.Trace, p.Seed, spec.Dur+time.Second)
-		if err != nil {
-			return err
-		}
 		r, err := core.RunBulk(core.BulkConfig{
 			Seed: p.Seed, Duration: spec.Dur, CC: spec.CC,
-			Policy: p.Policy, Fault: p.Fault, EMBB: tr,
+			Policy: p.Policy, Fault: p.Fault, Trace: p.Trace,
 		})
 		if err != nil {
 			return err

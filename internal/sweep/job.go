@@ -7,11 +7,9 @@ import (
 	"runtime/debug"
 	"strings"
 	"sync"
-	"time"
 
 	"hvc/internal/arena"
 	"hvc/internal/core"
-	"hvc/internal/trace"
 )
 
 // cellSchema versions the job key layout and the metric set each
@@ -108,17 +106,9 @@ func codeVersion() string {
 func (j job) run() ([]MetricValue, error) {
 	switch j.spec.Exp {
 	case ExpBulk:
-		var embb *trace.Trace
-		if j.cell.Trace != "fixed" {
-			tr, err := core.NewTrace(j.cell.Trace, j.seed, j.spec.Dur+time.Second)
-			if err != nil {
-				return nil, err
-			}
-			embb = tr
-		}
 		r, err := core.RunBulk(core.BulkConfig{
 			Seed: j.seed, Duration: j.spec.Dur, CC: j.cell.CC,
-			Policy: j.cell.Policy, EMBB: embb,
+			Policy: j.cell.Policy, Trace: j.cell.Trace,
 		})
 		if err != nil {
 			return nil, err
