@@ -32,7 +32,10 @@
 // snapshot); -trace writes a Chrome trace-event file loadable in
 // Perfetto (ui.perfetto.dev) with one track per channel and flow;
 // -events writes the raw event stream as JSONL. All three are
-// deterministic per seed.
+// deterministic per seed. They and the profile files are created
+// before the first experiment runs; if one cannot be, hvcbench exits 1
+// with nothing on stdout, and a failed run removes them. An unknown
+// -exp or a -seeds below 1 exits 2 before simulating.
 //
 // Absolute numbers come from a simulator, not the authors' testbed;
 // the shapes (who wins, by what factor, where crossovers fall) are the
@@ -68,47 +71,56 @@ func main() {
 		eventsF = flag.String("events", "", "write the raw telemetry event stream as JSONL to this file")
 	)
 	flag.Parse()
-	if err := profile.Start(); err != nil {
+
+	var files []*os.File
+	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "hvcbench: %v\n", err)
-		os.Exit(1)
+		profile.Discard()
+		for _, f := range files {
+			f.Close()
+			os.Remove(f.Name())
+		}
+		os.Exit(code)
 	}
-
-	cfg := experiments.FullScale()
-	if *quick {
-		cfg = experiments.QuickScale()
-	}
-
 	var names []string
 	if *exp == "all" {
 		names = experiments.Order()
 	} else if experiments.Valid(*exp) {
 		names = []string{*exp}
 	} else {
-		fmt.Fprintf(os.Stderr, "hvcbench: unknown experiment %q\n", *exp)
-		os.Exit(2)
+		fail(2, fmt.Errorf("unknown experiment %q", *exp))
 	}
 	if *seeds < 1 {
-		*seeds = 1
+		fail(2, fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
 	}
-
-	e := experiments.Env{Scale: cfg, CDF: *cdf, Out: os.Stdout, Fault: *faultF}
-	var sinks []telemetry.Sink
-	var files []*os.File
-	openSink := func(path string, mk func(*os.File) telemetry.Sink) {
+	create := func(path string) *os.File {
+		if path == "" {
+			return nil
+		}
 		f, err := os.Create(path)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcbench: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		files = append(files, f)
-		sinks = append(sinks, mk(f))
+		return f
 	}
-	if *traceF != "" {
-		openSink(*traceF, func(f *os.File) telemetry.Sink { return telemetry.NewChromeTrace(f) })
+	reportOut := create(*report)
+	var sinks []telemetry.Sink
+	if f := create(*traceF); f != nil {
+		sinks = append(sinks, telemetry.NewChromeTrace(f))
 	}
-	if *eventsF != "" {
-		openSink(*eventsF, func(f *os.File) telemetry.Sink { return telemetry.NewJSONL(f) })
+	if f := create(*eventsF); f != nil {
+		sinks = append(sinks, telemetry.NewJSONL(f))
 	}
+	if err := profile.Start(); err != nil {
+		fail(1, err)
+	}
+
+	cfg := experiments.FullScale()
+	if *quick {
+		cfg = experiments.QuickScale()
+	}
+	e := experiments.Env{Scale: cfg, CDF: *cdf, Out: os.Stdout, Fault: *faultF}
 	if len(sinks) > 0 || *report != "" {
 		e.Tracer = telemetry.New(sinks...)
 	}
@@ -144,11 +156,9 @@ func main() {
 			if err != nil {
 				var pe *pool.Error
 				if errors.As(err, &pe) {
-					fmt.Fprintf(os.Stderr, "hvcbench: %s: seed %d: %v\n", name, *seed+int64(pe.Index), pe.Err)
-				} else {
-					fmt.Fprintf(os.Stderr, "hvcbench: %s: %v\n", name, err)
+					err = fmt.Errorf("seed %d: %v", *seed+int64(pe.Index), pe.Err)
 				}
-				os.Exit(1)
+				fail(1, fmt.Errorf("%s: %v", name, err))
 			}
 			for i, buf := range outs {
 				fmt.Printf("--- seed %d ---\n", *seed+int64(i))
@@ -166,38 +176,26 @@ func main() {
 				e.Prefix = fmt.Sprintf("%s/seed%d/", name, e.Seed)
 			}
 			if err := experiments.Run(name, e); err != nil {
-				fmt.Fprintf(os.Stderr, "hvcbench: %s: %v\n", name, err)
-				os.Exit(1)
+				fail(1, fmt.Errorf("%s: %v", name, err))
 			}
 		}
 	}
 
 	if e.Report != nil {
 		e.Report.AttachCounters(e.Tracer.Registry())
-		f, err := os.Create(*report)
-		if err == nil {
-			err = e.Report.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcbench: report: %v\n", err)
-			os.Exit(1)
+		if err := e.Report.WriteJSON(reportOut); err != nil {
+			fail(1, fmt.Errorf("report: %v", err))
 		}
 	}
 	if err := e.Tracer.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcbench: trace: %v\n", err)
-		os.Exit(1)
+		fail(1, fmt.Errorf("trace: %v", err))
 	}
 	for _, f := range files {
 		if err := f.Close(); err != nil {
-			fmt.Fprintf(os.Stderr, "hvcbench: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 	}
 	if err := profile.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcbench: profile: %v\n", err)
-		os.Exit(1)
+		fail(1, fmt.Errorf("profile: %v", err))
 	}
 }

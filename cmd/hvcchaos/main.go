@@ -28,6 +28,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,7 +37,6 @@ import (
 	"hvc/internal/chaos"
 	"hvc/internal/flight"
 	"hvc/internal/invariant"
-	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
 
@@ -55,16 +55,24 @@ func main() {
 	)
 	flag.Parse()
 
-	if !invariant.Compiled {
-		fmt.Fprintln(os.Stderr, "hvcchaos: built with -tags invariant_off; nothing to check")
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "hvcchaos: %v\n", err)
 		os.Exit(2)
+	}
+	if *jobs < 1 {
+		usage(fmt.Errorf("-jobs must be at least 1, got %d", *jobs))
+	}
+	if *dur <= 0 {
+		usage(fmt.Errorf("-dur must be positive, got %v", *dur))
+	}
+	if !invariant.Compiled {
+		usage(errors.New("built with -tags invariant_off; nothing to check"))
 	}
 	invariant.SetEnabled(true)
 	if *seedBug != "" {
 		b, err := invariant.ParseBug(*seedBug)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcchaos: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		invariant.SetBug(b, true)
 		fmt.Fprintf(os.Stderr, "hvcchaos: seeded bug %q armed\n", *seedBug)
@@ -73,8 +81,7 @@ func main() {
 	if *repro != "" {
 		j, err := chaos.ParseJob(*repro)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcchaos: %v\n", err)
-			os.Exit(2)
+			usage(err)
 		}
 		rec, err := chaos.RunFlight(j, *depth)
 		if err != nil {
@@ -98,35 +105,15 @@ func main() {
 	}
 	stopProgress := func() {}
 	if *progress > 0 {
-		opts.Sketch = sketch.NewGroup()
-		done := make(chan int, 1) // latest-value mailbox, lock-free sampling
-		opts.Progress = func(d, total int) {
-			select {
-			case <-done:
-			default:
-			}
-			done <- d
-		}
-		var last int
-		stopProgress = telemetry.StartProgress(os.Stderr, *progress, func() telemetry.Progress {
-			select {
-			case d := <-done:
-				last = d
-			default:
-			}
-			return telemetry.Progress{
-				Done: last, Total: *jobs,
-				Sketches: telemetry.ProgressSketches(opts.Sketch.Snapshot()),
-			}
-		})
+		opts.Meter = telemetry.NewMeter()
+		stopProgress = telemetry.StartProgress(os.Stderr, *progress, opts.Meter)
 	}
 
 	start := time.Now()
 	finding, ran, err := chaos.Soak(opts)
 	stopProgress()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcchaos: %v\n", err)
-		os.Exit(2)
+		usage(err)
 	}
 	if finding != nil {
 		fmt.Printf("FINDING after %d trials (%.1fs):\n%s\n", ran, time.Since(start).Seconds(), finding)

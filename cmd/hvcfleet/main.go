@@ -20,18 +20,20 @@
 // report are byte-identical for any -workers or -shard value, with or
 // without -progress. Progress lines (hvc-progress/v1, including a live
 // UEs/sec rate and metric quantiles) go to stderr.
+//
+// The -json and profile files are created before the run; if one cannot
+// be, or the run fails, hvcfleet exits 1 with nothing on stdout and
+// removes them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"time"
 
 	"hvc/internal/fleet"
 	"hvc/internal/prof"
-	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
 
@@ -47,75 +49,56 @@ func main() {
 		progress = flag.Duration("progress", 0, "emit hvc-progress/v1 snapshot lines (UEs done, UEs/sec, live metric quantiles) to stderr at this interval; 0 disables")
 	)
 	flag.Parse()
-	if err := profile.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-		os.Exit(1)
-	}
 
+	var jsonOut *os.File
+	fail := func(code int, err error) {
+		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
+		profile.Discard()
+		if jsonOut != nil {
+			jsonOut.Close()
+			os.Remove(jsonOut.Name())
+		}
+		os.Exit(code)
+	}
 	spec, err := fleet.ParseSpec(*specF)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-		os.Exit(2)
-	}
-
-	opt := fleet.Options{Workers: *workers, Shard: *shard}
-	stopProgress := func() {}
-	if *progress > 0 {
-		// The snapshot emitter samples the completion counters and the
-		// live sketches fed by completed shards. It only observes: the
-		// table and report are byte-identical with or without it.
-		opt.Sketch = sketch.NewGroup()
-		var (
-			mu          sync.Mutex
-			done, total int
-		)
-		opt.Progress = func(d, t int) {
-			mu.Lock()
-			done, total = d, t
-			mu.Unlock()
-		}
-		stopProgress = telemetry.StartProgress(os.Stderr, *progress, func() telemetry.Progress {
-			mu.Lock()
-			d, t := done, total
-			mu.Unlock()
-			return telemetry.Progress{
-				Done: d, Total: t,
-				Sketches: telemetry.ProgressSketches(opt.Sketch.Snapshot()),
-			}
-		})
-	}
-
-	start := time.Now()
-	res, err := fleet.Run(spec, opt)
-	stopProgress()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-		os.Exit(1)
-	}
-
-	if err := res.WriteTable(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-		os.Exit(1)
+		fail(2, err)
 	}
 	if *jsonF != "" {
-		f, err := os.Create(*jsonF)
-		if err == nil {
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
+		if jsonOut, err = os.Create(*jsonF); err != nil {
+			fail(1, err)
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-			os.Exit(1)
+	}
+	if err := profile.Start(); err != nil {
+		fail(1, err)
+	}
+
+	var meter *telemetry.Meter
+	stopProgress := func() {}
+	if *progress > 0 {
+		meter = telemetry.NewMeter()
+		stopProgress = telemetry.StartProgress(os.Stderr, *progress, meter)
+	}
+	start := time.Now()
+	res, err := fleet.Run(spec, fleet.Options{Workers: *workers, Shard: *shard, Meter: meter})
+	stopProgress()
+	if err == nil && jsonOut != nil {
+		err = res.WriteJSON(jsonOut)
+		if cerr := jsonOut.Close(); err == nil {
+			err = cerr
 		}
+	}
+	if err == nil {
+		err = profile.Stop()
+	}
+	if err == nil {
+		err = res.WriteTable(os.Stdout)
+	}
+	if err != nil {
+		fail(1, err)
 	}
 
 	elapsed := time.Since(start)
 	fmt.Fprintf(os.Stderr, "hvcfleet: %d UEs in %v (%.1f UEs/sec)\n",
 		res.UEs, elapsed.Round(time.Millisecond), float64(res.UEs)/elapsed.Seconds())
-	if err := profile.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcfleet: profile: %v\n", err)
-		os.Exit(1)
-	}
 }

@@ -28,7 +28,6 @@ import (
 
 	"hvc/internal/core"
 	"hvc/internal/metrics"
-	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
 
@@ -196,33 +195,6 @@ func (o *observer) metric(name string, v float64, unit string) {
 	}
 }
 
-// sketchDist folds a result distribution into the report's sketch
-// section (samples feed in sorted order, so the summary is a pure
-// function of the run).
-func (o *observer) sketchDist(name string, d *metrics.Distribution) {
-	if o.report == nil || d.N() == 0 {
-		return
-	}
-	s := sketch.NewDefault()
-	for _, v := range d.Values() {
-		s.Observe(v)
-	}
-	o.report.AddSketch(name, s)
-}
-
-// sketchSeries folds a time series' values into the report's sketch
-// section, feeding in time order.
-func (o *observer) sketchSeries(name string, ts *metrics.TimeSeries) {
-	if o.report == nil || ts.N() == 0 {
-		return
-	}
-	s := sketch.NewDefault()
-	for _, p := range ts.Points() {
-		s.Observe(p.Value)
-	}
-	o.report.AddSketch(name, s)
-}
-
 // finish writes the report, flushes the trace and closes every output
 // file.
 func (o *observer) finish() error {
@@ -269,7 +241,7 @@ func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm string, obs 
 	obs.metric("goodput", r.Mbps, "Mbps")
 	obs.metric("retransmits", float64(r.Retransmits), "")
 	obs.metric("rtos", float64(r.RTOs), "")
-	obs.sketchSeries("rtt_ms", &r.RTT)
+	obs.report.SketchSeries("rtt_ms", &r.RTT)
 	return nil
 }
 
@@ -298,7 +270,7 @@ func runVideo(seed int64, dur time.Duration, policy, traceNm string, obs *observ
 	obs.metric("latency_p95", r.Latency.Percentile(95), "ms")
 	obs.metric("ssim_mean", r.SSIM.Mean(), "")
 	obs.metric("frozen", float64(r.Frozen), "frames")
-	obs.sketchDist("latency_ms", &r.Latency)
+	obs.report.SketchDist("latency_ms", &r.Latency)
 	return nil
 }
 
@@ -316,7 +288,7 @@ func runWeb(seed int64, policy, traceNm string, pages int, obs *observer) error 
 	fmt.Printf("  background   %d uploads, %d downloads\n", r.BgUploads, r.BgDownloads)
 	obs.metric("plt_mean", r.PLT.Mean(), "ms")
 	obs.metric("plt_p95", r.PLT.Percentile(95), "ms")
-	obs.sketchDist("plt_ms", &r.PLT)
+	obs.report.SketchDist("plt_ms", &r.PLT)
 	return nil
 }
 

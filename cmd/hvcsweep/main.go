@@ -37,29 +37,20 @@
 // Stdout carries only the deterministic result table (or CSV with
 // -format csv); progress and timing go to stderr. -json/-csv
 // additionally write the hvc-sweep-report/v1 bundle and the tidy CSV
-// matrix to files.
-//
-// With -fleet, -spec is instead an internal/fleet population spec and
-// the run delegates to the fleet harness (the engine cmd/hvcfleet
-// fronts): N derived UE sessions, sketch aggregation, and an
-// hvc-fleet-report/v1 bundle from -json. -workers and -progress keep
-// their meanings; the sweep-only knobs (cache, format, csv, quick) do
-// not apply:
-//
-//	hvcsweep -fleet -spec "ues=2000 mix=bulk:2,web:1 dur=1s" -progress 2s
+// matrix to files. An unknown -format exits 2 before simulating. Output
+// and profile files are created before the run; if one cannot be, or
+// the run fails, hvcsweep exits 1 with nothing on stdout and removes
+// them.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"sync"
 	"text/tabwriter"
 	"time"
 
-	"hvc/internal/fleet"
 	"hvc/internal/prof"
-	"hvc/internal/sketch"
 	"hvc/internal/sweep"
 	"hvc/internal/telemetry"
 )
@@ -77,39 +68,41 @@ func main() {
 		format   = flag.String("format", "table", "stdout format: table or csv")
 		csvF     = flag.String("csv", "", "also write the tidy CSV matrix to this file")
 		jsonF    = flag.String("json", "", "also write the hvc-sweep-report/v1 JSON bundle to this file")
-		verbose  = flag.Bool("v", false, "report per-job progress on stderr")
 		progress = flag.Duration("progress", 0, "emit hvc-progress/v1 snapshot lines (jobs, cache hits, live metric quantiles) to stderr at this interval; 0 disables")
-		fleetF   = flag.Bool("fleet", false, "treat -spec as an internal/fleet population spec and run the fleet harness")
 	)
 	flag.Parse()
-	if err := profile.Start(); err != nil {
+
+	var outs []*os.File
+	fail := func(code int, err error) {
 		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *fleetF {
-		specSet := false
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "spec" {
-				specSet = true
-			}
-		})
-		fleetSpec := *specF
-		if !specSet {
-			fleetSpec = "" // fleet defaults, not the sweep grid default
+		profile.Discard()
+		for _, f := range outs {
+			f.Close()
+			os.Remove(f.Name())
 		}
-		runFleet(fleetSpec, *workers, *jsonF, *progress)
-		if err := profile.Stop(); err != nil {
-			fmt.Fprintf(os.Stderr, "hvcsweep: profile: %v\n", err)
-			os.Exit(1)
-		}
-		return
+		os.Exit(code)
 	}
-
 	spec, err := sweep.ParseSpec(*specF)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(2)
+		fail(2, err)
+	}
+	if *format != "table" && *format != "csv" {
+		fail(2, fmt.Errorf("unknown -format %q (want table or csv)", *format))
+	}
+	create := func(path string) *os.File {
+		if path == "" {
+			return nil
+		}
+		f, err := os.Create(path)
+		if err != nil {
+			fail(1, err)
+		}
+		outs = append(outs, f)
+		return f
+	}
+	csvOut, jsonOut := create(*csvF), create(*jsonF)
+	if err := profile.Start(); err != nil {
+		fail(1, err)
 	}
 	if *quick {
 		if spec.Exp == sweep.ExpWeb {
@@ -119,174 +112,47 @@ func main() {
 		}
 	}
 
-	opt := sweep.Options{Workers: *workers, CacheDir: *cache, Registry: telemetry.NewRegistry()}
+	meter := telemetry.NewMeter()
+	opt := sweep.Options{Workers: *workers, CacheDir: *cache, Meter: meter}
 	if *noCache {
 		opt.CacheDir = ""
 	}
-	if *verbose {
-		opt.Progress = func(done, total, cached int) {
-			fmt.Fprintf(os.Stderr, "hvcsweep: %d/%d jobs (%d cached)\n", done, total, cached)
-		}
-	}
 	stopProgress := func() {}
 	if *progress > 0 {
-		// The snapshot emitter samples counters the engine's progress
-		// hook maintains plus the live metric sketches. It only observes:
-		// the result table is byte-identical with or without it.
-		opt.Sketch = sketch.NewGroup()
-		var (
-			mu                  sync.Mutex
-			done, total, cached int
-		)
-		prev := opt.Progress
-		opt.Progress = func(d, t, c int) {
-			mu.Lock()
-			done, total, cached = d, t, c
-			mu.Unlock()
-			if prev != nil {
-				prev(d, t, c)
-			}
-		}
-		stopProgress = telemetry.StartProgress(os.Stderr, *progress, func() telemetry.Progress {
-			mu.Lock()
-			d, t, c := done, total, cached
-			mu.Unlock()
-			return telemetry.Progress{
-				Done: d, Total: t, Cached: c,
-				Sketches: telemetry.ProgressSketches(opt.Sketch.Snapshot()),
-			}
-		})
+		stopProgress = telemetry.StartProgress(os.Stderr, *progress, meter)
 	}
-
 	start := time.Now()
 	m, err := sweep.Run(spec, opt)
 	stopProgress()
+	if err == nil && csvOut != nil {
+		err = m.WriteCSV(csvOut)
+	}
+	if err == nil && jsonOut != nil {
+		err = m.WriteJSON(jsonOut)
+	}
+	for _, f := range outs {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err == nil {
+		err = profile.Stop()
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 
-	switch *format {
-	case "table":
-		if err := printTable(m); err != nil {
-			fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-			os.Exit(1)
-		}
-	case "csv":
-		if err := m.WriteCSV(os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-			os.Exit(1)
-		}
-	default:
-		fmt.Fprintf(os.Stderr, "hvcsweep: unknown -format %q (want table or csv)\n", *format)
-		os.Exit(2)
+	if *format == "csv" {
+		err = m.WriteCSV(os.Stdout)
+	} else {
+		err = printTable(m)
 	}
-
-	writeFile := func(path string, write func(*os.File) error) {
-		if path == "" {
-			return
-		}
-		f, err := os.Create(path)
-		if err == nil {
-			err = write(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-			os.Exit(1)
-		}
+	if err != nil {
+		fail(1, err)
 	}
-	writeFile(*csvF, func(f *os.File) error { return m.WriteCSV(f) })
-	writeFile(*jsonF, func(f *os.File) error { return m.WriteJSON(f) })
-
-	executed, cached := counterTotals(opt.Registry)
+	p := meter.Progress()
 	fmt.Fprintf(os.Stderr, "hvcsweep: %d jobs (%d executed, %d cached) across %d cells in %v\n",
-		m.Jobs, executed, cached, len(m.Cells), time.Since(start).Round(time.Millisecond))
-	if err := profile.Stop(); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: profile: %v\n", err)
-		os.Exit(1)
-	}
-}
-
-// runFleet is -fleet mode: the fleet harness behind the sweep CLI's
-// flags. Same output contract as cmd/hvcfleet — deterministic table
-// on stdout, hvc-fleet-report/v1 from -json, progress and timing on
-// stderr.
-func runFleet(specStr string, workers int, jsonPath string, progress time.Duration) {
-	spec, err := fleet.ParseSpec(specStr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(2)
-	}
-	opt := fleet.Options{Workers: workers}
-	stopProgress := func() {}
-	if progress > 0 {
-		opt.Sketch = sketch.NewGroup()
-		var (
-			mu          sync.Mutex
-			done, total int
-		)
-		opt.Progress = func(d, t int) {
-			mu.Lock()
-			done, total = d, t
-			mu.Unlock()
-		}
-		stopProgress = telemetry.StartProgress(os.Stderr, progress, func() telemetry.Progress {
-			mu.Lock()
-			d, t := done, total
-			mu.Unlock()
-			return telemetry.Progress{
-				Done: d, Total: t,
-				Sketches: telemetry.ProgressSketches(opt.Sketch.Snapshot()),
-			}
-		})
-	}
-	start := time.Now()
-	res, err := fleet.Run(spec, opt)
-	stopProgress()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(1)
-	}
-	if err := res.WriteTable(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		os.Exit(1)
-	}
-	if jsonPath != "" {
-		f, err := os.Create(jsonPath)
-		if err == nil {
-			err = res.WriteJSON(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-			os.Exit(1)
-		}
-	}
-	elapsed := time.Since(start)
-	fmt.Fprintf(os.Stderr, "hvcsweep: fleet %d UEs in %v (%.1f UEs/sec)\n",
-		res.UEs, elapsed.Round(time.Millisecond), float64(res.UEs)/elapsed.Seconds())
-}
-
-// counterTotals pulls the executed/cached split back out of the
-// engine's progress counters.
-func counterTotals(reg *telemetry.Registry) (executed, cached int) {
-	for _, r := range reg.Snapshot() {
-		if r.Name != "sweep/jobs" {
-			continue
-		}
-		switch r.Labels["result"] {
-		case "executed":
-			executed = int(r.Value)
-		case "cached":
-			cached = int(r.Value)
-		}
-	}
-	return executed, cached
+		m.Jobs, p.Done-p.Cached, p.Cached, len(m.Cells), time.Since(start).Round(time.Millisecond))
 }
 
 // printTable renders the matrix as an aligned, deterministic table:

@@ -1,0 +1,89 @@
+package main
+
+import (
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"hvc/internal/clitest"
+)
+
+// bin is the hvcsweep binary under test, built once by TestMain.
+var bin string
+
+func TestMain(m *testing.M) { clitest.Main(m, &bin) }
+
+// small is a two-job grid that simulates in well under a second.
+const small = "exp=video policy=dchannel seeds=1..2 dur=1s"
+
+// TestExitCodes runs hvcsweep over usage errors, unwritable outputs and
+// good runs. Usage errors exit 2 and unwritable outputs exit 1, both
+// before simulating: nothing on stdout, no file left behind, not even
+// a result cache.
+func TestExitCodes(t *testing.T) {
+	clitest.Run(t, bin, []clitest.Case{
+		{Name: "bad spec", Args: []string{"-spec", "exp=web dur=0s", "-json", "$DIR/s.json"}, Code: 2,
+			Files: []string{"s.json"}},
+		{Name: "unknown format", Args: []string{"-spec", small, "-format", "bogus", "-cache", "$DIR/cache", "-csv", "$DIR/s.csv"}, Code: 2,
+			Files: []string{"cache", "s.csv"}},
+		{Name: "fleet mode is gone", Args: []string{"-fleet", "-spec", "ues=10"}, Code: 2},
+		{Name: "verbose flag is gone", Args: []string{"-spec", small, "-v"}, Code: 2},
+		{Name: "unwritable json", Args: []string{"-spec", small, "-csv", "$DIR/s.csv", "-json", "$DIR/no/s.json"}, Code: 1,
+			Files: []string{"s.csv", "no/s.json"}},
+		{Name: "unwritable csv", Args: []string{"-spec", small, "-json", "$DIR/s.json", "-csv", "$DIR/no/s.csv"}, Code: 1,
+			Files: []string{"s.json", "no/s.csv"}},
+		{Name: "unwritable memprofile", Args: []string{"-spec", small, "-json", "$DIR/s.json",
+			"-cpuprofile", "$DIR/cpu.pb.gz", "-memprofile", "$DIR/no/mem.pb.gz"}, Code: 1,
+			Files: []string{"s.json", "cpu.pb.gz", "no/mem.pb.gz"}},
+
+		{Name: "table with progress", Args: []string{"-spec", small, "-no-cache", "-workers", "2", "-progress", "1h",
+			"-json", "$DIR/s.json", "-csv", "$DIR/s.csv"}, Files: []string{"s.json", "s.csv"},
+			Check: func(t *testing.T, dir, stdout, stderr string) {
+				if p := clitest.FinalProgress(t, stderr); p.Total != 2 {
+					t.Errorf("progress total %d, want the 2 jobs", p.Total)
+				}
+				if !strings.Contains(stderr, "2 jobs (2 executed, 0 cached)") {
+					t.Errorf("stderr lacks the job tally: %s", stderr)
+				}
+			}},
+		{Name: "csv", Args: []string{"-spec", small, "-no-cache", "-format", "csv"},
+			Check: func(t *testing.T, dir, stdout, stderr string) {
+				if !strings.HasPrefix(stdout, "exp,") {
+					t.Errorf("stdout is not the CSV matrix: %q", stdout)
+				}
+			}},
+		{Name: "profiles", Args: []string{"-spec", small, "-no-cache",
+			"-cpuprofile", "$DIR/cpu.pb.gz", "-memprofile", "$DIR/mem.pb.gz"}, Files: []string{"cpu.pb.gz", "mem.pb.gz"},
+			Check: func(t *testing.T, dir, stdout, stderr string) { clitest.Gzip(t, dir, "cpu.pb.gz", "mem.pb.gz") }},
+	})
+}
+
+// TestCachedRerun runs one grid twice on one cache: the repeat is all
+// hits, and the meter's cached count reaches both the progress line
+// and the tally line CI greps.
+func TestCachedRerun(t *testing.T) {
+	cache := filepath.Join(t.TempDir(), "cache")
+	var outs [2]string
+	for i := range outs {
+		cmd := exec.Command(bin, "-spec", small, "-cache", cache, "-progress", "1h")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("run %d: %v; stderr: %s", i, err, stderr.String())
+		}
+		outs[i] = string(out)
+		if i == 1 {
+			if p := clitest.FinalProgress(t, stderr.String()); p.Cached != 2 {
+				t.Errorf("repeat run's progress reports %d cached, want 2", p.Cached)
+			}
+			if !strings.Contains(stderr.String(), "2 jobs (0 executed, 2 cached)") {
+				t.Errorf("repeat run's tally: %s", stderr.String())
+			}
+		}
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("cached rerun changed stdout:\n%s\nvs\n%s", outs[0], outs[1])
+	}
+}

@@ -10,7 +10,6 @@ import (
 	"hvc/internal/flight"
 	"hvc/internal/invariant"
 	"hvc/internal/pool"
-	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
 
@@ -32,17 +31,14 @@ type Options struct {
 	// claiming new batches once the budget is spent, so it overruns by
 	// at most one batch.
 	Budget time.Duration
-	// Log, when non-nil, receives progress lines.
+	// Log, when non-nil, receives per-batch progress lines and the
+	// shrinker's steps.
 	Log func(format string, args ...any)
-	// Progress, when non-nil, is called after every finished trial with
-	// the done count and the total. Completion order is arbitrary; the
-	// hook is for live display only and cannot affect the finding.
-	Progress func(done, total int)
-	// Sketch, when non-nil, receives each trial's wall-clock duration
-	// as "trial_ms" — the live quantile surface for watching a soak's
-	// pace. Wall clock is inherently non-deterministic; nothing
-	// downstream of the finding reads the group.
-	Sketch *sketch.Group
+	// Meter, when non-nil, counts finished trials against Jobs and
+	// receives each trial's wall-clock duration as "trial_ms", the live
+	// quantile surface for watching a soak's pace. Nothing downstream
+	// of the finding reads it.
+	Meter *telemetry.Meter
 	// FlightDepth sizes the flight recorder attached when a finding's
 	// minimal counterexample is replayed for its dump; <= 0 means
 	// flight.DefaultDepth.
@@ -116,20 +112,17 @@ func Soak(opts Options) (finding *Finding, ran int, err error) {
 	}
 	batch *= 4
 	start := time.Now()
-	var onDone func(done int)
+	opts.Meter.SetTotal(len(jobs))
 	for lo := 0; lo < len(jobs); lo += batch {
 		hi := lo + batch
 		if hi > len(jobs) {
 			hi = len(jobs)
 		}
-		if opts.Progress != nil {
-			base := lo // rebind per batch: the hook reports batch-local counts
-			onDone = func(done int) { opts.Progress(base+done, len(jobs)) }
-		}
-		_, err := pool.MapProgress(hi-lo, opts.Workers, onDone, func(i int) (struct{}, error) {
+		_, err := pool.Map(hi-lo, opts.Workers, func(i int) (struct{}, error) {
 			t0 := time.Now()
 			err := Run(jobs[lo+i])
-			opts.Sketch.Observe("trial_ms", float64(time.Since(t0))/float64(time.Millisecond))
+			opts.Meter.Observe("trial_ms", float64(time.Since(t0))/float64(time.Millisecond))
+			opts.Meter.Add(1, 0)
 			return struct{}{}, err
 		})
 		if err != nil {

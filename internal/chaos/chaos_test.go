@@ -11,8 +11,8 @@ import (
 
 	"hvc/internal/fault"
 	"hvc/internal/invariant"
-	"hvc/internal/sketch"
 	"hvc/internal/spec"
+	"hvc/internal/telemetry"
 )
 
 func TestMain(m *testing.M) {
@@ -152,38 +152,28 @@ func TestSoakCatchesSeededBug(t *testing.T) {
 // TestFindingShipsFlightDump is the acceptance check for the flight
 // recorder: an induced invariant violation must come with a dump that
 // carries the violating event itself plus the telemetry leading up to
-// it, and the live progress/sketch hooks must observe the soak without
+// it, and the live progress meter must observe the soak without
 // changing its finding.
 func TestFindingShipsFlightDump(t *testing.T) {
 	skipWithoutInvariants(t)
 	invariant.SetBug(invariant.BugDupDeliver, true)
 	defer invariant.SetBug(invariant.BugDupDeliver, false)
 
-	var progressCalls, lastDone int
-	g := sketch.NewGroup()
-	f, ran, err := Soak(Options{
-		MetaSeed: 42, Jobs: 64, Workers: 4, Dur: 3 * time.Second,
-		Progress: func(done, total int) {
-			progressCalls++
-			lastDone = done
-			if done < 1 || done > total || total != 64 {
-				t.Errorf("progress reported done=%d total=%d", done, total)
-			}
-		},
-		Sketch: g,
-	})
+	m := telemetry.NewMeter()
+	f, ran, err := Soak(Options{MetaSeed: 42, Jobs: 64, Workers: 4, Dur: 3 * time.Second, Meter: m})
 	if err != nil || f == nil {
 		t.Fatalf("finding=%v err=%v after %d trials", f, err, ran)
 	}
 
-	// The hooks saw every completed trial; same finding as the hookless
-	// soak in TestSoakCatchesSeededBug (same meta-seed).
-	if progressCalls == 0 || lastDone < ran {
-		t.Fatalf("progress calls=%d lastDone=%d ran=%d", progressCalls, lastDone, ran)
+	// The meter counted every finished trial against the soak's size
+	// and timed each one; same finding as the meterless soak in
+	// TestSoakCatchesSeededBug (same meta-seed).
+	p := m.Progress()
+	if p.Total != 64 || p.Done < ran || p.Done > p.Total {
+		t.Fatalf("meter done=%d total=%d, ran=%d", p.Done, p.Total, ran)
 	}
-	sums := g.Snapshot()
-	if len(sums) != 1 || sums[0].Name != "trial_ms" || sums[0].N == 0 {
-		t.Fatalf("trial sketch snapshot = %+v", sums)
+	if len(p.Sketches) != 1 || p.Sketches[0].Name != "trial_ms" || p.Sketches[0].N != uint64(p.Done) {
+		t.Fatalf("trial sketches = %+v, want one trial_ms per finished trial", p.Sketches)
 	}
 	if f.Violation == nil || f.Violation.Name != "exactly-once" {
 		t.Fatalf("finding = %v", f)

@@ -86,34 +86,6 @@ func (e Env) metric(name string, v float64, unit string) {
 	}
 }
 
-// sketchDist folds a result distribution into the report's sketch
-// section. The samples feed in sorted order (Values), so the summary —
-// like every report field — is a pure function of the run's results;
-// the determinism matrix diffs it along with everything else.
-func (e Env) sketchDist(name string, d *metrics.Distribution) {
-	if e.Report == nil || d.N() == 0 {
-		return
-	}
-	s := sketch.NewDefault()
-	for _, v := range d.Values() {
-		s.Observe(v)
-	}
-	e.Report.AddSketch(e.Prefix+name, s)
-}
-
-// sketchSeries folds a time series' values into the report's sketch
-// section, feeding in time order.
-func (e Env) sketchSeries(name string, ts *metrics.TimeSeries) {
-	if e.Report == nil || ts.N() == 0 {
-		return
-	}
-	s := sketch.NewDefault()
-	for _, p := range ts.Points() {
-		s.Observe(p.Value)
-	}
-	e.Report.AddSketch(e.Prefix+name, s)
-}
-
 var runners = map[string]func(Env) error{
 	"fig1a":          fig1a,
 	"fig1b":          fig1b,
@@ -181,7 +153,7 @@ func fig1b(e Env) error {
 	fmt.Fprintf(e.Out, "throughput: %.2f Mbps over %v\n\n", r.Mbps, e.Scale.BulkDur)
 	e.metric("goodput", r.Mbps, "Mbps")
 	e.metric("rtt_samples", float64(r.RTT.N()), "")
-	e.sketchSeries("rtt_ms", &r.RTT)
+	e.Report.SketchSeries(e.Prefix+"rtt_ms", &r.RTT)
 	return nil
 }
 
@@ -203,7 +175,7 @@ func fig2(e Env) error {
 			e.metric(tr+"/"+r.Policy+"/latency_p95", r.Latency.Percentile(95), "ms")
 			e.metric(tr+"/"+r.Policy+"/ssim_mean", r.SSIM.Mean(), "")
 			e.metric(tr+"/"+r.Policy+"/frozen", float64(r.Frozen), "frames")
-			e.sketchDist(tr+"/"+r.Policy+"/latency_ms", &r.Latency)
+			e.Report.SketchDist(e.Prefix+tr+"/"+r.Policy+"/latency_ms", &r.Latency)
 		}
 		if e.CDF {
 			for _, r := range results {
@@ -235,7 +207,7 @@ func table1(e Env) error {
 				cells[i] = fmt.Sprintf("%.1f (%.1f%%)", r.PLT.Mean(), 100*(1-r.PLT.Mean()/base))
 			}
 			e.metric(tr+"/"+r.Policy+"/plt_mean", r.PLT.Mean(), "ms")
-			e.sketchDist(tr+"/"+r.Policy+"/plt_ms", &r.PLT)
+			e.Report.SketchDist(e.Prefix+tr+"/"+r.Policy+"/plt_ms", &r.PLT)
 		}
 		fmt.Fprintf(e.Out, "%-22s %14s %20s %24s\n", tr, cells[0], cells[1], cells[2])
 	}
@@ -372,7 +344,7 @@ func outage(e Env) error {
 		e.metric(policy+"/delivery_rate", r.DeliveryRate(), "")
 		e.metric(policy+"/stall_ms", float64(r.Stall.Microseconds())/1000, "ms")
 		e.metric(policy+"/delay_p99", r.Delay.Percentile(99), "ms")
-		e.sketchDist(policy+"/delay_ms", &r.Delay)
+		e.Report.SketchDist(e.Prefix+policy+"/delay_ms", &r.Delay)
 	}
 	fmt.Fprintf(e.Out, "fault: %s\n\n", fault)
 	return nil

@@ -32,14 +32,10 @@ type Options struct {
 	Workers int
 	// Shard is the UEs simulated per pool job; 0 means defaultShard.
 	Shard int
-	// Progress, when non-nil, is called after each shard completes
-	// with conservative done/total UE counts. Serialized; observe-only.
-	Progress func(doneUEs, totalUEs int)
-	// Sketch, when non-nil, receives every completed shard's merged
-	// sketches as the run progresses — the live surface -progress
-	// samples. Observe-only: the result is byte-identical with or
-	// without it.
-	Sketch *sketch.Group
+	// Meter, when non-nil, counts finished UEs against the fleet size
+	// and receives every finished shard's sketches. Observe-only: the
+	// result is byte-identical with or without it.
+	Meter *telemetry.Meter
 }
 
 // A Result is one fleet run's aggregate: the canonical spec, the
@@ -78,17 +74,8 @@ func Run(spec Spec, opt Options) (*Result, error) {
 	nShards := (spec.UEs + shard - 1) / shard
 
 	total := sketch.NewGroup()
-	var progress func(done int)
-	if opt.Progress != nil {
-		progress = func(done int) {
-			ues := done * shard
-			if ues > spec.UEs {
-				ues = spec.UEs
-			}
-			opt.Progress(ues, spec.UEs)
-		}
-	}
-	err = pool.Reduce(nShards, opt.Workers, progress,
+	opt.Meter.SetTotal(spec.UEs)
+	err = pool.Reduce(nShards, opt.Workers, nil,
 		func(i int) (*sketch.Group, error) {
 			g := sketch.NewGroup()
 			lo, hi := i*shard, (i+1)*shard
@@ -101,11 +88,12 @@ func Run(spec Spec, opt Options) (*Result, error) {
 					return nil, fmt.Errorf("ue %d (%s seed=%d): %w", ue, p.App, p.Seed, err)
 				}
 			}
+			opt.Meter.Add(hi-lo, 0)
 			return g, nil
 		},
 		func(i int, g *sketch.Group) {
 			total.Merge(g)
-			opt.Sketch.Merge(g) // nil-safe no-op when unset
+			opt.Meter.Merge(g)
 		})
 	if err != nil {
 		return nil, err
@@ -188,11 +176,11 @@ func runUE(p Profile, spec Spec, g *sketch.Group) error {
 // timing, worker counts, or shard sizes — which is what makes the
 // byte-identity contract possible.
 type reportJSON struct {
-	Schema   string                    `json:"schema"`
-	Spec     string                    `json:"spec"`
-	UEs      int                       `json:"ues"`
-	Apps     map[string]int            `json:"apps"`
-	Sketches []telemetry.SketchSummary `json:"sketches"`
+	Schema   string           `json:"schema"`
+	Spec     string           `json:"spec"`
+	UEs      int              `json:"ues"`
+	Apps     map[string]int   `json:"apps"`
+	Sketches []sketch.Summary `json:"sketches"`
 }
 
 // WriteJSON writes the hvc-fleet-report/v1 bundle: deterministic
@@ -204,7 +192,7 @@ func (r *Result) WriteJSON(w io.Writer) error {
 		Spec:     r.Spec.String(),
 		UEs:      r.UEs,
 		Apps:     r.Apps,
-		Sketches: telemetry.SketchSummaries(r.Group.Snapshot()),
+		Sketches: r.Group.Snapshot(),
 	}
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")

@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"hvc/internal/sketch"
+	"hvc/internal/telemetry"
 )
 
 // render runs the fleet and returns the two user-visible byte surfaces
@@ -49,7 +52,7 @@ func TestFleetDeterminismMatrix(t *testing.T) {
 		baseTable, baseReport := render(t, spec, Options{Workers: 1})
 		variants := []Options{
 			{Workers: 4, Shard: 3},
-			{Workers: 2, Shard: 1, Progress: func(done, total int) {}, Sketch: sketch.NewGroup()},
+			{Workers: 2, Shard: 1, Meter: telemetry.NewMeter()},
 		}
 		for _, opt := range variants {
 			table, report := render(t, spec, opt)
@@ -141,12 +144,12 @@ func TestFleetFlatMemory(t *testing.T) {
 
 // TestFleetAggregation checks the merged totals through the stub: one
 // observation per UE, fleet-wide count equals the fleet size, and the
-// live Options.Sketch group converges to exactly the result group.
+// live Options.Meter sketches converge to exactly the result group.
 func TestFleetAggregation(t *testing.T) {
 	stubUEs(t)
-	live := sketch.NewGroup()
+	live := telemetry.NewMeter()
 	spec := Spec{UEs: 500, Seed: 3}
-	res, err := Run(spec, Options{Workers: 4, Shard: 7, Sketch: live})
+	res, err := Run(spec, Options{Workers: 4, Shard: 7, Meter: live})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,32 +160,36 @@ func TestFleetAggregation(t *testing.T) {
 	if snap[0].N != 500 {
 		t.Fatalf("aggregate holds %d observations, want 500", snap[0].N)
 	}
-	if !bytes.Equal(groupBytes(live), groupBytes(res.Group)) {
-		t.Fatal("live progress group diverged from the result aggregate")
+	if got := live.Progress().Sketches; !reflect.DeepEqual(got, snap) {
+		t.Fatalf("live meter sketches %+v diverged from the result aggregate %+v", got, snap)
 	}
 }
 
-// TestFleetProgress checks the conservative progress stream: counts
-// never decrease, never exceed the total, and end at exactly the
-// fleet size.
+// TestFleetProgress checks the meter counts exact UEs: 100 UEs in
+// shards of 7 leave a short last shard of 2, and however the shards
+// finish the count never runs ahead of the sessions simulated and ends
+// at exactly the fleet size.
 func TestFleetProgress(t *testing.T) {
-	stubUEs(t)
-	last := 0
-	spec := Spec{UEs: 100, Seed: 1}
-	_, err := Run(spec, Options{Workers: 1, Shard: 7, Progress: func(done, total int) {
-		if total != 100 {
-			t.Fatalf("progress total %d, want 100", total)
-		}
-		if done < last || done > total {
-			t.Fatalf("progress went %d -> %d", last, done)
-		}
-		last = done
-	}})
-	if err != nil {
-		t.Fatal(err)
+	if testRunUE != nil {
+		t.Fatal("testRunUE already installed")
 	}
-	if last != 100 {
-		t.Fatalf("final progress %d, want 100", last)
+	t.Cleanup(func() { testRunUE = nil })
+	for _, workers := range []int{1, 4} {
+		m := telemetry.NewMeter()
+		var ran atomic.Int64
+		testRunUE = func(p Profile, g *sketch.Group) error {
+			if done := m.Progress().Done; int64(done) > ran.Load() {
+				t.Errorf("workers=%d: meter reports %d UEs done, only %d simulated", workers, done, ran.Load())
+			}
+			ran.Add(1)
+			return nil
+		}
+		if _, err := Run(Spec{UEs: 100, Seed: 1}, Options{Workers: workers, Shard: 7, Meter: m}); err != nil {
+			t.Fatal(err)
+		}
+		if p := m.Progress(); p.Done != 100 || p.Total != 100 || p.Cached != 0 {
+			t.Fatalf("workers=%d: meter done=%d total=%d cached=%d, want 100/100/0", workers, p.Done, p.Total, p.Cached)
+		}
 	}
 }
 

@@ -65,32 +65,86 @@ func (p *Panic) Unwrap() error {
 // failing index — the same error a serial left-to-right run would have
 // hit first.
 func Map[T any](n, workers int, fn func(i int) (T, error)) ([]T, error) {
-	return MapProgress(n, workers, nil, fn)
-}
-
-// MapProgress is Map with a completion hook: after each job finishes —
-// successfully or not — progress is called with the number of jobs
-// completed so far. Calls are serialized under the pool's internal lock
-// and carry a strictly increasing count, but jobs complete in arbitrary
-// order, so the count says nothing about which indices are done.
-// progress must be cheap and must not invoke the pool reentrantly; a
-// nil progress makes MapProgress exactly Map. The hook observes
-// completion, it cannot influence it — results, error selection, and
-// job order are byte-identical with and without one.
-func MapProgress[T any](n, workers int, progress func(done int), fn func(i int) (T, error)) ([]T, error) {
 	if n <= 0 {
 		return nil, nil
 	}
+	out := make([]T, n)
+	err := work(n, workers, 0, nil, fn, func(i int, v T) int {
+		out[i] = v
+		return 0
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// Reduce runs fn(0..n-1) on min(workers, n) goroutines like Map, but
+// instead of collecting all n results it streams them into fold in
+// strict job-index order: fold(0, v0), fold(1, v1), …, each called
+// exactly once, serialized under the pool's internal lock. Only results
+// waiting for their turn are buffered, and workers stop claiming jobs
+// more than 2×workers ahead of the fold cursor, so live memory is
+// O(workers) regardless of n — the property fleet-scale aggregation
+// needs where Map's []T would be O(n).
+//
+// Because the fold order is a function of the job decomposition alone,
+// any accumulation inside fold observes the same sequence for any
+// worker count. fold must not invoke the pool reentrantly. progress,
+// when non-nil, is called after each job finishes, successfully or
+// not, with the strictly increasing count of jobs finished so far,
+// under the same lock; it observes completion and cannot influence it.
+//
+// Error semantics match Map: on failure every job below the lowest
+// failing index completes and is folded, nothing at or above it is
+// folded, and the returned *Error carries that lowest index — the same
+// error a serial left-to-right run would have hit first.
+func Reduce[T any](n, workers int, progress func(done int), fn func(i int) (T, error), fold func(i int, v T)) error {
+	if n <= 0 {
+		return nil
+	}
+	cursor := 0 // lowest job index not yet folded
+	pending := make(map[int]T)
+	return work(n, workers, 2, progress, fn, func(i int, v T) int {
+		// Fold every contiguously completed job. A failed index never
+		// gets here, so the cursor parks just below it and later
+		// results above stay unfolded, as promised.
+		pending[i] = v
+		for {
+			v, ok := pending[cursor]
+			if !ok {
+				break
+			}
+			delete(pending, cursor)
+			fold(cursor, v)
+			cursor++
+		}
+		return cursor
+	})
+}
+
+// work is the worker loop Map and Reduce share. Workers claim job
+// indices in order, run each under protect, and hand every success to
+// keep under the pool's lock; keep returns the lowest index still
+// awaited. With ahead > 0 no worker claims a job ahead×workers or more
+// past that cursor; with ahead 0 claiming is unbounded. The lowest
+// failing index wins, and nothing past it is claimed.
+func work[T any](n, workers, ahead int, progress func(done int), fn func(i int) (T, error), keep func(i int, v T) (cursor int)) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	if workers > n {
 		workers = n
 	}
-	out := make([]T, n)
+	window := n
+	if ahead > 0 {
+		window = ahead * workers
+	}
 	var (
 		mu     sync.Mutex
+		cond   = sync.NewCond(&mu)
 		next   int
+		cursor int
 		done   int
 		errIdx = -1
 		jobErr error
@@ -102,87 +156,8 @@ func MapProgress[T any](n, workers int, progress func(done int), fn func(i int) 
 			defer wg.Done()
 			for {
 				mu.Lock()
-				if next >= n || (errIdx >= 0 && next > errIdx) {
-					mu.Unlock()
-					return
-				}
-				i := next
-				next++
-				mu.Unlock()
-
-				v, err := protect(fn, i)
-
-				mu.Lock()
-				if err != nil {
-					if errIdx < 0 || i < errIdx {
-						errIdx, jobErr = i, err
-					}
-				} else {
-					out[i] = v
-				}
-				done++
-				if progress != nil {
-					progress(done)
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-	wg.Wait()
-	if errIdx >= 0 {
-		return nil, &Error{Index: errIdx, Err: jobErr}
-	}
-	return out, nil
-}
-
-// Reduce runs fn(0..n-1) on min(workers, n) goroutines like
-// MapProgress, but instead of collecting all n results it streams them
-// into fold in strict job-index order: fold(0, v0), fold(1, v1), …,
-// each called exactly once, serialized under the pool's internal lock.
-// Only results waiting for their turn are buffered, and workers stop
-// claiming jobs more than 2×workers ahead of the fold cursor, so live
-// memory is O(workers) regardless of n — the property fleet-scale
-// aggregation needs where Map's []T would be O(n).
-//
-// Because the fold order is a function of the job decomposition alone,
-// any accumulation inside fold observes the same sequence for any
-// worker count. fold must not invoke the pool reentrantly; progress
-// (may be nil) behaves exactly as in MapProgress.
-//
-// Error semantics match Map: on failure every job below the lowest
-// failing index completes and is folded, nothing at or above it is
-// folded, and the returned *Error carries that lowest index — the same
-// error a serial left-to-right run would have hit first.
-func Reduce[T any](n, workers int, progress func(done int), fn func(i int) (T, error), fold func(i int, v T)) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	window := 2 * workers
-	var (
-		mu      sync.Mutex
-		cond    = sync.NewCond(&mu)
-		next    int
-		cursor  int // lowest job index not yet folded
-		done    int
-		pending = make(map[int]T, window)
-		errIdx  = -1
-		jobErr  error
-	)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				// Hold back rather than racing ahead of the fold cursor;
-				// an error releases the gate so everyone can drain out.
+				// Hold back rather than racing ahead of the cursor; an
+				// error releases the gate so everyone can drain out.
 				for next < n && next >= cursor+window && (errIdx < 0 || next <= errIdx) {
 					cond.Wait()
 				}
@@ -202,23 +177,11 @@ func Reduce[T any](n, workers int, progress func(done int), fn func(i int) (T, e
 						errIdx, jobErr = i, err
 					}
 				} else {
-					pending[i] = v
+					cursor = keep(i, v)
 				}
 				done++
 				if progress != nil {
 					progress(done)
-				}
-				// Fold every contiguously completed job. A failed index
-				// never enters pending, so the cursor parks just below it
-				// and later results above stay unfolded, as promised.
-				for {
-					v, ok := pending[cursor]
-					if !ok {
-						break
-					}
-					delete(pending, cursor)
-					fold(cursor, v)
-					cursor++
 				}
 				cond.Broadcast()
 				mu.Unlock()

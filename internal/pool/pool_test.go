@@ -6,6 +6,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestMapOrdersResultsByIndex(t *testing.T) {
@@ -70,6 +71,30 @@ func TestMapRunsJobsConcurrently(t *testing.T) {
 	}
 }
 
+// TestMapClaimsPastSlowJob pins that Map has no claim window: while
+// job 0 runs, the other worker claims every remaining job, where
+// Reduce would stop 2×workers past its fold cursor.
+func TestMapClaimsPastSlowJob(t *testing.T) {
+	const n = 50
+	last := make(chan struct{})
+	_, err := Map(n, 2, func(i int) (int, error) {
+		switch i {
+		case 0:
+			select {
+			case <-last:
+			case <-time.After(10 * time.Second):
+				return 0, errors.New("job 0 never saw the last job run")
+			}
+		case n - 1:
+			close(last)
+		}
+		return i, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestMapStopsClaimingPastFailure(t *testing.T) {
 	// With one worker the claim order is strictly 0,1,2,...: after the
 	// failure at index 2 nothing above it may run.
@@ -91,54 +116,6 @@ func TestMapStopsClaimingPastFailure(t *testing.T) {
 		if ran[i] {
 			t.Fatalf("job %d ran after the failure at 2", i)
 		}
-	}
-}
-
-func TestMapProgressReportsEveryCompletion(t *testing.T) {
-	// The hook runs under the pool's lock, so across any worker count
-	// the observed counts are exactly 1..n in order, while the results
-	// stay byte-identical to a hookless Map.
-	for _, workers := range []int{1, 4, 32} {
-		var seen []int
-		got, err := MapProgress(25, workers, func(done int) {
-			seen = append(seen, done)
-		}, func(i int) (int, error) { return i * 3, nil })
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		if len(seen) != 25 {
-			t.Fatalf("workers=%d: %d progress calls, want 25", workers, len(seen))
-		}
-		for i, d := range seen {
-			if d != i+1 {
-				t.Fatalf("workers=%d: progress call %d reported %d, want %d", workers, i, d, i+1)
-			}
-		}
-		for i, v := range got {
-			if v != i*3 {
-				t.Fatalf("workers=%d: got[%d] = %d, want %d", workers, i, v, i*3)
-			}
-		}
-	}
-}
-
-func TestMapProgressCountsFailedJobs(t *testing.T) {
-	// A failing job still completes; the hook must count it, and the
-	// error contract is unchanged from Map.
-	var calls int
-	_, err := MapProgress(6, 1, func(done int) { calls++ }, func(i int) (int, error) {
-		if i == 2 {
-			return 0, errors.New("boom")
-		}
-		return i, nil
-	})
-	var pe *Error
-	if !errors.As(err, &pe) || pe.Index != 2 {
-		t.Fatalf("err = %v, want *Error at index 2", err)
-	}
-	// One worker claims 0,1,2 and stops past the failure: 3 completions.
-	if calls != 3 {
-		t.Fatalf("progress calls = %d, want 3", calls)
 	}
 }
 

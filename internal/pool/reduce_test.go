@@ -106,7 +106,7 @@ func TestReducePanicIsolation(t *testing.T) {
 }
 
 // TestReduceProgressReachesTotal: the completion hook sees a strictly
-// increasing count ending at n, as in MapProgress.
+// increasing count ending at n.
 func TestReduceProgressReachesTotal(t *testing.T) {
 	last := 0
 	err := Reduce(30, 4,

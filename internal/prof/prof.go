@@ -16,11 +16,11 @@ import (
 	"runtime/pprof"
 )
 
-// Flags holds one command's -cpuprofile/-memprofile flag values.
+// Flags holds one command's -cpuprofile/-memprofile flag values and,
+// once started, their open files.
 type Flags struct {
-	cpu string
-	mem string
-	f   *os.File
+	cpu, mem   string
+	cpuF, memF *os.File
 }
 
 // Register installs -cpuprofile and -memprofile on the default flag
@@ -32,45 +32,66 @@ func Register() *Flags {
 	return p
 }
 
-// Start begins CPU profiling when -cpuprofile was given. Call after
-// flag.Parse.
+// Start creates both profile files, so an unwritable path fails before
+// the run, and begins CPU profiling when -cpuprofile was given. Call
+// after flag.Parse; on error nothing is left behind.
 func (p *Flags) Start() error {
-	if p.cpu == "" {
-		return nil
+	for _, out := range []struct {
+		path string
+		f    **os.File
+	}{{p.cpu, &p.cpuF}, {p.mem, &p.memF}} {
+		if out.path == "" {
+			continue
+		}
+		f, err := os.Create(out.path)
+		if err != nil {
+			p.Discard()
+			return err
+		}
+		*out.f = f
 	}
-	f, err := os.Create(p.cpu)
-	if err != nil {
-		return err
+	if p.cpuF != nil {
+		if err := pprof.StartCPUProfile(p.cpuF); err != nil {
+			p.Discard()
+			return err
+		}
 	}
-	if err := pprof.StartCPUProfile(f); err != nil {
-		f.Close()
-		return err
-	}
-	p.f = f
 	return nil
 }
 
 // Stop ends CPU profiling and writes the allocation profile. Call once
-// on the success path; a run that dies early leaves no profiles.
+// on the success path.
 func (p *Flags) Stop() error {
-	if p.f != nil {
+	if p.cpuF != nil {
 		pprof.StopCPUProfile()
-		if err := p.f.Close(); err != nil {
+		if err := p.cpuF.Close(); err != nil {
 			return err
 		}
-		p.f = nil
+		p.cpuF = nil
 	}
-	if p.mem == "" {
+	if p.memF == nil {
 		return nil
 	}
-	f, err := os.Create(p.mem)
-	if err != nil {
-		return err
-	}
 	runtime.GC() // settle the live set so the profile reflects steady state
-	err = pprof.Lookup("allocs").WriteTo(f, 0)
-	if cerr := f.Close(); err == nil {
+	err := pprof.Lookup("allocs").WriteTo(p.memF, 0)
+	if cerr := p.memF.Close(); err == nil {
 		err = cerr
 	}
+	p.memF = nil
 	return err
+}
+
+// Discard stops profiling and removes the profile files: a run that
+// fails leaves no profiles behind.
+func (p *Flags) Discard() {
+	if p.cpuF != nil {
+		pprof.StopCPUProfile()
+	}
+	for _, f := range []*os.File{p.cpuF, p.memF} {
+		if f != nil {
+			f.Close()
+			os.Remove(f.Name())
+		}
+	}
+	p.cpuF, p.memF = nil, nil
 }

@@ -276,16 +276,17 @@ func (s *Sketch) Marshal() []byte {
 }
 
 // A Summary is one named sketch's headline numbers, the shape progress
-// surfaces and run reports embed.
+// lines, run reports and fleet reports embed: exact count, mean and
+// extrema plus quantiles within the sketch's relative accuracy.
 type Summary struct {
-	Name string
-	N    uint64
-	Mean float64
-	Min  float64
-	Max  float64
-	P50  float64
-	P95  float64
-	P99  float64
+	Name string  `json:"name"`
+	N    uint64  `json:"n"`
+	Mean float64 `json:"mean"`
+	Min  float64 `json:"min"`
+	Max  float64 `json:"max"`
+	P50  float64 `json:"p50"`
+	P95  float64 `json:"p95"`
+	P99  float64 `json:"p99"`
 }
 
 // Summarize renders the sketch's headline numbers under a name.

@@ -3,16 +3,14 @@ package sweep
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"hvc/internal/core"
 	"hvc/internal/pool"
-	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
 
 // Options configure one sweep run. The zero value runs on GOMAXPROCS
-// workers with no cache, no counters, and no progress reporting.
+// workers with no cache and no progress meter.
 type Options struct {
 	// Workers caps the worker goroutines; <= 0 means GOMAXPROCS. The
 	// worker count never affects the result: the matrix is aggregated
@@ -21,24 +19,12 @@ type Options struct {
 	// CacheDir roots the result cache (conventionally ".hvcsweep");
 	// empty disables caching. See cache.go for the invalidation rule.
 	CacheDir string
-	// Registry, when non-nil, receives progress counters:
-	// sweep/jobs{result=executed|cached} and the sweep/jobs_total
-	// gauge.
-	Registry *telemetry.Registry
-	// Progress, when non-nil, is called after every finished job with
-	// the done count so far, the total, and how many of the done jobs
-	// were cache hits. Calls are serialized but their interleaving
-	// across cells follows completion order, so Progress must not be
-	// used to build deterministic output.
-	Progress func(done, total, cached int)
-	// Sketch, when non-nil, receives every completed job's metric
-	// values (one Observe per MetricValue, under the metric's name), so
-	// a live progress surface can report converging quantiles while the
-	// sweep runs. Observation order follows completion order; the
-	// quantities progress lines read from a sketch (count, quantiles)
-	// are order-independent, and the Matrix never reads the group, so
-	// results stay byte-identical with or without one.
-	Sketch *sketch.Group
+	// Meter, when non-nil, counts finished jobs and cache hits against
+	// the job count and receives every finished job's metric values
+	// (one observation per MetricValue, under the metric's name). The
+	// Matrix never reads it, so results stay byte-identical with or
+	// without one.
+	Meter *telemetry.Meter
 }
 
 // testRunJob, when non-nil, replaces job.run — it lets tests inject
@@ -67,24 +53,8 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 	if testRunJob != nil {
 		run = testRunJob
 	}
-	var (
-		mu     sync.Mutex
-		cached int
-	)
-	opt.Registry.Set("sweep/jobs_total", float64(len(jobs)))
-	// The done count comes from the pool's completion hook; the cached
-	// count is updated by the job body just before it returns, so by the
-	// time the hook fires for a job its cache outcome is counted.
-	var onDone func(done int)
-	if opt.Progress != nil {
-		onDone = func(done int) {
-			mu.Lock()
-			c := cached
-			mu.Unlock()
-			opt.Progress(done, len(jobs), c)
-		}
-	}
-	results, err := pool.MapProgress(len(jobs), opt.Workers, onDone, func(i int) ([]MetricValue, error) {
+	opt.Meter.SetTotal(len(jobs))
+	results, err := pool.Map(len(jobs), opt.Workers, func(i int) ([]MetricValue, error) {
 		j := jobs[i]
 		metrics, hit := cacheLoad(opt.CacheDir, j)
 		if !hit {
@@ -98,16 +68,13 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 			}
 		}
 		for _, mv := range metrics {
-			opt.Sketch.Observe(mv.Name, mv.Value)
+			opt.Meter.Observe(mv.Name, mv.Value)
 		}
-		mu.Lock()
+		cached := 0
 		if hit {
-			cached++
-			opt.Registry.Add("sweep/jobs", 1, "result", "cached")
-		} else {
-			opt.Registry.Add("sweep/jobs", 1, "result", "executed")
+			cached = 1
 		}
-		mu.Unlock()
+		opt.Meter.Add(1, cached)
 		return metrics, nil
 	})
 	if err != nil {
@@ -140,7 +107,7 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 	return m, nil
 }
 
-// describe renders a cell for error messages and progress output.
+// describe renders a cell for error messages.
 func (c cellKey) describe(exp string) string {
 	s := "exp=" + exp
 	if c.CC != "" {

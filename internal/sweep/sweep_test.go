@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"hvc/internal/core"
-	"hvc/internal/sketch"
 	"hvc/internal/spec"
 	"hvc/internal/telemetry"
 )
@@ -345,33 +344,22 @@ func TestRunServesSecondSweepFromCache(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), ".hvcsweep")
 	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..2 dur=5s")
 
-	reg1 := telemetry.NewRegistry()
-	m1, err := Run(spec, Options{Workers: 4, CacheDir: dir, Registry: reg1})
+	meter1 := telemetry.NewMeter()
+	m1, err := Run(spec, Options{Workers: 4, CacheDir: dir, Meter: meter1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg1.Value("sweep/jobs", "result", "executed"); got != 2 {
-		t.Fatalf("first sweep executed %v jobs, want 2", got)
-	}
-	if got := reg1.Value("sweep/jobs", "result", "cached"); got != 0 {
-		t.Fatalf("first sweep had %v cache hits, want 0", got)
+	if p := meter1.Progress(); p.Done != 2 || p.Total != 2 || p.Cached != 0 {
+		t.Fatalf("first sweep: done=%d total=%d cached=%d, want 2/2/0", p.Done, p.Total, p.Cached)
 	}
 
-	reg2 := telemetry.NewRegistry()
-	var lastDone, lastCached int
-	m2, err := Run(spec, Options{Workers: 4, CacheDir: dir, Registry: reg2,
-		Progress: func(done, total, cached int) { lastDone, lastCached = done, cached }})
+	meter2 := telemetry.NewMeter()
+	m2, err := Run(spec, Options{Workers: 4, CacheDir: dir, Meter: meter2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := reg2.Value("sweep/jobs", "result", "cached"); got != 2 {
-		t.Fatalf("second sweep had %v cache hits, want 2 (all)", got)
-	}
-	if got := reg2.Value("sweep/jobs", "result", "executed"); got != 0 {
-		t.Fatalf("second sweep executed %v jobs, want 0", got)
-	}
-	if lastDone != 2 || lastCached != 2 {
-		t.Fatalf("progress reported done=%d cached=%d, want 2, 2", lastDone, lastCached)
+	if p := meter2.Progress(); p.Done != 2 || p.Total != 2 || p.Cached != 2 {
+		t.Fatalf("second sweep: done=%d total=%d cached=%d, want 2/2/2 (all hits)", p.Done, p.Total, p.Cached)
 	}
 
 	var b1, b2 bytes.Buffer
@@ -387,9 +375,9 @@ func TestRunServesSecondSweepFromCache(t *testing.T) {
 }
 
 // TestRunFeedsSketchGroupWithoutPerturbingMatrix checks the live
-// quantile surface: every job's metrics land in the group (one
-// observation per job per metric), and attaching a group leaves the
-// matrix byte-identical to a sweep without one.
+// quantile surface: every job's metrics land in the meter's sketches
+// (one observation per job per metric), and attaching a meter leaves
+// the matrix byte-identical to a sweep without one.
 func TestRunFeedsSketchGroupWithoutPerturbingMatrix(t *testing.T) {
 	spec := mustParse(t, "exp=video policy=embb-only,dchannel trace=lowband-driving seeds=1..3 dur=5s")
 
@@ -397,8 +385,8 @@ func TestRunFeedsSketchGroupWithoutPerturbingMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := sketch.NewGroup()
-	sketched, err := Run(spec, Options{Workers: 4, Sketch: g})
+	meter := telemetry.NewMeter()
+	sketched, err := Run(spec, Options{Workers: 4, Meter: meter})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,12 +399,12 @@ func TestRunFeedsSketchGroupWithoutPerturbingMatrix(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {
-		t.Fatal("attaching a sketch group changed the matrix bytes")
+		t.Fatal("attaching a meter changed the matrix bytes")
 	}
 
-	sums := g.Snapshot()
+	sums := meter.Progress().Sketches
 	if len(sums) == 0 {
-		t.Fatal("sketch group saw no observations")
+		t.Fatal("meter sketches saw no observations")
 	}
 	byName := map[string]uint64{}
 	for _, s := range sums {
@@ -439,15 +427,12 @@ func TestRunWidensCacheOnlyPerCell(t *testing.T) {
 		t.Fatal(err)
 	}
 	wider := mustParse(t, "exp=video policy=dchannel,embb-only trace=lowband-driving seeds=1..2 dur=5s")
-	reg := telemetry.NewRegistry()
-	if _, err := Run(wider, Options{CacheDir: dir, Registry: reg}); err != nil {
+	meter := telemetry.NewMeter()
+	if _, err := Run(wider, Options{CacheDir: dir, Meter: meter}); err != nil {
 		t.Fatal(err)
 	}
-	if hits := reg.Value("sweep/jobs", "result", "cached"); hits != 2 {
-		t.Fatalf("widened sweep reused %v jobs, want 2", hits)
-	}
-	if ran := reg.Value("sweep/jobs", "result", "executed"); ran != 2 {
-		t.Fatalf("widened sweep executed %v jobs, want 2 (the new column)", ran)
+	if p := meter.Progress(); p.Done != 4 || p.Cached != 2 {
+		t.Fatalf("widened sweep: %d jobs with %d reused, want 4 with 2 (only the new column runs)", p.Done, p.Cached)
 	}
 }
 
@@ -464,12 +449,12 @@ func TestRunCorruptCacheEntryReRuns(t *testing.T) {
 	if err := writeFile(files[0], "{not json"); err != nil {
 		t.Fatal(err)
 	}
-	reg := telemetry.NewRegistry()
-	if _, err := Run(spec, Options{CacheDir: dir, Registry: reg}); err != nil {
+	meter := telemetry.NewMeter()
+	if _, err := Run(spec, Options{CacheDir: dir, Meter: meter}); err != nil {
 		t.Fatal(err)
 	}
-	if ran := reg.Value("sweep/jobs", "result", "executed"); ran != 1 {
-		t.Fatalf("corrupt entry was not re-run (executed=%v)", ran)
+	if p := meter.Progress(); p.Done != 1 || p.Cached != 0 {
+		t.Fatalf("corrupt entry was not re-run (done=%d cached=%d)", p.Done, p.Cached)
 	}
 }
 

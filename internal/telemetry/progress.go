@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"hvc/internal/sketch"
@@ -12,85 +13,120 @@ import (
 // ProgressSchema identifies the live progress snapshot line layout.
 const ProgressSchema = "hvc-progress/v1"
 
-// A ProgressSketch is one metric's live quantile summary inside a
-// progress snapshot: enough to watch a long run's distributions
-// converge without waiting for the final report.
-type ProgressSketch struct {
-	Name string  `json:"name"`
-	N    uint64  `json:"n"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-}
-
 // A Progress is one machine-readable snapshot of a long run, emitted
-// as a single JSON line. The emitter fills Schema and ElapsedS; the
-// harness's sampler fills the rest.
+// as a single JSON line.
 type Progress struct {
 	Schema   string  `json:"schema"`
 	ElapsedS float64 `json:"elapsed_s"`
 	Done     int     `json:"done"`
 	Total    int     `json:"total"`
 	// RatePerS is the completion rate in done-units per wall second
-	// (UEs/sec for fleet runs, jobs/sec for sweeps). The emitter
-	// derives it from Done and elapsed time when the sampler leaves it
-	// zero.
+	// (UEs/sec for fleet runs, jobs/sec for sweeps).
 	RatePerS float64 `json:"rate_per_s,omitempty"`
 	// EtaS estimates the remaining wall seconds at the current rate.
-	// The emitter derives it from Total, Done, and RatePerS; it is
-	// omitted until a rate exists and once the run is done, so
+	// It is omitted until a rate exists and once the run is done, so
 	// consumers must treat it as advisory, not monotone.
-	EtaS       float64          `json:"eta_s,omitempty"`
-	Cached     int              `json:"cached,omitempty"`
-	Violations int              `json:"violations,omitempty"`
-	Sketches   []ProgressSketch `json:"sketches,omitempty"`
+	EtaS     float64          `json:"eta_s,omitempty"`
+	Cached   int              `json:"cached,omitempty"`
+	Sketches []sketch.Summary `json:"sketches,omitempty"`
 }
 
-// ProgressSketches converts a sketch.Group snapshot into the progress
-// line's quantile shape, dropping empty sketches.
-func ProgressSketches(sums []sketch.Summary) []ProgressSketch {
-	var out []ProgressSketch
-	for _, s := range sums {
-		if s.N == 0 {
-			continue
-		}
-		out = append(out, ProgressSketch{Name: s.Name, N: s.N, P50: s.P50, P95: s.P95, P99: s.P99})
+// A Meter is the live progress of one engine run: how many units
+// (sweep jobs, fleet UEs, chaos trials) are done out of the total, how
+// many of the done ones were cache hits, and the metric sketches the
+// finished units fed. The engine sets the total once its defaults are
+// applied and counts units as they finish, from any goroutine. A nil
+// *Meter is the disabled meter: every method is a no-op.
+//
+// A meter only observes. Units finish in completion order, so nothing
+// that builds a result may read one.
+type Meter struct {
+	done, total, cached atomic.Int64
+	sketches            *sketch.Group
+}
+
+// NewMeter returns a meter with nothing done and no total yet.
+func NewMeter() *Meter { return &Meter{sketches: sketch.NewGroup()} }
+
+// SetTotal records how many units the run will count.
+func (m *Meter) SetTotal(n int) {
+	if m != nil {
+		m.total.Store(int64(n))
 	}
-	return out
 }
 
-// StartProgress launches a background emitter that calls sample every
+// Add counts n finished units, cached of which were cache hits.
+func (m *Meter) Add(n, cached int) {
+	if m != nil {
+		// done first, so a reader (cached, then done) never sees more
+		// hits than finished units.
+		m.done.Add(int64(n))
+		m.cached.Add(int64(cached))
+	}
+}
+
+// Observe records v into the named live sketch.
+func (m *Meter) Observe(name string, v float64) {
+	if m != nil {
+		m.sketches.Observe(name, v)
+	}
+}
+
+// Merge folds a finished unit's sketch group into the live sketches.
+func (m *Meter) Merge(g *sketch.Group) {
+	if m != nil {
+		m.sketches.Merge(g)
+	}
+}
+
+// Progress snapshots the meter. The zero Progress stands for a nil
+// meter.
+func (m *Meter) Progress() Progress {
+	if m == nil {
+		return Progress{}
+	}
+	cached := int(m.cached.Load())
+	return Progress{
+		Done: int(m.done.Load()), Total: int(m.total.Load()), Cached: cached,
+		Sketches: m.sketches.Snapshot(),
+	}
+}
+
+// snapshot is the progress line elapsed into the run: the meter's
+// counts plus the wall-clock fields derived from them.
+func (m *Meter) snapshot(elapsed time.Duration) Progress {
+	p := m.Progress()
+	p.Schema = ProgressSchema
+	p.ElapsedS = roundMS(elapsed.Seconds())
+	if p.Done > 0 && p.ElapsedS > 0 {
+		p.RatePerS = roundMS(float64(p.Done) / p.ElapsedS)
+	}
+	if p.RatePerS > 0 && p.Done < p.Total {
+		p.EtaS = roundMS(float64(p.Total-p.Done) / p.RatePerS)
+	}
+	return p
+}
+
+// StartProgress launches a background emitter that samples m every
 // interval and writes the snapshot as one JSON line to w. The returned
 // stop function emits one final snapshot — so short runs still produce
-// at least one line — and joins the emitter; call it exactly once.
+// at least one line — and joins the emitter; call it after the run.
 //
-// The emitter only observes: sample must be safe to call concurrently
-// with the run it watches (counters behind the pool's lock, a
-// sketch.Group), and w is typically stderr so progress interleaves
-// with nothing the run's consumers parse. Wall-clock timing makes the
-// line stream inherently non-deterministic; results stay byte-identical
-// because nothing downstream reads it.
-func StartProgress(w io.Writer, every time.Duration, sample func() Progress) (stop func()) {
+// w is typically stderr, so progress interleaves with nothing the
+// run's consumers parse. Wall-clock timing makes the line stream
+// inherently non-deterministic; results stay byte-identical because
+// nothing downstream reads it.
+func StartProgress(w io.Writer, every time.Duration, m *Meter) (stop func()) {
 	if every <= 0 {
 		every = time.Second
 	}
 	start := time.Now()
 	emit := func() {
-		p := sample()
-		p.Schema = ProgressSchema
-		p.ElapsedS = roundMS(time.Since(start).Seconds())
-		if p.RatePerS == 0 && p.Done > 0 && p.ElapsedS > 0 {
-			p.RatePerS = roundMS(float64(p.Done) / p.ElapsedS)
-		}
-		if p.EtaS == 0 && p.RatePerS > 0 && p.Total > 0 && p.Done < p.Total {
-			p.EtaS = roundMS(float64(p.Total-p.Done) / p.RatePerS)
-		}
-		b, err := json.Marshal(p)
+		b, err := json.Marshal(m.snapshot(time.Since(start)))
 		if err != nil {
 			return
 		}
-		b = append(b, '\n')
-		w.Write(b)
+		w.Write(append(b, '\n'))
 	}
 	quit := make(chan struct{})
 	var wg sync.WaitGroup

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -11,17 +12,19 @@ import (
 )
 
 func TestProgressSketches(t *testing.T) {
-	g := sketch.NewGroup()
+	m := NewMeter()
 	for i := 1; i <= 100; i++ {
-		g.Observe("latency_ms", float64(i))
+		m.Observe("latency_ms", float64(i))
 	}
+	g := sketch.NewGroup()
 	g.Observe("zzz_single", 7)
-	got := ProgressSketches(g.Snapshot())
+	m.Merge(g)
+	got := m.Progress().Sketches
 	if len(got) != 2 {
 		t.Fatalf("got %d sketches, want 2: %+v", len(got), got)
 	}
 	lat := got[0]
-	if lat.Name != "latency_ms" || lat.N != 100 {
+	if lat.Name != "latency_ms" || lat.N != 100 || lat.Min != 1 || lat.Max != 100 {
 		t.Fatalf("first sketch = %+v", lat)
 	}
 	if rel := (lat.P50 - 50) / 50; rel > sketch.DefaultAlpha || rel < -sketch.DefaultAlpha {
@@ -31,13 +34,18 @@ func TestProgressSketches(t *testing.T) {
 		t.Fatalf("second sketch = %+v", got[1])
 	}
 
-	// Summaries with no observations are dropped, and nil input maps to
-	// nil output (the omitempty shape).
-	if out := ProgressSketches([]sketch.Summary{{Name: "empty"}}); out != nil {
-		t.Fatalf("empty summary survived: %+v", out)
+	// A meter nothing was observed into has no sketches (the omitempty
+	// shape), and a nil meter is inert.
+	if out := NewMeter().Progress().Sketches; len(out) != 0 {
+		t.Fatalf("fresh meter has sketches %+v", out)
 	}
-	if out := ProgressSketches(nil); out != nil {
-		t.Fatalf("nil snapshot produced %+v", out)
+	var none *Meter
+	none.SetTotal(3)
+	none.Add(1, 1)
+	none.Observe("x", 1)
+	none.Merge(g)
+	if p := none.Progress(); !reflect.DeepEqual(p, Progress{}) {
+		t.Fatalf("nil meter progress = %+v", p)
 	}
 }
 
@@ -68,13 +76,13 @@ func (w *syncWriter) String() string {
 
 func TestStartProgressEmitsSnapshotLines(t *testing.T) {
 	w := newSyncWriter()
-	done := 0
-	stop := StartProgress(w, 2*time.Millisecond, func() Progress {
-		done++
-		return Progress{Done: done, Total: 40, Cached: 3, Violations: 1,
-			Sketches: []ProgressSketch{{Name: "plt_ms", N: 10, P50: 100, P95: 200, P99: 250}}}
-	})
+	m := NewMeter()
+	m.SetTotal(40)
+	m.Add(5, 3)
+	m.Observe("plt_ms", 200)
+	stop := StartProgress(w, 2*time.Millisecond, m)
 	time.Sleep(20 * time.Millisecond)
+	m.Add(35, 0)
 	stop()
 	stop() // idempotent
 
@@ -90,47 +98,40 @@ func TestStartProgressEmitsSnapshotLines(t *testing.T) {
 		if p.Schema != ProgressSchema {
 			t.Fatalf("schema = %q, want %q", p.Schema, ProgressSchema)
 		}
-		if p.Total != 40 || p.Cached != 3 || p.Violations != 1 {
+		if p.Total != 40 || p.Cached != 3 {
 			t.Fatalf("snapshot = %+v", p)
 		}
-		if len(p.Sketches) != 1 || p.Sketches[0].Name != "plt_ms" || p.Sketches[0].P95 != 200 {
+		if len(p.Sketches) != 1 || p.Sketches[0].Name != "plt_ms" || p.Sketches[0].N != 1 {
 			t.Fatalf("sketches = %+v", p.Sketches)
 		}
 	}
-	// The final (stop-time) line samples one more time than the ticks.
+	// The final (stop-time) line sees everything counted before stop.
 	var last Progress
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}
-	if last.Done != len(lines) {
-		t.Fatalf("final snapshot done = %d, want one sample per line (%d)", last.Done, len(lines))
+	if last.Done != 40 || last.EtaS != 0 {
+		t.Fatalf("final snapshot = %+v, want done 40 and no eta", last)
 	}
 }
 
 func TestStartProgressDerivesEta(t *testing.T) {
-	// A mid-run snapshot with a sampler-provided rate gets a derived
-	// ETA: remaining units over the rate. A finished run gets none —
-	// eta_s would be a lie once done == total.
-	w := newSyncWriter()
-	stop := StartProgress(w, time.Hour, func() Progress {
-		return Progress{Done: 30, Total: 40, RatePerS: 5}
-	})
-	stop()
-	var p Progress
-	if err := json.Unmarshal([]byte(strings.TrimSuffix(w.String(), "\n")), &p); err != nil {
-		t.Fatalf("final line %q: %v", w.String(), err)
+	// A mid-run snapshot derives the rate from done units over elapsed
+	// time, and the ETA as the remaining units over that rate. A
+	// finished run gets none: eta_s would be a lie once done == total.
+	m := NewMeter()
+	m.SetTotal(40)
+	m.Add(30, 0)
+	p := m.snapshot(6 * time.Second)
+	if p.RatePerS != 5 || p.EtaS != 2 {
+		t.Fatalf("rate_per_s = %v, eta_s = %v; want 5 and 2 (10 remaining at 5/s)", p.RatePerS, p.EtaS)
 	}
-	if p.EtaS != 2 {
-		t.Fatalf("eta_s = %v, want 2 (10 remaining at 5/s)", p.EtaS)
+	if p := m.snapshot(0); p.RatePerS != 0 || p.EtaS != 0 {
+		t.Fatalf("no elapsed time, yet rate %v and eta %v", p.RatePerS, p.EtaS)
 	}
-
-	w = newSyncWriter()
-	stop = StartProgress(w, time.Hour, func() Progress {
-		return Progress{Done: 40, Total: 40, RatePerS: 5}
-	})
-	stop()
-	if strings.Contains(w.String(), "eta_s") {
-		t.Fatalf("finished run emitted an eta: %s", w.String())
+	m.Add(10, 0)
+	if p := m.snapshot(8 * time.Second); p.RatePerS != 5 || p.EtaS != 0 {
+		t.Fatalf("finished run: rate %v, eta %v; want 5 and none", p.RatePerS, p.EtaS)
 	}
 }
 
@@ -138,9 +139,10 @@ func TestStartProgressFinalLineWithoutTicks(t *testing.T) {
 	// Short runs never reach the first tick; stop must still emit one
 	// snapshot so the surface is never silent.
 	w := newSyncWriter()
-	stop := StartProgress(w, time.Hour, func() Progress {
-		return Progress{Done: 40, Total: 40}
-	})
+	m := NewMeter()
+	m.SetTotal(40)
+	stop := StartProgress(w, time.Hour, m)
+	m.Add(40, 0)
 	stop()
 	var p Progress
 	if err := json.Unmarshal([]byte(strings.TrimSuffix(w.String(), "\n")), &p); err != nil {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 
+	"hvc/internal/metrics"
 	"hvc/internal/sketch"
 )
 
@@ -21,22 +22,6 @@ type Metric struct {
 	Unit  string  `json:"unit,omitempty"`
 }
 
-// A SketchSummary is one metric distribution's sketch-derived shape in
-// a report: exact count, mean, and extrema plus quantiles within the
-// sketch's relative accuracy. It complements the headline Metrics —
-// those stay the paper's exact numbers; the sketch section adds tail
-// visibility at fixed memory, the form fleet-scale runs report.
-type SketchSummary struct {
-	Name string  `json:"name"`
-	N    uint64  `json:"n"`
-	Mean float64 `json:"mean"`
-	Min  float64 `json:"min"`
-	Max  float64 `json:"max"`
-	P50  float64 `json:"p50"`
-	P95  float64 `json:"p95"`
-	P99  float64 `json:"p99"`
-}
-
 // A Report is the machine-readable record of one experiment
 // invocation: what ran (experiment, seed, config), what came out
 // (headline metrics), and the final counter snapshot. Every field
@@ -48,7 +33,7 @@ type Report struct {
 	Seed       int64             `json:"seed"`
 	Config     map[string]string `json:"config,omitempty"`
 	Metrics    []Metric          `json:"metrics"`
-	Sketches   []SketchSummary   `json:"sketches,omitempty"`
+	Sketches   []sketch.Summary  `json:"sketches,omitempty"`
 	Counters   []Record          `json:"counters,omitempty"`
 }
 
@@ -71,37 +56,45 @@ func (r *Report) AddMetric(name string, value float64, unit string) {
 	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit})
 }
 
-// AddSketch appends the named sketch's summary. Empty sketches are
-// skipped: a distribution nothing was observed into says nothing worth
-// a report line, and skipping keeps sketch emission additive (reports
-// without observations serialize exactly as before the field existed).
+// AddSketch appends the named sketch's summary: tail visibility at
+// fixed memory beside the headline Metrics, which stay the paper's
+// exact numbers. Empty sketches are skipped: a distribution nothing was
+// observed into says nothing worth a report line, and skipping keeps
+// sketch emission additive (reports without observations serialize
+// exactly as before the field existed).
 func (r *Report) AddSketch(name string, s *sketch.Sketch) {
 	if s == nil || s.N() == 0 {
 		return
 	}
-	sum := s.Summarize(name)
-	r.Sketches = append(r.Sketches, SketchSummary{
-		Name: sum.Name, N: sum.N, Mean: sum.Mean, Min: sum.Min, Max: sum.Max,
-		P50: sum.P50, P95: sum.P95, P99: sum.P99,
-	})
+	r.Sketches = append(r.Sketches, s.Summarize(name))
 }
 
-// SketchSummaries converts a sketch.Group snapshot into report form,
-// dropping empty sketches — the shape fleet reports embed wholesale.
-// The input is already name-sorted (Group.Snapshot), so the result is
-// deterministic.
-func SketchSummaries(sums []sketch.Summary) []SketchSummary {
-	out := make([]SketchSummary, 0, len(sums))
-	for _, s := range sums {
-		if s.N == 0 {
-			continue
-		}
-		out = append(out, SketchSummary{
-			Name: s.Name, N: s.N, Mean: s.Mean, Min: s.Min, Max: s.Max,
-			P50: s.P50, P95: s.P95, P99: s.P99,
-		})
+// SketchDist folds a result distribution into the sketch section. The
+// samples feed in sorted order (Values), so the summary, like every
+// report field, is a pure function of the run's results. A nil report
+// records nothing.
+func (r *Report) SketchDist(name string, d *metrics.Distribution) {
+	if r == nil || d.N() == 0 {
+		return
 	}
-	return out
+	s := sketch.NewDefault()
+	for _, v := range d.Values() {
+		s.Observe(v)
+	}
+	r.AddSketch(name, s)
+}
+
+// SketchSeries folds a time series' values into the sketch section,
+// feeding in time order. A nil report records nothing.
+func (r *Report) SketchSeries(name string, ts *metrics.TimeSeries) {
+	if r == nil || ts.N() == 0 {
+		return
+	}
+	s := sketch.NewDefault()
+	for _, p := range ts.Points() {
+		s.Observe(p.Value)
+	}
+	r.AddSketch(name, s)
 }
 
 // AttachCounters snapshots reg into the report, replacing any earlier
