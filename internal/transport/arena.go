@@ -6,17 +6,21 @@ import (
 )
 
 // An arena holds one endpoint's free transport records: in-flight
-// tracking records, chunks, queued messages and reassembly state.
-// Connections borrow from it and return what they hold as packets are
-// acknowledged, as messages complete, and at Close, so a world's next
-// connection runs on the records its earlier ones grew. Every record
-// names its owner — the borrowing flow, zero (no flow's ID) while free —
-// so that a stale pointer across connections is caught, not obeyed.
+// tracking records, chunks, queued messages and reassembly state, and
+// the arrays in-flight windows live in. Connections borrow from it and
+// return what they hold as packets are acknowledged, as messages
+// complete, as a flight drains, and at Close, so a world's next
+// connection runs on the records and windows its earlier ones grew.
+// Every record names its owner — the borrowing flow, zero (no flow's
+// ID) while free — so that a stale pointer across connections is
+// caught, not obeyed.
 type arena struct {
 	freeInfos   []*sentInfo
 	freeChunks  []*chunk
 	freeMsgs    []*message
 	freeRcvMsgs []*rcvMsg
+	// freeWindows holds window arrays, every slot nil, in no order.
+	freeWindows [][]*sentInfo
 }
 
 // pop takes the last record off a free list, or makes a fresh one.
@@ -33,8 +37,9 @@ func pop[T any](free *[]*T) *T {
 // The owner checks panic with fixed violations: a call (invariant.Failf)
 // would keep the accessors, four per packet, from inlining.
 var (
-	errNotOwner   = &invariant.Violation{Layer: "transport", Name: "record-owner", Detail: "a record is not held by the flow using it: a pointer kept past release, or a free list lending a held record"}
-	errDoubleFree = &invariant.Violation{Layer: "transport", Name: "double-free", Detail: "a record was released to its arena twice"}
+	errNotOwner    = &invariant.Violation{Layer: "transport", Name: "record-owner", Detail: "a record is not held by the flow using it: a pointer kept past release, or a free list lending a held record"}
+	errDoubleFree  = &invariant.Violation{Layer: "transport", Name: "double-free", Detail: "a record was released to its arena twice"}
+	errDirtyWindow = &invariant.Violation{Layer: "transport", Name: "flight-array-clean", Detail: "a window array on the free list still holds a record"}
 )
 
 // own passes a record from one owner to the next; 0 is the arena, and
@@ -111,4 +116,40 @@ func (a *arena) freeRcvMsg(flow packet.FlowID, rm *rcvMsg) {
 	disown(&rm.owner, flow)
 	*rm = rcvMsg{got: rangeSet{rs: rm.got.rs[:0]}, expireFn: rm.expireFn, expiry: rm.expiry}
 	a.freeRcvMsgs = append(a.freeRcvMsgs, rm)
+}
+
+// newWindow lends an empty window array of at least n slots: the
+// smallest free one that holds n, or a fresh one of exactly n when none
+// does. Which array a flight lives in is never observable; best fit
+// only keeps a short flight from taking the array a long one needs.
+func (a *arena) newWindow(n int) []*sentInfo {
+	best := -1
+	for i, w := range a.freeWindows {
+		if cap(w) >= n && (best < 0 || cap(w) < cap(a.freeWindows[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]*sentInfo, 0, n)
+	}
+	w := a.freeWindows[best]
+	last := len(a.freeWindows) - 1
+	a.freeWindows[best] = a.freeWindows[last]
+	a.freeWindows[last] = nil
+	a.freeWindows = a.freeWindows[:last]
+	if invariant.Enabled() {
+		for _, info := range w[:cap(w)] {
+			if info != nil {
+				panic(errDirtyWindow)
+			}
+		}
+	}
+	return w
+}
+
+// freeWindow takes back a window array whose slots hold no record.
+func (a *arena) freeWindow(w []*sentInfo) {
+	if cap(w) > 0 {
+		a.freeWindows = append(a.freeWindows, w[:0])
+	}
 }

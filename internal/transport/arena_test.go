@@ -2,6 +2,7 @@ package transport
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -15,29 +16,36 @@ import (
 )
 
 // shortConns is an endpoint pair whose server answers every request
-// with a 40-packet response: the many-short-connections regime of a
-// page load, one connection at a time.
+// with a response of pkts packets: the many-short-connections regime of
+// a page load, one connection at a time. Each session dials a fresh
+// client and the server accepts it on a fresh connection.
 type shortConns struct {
 	w        *world
 	srv      *Conn // the server side of the session in progress
+	pkts     int
 	deadline time.Duration
+	// keepServer leaves each server connection open after its session,
+	// as a web server's are: nothing tells it that its client closed.
+	keepServer bool
 }
 
 const shortConnPackets = 40
 
-func newShortConns() *shortConns {
-	s := &shortConns{w: newWorld(1)}
+func newShortConns(pkts int, keepServer bool) *shortConns {
+	s := &shortConns{w: newWorld(1), pkts: pkts, keepServer: keepServer}
+	respond := func(c *Conn, m Message) {
+		c.SendMessage(m.Stream, m.Priority, s.pkts*packet.MaxPayload, nil)
+	}
 	s.w.server.Listen(serverCfg(s.w), func(c *Conn) {
 		s.srv = c
-		c.OnMessage(func(c *Conn, m Message) {
-			c.SendMessage(m.Stream, m.Priority, shortConnPackets*packet.MaxPayload, nil)
-		})
+		c.OnMessage(respond)
 	})
 	return s
 }
 
 // session runs one connection from dial to close: handshake, request,
-// response, and both ends closed once the last ack has gone out.
+// response, and the client (and, unless keepServer, the server) closed
+// once the last ack has gone out.
 func (s *shortConns) session() {
 	c := s.w.client.Dial(Config{CC: cc.NewCubic(), Steer: s.w.dchannel(channel.A)})
 	c.SendMessage(c.NewStream(), 0, 400, nil)
@@ -46,25 +54,29 @@ func (s *shortConns) session() {
 	if got := c.Stats().MsgsDelivered; got != 1 {
 		panic("short connection delivered no response")
 	}
+	if len(s.srv.sentOrder) != 0 || s.srv.sentBase != nil {
+		panic("the server's flight did not drain")
+	}
 	c.Close()
-	s.srv.Close()
+	if !s.keepServer {
+		s.srv.Close()
+	}
 }
 
 // sessionSetupAllocs is what one shortConns session may allocate: the
-// two connections themselves — each side's Conn, its two maps, its
+// two connections themselves — each side's Conn, its reassembly map, its
 // pre-bound callbacks, its controller and steering policy, and the
-// arrays a Conn owns (in-flight window, channel table, SACK ranges,
-// the scheduler's priority level) — and nothing per packet. At the
-// parent commit the same session cost this plus five allocations for
-// every packet up to its peak window.
-const sessionSetupAllocs = 60
+// arrays a Conn owns (channel table, SACK ranges, the scheduler's
+// priority level) — and nothing per packet: the records and the
+// in-flight window are the arena's.
+const sessionSetupAllocs = 43
 
 // A world's second connection runs on the records its first one grew.
 func TestSecondConnectionAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	s := newShortConns()
+	s := newShortConns(shortConnPackets, false)
 	s.session() // warm: grows the arenas, the packet pool, the link rings, the loop
 	got := testing.AllocsPerRun(10, s.session)
 	if got > sessionSetupAllocs {
@@ -74,11 +86,60 @@ func TestSecondConnectionAllocFree(t *testing.T) {
 	t.Logf("%.0f allocations per session", got)
 }
 
+const responsePackets = 400
+
+// A web server accepts every page on a fresh connection and never closes
+// it, so a window array its connection kept would be garbage at every
+// response; one the arena lends comes back each time the flight drains.
+// A warm endpoint pair's several-hundred-packet response then costs what
+// a one-packet response does: the connections' set-up, no window growth.
+func TestServerFlightArrayReused(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	perResponse := func(pkts int) uint64 {
+		s := newShortConns(pkts, true)
+		for i := 0; i < 3; i++ {
+			s.session() // warm: the arenas, the packet pool, the link rings, the loop
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 50; i++ {
+			s.session()
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / 50
+	}
+	setup, big := perResponse(1), perResponse(responsePackets)
+	t.Logf("bytes per response: %d for one packet, %d for %d", setup, big, responsePackets)
+	// The slack, half of the smallest growth a window can make (64 to
+	// 128 slots, 1 KiB), covers the per-connection arrays a longer
+	// response grows: the receiver's SACK ranges as URLLC copies
+	// overtake eMBB ones, and the list of records one ack retires.
+	if big > setup+512 {
+		t.Errorf("a %d-packet response allocated %d bytes, a one-packet one %d: the flight's window grew",
+			responsePackets, big, setup)
+	}
+}
+
+// BenchmarkServerResponses is web's shape over one warm endpoint pair:
+// a fresh client and server connection per request, a 400-packet
+// response, and a server that never closes.
+func BenchmarkServerResponses(b *testing.B) {
+	s := newShortConns(responsePackets, true)
+	s.session()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.session()
+	}
+}
+
 // BenchmarkShortConns is the short-connection regime BenchmarkMessage-
 // RoundTrip's one long-lived connection cannot see: dial, a 40-packet
 // response, close, repeated over one endpoint pair.
 func BenchmarkShortConns(b *testing.B) {
-	s := newShortConns()
+	s := newShortConns(shortConnPackets, false)
 	s.session()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -142,6 +203,13 @@ func TestFIFOBoundedUnderBacklog(t *testing.T) {
 	}
 }
 
+// bareConn is a connection with no endpoint, drawing on an arena of its
+// own: send-side state for driving the ack path directly.
+func bareConn(flow packet.FlowID) *Conn {
+	rec := &arena{}
+	return &Conn{rec: rec, flow: flow, sched: scheduler{rec: rec, flow: flow}}
+}
+
 // violation runs fn and returns the invariant violation it panics with.
 func violation(t *testing.T, fn func()) (v *invariant.Violation) {
 	t.Helper()
@@ -186,6 +254,35 @@ func TestRecordOwnerInvariants(t *testing.T) {
 	rec.freeInfos = append(rec.freeInfos, stale)
 	if v := violation(t, func() { rec.newSentInfo(6) }); v.Name != "record-owner" {
 		t.Errorf("acquire of a held record: %v", v)
+	}
+}
+
+// A window array comes back from the arena empty: one that still holds
+// a record — a flight dropped without clearing its slots — is caught
+// when it is lent again, before a stale pointer can be read from it.
+func TestFlightArrayCleanInvariant(t *testing.T) {
+	if !invariant.Compiled {
+		t.Skip("invariant layer compiled out")
+	}
+	rec := &arena{}
+	w := rec.newWindow(64)
+	if cap(w) != 64 {
+		t.Fatalf("a fresh window has %d slots, want 64", cap(w))
+	}
+	w = append(w, rec.newSentInfo(2))
+	rec.freeWindow(w)
+	if v := violation(t, func() { rec.newWindow(64) }); v.Layer != "transport" || v.Name != "flight-array-clean" {
+		t.Errorf("lend of a window holding a record: %v", v)
+	}
+	// Best fit: the smallest free array that holds the request.
+	rec = &arena{}
+	for _, n := range []int{256, 64, 1024, 128} {
+		rec.freeWindow(make([]*sentInfo, 0, n))
+	}
+	for _, c := range []struct{ n, want int }{{100, 128}, {100, 256}, {64, 64}, {2048, 2048}, {1, 1024}} {
+		if got := cap(rec.newWindow(c.n)); got != c.want {
+			t.Errorf("newWindow(%d) lent %d slots, want %d", c.n, got, c.want)
+		}
 	}
 }
 
@@ -292,9 +389,12 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 		if got := len(server.rec.freeRcvMsgs) - free; got != held {
 			t.Errorf("flow %d: %d reassembly records came back, want %d", c.Flow(), got, held)
 		}
-		if len(c.sentOrder) != 0 || !c.sched.empty() || len(c.rcvMsgs) != 0 {
-			t.Errorf("flow %d still holds records after Close", c.Flow())
+		if len(c.sentOrder) != 0 || c.sentBase != nil || !c.sched.empty() || len(c.rcvMsgs) != 0 {
+			t.Errorf("flow %d still holds records or its window after Close", c.Flow())
 		}
+	}
+	if len(server.rec.freeWindows) == 0 {
+		t.Error("the closed flight's window array did not come back to the arena")
 	}
 	for _, info := range server.rec.freeInfos {
 		if info.owner != 0 || info.chunk != nil {

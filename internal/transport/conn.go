@@ -147,7 +147,8 @@ type Conn struct {
 	// each range is resolved against it by binary search (resolveAcked)
 	// with no lookup structure. sentBase is the start of sentOrder's
 	// backing array, kept so that appendSent can reuse the slots acks
-	// vacate at the front. bytesInFlight is the connection's total; each
+	// vacate at the front; the array is the arena's, lent while anything
+	// is in flight. bytesInFlight is the connection's total; each
 	// record's bytes also count against the subflow that sent it.
 	sched         scheduler
 	nextSeq       uint64
@@ -158,7 +159,6 @@ type Conn struct {
 	bytesInFlight int
 	// Channel names are interned to dense integer IDs so the
 	// per-channel send/acked counters are slice indexes, not map keys.
-	chanIDs       map[string]int
 	chanNames     []string
 	sentIndex     []int64 // per-channel send counter, indexed by channel ID
 	ackedIndex    []int64 // per-channel highest acked counter
@@ -222,7 +222,6 @@ func newConn(e *Endpoint, flow packet.FlowID, cfg Config, client bool) *Conn {
 		cfg:       cfg,
 		client:    client,
 		sched:     scheduler{rec: &e.rec, flow: flow},
-		chanIDs:   make(map[string]int, 4),
 		rcvMsgs:   make(map[uint64]*rcvMsg),
 		nextMsgID: 1,
 		tracer:    e.tracer,
@@ -241,17 +240,19 @@ func newConn(e *Endpoint, flow packet.FlowID, cfg Config, client bool) *Conn {
 
 // chanID interns a channel name, growing the per-channel counter
 // slices alongside the name table. Channel groups hold a handful of
-// channels, so the IDs stay dense and small.
+// channels, so the IDs stay dense and small, and a scan of the table
+// is cheaper than hashing the name: a channel stamps one string, so a
+// match is mostly a pointer compare.
 func (c *Conn) chanID(name string) int {
-	id, ok := c.chanIDs[name]
-	if !ok {
-		id = len(c.chanNames)
-		c.chanIDs[name] = id
-		c.chanNames = append(c.chanNames, name)
-		c.sentIndex = append(c.sentIndex, 0)
-		c.ackedIndex = append(c.ackedIndex, 0)
+	for id, n := range c.chanNames {
+		if n == name {
+			return id
+		}
 	}
-	return id
+	c.chanNames = append(c.chanNames, name)
+	c.sentIndex = append(c.sentIndex, 0)
+	c.ackedIndex = append(c.ackedIndex, 0)
+	return len(c.chanNames) - 1
 }
 
 // Flow returns the connection's flow ID.
@@ -328,7 +329,8 @@ func (c *Conn) Close() {
 		c.rec.freeChunk(c.flow, info.chunk)
 		c.rec.freeSentInfo(c.flow, info)
 	}
-	c.sentOrder, c.sentBase = nil, nil
+	clear(c.sentOrder)
+	c.releaseWindow()
 	c.sched.discard()
 	c.ep.forget(c.flow)
 	// Only a Close from inside the ack handler (OnRTTSample) gets here.

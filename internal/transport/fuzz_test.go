@@ -147,7 +147,8 @@ func FuzzAckResolve(f *testing.F) {
 		// A flight with holes over two channels, shared by both sides
 		// (neither mutates the records).
 		const base = 1000
-		got := &Conn{sentIndex: make([]int64, 2), ackedIndex: make([]int64, 2)}
+		got := bareConn(0) // the records below are stamped free, as flow 0 holds them
+		got.sentIndex, got.ackedIndex = make([]int64, 2), make([]int64, 2)
 		got.subs = got.sub0[:]
 		sf := &got.subs[0]
 		seq := uint64(base)
@@ -166,11 +167,9 @@ func FuzzAckResolve(f *testing.F) {
 			sf.inflight += info.size
 			got.appendSent(info)
 		}
-		want := &Conn{
-			sentOrder:     append([]*sentInfo(nil), got.sentOrder...),
-			ackedIndex:    make([]int64, 2),
-			bytesInFlight: got.bytesInFlight,
-		}
+		want := bareConn(0)
+		want.sentOrder = append([]*sentInfo(nil), got.sentOrder...)
+		want.ackedIndex, want.bytesInFlight = make([]int64, 2), got.bytesInFlight
 
 		var ranges []seqRange
 		lo, hi := uint64(base-below), uint64(0)

@@ -190,8 +190,7 @@ type ackDrive struct {
 }
 
 func newAckDrive(window, subflows int) *ackDrive {
-	rec := &arena{}
-	d := &ackDrive{c: &Conn{rec: rec, flow: 2, sched: scheduler{rec: rec, flow: 2}, chanIDs: map[string]int{}}, ranges: make([]seqRange, 1)}
+	d := &ackDrive{c: bareConn(2), ranges: make([]seqRange, 1)}
 	d.c.subs = make([]subflow, subflows)
 	for i := range d.c.subs {
 		d.chs = append(d.chs, d.c.chanID(fmt.Sprint("ideal", i)))

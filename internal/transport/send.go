@@ -312,21 +312,38 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 // in-flight set. Acks retire records from the front by advancing the
 // slice (closeSentGap), so the live window drifts toward the end of its
 // backing array. When it gets there it slides back to the start — of
-// the same array if the window fills at most half of it, else of one
-// twice the size, so that the next time it will. A slide moves at most
-// as many records as it frees slots, so appends stay O(1) amortised,
-// and a flight that has stopped growing allocates nothing.
+// the same array if the window fills at most half of it, else of the
+// smallest array the endpoint's arena has free that holds twice as many
+// slots (at least 64), made only if none does, so that the next time it
+// will; the array it outgrew goes back to the arena. A slide moves at
+// most as many records as it frees slots, so appends stay O(1)
+// amortised, and a flight that has stopped growing allocates nothing.
+// The array is only lent: releaseWindow returns it whenever the flight
+// drains, so the endpoint's next connection grows into it for free.
 func (c *Conn) appendSent(info *sentInfo) {
 	if len(c.sentOrder) == cap(c.sentOrder) {
-		base := c.sentBase[:cap(c.sentBase)]
-		if 2*len(c.sentOrder) > len(base) {
-			base = make([]*sentInfo, max(2*len(base), 64))
+		old := c.sentBase[:cap(c.sentBase)]
+		base := old
+		if len(old) == 0 || 2*len(c.sentOrder) > len(old) {
+			base = c.rec.newWindow(max(2*len(old), 64))
+			base = base[:cap(base)]
 		}
 		n := copy(base, c.sentOrder)
 		clear(c.sentOrder) // never overlaps base[:n]: the window was in the back half, or in the old array
+		if len(base) > len(old) {
+			c.rec.freeWindow(old) // the window moved out, and nothing else was in it
+		}
 		c.sentBase, c.sentOrder = base[:0], base[:n]
 	}
 	c.sentOrder = append(c.sentOrder, info)
+}
+
+// releaseWindow hands an empty flight's array back to the arena. The
+// slots it held are nil already: closeSentGap clears what it vacates,
+// and the callers that drop a whole flight clear it first.
+func (c *Conn) releaseWindow() {
+	c.rec.freeWindow(c.sentBase)
+	c.sentBase, c.sentOrder = nil, nil
 }
 
 // closeSentGap drops the dead span sentOrder[w:r] — records just acked
@@ -378,10 +395,12 @@ func (c *Conn) armRTO() {
 }
 
 // restartRTO times the retransmission timeout from now — pushing a
-// running timer out in place — or stops it when nothing is outstanding.
+// running timer out in place — or, when nothing is outstanding, stops it
+// and returns the drained flight's array.
 func (c *Conn) restartRTO() {
 	if len(c.sentOrder) == 0 {
 		c.rtoTimer.Stop()
+		c.releaseWindow()
 		return
 	}
 	c.loop.Reset(&c.rtoTimer, c.rto(), c.onRTOFn)
@@ -415,7 +434,8 @@ func (c *Conn) onRTO() {
 		info.sub.lostBytes += info.size
 		c.requeue(info)
 	}
-	c.sentOrder = c.sentOrder[:0]
+	clear(c.sentOrder)
+	c.releaseWindow()
 	for i := range c.subs {
 		sf := &c.subs[i]
 		if sf.lostBytes == 0 {
