@@ -35,7 +35,9 @@
 // deterministic per seed. They and the profile files are created
 // before the first experiment runs; if one cannot be, hvcbench exits 1
 // with nothing on stdout, and a failed run removes them. An unknown
-// -exp or a -seeds below 1 exits 2 before simulating.
+// -exp, a -seeds below 1, a -fault that does not parse, or a -fault
+// when no selected experiment reads it (only outage does) exits 2
+// before simulating.
 //
 // Absolute numbers come from a simulator, not the authors' testbed;
 // the shapes (who wins, by what factor, where crossovers fall) are the
@@ -48,9 +50,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"hvc/internal/experiments"
+	"hvc/internal/fault"
 	"hvc/internal/pool"
 	"hvc/internal/prof"
 	"hvc/internal/telemetry"
@@ -92,6 +96,14 @@ func main() {
 	}
 	if *seeds < 1 {
 		fail(2, fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
+	}
+	if *faultF != "" {
+		if !slices.Contains(names, "outage") {
+			fail(2, fmt.Errorf("-fault is read by -exp outage only, not %s", *exp))
+		}
+		if _, err := fault.ParseSpec(*faultF); err != nil {
+			fail(2, fmt.Errorf("-fault: %v", err))
+		}
 	}
 	create := func(path string) *os.File {
 		if path == "" {

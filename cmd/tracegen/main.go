@@ -2,6 +2,9 @@
 // ("t_ms,rtt_ms,rate_mbps"), the format internal/trace reads back.
 //
 //	tracegen -name lowband-driving -seed 7 -dur 60s > drv.csv
+//
+// An unknown -name, a -dur that is not positive, or any positional
+// argument exits 2 with nothing on stdout.
 package main
 
 import (
@@ -21,10 +24,19 @@ func main() {
 	)
 	flag.Parse()
 
+	usage := func(err error) {
+		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
+		os.Exit(2)
+	}
+	if flag.NArg() > 0 {
+		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+	}
+	if *dur <= 0 {
+		usage(fmt.Errorf("-dur must be positive, got %v", *dur))
+	}
 	tr, err := core.NewTrace(*name, *seed, *dur)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\navailable: %v\n", err, core.TraceNames())
-		os.Exit(2)
+		usage(fmt.Errorf("%v\navailable: %v", err, core.TraceNames()))
 	}
 	if err := tr.WriteCSV(os.Stdout); err != nil {
 		fmt.Fprintf(os.Stderr, "tracegen: write: %v\n", err)

@@ -5,22 +5,21 @@ import (
 	"hvc/internal/packet"
 )
 
-// An arena holds one endpoint's free transport records: in-flight
-// tracking records, chunks, queued messages and reassembly state, and
-// the arrays in-flight windows live in. Connections borrow from it and
-// return what they hold as packets are acknowledged, as messages
-// complete, as a flight drains, and at Close, so a world's next
-// connection runs on the records and windows its earlier ones grew.
-// Every record names its owner — the borrowing flow, zero (no flow's
-// ID) while free — so that a stale pointer across connections is
-// caught, not obeyed.
+// An arena holds one endpoint's free transport records: chunks (each
+// also its packet's in-flight tracking record), queued messages and
+// reassembly state, and the arrays in-flight windows live in.
+// Connections borrow from it and return what they hold as packets are
+// acknowledged, as messages complete, as a flight drains, and at Close,
+// so a world's next connection runs on the records and windows its
+// earlier ones grew. Every record names its owner — the borrowing flow,
+// zero (no flow's ID) while free — so that a stale pointer across
+// connections is caught, not obeyed.
 type arena struct {
-	freeInfos   []*sentInfo
 	freeChunks  []*chunk
 	freeMsgs    []*message
 	freeRcvMsgs []*rcvMsg
 	// freeWindows holds window arrays, every slot nil, in no order.
-	freeWindows [][]*sentInfo
+	freeWindows [][]*chunk
 }
 
 // pop takes the last record off a free list, or makes a fresh one.
@@ -62,35 +61,26 @@ func disown(owner *packet.FlowID, flow packet.FlowID) {
 // holds asserts that a record c reached through its own state is its.
 func (c *Conn) holds(owner *packet.FlowID) { own(owner, c.flow, c.flow) }
 
-// The accessors. newX lends flow a record: a tracking record with empty
-// channel slices, a chunk whose frag the caller overwrites, a zeroed
-// message, a reassembly record with an empty range set. freeX takes it
-// back once nothing of the connection can reach it (a chunk: acked, sent
-// unreliably, or discarded at Close; never while the retx queue holds
-// it), keeping its arrays and expiry callback for the next borrower.
-
-func (a *arena) newSentInfo(flow packet.FlowID) *sentInfo {
-	info := pop(&a.freeInfos)
-	own(&info.owner, 0, flow)
-	return info
-}
-
-func (a *arena) freeSentInfo(flow packet.FlowID, info *sentInfo) {
-	disown(&info.owner, flow)
-	info.sub, info.chunk = nil, nil
-	info.channels, info.chIDs, info.chIdx = info.channels[:0], info.chIDs[:0], info.chIdx[:0]
-	a.freeInfos = append(a.freeInfos, info)
-}
+// The accessors. newX lends flow a record: a chunk with no copies whose
+// frag the caller overwrites, a zeroed message, a reassembly record with
+// an empty range set. freeX takes it back once nothing of the connection
+// can reach it (a chunk: acked, sent unreliably, or discarded at Close;
+// never while the retx queue holds it), keeping its arrays and expiry
+// callback for the next borrower.
 
 func (a *arena) newChunk(flow packet.FlowID) *chunk {
 	ch := pop(&a.freeChunks)
 	own(&ch.owner, 0, flow)
+	if ch.copies == nil {
+		ch.copies = ch.inl[:0]
+	}
 	return ch
 }
 
 func (a *arena) freeChunk(flow packet.FlowID, ch *chunk) {
 	disown(&ch.owner, flow)
 	ch.frag = fragment{} // release the message data reference
+	ch.sub, ch.copies = nil, ch.copies[:0]
 	a.freeChunks = append(a.freeChunks, ch)
 }
 
@@ -122,7 +112,7 @@ func (a *arena) freeRcvMsg(flow packet.FlowID, rm *rcvMsg) {
 // smallest free one that holds n, or a fresh one of exactly n when none
 // does. Which array a flight lives in is never observable; best fit
 // only keeps a short flight from taking the array a long one needs.
-func (a *arena) newWindow(n int) []*sentInfo {
+func (a *arena) newWindow(n int) []*chunk {
 	best := -1
 	for i, w := range a.freeWindows {
 		if cap(w) >= n && (best < 0 || cap(w) < cap(a.freeWindows[best])) {
@@ -130,7 +120,7 @@ func (a *arena) newWindow(n int) []*sentInfo {
 		}
 	}
 	if best < 0 {
-		return make([]*sentInfo, 0, n)
+		return make([]*chunk, 0, n)
 	}
 	w := a.freeWindows[best]
 	last := len(a.freeWindows) - 1
@@ -138,8 +128,8 @@ func (a *arena) newWindow(n int) []*sentInfo {
 	a.freeWindows[last] = nil
 	a.freeWindows = a.freeWindows[:last]
 	if invariant.Enabled() {
-		for _, info := range w[:cap(w)] {
-			if info != nil {
+		for _, ch := range w[:cap(w)] {
+			if ch != nil {
 				panic(errDirtyWindow)
 			}
 		}
@@ -148,7 +138,7 @@ func (a *arena) newWindow(n int) []*sentInfo {
 }
 
 // freeWindow takes back a window array whose slots hold no record.
-func (a *arena) freeWindow(w []*sentInfo) {
+func (a *arena) freeWindow(w []*chunk) {
 	if cap(w) > 0 {
 		a.freeWindows = append(a.freeWindows, w[:0])
 	}

@@ -229,31 +229,98 @@ func TestRecordOwnerInvariants(t *testing.T) {
 		t.Skip("invariant layer compiled out")
 	}
 	rec := &arena{}
-	info := rec.newSentInfo(2)
-	if v := violation(t, func() { rec.freeSentInfo(4, info) }); v.Layer != "transport" || v.Name != "record-owner" {
+	ch := rec.newChunk(2)
+	if v := violation(t, func() { rec.freeChunk(4, ch) }); v.Layer != "transport" || v.Name != "record-owner" {
 		t.Errorf("another flow's release: %v", v)
 	}
-	rec.freeSentInfo(2, info)
-	if v := violation(t, func() { rec.freeSentInfo(2, info) }); v.Name != "double-free" {
+	rec.freeChunk(2, ch)
+	if v := violation(t, func() { rec.freeChunk(2, ch) }); v.Name != "double-free" {
 		t.Errorf("second release: %v", v)
 	}
 	// A connection that kept a pointer past release trips on it the next
 	// time its ack path gets there, whoever holds the record by then.
 	c := &Conn{rec: rec, flow: 2, sched: scheduler{rec: rec, flow: 2}}
-	stale := rec.newSentInfo(2)
-	stale.seq, stale.chunk = 1, rec.newChunk(2)
+	stale := rec.newChunk(2)
+	stale.seq = 1
 	c.appendSent(stale)
-	rec.freeSentInfo(2, stale)
-	if got := rec.newSentInfo(4); got != stale {
+	rec.freeChunk(2, stale)
+	if got := rec.newChunk(4); got != stale {
 		t.Fatal("the arena is not LIFO")
 	}
 	if v := violation(t, func() { c.ackRanges([]seqRange{{1, 1}}) }); v.Name != "record-owner" {
 		t.Errorf("ack of a record lent to another flow: %v", v)
 	}
 	// And a free list must never hand out a record somebody holds.
-	rec.freeInfos = append(rec.freeInfos, stale)
-	if v := violation(t, func() { rec.newSentInfo(6) }); v.Name != "record-owner" {
+	rec.freeChunks = append(rec.freeChunks, stale)
+	if v := violation(t, func() { rec.newChunk(6) }); v.Name != "record-owner" {
 		t.Errorf("acquire of a held record: %v", v)
+	}
+}
+
+// A packet replicated over three channels carries a copy more than a
+// chunk holds inline: its copies spill to an array of their own, every
+// channel's send index still counts towards loss detection, and the
+// chunk comes back from the arena with no copies, spilled array or not.
+func TestChunkCopiesSpill(t *testing.T) {
+	c := bareConn(2)
+	c.sub0[0].alg = fixedWindow{64 * cc.MSS}
+	c.subs = c.sub0[:]
+	names := []string{"a", "b", "c"}
+	for _, name := range names {
+		c.chanID(name)
+	}
+	sendOn := func(ids ...int) *chunk {
+		ch := c.rec.newChunk(c.flow)
+		c.nextSeq++
+		ch.seq, ch.size, ch.sub = c.nextSeq, 100, &c.subs[0]
+		for _, id := range ids {
+			c.sentIndex[id]++
+			ch.copies = append(ch.copies, chanCopy{id, c.sentIndex[id]})
+		}
+		c.bytesInFlight += ch.size
+		ch.sub.inflight += ch.size
+		c.appendSent(ch)
+		return ch
+	}
+	// The replicated packet, then ackAfterGap packets on each channel
+	// but the last, which gets one fewer.
+	lost := sendOn(0, 1, 2)
+	if len(lost.copies) != 3 || &lost.copies[0] == &lost.inl[0] {
+		t.Fatalf("three copies: %v, inline: %v", lost.copies, &lost.copies[0] == &lost.inl[0])
+	}
+	for i := 0; i < ackAfterGap; i++ {
+		sendOn(0)
+		sendOn(1)
+		if i > 0 {
+			sendOn(2)
+		}
+	}
+	ack := func() {
+		last := c.sentOrder[len(c.sentOrder)-1].seq
+		c.largestAcked = c.ackRanges([]seqRange{{lost.seq + 1, last}}).seq
+		c.subs[0].ackNewest, c.subs[0].ackBytes = nil, 0
+		c.recycleAcked()
+		c.detectLosses(0)
+	}
+	ack()
+	if c.stats.Retransmits != 0 || len(c.sentOrder) != 1 {
+		t.Fatalf("lost with %d later packets acked on channel c, want %d: %d retransmits, %d in flight",
+			ackAfterGap-1, ackAfterGap, c.stats.Retransmits, len(c.sentOrder))
+	}
+	sendOn(2)
+	ack()
+	if c.stats.Retransmits != 1 || len(c.sentOrder) != 0 || c.sched.retx.len() != 1 {
+		t.Fatalf("%d retransmits, %d in flight, %d queued; want the replicated packet lost",
+			c.stats.Retransmits, len(c.sentOrder), c.sched.retx.len())
+	}
+	if ch := c.sched.retx.pop(); ch != lost || ch.owner != c.flow || len(ch.copies) != 0 {
+		t.Fatalf("requeued chunk: %p (want %p), owner %d, %d copies", ch, lost, ch.owner, len(ch.copies))
+	}
+	spilled := cap(lost.copies)
+	c.rec.freeChunk(c.flow, lost)
+	if got := c.rec.newChunk(4); got != lost || len(got.copies) != 0 || cap(got.copies) != spilled {
+		t.Fatalf("re-lent chunk: %p (want %p) with %d copies in %d slots, want none in its %d",
+			got, lost, len(got.copies), cap(got.copies), spilled)
 	}
 }
 
@@ -269,7 +336,7 @@ func TestFlightArrayCleanInvariant(t *testing.T) {
 	if cap(w) != 64 {
 		t.Fatalf("a fresh window has %d slots, want 64", cap(w))
 	}
-	w = append(w, rec.newSentInfo(2))
+	w = append(w, rec.newChunk(2))
 	rec.freeWindow(w)
 	if v := violation(t, func() { rec.newWindow(64) }); v.Layer != "transport" || v.Name != "flight-array-clean" {
 		t.Errorf("lend of a window holding a record: %v", v)
@@ -277,7 +344,7 @@ func TestFlightArrayCleanInvariant(t *testing.T) {
 	// Best fit: the smallest free array that holds the request.
 	rec = &arena{}
 	for _, n := range []int{256, 64, 1024, 128} {
-		rec.freeWindow(make([]*sentInfo, 0, n))
+		rec.freeWindow(make([]*chunk, 0, n))
 	}
 	for _, c := range []struct{ n, want int }{{100, 128}, {100, 256}, {64, 64}, {2048, 2048}, {1, 1024}} {
 		if got := cap(rec.newWindow(c.n)); got != c.want {
@@ -396,9 +463,9 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 	if len(server.rec.freeWindows) == 0 {
 		t.Error("the closed flight's window array did not come back to the arena")
 	}
-	for _, info := range server.rec.freeInfos {
-		if info.owner != 0 || info.chunk != nil {
-			t.Fatalf("free tracking record still stamped: %+v", info)
+	for _, ch := range server.rec.freeChunks {
+		if ch.owner != 0 || ch.sub != nil || len(ch.copies) != 0 {
+			t.Fatalf("free chunk still stamped: %+v", ch)
 		}
 	}
 	rxStats, txStats := rx.Stats(), tx.Stats()

@@ -154,8 +154,8 @@ type Conn struct {
 	nextSeq       uint64
 	nextMsgID     uint64
 	nextStream    uint32
-	sentOrder     []*sentInfo
-	sentBase      []*sentInfo
+	sentOrder     []*chunk
+	sentBase      []*chunk
 	bytesInFlight int
 	// Channel names are interned to dense integer IDs so the
 	// per-channel send/acked counters are slice indexes, not map keys.
@@ -203,7 +203,7 @@ type Conn struct {
 	wakePending bool
 	wakeFn      func()
 
-	ackedInfos []*sentInfo // acked-this-event scratch, freed in bulk
+	acked []*chunk // acked-this-event scratch, freed in bulk
 
 	onMessage   func(*Conn, Message)
 	onRTTSample func(now, rtt time.Duration, ch string)
@@ -325,17 +325,16 @@ func (c *Conn) Close() {
 		c.rec.freeRcvMsg(c.flow, rm)
 		delete(c.rcvMsgs, id)
 	}
-	for _, info := range c.sentOrder {
-		c.rec.freeChunk(c.flow, info.chunk)
-		c.rec.freeSentInfo(c.flow, info)
+	for _, ch := range c.sentOrder {
+		c.rec.freeChunk(c.flow, ch)
 	}
 	clear(c.sentOrder)
 	c.releaseWindow()
 	c.sched.discard()
 	c.ep.forget(c.flow)
 	// Only a Close from inside the ack handler (OnRTTSample) gets here.
-	if invariant.Enabled() && len(c.ackedInfos) > 0 {
-		invariant.Failf("transport", "record-owner", "flow %d closed holding %d acked records", c.flow, len(c.ackedInfos))
+	if invariant.Enabled() && len(c.acked) > 0 {
+		invariant.Failf("transport", "record-owner", "flow %d closed holding %d acked records", c.flow, len(c.acked))
 	}
 }
 
@@ -400,7 +399,7 @@ func (c *Conn) handlePacket(p *packet.Packet) {
 // on the first channel for a multipath one (MPTCP's initial subflow
 // plays the same role).
 func (c *Conn) transmitCtrl(p *packet.Packet) {
-	c.ep.ctrlNames = c.transmit(&c.subs[0], p, c.ep.ctrlNames[:0])
+	c.ep.carried = c.transmit(&c.subs[0], p, c.ep.carried[:0])
 }
 
 // flowLabel renders a flow ID as a metric label value.
@@ -453,8 +452,8 @@ const maxSaneCwnd = 1 << 30
 // bytes never go negative on the connection or any subflow, the
 // subflows' shares add up to the connection's total, and an empty
 // in-flight table accounts for exactly zero bytes (the cheap
-// cross-check that catches double-subtracts and leaks in the sent-info
-// lifecycle).
+// cross-check that catches double-subtracts and leaks in the in-flight
+// record lifecycle).
 func (c *Conn) checkCC(alg cc.Algorithm) {
 	if cwnd := alg.CWND(); cwnd <= 0 || cwnd > maxSaneCwnd {
 		invariant.Failf("transport", "cwnd-bounds",

@@ -59,29 +59,29 @@ func FuzzRangeSetOps(f *testing.F) {
 // the indexed resolution (ackRanges) replaced it, kept verbatim as the
 // oracle: it walks and rewrites every outstanding record on every ack.
 // It predates subflows, so it settles the connection's totals only.
-func linearAck(c *Conn, ranges []seqRange) (newlyBytes int, newest *sentInfo) {
-	c.ackedInfos = c.ackedInfos[:0]
+func linearAck(c *Conn, ranges []seqRange) (newlyBytes int, newest *chunk) {
+	c.acked = c.acked[:0]
 	ri := 0
 	remaining := c.sentOrder[:0]
-	for _, info := range c.sentOrder {
-		for ri < len(ranges) && ranges[ri].hi < info.seq {
+	for _, ch := range c.sentOrder {
+		for ri < len(ranges) && ranges[ri].hi < ch.seq {
 			ri++
 		}
-		if ri == len(ranges) || info.seq < ranges[ri].lo {
-			remaining = append(remaining, info)
+		if ri == len(ranges) || ch.seq < ranges[ri].lo {
+			remaining = append(remaining, ch)
 			continue
 		}
-		c.ackedInfos = append(c.ackedInfos, info)
-		c.bytesInFlight -= info.size
-		c.delivered += int64(info.size)
-		newlyBytes += info.size
-		c.stats.BytesAcked += int64(info.size)
-		for i, id := range info.chIDs {
-			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
-				c.ackedIndex[id] = idx
+		c.acked = append(c.acked, ch)
+		c.bytesInFlight -= ch.size
+		c.delivered += int64(ch.size)
+		newlyBytes += ch.size
+		c.stats.BytesAcked += int64(ch.size)
+		for _, cp := range ch.copies {
+			if cp.idx > c.ackedIndex[cp.id] {
+				c.ackedIndex[cp.id] = cp.idx
 			}
 		}
-		newest = info
+		newest = ch
 	}
 	c.sentOrder = remaining
 	return newlyBytes, newest
@@ -155,20 +155,20 @@ func FuzzAckResolve(f *testing.F) {
 		for i := 0; i < nRec; i++ {
 			b := next()
 			seq += 1 + uint64(b%4)
-			info := &sentInfo{seq: seq, size: 100 + b, sub: sf}
+			ch := &chunk{seq: seq, size: 100 + b, sub: sf}
+			ch.copies = ch.inl[:0]
 			for id := 0; id < 2; id++ {
 				if id == 0 && b&4 == 0 || id == 1 && b&8 != 0 {
 					got.sentIndex[id]++
-					info.chIDs = append(info.chIDs, id)
-					info.chIdx = append(info.chIdx, got.sentIndex[id])
+					ch.copies = append(ch.copies, chanCopy{id, got.sentIndex[id]})
 				}
 			}
-			got.bytesInFlight += info.size
-			sf.inflight += info.size
-			got.appendSent(info)
+			got.bytesInFlight += ch.size
+			sf.inflight += ch.size
+			got.appendSent(ch)
 		}
 		want := bareConn(0)
-		want.sentOrder = append([]*sentInfo(nil), got.sentOrder...)
+		want.sentOrder = append([]*chunk(nil), got.sentOrder...)
 		want.ackedIndex, want.bytesInFlight = make([]int64, 2), got.bytesInFlight
 
 		var ranges []seqRange
@@ -190,8 +190,8 @@ func FuzzAckResolve(f *testing.F) {
 			t.Fatalf("ackRanges = (%d, %p, subflow's newest %p), linear = (%d, %p)",
 				sf.ackBytes, gotNewest, sf.ackNewest, wantBytes, wantNewest)
 		}
-		if !slices.Equal(got.ackedInfos, want.ackedInfos) {
-			t.Fatalf("acked records differ: %d vs %d, or their order", len(got.ackedInfos), len(want.ackedInfos))
+		if !slices.Equal(got.acked, want.acked) {
+			t.Fatalf("acked records differ: %d vs %d, or their order", len(got.acked), len(want.acked))
 		}
 		if !slices.Equal(got.sentOrder, want.sentOrder) {
 			t.Fatalf("remaining flight differs: %d vs %d records, or their order", len(got.sentOrder), len(want.sentOrder))

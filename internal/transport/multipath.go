@@ -56,7 +56,7 @@ type subflow struct {
 	// record among them (ackRanges fills, handleAck consumes), bytes
 	// newly declared lost (detectLosses and onRTO).
 	ackBytes  int
-	ackNewest *sentInfo
+	ackNewest *chunk
 	lostBytes int
 }
 

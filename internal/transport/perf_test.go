@@ -18,7 +18,7 @@ import (
 // the full stack — fragmentation, steering, netem, reassembly, acks —
 // and reports allocations per message. In steady state the shared
 // packet pool (packets and their payload boxes) and the transport free lists
-// (chunks, sent-info records, reassembly state) keep this near zero.
+// (chunks, reassembly state) keep this near zero.
 func BenchmarkMessageRoundTrip(b *testing.B) {
 	w := newWorld(1)
 	var got []Message
@@ -222,21 +222,20 @@ func (d *ackDrive) withStale(n int) *ackDrive {
 
 func (d *ackDrive) send() {
 	c := d.c
-	info := c.rec.newSentInfo(c.flow)
+	ch := c.rec.newChunk(c.flow)
 	c.nextSeq++
 	i := d.turn
 	if d.turn++; d.turn == len(c.subs) {
 		d.turn = 0
 	}
-	ch := d.chs[i]
-	c.sentIndex[ch]++
-	info.seq, info.size, info.chunk = c.nextSeq, packet.MaxPayload, c.rec.newChunk(c.flow)
-	info.sub = &c.subs[i]
-	info.chIDs = append(info.chIDs, ch)
-	info.chIdx = append(info.chIdx, c.sentIndex[ch])
-	c.bytesInFlight += info.size
-	info.sub.inflight += info.size
-	c.appendSent(info)
+	id := d.chs[i]
+	c.sentIndex[id]++
+	ch.seq, ch.size = c.nextSeq, packet.MaxPayload
+	ch.sub = &c.subs[i]
+	ch.copies = append(ch.copies, chanCopy{id, c.sentIndex[id]})
+	c.bytesInFlight += ch.size
+	ch.sub.inflight += ch.size
+	c.appendSent(ch)
 }
 
 func (d *ackDrive) step() {
@@ -478,6 +477,61 @@ func TestBulkFlowMemoryBounded(t *testing.T) {
 				t.Errorf("%d allocations over %d packets, want a steady flow to allocate nothing", n, sent)
 			}
 			runtime.KeepAlive(d)
+		})
+	}
+}
+
+// coldFlight builds a bulk drive of window packets per channel from
+// nothing — endpoints, arenas, packet pool, link rings all cold — and
+// runs it for 20 windows; the heap objects that cost, per window slot,
+// are what a flight growing into a cold arena pays per packet it holds.
+func coldFlight(window, channels int) float64 {
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	mallocs0 := ms.Mallocs
+	d := newBulkDrive(window, channels)
+	d.run(20 * window)
+	runtime.ReadMemStats(&ms)
+	runtime.KeepAlive(d)
+	return float64(ms.Mallocs-mallocs0) / float64(window)
+}
+
+// A cold flight costs a few heap objects per packet it holds: the packet,
+// its payload box, and the chunk that is also its tracking record, with
+// the channels that carried it inline. With a separate tracking record
+// and three one-element slices of channel names, IDs and send indexes
+// hanging off it, the same flights cost 8.4 objects per slot on one
+// channel and 18.8 on two.
+func TestColdFlightAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	for _, shape := range []struct {
+		name     string
+		channels int
+		bound    float64
+	}{{"single-path", 1, 5}, {"multipath", 2, 12}} {
+		got := coldFlight(1024, shape.channels)
+		t.Logf("%s: %.2f allocations per window slot", shape.name, got)
+		if got > shape.bound {
+			t.Errorf("%s: a cold 1024-packet flight allocated %.2f objects per slot, want <= %.0f",
+				shape.name, got, shape.bound)
+		}
+	}
+}
+
+// BenchmarkColdFlight is TestColdFlightAllocs's drive, a fresh one per
+// op: what a flow that grows its flight into a cold arena costs.
+func BenchmarkColdFlight(b *testing.B) {
+	for _, shape := range []struct {
+		name     string
+		channels int
+	}{{"single-path", 1}, {"multipath", 2}} {
+		b.Run(shape.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				newBulkDrive(1024, shape.channels).run(20 * 1024)
+			}
 		})
 	}
 }

@@ -213,6 +213,9 @@ func (c *Conn) sendAck() {
 	c.ackTimer.Stop()
 	p := c.newPacket(packet.Ack, 0)
 	pl := c.ep.ackBox(p)
+	if cap(pl.ranges) < maxAckRanges {
+		pl.ranges = make([]seqRange, 0, maxAckRanges) // once, not grown a range at a time
+	}
 	pl.ranges = c.rcvRanges.appendTail(pl.ranges[:0], maxAckRanges)
 	p.Size = packet.HeaderBytes + 4*len(pl.ranges)
 	p.Payload = pl
@@ -265,8 +268,8 @@ func (c *Conn) subflowAcked(sf *subflow, now time.Duration) {
 		sf.srtt = (7*sf.srtt + rtt) / 8
 	}
 	chName := ""
-	if len(newest.channels) == 1 {
-		chName = newest.channels[0]
+	if len(newest.copies) == 1 {
+		chName = c.chanNames[newest.copies[0].id]
 	}
 	if c.onRTTSample != nil {
 		c.onRTTSample(now, rtt, chName)
@@ -300,41 +303,41 @@ func (c *Conn) subflowAcked(sf *subflow, now time.Duration) {
 }
 
 // ackRanges retires every in-flight packet the ack's ranges cover: the
-// covered records leave sentOrder for ackedInfos (ascending seq, so the
+// covered records leave sentOrder for acked (ascending seq, so the
 // last is the newest), and the accounting is settled for each — bytes
 // in flight and delivered, the per-channel highest acked send index,
 // and the sending subflow's in-flight count and share of this ack
 // (ackBytes, ackNewest). It returns the newest acked record, nil for a
 // pure duplicate. The caller consumes the subflows' shares, then
-// recycles ackedInfos once the controllers have heard about them.
-func (c *Conn) ackRanges(ranges []seqRange) (newest *sentInfo) {
-	c.ackedInfos = c.ackedInfos[:0]
+// recycles acked once the controllers have heard about them.
+func (c *Conn) ackRanges(ranges []seqRange) (newest *chunk) {
+	c.acked = c.acked[:0]
 	c.resolveAcked(ranges)
 	var bytes int
-	for _, info := range c.ackedInfos {
-		c.holds(&info.owner)
-		bytes += info.size
-		for i, id := range info.chIDs {
-			if idx := info.chIdx[i]; idx > c.ackedIndex[id] {
-				c.ackedIndex[id] = idx
+	for _, ch := range c.acked {
+		c.holds(&ch.owner)
+		bytes += ch.size
+		for _, cp := range ch.copies {
+			if cp.idx > c.ackedIndex[cp.id] {
+				c.ackedIndex[cp.id] = cp.idx
 			}
 		}
-		sf := info.sub
-		sf.inflight -= info.size
-		sf.ackBytes += info.size
-		sf.ackNewest = info // ascending: the last acked is the newest
+		sf := ch.sub
+		sf.inflight -= ch.size
+		sf.ackBytes += ch.size
+		sf.ackNewest = ch // ascending: the last acked is the newest
 	}
 	c.bytesInFlight -= bytes
 	c.delivered += int64(bytes)
 	c.stats.BytesAcked += int64(bytes)
-	if n := len(c.ackedInfos); n > 0 {
-		newest = c.ackedInfos[n-1]
+	if n := len(c.acked); n > 0 {
+		newest = c.acked[n-1]
 	}
 	return newest
 }
 
 // resolveAcked moves the records covered by ranges (ascending by lo and
-// by hi, as rangeSet produces them) from sentOrder to ackedInfos.
+// by hi, as rangeSet produces them) from sentOrder to acked.
 // sentOrder is strictly ascending by seq, so the records one range
 // covers are one contiguous span, and because the ranges ascend too,
 // that span lies wholly after the previous range's: two searches
@@ -367,7 +370,7 @@ func (c *Conn) resolveAcked(ranges []seqRange) {
 			hi = lo + seqIndex(order[lo:], rg.hi+1)
 		}
 		w += copy(order[w:], order[r:lo])
-		c.ackedInfos = append(c.ackedInfos, order[lo:hi]...)
+		c.acked = append(c.acked, order[lo:hi]...)
 		r = hi
 	}
 	c.closeSentGap(w, r)
@@ -379,7 +382,7 @@ func (c *Conn) resolveAcked(ranges []seqRange) {
 // logarithmic in the answer rather than in len(order): acks mostly
 // retire the few oldest packets, and those records are the only ones
 // the search then touches.
-func seqIndex(order []*sentInfo, seq uint64) int {
+func seqIndex(order []*chunk, seq uint64) int {
 	// Every record before lo is below seq; none at or after hi is.
 	lo, hi := 0, len(order)
 	for step := 1; lo+step <= len(order); step <<= 1 {
@@ -400,17 +403,15 @@ func seqIndex(order []*sentInfo, seq uint64) int {
 	return lo
 }
 
-// recycleAcked returns this ack event's retired tracking records and
-// their chunks to the free lists. An acknowledged chunk can never be
-// retransmitted again, so both are dead once the controller has been
-// told about the ack.
+// recycleAcked returns this ack event's retired chunks to the arena. An
+// acknowledged chunk can never be retransmitted again, so it is dead
+// once the controller has been told about the ack.
 func (c *Conn) recycleAcked() {
-	for i, info := range c.ackedInfos {
-		c.rec.freeChunk(c.flow, info.chunk)
-		c.rec.freeSentInfo(c.flow, info)
-		c.ackedInfos[i] = nil
+	for i, ch := range c.acked {
+		c.rec.freeChunk(c.flow, ch)
+		c.acked[i] = nil
 	}
-	c.ackedInfos = c.ackedInfos[:0]
+	c.acked = c.acked[:0]
 }
 
 // updateRTT folds one sample into the RFC 6298 estimators.
@@ -446,21 +447,21 @@ func (c *Conn) detectLosses(now time.Duration) {
 	order := c.sentOrder
 	w, r := 0, 0
 	for ; r < len(order) && order[r].seq <= c.largestAcked; r++ {
-		info := order[r]
-		lost := len(info.chIDs) > 0
-		for j, id := range info.chIDs {
-			if c.ackedIndex[id] < info.chIdx[j]+ackAfterGap {
+		ch := order[r]
+		lost := len(ch.copies) > 0
+		for _, cp := range ch.copies {
+			if c.ackedIndex[cp.id] < cp.idx+ackAfterGap {
 				lost = false
 				break
 			}
 		}
 		if !lost {
-			order[w] = info
+			order[w] = ch
 			w++
 			continue
 		}
-		info.sub.lostBytes += info.size
-		c.requeue(info)
+		ch.sub.lostBytes += ch.size
+		c.requeue(ch)
 	}
 	c.closeSentGap(w, r)
 	for i := range c.subs {

@@ -197,13 +197,8 @@ func TestCloseWithHeldPackets(t *testing.T) {
 	}
 	// The owner audit: every record of both arenas is free and unstamped.
 	for _, e := range []*Endpoint{w.client, w.server} {
-		for _, info := range e.rec.freeInfos {
-			if info.owner != 0 || info.chunk != nil {
-				t.Fatalf("free tracking record still stamped: %+v", info)
-			}
-		}
 		for _, ch := range e.rec.freeChunks {
-			if ch.owner != 0 {
+			if ch.owner != 0 || ch.sub != nil || len(ch.copies) != 0 {
 				t.Fatalf("free chunk still stamped: %+v", ch)
 			}
 		}

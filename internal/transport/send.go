@@ -37,10 +37,34 @@ type fragment struct {
 	unreliable bool
 }
 
-// chunk pairs a fragment with retransmission bookkeeping.
+// A chunk is one fragment and, while it sits in sentOrder, its packet's
+// tracking record: sendChunk stamps the fields below frag, valid until
+// an ack or loss takes the chunk out of the flight. A lost chunk goes
+// back to the scheduler (requeue) and is stamped afresh when resent.
 type chunk struct {
 	owner packet.FlowID // see arena
 	frag  fragment
+
+	seq    uint64
+	sub    *subflow // the subflow that sent it
+	size   int      // payload bytes
+	sentAt time.Duration
+	// copies lists the channels that carried a copy, in send order. The
+	// arena points it at inl, so one or two copies need no array; a third
+	// spills through append. Never reset a chunk with a struct literal:
+	// that would cut copies loose from inl.
+	copies              []chanCopy
+	inl                 [2]chanCopy
+	deliveredAtSent     int64
+	deliveredTimeAtSent time.Duration
+	appLimited          bool
+}
+
+// A chanCopy is one channel's copy of an in-flight packet: the channel's
+// interned ID and the packet's send index on it, for loss detection.
+type chanCopy struct {
+	id  int
+	idx int64
 }
 
 // A fifo is a queue over a reused array: pop advances a head index, and
@@ -155,24 +179,6 @@ func (s *scheduler) discard() {
 	s.queued = 0
 }
 
-// sentInfo tracks one in-flight data packet. chIDs/chIdx are parallel
-// slices: the interned ID of each channel that carried a copy, and the
-// packet's per-channel send index on it (for loss detection).
-type sentInfo struct {
-	owner               packet.FlowID // see arena
-	seq                 uint64
-	sub                 *subflow // the subflow that sent it
-	size                int      // payload bytes
-	chunk               *chunk
-	sentAt              time.Duration
-	channels            []string // channels that carried copies
-	chIDs               []int
-	chIdx               []int64
-	deliveredAtSent     int64
-	deliveredTimeAtSent time.Duration
-	appLimited          bool
-}
-
 // trySend transmits as much queued data as the subflows' congestion
 // windows and pacing allow. An unreliable connection has neither and
 // sends everything at once on its one subflow.
@@ -242,16 +248,8 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 	p.Payload = frag
 
 	// transmit takes p; from here on seq, size and wire describe it.
-	var carried []string
-	var info *sentInfo
-	if c.cfg.Unreliable {
-		c.ep.ctrlNames = c.transmit(sf, p, c.ep.ctrlNames[:0])
-		carried = c.ep.ctrlNames
-	} else {
-		info = c.rec.newSentInfo(c.flow)
-		info.channels = c.transmit(sf, p, info.channels[:0])
-		carried = info.channels
-	}
+	c.ep.carried = c.transmit(sf, p, c.ep.carried[:0])
+	carried := c.ep.carried
 	c.stats.BytesSent += int64(size)
 	if c.tracer.Enabled() {
 		c.tracer.Emit(telemetry.Event{
@@ -269,23 +267,21 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 		return true
 	}
 
-	info.seq = seq
-	info.sub = sf
-	info.size = size
-	info.chunk = ch
-	info.sentAt = now
-	info.deliveredAtSent = c.delivered
-	info.deliveredTimeAtSent = c.deliveredTime
+	ch.seq = seq
+	ch.sub = sf
+	ch.size = size
+	ch.sentAt = now
+	ch.deliveredAtSent = c.delivered
+	ch.deliveredTimeAtSent = c.deliveredTime
 	for _, name := range carried {
 		id := c.chanID(name)
 		c.sentIndex[id]++
-		info.chIDs = append(info.chIDs, id)
-		info.chIdx = append(info.chIdx, c.sentIndex[id])
+		ch.copies = append(ch.copies, chanCopy{id, c.sentIndex[id]})
 	}
 	c.bytesInFlight += size
 	sf.inflight += size
 	sf.alg.OnSent(now, size)
-	info.appLimited = c.sched.empty()
+	ch.appLimited = c.sched.empty()
 
 	if rate := sf.alg.PacingRate(); rate > 0 {
 		interval := time.Duration(float64(wire) * 8 / rate * float64(time.Second))
@@ -299,11 +295,11 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 		// never be acked, and no later ack on any channel can pass
 		// it. Declare it lost at once — entry drops are queue
 		// overflow, i.e. a congestion signal.
-		c.requeue(info)
+		c.requeue(ch)
 		c.notifyLoss(sf, now, size)
 		return false
 	}
-	c.appendSent(info)
+	c.appendSent(ch)
 	c.armRTO()
 	return true
 }
@@ -320,7 +316,7 @@ func (c *Conn) sendChunk(sf *subflow, ch *chunk) bool {
 // amortised, and a flight that has stopped growing allocates nothing.
 // The array is only lent: releaseWindow returns it whenever the flight
 // drains, so the endpoint's next connection grows into it for free.
-func (c *Conn) appendSent(info *sentInfo) {
+func (c *Conn) appendSent(ch *chunk) {
 	if len(c.sentOrder) == cap(c.sentOrder) {
 		old := c.sentBase[:cap(c.sentBase)]
 		base := old
@@ -335,7 +331,7 @@ func (c *Conn) appendSent(info *sentInfo) {
 		}
 		c.sentBase, c.sentOrder = base[:0], base[:n]
 	}
-	c.sentOrder = append(c.sentOrder, info)
+	c.sentOrder = append(c.sentOrder, ch)
 }
 
 // releaseWindow hands an empty flight's array back to the arena. The
@@ -430,9 +426,9 @@ func (c *Conn) onRTO() {
 	})
 	c.tracer.Count("transport_rtos_total", 1, "flow", flowLabel(c.flow))
 	// Declare everything outstanding lost and rebuild from the model.
-	for _, info := range c.sentOrder {
-		info.sub.lostBytes += info.size
-		c.requeue(info)
+	for _, ch := range c.sentOrder {
+		ch.sub.lostBytes += ch.size
+		c.requeue(ch)
 	}
 	clear(c.sentOrder)
 	c.releaseWindow()
@@ -453,25 +449,30 @@ func (c *Conn) onRTO() {
 	c.trySend()
 }
 
-// requeue returns an in-flight packet's chunk to the scheduler, takes
-// its bytes off the connection's and its subflow's in-flight counts,
-// and recycles its tracking record; the caller removes info from
-// sentOrder and must not use it after.
-func (c *Conn) requeue(info *sentInfo) {
-	c.holds(&info.chunk.owner) // info's own stamp is checked at its release below
-	c.bytesInFlight -= info.size
-	info.sub.inflight -= info.size
+// requeue returns an in-flight packet to the scheduler: its bytes come
+// off the connection's and its subflow's in-flight counts, its copies
+// are dropped, and the chunk itself, still the flow's, joins the
+// retransmission queue. The caller removes ch from sentOrder.
+func (c *Conn) requeue(ch *chunk) {
+	c.holds(&ch.owner)
+	c.bytesInFlight -= ch.size
+	ch.sub.inflight -= ch.size
 	c.stats.Retransmits++
-	c.sched.retx.push(info.chunk)
 	if c.tracer.Enabled() {
+		names := c.ep.carried[:0] // the copies' channels, in send order
+		for _, cp := range ch.copies {
+			names = append(names, c.chanNames[cp.id])
+		}
+		c.ep.carried = names
 		c.tracer.Emit(telemetry.Event{
 			Layer: telemetry.LayerTransport, Name: telemetry.EvRetransmit,
-			Channel: telemetry.JoinNames(info.channels), Flow: uint32(c.flow),
-			Seq: info.seq, Msg: info.chunk.frag.msgID, Bytes: info.size,
+			Channel: telemetry.JoinNames(names), Flow: uint32(c.flow),
+			Seq: ch.seq, Msg: ch.frag.msgID, Bytes: ch.size,
 		})
 		c.tracer.Count("transport_retransmits_total", 1, "flow", flowLabel(c.flow))
 	}
-	c.rec.freeSentInfo(c.flow, info)
+	ch.sub, ch.copies = nil, ch.copies[:0]
+	c.sched.retx.push(ch)
 }
 
 // notifyLoss reports non-timeout loss to a subflow's congestion

@@ -46,9 +46,10 @@ type Endpoint struct {
 	ids      packet.IDGen
 	tracer   *telemetry.Tracer
 
-	// ctrlNames is scratch for transmit calls whose carried-channel
-	// list is discarded (control and ack packets).
-	ctrlNames []string
+	// carried is scratch for channel-name lists: the ones transmit
+	// reports (a data packet's are interned into its chunk's copies at
+	// once) and a retransmit event's.
+	carried []string
 	// rec lends every connection of the endpoint its transport records.
 	rec arena
 	// held counts the packets on hold for the endpoint's delayed
