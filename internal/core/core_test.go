@@ -811,3 +811,16 @@ func BenchmarkVideoSession(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWebSession is one short web world: three pages loaded once,
+// with the background flows, from world construction to the last load.
+func BenchmarkWebSession(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunWeb(WebConfig{
+			Seed: 1, Trace: "lowband-driving", Policy: PolicyDChannel, Pages: 3, Loads: 1,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

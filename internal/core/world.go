@@ -22,11 +22,15 @@ type World struct {
 	Client, Server *transport.Endpoint
 }
 
-// NewWorld builds a world seeded with seed over channels(loop).
+// NewWorld builds a world seeded with seed over channels(loop). Its
+// endpoints adopt the free lists of a world that finished before it
+// (transport.Adopt; Run retires them again).
 func NewWorld(seed int64, channels func(*sim.Loop) *channel.Group) *World {
 	loop := sim.NewLoop(seed)
 	g := channels(loop)
-	return &World{loop, g, transport.NewEndpoint(loop, g, channel.A), transport.NewEndpoint(loop, g, channel.B)}
+	w := &World{loop, g, transport.NewEndpoint(loop, g, channel.A), transport.NewEndpoint(loop, g, channel.B)}
+	transport.Adopt(w.Client, w.Server)
+	return w
 }
 
 // cellular is NewWorld's channels for the paper's eMBB+URLLC pair.
@@ -49,9 +53,11 @@ func (w *World) Observe(tr *telemetry.Tracer, spec fault.Spec, format string, ar
 	return fault.Inject(w.Loop, w.Group, spec, tr)
 }
 
-// Run advances the world to until, then audits the packet ledger
-// (transport.CheckLedger).
+// Run advances the world to until, audits the packet ledger
+// (transport.CheckLedger), and hands the world's free lists on to the
+// next world built in the process (transport.Retire).
 func (w *World) Run(until time.Duration) {
 	w.Loop.RunUntil(until)
 	transport.CheckLedger(w.Client, w.Server)
+	transport.Retire(w.Client, w.Server)
 }

@@ -124,15 +124,15 @@ func (g *IDGen) Next() uint64 {
 	return g.next
 }
 
-// A Pool is a LIFO free list of Packets, scoped to one simulation (it
-// is not safe for concurrent use, matching the single-threaded core).
-// Sharing one pool between both endpoints of a channel group closes
-// the allocation cycle: packets freed where they arrive are reused
-// where the next transmission originates, and what the network
-// discards comes back too — the group's links return the packets they
-// lose in flight, the transport the ones a channel refuses at entry —
-// so a steady-state flow allocates no packets at all, lossy or not.
-// The zero value is an empty pool ready for use.
+// A Pool is a LIFO free list of Packets for one simulation's channel
+// group (it is not safe for concurrent use, matching the
+// single-threaded core). Sharing one pool between both endpoints of a
+// channel group closes the allocation cycle: packets freed where they
+// arrive are reused where the next transmission originates, and what
+// the network discards comes back too — the group's links return the
+// packets they lose in flight, the transport the ones a channel refuses
+// at entry — so a steady-state flow allocates no packets at all, lossy
+// or not. The zero value is an empty pool ready for use.
 //
 // Get does not clear the returned packet — in particular Payload may
 // still hold the previous use's payload box, which the transport
@@ -146,6 +146,11 @@ func (g *IDGen) Next() uint64 {
 // cross the group: the side that detaches a box of one kind is never
 // the side that next needs one, and only a cache both sides share lets
 // the boxes circulate with the packets.
+//
+// The free lists outlive their simulation: Retire moves them into a
+// spare pool that a later simulation's pool can Adopt. Since every
+// borrower overwrites what it relies on, which simulation grew a packet
+// is never observable.
 //
 // The pool keeps the books its world is held to: Live counts the
 // packets handed out and not yet returned, which the packet ledger
@@ -175,6 +180,36 @@ func (pl *Pool) Get() *Packet {
 		return p
 	}
 	return &Packet{}
+}
+
+// Retire moves the pool's free packets and parked boxes into a spare
+// pool, which holds nothing else, after passing every payload — parked
+// boxes, and those attached to a free packet (nil when none is) — to
+// scrub, which must drop whatever the box holds of its simulation. Only
+// the free lists move: packets out of the pool stay with it, so nothing
+// the simulation can still reach is in the spare. Call it once the
+// simulation is over; the pool starts again from empty lists.
+func (pl *Pool) Retire(scrub func(box any)) (spare Pool) {
+	spare.free, spare.boxes = pl.free, pl.boxes
+	pl.free, pl.boxes = nil, [Control + 1][]any{}
+	for _, p := range spare.free {
+		scrub(p.Payload)
+	}
+	for _, b := range spare.boxes {
+		for _, box := range b {
+			scrub(box)
+		}
+	}
+	return spare
+}
+
+// Adopt takes a spare pool's free packets and parked boxes (see Retire)
+// onto the pool's own lists.
+func (pl *Pool) Adopt(spare *Pool) {
+	pl.free = append(spare.free, pl.free...)
+	for k, b := range spare.boxes {
+		pl.boxes[k] = append(b, pl.boxes[k]...)
+	}
 }
 
 // Put returns a dead packet to the pool. Putting nil is a no-op.

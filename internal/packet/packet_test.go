@@ -103,3 +103,29 @@ func TestPoolBoxesPerKind(t *testing.T) {
 		t.Fatal("drained pool returned a box")
 	}
 }
+
+// Retire moves only the free lists and shows scrub every payload on
+// them once; Adopt puts the lists under another pool.
+func TestPoolRetireAdopt(t *testing.T) {
+	var pl Pool
+	out, a, b := pl.Get(), pl.Get(), pl.Get()
+	a.Payload, b.Payload = "a-box", nil
+	pl.Put(a)
+	pl.Put(b)
+	pl.PutBox(Ack, "parked")
+	var scrubbed []any
+	spare := pl.Retire(func(box any) { scrubbed = append(scrubbed, box) })
+	if len(scrubbed) != 3 {
+		t.Fatalf("Retire scrubbed %v; want the two free packets' payloads and the parked box", scrubbed)
+	}
+	if pl.Live() != 1 || len(pl.free) != 0 || pl.GetBox(Ack) != nil {
+		t.Fatalf("retired pool: live %d, %d free, want the one packet still out and nothing free", pl.Live(), len(pl.free))
+	}
+	pl.Put(out)
+
+	var next Pool
+	next.Adopt(&spare)
+	if p, q := next.Get(), next.Get(); p != b || q != a || next.GetBox(Ack) != "parked" {
+		t.Fatal("Adopt did not hand over the retired packets and box")
+	}
+}

@@ -1,17 +1,22 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
+
+	"hvc/internal/invariant"
 )
 
 // A target is one scheduler driven by a fuzz program: the event loop or
 // the reference it is held to. Timers are named
 // by handle index (after returns the new handle's; reset re-arms a
 // handle in place), lanes by number, and every callback records the id
-// it was scheduled with. Handle 0 is the zero Timer and handle 1 a
-// timer pending on some other loop, so programs also re-arm those.
+// it was scheduled with. Handle 0 is the zero Timer, which programs
+// also re-arm, and handle 1 (foreignHandle) a timer pending on some
+// other loop, which they stop and probe; re-arming it is refused and
+// changes nothing (invariant sim/foreign-timer).
 type target interface {
 	after(d time.Duration, id int) int
 	stop(h int) bool
@@ -28,6 +33,9 @@ type target interface {
 }
 
 const fuzzLanes = 2
+
+// foreignHandle names the timer on the foreign loop in every target.
+const foreignHandle = 1
 
 // A loopTarget drives a real Loop, either with the primitives under
 // test (Reset / ResetAt, Lane.Push) or — plain — with the program they
@@ -67,6 +75,10 @@ func (lt *loopTarget) stop(h int) bool   { return lt.timers[h].Stop() }
 func (lt *loopTarget) active(h int) bool { return lt.timers[h].Active() }
 
 func (lt *loopTarget) reset(h int, d time.Duration, id int) {
+	if h == foreignHandle {
+		lt.refuse(h, d, id)
+		return
+	}
 	if lt.plain {
 		lt.timers[h].Stop()
 		lt.timers[h] = lt.l.After(d, lt.record(id))
@@ -78,6 +90,22 @@ func (lt *loopTarget) reset(h int, d time.Duration, id int) {
 	} else {
 		lt.l.ResetAt(&lt.timers[h], lt.l.Now()+d, lt.record(id))
 	}
+}
+
+// refuse re-arms the foreign handle, which must fail sim/foreign-timer
+// before it touches either loop. With checking off there is nothing to
+// observe here; TestResetRefusesForeignTimer covers that mode.
+func (lt *loopTarget) refuse(h int, d time.Duration, id int) {
+	if !invariant.Enabled() {
+		return
+	}
+	defer func() {
+		v, _ := recover().(*invariant.Violation)
+		if v == nil || v.Name != "foreign-timer" {
+			panic(fmt.Sprintf("re-arming a foreign timer: got %v, want sim/foreign-timer", v))
+		}
+	}()
+	lt.l.Reset(&lt.timers[h], d, lt.record(id))
 }
 
 func (lt *loopTarget) lanePush(k int, at time.Duration, id int) {
@@ -110,8 +138,8 @@ type refEvent struct {
 }
 
 // refSched is the oracle target. A handle maps to the event it
-// currently names; re-arming is cancel-and-schedule, and a lane
-// occurrence is an event like any other.
+// currently names; re-arming is cancel-and-schedule (refused for the
+// foreign handle), and a lane occurrence is an event like any other.
 type refSched struct {
 	events  []refEvent
 	handles []int // event index, or one of the two markers below
@@ -152,7 +180,6 @@ func (r *refSched) stop(h int) bool {
 	}
 	if r.handles[h] == refForeign {
 		r.foreign--
-		r.handles[h] = refZero
 	} else {
 		r.events[r.handles[h]].cancelled = true
 	}
@@ -164,13 +191,16 @@ func (r *refSched) active(h int) bool {
 	case refZero:
 		return false
 	case refForeign:
-		return true
+		return r.foreign > 0
 	default:
 		return !r.events[idx].fired && !r.events[idx].cancelled
 	}
 }
 
 func (r *refSched) reset(h int, d time.Duration, id int) {
+	if r.handles[h] == refForeign {
+		return
+	}
 	r.stop(h)
 	r.handles[h] = r.schedule(r.clock+d, id)
 }
@@ -295,7 +325,7 @@ func runProgram(t *testing.T, data []byte, a, b target) {
 			h, d := int(arg)%handles, fuzzDelay(arg>>6, hi)
 			a.reset(h, d, id)
 			b.reset(h, d, id)
-			if aa, ba := a.active(h), b.active(h); !aa || !ba {
+			if aa, ba := a.active(h), b.active(h); h != foreignHandle && (!aa || !ba) {
 				t.Fatalf("op %d: handle %d inactive after re-arm: %v, %v", i/2, h, aa, ba)
 			}
 		case 7: // one more occurrence on a lane

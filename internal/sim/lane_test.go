@@ -5,10 +5,12 @@ import (
 	"slices"
 	"testing"
 	"time"
+
+	"hvc/internal/invariant"
 )
 
-// Reset is observably Stop followed by After whatever state the handle
-// is in: same firing order (the re-armed timer takes a fresh sequence
+// Reset is observably Stop followed by After whatever state a handle of
+// its own loop is in: same firing order (the re-armed timer takes a fresh sequence
 // number, so it runs after everything already scheduled for its
 // instant), same clocks, Pending and Events, and the same answers from
 // copies of the old handle, under deadlines that fall between the key
@@ -16,17 +18,17 @@ import (
 func TestResetMatchesStopAfter(t *testing.T) {
 	const ms = time.Millisecond
 	type world struct {
-		l, other *Loop
-		rearm    func(tm *Timer, d time.Duration, fn func())
-		log      []string
+		l     *Loop
+		rearm func(tm *Timer, d time.Duration, fn func())
+		log   []string
 	}
 	mark := func(w *world, what string) func() {
 		return func() { w.log = append(w.log, fmt.Sprintf("%s@%v", what, w.l.Now())) }
 	}
 	// probe records everything a caller can ask of a handle and the loop.
 	probe := func(w *world, name string, tm *Timer) {
-		w.log = append(w.log, fmt.Sprintf("%s active=%v pending=%d other=%d events=%d now=%v",
-			name, tm.Active(), w.l.Pending(), w.other.Pending(), w.l.Events(), w.l.Now()))
+		w.log = append(w.log, fmt.Sprintf("%s active=%v pending=%d events=%d now=%v",
+			name, tm.Active(), w.l.Pending(), w.l.Events(), w.l.Now()))
 	}
 	cases := []struct {
 		name string
@@ -103,15 +105,6 @@ func TestResetMatchesStopAfter(t *testing.T) {
 			w.rearm(&tm, 10*ms, mark(w, "new"))
 			probe(w, "handle", &tm)
 		}},
-		{"foreign loop", func(w *world) {
-			tm := w.other.After(10*ms, func() { w.log = append(w.log, "foreign fired") })
-			old := tm
-			probe(w, "before", &tm)
-			w.rearm(&tm, 10*ms, mark(w, "new"))
-			probe(w, "old copy", &old)
-			probe(w, "handle", &tm)
-			w.other.Run()
-		}},
 		{"negative delay", func(w *world) {
 			tm := w.l.After(10*ms, mark(w, "old"))
 			w.l.After(0, mark(w, "tie"))
@@ -121,7 +114,7 @@ func TestResetMatchesStopAfter(t *testing.T) {
 	}
 	for _, tc := range cases {
 		run := func(reset bool) []string {
-			w := &world{l: NewLoop(1), other: NewLoop(2)}
+			w := &world{l: NewLoop(1)}
 			w.rearm = func(tm *Timer, d time.Duration, fn func()) {
 				if reset {
 					w.l.Reset(tm, d, fn)
@@ -139,6 +132,46 @@ func TestResetMatchesStopAfter(t *testing.T) {
 		if got, want := run(true), run(false); !slices.Equal(got, want) {
 			t.Errorf("%s:\nReset:      %q\nStop+After: %q", tc.name, got, want)
 		}
+	}
+}
+
+// A handle another loop issued is never stopped by Reset, which would
+// write into that loop from whichever goroutine runs this one. With
+// checking on, the re-arm fails sim/foreign-timer before touching either
+// loop; with it off, the handle is replaced and the other loop's event
+// left as it was.
+func TestResetRefusesForeignTimer(t *testing.T) {
+	const ms = time.Millisecond
+	l, other := NewLoop(1), NewLoop(2)
+	fired := 0
+	tm := other.After(10*ms, func() { fired++ })
+	if invariant.Compiled {
+		func() {
+			defer func() {
+				v, _ := recover().(*invariant.Violation)
+				if v == nil || v.Layer != "sim" || v.Name != "foreign-timer" {
+					t.Errorf("Reset of a foreign timer: got %v, want sim/foreign-timer", v)
+				}
+			}()
+			l.Reset(&tm, 5*ms, func() { t.Error("refused re-arm fired") })
+		}()
+		if !tm.Active() || l.Pending() != 0 || other.Pending() != 1 {
+			t.Fatalf("refused re-arm changed state: active=%v pending=%d other=%d",
+				tm.Active(), l.Pending(), other.Pending())
+		}
+	}
+	invariant.SetEnabled(false)
+	defer invariant.SetEnabled(true)
+	old := tm
+	l.Reset(&tm, 5*ms, func() { fired += 10 })
+	if !tm.Active() || !old.Active() || l.Pending() != 1 || other.Pending() != 1 {
+		t.Fatalf("unchecked re-arm: active=%v old=%v pending=%d other=%d",
+			tm.Active(), old.Active(), l.Pending(), other.Pending())
+	}
+	l.Run()
+	other.Run()
+	if fired != 11 {
+		t.Fatalf("fired = %d, want the new callback on this loop and the old one on its own (11)", fired)
 	}
 }
 

@@ -216,8 +216,8 @@ func (l *Loop) After(d time.Duration, fn func()) Timer {
 // entry under that key when it surfaces. A timer that is pushed out
 // again and again (an RTO re-armed per ack, a delayed-ack timer) costs
 // one queue operation per deadline actually reached, not two per
-// re-arm. A zero, fired or foreign-loop handle, or an earlier deadline,
-// takes the plain stop-and-schedule path.
+// re-arm. A zero or fired handle, or an earlier deadline, takes the
+// plain stop-and-schedule path; a foreign-loop handle, see ResetAt.
 func (l *Loop) Reset(t *Timer, d time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
@@ -226,27 +226,40 @@ func (l *Loop) Reset(t *Timer, d time.Duration, fn func()) {
 }
 
 // ResetAt is Reset with an absolute deadline: observably t.Stop()
-// followed by *t = l.At(at, fn).
+// followed by *t = l.At(at, fn). A handle another loop issued is never
+// stopped — that would write into the other loop, possibly on another
+// goroutine — only replaced; with invariant checking on it fails
+// sim/foreign-timer.
 func (l *Loop) ResetAt(t *Timer, at time.Duration, fn func()) {
-	if t.loop == l && t.slot != 0 && fn != nil && at >= l.now {
-		// A matching generation means the slot has not been freed since
-		// the handle was issued: its entry is still queued.
-		if sl := &l.slots[t.slot-1]; sl.gen == t.gen && at >= sl.at {
-			if sl.state == slotCancelled {
-				sl.state = slotLive
-				l.cancelled--
-				l.pending++
+	switch {
+	case t.loop == l:
+		if t.slot != 0 && fn != nil && at >= l.now {
+			// A matching generation means the slot has not been freed
+			// since the handle was issued: its entry is still queued.
+			if sl := &l.slots[t.slot-1]; sl.gen == t.gen && at >= sl.at {
+				if sl.state == slotCancelled {
+					sl.state = slotLive
+					l.cancelled--
+					l.pending++
+				}
+				sl.fn, sl.at, sl.seq = fn, at, l.seq
+				l.seq++
+				sl.gen++
+				t.gen = sl.gen
+				return
 			}
-			sl.fn, sl.at, sl.seq = fn, at, l.seq
-			l.seq++
-			sl.gen++
-			t.gen = sl.gen
-			return
 		}
+		t.Stop()
+	case t.loop != nil && invariant.Enabled():
+		panic(errForeignTimer)
 	}
-	t.Stop()
 	*t = l.At(at, fn)
 }
+
+// errForeignTimer is a fixed violation, like the transport's owner
+// checks: ResetAt runs once per re-armed timer.
+var errForeignTimer = &invariant.Violation{Layer: "sim", Name: "foreign-timer",
+	Detail: "a timer issued by another loop was reset on this one"}
 
 // Step runs the single earliest pending event and reports whether one
 // existed. Cancelled events are discarded without running.

@@ -1,15 +1,20 @@
 package sweep
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 )
 
 // The disk cache stores one JSON file per completed job under
 // <dir>/v1/<sha256-of-key>.json. The file embeds the full canonical
-// key, so a hit is verified against the key text, not just the hash.
+// key, so a hit is verified against the key text, not just the hash,
+// and a SHA-256 of its metrics, so a value that rotted into another
+// number is not one either.
 //
 // Cache-invalidation rule: a job's key folds in (1) the cell config —
 // experiment, cc, policy, trace, seed, durations; (2) the canonical
@@ -26,16 +31,30 @@ import (
 type cacheEntry struct {
 	Key     string        `json:"key"`
 	Metrics []MetricValue `json:"metrics"`
+	// Sum is metricsSum(Metrics), in hex.
+	Sum string `json:"sum"`
+}
+
+// metricsSum is the SHA-256 of metrics in a canonical form: each name
+// and the exact bits of its value, in order.
+func metricsSum(metrics []MetricValue) string {
+	h := sha256.New()
+	for _, m := range metrics {
+		fmt.Fprintf(h, "%q %016x\n", m.Name, math.Float64bits(m.Value))
+	}
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // cacheLoad returns the cached metrics for a job, or ok=false on any
-// miss — absent file, unreadable JSON, or key mismatch. A corrupt
-// entry is treated as a miss, never an error: the job just re-runs.
-// The bad file itself is deleted on the spot, because it can never
-// become a hit again — its hash is the job key's, so a key mismatch
-// means the entry is lying about its identity, and unparseable JSON
-// means a torn or bit-rotted write that the atomic-rename writer
-// would not have produced. Leaving it would re-fail every sweep.
+// miss — absent file, unreadable JSON, key mismatch, or metrics that do
+// not match their checksum (an entry written before entries carried
+// one included). A corrupt entry is treated as a miss, never an error:
+// the job just re-runs. The bad file itself is deleted on the spot,
+// because it can never become a hit again — its hash is the job key's,
+// so a key mismatch means the entry is lying about its identity, and
+// unparseable JSON or a checksum mismatch means a torn or bit-rotted
+// write that the atomic-rename writer would not have produced. Leaving
+// it would re-fail every sweep.
 func cacheLoad(dir string, j job) ([]MetricValue, bool) {
 	if dir == "" {
 		return nil, false
@@ -47,7 +66,7 @@ func cacheLoad(dir string, j job) ([]MetricValue, bool) {
 		return nil, false // absent (the common miss): nothing to clean
 	}
 	var e cacheEntry
-	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.Metrics == nil {
+	if err := json.Unmarshal(data, &e); err != nil || e.Key != key || e.Metrics == nil || e.Sum != metricsSum(e.Metrics) {
 		os.Remove(path)
 		return nil, false
 	}
@@ -66,7 +85,7 @@ func cacheStore(dir string, j job, metrics []MetricValue) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("sweep: cache: %w", err)
 	}
-	data, err := json.MarshalIndent(cacheEntry{Key: key, Metrics: metrics}, "", "  ")
+	data, err := json.MarshalIndent(cacheEntry{Key: key, Metrics: metrics, Sum: metricsSum(metrics)}, "", "  ")
 	if err != nil {
 		return fmt.Errorf("sweep: cache: %w", err)
 	}

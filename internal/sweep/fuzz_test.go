@@ -1,6 +1,10 @@
 package sweep
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 
 	"hvc/internal/spec"
@@ -40,6 +44,62 @@ func FuzzSweepSpecParse(f *testing.F) {
 		}
 		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
 			t.Fatalf("%q: %v", in, err)
+		}
+	})
+}
+
+// FuzzCacheLoad feeds the cache reader arbitrary entry files under a
+// job's address. It must never panic; a miss must delete the file, and
+// a hit must leave it in place and return metrics that cacheStore
+// writes and cacheLoad reads back unchanged.
+func FuzzCacheLoad(f *testing.F) {
+	sp, err := ParseSpec("exp=video policy=dchannel trace=lowband-driving seeds=1..1 dur=5s")
+	if err != nil {
+		f.Fatal(err)
+	}
+	j := job{spec: sp, cell: sp.cells()[0], seed: 1}
+	want := []MetricValue{{Name: "latency_p50_ms", Value: 12.5}, {Name: "ssim_mean", Value: 0.93}}
+	seedDir := f.TempDir()
+	if err := cacheStore(seedDir, j, want); err != nil {
+		f.Fatal(err)
+	}
+	good, err := os.ReadFile(cachePath(seedDir, j))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(bytes.Replace(good, []byte("12.5"), []byte("13.5"), 1))
+	f.Add(bytes.Replace(good, []byte("0.93"), []byte("0.93e0"), 1))
+	f.Add(good[:len(good)/2])
+	f.Add([]byte("{}"))
+	f.Add([]byte(`{"metrics":[],"sum":""}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		dir := t.TempDir()
+		path := cachePath(dir, j)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, ok := cacheLoad(dir, j)
+		_, statErr := os.Stat(path)
+		if !ok {
+			if statErr == nil {
+				t.Fatal("a missed entry was left in place")
+			}
+			return
+		}
+		if statErr != nil {
+			t.Fatalf("a hit deleted its entry: %v", statErr)
+		}
+		// Store what was read and read it back: a hit is a fixed point.
+		again := t.TempDir()
+		if err := cacheStore(again, j, got); err != nil {
+			t.Fatal(err)
+		}
+		if back, ok := cacheLoad(again, j); !ok || !slices.Equal(back, got) {
+			t.Fatalf("hit %v does not round-trip: %v, %v", got, back, ok)
 		}
 	})
 }

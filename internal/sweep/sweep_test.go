@@ -585,7 +585,7 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 	// identity is deleted too.
 	other := j
 	other.seed = 2
-	entry, err := json.Marshal(cacheEntry{Key: other.key(), Metrics: want})
+	entry, err := json.Marshal(cacheEntry{Key: other.key(), Metrics: want, Sum: metricsSum(want)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -610,5 +610,48 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 	}
 	if _, ok := cacheLoad(dir, j); !ok {
 		t.Fatal("re-stored entry missed")
+	}
+}
+
+// A bit flipped inside a stored metric value can leave the entry valid
+// JSON with the right key and a different number. The checksum turns
+// that into a miss, and the entry is deleted like any corrupt one; so
+// is an entry with no checksum at all.
+func TestCacheLoadRejectsFlippedMetric(t *testing.T) {
+	dir := t.TempDir()
+	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..1 dur=5s")
+	j := job{spec: spec, cell: cellKey{Policy: "dchannel", Trace: "lowband-driving"}, seed: 1}
+	want := []MetricValue{{Name: "latency_p50_ms", Value: 12.5}, {Name: "ssim_mean", Value: 0.93}}
+	path := cachePath(dir, j)
+	if err := cacheStore(dir, j, want); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := bytes.Index(data, []byte("12.5"))
+	if at < 0 {
+		t.Fatalf("stored entry does not spell the value 12.5:\n%s", data)
+	}
+	flipped := bytes.Clone(data)
+	flipped[at+1] ^= 1 // '2' -> '3': 13.5, still a number
+	var e cacheEntry
+	if err := json.Unmarshal(flipped, &e); err != nil || e.Key != j.key() || e.Metrics[0].Value != 13.5 {
+		t.Fatalf("the flip should leave a parseable entry for the same key: %v, %+v", err, e.Metrics)
+	}
+	for name, content := range map[string][]byte{
+		"flipped value": flipped,
+		"no checksum":   bytes.Replace(data, []byte(`"sum"`), []byte(`"was"`), 1),
+	} {
+		if err := os.WriteFile(path, content, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := cacheLoad(dir, j); ok {
+			t.Errorf("%s: reported as a hit: %v", name, got)
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Errorf("%s: entry not deleted", name)
+		}
 	}
 }

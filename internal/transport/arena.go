@@ -3,6 +3,7 @@ package transport
 import (
 	"hvc/internal/invariant"
 	"hvc/internal/packet"
+	"hvc/internal/sim"
 )
 
 // An arena holds one endpoint's free transport records: chunks (each
@@ -11,15 +12,38 @@ import (
 // Connections borrow from it and return what they hold as packets are
 // acknowledged, as messages complete, as a flight drains, and at Close,
 // so a world's next connection runs on the records and windows its
-// earlier ones grew. Every record names its owner — the borrowing flow,
-// zero (no flow's ID) while free — so that a stale pointer across
-// connections is caught, not obeyed.
+// earlier ones grew — and, once the world's run is over, so do the
+// connections of the next world built in the process (Retire, Adopt).
+// Every record names its owner — the borrowing flow, zero (no flow's
+// ID) while free — so that a stale pointer across connections is
+// caught, not obeyed.
 type arena struct {
 	freeChunks  []*chunk
 	freeMsgs    []*message
 	freeRcvMsgs []*rcvMsg
 	// freeWindows holds window arrays, every slot nil, in no order.
 	freeWindows [][]*chunk
+}
+
+// retire empties the arena into a spare one for a later world's
+// endpoint to adopt. A free record holds nothing of its connection (the
+// freeX methods clear it) but a reassembly record's expiry handle,
+// which names its loop and is zeroed here.
+func (a *arena) retire() arena {
+	for _, rm := range a.freeRcvMsgs {
+		rm.expiry = sim.Timer{}
+	}
+	spare := *a
+	*a = arena{}
+	return spare
+}
+
+// adopt takes a spare arena's free records and windows onto a's lists.
+func (a *arena) adopt(spare *arena) {
+	a.freeChunks = append(spare.freeChunks, a.freeChunks...)
+	a.freeMsgs = append(spare.freeMsgs, a.freeMsgs...)
+	a.freeRcvMsgs = append(spare.freeRcvMsgs, a.freeRcvMsgs...)
+	a.freeWindows = append(spare.freeWindows, a.freeWindows...)
 }
 
 // pop takes the last record off a free list, or makes a fresh one.

@@ -474,3 +474,68 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 		t.Errorf("closed connections kept counting:\n%+v -> %+v\n%+v -> %+v", rxStats, rx.Stats(), txStats, tx.Stats())
 	}
 }
+
+// Retire hands a finished world's free lists to the next world built:
+// a free fragment box forgets its message and a free reassembly record
+// its loop's timer; Adopt lends the next world's
+// endpoints, by side, what the first one's grew.
+func TestRetireHandsOnFreeListsOnly(t *testing.T) {
+	spares.Store(nil) // whatever earlier tests retired
+	w := newWorld(1)
+	w.server.Listen(func() Config {
+		return Config{Steer: w.embbOnly(), Unreliable: true, MsgTimeout: time.Second}
+	}, func(*Conn) {})
+	msg := &[64]byte{}
+	c := w.client.Dial(Config{Steer: w.embbOnly(), Unreliable: true})
+	for i := 0; i < 5; i++ {
+		c.SendMessage(0, 0, 3*packet.MaxPayload, msg)
+	}
+	w.loop.RunUntil(time.Second)
+	chunks, rcvMsgs := len(w.client.rec.freeChunks), len(w.server.rec.freeRcvMsgs)
+	if chunks == 0 || rcvMsgs == 0 {
+		t.Fatalf("the run freed %d chunks and %d reassembly records, want some of each", chunks, rcvMsgs)
+	}
+
+	Retire(w.client, w.server)
+	s := spares.Load()
+	if s == nil {
+		t.Fatal("Retire left no spare")
+	}
+	if n := len(w.client.rec.freeChunks) + len(w.server.rec.freeRcvMsgs); n != 0 {
+		t.Errorf("%d free records stayed with the retired world", n)
+	}
+	if n := len(s.arenas[channel.A].freeChunks); n != chunks {
+		t.Errorf("spare holds %d chunks, want %d", n, chunks)
+	}
+	for _, rm := range s.arenas[channel.B].freeRcvMsgs {
+		if rm.expiry != (sim.Timer{}) {
+			t.Fatal("a retired reassembly record still names its loop's timer")
+		}
+	}
+	pool, frags := s.pool, 0
+	for {
+		p := pool.Get()
+		if p.Payload == nil {
+			break // a fresh packet: every transport packet has a box
+		}
+		if f, ok := p.Payload.(*fragment); ok {
+			frags++
+			if f.data != nil {
+				t.Fatal("a retired fragment box still holds its message")
+			}
+		}
+	}
+	if frags == 0 {
+		t.Error("no free packet with a fragment box crossed")
+	}
+
+	next := newWorld(2)
+	Adopt(next.client, next.server)
+	if len(next.client.rec.freeChunks) != chunks || len(next.server.rec.freeRcvMsgs) != rcvMsgs {
+		t.Errorf("adopted %d chunks and %d reassembly records, want %d and %d",
+			len(next.client.rec.freeChunks), len(next.server.rec.freeRcvMsgs), chunks, rcvMsgs)
+	}
+	if spares.Load() != nil {
+		t.Error("an adopted spare is still waiting")
+	}
+}

@@ -24,6 +24,7 @@ package transport
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"hvc/internal/channel"
 	"hvc/internal/invariant"
@@ -199,6 +200,62 @@ func CheckLedger(eps ...*Endpoint) {
 	if live := g.Pool().Live(); live != onLinks+held {
 		invariant.Failf("packet", "ledger",
 			"%d packets out of the pool, %d on links and %d on hold", live, onLinks, held)
+	}
+}
+
+// A worldSpare is what a finished world hands to the next one built in
+// the process: its channel group's free packets and payload boxes, and
+// each side's free transport records and window arrays.
+type worldSpare struct {
+	pool   packet.Pool
+	arenas [2]arena // by channel.Side
+}
+
+// spares holds the latest retired world's lists until a new world
+// adopts them. Worlds run one after another always hand theirs on; when
+// concurrent workers retire two before one adopts, the older is dropped
+// to the collector, so an idle process keeps at most one world's lists.
+var spares atomic.Pointer[worldSpare]
+
+// Retire hands the free lists of eps, the endpoints of one channel
+// group, and of the group's packet pool to the next world built in the
+// process (Adopt). Call it where a run ends, after CheckLedger. Only
+// free records, windows, packets and payload boxes move, stripped of
+// what they still hold of this world; the records connections hold and
+// the packets on links or on hold stay with it.
+func Retire(eps ...*Endpoint) {
+	if len(eps) == 0 {
+		return
+	}
+	s := &worldSpare{pool: eps[0].pool.Retire(scrub)}
+	for _, e := range eps {
+		s.arenas[e.side] = e.rec.retire()
+	}
+	spares.Store(s)
+}
+
+// Adopt gives eps, the endpoints of one new channel group, the free
+// lists one finished world retired, if any are waiting. Call it as the
+// world is built, before it runs.
+func Adopt(eps ...*Endpoint) {
+	if len(eps) == 0 {
+		return
+	}
+	s := spares.Swap(nil)
+	if s == nil {
+		return
+	}
+	eps[0].pool.Adopt(&s.pool)
+	for _, e := range eps {
+		e.rec.adopt(&s.arenas[e.side])
+	}
+}
+
+// scrub drops the one reference a payload box can hold into its world:
+// a fragment's application message.
+func scrub(box any) {
+	if f, ok := box.(*fragment); ok {
+		f.data = nil
 	}
 }
 
