@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"hvc/internal/app/video"
@@ -17,14 +19,17 @@ import (
 	"hvc/internal/transport"
 )
 
-func main() {
-	fmt.Println("10s of SVC video; eMBB dies from t=3s to t=6s, URLLC stays up")
-	fmt.Printf("%-12s %10s %10s %10s %8s %8s\n",
+func main() { report(os.Stdout) }
+
+// report prints the comparison table to w.
+func report(w io.Writer) {
+	fmt.Fprintln(w, "10s of SVC video; eMBB dies from t=3s to t=6s, URLLC stays up")
+	fmt.Fprintf(w, "%-12s %10s %10s %10s %8s %8s\n",
 		"policy", "p50_ms", "p95_ms", "max_ms", "ssim", "frozen")
 
 	for _, policy := range []string{"embb-only", "dchannel", "priority"} {
 		lat50, lat95, max, ssim, frozen := run(policy)
-		fmt.Printf("%-12s %10.0f %10.0f %10.0f %8.3f %8d\n",
+		fmt.Fprintf(w, "%-12s %10.0f %10.0f %10.0f %8.3f %8d\n",
 			policy, lat50, lat95, max, ssim, frozen)
 	}
 }

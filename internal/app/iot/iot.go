@@ -69,6 +69,9 @@ type Plant struct {
 	cycles  int
 	started *sim.Periodic
 	cycleNo int
+	// readings holds every loop's reading, cycle-major; messages carry
+	// pointers into it.
+	readings []reading
 
 	// LoopLatency is the closed-loop latency distribution (ms) of
 	// loops that completed; Misses counts loops that exceeded the
@@ -84,6 +87,9 @@ func NewPlant(loop *sim.Loop, conn *transport.Conn, cfg Config) *Plant {
 	cfg.fillDefaults()
 	p := &Plant{loop: loop, conn: conn, cfg: cfg, stream: conn.NewStream()}
 	p.cycles = int(cfg.Duration / cfg.Cycle)
+	// Start ticks at once and then once per cycle while cycles remain,
+	// so a run shorter than one cycle still sends cycle 0.
+	p.readings = make([]reading, max(p.cycles, 1)*cfg.Devices)
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) { p.onCommand(m) })
 	return p
 }
@@ -107,13 +113,14 @@ func (p *Plant) tick() {
 	c := p.cycleNo
 	p.cycleNo++
 	for d := 0; d < p.cfg.Devices; d++ {
-		p.conn.SendMessage(p.stream, 0, p.cfg.MsgBytes,
-			reading{device: d, cycle: c, sentAt: p.loop.Now()})
+		r := &p.readings[c*p.cfg.Devices+d]
+		*r = reading{device: d, cycle: c, sentAt: p.loop.Now()}
+		p.conn.SendMessage(p.stream, 0, p.cfg.MsgBytes, r)
 	}
 }
 
 func (p *Plant) onCommand(m transport.Message) {
-	cmd, ok := m.Data.(command)
+	cmd, ok := m.Data.(*command)
 	if !ok {
 		panic(fmt.Sprintf("iot: unexpected plant message %T", m.Data))
 	}
@@ -143,15 +150,40 @@ func ServeController(loop *sim.Loop, conn *transport.Conn, compute time.Duration
 	if msgBytes == 0 {
 		msgBytes = 200
 	}
-	stream := conn.NewStream()
-	conn.OnMessage(func(c *transport.Conn, m transport.Message) {
-		r, ok := m.Data.(reading)
-		if !ok {
-			return // other flows (e.g. bulk) may share the listener
-		}
-		loop.After(compute, func() {
-			c.SendMessage(stream, 0, msgBytes,
-				command{device: r.device, cycle: r.cycle, sentAt: r.sentAt})
-		})
-	})
+	c := &controller{loop: loop, conn: conn, stream: conn.NewStream(), compute: max(compute, 0), msgBytes: msgBytes}
+	c.replies = sim.NewLane(loop, c.reply)
+	conn.OnMessage(c.onReading)
+}
+
+// A controller answers one connection's readings. The compute time is
+// constant and a reply is never cancelled, so the replies fire in the
+// order the readings arrived and share one lane.
+type controller struct {
+	loop     *sim.Loop
+	conn     *transport.Conn
+	stream   uint32
+	compute  time.Duration
+	msgBytes int
+	// cmds holds every command, in reading-arrival order; next indexes
+	// the first not yet sent. Messages carry pointers into it: a slot is
+	// never written again once sent, so a pointer into an array append
+	// has since outgrown still reads its command.
+	cmds    []command
+	next    int
+	replies sim.Lane
+}
+
+func (c *controller) onReading(_ *transport.Conn, m transport.Message) {
+	r, ok := m.Data.(*reading)
+	if !ok {
+		return // other flows (e.g. bulk) may share the listener
+	}
+	c.cmds = append(c.cmds, command{device: r.device, cycle: r.cycle, sentAt: r.sentAt})
+	c.replies.Push(c.loop.Now() + c.compute)
+}
+
+func (c *controller) reply() {
+	cmd := &c.cmds[c.next]
+	c.next++
+	c.conn.SendMessage(c.stream, 0, c.msgBytes, cmd)
 }

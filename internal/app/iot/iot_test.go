@@ -121,3 +121,29 @@ func TestConfigValidation(t *testing.T) {
 	}()
 	NewPlant(loop, conn, Config{})
 }
+
+// A plant's and a controller's cost is their set-up: readings live in
+// an array sized from the run, commands in one the controller grows by
+// doubling, and every reply runs the controller's one lane callback. Two
+// more seconds of cycles used to add a boxed reading, a compute closure
+// and a boxed command per loop.
+func TestIoTAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are inflated under -race")
+	}
+	tsn := func(g *channel.Group, side channel.Side) steering.Policy {
+		return steering.NewPriority(g, side, steering.PriorityConfig{
+			Wide: "wifi-be", Narrow: "wifi-tsn", AdmitPrio: 0,
+		})
+	}
+	run := func(dur time.Duration) float64 {
+		return testing.AllocsPerRun(3, func() { plantWorld(t, 1, dur, false, tsn) })
+	}
+	short, long := run(2*time.Second), run(4*time.Second)
+	const loops = 2 * 4 * 1000 / 60 // two more seconds of 60 ms cycles, four devices
+	t.Logf("2 s: %.0f objects, 4 s: %.0f", short, long)
+	if extra := long - short; extra > loops/8 {
+		t.Errorf("two more seconds of cycles (%d loops) allocated %.0f more objects (%.0f -> %.0f), want O(1)",
+			loops, extra, short, long)
+	}
+}

@@ -142,6 +142,15 @@ type Receiver struct {
 	// configured duration.
 	frames []frameState
 
+	// due lists the frame of every decode timer armed, in arming order;
+	// entries before dueHead are spent, and a stopped one reads -1. The
+	// timers share decodeFn. The wait is constant, so arming order is
+	// firing order: the timer firing is the first live entry (DESIGN.md
+	// §6, "The apps allocate per session").
+	due      []int
+	dueHead  int
+	decodeFn func()
+
 	// Latency and SSIM are distributions over decoded frames, in ms
 	// and SSIM units respectively.
 	Latency metrics.Distribution
@@ -153,10 +162,14 @@ type Receiver struct {
 }
 
 type frameState struct {
-	got      [Layers]bool
-	sentAt   time.Duration
-	l0At     time.Duration
+	got    [Layers]bool
+	sentAt time.Duration
+	l0At   time.Duration
+	// timer is the frame's latest decode timer and armed its index in
+	// due. A duplicate layer 0 arms a second timer without stopping the
+	// first, which still fires, as a no-op once the frame has decoded.
 	timer    sim.Timer
+	armed    int
 	decodedL int // -1 until decoded
 }
 
@@ -164,10 +177,14 @@ type frameState struct {
 // with Attach.
 func NewReceiver(loop *sim.Loop, cfg Config) *Receiver {
 	cfg.fillDefaults()
-	r := &Receiver{loop: loop, cfg: cfg, frames: make([]frameState, cfg.frameCount())}
+	n := cfg.frameCount()
+	r := &Receiver{loop: loop, cfg: cfg, frames: make([]frameState, n), due: make([]int, 0, n)}
 	for f := range r.frames {
 		r.frames[f].decodedL = -1
 	}
+	r.decodeFn = r.decodeDue
+	r.Latency.Grow(n)
+	r.SSIM.Grow(n)
 	return r
 }
 
@@ -203,7 +220,9 @@ func (r *Receiver) onMessage(m transport.Message) {
 	fs.sentAt = m.SentAt
 	if lm.layer == 0 {
 		fs.l0At = r.loop.Now()
-		fs.timer = r.loop.After(r.cfg.DecodeWait, func() { r.decode(lm.frame) })
+		fs.armed = len(r.due)
+		r.due = append(r.due, lm.frame)
+		fs.timer = r.loop.After(r.cfg.DecodeWait, r.decodeFn)
 		// Layer 0 of frames f-1 and f-2 may be waiting on us — and if
 		// our own successors already arrived (reordering), this frame
 		// can decode immediately too.
@@ -238,6 +257,17 @@ func (r *Receiver) l0Arrived(f int) bool {
 	return fs != nil && (fs.got[0] || fs.decodedL >= 0)
 }
 
+// decodeDue runs when a decode timer fires: the earliest entry of due
+// not stopped names its frame.
+func (r *Receiver) decodeDue() {
+	for r.due[r.dueHead] < 0 {
+		r.dueHead++
+	}
+	f := r.due[r.dueHead]
+	r.dueHead++
+	r.decode(f)
+}
+
 // decode finalizes a frame at the highest layer whose SVC dependency
 // chain is intact: all lower layers of this frame received, and the
 // same layer decoded in the previous frame (reset at keyframes).
@@ -246,7 +276,9 @@ func (r *Receiver) decode(f int) {
 	if fs == nil || fs.decodedL >= 0 || !fs.got[0] {
 		return
 	}
-	fs.timer.Stop()
+	if fs.timer.Stop() {
+		r.due[fs.armed] = -1
+	}
 
 	level := 0
 	for l := 1; l < Layers; l++ {

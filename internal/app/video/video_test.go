@@ -213,19 +213,25 @@ func TestConfigValidation(t *testing.T) {
 }
 
 // streamAllocs reports what a whole world streaming for dur allocates,
-// from construction to drained, with a server that discards the
-// messages: everything the sender and the transport under it cost.
-func streamAllocs(dur time.Duration) float64 {
+// from construction to drained: everything the sender and the transport
+// under it cost, and the receiver's too when receive is set; otherwise
+// the server discards the messages.
+func streamAllocs(dur time.Duration, receive bool) float64 {
 	return testing.AllocsPerRun(3, func() {
 		loop := sim.NewLoop(1)
 		g := channel.NewGroup(cleanChannels(loop)...)
 		client := transport.NewEndpoint(loop, g, channel.A)
 		server := transport.NewEndpoint(loop, g, channel.B)
+		cfg := Config{Duration: dur}
+		accept := func(c *transport.Conn) { c.OnMessage(func(*transport.Conn, transport.Message) {}) }
+		if receive {
+			accept = NewReceiver(loop, cfg).Attach
+		}
 		server.Listen(func() transport.Config {
 			return transport.Config{Steer: embbOnly(g), Unreliable: true}
-		}, func(c *transport.Conn) { c.OnMessage(func(*transport.Conn, transport.Message) {}) })
+		}, accept)
 		conn := client.Dial(transport.Config{Steer: embbOnly(g), Unreliable: true})
-		NewSender(loop, conn, Config{Duration: dur}).Start()
+		NewSender(loop, conn, cfg).Start()
 		loop.RunUntil(dur + time.Second)
 	})
 }
@@ -237,10 +243,22 @@ func streamAllocs(dur time.Duration) float64 {
 // closure per frame and a boxed payload and an expiry closure per
 // message, seven objects a frame.
 func TestVideoSenderAllocBudget(t *testing.T) {
+	testStreamAllocBudget(t, false)
+}
+
+// The receiver's cost is its stream's set-up too: its frame table, due
+// list and distributions are sized from the frame count, and every
+// decode timer runs one callback bound at construction. Two more seconds
+// used to add a decode-timer closure per frame.
+func TestVideoReceiverAllocBudget(t *testing.T) {
+	testStreamAllocBudget(t, true)
+}
+
+func testStreamAllocBudget(t *testing.T, receive bool) {
 	if raceEnabled {
 		t.Skip("allocation counts are inflated under -race")
 	}
-	short, long := streamAllocs(2*time.Second), streamAllocs(4*time.Second)
+	short, long := streamAllocs(2*time.Second, receive), streamAllocs(4*time.Second, receive)
 	const frames = 60 // the extra two seconds
 	t.Logf("2 s: %.0f objects, 4 s: %.0f", short, long)
 	if extra := long - short; extra > frames/4 {

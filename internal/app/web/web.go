@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hvc/internal/packet"
+	"hvc/internal/sim"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
 )
@@ -107,12 +108,50 @@ func KindPriority(k Kind) packet.Priority {
 // workloads.
 func GenerateCorpus(seed int64, n int) []*Page {
 	rng := rand.New(rand.NewSource(seed))
-	pages := make([]*Page, 0, n)
-	for i := 0; i < n; i++ {
-		landing := i%2 == 0
-		pages = append(pages, generatePage(rng, i, landing))
+	var s slab
+	pages := make([]*Page, n)
+	store := make([]Page, n)
+	for i := range pages {
+		pages[i] = &store[i]
+		generatePage(rng, &s, pages[i], i, i%2 == 0)
 	}
 	return pages
+}
+
+// slabChunk is how many objects, or child pointers, one slab chunk
+// holds: a few chunks serve a whole corpus.
+const slabChunk = 128
+
+// A slab hands out a corpus's objects and Children arrays from chunks
+// of slabChunk, so a page costs no allocation per object. A chunk is
+// never reallocated, so the pointers it hands out stay valid; it lives
+// as long as any object of the corpus.
+type slab struct {
+	objs []Object
+	ptrs []*Object
+}
+
+func (s *slab) object() *Object {
+	if len(s.objs) == 0 {
+		s.objs = make([]Object, slabChunk)
+	}
+	o := &s.objs[0]
+	s.objs = s.objs[1:]
+	return o
+}
+
+// children returns an array for n children, nil for none. Its capacity
+// is n, so an append cannot run into the next object's children.
+func (s *slab) children(n int) []*Object {
+	if n == 0 {
+		return nil
+	}
+	if len(s.ptrs) < n {
+		s.ptrs = make([]*Object, max(slabChunk, n))
+	}
+	c := s.ptrs[:n:n]
+	s.ptrs = s.ptrs[n:]
+	return c
 }
 
 // size draws a size in [lo, hi] with a mild heavy tail.
@@ -122,11 +161,16 @@ func size(rng *rand.Rand, lo, hi int) int {
 	return lo + int(f*float64(hi-lo))
 }
 
-func generatePage(rng *rand.Rand, i int, landing bool) *Page {
+// generatePage fills p with page i. Every child count is drawn before
+// the children themselves, so each Children array is made once, at its
+// final length.
+func generatePage(rng *rand.Rand, s *slab, p *Page, i int, landing bool) {
 	next := 0
 	newObj := func(k Kind, sz int, parse time.Duration) *Object {
 		next++
-		return &Object{ID: next, Kind: k, Size: sz, ParseDelay: parse}
+		o := s.object()
+		*o = Object{ID: next, Kind: k, Size: sz, ParseDelay: parse}
+		return o
 	}
 
 	// Parse and script-execution delays reflect a mobile browser, the
@@ -138,8 +182,9 @@ func generatePage(rng *rand.Rand, i int, landing bool) *Page {
 		fanout, rootLo, rootHi = 8+rng.Intn(10), 25_000, 80_000
 	}
 	root := newObj(HTML, size(rng, rootLo, rootHi), 80*time.Millisecond)
+	root.Children = s.children(fanout)
 
-	for j := 0; j < fanout; j++ {
+	for j := range root.Children {
 		var child *Object
 		switch rng.Intn(10) {
 		case 0, 1, 2: // scripts
@@ -154,31 +199,30 @@ func generatePage(rng *rand.Rand, i int, landing bool) *Page {
 		// Scripts and stylesheets pull second-level resources; some
 		// scripts (tag managers, bundles) pull a third level.
 		if child.Kind == Script || child.Kind == Stylesheet {
-			for k, kn := 0, rng.Intn(5); k < kn; k++ {
+			child.Children = s.children(rng.Intn(5))
+			for k := range child.Children {
 				switch {
 				case rng.Intn(4) == 0:
-					child.Children = append(child.Children,
-						newObj(JSON, size(rng, 1_000, 15_000), 0))
+					child.Children[k] = newObj(JSON, size(rng, 1_000, 15_000), 0)
 				case child.Kind == Script && rng.Intn(3) == 0:
 					sub := newObj(Script, size(rng, 15_000, 90_000), 25*time.Millisecond)
-					for m, mn := 0, rng.Intn(3); m < mn; m++ {
-						sub.Children = append(sub.Children,
-							newObj(Image, size(rng, 5_000, 120_000), 0))
+					sub.Children = s.children(rng.Intn(3))
+					for m := range sub.Children {
+						sub.Children[m] = newObj(Image, size(rng, 5_000, 120_000), 0)
 					}
-					child.Children = append(child.Children, sub)
+					child.Children[k] = sub
 				default:
-					child.Children = append(child.Children,
-						newObj(Image, size(rng, 5_000, 200_000), 0))
+					child.Children[k] = newObj(Image, size(rng, 5_000, 200_000), 0)
 				}
 			}
 		}
-		root.Children = append(root.Children, child)
+		root.Children[j] = child
 	}
 	kind := "internal"
 	if landing {
 		kind = "landing"
 	}
-	return &Page{Name: fmt.Sprintf("page-%02d-%s", i, kind), Landing: landing, Root: root}
+	*p = Page{Name: fmt.Sprintf("page-%02d-%s", i, kind), Landing: landing, Root: root}
 }
 
 // wire types ---------------------------------------------------------
@@ -190,6 +234,13 @@ type fetchReq struct{ obj *Object }
 // download) or just acknowledges an upload with a small reply.
 type echoReq struct{ respSize int }
 
+// The background flows' two requests. Messages carry pointers to these
+// read-only values, so a transfer boxes nothing.
+var (
+	uploadEcho   = echoReq{respSize: replyBytes}
+	downloadEcho = echoReq{respSize: DownloadBytes}
+)
+
 // Serve installs the web/background server on ep: it answers fetchReq
 // messages with the object's bytes and echoReq messages with the
 // requested size. cfg builds the per-connection server config
@@ -200,7 +251,7 @@ func Serve(ep *transport.Endpoint, cfg func() transport.Config) {
 			switch req := m.Data.(type) {
 			case fetchReq:
 				conn.SendMessage(m.Stream, m.Priority, req.obj.Size, req.obj)
-			case echoReq:
+			case *echoReq:
 				conn.SendMessage(m.Stream, m.Priority, req.respSize, nil)
 			default:
 				panic(fmt.Sprintf("web: unexpected request payload %T", m.Data))
@@ -243,91 +294,147 @@ func Load(ep *transport.Endpoint, cfg transport.Config, page *Page, done func(Lo
 
 // LoadWith is Load with explicit options.
 func LoadWith(ep *transport.Endpoint, cfg transport.Config, page *Page, opts LoadOptions, done func(LoadResult)) {
-	loop := ep.Loop()
-	conn := ep.Dial(cfg)
-	start := loop.Now()
-	res := LoadResult{Page: page}
+	startLoad(ep, cfg, page, opts, done)
+}
 
-	// Render-blocking set: the root plus its stylesheet/script
-	// descendants (transitively through render-blocking parents).
-	blocking := map[int]bool{}
-	var markBlocking func(o *Object)
-	markBlocking = func(o *Object) {
-		blocking[o.ID] = true
-		for _, c := range o.Children {
-			if c.Kind == Stylesheet || c.Kind == Script {
-				markBlocking(c)
-			}
-		}
-	}
-	markBlocking(page.Root)
-	blockingLeft := len(blocking)
+// A pageLoad is one page load in progress: everything LoadWith's
+// callbacks share, so the load allocates per page, not per object.
+type pageLoad struct {
+	loop  *sim.Loop
+	conn  *transport.Conn
+	page  *Page
+	opts  LoadOptions
+	done  func(LoadResult)
+	start time.Duration
+	res   LoadResult
 
-	outstanding := 0
-	finish := func() {
-		res.PLT = loop.Now() - start
-		conn.Close()
-		if opts.Tracer.Enabled() {
-			opts.Tracer.Emit(telemetry.Event{
-				Layer: telemetry.LayerApp, Name: telemetry.EvPageComplete,
-				Flow: uint32(conn.Flow()), Bytes: res.Bytes,
-				Dur: res.PLT, Value: float64(res.Objects), Detail: page.Name,
-			})
-			opts.Tracer.Count("web_pages_loaded_total", 1)
-		}
-		done(res)
-	}
+	// blocking marks the render-blocking objects by ID (IDs run 1..n
+	// on a page): the root plus its stylesheet/script descendants,
+	// transitively through render-blocking parents. blockingLeft counts
+	// those not yet arrived.
+	blocking     []bool
+	blockingLeft int
+	// outstanding counts requests in flight plus parse delays running;
+	// onLoad fires when it reaches zero.
+	outstanding int
 
-	prio := func(o *Object) packet.Priority {
-		if opts.KindPriorities {
-			return KindPriority(o.Kind)
-		}
-		return 0
+	// parsing lists the objects whose parse timers are pending, in the
+	// order they were scheduled. The timers share parseFn and are never
+	// cancelled. The loop fires equal deadlines in schedule order, so the
+	// timer firing now is the first entry due now.
+	parsing []parseDue
+	parseFn func()
+}
+
+// parseDue is one pending parse timer: its deadline and the object
+// whose children it fetches.
+type parseDue struct {
+	at  time.Duration
+	obj *Object
+}
+
+// startLoad dials the connection and requests the root document.
+func startLoad(ep *transport.Endpoint, cfg transport.Config, page *Page, opts LoadOptions, done func(LoadResult)) *pageLoad {
+	p := &pageLoad{
+		loop:     ep.Loop(),
+		conn:     ep.Dial(cfg),
+		page:     page,
+		opts:     opts,
+		done:     done,
+		res:      LoadResult{Page: page},
+		blocking: make([]bool, page.Objects()+1),
 	}
-	var fetch func(o *Object)
-	fetch = func(o *Object) {
-		outstanding++
-		conn.SendMessage(conn.NewStream(), prio(o), RequestBytes, fetchReq{obj: o})
+	p.start = p.loop.Now()
+	p.markBlocking(page.Root)
+	p.parseFn = p.parsed
+	p.conn.OnMessage(p.onMessage)
+	p.fetch(page.Root)
+	return p
+}
+
+func (p *pageLoad) markBlocking(o *Object) {
+	p.blocking[o.ID] = true
+	p.blockingLeft++
+	for _, c := range o.Children {
+		if c.Kind == Stylesheet || c.Kind == Script {
+			p.markBlocking(c)
+		}
 	}
-	conn.OnMessage(func(_ *transport.Conn, m transport.Message) {
-		obj, ok := m.Data.(*Object)
-		if !ok {
-			panic(fmt.Sprintf("web: unexpected response payload %T", m.Data))
+}
+
+func (p *pageLoad) fetch(o *Object) {
+	p.outstanding++
+	prio := packet.Priority(0)
+	if p.opts.KindPriorities {
+		prio = KindPriority(o.Kind)
+	}
+	p.conn.SendMessage(p.conn.NewStream(), prio, RequestBytes, fetchReq{obj: o})
+}
+
+func (p *pageLoad) onMessage(_ *transport.Conn, m transport.Message) {
+	obj, ok := m.Data.(*Object)
+	if !ok {
+		panic(fmt.Sprintf("web: unexpected response payload %T", m.Data))
+	}
+	p.res.Objects++
+	p.res.Bytes += obj.Size
+	if tr := p.opts.Tracer; tr.Enabled() {
+		tr.Emit(telemetry.Event{
+			Layer: telemetry.LayerApp, Name: telemetry.EvObjectDone,
+			Flow: uint32(p.conn.Flow()), Msg: uint64(obj.ID), Bytes: obj.Size,
+			Dur: m.Latency(), Detail: p.page.Name,
+		})
+		tr.Count("web_objects_loaded_total", 1)
+	}
+	if p.blocking[obj.ID] {
+		p.blockingLeft--
+		if p.blockingLeft == 0 {
+			p.res.RenderReady = p.loop.Now() - p.start
 		}
-		res.Objects++
-		res.Bytes += obj.Size
-		if opts.Tracer.Enabled() {
-			opts.Tracer.Emit(telemetry.Event{
-				Layer: telemetry.LayerApp, Name: telemetry.EvObjectDone,
-				Flow: uint32(conn.Flow()), Msg: uint64(obj.ID), Bytes: obj.Size,
-				Dur: m.Latency(), Detail: page.Name,
-			})
-			opts.Tracer.Count("web_objects_loaded_total", 1)
-		}
-		if blocking[obj.ID] {
-			blockingLeft--
-			if blockingLeft == 0 {
-				res.RenderReady = loop.Now() - start
-			}
-		}
-		if len(obj.Children) > 0 {
-			outstanding++ // hold onLoad open across the parse delay
-			loop.After(obj.ParseDelay, func() {
-				for _, c := range obj.Children {
-					fetch(c)
-				}
-				outstanding--
-				if outstanding == 0 {
-					finish()
-				}
-			})
-		}
-		outstanding--
-		if outstanding == 0 {
-			finish()
-		}
-	})
-	fetch(page.Root)
+	}
+	if len(obj.Children) > 0 {
+		p.outstanding++ // hold onLoad open across the parse delay
+		at := p.loop.Now() + max(obj.ParseDelay, 0)
+		p.parsing = append(p.parsing, parseDue{at, obj})
+		p.loop.At(at, p.parseFn)
+	}
+	p.settle()
+}
+
+// parsed runs when an object's parse delay has elapsed: it fetches the
+// object's children.
+func (p *pageLoad) parsed() {
+	now := p.loop.Now()
+	i := 0
+	for p.parsing[i].at != now {
+		i++
+	}
+	obj := p.parsing[i].obj
+	p.parsing = append(p.parsing[:i], p.parsing[i+1:]...)
+	for _, c := range obj.Children {
+		p.fetch(c)
+	}
+	p.settle()
+}
+
+// settle retires one unit of outstanding work and fires onLoad when it
+// was the last.
+func (p *pageLoad) settle() {
+	p.outstanding--
+	if p.outstanding > 0 {
+		return
+	}
+	p.res.PLT = p.loop.Now() - p.start
+	p.conn.Close()
+	if tr := p.opts.Tracer; tr.Enabled() {
+		tr.Emit(telemetry.Event{
+			Layer: telemetry.LayerApp, Name: telemetry.EvPageComplete,
+			Flow: uint32(p.conn.Flow()), Bytes: p.res.Bytes,
+			Dur: p.res.PLT, Value: float64(p.res.Objects), Detail: p.page.Name,
+		})
+		tr.Count("web_pages_loaded_total", 1)
+	}
+	p.done(p.res)
 }
 
 // Background runs the paper's two low-priority flows: a continuous
@@ -374,10 +481,10 @@ func StartBackground(ep *transport.Endpoint, cfgFactory func() transport.Config)
 			return
 		}
 		b.Uploads++
-		b.up.SendMessage(upStream, m.Priority, UploadBytes, echoReq{respSize: replyBytes})
+		b.up.SendMessage(upStream, m.Priority, UploadBytes, &uploadEcho)
 	})
 	for i := 0; i < backgroundDepth; i++ {
-		b.up.SendMessage(upStream, cfgPrio(cfg), UploadBytes, echoReq{respSize: replyBytes})
+		b.up.SendMessage(upStream, cfgPrio(cfg), UploadBytes, &uploadEcho)
 	}
 
 	cfg = cfgFactory()
@@ -388,10 +495,10 @@ func StartBackground(ep *transport.Endpoint, cfgFactory func() transport.Config)
 			return
 		}
 		b.Downloads++
-		b.down.SendMessage(downStream, m.Priority, RequestBytes, echoReq{respSize: DownloadBytes})
+		b.down.SendMessage(downStream, m.Priority, RequestBytes, &downloadEcho)
 	})
 	for i := 0; i < backgroundDepth; i++ {
-		b.down.SendMessage(downStream, cfgPrio(cfg), RequestBytes, echoReq{respSize: DownloadBytes})
+		b.down.SendMessage(downStream, cfgPrio(cfg), RequestBytes, &downloadEcho)
 	}
 	return b
 }

@@ -1,6 +1,7 @@
 package web
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -315,5 +316,40 @@ func TestServerQuiescesAfterPeerClose(t *testing.T) {
 			t.Errorf("seed %d: %d events in the five minutes after onLoad, %d still pending: the server is retransmitting to a closed peer",
 				seed, n, e.loop.Pending())
 		}
+	}
+}
+
+// Parse timers share one callback, which names the object whose timer
+// fired from the pending list: among equal deadlines the first
+// scheduled, as the loop fires them. A and B finish parsing at the same
+// nanosecond; A's parse was scheduled first, with the longer delay, so
+// A's children must be requested first.
+func TestParseTimersTieInScheduleOrder(t *testing.T) {
+	e := newEnv(1)
+	var requested []int
+	e.server.Listen(func() transport.Config {
+		return transport.Config{CC: cc.NewCubic(), Steer: e.embbOnly(channel.B)}
+	}, func(c *transport.Conn) {
+		c.OnMessage(func(_ *transport.Conn, m transport.Message) {
+			requested = append(requested, m.Data.(fetchReq).obj.ID) // never answered
+		})
+	})
+	leaf := func(id int) *Object { return &Object{ID: id, Kind: Image, Size: 1_000} }
+	a := &Object{ID: 2, Kind: Script, Size: 1_000, ParseDelay: 20 * time.Millisecond,
+		Children: []*Object{leaf(4), leaf(5)}}
+	b := &Object{ID: 3, Kind: Script, Size: 1_000, ParseDelay: 10 * time.Millisecond,
+		Children: []*Object{leaf(6), leaf(7)}}
+	root := &Object{ID: 1, Kind: HTML, Size: 1_000, Children: []*Object{a, b}}
+	p := startLoad(e.client, e.clientCfg(), &Page{Name: "tie", Root: root}, LoadOptions{},
+		func(LoadResult) { t.Error("onLoad fired with requests unanswered") })
+
+	// Deliver the two scripts as if they had arrived, 10 ms apart.
+	e.loop.At(time.Millisecond, func() { p.onMessage(nil, transport.Message{Data: a}) })
+	e.loop.At(11*time.Millisecond, func() { p.onMessage(nil, transport.Message{Data: b}) })
+	e.loop.RunUntil(5 * time.Second)
+
+	want := []int{1, 4, 5, 6, 7}
+	if !slices.Equal(requested, want) {
+		t.Fatalf("server saw requests for objects %v, want %v", requested, want)
 	}
 }

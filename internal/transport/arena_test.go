@@ -66,10 +66,10 @@ func (s *shortConns) session() {
 // sessionSetupAllocs is what one shortConns session may allocate: the
 // two connections themselves — each side's Conn, its reassembly map, its
 // pre-bound callbacks, its controller and steering policy, and the
-// arrays a Conn owns (channel table, SACK ranges, the scheduler's
-// priority level) — and nothing per packet: the records and the
-// in-flight window are the arena's.
-const sessionSetupAllocs = 43
+// arrays a Conn owns (SACK ranges, the scheduler's priority level; the
+// channel tables are inline for two channels) — and nothing per packet:
+// the records and the in-flight window are the arena's.
+const sessionSetupAllocs = 34
 
 // A world's second connection runs on the records its first one grew.
 func TestSecondConnectionAllocFree(t *testing.T) {

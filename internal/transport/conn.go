@@ -159,9 +159,14 @@ type Conn struct {
 	bytesInFlight int
 	// Channel names are interned to dense integer IDs so the
 	// per-channel send/acked counters are slice indexes, not map keys.
+	// The three tables start on the inline arrays below, so one or two
+	// channels need no array of their own; a third spills through append.
 	chanNames     []string
 	sentIndex     []int64 // per-channel send counter, indexed by channel ID
 	ackedIndex    []int64 // per-channel highest acked counter
+	chanNamesInl  [2]string
+	sentIndexInl  [2]int64
+	ackedIndexInl [2]int64
 	pacingTimer   sim.Timer
 	pacingAt      time.Duration // when pacingTimer fires
 	retryTimer    sim.Timer
@@ -226,6 +231,7 @@ func newConn(e *Endpoint, flow packet.FlowID, cfg Config, client bool) *Conn {
 		nextMsgID: 1,
 		tracer:    e.tracer,
 	}
+	c.chanNames, c.sentIndex, c.ackedIndex = c.chanNamesInl[:0], c.sentIndexInl[:0], c.ackedIndexInl[:0]
 	c.trySendFn = c.trySend
 	c.sendAckFn = c.sendAck
 	c.onRTOFn = c.onRTO
