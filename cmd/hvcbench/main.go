@@ -53,15 +53,15 @@ import (
 	"slices"
 	"strings"
 
+	"hvc/internal/cli"
 	"hvc/internal/experiments"
 	"hvc/internal/fault"
 	"hvc/internal/pool"
-	"hvc/internal/prof"
-	"hvc/internal/telemetry"
 )
 
 func main() {
-	profile := prof.Register()
+	out := cli.New("hvcbench")
+	out.Profiles()
 	var (
 		exp = flag.String("exp", "all",
 			"experiment to run ("+strings.Join(experiments.Order(), ", ")+", all)")
@@ -76,56 +76,24 @@ func main() {
 	)
 	flag.Parse()
 
-	var files []*os.File
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "hvcbench: %v\n", err)
-		profile.Discard()
-		for _, f := range files {
-			f.Close()
-			os.Remove(f.Name())
-		}
-		os.Exit(code)
-	}
 	var names []string
 	if *exp == "all" {
 		names = experiments.Order()
 	} else if experiments.Valid(*exp) {
 		names = []string{*exp}
 	} else {
-		fail(2, fmt.Errorf("unknown experiment %q", *exp))
+		out.Usage(fmt.Errorf("unknown experiment %q", *exp))
 	}
 	if *seeds < 1 {
-		fail(2, fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
+		out.Usage(fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
 	}
 	if *faultF != "" {
 		if !slices.Contains(names, "outage") {
-			fail(2, fmt.Errorf("-fault is read by -exp outage only, not %s", *exp))
+			out.Usage(fmt.Errorf("-fault is read by -exp outage only, not %s", *exp))
 		}
 		if _, err := fault.ParseSpec(*faultF); err != nil {
-			fail(2, fmt.Errorf("-fault: %v", err))
+			out.Usage(fmt.Errorf("-fault: %v", err))
 		}
-	}
-	create := func(path string) *os.File {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fail(1, err)
-		}
-		files = append(files, f)
-		return f
-	}
-	reportOut := create(*report)
-	var sinks []telemetry.Sink
-	if f := create(*traceF); f != nil {
-		sinks = append(sinks, telemetry.NewChromeTrace(f))
-	}
-	if f := create(*eventsF); f != nil {
-		sinks = append(sinks, telemetry.NewJSONL(f))
-	}
-	if err := profile.Start(); err != nil {
-		fail(1, err)
 	}
 
 	cfg := experiments.FullScale()
@@ -133,20 +101,16 @@ func main() {
 		cfg = experiments.QuickScale()
 	}
 	e := experiments.Env{Scale: cfg, CDF: *cdf, Out: os.Stdout, Fault: *faultF}
-	if len(sinks) > 0 || *report != "" {
-		e.Tracer = telemetry.New(sinks...)
-	}
-	if *report != "" {
-		e.Report = telemetry.NewReport(strings.Join(names, ","), *seed)
-		e.Report.SetConfig("seeds", fmt.Sprint(*seeds))
-		e.Report.SetConfig("quick", fmt.Sprint(*quick))
-		e.Report.SetConfig("bulk_dur", cfg.BulkDur.String())
-		e.Report.SetConfig("video_dur", cfg.VideoDur.String())
-		e.Report.SetConfig("pages", fmt.Sprint(cfg.Pages))
-		e.Report.SetConfig("loads", fmt.Sprint(cfg.Loads))
-		if *faultF != "" {
-			e.Report.SetConfig("fault", *faultF)
-		}
+	e.Tracer, e.Report = out.Telemetry(strings.Join(names, ","), *seed, *report, *traceF, *eventsF)
+	out.Start()
+	e.Report.SetConfig("seeds", fmt.Sprint(*seeds))
+	e.Report.SetConfig("quick", fmt.Sprint(*quick))
+	e.Report.SetConfig("bulk_dur", cfg.BulkDur.String())
+	e.Report.SetConfig("video_dur", cfg.VideoDur.String())
+	e.Report.SetConfig("pages", fmt.Sprint(cfg.Pages))
+	e.Report.SetConfig("loads", fmt.Sprint(cfg.Loads))
+	if *faultF != "" {
+		e.Report.SetConfig("fault", *faultF)
 	}
 
 	// The tracer's sinks and the report span runs, so they pin
@@ -170,7 +134,7 @@ func main() {
 				if errors.As(err, &pe) {
 					err = fmt.Errorf("seed %d: %v", *seed+int64(pe.Index), pe.Err)
 				}
-				fail(1, fmt.Errorf("%s: %v", name, err))
+				out.Fail(fmt.Errorf("%s: %v", name, err))
 			}
 			for i, buf := range outs {
 				fmt.Printf("--- seed %d ---\n", *seed+int64(i))
@@ -188,26 +152,10 @@ func main() {
 				e.Prefix = fmt.Sprintf("%s/seed%d/", name, e.Seed)
 			}
 			if err := experiments.Run(name, e); err != nil {
-				fail(1, fmt.Errorf("%s: %v", name, err))
+				out.Fail(fmt.Errorf("%s: %v", name, err))
 			}
 		}
 	}
 
-	if e.Report != nil {
-		e.Report.AttachCounters(e.Tracer.Registry())
-		if err := e.Report.WriteJSON(reportOut); err != nil {
-			fail(1, fmt.Errorf("report: %v", err))
-		}
-	}
-	if err := e.Tracer.Close(); err != nil {
-		fail(1, fmt.Errorf("trace: %v", err))
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			fail(1, err)
-		}
-	}
-	if err := profile.Stop(); err != nil {
-		fail(1, fmt.Errorf("profile: %v", err))
-	}
+	out.Close()
 }

@@ -35,12 +35,14 @@ import (
 	"time"
 
 	"hvc/internal/chaos"
+	"hvc/internal/cli"
 	"hvc/internal/flight"
 	"hvc/internal/invariant"
 	"hvc/internal/telemetry"
 )
 
 func main() {
+	out := cli.New("hvcchaos")
 	var (
 		jobs     = flag.Int("jobs", 256, "number of trials to generate")
 		metaseed = flag.Int64("metaseed", 1, "meta-RNG seed; the whole soak is a function of it")
@@ -55,24 +57,20 @@ func main() {
 	)
 	flag.Parse()
 
-	usage := func(err error) {
-		fmt.Fprintf(os.Stderr, "hvcchaos: %v\n", err)
-		os.Exit(2)
-	}
 	if *jobs < 1 {
-		usage(fmt.Errorf("-jobs must be at least 1, got %d", *jobs))
+		out.Usage(fmt.Errorf("-jobs must be at least 1, got %d", *jobs))
 	}
 	if *dur <= 0 {
-		usage(fmt.Errorf("-dur must be positive, got %v", *dur))
+		out.Usage(fmt.Errorf("-dur must be positive, got %v", *dur))
 	}
 	if !invariant.Compiled {
-		usage(errors.New("built with -tags invariant_off; nothing to check"))
+		out.Usage(errors.New("built with -tags invariant_off; nothing to check"))
 	}
 	invariant.SetEnabled(true)
 	if *seedBug != "" {
 		b, err := invariant.ParseBug(*seedBug)
 		if err != nil {
-			usage(err)
+			out.Usage(err)
 		}
 		invariant.SetBug(b, true)
 		fmt.Fprintf(os.Stderr, "hvcchaos: seeded bug %q armed\n", *seedBug)
@@ -81,7 +79,7 @@ func main() {
 	if *repro != "" {
 		j, err := chaos.ParseJob(*repro)
 		if err != nil {
-			usage(err)
+			out.Usage(err)
 		}
 		rec, err := chaos.RunFlight(j, *depth)
 		if err != nil {
@@ -113,7 +111,7 @@ func main() {
 	finding, ran, err := chaos.Soak(opts)
 	stopProgress()
 	if err != nil {
-		usage(err)
+		out.Usage(err)
 	}
 	if finding != nil {
 		fmt.Printf("FINDING after %d trials (%.1fs):\n%s\n", ran, time.Since(start).Seconds(), finding)

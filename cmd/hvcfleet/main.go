@@ -32,15 +32,16 @@ import (
 	"os"
 	"time"
 
+	"hvc/internal/cli"
 	"hvc/internal/fleet"
-	"hvc/internal/prof"
 	"hvc/internal/telemetry"
 )
 
 const defaultSpec = "ues=1000 seed=1"
 
 func main() {
-	profile := prof.Register()
+	out := cli.New("hvcfleet")
+	out.Profiles()
 	var (
 		specF    = flag.String("spec", defaultSpec, "fleet spec (space-separated key=value; see package doc)")
 		workers  = flag.Int("workers", 0, "worker goroutines; 0 means GOMAXPROCS")
@@ -50,28 +51,12 @@ func main() {
 	)
 	flag.Parse()
 
-	var jsonOut *os.File
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "hvcfleet: %v\n", err)
-		profile.Discard()
-		if jsonOut != nil {
-			jsonOut.Close()
-			os.Remove(jsonOut.Name())
-		}
-		os.Exit(code)
-	}
 	spec, err := fleet.ParseSpec(*specF)
 	if err != nil {
-		fail(2, err)
+		out.Usage(err)
 	}
-	if *jsonF != "" {
-		if jsonOut, err = os.Create(*jsonF); err != nil {
-			fail(1, err)
-		}
-	}
-	if err := profile.Start(); err != nil {
-		fail(1, err)
-	}
+	jsonOut := out.Create(*jsonF)
+	out.Start()
 
 	var meter *telemetry.Meter
 	stopProgress := func() {}
@@ -84,18 +69,13 @@ func main() {
 	stopProgress()
 	if err == nil && jsonOut != nil {
 		err = res.WriteJSON(jsonOut)
-		if cerr := jsonOut.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil {
-		err = profile.Stop()
-	}
-	if err == nil {
-		err = res.WriteTable(os.Stdout)
 	}
 	if err != nil {
-		fail(1, err)
+		out.Fail(err)
+	}
+	out.Close()
+	if err := res.WriteTable(os.Stdout); err != nil {
+		out.Fail(err)
 	}
 
 	elapsed := time.Since(start)

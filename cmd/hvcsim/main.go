@@ -26,6 +26,7 @@ import (
 	"slices"
 	"time"
 
+	"hvc/internal/cli"
 	"hvc/internal/core"
 	"hvc/internal/metrics"
 	"hvc/internal/telemetry"
@@ -42,6 +43,7 @@ var workloadFlags = map[string][]string{
 }
 
 func main() {
+	out := cli.New("hvcsim")
 	var (
 		workload  = flag.String("workload", "bulk", "bulk, video, web, abr, or game")
 		ccName    = flag.String("cc", "cubic", "bulk: congestion control (cubic, reno, bbr, vegas, vivace, copa, hvc-*)")
@@ -51,49 +53,41 @@ func main() {
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		pages     = flag.Int("pages", 5, "web: pages to load")
 		capFile   = flag.String("capture", "", "bulk: write per-channel time series CSV to this file")
-		report    = flag.String("report", "", "write a JSON run report to this file (bulk/video/web)")
+		reportF   = flag.String("report", "", "write a JSON run report to this file (bulk/video/web)")
 		traceFile = flag.String("tracefile", "", "write a Chrome trace-event file (Perfetto-loadable) to this file (bulk/video/web)")
 	)
 	flag.Parse()
 
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "hvcsim: %v\n", err)
-		os.Exit(code)
-	}
 	if err := checkUsage(*workload, *ccName, *policy, *traceNm, *dur, *pages); err != nil {
-		fail(2, err)
+		out.Usage(err)
 	}
-	obs, err := newObserver(*workload, *seed, *report, *traceFile, *capFile)
-	if err != nil {
-		fail(1, err)
-	}
-	obs.config("workload", *workload)
-	obs.config("policy", *policy)
-	obs.config("trace", *traceNm)
+	tracer, report := out.Telemetry(*workload, *seed, *reportF, *traceFile, "")
+	capture := out.Create(*capFile)
+	report.SetConfig("workload", *workload)
+	report.SetConfig("policy", *policy)
+	report.SetConfig("trace", *traceNm)
 
+	var err error
 	switch *workload {
 	case "bulk":
-		obs.config("cc", *ccName)
-		obs.config("dur", dur.String())
-		err = runBulk(*seed, *dur, *ccName, *policy, *traceNm, obs)
+		report.SetConfig("cc", *ccName)
+		report.SetConfig("dur", dur.String())
+		err = runBulk(*seed, *dur, *ccName, *policy, *traceNm, tracer, report, capture)
 	case "video":
-		obs.config("dur", dur.String())
-		err = runVideo(*seed, *dur, *policy, *traceNm, obs)
+		report.SetConfig("dur", dur.String())
+		err = runVideo(*seed, *dur, *policy, *traceNm, tracer, report)
 	case "web":
-		obs.config("pages", fmt.Sprint(*pages))
-		err = runWeb(*seed, *policy, *traceNm, *pages, obs)
+		report.SetConfig("pages", fmt.Sprint(*pages))
+		err = runWeb(*seed, *policy, *traceNm, *pages, tracer, report)
 	case "abr":
 		err = runABR(*seed, *dur, *policy, *traceNm)
 	case "game":
 		err = runGame(*seed, *dur, *policy, *traceNm)
 	}
-	if err == nil {
-		err = obs.finish()
-	}
 	if err != nil {
-		obs.discard()
-		fail(1, err)
+		out.Fail(err)
 	}
+	out.Close()
 }
 
 // checkUsage rejects what hvcsim would otherwise find out only while
@@ -132,116 +126,34 @@ func checkUsage(workload, ccName, policy, traceNm string, dur time.Duration, pag
 	return nil
 }
 
-// observer bundles the optional outputs of one scenario: the tracer
-// and its trace file, the run report and its file, and the bulk
-// capture file. All files exist before the run starts. The zero
-// observer (no output flags) is fully inert.
-type observer struct {
-	tracer                         *telemetry.Tracer
-	report                         *telemetry.Report
-	reportFile, traceFile, capFile *os.File
-	files                          []*os.File // the ones created
-}
-
-func newObserver(workload string, seed int64, reportPath, tracePath, capPath string) (*observer, error) {
-	o := &observer{}
-	for _, out := range []struct {
-		path string
-		f    **os.File
-	}{{reportPath, &o.reportFile}, {tracePath, &o.traceFile}, {capPath, &o.capFile}} {
-		if out.path == "" {
-			continue
-		}
-		f, err := os.Create(out.path)
-		if err != nil {
-			o.discard()
-			return nil, err
-		}
-		*out.f = f
-		o.files = append(o.files, f)
-	}
-	if reportPath == "" && tracePath == "" {
-		return o, nil
-	}
-	var sinks []telemetry.Sink
-	if o.traceFile != nil {
-		sinks = append(sinks, telemetry.NewChromeTrace(o.traceFile))
-	}
-	o.tracer = telemetry.New(sinks...)
-	if o.reportFile != nil {
-		o.report = telemetry.NewReport(workload, seed)
-	}
-	return o, nil
-}
-
-// discard closes and removes every output file, so a failed run
-// leaves no partial output behind.
-func (o *observer) discard() {
-	for _, f := range o.files {
-		f.Close()
-		os.Remove(f.Name())
-	}
-}
-
-func (o *observer) config(key, value string) {
-	if o.report != nil {
-		o.report.SetConfig(key, value)
-	}
-}
-
-func (o *observer) metric(name string, v float64, unit string) {
-	if o.report != nil {
-		o.report.AddMetric(name, v, unit)
-	}
-}
-
-// finish writes the report, flushes the trace and closes every output
-// file.
-func (o *observer) finish() error {
-	if o.report != nil {
-		o.report.AttachCounters(o.tracer.Registry())
-		if err := o.report.WriteJSON(o.reportFile); err != nil {
-			return err
-		}
-	}
-	if err := o.tracer.Close(); err != nil {
-		return err
-	}
-	for _, f := range o.files {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm string, obs *observer) error {
+func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm string,
+	tracer *telemetry.Tracer, report *telemetry.Report, capture *os.File) error {
 	cfg := core.BulkConfig{
 		Seed: seed, Duration: dur, CC: ccName, Policy: policy, Trace: traceNm,
-		Tracer: obs.tracer,
+		Tracer: tracer,
 	}
-	if obs.capFile != nil {
+	if capture != nil {
 		cfg.CaptureEvery = 100 * time.Millisecond
 	}
 	r, err := core.RunBulk(cfg)
 	if err != nil {
 		return err
 	}
-	if obs.capFile != nil {
-		if err := r.Capture.WriteCSV(obs.capFile); err != nil {
+	if capture != nil {
+		if err := r.Capture.WriteCSV(capture); err != nil {
 			return err
 		}
-		fmt.Printf("  capture      wrote %s\n", obs.capFile.Name())
+		fmt.Printf("  capture      wrote %s\n", capture.Name())
 	}
 	fmt.Printf("bulk %s/%s over %s for %v\n", ccName, policy, traceNm, dur)
 	fmt.Printf("  goodput      %.2f Mbps\n", r.Mbps)
 	fmt.Printf("  retransmits  %d (rtos %d)\n", r.Retransmits, r.RTOs)
 	fmt.Printf("  rtt          %s\n", summarizeRTT(r))
 	fmt.Printf("  channels     %s\n", core.SortedCounts(r.ChannelShare))
-	obs.metric("goodput", r.Mbps, "Mbps")
-	obs.metric("retransmits", float64(r.Retransmits), "")
-	obs.metric("rtos", float64(r.RTOs), "")
-	obs.report.SketchSeries("rtt_ms", &r.RTT)
+	report.AddMetric("goodput", r.Mbps, "Mbps")
+	report.AddMetric("retransmits", float64(r.Retransmits), "")
+	report.AddMetric("rtos", float64(r.RTOs), "")
+	report.SketchSeries("rtt_ms", &r.RTT)
 	return nil
 }
 
@@ -257,8 +169,8 @@ func summarizeRTT(r core.BulkResult) string {
 		dist.N(), dist.Percentile(50), dist.Percentile(95), dist.Max())
 }
 
-func runVideo(seed int64, dur time.Duration, policy, traceNm string, obs *observer) error {
-	r, err := core.RunVideo(core.VideoConfig{Seed: seed, Duration: dur, Trace: traceNm, Policy: policy, Tracer: obs.tracer})
+func runVideo(seed int64, dur time.Duration, policy, traceNm string, tracer *telemetry.Tracer, report *telemetry.Report) error {
+	r, err := core.RunVideo(core.VideoConfig{Seed: seed, Duration: dur, Trace: traceNm, Policy: policy, Tracer: tracer})
 	if err != nil {
 		return err
 	}
@@ -267,17 +179,17 @@ func runVideo(seed int64, dur time.Duration, policy, traceNm string, obs *observ
 	fmt.Printf("  latency      p50=%.0fms p95=%.0fms p99=%.0fms max=%.0fms\n",
 		r.Latency.Percentile(50), r.Latency.Percentile(95), r.Latency.Percentile(99), r.Latency.Max())
 	fmt.Printf("  ssim         mean=%.3f p5=%.3f\n", r.SSIM.Mean(), r.SSIM.Percentile(5))
-	obs.metric("latency_p95", r.Latency.Percentile(95), "ms")
-	obs.metric("ssim_mean", r.SSIM.Mean(), "")
-	obs.metric("frozen", float64(r.Frozen), "frames")
-	obs.report.SketchDist("latency_ms", &r.Latency)
+	report.AddMetric("latency_p95", r.Latency.Percentile(95), "ms")
+	report.AddMetric("ssim_mean", r.SSIM.Mean(), "")
+	report.AddMetric("frozen", float64(r.Frozen), "frames")
+	report.SketchDist("latency_ms", &r.Latency)
 	return nil
 }
 
-func runWeb(seed int64, policy, traceNm string, pages int, obs *observer) error {
+func runWeb(seed int64, policy, traceNm string, pages int, tracer *telemetry.Tracer, report *telemetry.Report) error {
 	r, err := core.RunWeb(core.WebConfig{
 		Seed: seed, Trace: traceNm, Policy: policy, Pages: pages, Loads: 1,
-		Tracer: obs.tracer,
+		Tracer: tracer,
 	})
 	if err != nil {
 		return err
@@ -286,9 +198,9 @@ func runWeb(seed int64, policy, traceNm string, pages int, obs *observer) error 
 	fmt.Printf("  mean PLT     %v\n", r.MeanPLT.Round(time.Millisecond))
 	fmt.Printf("  p95 PLT      %.0f ms\n", r.PLT.Percentile(95))
 	fmt.Printf("  background   %d uploads, %d downloads\n", r.BgUploads, r.BgDownloads)
-	obs.metric("plt_mean", r.PLT.Mean(), "ms")
-	obs.metric("plt_p95", r.PLT.Percentile(95), "ms")
-	obs.report.SketchDist("plt_ms", &r.PLT)
+	report.AddMetric("plt_mean", r.PLT.Mean(), "ms")
+	report.AddMetric("plt_p95", r.PLT.Percentile(95), "ms")
+	report.SketchDist("plt_ms", &r.PLT)
 	return nil
 }
 

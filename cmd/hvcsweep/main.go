@@ -50,7 +50,7 @@ import (
 	"text/tabwriter"
 	"time"
 
-	"hvc/internal/prof"
+	"hvc/internal/cli"
 	"hvc/internal/sweep"
 	"hvc/internal/telemetry"
 )
@@ -58,7 +58,8 @@ import (
 const defaultSpec = "exp=bulk cc=cubic,bbr,vegas,vivace policy=dchannel,embb-only seeds=1..5 dur=15s"
 
 func main() {
-	profile := prof.Register()
+	out := cli.New("hvcsweep")
+	out.Profiles()
 	var (
 		specF    = flag.String("spec", defaultSpec, "grid spec (space-separated key=value; see package doc)")
 		workers  = flag.Int("workers", 0, "worker goroutines; 0 means GOMAXPROCS")
@@ -72,38 +73,15 @@ func main() {
 	)
 	flag.Parse()
 
-	var outs []*os.File
-	fail := func(code int, err error) {
-		fmt.Fprintf(os.Stderr, "hvcsweep: %v\n", err)
-		profile.Discard()
-		for _, f := range outs {
-			f.Close()
-			os.Remove(f.Name())
-		}
-		os.Exit(code)
-	}
 	spec, err := sweep.ParseSpec(*specF)
 	if err != nil {
-		fail(2, err)
+		out.Usage(err)
 	}
 	if *format != "table" && *format != "csv" {
-		fail(2, fmt.Errorf("unknown -format %q (want table or csv)", *format))
+		out.Usage(fmt.Errorf("unknown -format %q (want table or csv)", *format))
 	}
-	create := func(path string) *os.File {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			fail(1, err)
-		}
-		outs = append(outs, f)
-		return f
-	}
-	csvOut, jsonOut := create(*csvF), create(*jsonF)
-	if err := profile.Start(); err != nil {
-		fail(1, err)
-	}
+	csvOut, jsonOut := out.Create(*csvF), out.Create(*jsonF)
+	out.Start()
 	if *quick {
 		if spec.Exp == sweep.ExpWeb {
 			spec.Pages, spec.Loads = 2, 1
@@ -130,17 +108,10 @@ func main() {
 	if err == nil && jsonOut != nil {
 		err = m.WriteJSON(jsonOut)
 	}
-	for _, f := range outs {
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err == nil {
-		err = profile.Stop()
-	}
 	if err != nil {
-		fail(1, err)
+		out.Fail(err)
 	}
+	out.Close()
 
 	if *format == "csv" {
 		err = m.WriteCSV(os.Stdout)
@@ -148,7 +119,7 @@ func main() {
 		err = printTable(m)
 	}
 	if err != nil {
-		fail(1, err)
+		out.Fail(err)
 	}
 	p := meter.Progress()
 	fmt.Fprintf(os.Stderr, "hvcsweep: %d jobs (%d executed, %d cached) across %d cells in %v\n",

@@ -13,10 +13,12 @@ import (
 	"os"
 	"time"
 
+	"hvc/internal/cli"
 	"hvc/internal/core"
 )
 
 func main() {
+	out := cli.New("tracegen")
 	var (
 		name = flag.String("name", "lowband-driving", "trace generator (lowband-stationary, lowband-driving, mmwave-driving, fixed)")
 		seed = flag.Int64("seed", 1, "generator seed")
@@ -24,23 +26,18 @@ func main() {
 	)
 	flag.Parse()
 
-	usage := func(err error) {
-		fmt.Fprintf(os.Stderr, "tracegen: %v\n", err)
-		os.Exit(2)
-	}
 	if flag.NArg() > 0 {
-		usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
+		out.Usage(fmt.Errorf("unexpected argument %q", flag.Arg(0)))
 	}
 	if *dur <= 0 {
-		usage(fmt.Errorf("-dur must be positive, got %v", *dur))
+		out.Usage(fmt.Errorf("-dur must be positive, got %v", *dur))
 	}
 	tr, err := core.NewTrace(*name, *seed, *dur)
 	if err != nil {
-		usage(fmt.Errorf("%v\navailable: %v", err, core.TraceNames()))
+		out.Usage(fmt.Errorf("%v\navailable: %v", err, core.TraceNames()))
 	}
 	if err := tr.WriteCSV(os.Stdout); err != nil {
-		fmt.Fprintf(os.Stderr, "tracegen: write: %v\n", err)
-		os.Exit(1)
+		out.Fail(fmt.Errorf("write: %v", err))
 	}
 	mean, p98 := tr.RTTStats()
 	fmt.Fprintf(os.Stderr, "tracegen: %s: %d samples, mean RTT %v, p98 RTT %v\n",

@@ -8,7 +8,6 @@ package core
 
 import (
 	"cmp"
-	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -17,7 +16,6 @@ import (
 
 	"hvc/internal/cc"
 	"hvc/internal/channel"
-	"hvc/internal/pool"
 	"hvc/internal/sim"
 	"hvc/internal/steering"
 	"hvc/internal/trace"
@@ -323,29 +321,4 @@ func Summarize(vals []float64) Summary {
 		s.Median = (sorted[n/2-1] + sorted[n/2]) / 2
 	}
 	return s
-}
-
-// Repeat runs fn once per consecutive seed starting at firstSeed and
-// aggregates the scalar it returns — the multi-seed statistics a
-// defensible experiment report needs. Runs execute in parallel across
-// GOMAXPROCS goroutines (each simulation loop is single-threaded and
-// self-contained), so fn must be safe for concurrent calls; the
-// aggregation is over values in seed order and therefore identical to
-// a serial run. fn's error aborts the sweep, and the returned error
-// names the lowest failing seed.
-func Repeat(firstSeed int64, n int, fn func(seed int64) (float64, error)) (Summary, error) {
-	if n < 1 {
-		return Summary{}, fmt.Errorf("core: Repeat needs n >= 1")
-	}
-	vals, err := pool.Map(n, 0, func(i int) (float64, error) {
-		return fn(firstSeed + int64(i))
-	})
-	if err != nil {
-		var pe *pool.Error
-		if errors.As(err, &pe) {
-			return Summary{}, fmt.Errorf("core: repeat seed %d: %w", firstSeed+int64(pe.Index), pe.Err)
-		}
-		return Summary{}, err
-	}
-	return Summarize(vals), nil
 }

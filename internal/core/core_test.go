@@ -1,8 +1,6 @@
 package core
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -602,36 +600,6 @@ func TestRunTSNShape(t *testing.T) {
 	}
 }
 
-func TestRepeatAggregates(t *testing.T) {
-	s, err := Repeat(10, 4, func(seed int64) (float64, error) {
-		return float64(seed), nil // 10, 11, 12, 13
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 4 || s.Mean != 11.5 || s.Min != 10 || s.Max != 13 {
-		t.Fatalf("summary %+v", s)
-	}
-	if s.Std < 1.28 || s.Std > 1.30 { // sample std of {10,11,12,13} ≈ 1.29
-		t.Fatalf("std %v", s.Std)
-	}
-}
-
-func TestRepeatPropagatesError(t *testing.T) {
-	_, err := Repeat(1, 3, func(seed int64) (float64, error) {
-		if seed == 2 {
-			return 0, fmt.Errorf("boom")
-		}
-		return 1, nil
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-	if _, err := Repeat(1, 0, func(int64) (float64, error) { return 0, nil }); err == nil {
-		t.Fatal("n=0 should error")
-	}
-}
-
 func TestConfigFingerprints(t *testing.T) {
 	seen := map[string]string{}
 	for _, name := range CCNames() {
@@ -735,58 +703,19 @@ func TestSummarizeLargeNUsesNormalCritical(t *testing.T) {
 	}
 }
 
-func TestRepeatErrorNamesFailingSeed(t *testing.T) {
-	sentinel := fmt.Errorf("trace corrupt")
-	_, err := Repeat(40, 6, func(seed int64) (float64, error) {
-		if seed >= 43 {
-			return 0, sentinel
-		}
-		return float64(seed), nil
-	})
-	if err == nil {
-		t.Fatal("error not propagated")
-	}
-	if !strings.Contains(err.Error(), "seed 43") {
-		t.Fatalf("error %q does not name the lowest failing seed 43", err)
-	}
-	if !errors.Is(err, sentinel) {
-		t.Fatalf("error %q lost the underlying cause", err)
-	}
-}
-
-func TestRepeatMatchesSerialAggregation(t *testing.T) {
-	// The parallel Repeat must produce exactly the statistics of a
-	// serial left-to-right pass over the same seeds.
-	fn := func(seed int64) (float64, error) { return float64(seed*seed) * 0.125, nil }
-	var vals []float64
-	for s := int64(5); s < 5+16; s++ {
-		v, _ := fn(s)
-		vals = append(vals, v)
-	}
-	want := Summarize(vals)
-	got, err := Repeat(5, 16, fn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("Repeat = %+v, serial = %+v", got, want)
-	}
-}
-
 func TestRepeatOverVideoSeeds(t *testing.T) {
-	s, err := Repeat(1, 3, func(seed int64) (float64, error) {
+	var p95 []float64
+	for seed := int64(1); seed <= 3; seed++ {
 		r, err := RunVideo(VideoConfig{
 			Seed: seed, Duration: 10 * time.Second,
 			Trace: "lowband-driving", Policy: PolicyPriority,
 		})
 		if err != nil {
-			return 0, err
+			t.Fatal(err)
 		}
-		return r.Latency.Percentile(95), nil
-	})
-	if err != nil {
-		t.Fatal(err)
+		p95 = append(p95, r.Latency.Percentile(95))
 	}
+	s := Summarize(p95)
 	if s.N != 3 || s.Mean <= 0 {
 		t.Fatalf("summary %+v", s)
 	}

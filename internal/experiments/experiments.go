@@ -20,23 +20,52 @@ import (
 	"hvc/internal/telemetry"
 )
 
+// registry lists every experiment in "all" execution order.
+var registry = []struct {
+	name string
+	run  func(Env) error
+}{
+	{"fig1a", fig1a},
+	{"fig1b", fig1b},
+	{"fig2", fig2},
+	{"table1", table1},
+	{"ablation-cc", ablationCC},
+	{"ablation-mptcp", ablationMultipath},
+	{"ablation-mlo", ablationMLO},
+	{"ablation-cost", ablationCost},
+	{"ablation-beta", ablationBeta},
+	{"ablation-tail", ablationTail},
+	{"ablation-ians", ablationIANS},
+	{"ablation-has", ablationHAS},
+	{"ablation-tsn", ablationTSN},
+	{"outage", outage},
+	{"fleet", fleetExp},
+	{"arena", arenaExp},
+}
+
 // Order lists every experiment in "all" execution order; it is also
 // the source of cmd/hvcbench's -exp usage string, so the two cannot
 // drift.
 func Order() []string {
-	return []string{
-		"fig1a", "fig1b", "fig2", "table1",
-		"ablation-cc", "ablation-mptcp", "ablation-mlo", "ablation-cost",
-		"ablation-beta", "ablation-tail", "ablation-ians", "ablation-has", "ablation-tsn",
-		"outage", "fleet", "arena",
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = r.name
 	}
+	return names
+}
+
+// lookup returns the named experiment's runner, or nil.
+func lookup(name string) func(Env) error {
+	for _, r := range registry {
+		if r.name == name {
+			return r.run
+		}
+	}
+	return nil
 }
 
 // Valid reports whether name is a registered experiment.
-func Valid(name string) bool {
-	_, ok := runners[name]
-	return ok
-}
+func Valid(name string) bool { return lookup(name) != nil }
 
 // Scale sizes the experiments that have adjustable corpora or
 // durations.
@@ -81,34 +110,13 @@ type Env struct {
 // metric records one headline value into the run report, when one is
 // being assembled.
 func (e Env) metric(name string, v float64, unit string) {
-	if e.Report != nil {
-		e.Report.AddMetric(e.Prefix+name, v, unit)
-	}
-}
-
-var runners = map[string]func(Env) error{
-	"fig1a":          fig1a,
-	"fig1b":          fig1b,
-	"fig2":           fig2,
-	"table1":         table1,
-	"ablation-cc":    ablationCC,
-	"ablation-mptcp": ablationMultipath,
-	"ablation-mlo":   ablationMLO,
-	"ablation-cost":  ablationCost,
-	"ablation-beta":  ablationBeta,
-	"ablation-tail":  ablationTail,
-	"ablation-ians":  ablationIANS,
-	"ablation-has":   ablationHAS,
-	"ablation-tsn":   ablationTSN,
-	"outage":         outage,
-	"fleet":          fleetExp,
-	"arena":          arenaExp,
+	e.Report.AddMetric(e.Prefix+name, v, unit)
 }
 
 // Run executes one named experiment under e.
 func Run(name string, e Env) error {
-	fn, ok := runners[name]
-	if !ok {
+	fn := lookup(name)
+	if fn == nil {
 		return fmt.Errorf("experiments: unknown experiment %q", name)
 	}
 	if e.Out == nil {
@@ -380,11 +388,9 @@ func fleetExp(e Env) error {
 	for _, app := range []string{fleet.AppBulk, fleet.AppVideo, fleet.AppWeb} {
 		e.metric("ues/"+app, float64(res.Apps[app]), "")
 	}
-	if e.Report != nil {
-		res.Group.Do(func(name string, s *sketch.Sketch) {
-			e.Report.AddSketch(e.Prefix+name, s)
-		})
-	}
+	res.Group.Do(func(name string, s *sketch.Sketch) {
+		e.Report.AddSketch(e.Prefix+name, s)
+	})
 	return nil
 }
 
@@ -426,11 +432,9 @@ func arenaExp(e Env) error {
 		fmt.Fprintf(e.Out, "jain=%.3f not converged within %v\n\n", res.Jain, spec.Dur)
 	}
 	e.metric("jain", res.Jain, "")
-	if e.Report != nil {
-		res.Group.Do(func(name string, s *sketch.Sketch) {
-			e.Report.AddSketch(e.Prefix+name, s)
-		})
-	}
+	res.Group.Do(func(name string, s *sketch.Sketch) {
+		e.Report.AddSketch(e.Prefix+name, s)
+	})
 	return nil
 }
 

@@ -1,5 +1,5 @@
 // Package pool provides the ordered parallel fan-out primitives behind
-// the sweep engine, core.Repeat, and fleet aggregation: run n
+// the sweep engine, hvcbench -seeds, and fleet aggregation: run n
 // independent jobs across a fixed number of goroutines and either
 // return their results in job order (Map) or stream them into an
 // index-ordered fold with O(workers) live memory (Reduce), so the

@@ -98,9 +98,6 @@ func New(alpha float64) *Sketch {
 // NewDefault returns an empty sketch at DefaultAlpha accuracy.
 func NewDefault() *Sketch { return New(DefaultAlpha) }
 
-// Alpha reports the sketch's relative accuracy.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // Observe records one observation. It never allocates: the hot path is
 // a log, a floor, and a counter increment. NaN must not be observed.
 func (s *Sketch) Observe(v float64) {

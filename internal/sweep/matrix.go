@@ -54,19 +54,6 @@ func (m *Matrix) WriteJSON(w io.Writer) error {
 	return err
 }
 
-// ParseMatrix reads a bundle WriteJSON produced, rejecting other
-// schemas.
-func ParseMatrix(r io.Reader) (*Matrix, error) {
-	var m Matrix
-	if err := json.NewDecoder(r).Decode(&m); err != nil {
-		return nil, fmt.Errorf("sweep: matrix: %w", err)
-	}
-	if m.Schema != MatrixSchema {
-		return nil, fmt.Errorf("sweep: matrix schema %q, want %q", m.Schema, MatrixSchema)
-	}
-	return &m, nil
-}
-
 // WriteCSV serializes the matrix tidy — one row per (cell, metric) —
 // for direct loading into dataframe tooling.
 func (m *Matrix) WriteCSV(w io.Writer) error {

@@ -26,7 +26,9 @@ type Metric struct {
 // invocation: what ran (experiment, seed, config), what came out
 // (headline metrics), and the final counter snapshot. Every field
 // serializes deterministically, so reports diff cleanly between runs
-// and append mechanically to the bench trajectory.
+// and append mechanically to the bench trajectory. Like a nil Tracer,
+// a nil Report records nothing: every method but WriteJSON is a no-op
+// on it.
 type Report struct {
 	Schema     string            `json:"schema"`
 	Experiment string            `json:"experiment"`
@@ -45,6 +47,9 @@ func NewReport(experiment string, seed int64) *Report {
 // SetConfig records one configuration key (trace name, policy, CCA,
 // duration) describing the run.
 func (r *Report) SetConfig(key, value string) {
+	if r == nil {
+		return
+	}
 	if r.Config == nil {
 		r.Config = make(map[string]string)
 	}
@@ -53,6 +58,9 @@ func (r *Report) SetConfig(key, value string) {
 
 // AddMetric appends one headline metric.
 func (r *Report) AddMetric(name string, value float64, unit string) {
+	if r == nil {
+		return
+	}
 	r.Metrics = append(r.Metrics, Metric{Name: name, Value: value, Unit: unit})
 }
 
@@ -63,7 +71,7 @@ func (r *Report) AddMetric(name string, value float64, unit string) {
 // sketch emission additive (reports without observations serialize
 // exactly as before the field existed).
 func (r *Report) AddSketch(name string, s *sketch.Sketch) {
-	if s == nil || s.N() == 0 {
+	if r == nil || s == nil || s.N() == 0 {
 		return
 	}
 	r.Sketches = append(r.Sketches, s.Summarize(name))
@@ -71,8 +79,7 @@ func (r *Report) AddSketch(name string, s *sketch.Sketch) {
 
 // SketchDist folds a result distribution into the sketch section. The
 // samples feed in sorted order (Values), so the summary, like every
-// report field, is a pure function of the run's results. A nil report
-// records nothing.
+// report field, is a pure function of the run's results.
 func (r *Report) SketchDist(name string, d *metrics.Distribution) {
 	if r == nil || d.N() == 0 {
 		return
@@ -85,7 +92,7 @@ func (r *Report) SketchDist(name string, d *metrics.Distribution) {
 }
 
 // SketchSeries folds a time series' values into the sketch section,
-// feeding in time order. A nil report records nothing.
+// feeding in time order.
 func (r *Report) SketchSeries(name string, ts *metrics.TimeSeries) {
 	if r == nil || ts.N() == 0 {
 		return
@@ -100,6 +107,9 @@ func (r *Report) SketchSeries(name string, ts *metrics.TimeSeries) {
 // AttachCounters snapshots reg into the report, replacing any earlier
 // snapshot. A nil registry clears the section.
 func (r *Report) AttachCounters(reg *Registry) {
+	if r == nil {
+		return
+	}
 	r.Counters = reg.Snapshot()
 }
 

@@ -8,6 +8,8 @@ import (
 	"time"
 )
 
+// TestNilTracerIsSafe also covers the nil Report, which commands pass
+// around when no -report was asked for.
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
 	if tr.Enabled() {
@@ -31,6 +33,13 @@ func TestNilTracerIsSafe(t *testing.T) {
 	if reg.Value("c") != 0 || reg.Snapshot() != nil {
 		t.Fatal("nil registry should read empty")
 	}
+	var r *Report
+	r.SetConfig("k", "v")
+	r.AddMetric("m", 1, "")
+	r.AddSketch("s", nil)
+	r.SketchDist("d", nil)
+	r.SketchSeries("ts", nil)
+	r.AttachCounters(reg)
 }
 
 func TestTracerStampsVirtualTime(t *testing.T) {

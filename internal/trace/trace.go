@@ -354,21 +354,6 @@ func (t *Trace) Clip(dur time.Duration) *Trace {
 	return out
 }
 
-// Concat appends u's samples after t (shifting their timestamps by
-// t's duration) and returns the combined trace.
-func Concat(t, u *Trace) *Trace {
-	off := t.Duration()
-	out := &Trace{
-		Name:    t.Name + "+" + u.Name,
-		Samples: append([]Sample(nil), t.Samples...),
-	}
-	for _, s := range u.Samples {
-		s.At += off
-		out.Samples = append(out.Samples, s)
-	}
-	return out
-}
-
 // OutageFraction reports the fraction of samples with zero rate.
 func (t *Trace) OutageFraction() float64 {
 	if len(t.Samples) == 0 {

@@ -277,19 +277,6 @@ func TestClip(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := Constant("a", 10*time.Millisecond, 1e6)
-	b := Constant("b", 20*time.Millisecond, 2e6)
-	c := Concat(a, b)
-	if c.At(0).RTT != 10*time.Millisecond {
-		t.Fatal("first half wrong")
-	}
-	// a's duration is 1 s (single-sample convention).
-	if c.At(1100*time.Millisecond).RTT != 20*time.Millisecond {
-		t.Fatal("second half wrong")
-	}
-}
-
 func TestOutageFractionAndMeanRate(t *testing.T) {
 	tr := &Trace{Name: "x", Samples: []Sample{
 		{At: 0, RTT: time.Millisecond, Rate: 4e6},
