@@ -6,49 +6,46 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"hvc/internal/core"
+	"hvc/internal/metrics"
 )
 
-func main() {
+func main() { report(os.Stdout) }
+
+// report prints the comparison table to w.
+func report(w io.Writer) {
 	const dur = 20 * time.Second
-	fmt.Printf("bulk flow over eMBB(50ms/60Mbps)+URLLC(5ms/2Mbps), DChannel steering, %v\n\n", dur)
-	fmt.Printf("%-12s %10s %28s\n", "cca", "mbps", "rtt p5 / p50 / p95 (ms)")
+	fmt.Fprintf(w, "bulk flow over eMBB(50ms/60Mbps)+URLLC(5ms/2Mbps), DChannel steering, %v\n\n", dur)
+	fmt.Fprintf(w, "%-12s %10s %28s\n", "cca", "mbps", "rtt p5 / p50 / p95 (ms)")
 
 	for _, name := range []string{"cubic", "bbr", "vegas", "vivace", "hvc-bbr", "hvc-vegas"} {
 		r, err := core.RunBulk(core.BulkConfig{Seed: 3, Duration: dur, CC: name})
 		if err != nil {
 			panic(err)
 		}
-		var d dist
+		var d metrics.Distribution
 		for _, p := range r.RTT.Points() {
-			d.add(p.Value)
+			d.Add(p.Value)
 		}
-		fmt.Printf("%-12s %10.2f %10.1f / %.1f / %.1f\n",
-			name, r.Mbps, d.pct(5), d.pct(50), d.pct(95))
+		v := d.Values()
+		fmt.Fprintf(w, "%-12s %10.2f %10.1f / %.1f / %.1f\n",
+			name, r.Mbps, pct(v, 5), pct(v, 50), pct(v, 95))
 	}
 
-	fmt.Println("\ncubic ignores delay and fills the wide channel; bbr/vegas/vivace")
-	fmt.Println("misread cross-channel RTT jumps as congestion and collapse; the")
-	fmt.Println("hvc-* variants filter RTT samples by channel and recover.")
+	fmt.Fprintln(w, "\ncubic ignores delay and fills the wide channel; bbr/vegas/vivace")
+	fmt.Fprintln(w, "misread cross-channel RTT jumps as congestion and collapse; the")
+	fmt.Fprintln(w, "hvc-* variants filter RTT samples by channel and recover.")
 }
 
-// dist is a tiny percentile helper so the example stays self-contained.
-type dist struct{ v []float64 }
-
-func (d *dist) add(x float64) { d.v = append(d.v, x) }
-
-func (d *dist) pct(p float64) float64 {
-	if len(d.v) == 0 {
+// pct is the p-th percentile of the sorted values v, rounding the rank
+// down, or 0 when v is empty.
+func pct(v []float64, p float64) float64 {
+	if len(v) == 0 {
 		return 0
 	}
-	// insertion sort is fine at example scale
-	for i := 1; i < len(d.v); i++ {
-		for j := i; j > 0 && d.v[j] < d.v[j-1]; j-- {
-			d.v[j], d.v[j-1] = d.v[j-1], d.v[j]
-		}
-	}
-	idx := int(p / 100 * float64(len(d.v)-1))
-	return d.v[idx]
+	return v[int(p/100*float64(len(v)-1))]
 }

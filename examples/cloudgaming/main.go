@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"hvc/internal/app/game"
@@ -17,21 +19,24 @@ import (
 	"hvc/internal/transport"
 )
 
-func main() {
-	fmt.Println("10s cloud-gaming session over lowband-driving eMBB + URLLC")
-	fmt.Printf("%-12s %12s %12s %12s %10s\n",
+func main() { report(os.Stdout) }
+
+// report prints the comparison table to w.
+func report(w io.Writer) {
+	fmt.Fprintln(w, "10s cloud-gaming session over lowband-driving eMBB + URLLC")
+	fmt.Fprintf(w, "%-12s %12s %12s %12s %10s\n",
 		"policy", "i2d_p50_ms", "i2d_p95_ms", "i2d_max_ms", "lost")
 	for _, policy := range []string{"embb-only", "dchannel", "priority"} {
 		s := run(policy)
-		fmt.Printf("%-12s %12.0f %12.0f %12.0f %10d\n",
+		fmt.Fprintf(w, "%-12s %12.0f %12.0f %12.0f %10d\n",
 			policy,
 			s.InputToDisplay.Percentile(50),
 			s.InputToDisplay.Percentile(95),
 			s.InputToDisplay.Max(),
 			s.FramesLost())
 	}
-	fmt.Println("\ninputs are priority-0 messages; frames priority 1. priority steering")
-	fmt.Println("pins inputs to URLLC, so control stays crisp even when eMBB degrades.")
+	fmt.Fprintln(w, "\ninputs are priority-0 messages; frames priority 1. priority steering")
+	fmt.Fprintln(w, "pins inputs to URLLC, so control stays crisp even when eMBB degrades.")
 }
 
 func run(policy string) *game.Session {

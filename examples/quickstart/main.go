@@ -6,6 +6,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"hvc/internal/cc"
@@ -15,7 +17,10 @@ import (
 	"hvc/internal/transport"
 )
 
-func main() {
+func main() { report(os.Stdout) }
+
+// report prints the exchange and the channel use to w.
+func report(w io.Writer) {
 	// Everything runs in deterministic virtual time on one loop.
 	loop := sim.NewLoop(42)
 
@@ -35,7 +40,7 @@ func main() {
 		}
 	}, func(conn *transport.Conn) {
 		conn.OnMessage(func(c *transport.Conn, m transport.Message) {
-			fmt.Printf("[%8v] server: got %q (%d bytes) after %v\n",
+			fmt.Fprintf(w, "[%8v] server: got %q (%d bytes) after %v\n",
 				loop.Now().Round(time.Millisecond), m.Data, m.Size, m.Latency().Round(time.Millisecond))
 			c.SendMessage(m.Stream, 0, 2_000, "pong")
 		})
@@ -48,7 +53,7 @@ func main() {
 		Steer: steering.NewDChannel(group, channel.A, steering.DChannelConfig{}),
 	})
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) {
-		fmt.Printf("[%8v] client: got %q back after %v\n",
+		fmt.Fprintf(w, "[%8v] client: got %q back after %v\n",
 			loop.Now().Round(time.Millisecond), m.Data, m.Latency().Round(time.Millisecond))
 	})
 
@@ -58,10 +63,10 @@ func main() {
 
 	loop.RunUntil(5 * time.Second)
 
-	fmt.Printf("\nchannel use (client side):\n")
+	fmt.Fprintf(w, "\nchannel use (client side):\n")
 	for _, ch := range group.All() {
 		st := ch.Stats(channel.A)
-		fmt.Printf("  %-6s %5d packets up, %7d bytes delivered\n",
+		fmt.Fprintf(w, "  %-6s %5d packets up, %7d bytes delivered\n",
 			ch.Name(), st.Sent, st.BytesDelivered)
 	}
 }

@@ -7,6 +7,8 @@ package main
 
 import (
 	"fmt"
+	"io"
+	"os"
 	"time"
 
 	"hvc/internal/cc"
@@ -17,16 +19,19 @@ import (
 	"hvc/internal/transport"
 )
 
-func main() {
-	fmt.Println("500 request/response exchanges (1kB up, 10kB down) per scenario")
-	fmt.Printf("%-24s %10s %10s %12s\n", "scenario", "p50_ms", "p95_ms", "dollars")
+func main() { report(os.Stdout) }
 
-	run("fiber only", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
+// report prints the comparison table to w.
+func report(w io.Writer) {
+	fmt.Fprintln(w, "500 request/response exchanges (1kB up, 10kB down) per scenario")
+	fmt.Fprintf(w, "%-24s %10s %10s %12s\n", "scenario", "p50_ms", "p95_ms", "dollars")
+
+	run(w, "fiber only", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
 		fiber, mw := channel.CISP(loop)
 		g := channel.NewGroup(fiber, mw)
 		return g, func(channel.Side) steering.Policy { return steering.NewSingle(fiber) }
 	})
-	run("fiber + cISP (50kB/s)", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
+	run(w, "fiber + cISP (50kB/s)", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
 		fiber, mw := channel.CISP(loop)
 		g := channel.NewGroup(fiber, mw)
 		return g, func(side channel.Side) steering.Policy {
@@ -35,12 +40,12 @@ func main() {
 			})
 		}
 	})
-	run("terrestrial only", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
+	run(w, "terrestrial only", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
 		terr, leo := channel.LEO(loop)
 		g := channel.NewGroup(terr, leo)
 		return g, func(channel.Side) steering.Policy { return steering.NewSingle(terr) }
 	})
-	run("terrestrial + LEO", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
+	run(w, "terrestrial + LEO", func(loop *sim.Loop) (*channel.Group, func(channel.Side) steering.Policy) {
 		terr, leo := channel.LEO(loop)
 		g := channel.NewGroup(terr, leo)
 		return g, func(side channel.Side) steering.Policy {
@@ -51,7 +56,7 @@ func main() {
 	})
 }
 
-func run(name string, build func(*sim.Loop) (*channel.Group, func(channel.Side) steering.Policy)) {
+func run(w io.Writer, name string, build func(*sim.Loop) (*channel.Group, func(channel.Side) steering.Policy)) {
 	loop := sim.NewLoop(31)
 	g, mkPolicy := build(loop)
 	client := transport.NewEndpoint(loop, g, channel.A)
@@ -84,6 +89,6 @@ func run(name string, build func(*sim.Loop) (*channel.Group, func(channel.Side) 
 	if ca, ok := clientPolicy.(*steering.CostAware); ok {
 		dollars = ca.Cost()
 	}
-	fmt.Printf("%-24s %10.1f %10.1f %12.4f\n",
+	fmt.Fprintf(w, "%-24s %10.1f %10.1f %12.4f\n",
 		name, lat.Percentile(50), lat.Percentile(95), dollars)
 }

@@ -23,59 +23,24 @@ import (
 // DefaultLadder is a typical HAS bitrate ladder in bits per second.
 var DefaultLadder = []float64{350e3, 1e6, 3e6, 6e6, 12e6}
 
+// Every session streams chunkDuration-long chunks into a playback
+// buffer capped at maxBuffer (a live-ish configuration where channel
+// quality actually matters) and starts playing after startupChunks
+// chunks. The BBA thresholds: up to reservoir of buffer the lowest
+// bitrate is used; above it the rate rises linearly until the buffer
+// reaches reservoir+cushion.
+const (
+	chunkDuration = 2 * time.Second
+	maxBuffer     = 8 * time.Second
+	reservoir     = 2 * time.Second
+	cushion       = 4 * time.Second
+	startupChunks = 1
+)
+
 // Config parameterizes one streaming session.
 type Config struct {
-	// Ladder lists the available bitrates ascending; nil means
-	// DefaultLadder.
-	Ladder []float64
-	// ChunkDuration is each chunk's media duration; 0 means 2 s.
-	ChunkDuration time.Duration
 	// Duration is the media length to stream.
 	Duration time.Duration
-	// MaxBuffer caps the playback buffer; 0 means 8 s (a live-ish
-	// configuration where channel quality actually matters).
-	MaxBuffer time.Duration
-	// Reservoir and Cushion are the BBA thresholds: below Reservoir
-	// the lowest bitrate is used; above Reservoir the rate rises
-	// linearly until the buffer reaches Reservoir+Cushion. Defaults:
-	// 2 s and 4 s.
-	Reservoir time.Duration
-	Cushion   time.Duration
-	// StartupChunks is how many chunks must be buffered before
-	// playback starts; 0 means 1.
-	StartupChunks int
-}
-
-func (cfg *Config) fillDefaults() {
-	if cfg.Ladder == nil {
-		cfg.Ladder = DefaultLadder
-	}
-	if len(cfg.Ladder) == 0 {
-		panic("abr: empty bitrate ladder")
-	}
-	for i := 1; i < len(cfg.Ladder); i++ {
-		if cfg.Ladder[i] <= cfg.Ladder[i-1] {
-			panic("abr: ladder must be strictly ascending")
-		}
-	}
-	if cfg.ChunkDuration == 0 {
-		cfg.ChunkDuration = 2 * time.Second
-	}
-	if cfg.Duration <= 0 {
-		panic("abr: Config.Duration must be positive")
-	}
-	if cfg.MaxBuffer == 0 {
-		cfg.MaxBuffer = 8 * time.Second
-	}
-	if cfg.Reservoir == 0 {
-		cfg.Reservoir = 2 * time.Second
-	}
-	if cfg.Cushion == 0 {
-		cfg.Cushion = 4 * time.Second
-	}
-	if cfg.StartupChunks == 0 {
-		cfg.StartupChunks = 1
-	}
 }
 
 // chunkReq travels to the server: a request for one chunk.
@@ -138,7 +103,6 @@ type Client struct {
 	waitTimer  sim.Timer
 	res        Result
 	bitrateSum float64
-	requestBts int
 }
 
 // RequestBytes is the size of one chunk request message.
@@ -146,15 +110,16 @@ const RequestBytes = 300
 
 // NewClient builds a streaming client over conn.
 func NewClient(loop *sim.Loop, conn *transport.Conn, cfg Config) *Client {
-	cfg.fillDefaults()
+	if cfg.Duration <= 0 {
+		panic("abr: Config.Duration must be positive")
+	}
 	c := &Client{
-		loop:       loop,
-		conn:       conn,
-		cfg:        cfg,
-		stream:     conn.NewStream(),
-		total:      int(cfg.Duration / cfg.ChunkDuration),
-		stalledAt:  -1,
-		requestBts: RequestBytes,
+		loop:      loop,
+		conn:      conn,
+		cfg:       cfg,
+		stream:    conn.NewStream(),
+		total:     int(cfg.Duration / chunkDuration),
+		stalledAt: -1,
 	}
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) { c.onChunk(m) })
 	return c
@@ -182,11 +147,11 @@ func (c *Client) Result() Result {
 
 // pickBitrate is the BBA-style map from buffer level to ladder rung.
 func (c *Client) pickBitrate() float64 {
-	ladder := c.cfg.Ladder
-	if c.buffer <= c.cfg.Reservoir {
+	ladder := DefaultLadder
+	if c.buffer <= reservoir {
 		return ladder[0]
 	}
-	frac := float64(c.buffer-c.cfg.Reservoir) / float64(c.cfg.Cushion)
+	frac := float64(c.buffer-reservoir) / float64(cushion)
 	if frac >= 1 {
 		return ladder[len(ladder)-1]
 	}
@@ -202,17 +167,17 @@ func (c *Client) fetchNext() {
 		return
 	}
 	c.drainPlayback()
-	if c.buffer >= c.cfg.MaxBuffer {
+	if c.buffer >= maxBuffer {
 		// Buffer full: wait for it to drain one chunk's worth.
 		if !c.waitTimer.Active() {
-			c.waitTimer = c.loop.After(c.cfg.ChunkDuration/2, c.fetchNext)
+			c.waitTimer = c.loop.After(chunkDuration/2, c.fetchNext)
 		}
 		return
 	}
 	rate := c.pickBitrate()
-	size := int(rate * c.cfg.ChunkDuration.Seconds() / 8)
+	size := int(rate * chunkDuration.Seconds() / 8)
 	c.fetching = true
-	c.conn.SendMessage(c.stream, 0, c.requestBts, chunkReq{
+	c.conn.SendMessage(c.stream, 0, RequestBytes, chunkReq{
 		index: c.nextChunk, bitrate: rate, size: size,
 	})
 }
@@ -231,10 +196,10 @@ func (c *Client) onChunk(m transport.Message) {
 		c.res.Switches++
 	}
 	c.lastRate = req.bitrate
-	c.buffer += c.cfg.ChunkDuration
+	c.buffer += chunkDuration
 	c.nextChunk++
 
-	if !c.started && c.res.Chunks >= c.cfg.StartupChunks {
+	if !c.started && c.res.Chunks >= startupChunks {
 		c.started = true
 		c.res.StartupDelay = c.loop.Now() - c.startAt
 		c.playedAt = c.loop.Now()

@@ -138,8 +138,8 @@ func TestBufferCapThrottlesFetching(t *testing.T) {
 	// one chunk.
 	for i := 1; i <= 40; i++ {
 		loop.RunUntil(time.Duration(i) * 500 * time.Millisecond)
-		if c.buffer > c.cfg.MaxBuffer+c.cfg.ChunkDuration {
-			t.Fatalf("buffer %v exceeded cap %v", c.buffer, c.cfg.MaxBuffer)
+		if c.buffer > maxBuffer+chunkDuration {
+			t.Fatalf("buffer %v exceeded cap %v", c.buffer, maxBuffer)
 		}
 	}
 }
@@ -151,8 +151,7 @@ func TestConfigValidation(t *testing.T) {
 	transport.NewEndpoint(loop, g, channel.B)
 	conn := clientEP.Dial(transport.Config{CC: cc.NewCubic(), Steer: steering.NewSingle(g.All()[0])})
 	for name, cfg := range map[string]Config{
-		"no duration":     {},
-		"unsorted ladder": {Duration: time.Second, Ladder: []float64{2e6, 1e6}},
+		"no duration": {},
 	} {
 		func() {
 			defer func() {

@@ -19,50 +19,26 @@ import (
 	"hvc/internal/transport"
 )
 
+// The session's shape: the server renders fps frames a second of
+// frameBytes each (10 Mbps at 60 fps), and a frame reflects an input
+// renderDelay (server-side game/render time) after it arrives. The
+// client sends inputHz input events a second of inputBytes each. Inputs
+// carry priority 0, the thing priority-aware steering protects; frames
+// carry priority 1.
+const (
+	fps           = 60
+	frameBytes    = 20_833
+	inputHz       = 60
+	inputBytes    = 120
+	renderDelay   = 8 * time.Millisecond
+	inputPriority = packet.Priority(0)
+	framePriority = packet.Priority(1)
+)
+
 // Config parameterizes one session.
 type Config struct {
 	// Duration is how long the session runs.
 	Duration time.Duration
-	// FPS is the server's frame rate; 0 means 60.
-	FPS int
-	// FrameBitrate sizes frames (bits/s of video); 0 means 10 Mbps.
-	FrameBitrate float64
-	// InputHz is the client's input event rate; 0 means 60.
-	InputHz int
-	// InputBytes sizes one input event; 0 means 120 B.
-	InputBytes int
-	// RenderDelay models server-side game/render time between an
-	// input's arrival and the first frame reflecting it; 0 means 8 ms.
-	RenderDelay time.Duration
-	// InputPriority and FramePriority are the message priorities the
-	// application declares; by default inputs are priority 0 (the
-	// thing priority-aware steering protects) and frames priority 1.
-	InputPriority packet.Priority
-	FramePriority packet.Priority
-}
-
-func (cfg *Config) fillDefaults() {
-	if cfg.Duration <= 0 {
-		panic("game: Config.Duration must be positive")
-	}
-	if cfg.FPS == 0 {
-		cfg.FPS = 60
-	}
-	if cfg.FrameBitrate == 0 {
-		cfg.FrameBitrate = 10e6
-	}
-	if cfg.InputHz == 0 {
-		cfg.InputHz = 60
-	}
-	if cfg.InputBytes == 0 {
-		cfg.InputBytes = 120
-	}
-	if cfg.RenderDelay == 0 {
-		cfg.RenderDelay = 8 * time.Millisecond
-	}
-	if cfg.FramePriority == 0 && cfg.InputPriority == 0 {
-		cfg.FramePriority = 1
-	}
 }
 
 // inputMsg is one input event.
@@ -109,7 +85,9 @@ type Session struct {
 
 // NewSession builds the client half over conn (an unreliable dial).
 func NewSession(loop *sim.Loop, conn *transport.Conn, cfg Config) *Session {
-	cfg.fillDefaults()
+	if cfg.Duration <= 0 {
+		panic("game: Config.Duration must be positive")
+	}
 	s := &Session{
 		loop:       loop,
 		cfg:        cfg,
@@ -141,7 +119,7 @@ func (s *Session) Attach(server *transport.Conn) {
 
 // Start schedules the client's input stream.
 func (s *Session) Start() {
-	interval := time.Second / time.Duration(s.cfg.InputHz)
+	interval := time.Second / inputHz
 	n := int(s.cfg.Duration / interval)
 	s.inputs = sim.NewLane(s.loop, s.sendInput)
 	for i := 0; i < n; i++ {
@@ -151,13 +129,12 @@ func (s *Session) Start() {
 
 func (s *Session) sendInput() {
 	s.nextInput++
-	s.clientConn.SendMessage(s.inStream, s.cfg.InputPriority, s.cfg.InputBytes,
+	s.clientConn.SendMessage(s.inStream, inputPriority, inputBytes,
 		inputMsg{seq: s.nextInput, sentAt: s.loop.Now()})
 }
 
 func (s *Session) startFrames(server *transport.Conn) {
-	interval := time.Second / time.Duration(s.cfg.FPS)
-	frameBytes := int(s.cfg.FrameBitrate / float64(s.cfg.FPS) / 8)
+	interval := time.Second / fps
 	stream := server.NewStream()
 	n := int(s.cfg.Duration / interval)
 	base := s.loop.Now() // frames start when the server attaches
@@ -165,8 +142,8 @@ func (s *Session) startFrames(server *transport.Conn) {
 	s.frames = sim.NewLane(s.loop, func() {
 		fm := frameMsg{frame: s.FramesSent}
 		// A frame reflects the newest input that arrived at least
-		// RenderDelay ago — and is credited only once.
-		if s.hasInput && s.loop.Now()-s.latestInputRcvd >= s.cfg.RenderDelay &&
+		// renderDelay ago — and is credited only once.
+		if s.hasInput && s.loop.Now()-s.latestInputRcvd >= renderDelay &&
 			s.latestInput > s.appliedInput {
 			fm.input = s.latestInput
 			fm.inputAt = s.latestInputAt
@@ -174,7 +151,7 @@ func (s *Session) startFrames(server *transport.Conn) {
 			s.appliedInput = s.latestInput
 		}
 		s.FramesSent++
-		server.SendMessage(stream, s.cfg.FramePriority, frameBytes, fm)
+		server.SendMessage(stream, framePriority, frameBytes, fm)
 	})
 	for i := 0; i < n; i++ {
 		s.frames.Push(base + time.Duration(i)*interval)

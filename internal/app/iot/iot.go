@@ -15,32 +15,21 @@ import (
 	"hvc/internal/transport"
 )
 
+// Every plant has devices sensor/actuator pairs on a control period of
+// cycle, which is also each loop's deadline; sensor readings and
+// commands are msgBytes each, and the controller takes compute to
+// answer a reading.
+const (
+	devices  = 4
+	cycle    = 60 * time.Millisecond
+	msgBytes = 200
+	compute  = 2 * time.Millisecond
+)
+
 // Config parameterizes one plant.
 type Config struct {
-	// Devices is the number of sensor/actuator pairs; 0 means 4.
-	Devices int
-	// Cycle is the control period; each loop's deadline is one cycle.
-	// 0 means 20 ms.
-	Cycle time.Duration
-	// MsgBytes sizes sensor readings and commands; 0 means 200 B.
-	MsgBytes int
 	// Duration is how long the plant runs.
 	Duration time.Duration
-}
-
-func (cfg *Config) fillDefaults() {
-	if cfg.Devices == 0 {
-		cfg.Devices = 4
-	}
-	if cfg.Cycle == 0 {
-		cfg.Cycle = 20 * time.Millisecond
-	}
-	if cfg.MsgBytes == 0 {
-		cfg.MsgBytes = 200
-	}
-	if cfg.Duration <= 0 {
-		panic("iot: Config.Duration must be positive")
-	}
 }
 
 // reading is one sensor sample on its way to the controller.
@@ -63,7 +52,6 @@ type command struct {
 type Plant struct {
 	loop *sim.Loop
 	conn *transport.Conn
-	cfg  Config
 
 	stream  uint32
 	cycles  int
@@ -84,23 +72,25 @@ type Plant struct {
 // NewPlant builds the device side over conn (an unreliable dial — a
 // stale command is useless, so nothing is retransmitted).
 func NewPlant(loop *sim.Loop, conn *transport.Conn, cfg Config) *Plant {
-	cfg.fillDefaults()
-	p := &Plant{loop: loop, conn: conn, cfg: cfg, stream: conn.NewStream()}
-	p.cycles = int(cfg.Duration / cfg.Cycle)
+	if cfg.Duration <= 0 {
+		panic("iot: Config.Duration must be positive")
+	}
+	p := &Plant{loop: loop, conn: conn, stream: conn.NewStream()}
+	p.cycles = int(cfg.Duration / cycle)
 	// Start ticks at once and then once per cycle while cycles remain,
 	// so a run shorter than one cycle still sends cycle 0.
-	p.readings = make([]reading, max(p.cycles, 1)*cfg.Devices)
+	p.readings = make([]reading, max(p.cycles, 1)*devices)
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) { p.onCommand(m) })
 	return p
 }
 
 // TotalLoops reports how many loops the plant will attempt.
-func (p *Plant) TotalLoops() int { return p.cycles * p.cfg.Devices }
+func (p *Plant) TotalLoops() int { return p.cycles * devices }
 
 // Start begins the cyclic schedule.
 func (p *Plant) Start() {
 	p.tick() // cycle 0 fires immediately
-	p.started = sim.Every(p.loop, p.cfg.Cycle, func() {
+	p.started = sim.Every(p.loop, cycle, func() {
 		if p.cycleNo >= p.cycles {
 			p.started.Stop()
 			return
@@ -112,10 +102,10 @@ func (p *Plant) Start() {
 func (p *Plant) tick() {
 	c := p.cycleNo
 	p.cycleNo++
-	for d := 0; d < p.cfg.Devices; d++ {
-		r := &p.readings[c*p.cfg.Devices+d]
+	for d := 0; d < devices; d++ {
+		r := &p.readings[c*devices+d]
 		*r = reading{device: d, cycle: c, sentAt: p.loop.Now()}
-		p.conn.SendMessage(p.stream, 0, p.cfg.MsgBytes, r)
+		p.conn.SendMessage(p.stream, 0, msgBytes, r)
 	}
 }
 
@@ -125,7 +115,7 @@ func (p *Plant) onCommand(m transport.Message) {
 		panic(fmt.Sprintf("iot: unexpected plant message %T", m.Data))
 	}
 	lat := p.loop.Now() - cmd.sentAt
-	if lat > p.cfg.Cycle {
+	if lat > cycle {
 		p.misses++
 		return
 	}
@@ -137,7 +127,7 @@ func (p *Plant) onCommand(m transport.Message) {
 // deadline (including loops whose command never arrived). Call after
 // the simulation drains.
 func (p *Plant) MissRate() float64 {
-	attempted := p.cycleNo * p.cfg.Devices
+	attempted := p.cycleNo * devices
 	if attempted == 0 {
 		return 0
 	}
@@ -145,12 +135,9 @@ func (p *Plant) MissRate() float64 {
 }
 
 // ServeController installs the controller on the accepted connection:
-// every reading is answered with a command after a fixed compute time.
-func ServeController(loop *sim.Loop, conn *transport.Conn, compute time.Duration, msgBytes int) {
-	if msgBytes == 0 {
-		msgBytes = 200
-	}
-	c := &controller{loop: loop, conn: conn, stream: conn.NewStream(), compute: max(compute, 0), msgBytes: msgBytes}
+// every reading is answered with a command after compute.
+func ServeController(loop *sim.Loop, conn *transport.Conn) {
+	c := &controller{loop: loop, conn: conn, stream: conn.NewStream()}
 	c.replies = sim.NewLane(loop, c.reply)
 	conn.OnMessage(c.onReading)
 }
@@ -159,11 +146,9 @@ func ServeController(loop *sim.Loop, conn *transport.Conn, compute time.Duration
 // constant and a reply is never cancelled, so the replies fire in the
 // order the readings arrived and share one lane.
 type controller struct {
-	loop     *sim.Loop
-	conn     *transport.Conn
-	stream   uint32
-	compute  time.Duration
-	msgBytes int
+	loop   *sim.Loop
+	conn   *transport.Conn
+	stream uint32
 	// cmds holds every command, in reading-arrival order; next indexes
 	// the first not yet sent. Messages carry pointers into it: a slot is
 	// never written again once sent, so a pointer into an array append
@@ -179,11 +164,11 @@ func (c *controller) onReading(_ *transport.Conn, m transport.Message) {
 		return // other flows (e.g. bulk) may share the listener
 	}
 	c.cmds = append(c.cmds, command{device: r.device, cycle: r.cycle, sentAt: r.sentAt})
-	c.replies.Push(c.loop.Now() + c.compute)
+	c.replies.Push(c.loop.Now() + compute)
 }
 
 func (c *controller) reply() {
 	cmd := &c.cmds[c.next]
 	c.next++
-	c.conn.SendMessage(c.stream, 0, c.msgBytes, cmd)
+	c.conn.SendMessage(c.stream, 0, msgBytes, cmd)
 }

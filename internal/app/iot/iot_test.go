@@ -28,13 +28,13 @@ func plantWorld(t *testing.T, seed int64, dur time.Duration, bulk bool,
 	}, func(c *transport.Conn) {
 		// Every accepted conn gets a controller; it ignores non-reading
 		// messages, so the bulk flow coexists harmlessly.
-		ServeController(loop, c, 2*time.Millisecond, 0)
+		ServeController(loop, c)
 	})
 
 	conn := client.Dial(transport.Config{
 		Steer: mkSteer(g, channel.A), Unreliable: true, MsgTimeout: 5 * time.Second,
 	})
-	plant := NewPlant(loop, conn, Config{Duration: dur, Cycle: 60 * time.Millisecond})
+	plant := NewPlant(loop, conn, Config{Duration: dur})
 
 	if bulk {
 		// Contention traffic: a loss-tolerant constant-rate blast

@@ -57,7 +57,7 @@ func (r *refReceiver) onLayer(f, layer int) {
 	}
 	fs.got[layer] = true
 	if layer == 0 {
-		fs.timer = r.loop.After(r.cfg.DecodeWait, func() { r.decode(f) })
+		fs.timer = r.loop.After(decodeWait, func() { r.decode(f) })
 		for _, earlier := range []int{f - 2, f - 1, f} {
 			es := r.frame(earlier)
 			if es == nil || es.decodedL >= 0 || !es.got[0] {

@@ -36,27 +36,24 @@ var LayerBitrates = [Layers]float64{400e3, 4.1e6, 7.5e6}
 // Values chosen to sit in the band Fig. 2 reports.
 var SSIMByLayer = [Layers]float64{0.880, 0.948, 0.976}
 
+// Every stream runs at fps frames a second, and the receiver holds a
+// frame at most decodeWait (the paper's 60 ms) after its layer 0
+// arrives.
+const (
+	fps        = 30
+	decodeWait = 60 * time.Millisecond
+)
+
 // Config parameterizes one video session.
 type Config struct {
-	// FPS is the frame rate; 0 means 30.
-	FPS int
 	// Duration is how long the sender streams.
 	Duration time.Duration
-	// DecodeWait bounds how long the receiver holds a frame after its
-	// layer 0 arrives; 0 means the paper's 60 ms.
-	DecodeWait time.Duration
 	// KeyframeInterval resets the inter-frame SVC dependency every N
 	// frames (a real encoder's periodic keyframes); 0 means 30.
 	KeyframeInterval int
 }
 
 func (cfg *Config) fillDefaults() {
-	if cfg.FPS == 0 {
-		cfg.FPS = 30
-	}
-	if cfg.DecodeWait == 0 {
-		cfg.DecodeWait = 60 * time.Millisecond
-	}
 	if cfg.KeyframeInterval == 0 {
 		cfg.KeyframeInterval = 30
 	}
@@ -68,7 +65,7 @@ func (cfg *Config) fillDefaults() {
 // frameCount is how many frames a stream of the configured duration
 // holds.
 func (cfg *Config) frameCount() int {
-	return int(cfg.Duration / (time.Second / time.Duration(cfg.FPS)))
+	return int(cfg.Duration / (time.Second / fps))
 }
 
 // layerMsg identifies one layer of one frame on the wire.
@@ -101,7 +98,7 @@ func NewSender(loop *sim.Loop, conn *transport.Conn, cfg Config) *Sender {
 	cfg.fillDefaults()
 	s := &Sender{loop: loop, conn: conn, cfg: cfg, stream: conn.NewStream()}
 	for l := range s.sizes {
-		s.sizes[l] = int(LayerBitrates[l] / float64(cfg.FPS) / 8)
+		s.sizes[l] = int(LayerBitrates[l] / fps / 8)
 	}
 	s.frames = cfg.frameCount()
 	return s
@@ -114,7 +111,7 @@ func (s *Sender) FrameCount() int { return s.frames }
 // messages per tick. The ticks fire in frame order, so they share one
 // callback that counts them.
 func (s *Sender) Start() {
-	interval := time.Second / time.Duration(s.cfg.FPS)
+	interval := time.Second / fps
 	s.msgs = make([]layerMsg, s.frames*Layers)
 	s.ticks = sim.NewLane(s.loop, s.sendFrame)
 	for f := 0; f < s.frames; f++ {
@@ -196,12 +193,12 @@ func (r *Receiver) Attach(conn *transport.Conn) {
 	conn.OnMessage(func(_ *transport.Conn, m transport.Message) { r.onMessage(m) })
 }
 
-// deadline is the decode rule's worst-case wait: DecodeWait after layer
+// deadline is the decode rule's worst-case wait: decodeWait after layer
 // 0 arrives, which itself may trail the send by up to two frame
 // intervals before the next-two-frames condition fires. A frame decoded
 // within it is a telemetry "hit"; later, a "miss" (visible freeze).
 func (r *Receiver) deadline() time.Duration {
-	return r.cfg.DecodeWait + 2*time.Second/time.Duration(r.cfg.FPS)
+	return decodeWait + 2*time.Second/fps
 }
 
 func (r *Receiver) onMessage(m transport.Message) {
@@ -222,7 +219,7 @@ func (r *Receiver) onMessage(m transport.Message) {
 		fs.l0At = r.loop.Now()
 		fs.armed = len(r.due)
 		r.due = append(r.due, lm.frame)
-		fs.timer = r.loop.After(r.cfg.DecodeWait, r.decodeFn)
+		fs.timer = r.loop.After(decodeWait, r.decodeFn)
 		// Layer 0 of frames f-1 and f-2 may be waiting on us — and if
 		// our own successors already arrived (reordering), this frame
 		// can decode immediately too.

@@ -300,7 +300,7 @@ func TestKindPriorityTable(t *testing.T) {
 // life of the world. A closed peer should be signalled and the server
 // should release the connection; then the world falls silent.
 func TestServerQuiescesAfterPeerClose(t *testing.T) {
-	t.Skip("known gap: ROADMAP, independent oracles")
+	t.Skip("known gap: ROADMAP item 2, connections end: peer close")
 	for seed := int64(1); seed <= 5; seed++ {
 		e := newEnv(seed)
 		e.serve()

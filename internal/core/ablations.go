@@ -321,7 +321,7 @@ func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost
 	mkPolicy := func(side channel.Side) steering.Policy {
 		base := steering.Policy(steering.NewSingle(w.Group.Get(channel.NameEMBB)))
 		if boost {
-			return steering.NewTailBoost(base, w.Group, side, steering.TailBoostConfig{})
+			return steering.NewTailBoost(base, w.Group, side)
 		}
 		return base
 	}
@@ -385,13 +385,13 @@ func RunTSN(seed int64, dur time.Duration, useTSN bool) TSNResult {
 	w.Server.Listen(func() transport.Config {
 		return transport.Config{CC: cc.NewCubic(), Steer: mkPolicy(channel.B)}
 	}, func(c *transport.Conn) {
-		iot.ServeController(loop, c, 2*time.Millisecond, 0)
+		iot.ServeController(loop, c)
 	})
 
 	conn := w.Client.Dial(transport.Config{
 		Steer: mkPolicy(channel.A), Unreliable: true, MsgTimeout: 5 * time.Second,
 	})
-	plant := iot.NewPlant(loop, conn, iot.Config{Duration: dur, Cycle: 60 * time.Millisecond})
+	plant := iot.NewPlant(loop, conn, iot.Config{Duration: dur})
 
 	blast := w.Client.Dial(transport.Config{Steer: steering.NewSingle(be), Unreliable: true})
 	blastStream := blast.NewStream()

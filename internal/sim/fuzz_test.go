@@ -427,16 +427,14 @@ func FuzzLoopSchedule(f *testing.F) {
 	})
 }
 
-// FuzzWheelVsHeap keeps the name it had when the loop could run on a
-// timing wheel or a heap; with one queue left, it holds the loop's
-// in-place primitives to the plain program on a second loop of the same
-// kind. One loop re-arms with Reset / ResetAt and schedules lane
-// occurrences with Lane.Push; the other runs Stop then After, and one At
-// per occurrence. Where FuzzLoopSchedule checks the loop against an
+// FuzzInPlaceVsPlain holds the loop's in-place primitives to the plain
+// program on a second loop of the same kind. One loop re-arms with
+// Reset / ResetAt and schedules lane occurrences with Lane.Push; the
+// other runs Stop then After, and one At per occurrence. Where FuzzLoopSchedule checks the loop against an
 // independent oracle, this checks that Reset's in-place re-filing and a
 // lane's single queued head are observably nothing more than the
 // operations they replace, on the same heap.
-func FuzzWheelVsHeap(f *testing.F) {
+func FuzzInPlaceVsPlain(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4096 {

@@ -60,7 +60,7 @@ func ExampleCostAware() {
 	fiber, microwave := channel.CISP(loop)
 	group := channel.NewGroup(fiber, microwave)
 	policy := steering.NewCostAware(group, channel.A, loop.Now, steering.CostAwareConfig{
-		Cheap: "fiber", Priced: "cisp", BudgetBytesPerSec: 2000, BurstBytes: 2000,
+		Cheap: "fiber", Priced: "cisp", BudgetBytesPerSec: 2000,
 	})
 	for i := 0; i < 3; i++ {
 		p := &packet.Packet{Kind: packet.Data, Size: 1000}

@@ -131,8 +131,8 @@ func TestCostAwareFailoverOverridesBudget(t *testing.T) {
 
 func TestTailBoostSkipsDeadNarrow(t *testing.T) {
 	_, g := testGroup(t)
-	tb := NewTailBoost(NewSingle(g.Get(channel.NameEMBB)), g, channel.A, TailBoostConfig{})
-	tail := data(1500, 0) // MsgRemaining 0 < default 8 kB: qualifies
+	tb := NewTailBoost(NewSingle(g.Get(channel.NameEMBB)), g, channel.A)
+	tail := data(1500, 0) // MsgRemaining 0 < 8 kB: qualifies
 
 	if got := tb.Pick(tail); got[0].Name() != channel.NameURLLC {
 		t.Fatal("tail segment should be boosted while urllc is up")

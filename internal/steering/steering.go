@@ -177,15 +177,7 @@ type DChannel struct {
 // NewDChannel builds the heuristic over g as seen from side. It panics
 // when the configured channels are missing from the group.
 func NewDChannel(g *channel.Group, side channel.Side, cfg DChannelConfig) *DChannel {
-	if cfg.Wide == "" {
-		cfg.Wide = channel.NameEMBB
-	}
-	if cfg.Narrow == "" {
-		cfg.Narrow = channel.NameURLLC
-	}
-	if cfg.Beta == 0 {
-		cfg.Beta = 1
-	}
+	cfg = cfg.withDefaults()
 	wide, narrow := g.Get(cfg.Wide), g.Get(cfg.Narrow)
 	if wide == nil || narrow == nil {
 		panic(fmt.Sprintf("steering: group lacks %q or %q", cfg.Wide, cfg.Narrow))
@@ -285,14 +277,8 @@ type Priority struct {
 
 // NewPriority builds the policy over g as seen from side.
 func NewPriority(g *channel.Group, side channel.Side, cfg PriorityConfig) *Priority {
-	if cfg.Wide == "" {
-		cfg.Wide = channel.NameEMBB
-	}
-	if cfg.Narrow == "" {
-		cfg.Narrow = channel.NameURLLC
-	}
-	fb := NewDChannel(g, side, DChannelConfig{Wide: cfg.Wide, Narrow: cfg.Narrow, Beta: cfg.Beta})
-	return &Priority{cfg: cfg, fallback: fb, narrow: g.Get(cfg.Narrow), wide: g.Get(cfg.Wide)}
+	fb := NewDChannel(g, side, cfg.fallback())
+	return &Priority{cfg: cfg, fallback: fb, narrow: fb.narrow, wide: fb.wide}
 }
 
 // Name implements Policy.
@@ -389,13 +375,9 @@ type CostAwareConfig struct {
 	Cheap, Priced string
 	// BudgetBytesPerSec refills the spending allowance; the policy
 	// never sends more than this long-run average over the priced
-	// channel. BurstBytes caps accumulated allowance (default: one
-	// second of budget).
+	// channel, and saves up at most one second of it. Any estimated
+	// one-way saving qualifies a packet for the priced channel.
 	BudgetBytesPerSec float64
-	BurstBytes        float64
-	// MinBenefit gates priced use: the estimated one-way saving must
-	// exceed it (default 0: any saving qualifies).
-	MinBenefit time.Duration
 }
 
 // CostAware spends a byte budget on a priced low-latency channel only
@@ -424,12 +406,9 @@ func NewCostAware(g *channel.Group, side channel.Side, now func() time.Duration,
 	if cfg.BudgetBytesPerSec <= 0 {
 		panic("steering: CostAware needs a positive budget")
 	}
-	if cfg.BurstBytes == 0 {
-		cfg.BurstBytes = cfg.BudgetBytesPerSec
-	}
 	return &CostAware{
 		cfg: cfg, side: side, cheap: cheap, priced: priced,
-		now: now, tokens: cfg.BurstBytes,
+		now: now, tokens: cfg.BudgetBytesPerSec,
 	}
 }
 
@@ -469,14 +448,14 @@ func (c *CostAware) Pick(p *packet.Packet) []*channel.Channel {
 	}
 	benefit := c.cheap.Props().BaseRTT/2 + c.cheap.QueueDelay(c.side) -
 		(c.priced.Props().BaseRTT/2 + c.priced.QueueDelay(c.side) + txTime(p.Size, c.priced))
-	if benefit > c.cfg.MinBenefit && c.tokens >= float64(p.Size) {
+	if benefit > 0 && c.tokens >= float64(p.Size) {
 		c.tokens -= float64(p.Size)
 		c.spentBytes += int64(p.Size)
 		c.lastReason = "benefit-in-budget"
 		c.pick = append(c.pick[:0], c.priced)
 		return c.pick
 	}
-	if benefit > c.cfg.MinBenefit {
+	if benefit > 0 {
 		c.lastReason = "budget-exhausted"
 	} else {
 		c.lastReason = "no-benefit"
@@ -491,19 +470,10 @@ func (c *CostAware) refill() {
 		return
 	}
 	c.tokens += (now - c.lastRefill).Seconds() * c.cfg.BudgetBytesPerSec
-	if c.tokens > c.cfg.BurstBytes {
-		c.tokens = c.cfg.BurstBytes
+	if c.tokens > c.cfg.BudgetBytesPerSec {
+		c.tokens = c.cfg.BudgetBytesPerSec
 	}
 	c.lastRefill = now
-}
-
-// TailBoostConfig parameterizes end-of-message acceleration.
-type TailBoostConfig struct {
-	// Narrow names the low-latency channel; defaults to URLLC.
-	Narrow string
-	// TailBytes is how much of each message's tail qualifies for
-	// acceleration; 0 means 8 kB (a handful of packets).
-	TailBytes int
 }
 
 // TailBoost implements §3.2's observation that, because the transport
@@ -511,34 +481,31 @@ type TailBoostConfig struct {
 // message can be selectively sent over a low latency path" to avoid
 // head-of-line blocking on the final bytes: a message is useful only
 // when complete, so its tail is the most latency-critical part. The
-// policy wraps a base policy and diverts qualifying tail segments to
-// the narrow channel whenever that is currently the faster way to
-// deliver them.
+// policy wraps a base policy and diverts segments within tailBytes of
+// their message's end to the URLLC channel whenever that is currently
+// the faster way to deliver them.
 type TailBoost struct {
 	base       Policy
 	side       channel.Side
 	narrow     *channel.Channel
-	tail       int
 	pick       []*channel.Channel
 	lastReason string
 }
 
+// tailBytes is how much of each message's tail qualifies for
+// acceleration: a handful of packets.
+const tailBytes = 8 << 10
+
 // NewTailBoost wraps base over g as seen from side.
-func NewTailBoost(base Policy, g *channel.Group, side channel.Side, cfg TailBoostConfig) *TailBoost {
+func NewTailBoost(base Policy, g *channel.Group, side channel.Side) *TailBoost {
 	if base == nil {
 		panic("steering: NewTailBoost(nil base)")
 	}
-	if cfg.Narrow == "" {
-		cfg.Narrow = channel.NameURLLC
-	}
-	if cfg.TailBytes == 0 {
-		cfg.TailBytes = 8 << 10
-	}
-	narrow := g.Get(cfg.Narrow)
+	narrow := g.Get(channel.NameURLLC)
 	if narrow == nil {
-		panic(fmt.Sprintf("steering: group lacks %q", cfg.Narrow))
+		panic(fmt.Sprintf("steering: group lacks %q", channel.NameURLLC))
 	}
-	return &TailBoost{base: base, side: side, narrow: narrow, tail: cfg.TailBytes}
+	return &TailBoost{base: base, side: side, narrow: narrow}
 }
 
 // Name implements Policy.
@@ -551,7 +518,7 @@ func (t *TailBoost) LastReason() string { return t.lastReason }
 func (t *TailBoost) Pick(p *packet.Packet) []*channel.Channel {
 	chosen := t.base.Pick(p)
 	t.lastReason = Reason(t.base)
-	if p.Kind != packet.Data || p.MsgRemaining >= t.tail || len(chosen) != 1 ||
+	if p.Kind != packet.Data || p.MsgRemaining >= tailBytes || len(chosen) != 1 ||
 		chosen[0] == t.narrow || t.narrow.Down() {
 		return chosen
 	}
@@ -597,15 +564,7 @@ type ObjectMap struct {
 
 // NewObjectMap builds the policy over g as seen from side.
 func NewObjectMap(g *channel.Group, side channel.Side, cfg ObjectMapConfig) *ObjectMap {
-	if cfg.Wide == "" {
-		cfg.Wide = channel.NameEMBB
-	}
-	if cfg.Narrow == "" {
-		cfg.Narrow = channel.NameURLLC
-	}
-	if cfg.SmallBytes == 0 {
-		cfg.SmallBytes = 10 << 10
-	}
+	cfg = cfg.withDefaults()
 	wide, narrow := g.Get(cfg.Wide), g.Get(cfg.Narrow)
 	if wide == nil || narrow == nil {
 		panic(fmt.Sprintf("steering: group lacks %q or %q", cfg.Wide, cfg.Narrow))

@@ -198,7 +198,7 @@ func TestCostAwareSpendsBudgetThenStops(t *testing.T) {
 	g := channel.NewGroup(fiber, mw)
 	ca := NewCostAware(g, channel.A, loop.Now, CostAwareConfig{
 		Cheap: "fiber", Priced: "cisp",
-		BudgetBytesPerSec: 3000, BurstBytes: 3000,
+		BudgetBytesPerSec: 3000,
 	})
 	// First two 1500-byte packets fit the burst; the third does not.
 	for i := 0; i < 2; i++ {
@@ -227,7 +227,7 @@ func TestCostAwareRefillsOverTime(t *testing.T) {
 	g := channel.NewGroup(fiber, mw)
 	ca := NewCostAware(g, channel.A, loop.Now, CostAwareConfig{
 		Cheap: "fiber", Priced: "cisp",
-		BudgetBytesPerSec: 1500, BurstBytes: 1500,
+		BudgetBytesPerSec: 1500,
 	})
 	if got := ca.Pick(data(1500, 0)); got[0].Name() != "cisp" {
 		t.Fatal("first packet should be priced")
@@ -241,24 +241,6 @@ func TestCostAwareRefillsOverTime(t *testing.T) {
 		}
 	})
 	loop.Run()
-}
-
-func TestCostAwareMinBenefitGate(t *testing.T) {
-	loop := sim.NewLoop(1)
-	fiber, mw := channel.CISP(loop)
-	for _, c := range []*channel.Channel{fiber, mw} {
-		c.SetSink(channel.A, func(*packet.Packet) {})
-		c.SetSink(channel.B, func(*packet.Packet) {})
-	}
-	g := channel.NewGroup(fiber, mw)
-	ca := NewCostAware(g, channel.A, loop.Now, CostAwareConfig{
-		Cheap: "fiber", Priced: "cisp",
-		BudgetBytesPerSec: 1e9,
-		MinBenefit:        time.Second, // unreachable
-	})
-	if got := ca.Pick(data(1500, 0)); got[0].Name() != "fiber" {
-		t.Fatal("MinBenefit gate should keep traffic on fiber")
-	}
 }
 
 func TestCostAwarePanics(t *testing.T) {
@@ -298,7 +280,7 @@ func TestCounterTallies(t *testing.T) {
 func TestTailBoostDivertsTailWhenWideIsSlow(t *testing.T) {
 	_, g := testGroup(t)
 	base := NewSingle(g.Get(channel.NameEMBB))
-	tb := NewTailBoost(base, g, channel.A, TailBoostConfig{})
+	tb := NewTailBoost(base, g, channel.A)
 	if tb.Name() != "embb-only+tail" {
 		t.Fatalf("Name = %q", tb.Name())
 	}
@@ -327,7 +309,7 @@ func TestTailBoostRespectsFasterBase(t *testing.T) {
 	// divert.
 	_, g := testGroup(t)
 	base := NewSingle(g.Get(channel.NameEMBB))
-	tb := NewTailBoost(base, g, channel.A, TailBoostConfig{})
+	tb := NewTailBoost(base, g, channel.A)
 	u := g.Get(channel.NameURLLC)
 	for i := 0; i < 10; i++ {
 		u.Send(channel.A, data(1500, 0)) // ~60 ms of URLLC backlog
@@ -342,7 +324,7 @@ func TestTailBoostRespectsFasterBase(t *testing.T) {
 func TestTailBoostLeavesAcksAndReplicasAlone(t *testing.T) {
 	_, g := testGroup(t)
 	red := NewRedundant(g)
-	tb := NewTailBoost(red, g, channel.A, TailBoostConfig{})
+	tb := NewTailBoost(red, g, channel.A)
 	p := data(500, 0)
 	p.MsgRemaining = 0
 	if got := tb.Pick(p); len(got) != 2 {
@@ -350,7 +332,7 @@ func TestTailBoostLeavesAcksAndReplicasAlone(t *testing.T) {
 	}
 	a := ack()
 	base := NewSingle(g.Get(channel.NameEMBB))
-	tb2 := NewTailBoost(base, g, channel.A, TailBoostConfig{})
+	tb2 := NewTailBoost(base, g, channel.A)
 	if got := tb2.Pick(a); got[0].Name() != channel.NameEMBB {
 		t.Fatal("non-data packets must follow the base policy")
 	}
@@ -358,10 +340,10 @@ func TestTailBoostLeavesAcksAndReplicasAlone(t *testing.T) {
 
 func TestTailBoostValidation(t *testing.T) {
 	_, g := testGroup(t)
-	base := NewSingle(g.Get(channel.NameEMBB))
+	fiber, mw := channel.CISP(sim.NewLoop(1))
 	for name, fn := range map[string]func(){
-		"nil base":       func() { NewTailBoost(nil, g, channel.A, TailBoostConfig{}) },
-		"missing narrow": func() { NewTailBoost(base, g, channel.A, TailBoostConfig{Narrow: "nope"}) },
+		"nil base": func() { NewTailBoost(nil, g, channel.A) },
+		"no urllc": func() { NewTailBoost(NewSingle(fiber), channel.NewGroup(fiber, mw), channel.A) },
 	} {
 		func() {
 			defer func() {

@@ -162,12 +162,12 @@ func TestSchedulerFIFOAllocFree(t *testing.T) {
 				m := rec.newMsg(2)
 				m.id, m.prio, m.size = uint64(i), packet.Priority(i%prios), 100
 				s.push(m)
-				ch := s.next(1456, false)
+				ch := s.next(false)
 				// A loss now and then: the chunk goes round the retx queue
 				// before it is done.
 				if i%4 == 0 {
 					s.retx.push(ch)
-					ch = s.next(1456, false)
+					ch = s.next(false)
 				}
 				if ch.frag.msgID != uint64(i) {
 					t.Fatalf("message %d came out as chunk of %d", i, ch.frag.msgID)

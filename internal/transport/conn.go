@@ -39,17 +39,6 @@ type Config struct {
 	// NewCC builds the congestion controller of each subflow of a
 	// Multipath connection; required for those, unused otherwise.
 	NewCC func() cc.Algorithm
-	// MSS is the maximum payload per packet; 0 means packet.MaxPayload.
-	MSS int
-	// AckEvery acknowledges every Nth data packet (plus a delayed-ack
-	// timer); 0 means 2, TCP's default.
-	AckEvery int
-	// MaxAckDelay bounds how long an acknowledgment may be withheld;
-	// 0 means 25 ms.
-	MaxAckDelay time.Duration
-	// MinRTO floors the retransmission timeout; 0 means 400 ms, loose
-	// enough that trace latency spikes do not fire spurious timeouts.
-	MinRTO time.Duration
 	// MsgTimeout expires incomplete unreliable messages; 0 means 2 s.
 	MsgTimeout time.Duration
 	// RxDelay holds every packet arriving for this connection for the
@@ -64,6 +53,16 @@ type Config struct {
 	RxDelay time.Duration
 }
 
+// Every connection acknowledges every ackEvery-th data packet (TCP's
+// default) and the rest within maxAckDelay, and never times out sooner
+// than minRTO, loose enough that trace latency spikes do not fire
+// spurious timeouts. Packets carry up to packet.MaxPayload bytes.
+const (
+	ackEvery    = 2
+	maxAckDelay = 25 * time.Millisecond
+	minRTO      = 400 * time.Millisecond
+)
+
 func (cfg *Config) fillDefaults() {
 	if cfg.Steer == nil && !cfg.Multipath {
 		panic("transport: Config.Steer is required")
@@ -76,21 +75,6 @@ func (cfg *Config) fillDefaults() {
 	}
 	if cfg.Multipath && cfg.Unreliable {
 		panic("transport: Multipath is a reliable-transport mode")
-	}
-	if cfg.MSS == 0 {
-		cfg.MSS = packet.MaxPayload
-	}
-	if cfg.MSS <= 0 || cfg.MSS > packet.MaxPayload {
-		panic(fmt.Sprintf("transport: MSS %d out of range", cfg.MSS))
-	}
-	if cfg.AckEvery == 0 {
-		cfg.AckEvery = 2
-	}
-	if cfg.MaxAckDelay == 0 {
-		cfg.MaxAckDelay = 25 * time.Millisecond
-	}
-	if cfg.MinRTO == 0 {
-		cfg.MinRTO = 400 * time.Millisecond
 	}
 	if cfg.MsgTimeout == 0 {
 		cfg.MsgTimeout = 2 * time.Second

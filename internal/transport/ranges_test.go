@@ -158,7 +158,7 @@ func TestSchedulerPriorityAndFIFO(t *testing.T) {
 	s.push(&message{owner: 2, id: 3, prio: 3, size: 100})
 	var order []uint64
 	for {
-		ch := s.next(1456, false)
+		ch := s.next(false)
 		if ch == nil {
 			break
 		}
@@ -178,7 +178,7 @@ func TestSchedulerChunking(t *testing.T) {
 	var lens []int
 	var lastData any
 	for {
-		ch := s.next(1456, false)
+		ch := s.next(false)
 		if ch == nil {
 			break
 		}
@@ -197,7 +197,7 @@ func TestSchedulerRetxBeforeFresh(t *testing.T) {
 	s := &scheduler{rec: &arena{}, flow: 2}
 	s.push(&message{owner: 2, id: 1, prio: 0, size: 100})
 	s.retx.push(&chunk{owner: 2, frag: fragment{msgID: 99, length: 50}})
-	first := s.next(1456, false)
+	first := s.next(false)
 	if first.frag.msgID != 99 {
 		t.Fatalf("retransmission should go first, got msg %d", first.frag.msgID)
 	}

@@ -191,16 +191,16 @@ func (rm *rcvMsg) expire() {
 }
 
 // scheduleAck decides when to acknowledge: immediately on reordering
-// or when AckEvery packets are pending, otherwise within MaxAckDelay.
+// or when ackEvery packets are pending, otherwise within maxAckDelay.
 func (c *Conn) scheduleAck(p *packet.Packet) {
 	c.ackPending++
 	outOfOrder := p.Seq != c.rcvRanges.max() || len(c.rcvRanges.rs) > 1
-	if outOfOrder || c.ackPending >= c.cfg.AckEvery {
+	if outOfOrder || c.ackPending >= ackEvery {
 		c.sendAck()
 		return
 	}
 	if !c.ackTimer.Active() {
-		c.loop.Reset(&c.ackTimer, c.cfg.MaxAckDelay, c.sendAckFn)
+		c.loop.Reset(&c.ackTimer, maxAckDelay, c.sendAckFn)
 	}
 }
 

@@ -131,8 +131,9 @@ func (s *scheduler) push(m *message) {
 
 func (s *scheduler) empty() bool { return s.retx.len() == 0 && s.queued == 0 }
 
-// next carves the next chunk of at most mss bytes, or nil when idle.
-func (s *scheduler) next(mss int, unreliable bool) *chunk {
+// next carves the next chunk of at most packet.MaxPayload bytes, or nil
+// when idle.
+func (s *scheduler) next(unreliable bool) *chunk {
 	if s.retx.len() > 0 {
 		return s.retx.pop()
 	}
@@ -142,7 +143,7 @@ func (s *scheduler) next(mss int, unreliable bool) *chunk {
 			continue
 		}
 		m := q.front()
-		n := min(m.size-m.offset, mss)
+		n := min(m.size-m.offset, packet.MaxPayload)
 		ch := s.rec.newChunk(s.flow)
 		ch.frag = fragment{
 			stream:     m.stream,
@@ -193,7 +194,7 @@ func (c *Conn) trySend() {
 				return
 			}
 		}
-		ch := c.sched.next(c.cfg.MSS, c.cfg.Unreliable)
+		ch := c.sched.next(c.cfg.Unreliable)
 		if ch == nil {
 			return
 		}
@@ -371,10 +372,10 @@ func (c *Conn) rto() time.Duration {
 	if c.srtt == 0 {
 		d = time.Second
 	} else {
-		d = c.srtt + 4*c.rttvar + c.cfg.MaxAckDelay
+		d = c.srtt + 4*c.rttvar + maxAckDelay
 	}
-	if d < c.cfg.MinRTO {
-		d = c.cfg.MinRTO
+	if d < minRTO {
+		d = minRTO
 	}
 	d <<= c.rtoBackoff
 	if d > 30*time.Second {

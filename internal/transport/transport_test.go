@@ -401,9 +401,8 @@ func TestSendMessagePanicsOnBadSize(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	w := newWorld(14)
 	for name, cfg := range map[string]Config{
-		"nil steer":   {CC: cc.NewCubic()},
-		"nil cc":      {Steer: w.embbOnly()},
-		"mss too big": {CC: cc.NewCubic(), Steer: w.embbOnly(), MSS: packet.MaxPayload + 1},
+		"nil steer": {CC: cc.NewCubic()},
+		"nil cc":    {Steer: w.embbOnly()},
 	} {
 		func() {
 			defer func() {
