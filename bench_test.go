@@ -1,268 +1,43 @@
-// Package hvc_test is the benchmark harness: one benchmark per table
-// and figure in the paper's evaluation, each regenerating its result
-// at paper scale through internal/core and reporting the headline
-// metric via b.ReportMetric. See DESIGN.md §3 for the experiment index
+// Package hvc_test is the benchmark harness: one sub-benchmark per
+// experiment in internal/experiments, each regenerating its table at
+// paper scale and reporting every headline metric the experiment
+// records via b.ReportMetric. See DESIGN.md §3 for the experiment index
 // and EXPERIMENTS.md for paper-vs-measured numbers.
 //
 // Run with:
 //
-//	go test -bench=. -benchmem
+//	go test -run '^$' -bench BenchmarkExperiments -benchmem
 package hvc_test
 
 import (
 	"fmt"
 	"testing"
-	"time"
 
-	"hvc/internal/core"
+	"hvc/internal/experiments"
 	"hvc/internal/sweep"
+	"hvc/internal/telemetry"
 )
 
-const (
-	benchSeed = 1
-	bulkDur   = 60 * time.Second
-	videoDur  = 60 * time.Second
-)
-
-// BenchmarkFig1a regenerates Figure 1a: throughput per CCA under
-// DChannel steering over eMBB(50ms/60Mbps)+URLLC(5ms/2Mbps).
-func BenchmarkFig1a(b *testing.B) {
-	for _, cca := range []string{"cubic", "bbr", "vegas", "vivace"} {
-		b.Run(cca, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := core.RunBulk(core.BulkConfig{
-					Seed: benchSeed, Duration: bulkDur, CC: cca,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Mbps, "Mbps")
-			}
-		})
-	}
-}
-
-// BenchmarkFig1b regenerates Figure 1b: BBR's per-ack RTT series under
-// DChannel steering. The reported metrics summarize the series' spread
-// (the bimodality is the figure's point).
-func BenchmarkFig1b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := core.Fig1b(benchSeed, bulkDur, nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		var min, max float64
-		for _, p := range r.RTT.Points() {
-			if min == 0 || p.Value < min {
-				min = p.Value
-			}
-			if p.Value > max {
-				max = p.Value
-			}
-		}
-		b.ReportMetric(min, "rtt_min_ms")
-		b.ReportMetric(max, "rtt_max_ms")
-		b.ReportMetric(r.Mbps, "Mbps")
-	}
-}
-
-// BenchmarkFig2 regenerates Figure 2: decoded-frame latency and SSIM
-// per steering policy over the two driving traces.
-func BenchmarkFig2(b *testing.B) {
-	for _, tr := range []string{"lowband-driving", "mmwave-driving"} {
-		for _, policy := range []string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyPriority} {
-			b.Run(tr+"/"+policy, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := core.RunVideo(core.VideoConfig{
-						Seed: benchSeed, Duration: videoDur, Trace: tr, Policy: policy,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(r.Latency.Percentile(95), "p95_ms")
-					b.ReportMetric(r.SSIM.Mean(), "ssim")
-					b.ReportMetric(float64(r.Frozen), "frozen")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkTable1 regenerates Table 1: mean web PLT per policy over
-// the stationary and driving traces, 30 pages x 5 loads, background
-// flows running throughout.
-func BenchmarkTable1(b *testing.B) {
-	for _, tr := range []string{"lowband-stationary", "lowband-driving"} {
-		for _, policy := range []string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyDChannelPriority} {
-			b.Run(tr+"/"+policy, func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					r, err := core.RunWeb(core.WebConfig{
-						Seed: benchSeed, Trace: tr, Policy: policy, Pages: 30, Loads: 5,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					b.ReportMetric(r.PLT.Mean(), "plt_ms")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkAblationHVCAwareCC regenerates the §3.2 ablation: each
-// delay-based CCA with the channel-aware RTT filter.
-func BenchmarkAblationHVCAwareCC(b *testing.B) {
-	for _, cca := range []string{"hvc-bbr", "hvc-vegas", "hvc-vivace"} {
-		b.Run(cca, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := core.RunBulk(core.BulkConfig{
-					Seed: benchSeed, Duration: bulkDur, CC: cca,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(r.Mbps, "Mbps")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationMLO regenerates the Wi-Fi MLO redundancy ablation
-// (§2.2/§3.1): message delivery rate with and without replication.
-func BenchmarkAblationMLO(b *testing.B) {
-	for _, mode := range []struct {
-		name      string
-		redundant bool
-	}{{"wifi5-only", false}, {"redundant", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.RunMLO(benchSeed, 2000, 1200, 10*time.Millisecond, mode.redundant)
-				b.ReportMetric(100*r.DeliveryRate, "delivery_pct")
-				b.ReportMetric(r.Latency.Percentile(99), "p99_ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationCost regenerates the latency-vs-cost ablation
-// (§3.1): request latency against the budget on a priced cISP path.
-func BenchmarkAblationCost(b *testing.B) {
-	for _, budget := range []float64{0, 50_000, 5_000_000} {
-		name := "fiber-only"
-		if budget > 0 {
-			name = byteRate(budget)
-		}
+// BenchmarkExperiments runs each experiment (BenchmarkExperiments/<exp>)
+// at FullScale with seed 1. A metric reports as its report name, unit
+// appended: fig1a's cubic/goodput in Mbps is "cubic/goodput_Mbps".
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range experiments.Order() {
 		b.Run(name, func(b *testing.B) {
+			var rep *telemetry.Report
 			for i := 0; i < b.N; i++ {
-				r := core.RunCost(benchSeed, 500, 20*time.Millisecond, budget)
-				b.ReportMetric(r.Latency.Mean(), "mean_ms")
-				b.ReportMetric(r.Dollars, "dollars")
-			}
-		})
-	}
-}
-
-func byteRate(v float64) string {
-	switch {
-	case v >= 1e6:
-		return "budget-" + itoa(int(v/1e6)) + "MBps"
-	case v >= 1e3:
-		return "budget-" + itoa(int(v/1e3)) + "kBps"
-	default:
-		return "budget-" + itoa(int(v)) + "Bps"
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(buf[i:])
-}
-
-// BenchmarkAblationMultipath regenerates the MPTCP-baseline comparison
-// (§1/§3.1): bulk goodput and probe latency per bulk mode.
-func BenchmarkAblationMultipath(b *testing.B) {
-	for _, mode := range []string{"multipath", "dchannel", "priority"} {
-		b.Run(mode, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.RunMultipath(benchSeed, 30*time.Second, mode)
-				b.ReportMetric(r.BulkMbps, "bulk_Mbps")
-				b.ReportMetric(r.Probe.Percentile(50), "probe_p50_ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationBeta regenerates the DChannel β design-choice sweep
-// on the video workload.
-func BenchmarkAblationBeta(b *testing.B) {
-	for _, beta := range []float64{0.5, 1, 4} {
-		b.Run("beta-"+itoa(int(beta*10))+"e-1", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				p := core.RunBetaSweep(benchSeed, 30*time.Second, []float64{beta})[0]
-				b.ReportMetric(p.P95Latency, "p95_ms")
-				b.ReportMetric(100*p.URLLCShare, "urllc_pct")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationTail regenerates the §3.2 tail-acceleration
-// ablation.
-func BenchmarkAblationTail(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		boost bool
-	}{{"embb-only", false}, {"embb+tail", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.RunTailBoost(benchSeed, 500, 60_000, 50*time.Millisecond, mode.boost)
-				b.ReportMetric(r.Latency.Mean(), "mean_ms")
-			}
-		})
-	}
-}
-
-// BenchmarkAblationHAS regenerates the adaptive-streaming comparison:
-// startup delay and rebuffering per policy.
-func BenchmarkAblationHAS(b *testing.B) {
-	for _, policy := range []string{core.PolicyEMBBOnly, core.PolicyObjectMap, core.PolicyDChannel} {
-		b.Run(policy, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r, err := core.RunABR(core.ABRConfig{
-					Seed: benchSeed, Media: 60 * time.Second,
-					Trace: "mmwave-driving", Policy: policy,
-				})
-				if err != nil {
+				rep = telemetry.NewReport(name, 1)
+				e := experiments.Env{Seed: 1, Scale: experiments.FullScale(), Report: rep}
+				if err := experiments.Run(name, e); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(r.StartupDelay.Milliseconds()), "startup_ms")
-				b.ReportMetric(float64(r.RebufferTime.Milliseconds()), "rebuffer_ms")
 			}
-		})
-	}
-}
-
-// BenchmarkAblationTSN regenerates the §2.2 wireless-TSN comparison:
-// control-loop deadline miss rate on contended Wi-Fi.
-func BenchmarkAblationTSN(b *testing.B) {
-	for _, mode := range []struct {
-		name string
-		tsn  bool
-	}{{"best-effort", false}, {"tsn", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r := core.RunTSN(benchSeed, 10*time.Second, mode.tsn)
-				b.ReportMetric(100*r.MissRate, "miss_pct")
-				b.ReportMetric(r.P99Latency, "p99_ms")
+			for _, m := range rep.Metrics {
+				unit := m.Name
+				if m.Unit != "" {
+					unit += "_" + m.Unit
+				}
+				b.ReportMetric(m.Value, unit)
 			}
 		})
 	}

@@ -18,14 +18,16 @@
 //	hvcbench -exp arena        multi-flow CCA contention: shares, Jain, convergence
 //	hvcbench -exp all          everything above
 //
-// The experiment registry itself lives in internal/experiments; this
-// command adds flag parsing, report/trace sinks, and the multi-seed
-// loop. With -seeds N the seeds run in parallel across GOMAXPROCS
-// workers (each simulation is single-threaded and self-contained) and
-// their outputs print in seed order, so the bytes match a serial run;
-// -report/-trace/-events fall back to serial execution because their
-// sinks span runs. For grid sweeps with caching and per-cell
-// statistics, see cmd/hvcsweep.
+// The experiments and their grids live in internal/experiments; this
+// command adds flag parsing, report/trace sinks, and the seed loop.
+// Every experiment runs its seeds through one internal/pool, each into
+// its own buffer, and prints them in seed order (under a "--- seed N
+// ---" header when -seeds is above 1). The seeds run in parallel
+// across GOMAXPROCS workers (each simulation is single-threaded and
+// self-contained) unless -report, -trace or -events is set, whose sinks
+// span runs and so take one worker; the bytes are the same either way.
+// An experiment that fails or panics prints nothing and exits 1. For
+// grid sweeps with caching and per-cell statistics, see cmd/hvcsweep.
 //
 // -report writes a machine-readable JSON run report (schema
 // hvc-run-report/v1: config, seed, headline metrics, counter
@@ -35,9 +37,9 @@
 // deterministic per seed. They and the profile files are created
 // before the first experiment runs; if one cannot be, hvcbench exits 1
 // with nothing on stdout, and a failed run removes them. An unknown
-// -exp, a -seeds below 1, a -fault that does not parse, or a -fault
-// when no selected experiment reads it (only outage does) exits 2
-// before simulating.
+// -exp, a -seeds below 1, a -fault that does not parse or names a
+// channel the outage experiment lacks, or a -fault when no selected
+// experiment reads it (only outage does) exits 2 before simulating.
 //
 // Absolute numbers come from a simulator, not the authors' testbed;
 // the shapes (who wins, by what factor, where crossovers fall) are the
@@ -54,8 +56,8 @@ import (
 	"strings"
 
 	"hvc/internal/cli"
+	"hvc/internal/core"
 	"hvc/internal/experiments"
-	"hvc/internal/fault"
 	"hvc/internal/pool"
 )
 
@@ -87,18 +89,17 @@ func main() {
 	if *seeds < 1 {
 		out.Usage(fmt.Errorf("-seeds must be at least 1, got %d", *seeds))
 	}
+	cfg := experiments.FullScale()
+	if *quick {
+		cfg = experiments.QuickScale()
+	}
 	if *faultF != "" {
 		if !slices.Contains(names, "outage") {
 			out.Usage(fmt.Errorf("-fault is read by -exp outage only, not %s", *exp))
 		}
-		if _, err := fault.ParseSpec(*faultF); err != nil {
+		if _, err := core.OutageFault(*faultF, cfg.VideoDur); err != nil {
 			out.Usage(fmt.Errorf("-fault: %v", err))
 		}
-	}
-
-	cfg := experiments.FullScale()
-	if *quick {
-		cfg = experiments.QuickScale()
 	}
 	e := experiments.Env{Scale: cfg, CDF: *cdf, Out: os.Stdout, Fault: *faultF}
 	e.Tracer, e.Report = out.Telemetry(strings.Join(names, ","), *seed, *report, *traceF, *eventsF)
@@ -113,47 +114,38 @@ func main() {
 		e.Report.SetConfig("fault", *faultF)
 	}
 
-	// The tracer's sinks and the report span runs, so they pin
-	// execution to one goroutine; without them, seeds fan out across
-	// the worker pool and print in seed order — identical bytes,
-	// multi-core wall clock.
-	parallelSeeds := *seeds > 1 && e.Tracer == nil && e.Report == nil
-
+	// Every experiment runs its seeds through one pool, each seed into
+	// its own buffer, and prints them in seed order. The tracer's sinks
+	// and the report span runs, so with either the pool has one worker;
+	// without them seeds fan out across GOMAXPROCS — identical bytes.
+	workers := 0
+	if e.Tracer != nil || e.Report != nil {
+		workers = 1
+	}
 	for _, name := range names {
-		if parallelSeeds {
-			outs, err := pool.Map(*seeds, 0, func(i int) (*bytes.Buffer, error) {
-				env := e
-				env.Seed = *seed + int64(i)
+		outs, err := pool.Map(*seeds, workers, func(i int) (*bytes.Buffer, error) {
+			env := e
+			env.Seed = *seed + int64(i)
+			env.Prefix = name + "/"
+			if *seeds > 1 {
 				env.Prefix = fmt.Sprintf("%s/seed%d/", name, env.Seed)
-				var buf bytes.Buffer
-				env.Out = &buf
-				return &buf, experiments.Run(name, env)
-			})
-			if err != nil {
-				var pe *pool.Error
-				if errors.As(err, &pe) {
-					err = fmt.Errorf("seed %d: %v", *seed+int64(pe.Index), pe.Err)
-				}
-				out.Fail(fmt.Errorf("%s: %v", name, err))
 			}
-			for i, buf := range outs {
-				fmt.Printf("--- seed %d ---\n", *seed+int64(i))
-				os.Stdout.Write(buf.Bytes())
+			var buf bytes.Buffer
+			env.Out = &buf
+			return &buf, experiments.Run(name, env)
+		})
+		if err != nil {
+			var pe *pool.Error
+			if errors.As(err, &pe) {
+				err = fmt.Errorf("seed %d: %w", *seed+int64(pe.Index), pe.Err)
 			}
-			continue
+			out.Fail(fmt.Errorf("%s: %w", name, err))
 		}
-		for s := 0; s < *seeds; s++ {
+		for i, buf := range outs {
 			if *seeds > 1 {
-				fmt.Printf("--- seed %d ---\n", *seed+int64(s))
+				fmt.Printf("--- seed %d ---\n", *seed+int64(i))
 			}
-			e.Seed = *seed + int64(s)
-			e.Prefix = name + "/"
-			if *seeds > 1 {
-				e.Prefix = fmt.Sprintf("%s/seed%d/", name, e.Seed)
-			}
-			if err := experiments.Run(name, e); err != nil {
-				out.Fail(fmt.Errorf("%s: %v", name, err))
-			}
+			os.Stdout.Write(buf.Bytes())
 		}
 	}
 

@@ -23,6 +23,8 @@ func TestExitCodes(t *testing.T) {
 		{Name: "zero seeds", Args: []string{"-exp", "fig1a", "-quick", "-seeds", "0"}, Code: 2},
 		{Name: "bad fault", Args: []string{"-exp", "all", "-quick", "-fault", "bogus=1", "-report", "$DIR/r.json"}, Code: 2,
 			Files: []string{"r.json"}},
+		{Name: "fault on a channel outage lacks", Args: []string{"-exp", "outage", "-quick", "-fault", "outage:ch=wifi5,at=1s,dur=1s",
+			"-report", "$DIR/r.json"}, Code: 2, Files: []string{"r.json"}},
 		{Name: "fault nobody reads", Args: []string{"-exp", "fig1a", "-quick", "-fault", "none", "-events", "$DIR/e.jsonl"}, Code: 2,
 			Files: []string{"e.jsonl"}},
 		{Name: "unwritable report", Args: []string{"-exp", "fig1a", "-quick", "-trace", "$DIR/t.json",

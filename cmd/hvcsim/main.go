@@ -133,16 +133,13 @@ func runBulk(seed int64, dur time.Duration, ccName, policy, traceNm string,
 		Tracer: tracer,
 	}
 	if capture != nil {
-		cfg.CaptureEvery = 100 * time.Millisecond
+		cfg.Capture = capture
 	}
 	r, err := core.RunBulk(cfg)
 	if err != nil {
 		return err
 	}
 	if capture != nil {
-		if err := r.Capture.WriteCSV(capture); err != nil {
-			return err
-		}
 		fmt.Printf("  capture      wrote %s\n", capture.Name())
 	}
 	fmt.Printf("bulk %s/%s over %s for %v\n", ccName, policy, traceNm, dur)

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"hvc/internal/app/iot"
-	"hvc/internal/app/video"
 	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/metrics"
@@ -256,52 +255,36 @@ type BetaPoint struct {
 	URLLCShare float64
 }
 
-// RunBetaSweep evaluates DChannel's cost coefficient β over the video
-// workload — the design-choice ablation DESIGN.md calls out. Small β
-// floods URLLC with enhancement-layer bytes; large β leaves it idle.
-func RunBetaSweep(seed int64, dur time.Duration, betas []float64) []BetaPoint {
-	out := make([]BetaPoint, 0, len(betas))
-	for _, beta := range betas {
-		tr, err := NewTrace("lowband-driving", seed, dur+30*time.Second)
-		if err != nil {
-			panic(err)
-		}
-		w := NewWorld(seed, cellular(tr))
-
-		vcfg := video.Config{Duration: dur}
-		recv := video.NewReceiver(w.Loop, vcfg)
-		w.Server.Listen(func() transport.Config {
-			return transport.Config{
-				Steer:      steering.NewDChannel(w.Group, channel.B, steering.DChannelConfig{Beta: beta}),
-				Unreliable: true,
-				MsgTimeout: 30 * time.Second,
+// RunBeta evaluates DChannel with cost coefficient beta on the Fig. 2
+// video workload (lowband driving) — one point of the design-choice
+// ablation DESIGN.md calls out. Small β floods URLLC with
+// enhancement-layer bytes; large β leaves it idle.
+func RunBeta(seed int64, dur time.Duration, beta float64) BetaPoint {
+	var counter *steering.Counter
+	r, err := runVideo(VideoConfig{Seed: seed, Duration: dur, Trace: "lowband-driving"},
+		func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+			p := steering.NewDChannel(g, side, steering.DChannelConfig{Beta: beta})
+			if side == channel.B {
+				return p, nil
 			}
-		}, func(c *transport.Conn) { recv.Attach(c) })
-
-		counter := steering.NewCounter(steering.NewDChannel(w.Group, channel.A, steering.DChannelConfig{Beta: beta}))
-		conn := w.Client.Dial(transport.Config{
-			Steer:      counter,
-			Unreliable: true,
-			MsgTimeout: 30 * time.Second,
+			counter = steering.NewCounter(p)
+			return counter, nil
 		})
-		snd := video.NewSender(w.Loop, conn, vcfg)
-		snd.Start()
-		w.Run(dur + 20*time.Second)
-
-		counts := counter.Counts()
-		total := counts[channel.NameEMBB] + counts[channel.NameURLLC]
-		share := 0.0
-		if total > 0 {
-			share = float64(counts[channel.NameURLLC]) / float64(total)
-		}
-		out = append(out, BetaPoint{
-			Beta:       beta,
-			P95Latency: recv.Latency.Percentile(95),
-			SSIM:       recv.SSIM.Mean(),
-			URLLCShare: share,
-		})
+	if err != nil {
+		panic(err)
 	}
-	return out
+	counts := counter.Counts()
+	total := counts[channel.NameEMBB] + counts[channel.NameURLLC]
+	share := 0.0
+	if total > 0 {
+		share = float64(counts[channel.NameURLLC]) / float64(total)
+	}
+	return BetaPoint{
+		Beta:       beta,
+		P95Latency: r.Latency.Percentile(95),
+		SSIM:       r.SSIM.Mean(),
+		URLLCShare: share,
+	}
 }
 
 // TailBoostResult reports the §3.2 end-of-message acceleration

@@ -61,20 +61,6 @@ func RunABR(cfg ABRConfig) (ABRResult, error) {
 	return ABRResult{Policy: cfg.Policy, Result: c.Result()}, nil
 }
 
-// ABRComparison runs the three §1-relevant policies over one trace in
-// order: eMBB-only, IANS-style objectmap, DChannel.
-func ABRComparison(seed int64, media time.Duration, traceName string) ([]ABRResult, error) {
-	var out []ABRResult
-	for _, policy := range []string{PolicyEMBBOnly, PolicyObjectMap, PolicyDChannel} {
-		r, err := RunABR(ABRConfig{Seed: seed, Media: media, Trace: traceName, Policy: policy})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // GameConfig parameterizes the cloud-gaming session runner (the
 // workload the paper's introduction motivates).
 type GameConfig struct {

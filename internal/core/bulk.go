@@ -3,10 +3,10 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"io"
 	"slices"
 	"time"
 
-	"hvc/internal/capture"
 	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/fault"
@@ -34,9 +34,10 @@ type BulkConfig struct {
 	// Trace names the eMBB trace (see TraceNames); empty means
 	// "fixed", the paper's 50 ms / 60 Mbps channel.
 	Trace string
-	// CaptureEvery, when positive, attaches a channel sampler at that
-	// cadence; the result's Capture field exposes the recorded series.
-	CaptureEvery time.Duration
+	// Capture, when non-nil, receives per-channel time series sampled
+	// every 100 ms (queue bytes, delivered bytes, drops) as CSV once the
+	// run ends.
+	Capture io.Writer
 	// Tracer receives cross-layer telemetry for the run; nil disables
 	// tracing. The runner binds the run's virtual clock and announces a
 	// run boundary, so one tracer may span several runs.
@@ -64,9 +65,6 @@ type BulkResult struct {
 	// ChannelShare counts data+control packets per channel at the
 	// client.
 	ChannelShare map[string]int
-	// Capture holds per-channel time series when BulkConfig.CaptureEvery
-	// was set; nil otherwise.
-	Capture *capture.Sampler
 }
 
 // RTTChannel reports the channel the data of RTT sample i traveled
@@ -120,8 +118,9 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	}
 
 	res := BulkResult{CC: cfg.CC, Policy: cfg.Policy}
-	if cfg.CaptureEvery > 0 {
-		res.Capture = capture.NewSampler(w.Loop, w.Group, cfg.CaptureEvery)
+	var samples *sampler
+	if cfg.Capture != nil {
+		samples = newSampler(w.Loop, w.Group, captureEvery)
 	}
 
 	var srv *transport.Conn
@@ -140,9 +139,6 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	conn.SendMessage(conn.NewStream(), 0, size, nil)
 
 	w.Run(cfg.Duration)
-	if res.Capture != nil {
-		res.Capture.Stop()
-	}
 
 	if srv != nil {
 		res.Mbps = metrics.Mbps(float64(srv.Stats().BytesReceived) * 8 / cfg.Duration.Seconds())
@@ -150,44 +146,9 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	res.Retransmits = conn.Stats().Retransmits
 	res.RTOs = conn.Stats().RTOs
 	res.ChannelShare = steer.Counts()
+	if samples != nil {
+		samples.stop()
+		return res, samples.writeCSV(cfg.Capture)
+	}
 	return res, nil
-}
-
-// Fig1a runs the four-CCA comparison of Figure 1a and returns results
-// in CCA order: CUBIC, BBR, Vegas, Vivace. tr (optionally nil) traces
-// every run.
-func Fig1a(seed int64, dur time.Duration, tr *telemetry.Tracer) ([]BulkResult, error) {
-	var out []BulkResult
-	for _, name := range []string{"cubic", "bbr", "vegas", "vivace"} {
-		r, err := RunBulk(BulkConfig{Seed: seed, Duration: dur, CC: name, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
-// Fig1b runs the BBR RTT-trace experiment of Figure 1b. tr (optionally
-// nil) traces the run.
-func Fig1b(seed int64, dur time.Duration, tr *telemetry.Tracer) (BulkResult, error) {
-	return RunBulk(BulkConfig{Seed: seed, Duration: dur, CC: "bbr", Tracer: tr})
-}
-
-// AblationHVCAwareCC runs the §3.2 remedy: each delay-sensitive CCA
-// with and without the HVC-aware sample filter, same setup as Fig. 1a.
-func AblationHVCAwareCC(seed int64, dur time.Duration, tr *telemetry.Tracer) (plain, aware []BulkResult, err error) {
-	for _, name := range []string{"bbr", "vegas", "vivace"} {
-		p, err := RunBulk(BulkConfig{Seed: seed, Duration: dur, CC: name, Tracer: tr})
-		if err != nil {
-			return nil, nil, err
-		}
-		a, err := RunBulk(BulkConfig{Seed: seed, Duration: dur, CC: "hvc-" + name, Tracer: tr})
-		if err != nil {
-			return nil, nil, err
-		}
-		plain = append(plain, p)
-		aware = append(aware, a)
-	}
-	return plain, aware, nil
 }

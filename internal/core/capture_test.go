@@ -1,4 +1,4 @@
-package capture
+package core
 
 import (
 	"strings"
@@ -6,13 +6,14 @@ import (
 	"time"
 
 	"hvc/internal/channel"
+	"hvc/internal/metrics"
 	"hvc/internal/packet"
 	"hvc/internal/sim"
 )
 
-// world builds an eMBB+URLLC group with discarding sinks and a driver
-// that can push raw packets.
-func world(seed int64) (*sim.Loop, *channel.Group) {
+// sampledGroup builds an eMBB+URLLC group with discarding sinks, so a
+// test can push raw packets into it.
+func sampledGroup(seed int64) (*sim.Loop, *channel.Group) {
 	loop := sim.NewLoop(seed)
 	e, u := channel.EMBBFixed(loop), channel.URLLC(loop)
 	for _, c := range []*channel.Channel{e, u} {
@@ -22,9 +23,36 @@ func world(seed int64) (*sim.Loop, *channel.Group) {
 	return loop, channel.NewGroup(e, u)
 }
 
+func queueOf(s *sampler, ch string, side channel.Side) *metrics.TimeSeries {
+	return s.queues[sampleKey{ch, side}]
+}
+
+func thruOf(s *sampler, ch string, side channel.Side) *metrics.TimeSeries {
+	return s.thru[sampleKey{ch, side}]
+}
+
+func dropsOf(s *sampler, ch string, side channel.Side) *metrics.TimeSeries {
+	return s.drops[sampleKey{ch, side}]
+}
+
+// meanRateMbps is a channel side's average delivered rate over the
+// whole sampled window; 0 for an unknown channel.
+func meanRateMbps(s *sampler, ch string, side channel.Side) float64 {
+	ts := thruOf(s, ch, side)
+	if ts == nil || ts.N() == 0 {
+		return 0
+	}
+	var bytes float64
+	for _, p := range ts.Points() {
+		bytes += p.Value
+	}
+	span := time.Duration(ts.N()) * s.every
+	return metrics.Mbps(bytes * 8 / span.Seconds())
+}
+
 func TestSamplerRecordsQueueAndThroughput(t *testing.T) {
-	loop, g := world(1)
-	s := NewSampler(loop, g, 10*time.Millisecond)
+	loop, g := sampledGroup(1)
+	s := newSampler(loop, g, 10*time.Millisecond)
 	urllc := g.Get(channel.NameURLLC)
 	// Saturate URLLC's A-side for half a second.
 	for i := 0; i < 100; i++ {
@@ -34,9 +62,9 @@ func TestSamplerRecordsQueueAndThroughput(t *testing.T) {
 		})
 	}
 	loop.RunUntil(time.Second)
-	s.Stop()
+	s.stop()
 
-	q := s.Queue(channel.NameURLLC, channel.A)
+	q := queueOf(s, channel.NameURLLC, channel.A)
 	if q.N() == 0 {
 		t.Fatal("no queue samples")
 	}
@@ -50,23 +78,23 @@ func TestSamplerRecordsQueueAndThroughput(t *testing.T) {
 		t.Fatal("URLLC queue never observed nonempty under saturation")
 	}
 	// ~2 Mbps over the busy window; mean over 1 s window lower but > 0.
-	if rate := s.MeanRateMbps(channel.NameURLLC, channel.A); rate <= 0 || rate > 2.5 {
+	if rate := meanRateMbps(s, channel.NameURLLC, channel.A); rate <= 0 || rate > 2.5 {
 		t.Fatalf("URLLC mean rate %.2f Mbps implausible", rate)
 	}
 	// The idle eMBB side saw nothing.
-	if rate := s.MeanRateMbps(channel.NameEMBB, channel.A); rate != 0 {
+	if rate := meanRateMbps(s, channel.NameEMBB, channel.A); rate != 0 {
 		t.Fatalf("idle eMBB rate %.2f, want 0", rate)
 	}
 }
 
 func TestSamplerStopHaltsSampling(t *testing.T) {
-	loop, g := world(2)
-	s := NewSampler(loop, g, 10*time.Millisecond)
+	loop, g := sampledGroup(2)
+	s := newSampler(loop, g, 10*time.Millisecond)
 	loop.RunUntil(100 * time.Millisecond)
-	s.Stop()
-	n := s.Queue(channel.NameEMBB, channel.A).N()
+	s.stop()
+	n := queueOf(s, channel.NameEMBB, channel.A).N()
 	loop.RunUntil(500 * time.Millisecond)
-	if got := s.Queue(channel.NameEMBB, channel.A).N(); got != n {
+	if got := queueOf(s, channel.NameEMBB, channel.A).N(); got != n {
 		t.Fatalf("sampling continued after Stop: %d -> %d", n, got)
 	}
 	if loop.Pending() != 0 {
@@ -75,17 +103,17 @@ func TestSamplerStopHaltsSampling(t *testing.T) {
 }
 
 func TestSamplerDropsSeries(t *testing.T) {
-	loop, g := world(3)
-	s := NewSampler(loop, g, 10*time.Millisecond)
+	loop, g := sampledGroup(3)
+	s := newSampler(loop, g, 10*time.Millisecond)
 	urllc := g.Get(channel.NameURLLC)
 	// Overwhelm the 64 kB URLLC queue instantly.
 	for i := 0; i < 100; i++ {
 		urllc.Send(channel.A, &packet.Packet{ID: uint64(i), Size: 1400})
 	}
 	loop.RunUntil(200 * time.Millisecond)
-	s.Stop()
+	s.stop()
 	var drops float64
-	for _, p := range s.Drops(channel.NameURLLC, channel.A).Points() {
+	for _, p := range dropsOf(s, channel.NameURLLC, channel.A).Points() {
 		drops += p.Value
 	}
 	if drops == 0 {
@@ -94,12 +122,12 @@ func TestSamplerDropsSeries(t *testing.T) {
 }
 
 func TestSamplerCSV(t *testing.T) {
-	loop, g := world(4)
-	s := NewSampler(loop, g, 50*time.Millisecond)
+	loop, g := sampledGroup(4)
+	s := newSampler(loop, g, 50*time.Millisecond)
 	loop.RunUntil(200 * time.Millisecond)
-	s.Stop()
+	s.stop()
 	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
+	if err := s.writeCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -114,42 +142,42 @@ func TestSamplerCSV(t *testing.T) {
 }
 
 func TestSamplerUnknownChannelNil(t *testing.T) {
-	loop, g := world(5)
-	s := NewSampler(loop, g, 10*time.Millisecond)
-	defer s.Stop()
-	if s.Queue("nope", channel.A) != nil || s.Throughput("nope", channel.B) != nil {
+	loop, g := sampledGroup(5)
+	s := newSampler(loop, g, 10*time.Millisecond)
+	defer s.stop()
+	if queueOf(s, "nope", channel.A) != nil || thruOf(s, "nope", channel.B) != nil {
 		t.Fatal("unknown channel should yield nil series")
 	}
-	if s.MeanRateMbps("nope", channel.A) != 0 {
+	if meanRateMbps(s, "nope", channel.A) != 0 {
 		t.Fatal("unknown channel rate should be 0")
 	}
 }
 
 func TestSamplerValidation(t *testing.T) {
-	loop, g := world(6)
+	loop, g := sampledGroup(6)
 	defer func() {
 		if recover() == nil {
 			t.Error("zero interval should panic")
 		}
 	}()
-	NewSampler(loop, g, 0)
+	newSampler(loop, g, 0)
 }
 
-// TestSamplerCSVGolden pins WriteCSV's exact output for a small
+// TestSamplerCSVGolden pins writeCSV's exact output for a small
 // deterministic scenario: one 1000-byte packet into URLLC's A side at
 // t=0, sampled every 50 ms for 200 ms. Row order is group order
 // (embb, urllc) then side (A, B) then time; any format or ordering
 // change must update this golden.
 func TestSamplerCSVGolden(t *testing.T) {
-	loop, g := world(7)
-	s := NewSampler(loop, g, 50*time.Millisecond)
+	loop, g := sampledGroup(7)
+	s := newSampler(loop, g, 50*time.Millisecond)
 	urllc := g.Get(channel.NameURLLC)
 	loop.At(0, func() { urllc.Send(channel.A, &packet.Packet{ID: 1, Size: 1000}) })
 	loop.RunUntil(200 * time.Millisecond)
-	s.Stop()
+	s.stop()
 
 	var sb strings.Builder
-	if err := s.WriteCSV(&sb); err != nil {
+	if err := s.writeCSV(&sb); err != nil {
 		t.Fatal(err)
 	}
 	const golden = `t_ms,channel,side,queue_bytes,delivered_bytes,drops
@@ -171,6 +199,6 @@ func TestSamplerCSVGolden(t *testing.T) {
 200,urllc,B,0,0,0
 `
 	if got := sb.String(); got != golden {
-		t.Fatalf("WriteCSV output drifted from golden:\ngot:\n%s\nwant:\n%s", got, golden)
+		t.Fatalf("writeCSV output drifted from golden:\ngot:\n%s\nwant:\n%s", got, golden)
 	}
 }

@@ -1,9 +1,11 @@
 // Package core is the library's top-level API: it assembles channel
 // groups for the paper's scenarios, constructs congestion-control
-// algorithms and steering policies by name, and runs the experiments
-// behind every figure and table in the paper (see DESIGN.md §3 for the
-// experiment index). The cmd/hvcbench binary, the examples, and the
-// benchmark suite are all thin wrappers over this package.
+// algorithms and steering policies by name, and runs one scenario per
+// call — a bulk flow, a video session, a set of page loads, one
+// ablation point. It holds no grids: which CCAs, traces, policies and
+// βs make up each figure and table is written once, in
+// internal/experiments, which loops over them (see DESIGN.md §3 for
+// the experiment index).
 package core
 
 import (
@@ -224,7 +226,12 @@ func checkNames(what string, list []string, valid func(string) bool, all func() 
 
 // mustPolicy is NewPolicy for validated names inside runners.
 func mustPolicy(name string, g *channel.Group, side channel.Side) steering.Policy {
-	p, err := NewPolicy(name, g, side)
+	return must(NewPolicy(name, g, side))
+}
+
+// must returns p, panicking on err: runners build policies only from
+// names and configurations they have already validated.
+func must(p steering.Policy, err error) steering.Policy {
 	if err != nil {
 		panic(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -235,12 +236,12 @@ func TestRunnersRejectUnknownNames(t *testing.T) {
 }
 
 func TestFig1aShapeShort(t *testing.T) {
-	results, err := Fig1a(1, 15*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	byName := map[string]float64{}
-	for _, r := range results {
+	for _, name := range []string{"cubic", "bbr", "vegas", "vivace"} {
+		r, err := RunBulk(BulkConfig{Seed: 1, Duration: 15 * time.Second, CC: name})
+		if err != nil {
+			t.Fatal(err)
+		}
 		byName[r.CC] = r.Mbps
 	}
 	// The paper's Figure 1a ordering: CUBIC fills the wide channel;
@@ -260,7 +261,7 @@ func TestFig1aShapeShort(t *testing.T) {
 }
 
 func TestFig1bRTTOscillates(t *testing.T) {
-	r, err := Fig1b(1, 15*time.Second, nil)
+	r, err := RunBulk(BulkConfig{Seed: 1, Duration: 15 * time.Second, CC: "bbr"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,9 +301,17 @@ func TestFig1bRTTOscillates(t *testing.T) {
 }
 
 func TestAblationHVCAwareRecovers(t *testing.T) {
-	plain, aware, err := AblationHVCAwareCC(1, 15*time.Second, nil)
-	if err != nil {
-		t.Fatal(err)
+	var plain, aware []BulkResult
+	for _, name := range []string{"bbr", "vegas", "vivace"} {
+		p, err := RunBulk(BulkConfig{Seed: 1, Duration: 15 * time.Second, CC: name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := RunBulk(BulkConfig{Seed: 1, Duration: 15 * time.Second, CC: "hvc-" + name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, aware = append(plain, p), append(aware, a)
 	}
 	for i := range plain {
 		// The §3.2 claim: channel-aware RTT interpretation recovers
@@ -333,12 +342,13 @@ func TestRunVideoValidation(t *testing.T) {
 }
 
 func TestFig2ShapeShort(t *testing.T) {
-	results, err := Fig2(1, 20*time.Second, "lowband-driving", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 3 {
-		t.Fatalf("want 3 policies, got %d", len(results))
+	var results []VideoResult
+	for _, policy := range []string{PolicyEMBBOnly, PolicyDChannel, PolicyPriority} {
+		r, err := RunVideo(VideoConfig{Seed: 1, Duration: 20 * time.Second, Trace: "lowband-driving", Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
 	embb, dch, prio := results[0], results[1], results[2]
 	for _, r := range results {
@@ -375,9 +385,13 @@ func TestRunWebValidation(t *testing.T) {
 }
 
 func TestTable1ShapeShort(t *testing.T) {
-	results, err := Table1(1, "lowband-stationary", 4, 1, nil)
-	if err != nil {
-		t.Fatal(err)
+	var results []WebResult
+	for _, policy := range []string{PolicyEMBBOnly, PolicyDChannel, PolicyDChannelPriority} {
+		r, err := RunWeb(WebConfig{Seed: 1, Trace: "lowband-stationary", Policy: policy, Pages: 4, Loads: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		results = append(results, r)
 	}
 	embb, dch, prio := results[0], results[1], results[2]
 	if embb.PLT.N() != 4 || dch.PLT.N() != 4 || prio.PLT.N() != 4 {
@@ -481,11 +495,8 @@ func TestRunMultipathUnknownModePanics(t *testing.T) {
 }
 
 func TestRunBetaSweepShape(t *testing.T) {
-	points := RunBetaSweep(1, 15*time.Second, []float64{0.5, 4})
-	if len(points) != 2 {
-		t.Fatalf("want 2 points, got %d", len(points))
-	}
-	aggressive, shy := points[0], points[1]
+	aggressive, shy := RunBeta(1, 15*time.Second, 0.5), RunBeta(1, 15*time.Second, 4)
+	points := []BetaPoint{aggressive, shy}
 	// A lower cost coefficient must spend more of URLLC.
 	if aggressive.URLLCShare <= shy.URLLCShare {
 		t.Errorf("β=0.5 URLLC share %.3f should exceed β=4's %.3f",
@@ -535,22 +546,28 @@ func TestObjectMapWebBetweenBaselines(t *testing.T) {
 }
 
 func TestRunBulkCapture(t *testing.T) {
-	r, err := RunBulk(BulkConfig{
-		Seed: 1, Duration: 3 * time.Second, CC: "cubic",
-		CaptureEvery: 100 * time.Millisecond,
-	})
-	if err != nil {
+	var csv strings.Builder
+	if _, err := RunBulk(BulkConfig{Seed: 1, Duration: 3 * time.Second, CC: "cubic", Capture: &csv}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Capture == nil {
-		t.Fatal("Capture not attached")
+	// Bulk data flows client→server, i.e. on the link leaving side A:
+	// sum its delivered_bytes column.
+	var n int
+	var bytes float64
+	for _, row := range strings.Split(csv.String(), "\n") {
+		f := strings.Split(row, ",")
+		if len(f) == 6 && f[1] == channel.NameEMBB && f[2] == channel.A.String() {
+			v, err := strconv.ParseFloat(f[4], 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, bytes = n+1, bytes+v
+		}
 	}
-	// Bulk data flows client→server, i.e. on the link leaving side A.
-	ts := r.Capture.Throughput(channel.NameEMBB, channel.A)
-	if ts == nil || ts.N() < 20 {
-		t.Fatalf("capture recorded %v samples", ts)
+	if n < 20 {
+		t.Fatalf("capture recorded %d samples", n)
 	}
-	if rate := r.Capture.MeanRateMbps(channel.NameEMBB, channel.A); rate < 10 {
+	if rate := bytes * 8 / (float64(n) * captureEvery.Seconds()) / 1e6; rate < 10 {
 		t.Fatalf("captured eMBB rate %.1f Mbps implausibly low for cubic", rate)
 	}
 }
@@ -568,11 +585,15 @@ func TestRunABRValidation(t *testing.T) {
 }
 
 func TestABRComparisonShape(t *testing.T) {
-	rs, err := ABRComparison(1, 30*time.Second, "mmwave-driving")
-	if err != nil {
-		t.Fatal(err)
+	var rs []ABRResult
+	for _, policy := range []string{PolicyEMBBOnly, PolicyObjectMap, PolicyDChannel} {
+		r, err := RunABR(ABRConfig{Seed: 1, Media: 30 * time.Second, Trace: "mmwave-driving", Policy: policy})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs = append(rs, r)
 	}
-	embb, _, dch := rs[0], rs[1], rs[2]
+	embb, dch := rs[0], rs[2]
 	for _, r := range rs {
 		if r.Played < 29*time.Second {
 			t.Errorf("%s played only %v", r.Policy, r.Played)

@@ -10,7 +10,6 @@ import (
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/sim"
-	"hvc/internal/steering"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
 )
@@ -71,6 +70,28 @@ func (r OutageResult) DeliveryRate() float64 {
 	return float64(r.Delivered) / float64(r.Sent)
 }
 
+// OutageFault is the scenario RunOutage injects for scenario, written
+// in the internal/fault grammar, over a run of dur: empty or "none"
+// selects the default schedule, two eMBB blackouts scaled to dur
+// (fault.Default). A scenario that names a channel other than eMBB and
+// URLLC, the outage world's two, is an error.
+func OutageFault(scenario string, dur time.Duration) (fault.Spec, error) {
+	spec, err := fault.ParseSpec(scenario)
+	if err != nil {
+		return fault.Spec{}, err
+	}
+	if spec.Empty() {
+		return fault.Default(channel.NameEMBB, dur), nil
+	}
+	for _, ev := range spec.Events {
+		if ev.Channel != channel.NameEMBB && ev.Channel != channel.NameURLLC {
+			return fault.Spec{}, fmt.Errorf("fault names channel %q; the outage experiment runs %s+%s",
+				ev.Channel, channel.NameEMBB, channel.NameURLLC)
+		}
+	}
+	return spec, nil
+}
+
 // RunOutage executes the reliability experiment: ~30 frames/s of
 // 1200-byte unreliable messages from client to server over the fixed
 // eMBB channel plus URLLC, with cfg.Fault injected. Frames ride the
@@ -83,12 +104,9 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 	if !ValidPolicy(cfg.Policy) {
 		return OutageResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	spec, err := fault.ParseSpec(cfg.Fault)
+	spec, err := OutageFault(cfg.Fault, cfg.Duration)
 	if err != nil {
 		return OutageResult{}, err
-	}
-	if spec.Empty() {
-		spec = fault.Default(channel.NameEMBB, cfg.Duration)
 	}
 
 	w := NewWorld(cfg.Seed, cellular(fixedEMBB()))
@@ -118,8 +136,7 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 		})
 	})
 
-	steer := steering.NewCounter(mustPolicy(cfg.Policy, w.Group, channel.A))
-	tc := transport.Config{Steer: steer, Unreliable: true}
+	tc := transport.Config{Steer: mustPolicy(cfg.Policy, w.Group, channel.A), Unreliable: true}
 	if cfg.Reliable {
 		tc.CC, tc.Unreliable = cc.NewCubic(), false
 	}

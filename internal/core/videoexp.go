@@ -8,6 +8,7 @@ import (
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/metrics"
+	"hvc/internal/steering"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
 )
@@ -46,15 +47,23 @@ type VideoResult struct {
 // RunVideo executes one video session and drains the network before
 // reporting, so late frames (the eMBB-only latency tail) are counted.
 func RunVideo(cfg VideoConfig) (VideoResult, error) {
+	p, ok := lookup(policyTable, cfg.Policy)
+	if !ok {
+		return VideoResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
+	}
+	return runVideo(cfg, p.build)
+}
+
+// runVideo is RunVideo with the policy constructor for both sides
+// given as newPolicy instead of named by cfg.Policy, which only labels
+// the run.
+func runVideo(cfg VideoConfig, newPolicy func(*channel.Group, channel.Side) (steering.Policy, error)) (VideoResult, error) {
 	if cfg.Duration <= 0 {
 		return VideoResult{}, fmt.Errorf("core: video duration must be positive")
 	}
 	tr, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Duration+30*time.Second)
 	if err != nil {
 		return VideoResult{}, err
-	}
-	if !ValidPolicy(cfg.Policy) {
-		return VideoResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
 	spec, err := fault.ParseSpec(cfg.Fault)
 	if err != nil {
@@ -71,14 +80,14 @@ func RunVideo(cfg VideoConfig) (VideoResult, error) {
 	recv.SetTracer(cfg.Tracer)
 	w.Server.Listen(func() transport.Config {
 		return transport.Config{
-			Steer:      mustPolicy(cfg.Policy, w.Group, channel.B),
+			Steer:      must(newPolicy(w.Group, channel.B)),
 			Unreliable: true,
 			MsgTimeout: 30 * time.Second,
 		}
 	}, func(c *transport.Conn) { recv.Attach(c) })
 
 	conn := w.Client.Dial(transport.Config{
-		Steer:      mustPolicy(cfg.Policy, w.Group, channel.A),
+		Steer:      must(newPolicy(w.Group, channel.A)),
 		Unreliable: true,
 		MsgTimeout: 30 * time.Second,
 	})
@@ -98,19 +107,4 @@ func RunVideo(cfg VideoConfig) (VideoResult, error) {
 		Decoded: recv.Decoded,
 		Frozen:  recv.Frozen(snd.FrameCount()),
 	}, nil
-}
-
-// Fig2 runs the three steering policies over one trace and returns
-// them in the paper's order: eMBB-only, DChannel, priority. tr
-// (optionally nil) traces every run.
-func Fig2(seed int64, dur time.Duration, traceName string, tr *telemetry.Tracer) ([]VideoResult, error) {
-	var out []VideoResult
-	for _, policy := range []string{PolicyEMBBOnly, PolicyDChannel, PolicyPriority} {
-		r, err := RunVideo(VideoConfig{Seed: seed, Duration: dur, Trace: traceName, Policy: policy, Tracer: tr})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
 }

@@ -140,21 +140,3 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 	res.MeanPLT = time.Duration(res.PLT.Mean() * float64(time.Millisecond))
 	return res, nil
 }
-
-// Table1 runs the three policies over one trace in the paper's column
-// order: eMBB-only, DChannel, DChannel with priority. tr (optionally
-// nil) traces every run.
-func Table1(seed int64, traceName string, pages, loads int, tr *telemetry.Tracer) ([]WebResult, error) {
-	var out []WebResult
-	for _, policy := range []string{PolicyEMBBOnly, PolicyDChannel, PolicyDChannelPriority} {
-		r, err := RunWeb(WebConfig{
-			Seed: seed, Trace: traceName, Policy: policy,
-			Pages: pages, Loads: loads, Tracer: tr,
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -1,10 +1,12 @@
 // Package experiments is the registry of the paper's named
 // experiments — every table, figure, and ablation cmd/hvcbench can
-// run. Each runner renders its human-readable table to Env.Out and
-// records headline metrics into Env.Report, so the same registry
-// serves the CLI, the parallel seed sweep, and the cross-package
-// determinism suite: a runner's byte output is a pure function of
-// (name, seed, scale).
+// run — and the one place each experiment's grid (its CCAs, traces,
+// policies, βs) is written. A runner loops over its grid calling
+// internal/core's single-run runners, renders its human-readable table
+// to Env.Out and records headline metrics into Env.Report, so the same
+// registry serves the CLI's seed loop, BenchmarkExperiments, and the
+// cross-package determinism suite: a runner's byte output is a pure
+// function of (name, seed, scale).
 package experiments
 
 import (
@@ -67,6 +69,29 @@ func lookup(name string) func(Env) error {
 // Valid reports whether name is a registered experiment.
 func Valid(name string) bool { return lookup(name) != nil }
 
+// The paper's grids, each written here once: a runner loops over its
+// grid in order, which is also the row (or column) order of its table.
+var (
+	// fig1aCCAs are Fig. 1a's congestion controls; the §3.2 ablation
+	// wraps the delay-based ones, all but CUBIC.
+	fig1aCCAs     = []string{"cubic", "bbr", "vegas", "vivace"}
+	delayBasedCCs = fig1aCCAs[1:]
+
+	fig2Traces   = []string{"lowband-driving", "mmwave-driving"}
+	fig2Policies = []string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyPriority}
+
+	table1Traces   = []string{"lowband-stationary", "lowband-driving"}
+	table1Policies = []string{core.PolicyEMBBOnly, core.PolicyDChannel, core.PolicyDChannelPriority}
+
+	// iansPolicies compare object-granularity steering (IANS) with
+	// both baselines, for web (ablation-ians) and HAS (ablation-has).
+	iansPolicies = []string{core.PolicyEMBBOnly, core.PolicyObjectMap, core.PolicyDChannel}
+
+	// betas are the DChannel reward/cost coefficients ablation-beta
+	// sweeps.
+	betas = []float64{0.25, 0.5, 1, 2, 4, 8}
+)
+
 // Scale sizes the experiments that have adjustable corpora or
 // durations.
 type Scale struct {
@@ -128,11 +153,11 @@ func Run(name string, e Env) error {
 func fig1a(e Env) error {
 	fmt.Fprintf(e.Out, "== Figure 1a: CCA throughput with DChannel steering (eMBB 50ms/60Mbps + URLLC 5ms/2Mbps, %v) ==\n", e.Scale.BulkDur)
 	fmt.Fprintf(e.Out, "%-8s %12s %12s %8s\n", "cca", "mbps", "retransmits", "rtos")
-	results, err := core.Fig1a(e.Seed, e.Scale.BulkDur, e.Tracer)
-	if err != nil {
-		return err
-	}
-	for _, r := range results {
+	for _, name := range fig1aCCAs {
+		r, err := core.RunBulk(core.BulkConfig{Seed: e.Seed, Duration: e.Scale.BulkDur, CC: name, Tracer: e.Tracer})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(e.Out, "%-8s %12.2f %12d %8d\n", r.CC, r.Mbps, r.Retransmits, r.RTOs)
 		e.metric(r.CC+"/goodput", r.Mbps, "Mbps")
 		e.metric(r.CC+"/retransmits", float64(r.Retransmits), "")
@@ -143,7 +168,7 @@ func fig1a(e Env) error {
 
 func fig1b(e Env) error {
 	fmt.Fprintf(e.Out, "== Figure 1b: BBR packet RTTs under DChannel steering (%v) ==\n", e.Scale.BulkDur)
-	r, err := core.Fig1b(e.Seed, e.Scale.BulkDur, e.Tracer)
+	r, err := core.RunBulk(core.BulkConfig{Seed: e.Seed, Duration: e.Scale.BulkDur, CC: "bbr", Tracer: e.Tracer})
 	if err != nil {
 		return err
 	}
@@ -166,11 +191,17 @@ func fig1b(e Env) error {
 }
 
 func fig2(e Env) error {
-	for _, tr := range []string{"lowband-driving", "mmwave-driving"} {
+	for _, tr := range fig2Traces {
 		fmt.Fprintf(e.Out, "== Figure 2: real-time SVC video over %s + URLLC (%v) ==\n", tr, e.Scale.VideoDur)
-		results, err := core.Fig2(e.Seed, e.Scale.VideoDur, tr, e.Tracer)
-		if err != nil {
-			return err
+		var results []core.VideoResult
+		for _, policy := range fig2Policies {
+			r, err := core.RunVideo(core.VideoConfig{
+				Seed: e.Seed, Duration: e.Scale.VideoDur, Trace: tr, Policy: policy, Tracer: e.Tracer,
+			})
+			if err != nil {
+				return err
+			}
+			results = append(results, r)
 		}
 		fmt.Fprintf(e.Out, "%-20s %9s %9s %9s %9s %8s %7s\n",
 			"policy", "p50_ms", "p95_ms", "p99_ms", "max_ms", "ssim", "frozen")
@@ -201,15 +232,19 @@ func fig2(e Env) error {
 func table1(e Env) error {
 	fmt.Fprintf(e.Out, "== Table 1: web PLT (ms) with background traffic (%d pages x %d loads) ==\n", e.Scale.Pages, e.Scale.Loads)
 	fmt.Fprintf(e.Out, "%-22s %14s %20s %24s\n", "trace", "embb-only", "dchannel", "dchannel+priority")
-	for _, tr := range []string{"lowband-stationary", "lowband-driving"} {
-		results, err := core.Table1(e.Seed, tr, e.Scale.Pages, e.Scale.Loads, e.Tracer)
-		if err != nil {
-			return err
-		}
-		base := results[0].PLT.Mean()
-		cells := make([]string, len(results))
-		for i, r := range results {
+	for _, tr := range table1Traces {
+		var base float64
+		cells := make([]string, len(table1Policies))
+		for i, policy := range table1Policies {
+			r, err := core.RunWeb(core.WebConfig{
+				Seed: e.Seed, Trace: tr, Policy: policy,
+				Pages: e.Scale.Pages, Loads: e.Scale.Loads, Tracer: e.Tracer,
+			})
+			if err != nil {
+				return err
+			}
 			if i == 0 {
+				base = r.PLT.Mean()
 				cells[i] = fmt.Sprintf("%.1f", r.PLT.Mean())
 			} else {
 				cells[i] = fmt.Sprintf("%.1f (%.1f%%)", r.PLT.Mean(), 100*(1-r.PLT.Mean()/base))
@@ -225,16 +260,19 @@ func table1(e Env) error {
 
 func ablationCC(e Env) error {
 	fmt.Fprintf(e.Out, "== Ablation (§3.2): HVC-aware congestion control (%v) ==\n", e.Scale.BulkDur)
-	plain, aware, err := core.AblationHVCAwareCC(e.Seed, e.Scale.BulkDur, e.Tracer)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(e.Out, "%-8s %14s %14s %10s\n", "cca", "plain_mbps", "hvc_mbps", "speedup")
-	for i := range plain {
-		fmt.Fprintf(e.Out, "%-8s %14.2f %14.2f %9.1fx\n",
-			plain[i].CC, plain[i].Mbps, aware[i].Mbps, aware[i].Mbps/plain[i].Mbps)
-		e.metric(plain[i].CC+"/plain_goodput", plain[i].Mbps, "Mbps")
-		e.metric(plain[i].CC+"/hvc_goodput", aware[i].Mbps, "Mbps")
+	for _, name := range delayBasedCCs {
+		plain, err := core.RunBulk(core.BulkConfig{Seed: e.Seed, Duration: e.Scale.BulkDur, CC: name, Tracer: e.Tracer})
+		if err != nil {
+			return err
+		}
+		aware, err := core.RunBulk(core.BulkConfig{Seed: e.Seed, Duration: e.Scale.BulkDur, CC: "hvc-" + name, Tracer: e.Tracer})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(e.Out, "%-8s %14.2f %14.2f %9.1fx\n", name, plain.Mbps, aware.Mbps, aware.Mbps/plain.Mbps)
+		e.metric(name+"/plain_goodput", plain.Mbps, "Mbps")
+		e.metric(name+"/hvc_goodput", aware.Mbps, "Mbps")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -279,7 +317,8 @@ func ablationMultipath(e Env) error {
 func ablationBeta(e Env) error {
 	fmt.Fprintln(e.Out, "== Ablation (design choice): DChannel reward/cost β on SVC video (lowband-driving, 30s) ==")
 	fmt.Fprintf(e.Out, "%-8s %12s %10s %14s\n", "beta", "p95_ms", "ssim", "urllc_share")
-	for _, p := range core.RunBetaSweep(e.Seed, 30*time.Second, []float64{0.25, 0.5, 1, 2, 4, 8}) {
+	for _, beta := range betas {
+		p := core.RunBeta(e.Seed, 30*time.Second, beta)
 		fmt.Fprintf(e.Out, "%-8.2f %12.0f %10.3f %13.1f%%\n", p.Beta, p.P95Latency, p.SSIM, 100*p.URLLCShare)
 	}
 	fmt.Fprintln(e.Out)
@@ -301,7 +340,7 @@ func ablationTail(e Env) error {
 func ablationIANS(e Env) error {
 	fmt.Fprintf(e.Out, "== Ablation (§1 baseline): object-granularity (IANS) vs packet steering, web PLT (%d pages x %d loads) ==\n", e.Scale.Pages, e.Scale.Loads)
 	fmt.Fprintf(e.Out, "%-14s %12s %12s\n", "policy", "mean_plt_ms", "p95_plt_ms")
-	for _, policy := range []string{core.PolicyEMBBOnly, core.PolicyObjectMap, core.PolicyDChannel} {
+	for _, policy := range iansPolicies {
 		r, err := core.RunWeb(core.WebConfig{
 			Seed: e.Seed, Trace: "lowband-stationary", Policy: policy,
 			Pages: e.Scale.Pages, Loads: e.Scale.Loads, Tracer: e.Tracer,
@@ -318,11 +357,11 @@ func ablationIANS(e Env) error {
 func ablationHAS(e Env) error {
 	fmt.Fprintln(e.Out, "== Ablation (§1 IANS-for-HAS): adaptive streaming over mmwave-driving + URLLC, 60s media ==")
 	fmt.Fprintf(e.Out, "%-12s %10s %12s %10s %10s %10s\n", "policy", "startup", "rebuffer", "events", "mean_mbps", "switches")
-	rs, err := core.ABRComparison(e.Seed, 60*time.Second, "mmwave-driving")
-	if err != nil {
-		return err
-	}
-	for _, r := range rs {
+	for _, policy := range iansPolicies {
+		r, err := core.RunABR(core.ABRConfig{Seed: e.Seed, Media: 60 * time.Second, Trace: "mmwave-driving", Policy: policy})
+		if err != nil {
+			return err
+		}
 		fmt.Fprintf(e.Out, "%-12s %10v %12v %10d %10.2f %10d\n",
 			r.Policy, r.StartupDelay.Round(time.Millisecond),
 			r.RebufferTime.Round(time.Millisecond), r.RebufferEvents,

@@ -21,9 +21,7 @@ import (
 	"time"
 
 	"hvc/internal/arena"
-	"hvc/internal/channel"
 	"hvc/internal/core"
-	"hvc/internal/fault"
 	"hvc/internal/spec"
 )
 
@@ -221,18 +219,9 @@ func (s *Spec) defaultAndValidate(present map[string]bool) error {
 		// Canonicalize the scenario (or materialize the default blackout
 		// schedule) so String and the cache key name the exact faults the
 		// jobs will run.
-		fs, err := fault.ParseSpec(s.Fault)
+		fs, err := core.OutageFault(s.Fault, s.Dur)
 		if err != nil {
 			return fmt.Errorf("sweep: %w", err)
-		}
-		if fs.Empty() {
-			fs = fault.Default(channel.NameEMBB, s.Dur)
-		}
-		for _, ev := range fs.Events {
-			if ev.Channel != channel.NameEMBB && ev.Channel != channel.NameURLLC {
-				return fmt.Errorf("sweep: fault names channel %q; exp=outage runs %s+%s",
-					ev.Channel, channel.NameEMBB, channel.NameURLLC)
-			}
 		}
 		s.Fault = fs.String()
 	}
