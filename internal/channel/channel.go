@@ -241,6 +241,10 @@ type Group struct {
 	byName    map[string]*Channel
 	pool      packet.Pool
 	upWaiters []func()
+	// rings is the array Retire lists the links' rings in: the one the
+	// group's rings arrived in (Adopt), kept so handing on allocates
+	// nothing.
+	rings []netem.Rings
 }
 
 // NewGroup collects channels into a group, preserving order. Duplicate
@@ -305,6 +309,38 @@ func (g *Group) Packets() int {
 		n += c.toA.Packets() + c.toB.Packets()
 	}
 	return n
+}
+
+// A Spare holds the rings a retired group's links handed on, in link
+// order: each channel's B→A link, then its A→B link.
+type Spare struct{ links []netem.Rings }
+
+// Retire ends the group with its world (netem.Link.Retire): every
+// packet on its links goes back to the group's pool, and the links'
+// rings go into the spare returned. The array the spare lists them in
+// is the one the group adopted with its own rings, if any.
+func (g *Group) Retire() Spare {
+	links := g.rings[:0]
+	for _, c := range g.channels {
+		links = append(links, c.toA.Retire(), c.toB.Retire())
+	}
+	g.rings = nil
+	return Spare{links}
+}
+
+// Adopt gives the group's idle links, in order, the rings a retired
+// group handed on (Retire), and empties s. A ring with no link of the
+// same place is dropped.
+func (g *Group) Adopt(s *Spare) {
+	for i, c := range g.channels {
+		if 2*i+1 < len(s.links) {
+			c.toA.Adopt(&s.links[2*i])
+			c.toB.Adopt(&s.links[2*i+1])
+		}
+	}
+	clear(s.links)
+	g.rings = s.links[:0]
+	*s = Spare{}
 }
 
 // Get returns the named channel, or nil when absent.

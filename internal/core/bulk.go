@@ -147,7 +147,6 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	res.RTOs = conn.Stats().RTOs
 	res.ChannelShare = steer.Counts()
 	if samples != nil {
-		samples.stop()
 		return res, samples.writeCSV(cfg.Capture)
 	}
 	return res, nil

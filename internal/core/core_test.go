@@ -762,6 +762,20 @@ func BenchmarkVideoSession(b *testing.B) {
 	}
 }
 
+// BenchmarkBulkSession is one short deep-window world: a CUBIC flow
+// under DChannel steering for three simulated seconds, from world
+// construction to the hand-off of its full window.
+func BenchmarkBulkSession(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunBulk(BulkConfig{
+			Seed: 1, Duration: 3 * time.Second, CC: "cubic", Policy: PolicyDChannel,
+		}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkWebSession is one short web world: three pages loaded once,
 // with the background flows, from world construction to the last load.
 func BenchmarkWebSession(b *testing.B) {

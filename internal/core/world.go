@@ -22,9 +22,9 @@ type World struct {
 	Client, Server *transport.Endpoint
 }
 
-// NewWorld builds a world seeded with seed over channels(loop). Its
-// endpoints adopt the free lists of a world that finished before it
-// (transport.Adopt; Run retires them again).
+// NewWorld builds a world seeded with seed over channels(loop). It
+// adopts what a world that finished before it handed on — free lists,
+// loop and link arrays (transport.Adopt; Run retires them again).
 func NewWorld(seed int64, channels func(*sim.Loop) *channel.Group) *World {
 	loop := sim.NewLoop(seed)
 	g := channels(loop)
@@ -54,8 +54,12 @@ func (w *World) Observe(tr *telemetry.Tracer, spec fault.Spec, format string, ar
 }
 
 // Run advances the world to until, audits the packet ledger
-// (transport.CheckLedger), and hands the world's free lists on to the
-// next world built in the process (transport.Retire).
+// (transport.CheckLedger), and hands everything the world grew — its
+// free lists, the records and packets still in use, its loop's and
+// links' arrays — to the next world built in the process
+// (transport.Retire). The world is inert afterwards: its connections
+// are closed and its loop runs and schedules nothing, but every
+// counter a runner reads keeps its value.
 func (w *World) Run(until time.Duration) {
 	w.Loop.RunUntil(until)
 	transport.CheckLedger(w.Client, w.Server)

@@ -58,44 +58,3 @@ func TestRetiredListsReleaseTheirWorld(t *testing.T) {
 	}
 	runtime.KeepAlive(next)
 }
-
-// A short session after the first runs on the lists the sessions before
-// it retired: its packets, payload boxes and transport records are
-// adopted, not allocated. Measured: 198 objects per 2 s video session
-// and ~1 150 per three-page web session, where a world that grows its
-// lists from empty makes 567 and 4 922. The bounds leave room above the
-// first pair and fail well below the second.
-func TestWarmWorldAllocs(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are meaningless under -race")
-	}
-	for _, c := range []struct {
-		name  string
-		bound float64
-		run   func() error
-	}{
-		{"video", 260, func() error {
-			_, err := RunVideo(VideoConfig{Seed: 1, Duration: 2 * time.Second,
-				Trace: "lowband-driving", Policy: PolicyDChannel})
-			return err
-		}},
-		{"web", 2500, func() error {
-			_, err := RunWeb(WebConfig{Seed: 1, Trace: "lowband-driving",
-				Policy: PolicyDChannel, Pages: 3, Loads: 1})
-			return err
-		}},
-	} {
-		if err := c.run(); err != nil { // the warm-up: a predecessor
-			t.Fatal(err)
-		}
-		allocs := testing.AllocsPerRun(10, func() {
-			if err := c.run(); err != nil {
-				t.Fatal(err)
-			}
-		})
-		t.Logf("%s: %.0f objects per warm session", c.name, allocs)
-		if allocs > c.bound {
-			t.Errorf("%s: %.0f objects per warm session, want <= %.0f", c.name, allocs, c.bound)
-		}
-	}
-}

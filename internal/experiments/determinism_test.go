@@ -22,17 +22,17 @@ func tinyScale() Scale {
 	}
 }
 
-// capture runs one experiment and returns its rendered table plus its
-// hvc-run-report/v1 bundle, both as bytes. Every invocation builds a
-// fresh Report and Registry so nothing leaks between runs.
-func capture(t *testing.T, name string, seed int64) (stdout, report []byte) {
+// capture runs one experiment at scale and returns its rendered table
+// plus its hvc-run-report/v1 bundle, both as bytes. Every invocation
+// builds a fresh Report and Registry so nothing leaks between runs.
+func capture(t *testing.T, name string, seed int64, scale Scale) (stdout, report []byte) {
 	t.Helper()
 	var out bytes.Buffer
 	rep := telemetry.NewReport(name, seed)
 	tracer := telemetry.New()
 	e := Env{
 		Seed:   seed,
-		Scale:  tinyScale(),
+		Scale:  scale,
 		Tracer: tracer,
 		Report: rep,
 		Prefix: name + "/",
@@ -69,8 +69,8 @@ func TestDeterminismMatrix(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range []int64{1, 42} {
-				out1, rep1 := capture(t, name, seed)
-				out2, rep2 := capture(t, name, seed)
+				out1, rep1 := capture(t, name, seed, tinyScale())
+				out2, rep2 := capture(t, name, seed, tinyScale())
 				if !bytes.Equal(out1, out2) {
 					t.Errorf("seed %d: rendered output differs between identical runs\n--- run 1 ---\n%s\n--- run 2 ---\n%s", seed, out1, out2)
 				}
@@ -103,8 +103,8 @@ func TestDeterminismMatrix(t *testing.T) {
 // above would pass trivially on a runner that ignores its RNG.
 func TestSeedsActuallyMatter(t *testing.T) {
 	t.Parallel()
-	_, rep1 := capture(t, "fig2", 1)
-	_, rep2 := capture(t, "fig2", 2)
+	_, rep1 := capture(t, "fig2", 1, tinyScale())
+	_, rep2 := capture(t, "fig2", 2, tinyScale())
 	// Reports embed the seed, so strip the seed line before comparing;
 	// the metric values themselves must differ somewhere.
 	if bytes.Equal(rep1, rep2) {

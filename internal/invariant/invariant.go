@@ -32,7 +32,9 @@
 // The package also hosts the seeded-bug switches (SetBug): deliberate,
 // named reintroductions of once-fixed bugs that let the chaos-soak
 // harness prove, end to end, that its detection and shrinking
-// machinery actually works. Production code never sets them.
+// machinery actually works; and the fresh-record switch (SetFresh),
+// which turns every free list off so a test can prove that recycling
+// never shows in a result. Production code never sets them.
 package invariant
 
 import "fmt"
@@ -120,6 +122,22 @@ func SetBug(b Bug, on bool) {
 		bugs &^= b
 	}
 }
+
+// fresh is the fresh-record switch. Like bugs, it is written only
+// before a run starts.
+var fresh bool
+
+// Fresh reports whether the free lists are bypassed: with it on, every
+// free-list get allocates and every put or retire drops — the packet
+// pool, the transport arena and its window arrays, the spare a finished
+// world hands on, and the loop and link arrays handed with it. A run
+// must print the same bytes either way, since where a record came from
+// must never show in a result. Compiled out, it is constant false.
+func Fresh() bool { return Compiled && fresh }
+
+// SetFresh switches the free lists off or back on. Call it only between
+// runs; production code never sets it.
+func SetFresh(on bool) { fresh = on }
 
 // ParseBug resolves a seeded bug's CLI name ("dup-deliver").
 func ParseBug(name string) (Bug, error) {

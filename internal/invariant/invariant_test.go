@@ -64,6 +64,17 @@ func TestBugSwitches(t *testing.T) {
 	}
 }
 
+func TestFreshSwitch(t *testing.T) {
+	defer SetFresh(false)
+	if Fresh() {
+		t.Fatal("fresh records by default")
+	}
+	SetFresh(true)
+	if Fresh() != Compiled {
+		t.Fatalf("Fresh() = %v after SetFresh(true), want %v", Fresh(), Compiled)
+	}
+}
+
 func TestParseBug(t *testing.T) {
 	b, err := ParseBug("dup-deliver")
 	if err != nil || b != BugDupDeliver {

@@ -308,6 +308,45 @@ func (l *Link) LossFnInstalled() bool { return l.lossFn != nil }
 // wires each link of a group to the group's packet pool.
 func (l *Link) SetPool(pl *packet.Pool) { l.pool = pl }
 
+// Rings are the arrays a retired link hands on (Retire): its send
+// queue's and its in-flight ring's, every slot zero.
+type Rings struct {
+	queue    []*packet.Packet
+	inflight []arrival
+}
+
+// Retire ends the link with its world: every packet it holds — queued,
+// in serialization or propagating — goes back to the pool SetPool
+// named, and the link, empty and idle, drops its two rings and hands
+// them on. Stats keep their values. Call it once the link's loop has
+// stopped for good: a later Send reaches that loop, which fails.
+func (l *Link) Retire() Rings {
+	for l.queue.len() > 0 {
+		l.free(l.queue.pop())
+	}
+	for l.inflight.len() > 0 {
+		l.free(l.inflight.pop().p)
+	}
+	r := Rings{l.queue.buf, l.inflight.buf}
+	l.queue, l.inflight = ring[*packet.Packet]{}, ring[arrival]{}
+	l.queuedBytes, l.busy = 0, false
+	return r
+}
+
+// Adopt gives an idle link the rings a retired one handed on (Retire).
+func (l *Link) Adopt(r *Rings) {
+	l.queue.adopt(r.queue)
+	l.inflight.adopt(r.inflight)
+	*r = Rings{}
+}
+
+// free hands a packet the link is done with to its pool, if it has one.
+func (l *Link) free(p *packet.Packet) {
+	if l.pool != nil {
+		l.pool.Put(p)
+	}
+}
+
 // Packets reports how many packets the link holds: queued (the one in
 // serialization included) or propagating.
 func (l *Link) Packets() int { return l.queue.len() + l.inflight.len() }
@@ -419,9 +458,7 @@ func (l *Link) finishTx() {
 			})
 			l.tracer.Count("netem_dropped_total", 1, "channel", l.cfg.Name, "reason", reason)
 		}
-		if l.pool != nil {
-			l.pool.Put(p)
-		}
+		l.free(p)
 		l.kick()
 		return
 	}

@@ -1,6 +1,7 @@
 package netem_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,5 +84,64 @@ func TestDroppedPacketsReturnToPool(t *testing.T) {
 	}
 	if len(back)+len(delivered) != len(sent) {
 		t.Errorf("%d pooled + %d delivered != %d sent", len(back), len(delivered), len(sent))
+	}
+}
+
+// A retired group gives back every packet its links still hold —
+// queued, in serialization, propagating — and hands their rings, in
+// link order, to the group that adopts them, which then carries the
+// same backlog allocating nothing; its counters keep their values.
+func TestRetiredGroupReturnsPacketsAndRings(t *testing.T) {
+	loop := sim.NewLoop(7)
+	g := channel.NewGroup(channel.EMBBFixed(loop), channel.URLLC(loop))
+	for _, ch := range g.All() {
+		ch.SetSink(channel.A, func(p *packet.Packet) { g.Pool().Put(p) })
+		ch.SetSink(channel.B, func(p *packet.Packet) { g.Pool().Put(p) })
+	}
+	// burst offers 300 packets to each channel's B→A link, handing back
+	// the ones refused at entry.
+	burst := func(g *channel.Group, get func() *packet.Packet, refused func(*packet.Packet)) {
+		for i := 0; i < 300; i++ {
+			for _, ch := range g.All() {
+				p := get()
+				p.Size = 1500
+				if !ch.Send(channel.B, p) {
+					refused(p)
+				}
+			}
+		}
+	}
+	burst(g, g.Pool().Get, g.Pool().Put)
+	loop.RunUntil(30 * time.Millisecond)
+	held, stats := g.Packets(), g.Get(channel.NameEMBB).Stats(channel.B)
+	if held == 0 || g.Pool().Live() != held {
+		t.Fatalf("%d packets on the links, %d out of the pool: want all of them on the links", held, g.Pool().Live())
+	}
+	arrays := loop.Retire()
+	s := g.Retire()
+	if g.Packets() != 0 || g.Pool().Live() != 0 {
+		t.Errorf("the retired group holds %d packets, %d out of its pool", g.Packets(), g.Pool().Live())
+	}
+	if g.Get(channel.NameEMBB).Stats(channel.B) != stats {
+		t.Error("retiring changed the link counters")
+	}
+
+	loop2 := sim.NewLoop(8)
+	next := channel.NewGroup(channel.EMBBFixed(loop2), channel.URLLC(loop2))
+	loop2.Adopt(&arrays)
+	next.Adopt(&s)
+	got := 0
+	for _, ch := range next.All() {
+		ch.SetSink(channel.A, func(*packet.Packet) { got++ })
+	}
+	pkts := make([]packet.Packet, 600)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	burst(next, func() *packet.Packet { p := &pkts[0]; pkts = pkts[1:]; return p }, func(*packet.Packet) {})
+	loop2.RunUntil(30 * time.Millisecond)
+	runtime.ReadMemStats(&after)
+	if got == 0 || after.Mallocs != before.Mallocs {
+		t.Errorf("the adopting group delivered %d packets and allocated %d objects; want some and none",
+			got, after.Mallocs-before.Mallocs)
 	}
 }

@@ -36,6 +36,14 @@ func (r *ring[T]) pop() T {
 	return v
 }
 
+// adopt takes buf, a retired ring's buffer, every slot zero, in place
+// of an empty ring's missing one; a ring that has a buffer keeps it.
+func (r *ring[T]) adopt(buf []T) {
+	if r.buf == nil {
+		r.buf = buf
+	}
+}
+
 // grow doubles a full ring, unwrapping it to the start of the new
 // buffer.
 func (r *ring[T]) grow() {

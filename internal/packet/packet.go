@@ -150,7 +150,8 @@ func (g *IDGen) Next() uint64 {
 // The free lists outlive their simulation: Retire moves them into a
 // spare pool that a later simulation's pool can Adopt. Since every
 // borrower overwrites what it relies on, which simulation grew a packet
-// is never observable.
+// is never observable. With fresh records on (invariant.Fresh), Put and
+// PutBox drop what they are given, so every Get allocates.
 //
 // The pool keeps the books its world is held to: Live counts the
 // packets handed out and not yet returned, which the packet ledger
@@ -204,8 +205,20 @@ func (pl *Pool) Retire(scrub func(box any)) (spare Pool) {
 }
 
 // Adopt takes a spare pool's free packets and parked boxes (see Retire)
-// onto the pool's own lists.
-func (pl *Pool) Adopt(spare *Pool) {
+// onto the pool's own lists. With invariant checking on it first passes
+// every payload on them to check, which must fail if the box still
+// holds something of its simulation.
+func (pl *Pool) Adopt(spare *Pool, check func(box any)) {
+	if invariant.Enabled() {
+		for _, p := range spare.free {
+			check(p.Payload)
+		}
+		for _, b := range spare.boxes {
+			for _, box := range b {
+				check(box)
+			}
+		}
+	}
 	pl.free = append(spare.free, pl.free...)
 	for k, b := range spare.boxes {
 		pl.boxes[k] = append(b, pl.boxes[k]...)
@@ -222,7 +235,9 @@ func (pl *Pool) Put(p *Packet) {
 	}
 	p.pooled = true
 	pl.live--
-	pl.free = append(pl.free, p)
+	if !invariant.Fresh() {
+		pl.free = append(pl.free, p)
+	}
 }
 
 // Live reports how many packets Get has handed out that Put has not
@@ -231,7 +246,11 @@ func (pl *Pool) Live() int { return pl.live }
 
 // PutBox parks a payload box detached from a pooled packet, filed
 // under the kind of packet it serves.
-func (pl *Pool) PutBox(k Kind, box any) { pl.boxes[k] = append(pl.boxes[k], box) }
+func (pl *Pool) PutBox(k Kind, box any) {
+	if !invariant.Fresh() {
+		pl.boxes[k] = append(pl.boxes[k], box)
+	}
+}
 
 // GetBox returns a parked payload box for packets of kind k, or nil
 // when there is none. Its contents are stale; callers overwrite.

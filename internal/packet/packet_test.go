@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"unsafe"
+
+	"hvc/internal/invariant"
 )
 
 // The pool's mark sits in padding: a Packet is as large as it was
@@ -105,8 +107,11 @@ func TestPoolBoxesPerKind(t *testing.T) {
 }
 
 // Retire moves only the free lists and shows scrub every payload on
-// them once; Adopt puts the lists under another pool.
+// them once; Adopt, with checking on, shows check every payload once
+// and puts the lists under another pool.
 func TestPoolRetireAdopt(t *testing.T) {
+	defer invariant.SetEnabled(invariant.Enabled())
+	invariant.SetEnabled(true)
 	var pl Pool
 	out, a, b := pl.Get(), pl.Get(), pl.Get()
 	a.Payload, b.Payload = "a-box", nil
@@ -124,7 +129,11 @@ func TestPoolRetireAdopt(t *testing.T) {
 	pl.Put(out)
 
 	var next Pool
-	next.Adopt(&spare)
+	checked := 0
+	next.Adopt(&spare, func(any) { checked++ })
+	if invariant.Compiled && checked != 3 {
+		t.Fatalf("Adopt checked %d payloads, want 3", checked)
+	}
 	if p, q := next.Get(), next.Get(); p != b || q != a || next.GetBox(Ack) != "parked" {
 		t.Fatal("Adopt did not hand over the retired packets and box")
 	}

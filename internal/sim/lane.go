@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"time"
+
+	"hvc/internal/invariant"
 )
 
 // A Lane is a FIFO of scheduled occurrences of one callback: a link's
@@ -18,8 +20,10 @@ import (
 //
 // A Lane is a value meant to be embedded in its owner, which must
 // outlive its occurrences and must not be copied once Push has been
-// called (the queue points at the lane). Occurrences cannot be
-// cancelled. Create one with NewLane.
+// called (the queue points at the lane, and so does the loop once the
+// lane has a ring). Occurrences cannot be cancelled. Create one with
+// NewLane. Loop.Retire empties every lane of its loop and takes the
+// lane's ring.
 type Lane struct {
 	loop *Loop
 	fn   func()
@@ -56,6 +60,9 @@ func (ln *Lane) Len() int { return ln.n }
 // panics if at precedes the lane's previous occurrence, or — like At —
 // the clock.
 func (ln *Lane) Push(at time.Duration) {
+	if invariant.Enabled() && ln.loop.retired {
+		panic(errRetired)
+	}
 	if at < ln.last {
 		panic(fmt.Sprintf("sim: lane occurrence at %v pushed after one at %v", at, ln.last))
 	}
@@ -95,10 +102,20 @@ func (ln *Lane) pop(sl *eventSlot) bool {
 }
 
 // grow doubles a full ring, unwrapping it to the start of the new
-// buffer.
+// buffer. Rings are the loop's: the new one is a spare when the loop
+// has one big enough (Loop.ring), the outgrown one becomes a spare, and
+// the loop lists the lane on its first ring, so that Retire can hand
+// every ring on.
 func (ln *Lane) grow() {
-	buf := make([]laneKey, max(2*len(ln.buf), 32))
+	l := ln.loop
+	buf := l.ring(max(2*len(ln.buf), 32))
 	n := copy(buf, ln.buf[ln.head:])
 	copy(buf[n:], ln.buf[:ln.head])
+	switch {
+	case ln.buf == nil:
+		l.lanes = append(l.lanes, ln)
+	case !invariant.Fresh():
+		l.rings = append(l.rings, ln.buf)
+	}
 	ln.buf, ln.head = buf, 0
 }

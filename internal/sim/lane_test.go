@@ -275,3 +275,84 @@ func TestLanePushPanics(t *testing.T) {
 		t.Fatalf("refused pushes left Len=%d Pending=%d", ln.Len(), l.Pending())
 	}
 }
+
+// retireSchedule drives l through timers, a re-armed timer and a lane
+// deep enough to grow a ring, logging what fires.
+func retireSchedule(l *Loop, log *[]string) *Lane {
+	note := func(what string) func() {
+		return func() { *log = append(*log, fmt.Sprintf("%s@%v", what, l.Now())) }
+	}
+	ln := new(Lane)
+	*ln = NewLane(l, note("lane"))
+	for i := 0; i < 100; i++ {
+		ln.Push(time.Duration(i) * time.Millisecond)
+		l.After(time.Duration(i)*time.Millisecond+time.Microsecond, note("timer"))
+	}
+	tm := l.After(5*time.Millisecond, note("old"))
+	l.Reset(&tm, 50*time.Millisecond, note("reset"))
+	return ln
+}
+
+// A retired loop hands its queue, slot table and lane rings to the loop
+// that adopts them, which runs exactly as a new one would and grows
+// nothing the retired one had grown; the retired loop itself, and its
+// lanes, are empty and fail sim/retired-loop if run or scheduled on.
+func TestRetireHandsOnArrays(t *testing.T) {
+	old := NewLoop(1)
+	var ignored []string
+	oldLane := retireSchedule(old, &ignored)
+	old.RunUntil(30 * time.Millisecond)
+	ring, slots := &oldLane.buf[0], cap(old.slots)
+	s := old.Retire()
+	if oldLane.Len() != 0 || oldLane.buf != nil || old.heap != nil || old.slots != nil {
+		t.Fatal("the retired loop or its lane kept its arrays")
+	}
+	if old.Now() != 30*time.Millisecond || old.Events() == 0 {
+		t.Error("retiring changed the clock or the event count")
+	}
+	for name, call := range map[string]func(){
+		"After":    func() { old.After(time.Millisecond, func() {}) },
+		"RunUntil": func() { old.RunUntil(time.Second) },
+		"Step":     func() { old.Step() },
+		"Push":     func() { oldLane.Push(time.Second) },
+	} {
+		func() {
+			defer func() {
+				if v, ok := recover().(*invariant.Violation); !ok || v.Name != "retired-loop" {
+					t.Errorf("%s on a retired loop: got %v, want sim/retired-loop", name, v)
+				}
+			}()
+			call()
+		}()
+	}
+
+	adopted, fresh := NewLoop(2), NewLoop(2)
+	adopted.Adopt(&s)
+	// The lane's ring and the two it outgrew on the way (32 and 64 keys).
+	if cap(adopted.slots) != slots || len(adopted.rings) != 3 || s.slots != nil {
+		t.Fatalf("adopted %d slots and %d rings, want %d and 3, and an empty spare", cap(adopted.slots), len(adopted.rings), slots)
+	}
+	var got, want []string
+	lane := retireSchedule(adopted, &got)
+	retireSchedule(fresh, &want)
+	if &lane.buf[0] != ring {
+		t.Error("the adopting loop's lane did not end on the retired lane's ring")
+	}
+	adopted.Run()
+	fresh.Run()
+	if !slices.Equal(got, want) {
+		t.Errorf("a loop on retired arrays ran differently:\n%v\nwant\n%v", got, want)
+	}
+}
+
+// With fresh records on, a retired loop hands nothing on.
+func TestRetireFreshDropsArrays(t *testing.T) {
+	invariant.SetFresh(true)
+	defer invariant.SetFresh(false)
+	l := NewLoop(1)
+	var ignored []string
+	retireSchedule(l, &ignored)
+	if s := l.Retire(); s.heap != nil || s.slots != nil || s.rings != nil {
+		t.Error("a retired loop handed arrays on with fresh records on")
+	}
+}

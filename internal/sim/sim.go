@@ -97,6 +97,12 @@ type Loop struct {
 	// events counts callbacks actually run (cancelled pops excluded):
 	// the denominator of every events-per-simulated-second measurement.
 	events uint64
+	// lanes lists the loop's lanes that hold a ring, and rings the spare
+	// ones: what lanes outgrew, and what a retired loop handed on.
+	lanes []*Lane
+	rings [][]laneKey
+	// retired marks a loop whose arrays went to a later one (Retire).
+	retired bool
 }
 
 // NewLoop returns a Loop whose clock reads zero and whose Seed is seed.
@@ -175,6 +181,9 @@ func (t *Timer) Active() bool {
 // the past (before Now) panics: it would silently reorder causality,
 // which is always a bug in the caller.
 func (l *Loop) At(at time.Duration, fn func()) Timer {
+	if invariant.Enabled() && l.retired {
+		panic(errRetired)
+	}
 	if fn == nil {
 		panic("sim: At called with nil callback")
 	}
@@ -231,6 +240,9 @@ func (l *Loop) Reset(t *Timer, d time.Duration, fn func()) {
 // goroutine — only replaced; with invariant checking on it fails
 // sim/foreign-timer.
 func (l *Loop) ResetAt(t *Timer, at time.Duration, fn func()) {
+	if invariant.Enabled() && l.retired {
+		panic(errRetired)
+	}
 	switch {
 	case t.loop == l:
 		if t.slot != 0 && fn != nil && at >= l.now {
@@ -261,9 +273,19 @@ func (l *Loop) ResetAt(t *Timer, at time.Duration, fn func()) {
 var errForeignTimer = &invariant.Violation{Layer: "sim", Name: "foreign-timer",
 	Detail: "a timer issued by another loop was reset on this one"}
 
+// errRetired is the fixed violation of a call that would run or
+// schedule an event on a retired loop.
+var errRetired = &invariant.Violation{Layer: "sim", Name: "retired-loop",
+	Detail: "a retired loop was asked to run or schedule an event"}
+
 // Step runs the single earliest pending event and reports whether one
 // existed. Cancelled events are discarded without running.
-func (l *Loop) Step() bool { return l.step(math.MaxInt64) }
+func (l *Loop) Step() bool {
+	if invariant.Enabled() && l.retired {
+		panic(errRetired)
+	}
+	return l.step(math.MaxInt64)
+}
 
 // step runs the earliest pending event if it is due at or before limit.
 // Entries that surface dead are discarded and entries that surface
@@ -329,6 +351,9 @@ func (l *Loop) Run() {
 // advances the clock to deadline. Events scheduled beyond the deadline
 // remain queued.
 func (l *Loop) RunUntil(deadline time.Duration) {
+	if invariant.Enabled() && l.retired {
+		panic(errRetired)
+	}
 	l.stopped = false
 	for !l.stopped && l.step(deadline) {
 	}
@@ -447,6 +472,76 @@ func (l *Loop) auditCounts(a *queueAudit) {
 // Stop makes the innermost Run or RunUntil return after the current
 // callback completes. The queue is preserved, so the loop can resume.
 func (l *Loop) Stop() { l.stopped = true }
+
+// A Spare holds the arrays a retired loop grew — its event queue, its
+// slot table, and its lanes' rings — for a later loop to Adopt.
+type Spare struct {
+	heap  []heapEntry
+	slots []eventSlot
+	lanes []*Lane // empty; kept for its array
+	rings [][]laneKey
+}
+
+// Retire ends the loop for good and hands on its arrays, emptied: the
+// queue, the slot table (every callback dropped), and the ring of every
+// lane on it, which is left empty. What is still scheduled never runs.
+// The clock, Seed and Events keep their values; running or scheduling
+// anything on the loop afterwards fails sim/retired-loop with checking
+// on, and an old Timer handle no longer finds its slot. With fresh
+// records on (invariant.Fresh), the arrays are dropped instead.
+func (l *Loop) Retire() Spare {
+	for _, ln := range l.lanes {
+		if ln.buf != nil { // nil: its owner has put a new lane in its place
+			l.rings = append(l.rings, ln.buf)
+		}
+		ln.buf, ln.head, ln.n = nil, 0, 0
+	}
+	for i := range l.slots {
+		if ln := l.slots[i].lane; ln != nil {
+			ln.n = 0 // a lane's head, the lane without a ring
+		}
+	}
+	clear(l.slots)
+	clear(l.lanes)
+	s := Spare{heap: l.heap[:0], slots: l.slots[:0], lanes: l.lanes[:0], rings: l.rings}
+	l.heap, l.slots, l.lanes, l.rings = nil, nil, nil, nil
+	l.freeHead, l.retired = 0, true
+	if invariant.Fresh() {
+		return Spare{}
+	}
+	return s
+}
+
+// Adopt takes a retired loop's arrays (see Retire) in place of the
+// loop's own, keeping whatever the loop has already scheduled, and
+// empties s.
+func (l *Loop) Adopt(s *Spare) {
+	l.heap = append(s.heap, l.heap...)
+	l.slots = append(s.slots, l.slots...)
+	l.lanes = append(s.lanes, l.lanes...)
+	l.rings = append(s.rings, l.rings...)
+	*s = Spare{}
+}
+
+// ring lends a lane a ring of at least n keys, n a power of two: the
+// smallest spare one that holds n, or a fresh one of exactly n.
+func (l *Loop) ring(n int) []laneKey {
+	best := -1
+	for i, r := range l.rings {
+		if len(r) >= n && (best < 0 || len(r) < len(l.rings[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return make([]laneKey, n)
+	}
+	r := l.rings[best]
+	last := len(l.rings) - 1
+	l.rings[best] = l.rings[last]
+	l.rings[last] = nil
+	l.rings = l.rings[:last]
+	return r
+}
 
 // freeSlot recycles a slot onto the free list, bumping its generation
 // so outstanding Timer handles go stale.

@@ -475,67 +475,102 @@ func TestCloseLeavesNothingBehind(t *testing.T) {
 	}
 }
 
-// Retire hands a finished world's free lists to the next world built:
-// a free fragment box forgets its message and a free reassembly record
-// its loop's timer; Adopt lends the next world's
-// endpoints, by side, what the first one's grew.
-func TestRetireHandsOnFreeListsOnly(t *testing.T) {
+// Retire hands everything a finished world grew to the next world
+// built, what was still in use when its clock stopped included: a bulk
+// flow's full window, the packets on its links and on hold, and an
+// unreliable flow's half-reassembled messages all come back to the pool
+// and the arenas, stripped of their world — a fragment box forgets its
+// message, a reassembly record its loop's timer, a hold its connection.
+// Adopt lends the next world's endpoints, by side, what the first one's
+// grew, and its loop and links the arrays.
+func TestRetireHandsOnWhatTheWorldHeld(t *testing.T) {
 	spares.Store(nil) // whatever earlier tests retired
 	w := newWorld(1)
 	w.server.Listen(func() Config {
-		return Config{Steer: w.embbOnly(), Unreliable: true, MsgTimeout: time.Second}
+		return Config{CC: cc.NewCubic(), Steer: w.embbOnly(), RxDelay: 20 * time.Millisecond}
 	}, func(*Conn) {})
 	msg := &[64]byte{}
-	c := w.client.Dial(Config{Steer: w.embbOnly(), Unreliable: true})
-	for i := 0; i < 5; i++ {
-		c.SendMessage(0, 0, 3*packet.MaxPayload, msg)
+	bulk := w.client.Dial(Config{CC: cc.NewCubic(), Steer: w.embbOnly(), RxDelay: 20 * time.Millisecond})
+	bulk.SendMessage(0, 0, 1<<24, msg)
+	// Late media on the narrow URLLC: at the stop, messages are still in
+	// reassembly behind its queue, and some have lost packets at entry.
+	media := w.client.Dial(Config{Steer: steering.NewSingle(w.group.Get(channel.NameURLLC)), Unreliable: true})
+	w.loop.At(1950*time.Millisecond, func() {
+		for i := 0; i < 50; i++ {
+			media.SendMessage(0, 0, 3*packet.MaxPayload, msg)
+		}
+	})
+	w.loop.RunUntil(2 * time.Second)
+	srv := w.server.conns[media.Flow()]
+	if len(bulk.sentOrder) < 64 || w.group.Packets() == 0 || w.server.held == 0 || srv == nil || len(srv.rcvMsgs) == 0 {
+		t.Fatalf("the world stopped with %d packets in flight, %d on links, %d on hold and %d messages in reassembly; want some of each",
+			len(bulk.sentOrder), w.group.Packets(), w.server.held, len(srv.rcvMsgs))
 	}
-	w.loop.RunUntil(time.Second)
-	chunks, rcvMsgs := len(w.client.rec.freeChunks), len(w.server.rec.freeRcvMsgs)
-	if chunks == 0 || rcvMsgs == 0 {
-		t.Fatalf("the run freed %d chunks and %d reassembly records, want some of each", chunks, rcvMsgs)
+	inFlight, rcvMsgs := len(bulk.sentOrder), 0
+	for _, c := range w.server.conns {
+		rcvMsgs += len(c.rcvMsgs)
 	}
+	freeChunks, freeRcvMsgs := len(w.client.rec.freeChunks), len(w.server.rec.freeRcvMsgs)
 
 	Retire(w.client, w.server)
 	s := spares.Load()
 	if s == nil {
 		t.Fatal("Retire left no spare")
 	}
-	if n := len(w.client.rec.freeChunks) + len(w.server.rec.freeRcvMsgs); n != 0 {
-		t.Errorf("%d free records stayed with the retired world", n)
+	if live, onLinks := w.group.Pool().Live(), w.group.Packets(); live != 0 || onLinks != 0 || w.server.held != 0 {
+		t.Errorf("the retired world still has %d packets out, %d on links, %d on hold", live, onLinks, w.server.held)
 	}
-	if n := len(s.arenas[channel.A].freeChunks); n != chunks {
-		t.Errorf("spare holds %d chunks, want %d", n, chunks)
+	if len(w.client.conns)+len(w.server.conns) != 0 || !bulk.closed || !srv.closed {
+		t.Error("a connection of the retired world is still open")
+	}
+	if n := len(w.client.rec.freeChunks) + len(w.server.rec.freeRcvMsgs) + len(w.server.rec.holds); n != 0 {
+		t.Errorf("%d free records or holds stayed with the retired world", n)
+	}
+	if n, want := len(s.arenas[channel.A].freeChunks), freeChunks+inFlight; n < want {
+		t.Errorf("spare holds %d chunks, want at least the %d free and in flight", n, want)
+	}
+	if n, want := len(s.arenas[channel.B].freeRcvMsgs), freeRcvMsgs+rcvMsgs; n != want {
+		t.Errorf("spare holds %d reassembly records, want the %d free and in reassembly", n, want)
 	}
 	for _, rm := range s.arenas[channel.B].freeRcvMsgs {
 		if rm.expiry != (sim.Timer{}) {
 			t.Fatal("a retired reassembly record still names its loop's timer")
 		}
 	}
-	pool, frags := s.pool, 0
-	for {
-		p := pool.Get()
-		if p.Payload == nil {
-			break // a fresh packet: every transport packet has a box
+	holds := s.arenas[channel.B].freeHolds
+	if len(holds) != 2 {
+		t.Errorf("spare holds %d receive holds, want both server flows'", len(holds))
+	}
+	for _, h := range holds {
+		if h.conn != nil || h.q.len() != 0 {
+			t.Error("a retired receive hold still holds packets or names its connection")
 		}
-		if f, ok := p.Payload.(*fragment); ok {
+	}
+	frags := 0
+	var probe packet.Pool // Adopt shows it every payload on the spare's lists
+	probe.Adopt(&s.pool, func(box any) {
+		if f, ok := box.(*fragment); ok {
 			frags++
 			if f.data != nil {
 				t.Fatal("a retired fragment box still holds its message")
 			}
 		}
-	}
-	if frags == 0 {
-		t.Error("no free packet with a fragment box crossed")
+	})
+	if frags < inFlight {
+		t.Errorf("%d free packets with a fragment box crossed, want at least the %d in flight", frags, inFlight)
 	}
 
+	chunks, recs := len(s.arenas[channel.A].freeChunks), len(s.arenas[channel.B].freeRcvMsgs)
 	next := newWorld(2)
 	Adopt(next.client, next.server)
-	if len(next.client.rec.freeChunks) != chunks || len(next.server.rec.freeRcvMsgs) != rcvMsgs {
+	if len(next.client.rec.freeChunks) != chunks || len(next.server.rec.freeRcvMsgs) != recs {
 		t.Errorf("adopted %d chunks and %d reassembly records, want %d and %d",
-			len(next.client.rec.freeChunks), len(next.server.rec.freeRcvMsgs), chunks, rcvMsgs)
+			len(next.client.rec.freeChunks), len(next.server.rec.freeRcvMsgs), chunks, recs)
 	}
 	if spares.Load() != nil {
 		t.Error("an adopted spare is still waiting")
+	}
+	if next.client.spare == nil {
+		t.Error("the adopting world did not keep the hand-off record for its own Retire")
 	}
 }

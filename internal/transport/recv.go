@@ -51,11 +51,14 @@ type rcvMsg struct {
 // at the same point would get: packets are processed exactly when, and
 // in the order, one timer per packet would process them, while the event
 // queue holds the flow's next release only. Lane occurrences cannot be
-// cancelled, so the hold outlives a Close: see release.
+// cancelled, so the hold outlives a Close: see release. A hold is the
+// endpoint arena's (newHold), lent to its connection until the world
+// ends, when Retire drains it; fn is release, bound once.
 type rxHold struct {
 	conn *Conn
 	lane sim.Lane
 	q    fifo[heldPacket]
+	fn   func()
 }
 
 type heldPacket struct {
@@ -67,8 +70,7 @@ type heldPacket struct {
 func (c *Conn) hold(p *packet.Packet) {
 	h := c.rx
 	if h == nil {
-		h = &rxHold{conn: c}
-		h.lane = sim.NewLane(c.loop, h.release)
+		h = c.rec.newHold(c)
 		c.rx = h
 	}
 	due := c.loop.Now() + c.cfg.RxDelay

@@ -60,6 +60,9 @@ type Endpoint struct {
 
 	listenCfg func() Config
 	accept    func(*Conn)
+	// spare is the emptied hand-off record this world's lists arrived
+	// in, for Retire to send them on in.
+	spare *worldSpare
 }
 
 // NewEndpoint attaches an endpoint to side of every channel in group.
@@ -204,11 +207,14 @@ func CheckLedger(eps ...*Endpoint) {
 }
 
 // A worldSpare is what a finished world hands to the next one built in
-// the process: its channel group's free packets and payload boxes, and
-// each side's free transport records and window arrays.
+// the process: its channel group's free packets and payload boxes, each
+// side's free transport records, window arrays and receive holds, and
+// the arrays its loop and links grew.
 type worldSpare struct {
 	pool   packet.Pool
 	arenas [2]arena // by channel.Side
+	loop   sim.Spare
+	links  channel.Spare
 }
 
 // spares holds the latest retired world's lists until a new world
@@ -217,38 +223,102 @@ type worldSpare struct {
 // to the collector, so an idle process keeps at most one world's lists.
 var spares atomic.Pointer[worldSpare]
 
-// Retire hands the free lists of eps, the endpoints of one channel
-// group, and of the group's packet pool to the next world built in the
-// process (Adopt). Call it where a run ends, after CheckLedger. Only
-// free records, windows, packets and payload boxes move, stripped of
-// what they still hold of this world; the records connections hold and
-// the packets on links or on hold stay with it.
+// Retire ends the world of eps, the endpoints of one channel group, and
+// hands everything it grew to the next world built in the process
+// (Adopt). Call it where a run ends, after CheckLedger. In order:
+//   - every connection still open closes (Close), by flow ID, returning
+//     its flight, window array, queued and retransmit data and
+//     reassembly records to its endpoint's arena;
+//   - every receive hold, then every link (channel.Group.Retire), gives
+//     its packets back to the group's pool;
+//   - the pool's free lists, both arenas, the loop's arrays
+//     (sim.Loop.Retire) and the links' rings go into one spare,
+//     stripped of what they still hold of this world (scrub, arena.retire).
+//
+// With checking on, a packet still out of the pool or a record or
+// window still lent fails transport/retire-empty. Nothing a runner
+// reads after the run — connection and link counters, the clock, the
+// loop's event count — changes, and nothing is allocated once the
+// process has retired a world of the same shape. The world is inert
+// afterwards: its connections are closed and its loop fails
+// sim/retired-loop if asked to run or schedule anything. With fresh
+// records on (invariant.Fresh), the spare is dropped.
 func Retire(eps ...*Endpoint) {
 	if len(eps) == 0 {
 		return
 	}
-	s := &worldSpare{pool: eps[0].pool.Retire(scrub)}
+	hi := packet.FlowID(0)
+	for _, e := range eps {
+		hi = max(hi, e.nextFlow)
+	}
+	for _, e := range eps {
+		for f := packet.FlowID(1); f < hi && len(e.conns) > 0; f++ {
+			if c := e.conns[f]; c != nil {
+				c.Close()
+			}
+		}
+		for _, h := range e.rec.holds {
+			for h.q.len() > 0 {
+				e.pool.Put(h.q.pop().p)
+				e.held--
+			}
+		}
+	}
+	e0 := eps[0]
+	links := e0.group.Retire()
+	if invariant.Enabled() {
+		lent := 0
+		for _, e := range eps {
+			lent += e.rec.lent()
+		}
+		if invariant.Fresh() {
+			lent = 0 // a dropped record still counts as made
+		}
+		if live := e0.pool.Live(); live != 0 || lent != 0 {
+			invariant.Failf("transport", "retire-empty",
+				"a retired world still has %d packets out of its pool and %d records or windows lent", live, lent)
+		}
+	}
+	s := e0.spare
+	if s == nil {
+		s = new(worldSpare)
+	}
+	e0.spare = nil
+	s.pool = e0.pool.Retire(scrub)
 	for _, e := range eps {
 		s.arenas[e.side] = e.rec.retire()
 	}
-	spares.Store(s)
+	s.loop = e0.loop.Retire()
+	s.links = links
+	if !invariant.Fresh() {
+		spares.Store(s)
+	}
 }
 
-// Adopt gives eps, the endpoints of one new channel group, the free
-// lists one finished world retired, if any are waiting. Call it as the
-// world is built, before it runs.
+// Adopt gives eps, the endpoints of one new channel group, what one
+// finished world retired, if any is waiting: the pool and the arenas (by
+// side) take its free lists, the loop its arrays, and the links their
+// rings, in order. Call it as the world is built, before it runs. With
+// checking on, a spare that still holds anything of its world fails
+// transport/spare-clean. With fresh records on, the spare is dropped.
 func Adopt(eps ...*Endpoint) {
 	if len(eps) == 0 {
 		return
 	}
 	s := spares.Swap(nil)
-	if s == nil {
+	if s == nil || invariant.Fresh() {
 		return
 	}
-	eps[0].pool.Adopt(&s.pool)
+	e0 := eps[0]
+	e0.pool.Adopt(&s.pool, scrubbed)
 	for _, e := range eps {
 		e.rec.adopt(&s.arenas[e.side])
+		s.arenas[e.side] = arena{}
 	}
+	e0.loop.Adopt(&s.loop)
+	e0.group.Adopt(&s.links)
+	s.pool = packet.Pool{}
+	e0.spare = s // for Retire to fill again
 }
 
 // scrub drops the one reference a payload box can hold into its world:
