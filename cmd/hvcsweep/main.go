@@ -27,12 +27,13 @@
 // steering vs eMBB-only) over five seeds.
 //
 // Results are cached on disk under -cache (default .hvcsweep), keyed
-// by a content hash of the canonicalized cell config — experiment,
-// CCA tuning constants, policy parameters, trace, seed, duration —
-// plus the module build version. A repeated sweep is all cache hits;
-// widening a grid re-runs only the new cells. Delete the cache
-// directory to force recomputation; changing any simulator constant
-// already invalidates affected entries via the config fingerprint.
+// by each cell at its seed plus the SHA-256 of the hvcsweep binary
+// itself. A repeated sweep is all cache hits, and widening a grid
+// re-runs only the new cells. A rebuilt binary that differs in any
+// byte — any edited constant, algorithm or dependency — recomputes
+// every cell; an identical rebuild of the same tree hits. If the
+// binary cannot be read, hvcsweep exits 1 and -no-cache runs without
+// the cache. The directory is always safe to delete.
 //
 // Stdout carries only the deterministic result table (or CSV with
 // -format csv); progress and timing go to stderr. -json/-csv

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"fmt"
+	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
@@ -59,31 +61,47 @@ func TestExitCodes(t *testing.T) {
 	})
 }
 
-// TestCachedRerun runs one grid twice on one cache: the repeat is all
-// hits, and the meter's cached count reaches both the progress line
-// and the tally line CI greps.
+// TestCachedRerun runs one grid on one cache four times: the repeat is
+// all hits, and the meter's cached count reaches both the progress
+// line and the tally line CI greps. A byte-identical copy of the
+// binary at another path hits too; a copy that differs in one byte is
+// another build and recomputes every cell, with the same results.
 func TestCachedRerun(t *testing.T) {
-	cache := filepath.Join(t.TempDir(), "cache")
-	var outs [2]string
-	for i := range outs {
-		cmd := exec.Command(bin, "-spec", small, "-cache", cache, "-progress", "1h")
+	dir := t.TempDir()
+	cache := filepath.Join(dir, "cache")
+	exe, err := os.ReadFile(bin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, other := filepath.Join(dir, "same"), filepath.Join(dir, "other")
+	if err := os.WriteFile(same, exe, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(other, append(exe, 0), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	var first string
+	for i, run := range []struct {
+		bin    string
+		cached int
+	}{{bin, 0}, {bin, 2}, {same, 2}, {other, 0}} {
+		cmd := exec.Command(run.bin, "-spec", small, "-cache", cache, "-progress", "1h")
 		var stderr strings.Builder
 		cmd.Stderr = &stderr
 		out, err := cmd.Output()
 		if err != nil {
 			t.Fatalf("run %d: %v; stderr: %s", i, err, stderr.String())
 		}
-		outs[i] = string(out)
-		if i == 1 {
-			if p := clitest.FinalProgress(t, stderr.String()); p.Cached != 2 {
-				t.Errorf("repeat run's progress reports %d cached, want 2", p.Cached)
-			}
-			if !strings.Contains(stderr.String(), "2 jobs (0 executed, 2 cached)") {
-				t.Errorf("repeat run's tally: %s", stderr.String())
-			}
+		if p := clitest.FinalProgress(t, stderr.String()); p.Cached != run.cached {
+			t.Errorf("run %d: progress reports %d cached, want %d", i, p.Cached, run.cached)
 		}
-	}
-	if outs[0] != outs[1] {
-		t.Fatalf("cached rerun changed stdout:\n%s\nvs\n%s", outs[0], outs[1])
+		if tally := fmt.Sprintf("2 jobs (%d executed, %d cached)", 2-run.cached, run.cached); !strings.Contains(stderr.String(), tally) {
+			t.Errorf("run %d: stderr lacks %q: %s", i, tally, stderr.String())
+		}
+		if i == 0 {
+			first = string(out)
+		} else if string(out) != first {
+			t.Fatalf("run %d changed stdout:\n%s\nvs\n%s", i, first, out)
+		}
 	}
 }

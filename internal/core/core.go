@@ -35,8 +35,8 @@ const (
 
 // An entry names one member of a namespace (congestion controls,
 // traces, steering policies). Each namespace is one ordered table that
-// its constructor, validator, name list and fingerprint all read, so a
-// name is spelled — and a policy's configuration written — once.
+// its constructor, validator and name list all read, so a name is
+// spelled — and a policy's configuration written — once.
 type entry[T any] struct {
 	name string
 	val  T
@@ -141,60 +141,39 @@ func Cellular(loop *sim.Loop, embb *trace.Trace) *channel.Group {
 	return channel.NewGroup(channel.EMBB(loop, embb), channel.URLLC(loop))
 }
 
-// A policySpec is one steering policy's table row: the canonical
-// configuration of what build constructs (cache-key material, see
-// PolicyFingerprint) beside the constructor itself. The per-kind
-// helpers below take the config once and derive both, so the two
-// cannot drift.
-type policySpec struct {
-	fingerprint string
-	build       func(g *channel.Group, side channel.Side) (steering.Policy, error)
-}
-
-func dchannelPolicy(cfg steering.DChannelConfig) policySpec {
-	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
-		return steering.NewDChannel(g, side, cfg), nil
-	}}
-}
-
-func priorityPolicy(cfg steering.PriorityConfig) policySpec {
-	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
-		return steering.NewPriority(g, side, cfg), nil
-	}}
-}
-
-func objectMapPolicy(cfg steering.ObjectMapConfig) policySpec {
-	return policySpec{cfg.Canonical(), func(g *channel.Group, side channel.Side) (steering.Policy, error) {
-		return steering.NewObjectMap(g, side, cfg), nil
-	}}
-}
-
-var policyTable = []entry[policySpec]{
-	{PolicyEMBBOnly, policySpec{"single/v1 ch=" + channel.NameEMBB,
-		func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
-			embb := g.Get(channel.NameEMBB)
-			if embb == nil {
-				return nil, fmt.Errorf("core: group has no %q channel", channel.NameEMBB)
-			}
-			return steering.NewSingle(embb), nil
-		}}},
-	{PolicyDChannel, dchannelPolicy(steering.DChannelConfig{})},
-	{PolicyPriority, priorityPolicy(steering.PriorityConfig{AdmitPrio: 0})},
-	{PolicyDChannelPriority, priorityPolicy(steering.PriorityConfig{AdmitPrio: -1, Heuristic: true})},
-	{PolicyObjectMap, objectMapPolicy(steering.ObjectMapConfig{})},
-	{PolicyRedundant, policySpec{"redundant/v1 live-channels",
-		func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
-			return steering.NewRedundant(g), nil
-		}}},
+// policyTable holds each steering policy's constructor.
+var policyTable = []entry[func(g *channel.Group, side channel.Side) (steering.Policy, error)]{
+	{PolicyEMBBOnly, func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
+		embb := g.Get(channel.NameEMBB)
+		if embb == nil {
+			return nil, fmt.Errorf("core: group has no %q channel", channel.NameEMBB)
+		}
+		return steering.NewSingle(embb), nil
+	}},
+	{PolicyDChannel, func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewDChannel(g, side, steering.DChannelConfig{}), nil
+	}},
+	{PolicyPriority, func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewPriority(g, side, steering.PriorityConfig{AdmitPrio: 0}), nil
+	}},
+	{PolicyDChannelPriority, func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewPriority(g, side, steering.PriorityConfig{AdmitPrio: -1, Heuristic: true}), nil
+	}},
+	{PolicyObjectMap, func(g *channel.Group, side channel.Side) (steering.Policy, error) {
+		return steering.NewObjectMap(g, side, steering.ObjectMapConfig{}), nil
+	}},
+	{PolicyRedundant, func(g *channel.Group, _ channel.Side) (steering.Policy, error) {
+		return steering.NewRedundant(g), nil
+	}},
 }
 
 // NewPolicy builds a steering policy by name over g as seen from side.
 func NewPolicy(name string, g *channel.Group, side channel.Side) (steering.Policy, error) {
-	p, ok := lookup(policyTable, name)
+	build, ok := lookup(policyTable, name)
 	if !ok {
 		return nil, fmt.Errorf("core: unknown steering policy %q", name)
 	}
-	return p.build(g, side)
+	return build(g, side)
 }
 
 // ValidPolicy reports whether name is a steering policy NewPolicy

@@ -47,11 +47,11 @@ type VideoResult struct {
 // RunVideo executes one video session and drains the network before
 // reporting, so late frames (the eMBB-only latency tail) are counted.
 func RunVideo(cfg VideoConfig) (VideoResult, error) {
-	p, ok := lookup(policyTable, cfg.Policy)
+	build, ok := lookup(policyTable, cfg.Policy)
 	if !ok {
 		return VideoResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	return runVideo(cfg, p.build)
+	return runVideo(cfg, build)
 }
 
 // runVideo is RunVideo with the policy constructor for both sides

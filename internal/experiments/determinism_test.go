@@ -55,10 +55,10 @@ func capture(t *testing.T, name string, seed int64, scale Scale) (stdout, report
 // TestDeterminismMatrix is the cross-package determinism gate: every
 // registered experiment, run twice per seed for two seeds, must
 // produce byte-identical rendered tables AND byte-identical JSON run
-// reports (metrics plus the full counter snapshot). A diff here means
-// some layer — sim loop, channel model, transport, steering, cc,
-// workload, telemetry — consumed entropy outside the seeded RNG or
-// iterated a map into its output.
+// reports (metrics plus the full counter snapshot), and record at
+// least one metric. A diff here means some layer — sim loop, channel
+// model, transport, steering, cc, workload, telemetry — consumed
+// entropy outside the seeded RNG or iterated a map into its output.
 func TestDeterminismMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix is ~1 min; skipped with -short")
@@ -92,6 +92,12 @@ func TestDeterminismMatrix(t *testing.T) {
 				}
 				if !bytes.Equal(rep1, again.Bytes()) {
 					t.Errorf("seed %d: report not byte-stable through parse/encode", seed)
+				}
+				// An experiment's numbers belong in the report, not only
+				// on its table: hvcbench -report and BenchmarkExperiments
+				// read nothing else.
+				if len(parsed.Metrics) == 0 {
+					t.Errorf("seed %d: experiment recorded no metrics", seed)
 				}
 			}
 		})

@@ -285,6 +285,10 @@ func ablationMLO(e Env) error {
 		r := core.RunMLO(e.Seed, 2000, 1200, 10*time.Millisecond, red)
 		fmt.Fprintf(e.Out, "%-12s %9.2f%% %10.1f %10.1f %12d\n",
 			r.Mode, 100*r.DeliveryRate, r.Latency.Percentile(50), r.Latency.Percentile(99), r.PacketsOnAir)
+		e.metric(r.Mode+"/delivery", r.DeliveryRate, "")
+		e.metric(r.Mode+"/p50_ms", r.Latency.Percentile(50), "ms")
+		e.metric(r.Mode+"/p99_ms", r.Latency.Percentile(99), "ms")
+		e.metric(r.Mode+"/pkts_on_air", float64(r.PacketsOnAir), "packets")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -297,6 +301,11 @@ func ablationCost(e Env) error {
 		r := core.RunCost(e.Seed, 500, 20*time.Millisecond, budget)
 		fmt.Fprintf(e.Out, "%-14.0f %10.1f %10.1f %12d %10.4f\n",
 			budget, r.Latency.Mean(), r.Latency.Percentile(95), r.SpentBytes, r.Dollars)
+		row := fmt.Sprintf("%.0f", budget)
+		e.metric(row+"/mean_ms", r.Latency.Mean(), "ms")
+		e.metric(row+"/p95_ms", r.Latency.Percentile(95), "ms")
+		e.metric(row+"/spent_bytes", float64(r.SpentBytes), "bytes")
+		e.metric(row+"/dollars", r.Dollars, "USD")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -309,6 +318,10 @@ func ablationMultipath(e Env) error {
 		r := core.RunMultipath(e.Seed, e.Scale.BulkDur, mode)
 		fmt.Fprintf(e.Out, "%-12s %12.2f %10.1fms %10.1fms %14d\n",
 			r.Mode, r.BulkMbps, r.Probe.Percentile(50), r.Probe.Percentile(95), r.URLLCMaxQueue)
+		e.metric(r.Mode+"/bulk_mbps", r.BulkMbps, "Mbps")
+		e.metric(r.Mode+"/probe_p50", r.Probe.Percentile(50), "ms")
+		e.metric(r.Mode+"/probe_p95", r.Probe.Percentile(95), "ms")
+		e.metric(r.Mode+"/urllc_maxq_B", float64(r.URLLCMaxQueue), "bytes")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -320,6 +333,10 @@ func ablationBeta(e Env) error {
 	for _, beta := range betas {
 		p := core.RunBeta(e.Seed, 30*time.Second, beta)
 		fmt.Fprintf(e.Out, "%-8.2f %12.0f %10.3f %13.1f%%\n", p.Beta, p.P95Latency, p.SSIM, 100*p.URLLCShare)
+		row := fmt.Sprintf("%.2f", p.Beta)
+		e.metric(row+"/p95_ms", p.P95Latency, "ms")
+		e.metric(row+"/ssim", p.SSIM, "")
+		e.metric(row+"/urllc_share", p.URLLCShare, "")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -332,6 +349,9 @@ func ablationTail(e Env) error {
 		r := core.RunTailBoost(e.Seed, 500, 60_000, 50*time.Millisecond, boost)
 		fmt.Fprintf(e.Out, "%-12s %10.1f %10.1f %10.1f\n",
 			r.Mode, r.Latency.Mean(), r.Latency.Percentile(95), r.Latency.Max())
+		e.metric(r.Mode+"/mean_ms", r.Latency.Mean(), "ms")
+		e.metric(r.Mode+"/p95_ms", r.Latency.Percentile(95), "ms")
+		e.metric(r.Mode+"/max_ms", r.Latency.Max(), "ms")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -349,6 +369,8 @@ func ablationIANS(e Env) error {
 			return err
 		}
 		fmt.Fprintf(e.Out, "%-14s %12.1f %12.1f\n", policy, r.PLT.Mean(), r.PLT.Percentile(95))
+		e.metric(policy+"/mean_plt_ms", r.PLT.Mean(), "ms")
+		e.metric(policy+"/p95_plt_ms", r.PLT.Percentile(95), "ms")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -366,6 +388,11 @@ func ablationHAS(e Env) error {
 			r.Policy, r.StartupDelay.Round(time.Millisecond),
 			r.RebufferTime.Round(time.Millisecond), r.RebufferEvents,
 			r.MeanBitrate/1e6, r.Switches)
+		e.metric(r.Policy+"/startup", float64(r.StartupDelay.Microseconds())/1000, "ms")
+		e.metric(r.Policy+"/rebuffer", float64(r.RebufferTime.Microseconds())/1000, "ms")
+		e.metric(r.Policy+"/events", float64(r.RebufferEvents), "")
+		e.metric(r.Policy+"/mean_mbps", r.MeanBitrate/1e6, "Mbps")
+		e.metric(r.Policy+"/switches", float64(r.Switches), "")
 	}
 	fmt.Fprintln(e.Out)
 	return nil
@@ -483,6 +510,9 @@ func ablationTSN(e Env) error {
 	for _, useTSN := range []bool{false, true} {
 		r := core.RunTSN(e.Seed, 10*time.Second, useTSN)
 		fmt.Fprintf(e.Out, "%-14s %11.1f%% %12.1f %12d\n", r.Mode, 100*r.MissRate, r.P99Latency, r.Completed)
+		e.metric(r.Mode+"/miss_rate", r.MissRate, "")
+		e.metric(r.Mode+"/p99_ms", r.P99Latency, "ms")
+		e.metric(r.Mode+"/completed", float64(r.Completed), "")
 	}
 	fmt.Fprintln(e.Out)
 	return nil

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"runtime/debug"
 	"text/tabwriter"
 	"time"
 
@@ -101,8 +102,15 @@ func Run(spec Spec, opt Options) (*Result, error) {
 	return &Result{Spec: spec, UEs: spec.UEs, Apps: spec.AppCounts(), Group: total}, nil
 }
 
-// runUE simulates one session and streams its metrics into g.
-func runUE(p Profile, spec Spec, g *sketch.Group) error {
+// runUE simulates one session and streams its metrics into g. A panic
+// becomes a *pool.Panic with its stack, so the caller names the UE it
+// happened in as it does for an error.
+func runUE(p Profile, spec Spec, g *sketch.Group) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = &pool.Panic{Value: r, Stack: debug.Stack()}
+		}
+	}()
 	if testRunUE != nil {
 		return testRunUE(p, g)
 	}

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -10,6 +11,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"hvc/internal/pool"
 	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 )
@@ -214,6 +216,32 @@ func TestFleetErrorReporting(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "ue 40 ") || !strings.Contains(err.Error(), "session exploded") {
 		t.Fatalf("error %q does not name the lowest failing UE", err)
+	}
+}
+
+// TestFleetPanicNamesUE checks a panicking session surfaces like a
+// failing one, naming its UE, app and seed rather than only the shard,
+// and keeps the panic's value and stack.
+func TestFleetPanicNamesUE(t *testing.T) {
+	if testRunUE != nil {
+		t.Fatal("testRunUE already installed")
+	}
+	var want string
+	testRunUE = func(p Profile, g *sketch.Group) error {
+		if p.UE == 40 {
+			want = fmt.Sprintf("ue 40 (%s seed=%d): panic: session exploded", p.App, p.Seed)
+			panic("session exploded")
+		}
+		return nil
+	}
+	t.Cleanup(func() { testRunUE = nil })
+	_, err := Run(Spec{UEs: 100, Seed: 1}, Options{Workers: 4, Shard: 3})
+	if want == "" || err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %v does not contain %q", err, want)
+	}
+	var pe *pool.Panic
+	if !errors.As(err, &pe) || !strings.Contains(string(pe.Stack), "runUE") {
+		t.Fatalf("error %v lost the panic's stack", err)
 	}
 }
 

@@ -5,27 +5,66 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
+	"sync"
 )
 
 // The disk cache stores one JSON file per completed job under
-// <dir>/v1/<sha256-of-key>.json. The file embeds the full canonical
-// key, so a hit is verified against the key text, not just the hash,
-// and a SHA-256 of its metrics, so a value that rotted into another
-// number is not one either.
+// <dir>/v1/<sha256-of-key>.json. The file embeds the full key, so a
+// hit is verified against the key text, not just the hash, and a
+// SHA-256 of its metrics, so a value that rotted into another number
+// is not one either.
 //
-// Cache-invalidation rule: a job's key folds in (1) the cell config —
-// experiment, cc, policy, trace, seed, durations; (2) the canonical
-// tuning fingerprints of the congestion control and steering policy
-// (cc.Configured / steering Canonical methods — bump their "/vN" tags
-// for behavior changes their fields don't capture); (3) the cellSchema
-// tag; and (4) the build's module version/VCS revision when stamped.
-// Simulator changes outside those fingerprints are NOT detected in
-// unstamped dev builds: delete the cache directory (or pass
-// -no-cache) after such changes. The directory is always safe to
-// delete; every cell can be recomputed.
+// Invalidation rule: a key is the job's cell line at its seed plus
+// build=<SHA-256 of the running executable>. The cell line is all the
+// spec decides; the binary holds every constant, algorithm and
+// dependency that turns it into numbers. A rebuilt binary that differs
+// in any byte misses on every entry, and an identical rebuild of the
+// same tree hits on all of them. Entries of older builds are never
+// read again; the directory is always safe to delete.
+
+// A cache is one Run's view of the result store: its directory and
+// the build hash every key carries. The zero cache stores nothing.
+type cache struct {
+	dir, build string
+}
+
+// buildHash is the SHA-256 of the running executable, read once per
+// process and only by a Run with a cache directory. It is a variable
+// so tests can substitute build identities.
+var buildHash = sync.OnceValues(func() (string, error) {
+	exe, err := os.Executable()
+	if err != nil {
+		return "", err
+	}
+	f, err := os.Open(exe)
+	if err != nil {
+		return "", err
+	}
+	defer f.Close()
+	h := sha256.New()
+	if _, err := io.Copy(h, f); err != nil {
+		return "", err
+	}
+	return hex.EncodeToString(h.Sum(nil)), nil
+})
+
+// openCache returns the cache rooted at dir, or the zero cache for an
+// empty dir. It fails rather than key entries on less than the whole
+// build: a partial key would serve another build's numbers.
+func openCache(dir string) (cache, error) {
+	if dir == "" {
+		return cache{}, nil
+	}
+	build, err := buildHash()
+	if err != nil {
+		return cache{}, fmt.Errorf("sweep: cache: cannot hash the running build (%w); run without the cache (-no-cache)", err)
+	}
+	return cache{dir: dir, build: build}, nil
+}
 
 // cacheEntry is the on-disk layout of one cached job result.
 type cacheEntry struct {
@@ -45,7 +84,7 @@ func metricsSum(metrics []MetricValue) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// cacheLoad returns the cached metrics for a job, or ok=false on any
+// load returns the cached metrics for a job, or ok=false on any
 // miss — absent file, unreadable JSON, key mismatch, or metrics that do
 // not match their checksum (an entry written before entries carried
 // one included). A corrupt entry is treated as a miss, never an error:
@@ -55,12 +94,12 @@ func metricsSum(metrics []MetricValue) string {
 // unparseable JSON or a checksum mismatch means a torn or bit-rotted
 // write that the atomic-rename writer would not have produced. Leaving
 // it would re-fail every sweep.
-func cacheLoad(dir string, j job) ([]MetricValue, bool) {
-	if dir == "" {
+func (c cache) load(j job) ([]MetricValue, bool) {
+	if c.dir == "" {
 		return nil, false
 	}
-	key := j.key()
-	path := cacheKeyPath(dir, key)
+	key := j.key(c.build)
+	path := c.path(key)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, false // absent (the common miss): nothing to clean
@@ -73,15 +112,15 @@ func cacheLoad(dir string, j job) ([]MetricValue, bool) {
 	return e.Metrics, true
 }
 
-// cacheStore writes a job's metrics, creating the directory as needed.
+// store writes a job's metrics, creating the directory as needed.
 // The write goes through a unique temp file and a rename, so readers
 // never see a partial entry even with concurrent sweeps.
-func cacheStore(dir string, j job, metrics []MetricValue) error {
-	if dir == "" {
+func (c cache) store(j job, metrics []MetricValue) error {
+	if c.dir == "" {
 		return nil
 	}
-	key := j.key()
-	path := cacheKeyPath(dir, key)
+	key := j.key(c.build)
+	path := c.path(key)
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("sweep: cache: %w", err)
 	}
@@ -106,12 +145,8 @@ func cacheStore(dir string, j job, metrics []MetricValue) error {
 	return nil
 }
 
-func cachePath(dir string, j job) string {
-	return cacheKeyPath(dir, j.key())
-}
-
-// cacheKeyPath addresses an already-rendered key, so load/store build
-// the key exactly once per lookup.
-func cacheKeyPath(dir, key string) string {
-	return filepath.Join(dir, "v1", hashKey(key)+".json")
+// path addresses a rendered key: its SHA-256, under v1/.
+func (c cache) path(key string) string {
+	sum := sha256.Sum256([]byte(key))
+	return filepath.Join(c.dir, "v1", hex.EncodeToString(sum[:])+".json")
 }

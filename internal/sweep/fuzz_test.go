@@ -50,8 +50,8 @@ func FuzzSweepSpecParse(f *testing.F) {
 
 // FuzzCacheLoad feeds the cache reader arbitrary entry files under a
 // job's address. It must never panic; a miss must delete the file, and
-// a hit must leave it in place and return metrics that cacheStore
-// writes and cacheLoad reads back unchanged.
+// a hit must leave it in place and return metrics that store writes
+// and load reads back unchanged.
 func FuzzCacheLoad(f *testing.F) {
 	sp, err := ParseSpec("exp=video policy=dchannel trace=lowband-driving seeds=1..1 dur=5s")
 	if err != nil {
@@ -59,11 +59,11 @@ func FuzzCacheLoad(f *testing.F) {
 	}
 	j := job{spec: sp, cell: sp.cells()[0], seed: 1}
 	want := []MetricValue{{Name: "latency_p50_ms", Value: 12.5}, {Name: "ssim_mean", Value: 0.93}}
-	seedDir := f.TempDir()
-	if err := cacheStore(seedDir, j, want); err != nil {
+	seed := cache{dir: f.TempDir(), build: "b"}
+	if err := seed.store(j, want); err != nil {
 		f.Fatal(err)
 	}
-	good, err := os.ReadFile(cachePath(seedDir, j))
+	good, err := os.ReadFile(seed.path(j.key(seed.build)))
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -74,15 +74,15 @@ func FuzzCacheLoad(f *testing.F) {
 	f.Add([]byte("{}"))
 	f.Add([]byte(`{"metrics":[],"sum":""}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		path := cachePath(dir, j)
+		c := cache{dir: t.TempDir(), build: "b"}
+		path := c.path(j.key(c.build))
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, ok := cacheLoad(dir, j)
+		got, ok := c.load(j)
 		_, statErr := os.Stat(path)
 		if !ok {
 			if statErr == nil {
@@ -94,11 +94,11 @@ func FuzzCacheLoad(f *testing.F) {
 			t.Fatalf("a hit deleted its entry: %v", statErr)
 		}
 		// Store what was read and read it back: a hit is a fixed point.
-		again := t.TempDir()
-		if err := cacheStore(again, j, got); err != nil {
+		again := cache{dir: t.TempDir(), build: "b"}
+		if err := again.store(j, got); err != nil {
 			t.Fatal(err)
 		}
-		if back, ok := cacheLoad(again, j); !ok || !slices.Equal(back, got) {
+		if back, ok := again.load(j); !ok || !slices.Equal(back, got) {
 			t.Fatalf("hit %v does not round-trip: %v, %v", got, back, ok)
 		}
 	})

@@ -1,21 +1,11 @@
 package sweep
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"runtime/debug"
-	"strings"
-	"sync"
 
 	"hvc/internal/arena"
 	"hvc/internal/core"
 )
-
-// cellSchema versions the job key layout and the metric set each
-// experiment reports. Bump it when either changes: every cached cell
-// invalidates at once.
-const cellSchema = "hvc-sweep-cell/v2"
 
 // A job is one independent simulation: a cell at one seed.
 type job struct {
@@ -31,74 +21,12 @@ type MetricValue struct {
 	Value float64 `json:"value"`
 }
 
-// key renders the job's canonical identity: everything that determines
-// its result. The config fingerprints fold in the tuning constants of
-// the congestion control and steering policy under test, so cached
-// results invalidate when those change (see cache.go for the rule).
-func (j job) key() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s\n%s\n", cellSchema,
-		j.spec.render(j.cell.CC, j.cell.Policy, j.cell.Trace, fmt.Sprintf("seed=%d", j.seed)))
-	if j.cell.CC != "" {
-		fp, _ := core.CCFingerprint(j.cell.CC)
-		fmt.Fprintf(&b, "cc-config=%s\n", fp)
-	}
-	if j.spec.Exp == ExpArena {
-		// Arena cells have no cc axis; the mix is the CCA knob, so every
-		// algorithm it names folds its fingerprint in, in mix order.
-		for _, e := range j.spec.Mix {
-			fp, _ := core.CCFingerprint(e.Name)
-			fmt.Fprintf(&b, "cc-config=%s\n", fp)
-		}
-	}
-	fp, _ := core.PolicyFingerprint(j.cell.Policy)
-	fmt.Fprintf(&b, "policy-config=%s\n", fp)
-	fmt.Fprintf(&b, "code=%s\n", codeVersion())
-	return b.String()
-}
-
-// hashKey is a rendered key's cache address: its SHA-256. Callers
-// render the key once and reuse it for both the address and the hit
-// check — key() walks the config fingerprints, so rebuilding it per
-// lookup is what made the cached-sweep path regress.
-func hashKey(key string) string {
-	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:])
-}
-
-// hash is the job's cache address: SHA-256 of its canonical key.
-func (j job) hash() string {
-	return hashKey(j.key())
-}
-
-var codeVersionOnce = struct {
-	sync.Once
-	v string
-}{}
-
-// codeVersion identifies the simulator build in cache keys. Module
-// version and VCS revision are stamped into release builds; a dev
-// build without them relies on the fingerprints and schema tags above,
-// plus the documented rule that .hvcsweep/ is cheap to delete. The
-// build info cannot change while the process runs, so it is read once:
-// debug.ReadBuildInfo re-parses the embedded module data on every
-// call, which dominated cached-sweep lookups.
-func codeVersion() string {
-	codeVersionOnce.Do(func() {
-		info, ok := debug.ReadBuildInfo()
-		if !ok {
-			codeVersionOnce.v = "unknown"
-			return
-		}
-		version, revision := info.Main.Version, ""
-		for _, s := range info.Settings {
-			if s.Key == "vcs.revision" {
-				revision = s.Value
-			}
-		}
-		codeVersionOnce.v = version + "+" + revision
-	})
-	return codeVersionOnce.v
+// key renders the job's cache key: its cell at its seed, which is
+// everything the spec decides about its result, and the build that
+// computes it, which is everything else (see cache.go).
+func (j job) key(build string) string {
+	return j.spec.render(j.cell.CC, j.cell.Policy, j.cell.Trace, fmt.Sprintf("seed=%d", j.seed)) +
+		"\nbuild=" + build + "\n"
 }
 
 // run executes the job's simulation and returns its metrics, in the

@@ -17,7 +17,9 @@ type Options struct {
 	// in grid order, not completion order.
 	Workers int
 	// CacheDir roots the result cache (conventionally ".hvcsweep");
-	// empty disables caching. See cache.go for the invalidation rule.
+	// empty disables caching. Entries are keyed on the cell, the seed
+	// and a hash of the running executable (see cache.go); Run fails
+	// before any job if that hash cannot be read.
 	CacheDir string
 	// Meter, when non-nil, counts finished jobs and cache hits against
 	// the job count and receives every finished job's metric values
@@ -41,6 +43,10 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 	if err := spec.defaultAndValidate(spec.setKeys()); err != nil {
 		return nil, err
 	}
+	disk, err := openCache(opt.CacheDir)
+	if err != nil {
+		return nil, err
+	}
 	cells := spec.cells()
 	jobs := make([]job, 0, len(cells)*spec.SeedCount)
 	for _, c := range cells {
@@ -56,14 +62,14 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 	opt.Meter.SetTotal(len(jobs))
 	results, err := pool.Map(len(jobs), opt.Workers, func(i int) ([]MetricValue, error) {
 		j := jobs[i]
-		metrics, hit := cacheLoad(opt.CacheDir, j)
+		metrics, hit := disk.load(j)
 		if !hit {
 			var err error
 			metrics, err = run(j)
 			if err != nil {
 				return nil, err
 			}
-			if err := cacheStore(opt.CacheDir, j, metrics); err != nil {
+			if err := disk.store(j, metrics); err != nil {
 				return nil, err
 			}
 		}

@@ -2,7 +2,10 @@ package sweep
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -142,7 +145,7 @@ func TestParseSpecErrorsAreSweeps(t *testing.T) {
 // byte against corpora rendered by the hand-rolled parser this package
 // had before internal/spec (testdata/canonical.txt, "input =>
 // String()"; testdata/jobkeys.txt, "input => quoted key of the first
-// cell at the first seed, code= line dropped"): the key is the
+// cell at the first seed, build= line dropped"): the key is the
 // .hvcsweep/ address, so an existing cache stays a hit only if neither
 // moves.
 func TestCanonicalGolden(t *testing.T) {
@@ -170,8 +173,8 @@ func TestCanonicalGolden(t *testing.T) {
 	for _, line := range lines("testdata/jobkeys.txt") {
 		in, want, _ := strings.Cut(line, " => ")
 		sp := mustParse(t, in)
-		key := job{spec: sp, cell: sp.cells()[0], seed: sp.SeedFirst}.key()
-		if got := strconv.Quote(key[:strings.Index(key, "code=")]); got != want {
+		key := job{spec: sp, cell: sp.cells()[0], seed: sp.SeedFirst}.key("")
+		if got := strconv.Quote(strings.TrimSuffix(key, "build=\n")); got != want {
 			t.Errorf("job key of %q\n got %s\nwant %s", in, got, want)
 		}
 	}
@@ -492,31 +495,107 @@ func TestRunErrorNamesCellAndSeed(t *testing.T) {
 	}
 }
 
-func TestJobKeyIncludesFingerprintsAndSeed(t *testing.T) {
+// TestJobKeyCarriesBuildAndSeed pins the key's two parts: the cell
+// line at its seed, and build= with the SHA-256 of the running binary
+// (here the test binary), hashed independently of buildHash.
+func TestJobKeyCarriesBuildAndSeed(t *testing.T) {
+	exe, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(exe)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	want := hex.EncodeToString(sum[:])
+	if got, err := buildHash(); err != nil || got != want {
+		t.Fatalf("buildHash() = %q, %v; want the test binary's SHA-256 %q", got, err, want)
+	}
+
 	spec := mustParse(t, "exp=bulk cc=bbr seeds=3 dur=2s")
 	j := job{spec: spec, cell: cellKey{CC: "bbr", Policy: "dchannel", Trace: "fixed"}, seed: 3}
-	key := j.key()
-	for _, want := range []string{cellSchema, "cc=bbr", "seed=3", "cc-config=bbr/v1", "policy-config=dchannel/v1", "code="} {
-		if !strings.Contains(key, want) {
-			t.Errorf("job key missing %q:\n%s", want, key)
-		}
+	c, err := openCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := j.key(c.build)
+	if wantKey := "exp=bulk cc=bbr policy=dchannel trace=fixed seed=3 dur=2s\nbuild=" + want + "\n"; key != wantKey {
+		t.Errorf("job key\n got %q\nwant %q", key, wantKey)
 	}
 	j2 := j
 	j2.seed = 4
-	if j.hash() == j2.hash() {
-		t.Fatal("different seeds share a cache hash")
+	if c.path(key) == c.path(j2.key(c.build)) {
+		t.Fatal("different seeds share a cache address")
 	}
 }
 
-// TestJobKeyFoldsArenaMix pins the arena knobs into the cache address:
-// the key carries flows/mix/join/rttspread plus one CCA fingerprint per
-// mix entry, and jobs differing only in a knob never share a hash.
+// TestRunKeysCacheByBuild runs one grid on one cache under two
+// substituted build identities: the second build misses on every
+// entry and stores its own, and each build then hits on its own.
+func TestRunKeysCacheByBuild(t *testing.T) {
+	saved := buildHash
+	t.Cleanup(func() { buildHash, testRunJob = saved, nil })
+	testRunJob = func(j job) ([]MetricValue, error) { return []MetricValue{{"x", float64(j.seed)}}, nil }
+	dir := t.TempDir()
+	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..2 dur=5s")
+	run := func(build string) telemetry.Progress {
+		t.Helper()
+		buildHash = func() (string, error) { return build, nil }
+		meter := telemetry.NewMeter()
+		if _, err := Run(spec, Options{CacheDir: dir, Meter: meter}); err != nil {
+			t.Fatal(err)
+		}
+		return meter.Progress()
+	}
+	for i, step := range []struct {
+		build  string
+		cached int
+	}{{"build-a", 0}, {"build-b", 0}, {"build-a", 2}, {"build-b", 2}} {
+		if p := run(step.build); p.Done != 2 || p.Cached != step.cached {
+			t.Errorf("run %d (%s): done=%d cached=%d, want 2/%d", i, step.build, p.Done, p.Cached, step.cached)
+		}
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "v1", "*.json"))
+	if err != nil || len(files) != 4 {
+		t.Fatalf("cache holds %d entries (%v), want 2 cells × 2 builds", len(files), err)
+	}
+}
+
+// TestRunFailsOnUnreadableBuild checks a Run with a cache directory
+// stops before any job when the build cannot be hashed, and points to
+// running without the cache; without one it never reads the build.
+func TestRunFailsOnUnreadableBuild(t *testing.T) {
+	saved := buildHash
+	t.Cleanup(func() { buildHash, testRunJob = saved, nil })
+	buildHash = func() (string, error) { return "", errors.New("executable unreadable") }
+	ran := 0
+	testRunJob = func(j job) ([]MetricValue, error) { ran++; return []MetricValue{{"x", 1}}, nil }
+	dir := filepath.Join(t.TempDir(), "cache")
+	spec := mustParse(t, "exp=video policy=dchannel seeds=1..2 dur=5s")
+	_, err := Run(spec, Options{Workers: 1, CacheDir: dir})
+	if err == nil || !strings.Contains(err.Error(), "executable unreadable") || !strings.Contains(err.Error(), "-no-cache") {
+		t.Fatalf("Run error %v; want the hash failure and a pointer to -no-cache", err)
+	}
+	if ran != 0 {
+		t.Fatalf("%d jobs ran before the cache failed", ran)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Fatalf("cache directory created: %v", err)
+	}
+	if _, err := Run(spec, Options{Workers: 1}); err != nil || ran != 2 {
+		t.Fatalf("uncached Run: %v after %d jobs", err, ran)
+	}
+}
+
+// TestJobKeyFoldsArenaMix pins the arena knobs into the cache key: it
+// carries flows/mix/join/rttspread, and jobs differing only in a knob
+// never share a key.
 func TestJobKeyFoldsArenaMix(t *testing.T) {
 	spec := mustParse(t, "exp=arena flows=4 mix=cubic,bbr join=250ms rttspread=20ms dur=4s seeds=1")
 	j := job{spec: spec, cell: cellKey{Policy: "dchannel", Trace: "fixed"}, seed: 1}
-	key := j.key()
-	for _, want := range []string{"flows=4", "mix=cubic:1,bbr:1", "join=250ms", "rttspread=20ms",
-		"cc-config=cubic/", "cc-config=bbr/"} {
+	key := j.key("")
+	for _, want := range []string{"flows=4", "mix=cubic:1,bbr:1", "join=250ms", "rttspread=20ms"} {
 		if !strings.Contains(key, want) {
 			t.Errorf("arena job key missing %q:\n%s", want, key)
 		}
@@ -529,44 +608,44 @@ func TestJobKeyFoldsArenaMix(t *testing.T) {
 	} {
 		j2 := j
 		j2.spec = mustParse(t, alt)
-		if j.hash() == j2.hash() {
-			t.Errorf("arena jobs share a cache hash despite differing specs:\n%s\nvs\n%s", j.key(), j2.key())
+		if key == j2.key("") {
+			t.Errorf("arena jobs share a cache key despite differing specs:\n%s\nvs\n%s", key, alt)
 		}
 	}
 }
 
 // TestJobKeyFoldsFaultScenario pins the fault axis into the cache
-// address: outage jobs that differ only in scenario must not share a
+// key: outage jobs that differ only in scenario must not share a
 // cached result.
 func TestJobKeyFoldsFaultScenario(t *testing.T) {
 	spec := mustParse(t, "exp=outage policy=redundant seeds=1 dur=4s")
 	j := job{spec: spec, cell: cellKey{Policy: "redundant", Trace: "fixed"}, seed: 1}
-	if !strings.Contains(j.key(), "fault="+spec.Fault) {
-		t.Fatalf("job key missing fault scenario:\n%s", j.key())
+	if !strings.Contains(j.key(""), "fault="+spec.Fault) {
+		t.Fatalf("job key missing fault scenario:\n%s", j.key(""))
 	}
 	j2 := j
 	j2.spec.Fault = "outage:ch=urllc,at=1s,dur=500ms"
-	if j.hash() == j2.hash() {
-		t.Fatal("different fault scenarios share a cache hash")
+	if j.key("") == j2.key("") {
+		t.Fatal("different fault scenarios share a cache key")
 	}
 }
 
 func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
-	dir := t.TempDir()
+	c := cache{dir: t.TempDir(), build: "b"}
 	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..1 dur=5s")
 	j := job{spec: spec, cell: cellKey{Policy: "dchannel", Trace: "lowband-driving"}, seed: 1}
 	want := []MetricValue{{Name: "latency_p50_ms", Value: 12.5}}
 
 	// Round trip: a stored entry loads back verbatim.
-	if err := cacheStore(dir, j, want); err != nil {
+	if err := c.store(j, want); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := cacheLoad(dir, j)
+	got, ok := c.load(j)
 	if !ok || len(got) != 1 || got[0] != want[0] {
-		t.Fatalf("cacheLoad after store = %v, %v", got, ok)
+		t.Fatalf("load after store = %v, %v", got, ok)
 	}
 
-	path := cachePath(dir, j)
+	path := c.path(j.key(c.build))
 	exists := func() bool { _, err := os.Stat(path); return err == nil }
 
 	// Corrupt JSON: miss, and the file is deleted so the next sweep
@@ -574,7 +653,7 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 	if err := writeFile(path, "{torn write"); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cacheLoad(dir, j); ok {
+	if _, ok := c.load(j); ok {
 		t.Fatal("corrupt entry reported as a hit")
 	}
 	if exists() {
@@ -585,14 +664,14 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 	// identity is deleted too.
 	other := j
 	other.seed = 2
-	entry, err := json.Marshal(cacheEntry{Key: other.key(), Metrics: want, Sum: metricsSum(want)})
+	entry, err := json.Marshal(cacheEntry{Key: other.key(c.build), Metrics: want, Sum: metricsSum(want)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := writeFile(path, string(entry)); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cacheLoad(dir, j); ok {
+	if _, ok := c.load(j); ok {
 		t.Fatal("key-mismatched entry reported as a hit")
 	}
 	if exists() {
@@ -600,15 +679,15 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 	}
 
 	// Plain absence stays a quiet miss.
-	if _, ok := cacheLoad(dir, j); ok {
+	if _, ok := c.load(j); ok {
 		t.Fatal("absent entry reported as a hit")
 	}
 
 	// The quarantine is per-entry: storing again restores the hit.
-	if err := cacheStore(dir, j, want); err != nil {
+	if err := c.store(j, want); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cacheLoad(dir, j); !ok {
+	if _, ok := c.load(j); !ok {
 		t.Fatal("re-stored entry missed")
 	}
 }
@@ -618,12 +697,12 @@ func TestCacheLoadQuarantinesBadEntries(t *testing.T) {
 // that into a miss, and the entry is deleted like any corrupt one; so
 // is an entry with no checksum at all.
 func TestCacheLoadRejectsFlippedMetric(t *testing.T) {
-	dir := t.TempDir()
+	c := cache{dir: t.TempDir(), build: "b"}
 	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..1 dur=5s")
 	j := job{spec: spec, cell: cellKey{Policy: "dchannel", Trace: "lowband-driving"}, seed: 1}
 	want := []MetricValue{{Name: "latency_p50_ms", Value: 12.5}, {Name: "ssim_mean", Value: 0.93}}
-	path := cachePath(dir, j)
-	if err := cacheStore(dir, j, want); err != nil {
+	path := c.path(j.key(c.build))
+	if err := c.store(j, want); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -637,7 +716,7 @@ func TestCacheLoadRejectsFlippedMetric(t *testing.T) {
 	flipped := bytes.Clone(data)
 	flipped[at+1] ^= 1 // '2' -> '3': 13.5, still a number
 	var e cacheEntry
-	if err := json.Unmarshal(flipped, &e); err != nil || e.Key != j.key() || e.Metrics[0].Value != 13.5 {
+	if err := json.Unmarshal(flipped, &e); err != nil || e.Key != j.key(c.build) || e.Metrics[0].Value != 13.5 {
 		t.Fatalf("the flip should leave a parseable entry for the same key: %v, %+v", err, e.Metrics)
 	}
 	for name, content := range map[string][]byte{
@@ -647,7 +726,7 @@ func TestCacheLoadRejectsFlippedMetric(t *testing.T) {
 		if err := os.WriteFile(path, content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if got, ok := cacheLoad(dir, j); ok {
+		if got, ok := c.load(j); ok {
 			t.Errorf("%s: reported as a hit: %v", name, got)
 		}
 		if _, err := os.Stat(path); err == nil {
