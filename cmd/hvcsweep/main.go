@@ -33,7 +33,8 @@
 // byte — any edited constant, algorithm or dependency — recomputes
 // every cell; an identical rebuild of the same tree hits. If the
 // binary cannot be read, hvcsweep exits 1 and -no-cache runs without
-// the cache. The directory is always safe to delete.
+// the cache. The directory holds one build at a time: a run first
+// removes every other build's entries. It is always safe to delete.
 //
 // Stdout carries only the deterministic result table (or CSV with
 // -format csv); progress and timing go to stderr. -json/-csv

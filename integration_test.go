@@ -107,10 +107,10 @@ func TestAllRunnersDeterministic(t *testing.T) {
 			return r.InputToDisplay.Mean()
 		}},
 		{"mlo", func() float64 {
-			return core.RunMLO(3, 300, 1200, 10*time.Millisecond, true).DeliveryRate
+			return core.RunMLO(3, 300, true).DeliveryRate
 		}},
 		{"cost", func() float64 {
-			r := core.RunCost(3, 100, 20*time.Millisecond, 50_000)
+			r := core.RunCost(3, 100, 50_000)
 			return r.Latency.Mean()
 		}},
 		{"multipath", func() float64 {
@@ -120,7 +120,7 @@ func TestAllRunnersDeterministic(t *testing.T) {
 			return core.RunTSN(3, 3*time.Second, true).MissRate
 		}},
 		{"tail", func() float64 {
-			r := core.RunTailBoost(3, 50, 60_000, 50*time.Millisecond, true)
+			r := core.RunTailBoost(3, 50, true)
 			return r.Latency.Mean()
 		}},
 	}

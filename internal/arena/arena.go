@@ -7,10 +7,8 @@ import (
 	"hvc/internal/cc"
 	"hvc/internal/channel"
 	"hvc/internal/core"
-	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/packet"
-	"hvc/internal/sim"
 	"hvc/internal/sketch"
 	"hvc/internal/telemetry"
 	"hvc/internal/transport"
@@ -99,22 +97,11 @@ func Run(spec Spec, opt Options) (Result, error) {
 	if err := spec.Validate(); err != nil {
 		return Result{}, err
 	}
-	fspec, err := fault.ParseSpec(opt.Fault)
+	w, err := core.NewRun(spec.Seed, spec.Trace, spec.Dur, opt.Fault, opt.Tracer, "arena "+spec.String())
 	if err != nil {
 		return Result{}, err
 	}
-	embb, err := core.NewTrace(spec.Trace, spec.Seed, spec.Dur)
-	if err != nil {
-		return Result{}, err
-	}
-
-	w := core.NewWorld(spec.Seed, func(loop *sim.Loop) *channel.Group {
-		return core.Cellular(loop, embb)
-	})
 	loop, g := w.Loop, w.Group
-	if err := w.Observe(opt.Tracer, fspec, "arena %s", spec); err != nil {
-		return Result{}, err
-	}
 
 	// The server accepts every competitor; received-byte counts are read
 	// per flow through this table.

@@ -199,11 +199,6 @@ func (s Spec) ExtraDelay(i int) time.Duration {
 	return time.Duration(int64(s.RTTSpread) * int64(i) / int64(s.Flows-1))
 }
 
-// mix64 is the splitmix64 finalizer, the same bit mixer the fleet
-// harness derives per-UE profiles with.
-func mix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
+// mix64 is one whole splitmix64 step: the golden-ratio increment,
+// then the finalizer (spec.Mix64) the fleet applies without it.
+func mix64(x uint64) uint64 { return spec.Mix64(x + 0x9e3779b97f4a7c15) }

@@ -161,3 +161,34 @@ func TestCanonicalGolden(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowSeedsArePinned pins the derived per-flow seeds and join
+// times: each flow's event stream and its place in the join order come
+// from them, so a change to the hash moves every arena result.
+func TestFlowSeedsArePinned(t *testing.T) {
+	for _, c := range []struct {
+		spec  string
+		seeds []int64
+		joins []time.Duration
+	}{
+		{"flows=4 join=2s seed=7 dur=10s",
+			[]int64{8581286081765471666, 1988111358474182198, -1693167626370456249, 4854513374406671322},
+			[]time.Duration{58678581, 2192124192, 4024864577, 6091311197}},
+		{"flows=3 join=500ms seed=1 dur=4s",
+			[]int64{-1586005623519383010, -2274933249722822011, -1419658703116693069},
+			[]time.Duration{61268297, 511884971, 1013523040}},
+	} {
+		s, err := ParseSpec(c.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range c.seeds {
+			if got := s.FlowSeed(i); got != c.seeds[i] {
+				t.Errorf("%s: FlowSeed(%d) = %d, want %d", c.spec, i, got, c.seeds[i])
+			}
+			if got := s.JoinAt(i); got != c.joins[i] {
+				t.Errorf("%s: JoinAt(%d) = %v, want %v", c.spec, i, got, c.joins[i])
+			}
+		}
+	}
+}

@@ -29,10 +29,16 @@ type MLOResult struct {
 	PacketsOnAir int64
 }
 
-// RunMLO sends count messages of size bytes, one every interval, over
+// The MLO ablation's stream: one mloMsgBytes message every mloEvery.
+const (
+	mloMsgBytes = 1200
+	mloEvery    = 10 * time.Millisecond
+)
+
+// RunMLO sends count messages of mloMsgBytes, one every mloEvery, over
 // the Wi-Fi MLO pair, unreliably (time-sensitive TSN-style traffic).
-func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant bool) MLOResult {
-	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+func RunMLO(seed int64, count int, redundant bool) MLOResult {
+	w := newWorld(seed, func(loop *sim.Loop) *channel.Group {
 		return channel.NewGroup(channel.WiFiMLO(loop))
 	})
 	g, b5 := w.Group, w.Group.Get("wifi5")
@@ -62,13 +68,13 @@ func RunMLO(seed int64, count, sizeBytes int, interval time.Duration, redundant 
 	// The sends fire in message order, so one callback numbers them.
 	next := 0
 	sends := sim.NewLane(w.Loop, func() {
-		conn.SendMessage(st, 0, sizeBytes, next)
+		conn.SendMessage(st, 0, mloMsgBytes, next)
 		next++
 	})
 	for i := 0; i < count; i++ {
-		sends.Push(time.Duration(i) * interval)
+		sends.Push(time.Duration(i) * mloEvery)
 	}
-	w.Run(time.Duration(count)*interval + 5*time.Second)
+	w.Run(time.Duration(count)*mloEvery + 5*time.Second)
 
 	res.DeliveryRate = float64(delivered) / float64(count)
 	for _, ch := range g.All() {
@@ -89,11 +95,14 @@ type CostResult struct {
 	Dollars    float64
 }
 
+// costEvery is the cost ablation's request interval.
+const costEvery = 20 * time.Millisecond
+
 // RunCost issues count request/response exchanges (1 kB up, 20 kB
-// down), one every interval, steering with a budgeted CostAware policy
+// down), one every costEvery, steering with a budgeted CostAware policy
 // on the client; budget 0 disables the priced path entirely.
-func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec float64) CostResult {
-	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+func RunCost(seed int64, count int, budgetBytesPerSec float64) CostResult {
+	w := newWorld(seed, func(loop *sim.Loop) *channel.Group {
 		return channel.NewGroup(channel.CISP(loop))
 	})
 	loop, g, fiber := w.Loop, w.Group, w.Group.Get("fiber")
@@ -132,9 +141,9 @@ func RunCost(seed int64, count int, interval time.Duration, budgetBytesPerSec fl
 		conn.SendMessage(st, 0, 1_000, reqMeta{at: loop.Now()})
 	})
 	for i := 0; i < count; i++ {
-		requests.Push(time.Duration(i) * interval)
+		requests.Push(time.Duration(i) * costEvery)
 	}
-	w.Run(time.Duration(count)*interval + 10*time.Second)
+	w.Run(time.Duration(count)*costEvery + 10*time.Second)
 
 	if ca, ok := clientPolicy.(*steering.CostAware); ok {
 		res.SpentBytes = ca.SpentBytes()
@@ -169,7 +178,7 @@ func RunMultipath(seed int64, dur time.Duration, mode string) MultipathResult {
 	default:
 		panic(fmt.Sprintf("core: unknown multipath-comparison mode %q", mode))
 	}
-	w := NewWorld(seed, cellular(fixedEMBB()))
+	w := must(NewRun(seed, "fixed", dur, "", nil, ""))
 	g := w.Group
 
 	res := MultipathResult{Mode: mode}
@@ -296,10 +305,19 @@ type TailBoostResult struct {
 	Latency metrics.Distribution
 }
 
-// RunTailBoost sends count messages of msgBytes every interval over
-// the fixed cellular pair, eMBB-only versus eMBB with tail-boost.
-func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost bool) TailBoostResult {
-	w := NewWorld(seed, cellular(fixedEMBB()))
+// The tail-boost ablation's stream: one tailMsgBytes message every
+// tailEvery.
+const (
+	tailMsgBytes = 60_000
+	tailEvery    = 50 * time.Millisecond
+)
+
+// RunTailBoost sends count messages of tailMsgBytes, one every
+// tailEvery, over the fixed cellular pair, eMBB-only versus eMBB with
+// tail-boost.
+func RunTailBoost(seed int64, count int, boost bool) TailBoostResult {
+	runLen := time.Duration(count)*tailEvery + 10*time.Second
+	w := must(NewRun(seed, "fixed", runLen, "", nil, ""))
 
 	mkPolicy := func(side channel.Side) steering.Policy {
 		base := steering.Policy(steering.NewSingle(w.Group.Get(channel.NameEMBB)))
@@ -325,12 +343,12 @@ func RunTailBoost(seed int64, count, msgBytes int, interval time.Duration, boost
 	conn := w.Client.Dial(transport.Config{CC: cc.NewCubic(), Steer: mkPolicy(channel.A)})
 	st := conn.NewStream()
 	sends := sim.NewLane(w.Loop, func() {
-		conn.SendMessage(st, 0, msgBytes, nil)
+		conn.SendMessage(st, 0, tailMsgBytes, nil)
 	})
 	for i := 0; i < count; i++ {
-		sends.Push(time.Duration(i) * interval)
+		sends.Push(time.Duration(i) * tailEvery)
 	}
-	w.Run(time.Duration(count)*interval + 10*time.Second)
+	w.Run(runLen)
 	return res
 }
 
@@ -350,7 +368,7 @@ type TSNResult struct {
 // ~160 Mbps loss-tolerant blast saturates the best-effort channel.
 // With useTSN the control traffic is steered onto the TSN channel.
 func RunTSN(seed int64, dur time.Duration, useTSN bool) TSNResult {
-	w := NewWorld(seed, func(loop *sim.Loop) *channel.Group {
+	w := newWorld(seed, func(loop *sim.Loop) *channel.Group {
 		return channel.NewGroup(channel.WiFiTSN(loop, 2))
 	})
 	loop, g := w.Loop, w.Group

@@ -41,12 +41,10 @@ func RunABR(cfg ABRConfig) (ABRResult, error) {
 	if !ValidPolicy(cfg.Policy) {
 		return ABRResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	tr, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Media+time.Minute)
+	w, err := NewRun(cfg.Seed, cfg.Trace, cfg.Media+time.Minute, "", nil, "")
 	if err != nil {
 		return ABRResult{}, err
 	}
-
-	w := NewWorld(cfg.Seed, cellular(tr))
 	abr.Serve(w.Server, func() transport.Config {
 		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, w.Group, channel.B)}
 	})
@@ -86,12 +84,10 @@ func RunGame(cfg GameConfig) (GameResult, error) {
 	if !ValidPolicy(cfg.Policy) {
 		return GameResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	tr, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Duration+time.Minute)
+	w, err := NewRun(cfg.Seed, cfg.Trace, cfg.Duration+time.Minute, "", nil, "")
 	if err != nil {
 		return GameResult{}, err
 	}
-
-	w := NewWorld(cfg.Seed, cellular(tr))
 	conn := w.Client.Dial(transport.Config{
 		Steer: mustPolicy(cfg.Policy, w.Group, channel.A), Unreliable: true, MsgTimeout: 10 * time.Second,
 	})

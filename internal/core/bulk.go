@@ -9,7 +9,6 @@ import (
 
 	"hvc/internal/cc"
 	"hvc/internal/channel"
-	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/steering"
 	"hvc/internal/telemetry"
@@ -99,21 +98,13 @@ func RunBulk(cfg BulkConfig) (BulkResult, error) {
 	if !ValidPolicy(cfg.Policy) {
 		return BulkResult{}, fmt.Errorf("core: unknown steering policy %q", cfg.Policy)
 	}
-	embb, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Duration+time.Second)
-	if err != nil {
-		return BulkResult{}, err
-	}
 	alg, err := NewCC(cfg.CC)
 	if err != nil {
 		return BulkResult{}, err
 	}
-	spec, err := fault.ParseSpec(cfg.Fault)
+	w, err := NewRun(cfg.Seed, cfg.Trace, cfg.Duration+time.Second, cfg.Fault, cfg.Tracer,
+		fmt.Sprintf("bulk cc=%s policy=%s seed=%d", cfg.CC, cfg.Policy, cfg.Seed))
 	if err != nil {
-		return BulkResult{}, err
-	}
-
-	w := NewWorld(cfg.Seed, cellular(embb))
-	if err := w.Observe(cfg.Tracer, spec, "bulk cc=%s policy=%s seed=%d", cfg.CC, cfg.Policy, cfg.Seed); err != nil {
 		return BulkResult{}, err
 	}
 

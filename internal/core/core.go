@@ -208,13 +208,13 @@ func mustPolicy(name string, g *channel.Group, side channel.Side) steering.Polic
 	return must(NewPolicy(name, g, side))
 }
 
-// must returns p, panicking on err: runners build policies only from
-// names and configurations they have already validated.
-func must(p steering.Policy, err error) steering.Policy {
+// must returns v, panicking on err: runners build policies and worlds
+// only from names and configurations they have already validated.
+func must[T any](v T, err error) T {
 	if err != nil {
 		panic(err)
 	}
-	return p
+	return v
 }
 
 // SortedCounts renders a per-channel count map deterministically, for

@@ -394,8 +394,8 @@ func TestTable1ShapeShort(t *testing.T) {
 }
 
 func TestRunMLOShape(t *testing.T) {
-	single := RunMLO(1, 300, 1200, 10*time.Millisecond, false)
-	red := RunMLO(1, 300, 1200, 10*time.Millisecond, true)
+	single := RunMLO(1, 300, false)
+	red := RunMLO(1, 300, true)
 	if !(red.DeliveryRate > single.DeliveryRate) {
 		t.Errorf("redundant delivery %.3f should beat single lossy link %.3f",
 			red.DeliveryRate, single.DeliveryRate)
@@ -409,8 +409,8 @@ func TestRunMLOShape(t *testing.T) {
 }
 
 func TestRunCostShape(t *testing.T) {
-	free := RunCost(1, 200, 20*time.Millisecond, 0)
-	budget := RunCost(1, 200, 20*time.Millisecond, 50_000)
+	free := RunCost(1, 200, 0)
+	budget := RunCost(1, 200, 50_000)
 	if !(budget.Latency.Mean() < free.Latency.Mean()) {
 		t.Errorf("budgeted mean latency %.1f ms should beat fiber-only %.1f ms",
 			budget.Latency.Mean(), free.Latency.Mean())
@@ -418,7 +418,7 @@ func TestRunCostShape(t *testing.T) {
 	if budget.Dollars <= 0 || free.Dollars != 0 {
 		t.Errorf("dollars: budget=%v free=%v", budget.Dollars, free.Dollars)
 	}
-	big := RunCost(1, 200, 20*time.Millisecond, 1e7)
+	big := RunCost(1, 200, 1e7)
 	if big.Dollars <= budget.Dollars {
 		t.Error("a larger budget should spend more")
 	}
@@ -494,8 +494,8 @@ func TestRunBetaSweepShape(t *testing.T) {
 }
 
 func TestRunTailBoostImprovesCompletion(t *testing.T) {
-	plain := RunTailBoost(1, 100, 60_000, 50*time.Millisecond, false)
-	boosted := RunTailBoost(1, 100, 60_000, 50*time.Millisecond, true)
+	plain := RunTailBoost(1, 100, false)
+	boosted := RunTailBoost(1, 100, true)
 	if plain.Latency.N() != 100 || boosted.Latency.N() != 100 {
 		t.Fatalf("incomplete: %d vs %d messages", plain.Latency.N(), boosted.Latency.N())
 	}

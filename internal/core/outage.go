@@ -109,12 +109,14 @@ func RunOutage(cfg OutageConfig) (OutageResult, error) {
 		return OutageResult{}, err
 	}
 
-	w := NewWorld(cfg.Seed, cellular(fixedEMBB()))
-	if err := w.Observe(cfg.Tracer, spec, "outage policy=%s fault=%s seed=%d", cfg.Policy, spec, cfg.Seed); err != nil {
+	scenario := spec.String()
+	w, err := NewRun(cfg.Seed, "fixed", cfg.Duration, scenario, cfg.Tracer,
+		fmt.Sprintf("outage policy=%s fault=%s seed=%d", cfg.Policy, scenario, cfg.Seed))
+	if err != nil {
 		return OutageResult{}, err
 	}
 
-	res := OutageResult{Policy: cfg.Policy, Fault: spec.String()}
+	res := OutageResult{Policy: cfg.Policy, Fault: scenario}
 	var lastDelivery, maxGap time.Duration
 	w.Server.Listen(func() transport.Config {
 		tc := transport.Config{

@@ -6,7 +6,6 @@ import (
 
 	"hvc/internal/app/video"
 	"hvc/internal/channel"
-	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/steering"
 	"hvc/internal/telemetry"
@@ -61,17 +60,9 @@ func runVideo(cfg VideoConfig, newPolicy func(*channel.Group, channel.Side) (ste
 	if cfg.Duration <= 0 {
 		return VideoResult{}, fmt.Errorf("core: video duration must be positive")
 	}
-	tr, err := NewTrace(cfg.Trace, cfg.Seed, cfg.Duration+30*time.Second)
+	w, err := NewRun(cfg.Seed, cfg.Trace, cfg.Duration+30*time.Second, cfg.Fault, cfg.Tracer,
+		fmt.Sprintf("video trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed))
 	if err != nil {
-		return VideoResult{}, err
-	}
-	spec, err := fault.ParseSpec(cfg.Fault)
-	if err != nil {
-		return VideoResult{}, err
-	}
-
-	w := NewWorld(cfg.Seed, cellular(tr))
-	if err := w.Observe(cfg.Tracer, spec, "video trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed); err != nil {
 		return VideoResult{}, err
 	}
 

@@ -8,7 +8,6 @@ import (
 	"hvc/internal/app/web"
 	"hvc/internal/cc"
 	"hvc/internal/channel"
-	"hvc/internal/fault"
 	"hvc/internal/metrics"
 	"hvc/internal/packet"
 	"hvc/internal/telemetry"
@@ -63,20 +62,12 @@ func RunWeb(cfg WebConfig) (WebResult, error) {
 		return WebResult{}, fmt.Errorf("core: web does not support policy %q", cfg.Policy)
 	}
 	cfg.Pages, cfg.Loads = cmp.Or(cfg.Pages, 30), cmp.Or(cfg.Loads, 5)
-	tr, err := NewTrace(cfg.Trace, cfg.Seed, 5*time.Minute)
+	w, err := NewRun(cfg.Seed, cfg.Trace, 5*time.Minute, cfg.Fault, cfg.Tracer,
+		fmt.Sprintf("web trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed))
 	if err != nil {
 		return WebResult{}, err
 	}
-	spec, err := fault.ParseSpec(cfg.Fault)
-	if err != nil {
-		return WebResult{}, err
-	}
-
-	w := NewWorld(cfg.Seed, cellular(tr))
 	loop, g := w.Loop, w.Group
-	if err := w.Observe(cfg.Tracer, spec, "web trace=%s policy=%s seed=%d", cfg.Trace, cfg.Policy, cfg.Seed); err != nil {
-		return WebResult{}, err
-	}
 
 	web.Serve(w.Server, func() transport.Config { // the paper uses TCP CUBIC throughout
 		return transport.Config{CC: cc.NewCubic(), Steer: mustPolicy(cfg.Policy, g, channel.B)}

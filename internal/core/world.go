@@ -1,14 +1,12 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"hvc/internal/channel"
 	"hvc/internal/fault"
 	"hvc/internal/sim"
 	"hvc/internal/telemetry"
-	"hvc/internal/trace"
 	"hvc/internal/transport"
 )
 
@@ -22,35 +20,45 @@ type World struct {
 	Client, Server *transport.Endpoint
 }
 
-// NewWorld builds a world seeded with seed over channels(loop). It
+// NewRun builds the world one run over the paper's eMBB+URLLC pair
+// plays out on. In this order, it realizes the eMBB trace named traceName
+// (traceLen long, from seed); parses faults, a scenario in the
+// internal/fault grammar (empty or "none" injects nothing); builds the
+// world; and announces the run to tr under label, binding tr to the
+// world's clock, channels and endpoints (nil disables tracing) before
+// injecting the scenario.
+func NewRun(seed int64, traceName string, traceLen time.Duration, faults string, tr *telemetry.Tracer, label string) (*World, error) {
+	embb, err := NewTrace(traceName, seed, traceLen)
+	if err != nil {
+		return nil, err
+	}
+	spec, err := fault.ParseSpec(faults)
+	if err != nil {
+		return nil, err
+	}
+	w := newWorld(seed, func(loop *sim.Loop) *channel.Group { return Cellular(loop, embb) })
+	tr.BeginRun(label)
+	tr.BindClock(w.Loop.Now)
+	w.Group.SetTracer(tr)
+	w.Client.SetTracer(tr)
+	w.Server.SetTracer(tr)
+	if !spec.Empty() {
+		if err := fault.Inject(w.Loop, w.Group, spec, tr); err != nil {
+			return nil, err
+		}
+	}
+	return w, nil
+}
+
+// newWorld builds a world seeded with seed over channels(loop). It
 // adopts what a world that finished before it handed on — free lists,
 // loop and link arrays (transport.Adopt; Run retires them again).
-func NewWorld(seed int64, channels func(*sim.Loop) *channel.Group) *World {
+func newWorld(seed int64, channels func(*sim.Loop) *channel.Group) *World {
 	loop := sim.NewLoop(seed)
 	g := channels(loop)
 	w := &World{loop, g, transport.NewEndpoint(loop, g, channel.A), transport.NewEndpoint(loop, g, channel.B)}
 	transport.Adopt(w.Client, w.Server)
 	return w
-}
-
-// cellular is NewWorld's channels for the paper's eMBB+URLLC pair.
-func cellular(embb *trace.Trace) func(*sim.Loop) *channel.Group {
-	return func(loop *sim.Loop) *channel.Group { return Cellular(loop, embb) }
-}
-
-// Observe announces a run to tr (nil disables tracing), labelled by
-// format and args as fmt.Sprintf does; binds tr to the world's clock,
-// channels and endpoints; and injects spec unless it is empty.
-func (w *World) Observe(tr *telemetry.Tracer, spec fault.Spec, format string, args ...any) error {
-	tr.BeginRun(fmt.Sprintf(format, args...))
-	tr.BindClock(w.Loop.Now)
-	w.Group.SetTracer(tr)
-	w.Client.SetTracer(tr)
-	w.Server.SetTracer(tr)
-	if spec.Empty() {
-		return nil
-	}
-	return fault.Inject(w.Loop, w.Group, spec, tr)
 }
 
 // Run advances the world to until, audits the packet ledger

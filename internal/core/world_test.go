@@ -22,7 +22,7 @@ func TestRetiredListsReleaseTheirWorld(t *testing.T) {
 	func() {
 		// Unreliable messages of three packets, all carrying msg, with
 		// reassembly timeouts armed.
-		w := NewWorld(1, cellular(fixedEMBB()))
+		w := must(NewRun(1, "fixed", 0, "", nil, ""))
 		cfg := func(side channel.Side) transport.Config {
 			return transport.Config{Steer: mustPolicy(PolicyDChannel, w.Group, side),
 				Unreliable: true, MsgTimeout: time.Second}
@@ -45,7 +45,7 @@ func TestRetiredListsReleaseTheirWorld(t *testing.T) {
 	}()
 	// The next world adopts the lists as it is built. It sends nothing, so
 	// it overwrites nothing, and it never ends, so it keeps them.
-	next := NewWorld(2, cellular(fixedEMBB()))
+	next := must(NewRun(2, "fixed", 0, "", nil, ""))
 	next.Loop.RunUntil(5 * time.Second)
 	runtime.GC()
 	runtime.GC()

@@ -282,7 +282,7 @@ func ablationMLO(e Env) error {
 	fmt.Fprintln(e.Out, "== Ablation (§2.2/§3.1): Wi-Fi MLO redundancy, 1200B messages at 100/s ==")
 	fmt.Fprintf(e.Out, "%-12s %10s %10s %10s %12s\n", "mode", "delivery", "p50_ms", "p99_ms", "pkts_on_air")
 	for _, red := range []bool{false, true} {
-		r := core.RunMLO(e.Seed, 2000, 1200, 10*time.Millisecond, red)
+		r := core.RunMLO(e.Seed, 2000, red)
 		fmt.Fprintf(e.Out, "%-12s %9.2f%% %10.1f %10.1f %12d\n",
 			r.Mode, 100*r.DeliveryRate, r.Latency.Percentile(50), r.Latency.Percentile(99), r.PacketsOnAir)
 		e.metric(r.Mode+"/delivery", r.DeliveryRate, "")
@@ -298,7 +298,7 @@ func ablationCost(e Env) error {
 	fmt.Fprintln(e.Out, "== Ablation (§3.1): latency vs cost on a priced cISP-style path ==")
 	fmt.Fprintf(e.Out, "%-14s %10s %10s %12s %10s\n", "budget_B/s", "mean_ms", "p95_ms", "spent_bytes", "dollars")
 	for _, budget := range []float64{0, 5_000, 50_000, 500_000, 5_000_000} {
-		r := core.RunCost(e.Seed, 500, 20*time.Millisecond, budget)
+		r := core.RunCost(e.Seed, 500, budget)
 		fmt.Fprintf(e.Out, "%-14.0f %10.1f %10.1f %12d %10.4f\n",
 			budget, r.Latency.Mean(), r.Latency.Percentile(95), r.SpentBytes, r.Dollars)
 		row := fmt.Sprintf("%.0f", budget)
@@ -346,7 +346,7 @@ func ablationTail(e Env) error {
 	fmt.Fprintln(e.Out, "== Ablation (§3.2): end-of-message tail acceleration, 60kB messages at 20/s ==")
 	fmt.Fprintf(e.Out, "%-12s %10s %10s %10s\n", "mode", "mean_ms", "p95_ms", "max_ms")
 	for _, boost := range []bool{false, true} {
-		r := core.RunTailBoost(e.Seed, 500, 60_000, 50*time.Millisecond, boost)
+		r := core.RunTailBoost(e.Seed, 500, boost)
 		fmt.Fprintf(e.Out, "%-12s %10.1f %10.1f %10.1f\n",
 			r.Mode, r.Latency.Mean(), r.Latency.Percentile(95), r.Latency.Max())
 		e.metric(r.Mode+"/mean_ms", r.Latency.Mean(), "ms")

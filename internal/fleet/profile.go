@@ -27,23 +27,12 @@ const (
 	saltOffset
 )
 
-// mix64 is the splitmix64 finalizer: a cheap bijective avalanche over
-// uint64, the standard way to turn structured integers into
-// independent-looking streams without allocating an RNG.
-func mix64(x uint64) uint64 {
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return x
-}
-
-// derive hashes (fleet seed, UE index, salt) into one uniform draw.
+// derive hashes (fleet seed, UE index, salt) into one uniform draw
+// through the splitmix64 finalizer (spec.Mix64).
 func derive(fleetSeed int64, ue int, salt uint64) uint64 {
-	h := mix64(uint64(fleetSeed) ^ 0x9e3779b97f4a7c15)
-	h = mix64(h ^ uint64(ue))
-	return mix64(h ^ salt)
+	h := spec.Mix64(uint64(fleetSeed) ^ 0x9e3779b97f4a7c15)
+	h = spec.Mix64(h ^ uint64(ue))
+	return spec.Mix64(h ^ salt)
 }
 
 // A Profile is one UE's complete session identity: everything its

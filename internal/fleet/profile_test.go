@@ -194,3 +194,24 @@ func TestSessionStreamOrderInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestDeriveIsPinned pins a few per-UE draws: every fleet profile
+// (app, policy, trace, seed, start offset) is derived from them, so a
+// change to the hash moves every fleet result.
+func TestDeriveIsPinned(t *testing.T) {
+	for _, c := range []struct {
+		seed int64
+		ue   int
+		salt uint64
+		want uint64
+	}{
+		{1, 0, saltApp, 0x1e45e2a324b7110a},
+		{1, 7, saltSeed, 0xb8261e6f40119b4e},
+		{42, 999, saltOffset, 0x5a23f199600932c0},
+		{-3, 12345, saltTrace, 0x175224d41a0c1105},
+	} {
+		if got := derive(c.seed, c.ue, c.salt); got != c.want {
+			t.Errorf("derive(%d, %d, %d) = %#x, want %#x", c.seed, c.ue, c.salt, got, c.want)
+		}
+	}
+}

@@ -242,6 +242,19 @@ func Pick(list []Weighted, n uint64) string {
 	return list[len(list)-1].Name // unreachable: weights sum to total
 }
 
+// Mix64 is the splitmix64 finalizer: a cheap bijective avalanche over
+// uint64, the standard way to turn structured integers into
+// independent-looking streams without allocating an RNG. The fleet
+// hashes its per-UE draws with it, and the arena its per-flow seeds.
+func Mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
+}
+
 // RoundTrip checks the contract every grammar's canonical form holds,
 // shared by their tests and fuzz targets: v, a value parse accepted,
 // renders to a String that parses back to a deeply equal value and

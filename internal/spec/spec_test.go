@@ -231,3 +231,14 @@ func FuzzSpecKernel(f *testing.F) {
 		}
 	})
 }
+
+// TestMix64MatchesSplitmix64 pins Mix64 to the published splitmix64
+// stream: seeded with 0, its outputs are Mix64 of successive multiples
+// of the golden-ratio increment.
+func TestMix64MatchesSplitmix64(t *testing.T) {
+	for i, want := range []uint64{0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f} {
+		if got := Mix64(uint64(i+1) * 0x9e3779b97f4a7c15); got != want {
+			t.Errorf("splitmix64 output %d = %#x, want %#x", i, got, want)
+		}
+	}
+}

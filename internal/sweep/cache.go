@@ -13,8 +13,8 @@ import (
 )
 
 // The disk cache stores one JSON file per completed job under
-// <dir>/v1/<sha256-of-key>.json. The file embeds the full key, so a
-// hit is verified against the key text, not just the hash, and a
+// <dir>/v1/<build>/<sha256-of-key>.json. The file embeds the full key,
+// so a hit is verified against the key text, not just the hash, and a
 // SHA-256 of its metrics, so a value that rotted into another number
 // is not one either.
 //
@@ -23,8 +23,10 @@ import (
 // spec decides; the binary holds every constant, algorithm and
 // dependency that turns it into numbers. A rebuilt binary that differs
 // in any byte misses on every entry, and an identical rebuild of the
-// same tree hits on all of them. Entries of older builds are never
-// read again; the directory is always safe to delete.
+// same tree hits on all of them. The directory holds one build at a
+// time: opening the cache removes every other build's entries (and
+// those of the older flat v1/ layout), which could never hit again.
+// It is always safe to delete.
 
 // A cache is one Run's view of the result store: its directory and
 // the build hash every key carries. The zero cache stores nothing.
@@ -53,8 +55,9 @@ var buildHash = sync.OnceValues(func() (string, error) {
 })
 
 // openCache returns the cache rooted at dir, or the zero cache for an
-// empty dir. It fails rather than key entries on less than the whole
-// build: a partial key would serve another build's numbers.
+// empty dir, after removing what other builds left under v1/. It fails
+// rather than key entries on less than the whole build: a partial key
+// would serve another build's numbers.
 func openCache(dir string) (cache, error) {
 	if dir == "" {
 		return cache{}, nil
@@ -62,6 +65,15 @@ func openCache(dir string) (cache, error) {
 	build, err := buildHash()
 	if err != nil {
 		return cache{}, fmt.Errorf("sweep: cache: cannot hash the running build (%w); run without the cache (-no-cache)", err)
+	}
+	root := filepath.Join(dir, "v1")
+	stale, _ := os.ReadDir(root) // absent: nothing to remove
+	for _, e := range stale {
+		if e.Name() != build {
+			if err := os.RemoveAll(filepath.Join(root, e.Name())); err != nil {
+				return cache{}, fmt.Errorf("sweep: cache: %w", err)
+			}
+		}
 	}
 	return cache{dir: dir, build: build}, nil
 }
@@ -145,8 +157,8 @@ func (c cache) store(j job, metrics []MetricValue) error {
 	return nil
 }
 
-// path addresses a rendered key: its SHA-256, under v1/.
+// path addresses a rendered key: its SHA-256, under v1/<build>/.
 func (c cache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(c.dir, "v1", hex.EncodeToString(sum[:])+".json")
+	return filepath.Join(c.dir, "v1", c.build, hex.EncodeToString(sum[:])+".json")
 }

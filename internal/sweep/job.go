@@ -80,8 +80,8 @@ func (j job) run() ([]MetricValue, error) {
 			return nil, err
 		}
 		return []MetricValue{
-			{"startup_ms", float64(r.StartupDelay.Milliseconds())},
-			{"rebuffer_ms", float64(r.RebufferTime.Milliseconds())},
+			{"startup_ms", float64(r.StartupDelay.Microseconds()) / 1000},
+			{"rebuffer_ms", float64(r.RebufferTime.Microseconds()) / 1000},
 			{"rebuffer_events", float64(r.RebufferEvents)},
 			{"mean_bitrate_mbps", r.MeanBitrate / 1e6},
 			{"switches", float64(r.Switches)},

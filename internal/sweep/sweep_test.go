@@ -293,6 +293,32 @@ func TestRunOutageGrid(t *testing.T) {
 	}
 }
 
+// TestRunABRMetricsKeepMicroseconds checks a one-cell abr sweep reports
+// RunABR's startup delay and rebuffer time to the microsecond, as
+// -exp ablation-has does, not truncated to whole milliseconds.
+func TestRunABRMetricsKeepMicroseconds(t *testing.T) {
+	m, err := Run(mustParse(t, "exp=abr policy=dchannel trace=mmwave-driving seeds=1..1 dur=20s"), Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := core.RunABR(core.ABRConfig{Seed: 1, Media: 20 * time.Second, Trace: "mmwave-driving", Policy: "dchannel"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	startup := float64(r.StartupDelay.Microseconds()) / 1000
+	if startup == float64(r.StartupDelay.Milliseconds()) {
+		t.Fatalf("startup %v is a whole number of milliseconds; the check needs a run whose startup is not", r.StartupDelay)
+	}
+	for i, want := range []CellMetric{
+		{Name: "startup_ms", Summary: core.Summary{Mean: startup}},
+		{Name: "rebuffer_ms", Summary: core.Summary{Mean: float64(r.RebufferTime.Microseconds()) / 1000}},
+	} {
+		if got := m.Cells[0].Metrics[i]; got.Name != want.Name || got.Mean != want.Mean {
+			t.Errorf("metric %d = %s %v, want %s %v (RunABR's)", i, got.Name, got.Mean, want.Name, want.Mean)
+		}
+	}
+}
+
 // TestRunArenaGridWorkerInvariance is the arena acceptance gate at the
 // sweep layer: a four-flow mixed-CCA contention grid produces a
 // byte-identical matrix on one worker and four, and its fixed metric
@@ -445,7 +471,7 @@ func TestRunCorruptCacheEntryReRuns(t *testing.T) {
 	if _, err := Run(spec, Options{CacheDir: dir}); err != nil {
 		t.Fatal(err)
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "v1", "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "v1", "*", "*.json"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("cache files %v, %v", files, err)
 	}
@@ -531,13 +557,22 @@ func TestJobKeyCarriesBuildAndSeed(t *testing.T) {
 }
 
 // TestRunKeysCacheByBuild runs one grid on one cache under two
-// substituted build identities: the second build misses on every
-// entry and stores its own, and each build then hits on its own.
+// substituted build identities: each build hits on its own entries and
+// misses on every other build's, and the cache holds one build at a
+// time, so a build's run leaves only its own entries behind — none of
+// the other build's, nor any of the older flat layout's.
 func TestRunKeysCacheByBuild(t *testing.T) {
 	saved := buildHash
 	t.Cleanup(func() { buildHash, testRunJob = saved, nil })
 	testRunJob = func(j job) ([]MetricValue, error) { return []MetricValue{{"x", float64(j.seed)}}, nil }
 	dir := t.TempDir()
+	flat := filepath.Join(dir, "v1", strings.Repeat("0", 64)+".json")
+	if err := os.MkdirAll(filepath.Dir(flat), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeFile(flat, "{}"); err != nil {
+		t.Fatal(err)
+	}
 	spec := mustParse(t, "exp=video policy=dchannel trace=lowband-driving seeds=1..2 dur=5s")
 	run := func(build string) telemetry.Progress {
 		t.Helper()
@@ -551,14 +586,20 @@ func TestRunKeysCacheByBuild(t *testing.T) {
 	for i, step := range []struct {
 		build  string
 		cached int
-	}{{"build-a", 0}, {"build-b", 0}, {"build-a", 2}, {"build-b", 2}} {
+	}{{"build-a", 0}, {"build-a", 2}, {"build-b", 0}, {"build-b", 2}, {"build-a", 0}, {"build-b", 0}} {
 		if p := run(step.build); p.Done != 2 || p.Cached != step.cached {
 			t.Errorf("run %d (%s): done=%d cached=%d, want 2/%d", i, step.build, p.Done, p.Cached, step.cached)
 		}
 	}
-	files, err := filepath.Glob(filepath.Join(dir, "v1", "*.json"))
-	if err != nil || len(files) != 4 {
-		t.Fatalf("cache holds %d entries (%v), want 2 cells × 2 builds", len(files), err)
+	var files []string
+	err := filepath.WalkDir(filepath.Join(dir, "v1"), func(path string, d os.DirEntry, err error) error {
+		if err == nil && !d.IsDir() {
+			files = append(files, path)
+		}
+		return err
+	})
+	if err != nil || len(files) != 2 || filepath.Base(filepath.Dir(files[0])) != "build-b" || filepath.Base(filepath.Dir(files[1])) != "build-b" {
+		t.Fatalf("cache holds %v (%v), want build-b's 2 entries only", files, err)
 	}
 }
 
