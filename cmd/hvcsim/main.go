@@ -24,6 +24,7 @@ import (
 	"fmt"
 	"os"
 	"slices"
+	"strings"
 	"time"
 
 	"hvc/internal/cli"
@@ -46,9 +47,9 @@ func main() {
 	out := cli.New("hvcsim")
 	var (
 		workload  = flag.String("workload", "bulk", "bulk, video, web, abr, or game")
-		ccName    = flag.String("cc", "cubic", "bulk: congestion control (cubic, reno, bbr, vegas, vivace, copa, hvc-*)")
+		ccName    = flag.String("cc", "cubic", "bulk: congestion control ("+strings.Join(core.CCNames(), ", ")+", hvc-*)")
 		policy    = flag.String("policy", core.PolicyDChannel, "steering policy (embb-only, dchannel, priority, dchannel+priority, objectmap, redundant)")
-		traceNm   = flag.String("trace", "fixed", "eMBB trace (fixed, lowband-stationary, lowband-walking, lowband-driving, mmwave-driving)")
+		traceNm   = flag.String("trace", "fixed", "eMBB trace ("+strings.Join(core.TraceNames(), ", ")+")")
 		dur       = flag.Duration("dur", 30*time.Second, "run duration (abr: media duration; not read by web)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
 		pages     = flag.Int("pages", 5, "web: pages to load")

@@ -22,6 +22,10 @@
 // stagger, and RTT heterogeneity. DESIGN.md "Spec grammars" lists every
 // key, kind and default; a key that does not apply to the experiment,
 // or an explicit dur=0s, is a usage error (exit 2, nothing on stdout).
+// -quick shortens the spec before its defaults are filled in, so the
+// spec printed is the one run: the default outage schedule scales to
+// the shortened dur, and arena joins that no longer fit are a usage
+// error.
 //
 // The default grid is the paper's Figure 1a (four CCAs under DChannel
 // steering vs eMBB-only) over five seeds.
@@ -75,7 +79,11 @@ func main() {
 	)
 	flag.Parse()
 
-	spec, err := sweep.ParseSpec(*specF)
+	parse := sweep.ParseSpec
+	if *quick {
+		parse = sweep.ParseQuickSpec
+	}
+	spec, err := parse(*specF)
 	if err != nil {
 		out.Usage(err)
 	}
@@ -84,13 +92,6 @@ func main() {
 	}
 	csvOut, jsonOut := out.Create(*csvF), out.Create(*jsonF)
 	out.Start()
-	if *quick {
-		if spec.Exp == sweep.ExpWeb {
-			spec.Pages, spec.Loads = 2, 1
-		} else if spec.Dur > 5*time.Second {
-			spec.Dur = 5 * time.Second
-		}
-	}
 
 	meter := telemetry.NewMeter()
 	opt := sweep.Options{Workers: *workers, CacheDir: *cache, Meter: meter}

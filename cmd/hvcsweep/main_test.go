@@ -105,3 +105,28 @@ func TestCachedRerun(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickShrinksBeforeDefaults checks that -quick shortens the spec
+// before its defaults are filled in, so the spec printed is the one
+// run: the default outage schedule is the one dur=5s gets, an explicit
+// fault scenario is kept as written, and arena joins that do not fit
+// the shortened run are a usage error like any other spec error.
+func TestQuickShrinksBeforeDefaults(t *testing.T) {
+	specLine := func(want string) func(*testing.T, string, string, string) {
+		return func(t *testing.T, dir, stdout, stderr string) {
+			if got, _, _ := strings.Cut(stdout, "\n"); got != want {
+				t.Errorf("spec line %q, want %q", got, want)
+			}
+		}
+	}
+	clitest.Run(t, bin, []clitest.Case{
+		{Name: "default outage schedule", Args: []string{"-quick", "-no-cache", "-spec", "exp=outage policy=embb-only seeds=1..1"},
+			Check: specLine("spec: exp=outage policy=embb-only trace=fixed seeds=1..1 dur=5s " +
+				"fault=outage:ch=embb,at=1.25s,dur=625ms;outage:ch=embb,at=3.125s,dur=625ms")},
+		{Name: "explicit fault", Args: []string{"-quick", "-no-cache", "-spec",
+			"exp=outage policy=embb-only seeds=1..1 dur=8s fault=outage:ch=embb,at=2s,dur=1s"},
+			Check: specLine("spec: exp=outage policy=embb-only trace=fixed seeds=1..1 dur=5s fault=outage:ch=embb,at=2s,dur=1s")},
+		{Name: "arena joins past the quick dur", Args: []string{"-quick", "-spec", "exp=arena flows=4 join=2s dur=15s",
+			"-json", "$DIR/s.json"}, Code: 2, Files: []string{"s.json"}},
+	})
+}

@@ -11,6 +11,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"hvc/internal/cli"
@@ -20,7 +21,7 @@ import (
 func main() {
 	out := cli.New("tracegen")
 	var (
-		name = flag.String("name", "lowband-driving", "trace generator (lowband-stationary, lowband-driving, mmwave-driving, fixed)")
+		name = flag.String("name", "lowband-driving", "trace generator ("+strings.Join(core.TraceNames(), ", ")+")")
 		seed = flag.Int64("seed", 1, "generator seed")
 		dur  = flag.Duration("dur", time.Minute, "trace duration")
 	)

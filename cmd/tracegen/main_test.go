@@ -1,10 +1,12 @@
 package main
 
 import (
+	"os/exec"
 	"strings"
 	"testing"
 
 	"hvc/internal/clitest"
+	"hvc/internal/core"
 )
 
 // bin is the tracegen binary under test, built once by TestMain.
@@ -32,4 +34,20 @@ func TestExitCodes(t *testing.T) {
 				}
 			}},
 	})
+}
+
+// TestUsageNamesEveryTrace checks that -name's help lists every trace
+// core.NewTrace accepts.
+func TestUsageNamesEveryTrace(t *testing.T) {
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v: %s", err, out)
+	}
+	_, help, _ := strings.Cut(string(out), "-name string\n")
+	help, _, _ = strings.Cut(help, "\n")
+	for _, n := range core.TraceNames() {
+		if !strings.Contains(help, n) {
+			t.Errorf("-name help %q does not name trace %q", help, n)
+		}
+	}
 }

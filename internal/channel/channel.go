@@ -61,19 +61,15 @@ type Properties struct {
 	// CostPerByte prices channel use for cost-aware steering (e.g., a
 	// cISP-style premium path); 0 means the channel is free.
 	CostPerByte float64
-	// Reliable marks channels with a reliability guarantee (URLLC's
-	// five-nines target, or replicated Wi-Fi MLO).
-	Reliable bool
 }
 
 // Config assembles a Channel.
 type Config struct {
 	Props Properties
-	// DownTrace drives the B→A (server-to-client) direction, where
-	// bulk data flows in the paper's workloads; UpTrace drives A→B
-	// and defaults to DownTrace when nil.
+	// DownTrace drives both directions. It is named for the B→A
+	// (server-to-client) direction, where bulk data flows in the
+	// paper's workloads.
 	DownTrace *trace.Trace
-	UpTrace   *trace.Trace
 	// QueueBytes caps each direction's queue; 0 means netem's default.
 	QueueBytes int
 }
@@ -81,7 +77,8 @@ type Config struct {
 // A Channel is one duplex virtual channel. Its per-side delivery sinks
 // must be set with SetSink before traffic flows.
 type Channel struct {
-	props Properties
+	// cfg is the row the channel was built from.
+	cfg Config
 	// toB carries A→B traffic, toA carries B→A traffic.
 	toB, toA *netem.Link
 	sinks    [2]netem.Sink // indexed by receiving Side
@@ -96,11 +93,7 @@ func New(loop *sim.Loop, cfg Config) *Channel {
 	if cfg.DownTrace == nil {
 		panic(fmt.Sprintf("channel %q: nil DownTrace", cfg.Props.Name))
 	}
-	up := cfg.UpTrace
-	if up == nil {
-		up = cfg.DownTrace
-	}
-	c := &Channel{props: cfg.Props}
+	c := &Channel{cfg: cfg}
 	// The salts keep the two directions' private loss streams distinct
 	// even though both links carry the channel's name.
 	c.toA = netem.New(loop, netem.Config{
@@ -112,7 +105,7 @@ func New(loop *sim.Loop, cfg Config) *Channel {
 	}, func(p *packet.Packet) { c.deliver(A, p) })
 	c.toB = netem.New(loop, netem.Config{
 		Name:       cfg.Props.Name,
-		Trace:      up,
+		Trace:      cfg.DownTrace,
 		QueueBytes: cfg.QueueBytes,
 		LossProb:   cfg.Props.LossProb,
 		Salt:       "up",
@@ -128,10 +121,10 @@ func (c *Channel) SetTracer(t *telemetry.Tracer) {
 }
 
 // Props returns the channel's property sheet.
-func (c *Channel) Props() Properties { return c.props }
+func (c *Channel) Props() Properties { return c.cfg.Props }
 
 // Name returns the channel's name.
-func (c *Channel) Name() string { return c.props.Name }
+func (c *Channel) Name() string { return c.cfg.Props.Name }
 
 // SetSink registers the function that receives packets arriving at
 // side s. It must be called for each side before that side receives
@@ -143,7 +136,7 @@ func (c *Channel) SetSink(s Side, sink netem.Sink) {
 func (c *Channel) deliver(to Side, p *packet.Packet) {
 	sink := c.sinks[to]
 	if sink == nil {
-		panic(fmt.Sprintf("channel %q: packet arrived at side %v with no sink", c.props.Name, to))
+		panic(fmt.Sprintf("channel %q: packet arrived at side %v with no sink", c.cfg.Props.Name, to))
 	}
 	sink(p)
 }
@@ -357,7 +350,10 @@ func (g *Group) SetTracer(t *telemetry.Tracer) {
 // Len reports the number of channels.
 func (g *Group) Len() int { return len(g.channels) }
 
-// Standard channel constructors matching the paper's scenarios.
+// Standard channel constructors matching the paper's scenarios. Each
+// is one row: a property sheet plus its queue cap. A constant channel's
+// trace is derived from its row (constant), so a channel's RTT and rate
+// are written once.
 
 // NameEMBB and NameURLLC are the conventional channel names used by
 // experiments and steering defaults.
@@ -366,112 +362,56 @@ const (
 	NameURLLC = "urllc"
 )
 
+// constant builds the channel the row p describes, driven in both
+// directions by fixed conditions at p's nominal RTT and rate.
+func constant(loop *sim.Loop, p Properties, queueBytes int) *Channel {
+	return New(loop, Config{
+		Props:      p,
+		DownTrace:  trace.Constant(p.Name, p.BaseRTT, p.Bandwidth),
+		QueueBytes: queueBytes,
+	})
+}
+
 // EMBB builds the high-bandwidth high-latency cellular channel driven
-// by tr in both directions.
+// by tr in both directions; its row is tr's first sample.
 func EMBB(loop *sim.Loop, tr *trace.Trace) *Channel {
 	s := tr.At(0)
 	return New(loop, Config{
-		Props: Properties{
-			Name:      NameEMBB,
-			BaseRTT:   s.RTT,
-			Bandwidth: s.Rate,
-		},
+		Props:     Properties{Name: NameEMBB, BaseRTT: s.RTT, Bandwidth: s.Rate},
 		DownTrace: tr,
 	})
 }
 
-// EMBBFixed builds the Fig. 1 constant eMBB channel: 50 ms RTT at
-// 60 Mbps.
-func EMBBFixed(loop *sim.Loop) *Channel {
-	return EMBB(loop, trace.Constant("embb-fixed", 50*time.Millisecond, 60e6))
-}
+// EMBBFixed builds the Fig. 1 constant eMBB channel (trace.FixedEMBB).
+func EMBBFixed(loop *sim.Loop) *Channel { return EMBB(loop, trace.FixedEMBB()) }
 
 // URLLC builds the low-latency low-bandwidth channel the paper
-// emulates: 5 ms RTT at 2 Mbps, with URLLC's reliability guarantee.
-// Its queue is kept shallow: URLLC admission control would not let a
-// deep backlog form.
+// emulates: 5 ms RTT at 2 Mbps. Its queue is kept shallow: URLLC
+// admission control would not let a deep backlog form.
 func URLLC(loop *sim.Loop) *Channel {
-	return New(loop, Config{
-		Props: Properties{
-			Name:      NameURLLC,
-			BaseRTT:   5 * time.Millisecond,
-			Bandwidth: 2e6,
-			Reliable:  true,
-		},
-		DownTrace:  trace.URLLC(),
-		QueueBytes: 64 << 10,
-	})
+	return constant(loop, Properties{Name: NameURLLC, BaseRTT: 5 * time.Millisecond, Bandwidth: 2e6}, 64<<10)
 }
 
 // WiFiMLO builds the two Wi-Fi 7 multi-link channels of §2.2: a lossy
 // high-rate 5 GHz link and a clean, contention-free 6 GHz link.
 func WiFiMLO(loop *sim.Loop) (band5, band6 *Channel) {
-	band5 = New(loop, Config{
-		Props: Properties{
-			Name:      "wifi5",
-			BaseRTT:   20 * time.Millisecond,
-			Bandwidth: 120e6,
-			LossProb:  0.02,
-		},
-		DownTrace: trace.Constant("wifi5", 20*time.Millisecond, 120e6),
-	})
-	band6 = New(loop, Config{
-		Props: Properties{
-			Name:      "wifi6ghz",
-			BaseRTT:   4 * time.Millisecond,
-			Bandwidth: 40e6,
-			Reliable:  true,
-		},
-		DownTrace: trace.Constant("wifi6ghz", 4*time.Millisecond, 40e6),
-	})
-	return band5, band6
+	return constant(loop, Properties{Name: "wifi5", BaseRTT: 20 * time.Millisecond, Bandwidth: 120e6, LossProb: 0.02}, 0),
+		constant(loop, Properties{Name: "wifi6ghz", BaseRTT: 4 * time.Millisecond, Bandwidth: 40e6}, 0)
 }
 
 // CISP builds the §2.3 WAN pair: conventional fiber alongside a
-// cISP-style speed-of-light microwave path that is fast, narrow, and
-// priced per byte.
+// cISP-style speed-of-light microwave path (~c vs ~2c/3 in fiber) that
+// is fast, narrow, and priced per byte.
 func CISP(loop *sim.Loop) (fiber, microwave *Channel) {
-	fiber = New(loop, Config{
-		Props: Properties{
-			Name:      "fiber",
-			BaseRTT:   40 * time.Millisecond,
-			Bandwidth: 1e9,
-		},
-		DownTrace: trace.Constant("fiber", 40*time.Millisecond, 1e9),
-	})
-	microwave = New(loop, Config{
-		Props: Properties{
-			Name:        "cisp",
-			BaseRTT:     13 * time.Millisecond, // ~c vs ~2c/3 in fiber
-			Bandwidth:   10e6,
-			CostPerByte: 1e-6,
-		},
-		DownTrace: trace.Constant("cisp", 13*time.Millisecond, 10e6),
-	})
-	return fiber, microwave
+	return constant(loop, Properties{Name: "fiber", BaseRTT: 40 * time.Millisecond, Bandwidth: 1e9}, 0),
+		constant(loop, Properties{Name: "cisp", BaseRTT: 13 * time.Millisecond, Bandwidth: 10e6, CostPerByte: 1e-6}, 0)
 }
 
 // LEO builds the §2.3 satellite pair: a Starlink-style LEO path with
 // lower latency but less bandwidth than the terrestrial Internet path.
 func LEO(loop *sim.Loop) (terrestrial, leo *Channel) {
-	terrestrial = New(loop, Config{
-		Props: Properties{
-			Name:      "terrestrial",
-			BaseRTT:   70 * time.Millisecond,
-			Bandwidth: 500e6,
-		},
-		DownTrace: trace.Constant("terrestrial", 70*time.Millisecond, 500e6),
-	})
-	leo = New(loop, Config{
-		Props: Properties{
-			Name:      "leo",
-			BaseRTT:   30 * time.Millisecond,
-			Bandwidth: 50e6,
-			LossProb:  0.005,
-		},
-		DownTrace: trace.Constant("leo", 30*time.Millisecond, 50e6),
-	})
-	return terrestrial, leo
+	return constant(loop, Properties{Name: "terrestrial", BaseRTT: 70 * time.Millisecond, Bandwidth: 500e6}, 0),
+		constant(loop, Properties{Name: "leo", BaseRTT: 30 * time.Millisecond, Bandwidth: 50e6, LossProb: 0.005}, 0)
 }
 
 // WiFiTSN builds the §2.2 wireless-TSN pair: a time-synchronized,
@@ -488,29 +428,8 @@ func WiFiTSN(loop *sim.Loop, tsnUsers int) (tsn, bestEffort *Channel) {
 	}
 	// Each reservation takes ~8 Mbps of airtime and adds scheduling
 	// latency for everyone contending outside the protected slots.
-	beRate := 150e6 - 8e6*float64(tsnUsers)
-	if beRate < 20e6 {
-		beRate = 20e6
-	}
+	beRate := max(150e6-8e6*float64(tsnUsers), 20e6)
 	beRTT := 20*time.Millisecond + 4*time.Millisecond*time.Duration(tsnUsers)
-	tsn = New(loop, Config{
-		Props: Properties{
-			Name:      "wifi-tsn",
-			BaseRTT:   8 * time.Millisecond,
-			Bandwidth: 8e6,
-			Reliable:  true,
-		},
-		DownTrace:  trace.Constant("wifi-tsn", 8*time.Millisecond, 8e6),
-		QueueBytes: 64 << 10,
-	})
-	bestEffort = New(loop, Config{
-		Props: Properties{
-			Name:      "wifi-be",
-			BaseRTT:   beRTT,
-			Bandwidth: beRate,
-			LossProb:  0.01,
-		},
-		DownTrace: trace.Constant("wifi-be", beRTT, beRate),
-	})
-	return tsn, bestEffort
+	return constant(loop, Properties{Name: "wifi-tsn", BaseRTT: 8 * time.Millisecond, Bandwidth: 8e6}, 64<<10),
+		constant(loop, Properties{Name: "wifi-be", BaseRTT: beRTT, Bandwidth: beRate, LossProb: 0.01}, 0)
 }

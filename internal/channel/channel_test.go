@@ -1,6 +1,7 @@
 package channel
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -55,6 +56,56 @@ func TestDeliveryWithoutSinkPanics(t *testing.T) {
 	loop.Run()
 }
 
+// TestPresetRows pins every preset's row — name, RTT, rate, loss, cost
+// per byte and queue cap (0 is netem's default) — and checks that each
+// constant preset's trace holds exactly its row's RTT and rate.
+func TestPresetRows(t *testing.T) {
+	type row struct {
+		Properties
+		queue int
+	}
+	const ms = time.Millisecond
+	loop := sim.NewLoop(1)
+	pair := func(a, b *Channel) []*Channel { return []*Channel{a, b} }
+	for _, tc := range []struct {
+		preset string
+		chs    []*Channel
+		rows   []row
+	}{
+		{"EMBBFixed", []*Channel{EMBBFixed(loop)}, []row{{Properties{Name: "embb", BaseRTT: 50 * ms, Bandwidth: 60e6}, 0}}},
+		{"URLLC", []*Channel{URLLC(loop)}, []row{{Properties{Name: "urllc", BaseRTT: 5 * ms, Bandwidth: 2e6}, 64 << 10}}},
+		{"WiFiMLO", pair(WiFiMLO(loop)), []row{
+			{Properties{Name: "wifi5", BaseRTT: 20 * ms, Bandwidth: 120e6, LossProb: 0.02}, 0},
+			{Properties{Name: "wifi6ghz", BaseRTT: 4 * ms, Bandwidth: 40e6}, 0}}},
+		{"CISP", pair(CISP(loop)), []row{
+			{Properties{Name: "fiber", BaseRTT: 40 * ms, Bandwidth: 1e9}, 0},
+			{Properties{Name: "cisp", BaseRTT: 13 * ms, Bandwidth: 10e6, CostPerByte: 1e-6}, 0}}},
+		{"LEO", pair(LEO(loop)), []row{
+			{Properties{Name: "terrestrial", BaseRTT: 70 * ms, Bandwidth: 500e6}, 0},
+			{Properties{Name: "leo", BaseRTT: 30 * ms, Bandwidth: 50e6, LossProb: 0.005}, 0}}},
+		{"WiFiTSN(1)", pair(WiFiTSN(loop, 1)), []row{
+			{Properties{Name: "wifi-tsn", BaseRTT: 8 * ms, Bandwidth: 8e6}, 64 << 10},
+			{Properties{Name: "wifi-be", BaseRTT: 24 * ms, Bandwidth: 142e6, LossProb: 0.01}, 0}}},
+		{"WiFiTSN(8)", pair(WiFiTSN(loop, 8)), []row{
+			{Properties{Name: "wifi-tsn", BaseRTT: 8 * ms, Bandwidth: 8e6}, 64 << 10},
+			{Properties{Name: "wifi-be", BaseRTT: 52 * ms, Bandwidth: 86e6, LossProb: 0.01}, 0}}},
+		{"WiFiTSN(100)", pair(WiFiTSN(loop, 100)), []row{
+			{Properties{Name: "wifi-tsn", BaseRTT: 8 * ms, Bandwidth: 8e6}, 64 << 10},
+			{Properties{Name: "wifi-be", BaseRTT: 420 * ms, Bandwidth: 20e6, LossProb: 0.01}, 0}}},
+	} {
+		for i, c := range tc.chs {
+			want := tc.rows[i]
+			if got := (row{c.Props(), c.cfg.QueueBytes}); got != want {
+				t.Errorf("%s channel %d: row %+v, want %+v", tc.preset, i, got, want)
+			}
+			samples := []trace.Sample{{RTT: want.BaseRTT, Rate: want.Bandwidth}}
+			if tr := c.cfg.DownTrace; !slices.Equal(tr.Samples, samples) {
+				t.Errorf("%s channel %d: trace %+v, want the row's %+v", tc.preset, i, tr.Samples, samples)
+			}
+		}
+	}
+}
+
 func TestURLLCLatency(t *testing.T) {
 	loop := sim.NewLoop(1)
 	c := URLLC(loop)
@@ -75,9 +126,6 @@ func TestEMBBFixedProps(t *testing.T) {
 	p := c.Props()
 	if p.Name != NameEMBB || p.BaseRTT != 50*time.Millisecond || p.Bandwidth != 60e6 {
 		t.Fatalf("props = %+v", p)
-	}
-	if p.Reliable {
-		t.Fatal("eMBB must not be marked reliable")
 	}
 }
 
@@ -150,33 +198,9 @@ func TestNilDownTracePanics(t *testing.T) {
 	New(loop, Config{Props: Properties{Name: "x"}})
 }
 
-func TestAsymmetricTraces(t *testing.T) {
-	loop := sim.NewLoop(1)
-	down := trace.Constant("down", 10*time.Millisecond, 80e6)
-	up := trace.Constant("up", 10*time.Millisecond, 8e6)
-	c := New(loop, Config{
-		Props:     Properties{Name: "asym"},
-		DownTrace: down,
-		UpTrace:   up,
-	})
-	var aAt, bAt time.Duration
-	c.SetSink(A, func(*packet.Packet) { aAt = loop.Now() })
-	c.SetSink(B, func(*packet.Packet) { bAt = loop.Now() })
-	c.Send(A, &packet.Packet{ID: 1, Size: 1000}) // uplink: 1 ms tx
-	c.Send(B, &packet.Packet{ID: 2, Size: 1000}) // downlink: 0.1 ms tx
-	loop.Run()
-	if bAt <= aAt {
-		// A→B used the slow uplink so must arrive later than B→A.
-		t.Fatalf("uplink arrival %v should be after downlink %v", bAt, aAt)
-	}
-}
-
 func TestStandardPairs(t *testing.T) {
 	loop := sim.NewLoop(1)
 	b5, b6 := WiFiMLO(loop)
-	if !b6.Props().Reliable || b5.Props().Reliable {
-		t.Fatal("6 GHz band should be the reliable one")
-	}
 	if b5.Props().Bandwidth <= b6.Props().Bandwidth {
 		t.Fatal("5 GHz band should be the wide one")
 	}
@@ -198,11 +222,8 @@ func TestStandardPairs(t *testing.T) {
 
 func TestWiFiTSNContentionCost(t *testing.T) {
 	loop := sim.NewLoop(1)
-	tsn1, be1 := WiFiTSN(loop, 1)
+	_, be1 := WiFiTSN(loop, 1)
 	_, be8 := WiFiTSN(loop, 8)
-	if !tsn1.Props().Reliable {
-		t.Fatal("TSN channel should be reliable")
-	}
 	if be8.Props().BaseRTT <= be1.Props().BaseRTT {
 		t.Fatal("more TSN users must raise best-effort latency")
 	}

@@ -108,13 +108,7 @@ var traceTable = []entry[func(seed int64, dur time.Duration) *trace.Trace]{
 	{"lowband-walking", trace.LowbandWalking},
 	{"lowband-driving", trace.LowbandDriving},
 	{"mmwave-driving", trace.MmWaveDriving},
-	{"fixed", func(int64, time.Duration) *trace.Trace { return fixedEMBB() }},
-}
-
-// fixedEMBB is the steady eMBB channel (50 ms RTT, 60 Mbps) the
-// experiments use wherever trace variability is not under study.
-func fixedEMBB() *trace.Trace {
-	return trace.Constant("embb-fixed", 50*time.Millisecond, 60e6)
+	{"fixed", func(int64, time.Duration) *trace.Trace { return trace.FixedEMBB() }},
 }
 
 // TraceNames lists the synthetic 5G trace generators NewTrace accepts.

@@ -11,6 +11,7 @@ import (
 	"hvc/internal/sim"
 	"hvc/internal/steering"
 	"hvc/internal/telemetry"
+	"hvc/internal/trace"
 	"hvc/internal/transport"
 )
 
@@ -82,7 +83,7 @@ func TestOutageFastForwardEventCollapse(t *testing.T) {
 func TestReliableBlackoutDoesNotPoll(t *testing.T) {
 	run := func(blackout time.Duration) uint64 {
 		loop := sim.NewLoop(1)
-		tr := fixedEMBB()
+		tr := trace.FixedEMBB()
 		s := tr.At(0)
 		embb := channel.New(loop, channel.Config{
 			Props:      channel.Properties{Name: channel.NameEMBB, BaseRTT: s.RTT, Bandwidth: s.Rate},

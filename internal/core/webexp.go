@@ -30,8 +30,9 @@ type WebConfig struct {
 	// loads per page (default 5), per the paper's methodology.
 	Pages int
 	Loads int
-	// Background disables the two competing flows when false is
-	// explicitly configured via NoBackground.
+	// NoBackground turns off the two background JSON flows that
+	// compete with every page load (Table 1's setup); the zero value
+	// runs them.
 	NoBackground bool
 	// Fault is an optional scenario in the internal/fault grammar
 	// (empty or "none" disables injection), so fleet runs can load

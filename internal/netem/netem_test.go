@@ -257,8 +257,8 @@ func TestNewPanics(t *testing.T) {
 	sink := Sink(func(*packet.Packet) {})
 	for name, fn := range map[string]func(){
 		"nil trace": func() { New(loop, Config{Name: "x"}, sink) },
-		"nil sink":  func() { New(loop, Config{Name: "x", Trace: trace.URLLC()}, nil) },
-		"bad loss":  func() { New(loop, Config{Name: "x", Trace: trace.URLLC(), LossProb: 1.5}, sink) },
+		"nil sink":  func() { New(loop, Config{Name: "x", Trace: trace.FixedEMBB()}, nil) },
+		"bad loss":  func() { New(loop, Config{Name: "x", Trace: trace.FixedEMBB(), LossProb: 1.5}, sink) },
 	} {
 		func() {
 			defer func() {

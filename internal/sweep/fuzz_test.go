@@ -13,7 +13,7 @@ import (
 // FuzzSweepSpecParse exercises the grid-spec parser with arbitrary
 // input: it must never panic, and any spec it accepts must round-trip
 // — the canonical String reparses to the same spec and is a fixed
-// point.
+// point. The same holds for what ParseQuickSpec accepts.
 func FuzzSweepSpecParse(f *testing.F) {
 	f.Add("exp=bulk cc=cubic,bbr,vegas,vivace policy=dchannel,embb-only seeds=1..5 dur=15s")
 	f.Add("exp=video policy=priority trace=mmwave-driving seeds=3 dur=20s")
@@ -38,12 +38,16 @@ func FuzzSweepSpecParse(f *testing.F) {
 	f.Add("exp=bulk dur=0s")
 	f.Add("exp=bulk join=0s")
 	f.Fuzz(func(t *testing.T, in string) {
-		sp, err := ParseSpec(in)
-		if err != nil {
-			return // rejected: fine, as long as no panic
-		}
-		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
-			t.Fatalf("%q: %v", in, err)
+		// A quick spec is printed and cached as a full one: its String
+		// reparses without -quick to the same spec.
+		for _, parse := range []func(string) (Spec, error){ParseSpec, ParseQuickSpec} {
+			sp, err := parse(in)
+			if err != nil {
+				continue // rejected: fine, as long as no panic
+			}
+			if err := spec.RoundTrip(sp, ParseSpec); err != nil {
+				t.Fatalf("%q: %v", in, err)
+			}
 		}
 	})
 }

@@ -44,7 +44,8 @@ const maxSeeds = 1_000_000
 // build specs with ParseSpec, or populate the applicable fields and let
 // Run validate them and fill defaults for the zero ones.
 type Spec struct {
-	// Exp is the experiment kind: bulk, video, web, or abr.
+	// Exp is the experiment kind: bulk, video, web, abr, outage or
+	// arena.
 	Exp string
 	// CCs lists congestion-control algorithms (bulk only; the other
 	// workloads fix CUBIC, as the paper does).
@@ -56,8 +57,8 @@ type Spec struct {
 	// SeedFirst..SeedFirst+SeedCount-1 are the seeds each cell runs.
 	SeedFirst int64
 	SeedCount int
-	// Dur is the run duration (bulk, video, outage) or media length
-	// (abr); unused for web.
+	// Dur is the run duration (bulk, video, outage, arena) or media
+	// length (abr); unused for web.
 	Dur time.Duration
 	// Pages and Loads size the web corpus; unused otherwise.
 	Pages, Loads int
@@ -89,7 +90,17 @@ type Spec struct {
 // errors. Omitted axes default per experiment (see defaultAndValidate).
 // The result is validated and canonical: parsing the String of a
 // parsed spec yields the same spec.
-func ParseSpec(s string) (Spec, error) {
+func ParseSpec(s string) (Spec, error) { return parseSpec(s, false) }
+
+// ParseQuickSpec parses s like ParseSpec, shrunk for smoke testing
+// before any default is filled in: a web grid loads 2 pages once, any
+// other run lasts at most 5 s. What follows dur sees the shrunk one:
+// the default outage schedule scales to it, and arena joins that do not
+// fit it are a parse error. An explicit fault scenario is kept as
+// written.
+func ParseQuickSpec(s string) (Spec, error) { return parseSpec(s, true) }
+
+func parseSpec(s string, quick bool) (Spec, error) {
 	sp := Spec{SeedFirst: 1, SeedCount: 1}
 	present, err := spec.Parse("sweep", strings.Fields(s), []spec.Field{
 		spec.String("exp", &sp.Exp),
@@ -111,6 +122,13 @@ func ParseSpec(s string) (Spec, error) {
 	})
 	if err != nil {
 		return Spec{}, err
+	}
+	if quick {
+		if sp.Exp == ExpWeb {
+			sp.Pages, sp.Loads = 2, 1
+		} else {
+			sp.Dur = min(cmp.Or(sp.Dur, expDefaults[sp.Exp].dur), 5*time.Second)
+		}
 	}
 	if err := sp.defaultAndValidate(present); err != nil {
 		return Spec{}, err

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"hvc/internal/core"
+	"hvc/internal/pool"
 	"hvc/internal/spec"
 	"hvc/internal/telemetry"
 )
@@ -497,25 +498,35 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 }
 
 func TestRunErrorNamesCellAndSeed(t *testing.T) {
-	// Inject a failure at one seed: the engine must report the first
-	// failing job in grid order, naming its cell and seed, regardless
-	// of worker count.
+	// Inject a failure at one seed, as an error and as a panic: the
+	// engine must report the first failing job in grid order, naming
+	// its cell and seed, regardless of worker count. A panic arrives as
+	// a *pool.Panic in the chain.
 	defer func() { testRunJob = nil }()
-	testRunJob = func(j job) ([]MetricValue, error) {
-		if j.seed >= 2 && j.cell.Policy == "dchannel" {
-			return nil, fmt.Errorf("simulated trace corruption")
-		}
-		return []MetricValue{{"x", float64(j.seed)}}, nil
-	}
 	spec := mustParse(t, "exp=video policy=embb-only,dchannel trace=lowband-driving seeds=1..3 dur=5s")
-	for _, workers := range []int{1, 4} {
-		_, err := Run(spec, Options{Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: job failure not propagated", workers)
+	for _, panics := range []bool{false, true} {
+		testRunJob = func(j job) ([]MetricValue, error) {
+			if j.seed >= 2 && j.cell.Policy == "dchannel" {
+				if panics {
+					panic("simulated trace corruption")
+				}
+				return nil, fmt.Errorf("simulated trace corruption")
+			}
+			return []MetricValue{{"x", float64(j.seed)}}, nil
 		}
-		for _, want := range []string{"policy=dchannel", "trace=lowband-driving", "seed 2", "simulated trace corruption"} {
-			if !strings.Contains(err.Error(), want) {
-				t.Fatalf("workers=%d: error %q missing %q", workers, err, want)
+		for _, workers := range []int{1, 4} {
+			_, err := Run(spec, Options{Workers: workers})
+			if err == nil {
+				t.Fatalf("panics=%v workers=%d: job failure not propagated", panics, workers)
+			}
+			for _, want := range []string{"policy=dchannel", "trace=lowband-driving", "seed 2", "simulated trace corruption"} {
+				if !strings.Contains(err.Error(), want) {
+					t.Fatalf("panics=%v workers=%d: error %q missing %q", panics, workers, err, want)
+				}
+			}
+			var pe *pool.Panic
+			if errors.As(err, &pe) != panics {
+				t.Fatalf("panics=%v workers=%d: *pool.Panic in the chain is %v: %v", panics, workers, !panics, err)
 			}
 		}
 	}

@@ -36,9 +36,10 @@ type Trace struct {
 	Samples []Sample // ascending At, first at 0
 }
 
-// Constant returns a trace with fixed conditions, used for URLLC
-// (whose latency, per the 3GPP target, does not vary) and for the
-// Fig. 1 fixed-parameter eMBB channel.
+// Constant returns a trace with fixed conditions, used for every
+// channel whose nominal figures do not vary (URLLC, whose latency per
+// the 3GPP target does not, and the non-cellular channel pairs) and for
+// the Fig. 1 fixed-parameter eMBB channel (FixedEMBB).
 func Constant(name string, rtt time.Duration, rate float64) *Trace {
 	return &Trace{Name: name, Samples: []Sample{{At: 0, RTT: rtt, Rate: rate}}}
 }
@@ -247,9 +248,10 @@ func MmWaveDriving(seed int64, dur time.Duration) *Trace {
 	}, seed, dur)
 }
 
-// URLLC returns the constant URLLC channel the paper emulates: 5 ms
-// RTT at 2 Mbps.
-func URLLC() *Trace { return Constant("urllc", 5*time.Millisecond, 2e6) }
+// FixedEMBB returns the steady eMBB channel of Fig. 1, 50 ms RTT at
+// 60 Mbps, which the experiments use wherever trace variability is not
+// under study.
+func FixedEMBB() *Trace { return Constant("embb-fixed", 50*time.Millisecond, 60e6) }
 
 // WriteCSV encodes the trace as "t_ms,rtt_ms,rate_mbps" rows with a
 // header line.

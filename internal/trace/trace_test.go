@@ -148,13 +148,6 @@ func TestGeneratedRTTsPositive(t *testing.T) {
 	}
 }
 
-func TestURLLCMatchesPaper(t *testing.T) {
-	s := URLLC().At(0)
-	if s.RTT != 5*time.Millisecond || s.Rate != 2e6 {
-		t.Fatalf("URLLC = %+v, want 5ms/2Mbps", s)
-	}
-}
-
 func TestCSVRoundTrip(t *testing.T) {
 	orig := LowbandDriving(7, 10*time.Second)
 	var buf bytes.Buffer

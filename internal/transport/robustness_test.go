@@ -105,7 +105,7 @@ func TestPerChannelLossDetectionIsPrecise(t *testing.T) {
 			Name: channel.NameURLLC, BaseRTT: 5 * time.Millisecond,
 			Bandwidth: 2e6, LossProb: 0.2,
 		},
-		DownTrace:  trace.URLLC(),
+		DownTrace:  trace.Constant(channel.NameURLLC, 5*time.Millisecond, 2e6),
 		QueueBytes: 64 << 10,
 	})
 	g := channel.NewGroup(embb, urllc)
