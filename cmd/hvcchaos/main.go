@@ -3,11 +3,16 @@
 // armed: it generates fault schedules × experiments × seeds from a
 // seeded meta-RNG, runs every trial across a worker pool, and — on a
 // violation — shrinks the failing trial to a minimal counterexample
-// and prints it as a replayable job string.
+// and prints it as a sweep cell line: the line of one run, which
+// hvcsweep -spec also runs.
 //
 //	hvcchaos -jobs 256 -metaseed 1                  # soak
 //	hvcchaos -budget 90s -metaseed 1 -jobs 100000   # CI: bounded soak
-//	hvcchaos -repro "exp=outage policy=embb-only seed=7 dur=750ms reliable=true fault=outage:ch=embb,at=99ms,dur=376ms"
+//	hvcchaos -repro "exp=outage policy=embb-only trace=fixed seed=7 dur=750ms reliable=true fault=outage:ch=embb,at=99ms,dur=376ms"
+//
+// -repro takes any sweep spec of one cell at one seed (see
+// sweep.ParseCell), including the lines earlier soaks printed; a grid
+// or a seed range is a usage error.
 //
 // The soak is deterministic: the same -metaseed yields the same job
 // list and, under any -workers value, the same first finding. A
@@ -38,6 +43,7 @@ import (
 	"hvc/internal/cli"
 	"hvc/internal/flight"
 	"hvc/internal/invariant"
+	"hvc/internal/sweep"
 	"hvc/internal/telemetry"
 )
 
@@ -49,7 +55,7 @@ func main() {
 		workers  = flag.Int("workers", 0, "worker goroutines (0 = GOMAXPROCS)")
 		dur      = flag.Duration("dur", 4*time.Second, "virtual duration of each trial")
 		budget   = flag.Duration("budget", 0, "wall-clock budget; 0 = run all jobs")
-		repro    = flag.String("repro", "", "replay one job string instead of soaking")
+		repro    = flag.String("repro", "", "replay one sweep cell line (one cell at one seed) instead of soaking")
 		seedBug  = flag.String("seed-bug", "", "arm a named historical bug (e.g. dup-deliver)")
 		verbose  = flag.Bool("v", false, "log per-batch progress to stderr")
 		progress = flag.Duration("progress", 0, "emit hvc-progress/v1 snapshot lines (trials done, trial-time quantiles) to stderr at this interval; 0 disables")
@@ -77,17 +83,17 @@ func main() {
 	}
 
 	if *repro != "" {
-		j, err := chaos.ParseJob(*repro)
+		trial, err := sweep.ParseCell(*repro)
 		if err != nil {
 			out.Usage(err)
 		}
-		rec, err := chaos.RunFlight(j, *depth)
+		rec, err := chaos.RunFlight(trial, *depth)
 		if err != nil {
-			fmt.Printf("reproduced: %v\n  job: %s\n", err, j)
+			fmt.Printf("reproduced: %v\n  job: %s\n", err, trial.Line())
 			dumpFlight(rec)
 			os.Exit(1)
 		}
-		fmt.Printf("clean: %s\n", j)
+		fmt.Printf("clean: %s\n", trial.Line())
 		return
 	}
 
@@ -115,7 +121,7 @@ func main() {
 	}
 	if finding != nil {
 		fmt.Printf("FINDING after %d trials (%.1fs):\n%s\n", ran, time.Since(start).Seconds(), finding)
-		fmt.Printf("\nreplay with:\n  hvcchaos -repro %q", finding.Minimal)
+		fmt.Printf("\nreplay with:\n  hvcchaos -repro %q", finding.Minimal.Line())
 		if *seedBug != "" {
 			fmt.Printf(" -seed-bug %s", *seedBug)
 		}

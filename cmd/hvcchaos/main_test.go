@@ -20,6 +20,15 @@ func TestExitCodes(t *testing.T) {
 		{Name: "zero duration", Args: []string{"-jobs", "4", "-dur", "0s"}, Code: 2},
 		{Name: "unknown bug", Args: []string{"-seed-bug", "bogus", "-jobs", "4", "-dur", "1s"}, Code: 2},
 		{Name: "bad repro", Args: []string{"-repro", "exp=bulk cc=tahoe policy=dchannel seed=1 dur=2s fault=none"}, Code: 2},
+		{Name: "grid repro", Args: []string{"-repro", "exp=bulk cc=cubic,bbr seed=1 dur=1s"}, Code: 2},
+		{Name: "seed range repro", Args: []string{"-repro", "exp=outage policy=dchannel seeds=1..2 dur=1s"}, Code: 2},
+		{Name: "old-format repro", Args: []string{"-repro", "exp=outage policy=redundant seed=7 dur=1s reliable=true fault=outage:ch=embb,at=200ms,dur=100ms"},
+			Check: func(t *testing.T, dir, stdout, stderr string) {
+				want := "clean: exp=outage policy=redundant trace=fixed seed=7 dur=1s reliable=true fault=outage:ch=embb,at=200ms,dur=100ms\n"
+				if stdout != want {
+					t.Errorf("stdout %q, want %q", stdout, want)
+				}
+			}},
 
 		{Name: "soak with progress", Args: []string{"-jobs", "6", "-dur", "1s", "-workers", "2", "-progress", "1h"},
 			Check: func(t *testing.T, dir, stdout, stderr string) {

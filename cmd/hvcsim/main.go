@@ -48,7 +48,7 @@ func main() {
 	var (
 		workload  = flag.String("workload", "bulk", "bulk, video, web, abr, or game")
 		ccName    = flag.String("cc", "cubic", "bulk: congestion control ("+strings.Join(core.CCNames(), ", ")+", hvc-*)")
-		policy    = flag.String("policy", core.PolicyDChannel, "steering policy (embb-only, dchannel, priority, dchannel+priority, objectmap, redundant)")
+		policy    = flag.String("policy", core.PolicyDChannel, "steering policy ("+strings.Join(core.PolicyNames(), ", ")+")")
 		traceNm   = flag.String("trace", "fixed", "eMBB trace ("+strings.Join(core.TraceNames(), ", ")+")")
 		dur       = flag.Duration("dur", 30*time.Second, "run duration (abr: media duration; not read by web)")
 		seed      = flag.Int64("seed", 1, "simulation seed")
@@ -117,7 +117,7 @@ func checkUsage(workload, ccName, policy, traceNm string, dur time.Duration, pag
 		return err
 	}
 	switch {
-	case workload == "web" && policy == core.PolicyPriority:
+	case workload == "web" && core.WebRejects(policy):
 		return fmt.Errorf("workload web does not support policy %q", policy)
 	case dur <= 0:
 		return fmt.Errorf("-dur must be positive, got %v", dur)

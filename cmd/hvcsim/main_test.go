@@ -1,10 +1,13 @@
 package main
 
 import (
+	"os/exec"
+	"slices"
 	"strings"
 	"testing"
 
 	"hvc/internal/clitest"
+	"hvc/internal/core"
 )
 
 // bin is the hvcsim binary under test, built once by TestMain.
@@ -50,4 +53,22 @@ func TestExitCodes(t *testing.T) {
 		{Name: "abr", Args: strings.Fields("-workload abr -dur 4s -policy objectmap")},
 		{Name: "game", Args: strings.Fields("-workload game -dur 1s -policy priority")},
 	})
+}
+
+// TestUsageNamesEveryPolicy checks that -policy's help lists every
+// steering policy core.NewPolicy accepts.
+func TestUsageNamesEveryPolicy(t *testing.T) {
+	out, err := exec.Command(bin, "-h").CombinedOutput()
+	if err != nil {
+		t.Fatalf("-h: %v: %s", err, out)
+	}
+	_, help, _ := strings.Cut(string(out), "-policy string\n")
+	_, list, _ := strings.Cut(help, "(")
+	list, _, _ = strings.Cut(list, ")")
+	listed := strings.Split(list, ", ")
+	for _, n := range core.PolicyNames() {
+		if !slices.Contains(listed, n) {
+			t.Errorf("-policy help lists %q, missing policy %q", listed, n)
+		}
+	}
 }

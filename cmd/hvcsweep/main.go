@@ -5,27 +5,34 @@
 // grid order — the output is byte-identical for any -workers value.
 //
 // The grid spec is a space-separated key=value list; list values are
-// comma-separated and seeds take either a count or a range:
+// comma-separated and seeds take one seed (seeds=N, or seed=N) or a
+// range:
 //
 //	hvcsweep -spec "exp=bulk cc=cubic,bbr,vegas,vivace policy=dchannel,embb-only seeds=1..5 dur=15s"
-//	hvcsweep -spec "exp=video policy=embb-only,dchannel,priority trace=lowband-driving seeds=10"
+//	hvcsweep -spec "exp=video policy=embb-only,dchannel,priority trace=lowband-driving seeds=1..10"
 //	hvcsweep -spec "exp=web pages=6 loads=2 trace=lowband-driving,mmwave-driving seeds=1..3"
 //	hvcsweep -spec "exp=abr trace=mmwave-driving seeds=1..5 dur=60s"
 //	hvcsweep -spec "exp=outage policy=embb-only,redundant seeds=1..5 dur=8s fault=outage:ch=embb,at=2s,dur=1s"
 //	hvcsweep -spec "exp=arena flows=4 mix=cubic,copa,bbr,reno join=1s rttspread=20ms seeds=1..5 dur=15s"
 //
-// The fault key (exp=outage only) takes an internal/fault scenario —
-// space-free by construction, so it embeds in the spec; omitted, it
-// defaults to two eMBB blackouts scaled to dur. The flows/mix/join/
-// rttspread keys (exp=arena only) shape the contention run: competitor
-// count, weighted CCA mix (cc:weight, assigned cyclically), join
-// stagger, and RTT heterogeneity. DESIGN.md "Spec grammars" lists every
-// key, kind and default; a key that does not apply to the experiment,
-// or an explicit dur=0s, is a usage error (exit 2, nothing on stdout).
-// -quick shortens the spec before its defaults are filled in, so the
-// spec printed is the one run: the default outage schedule scales to
-// the shortened dur, and arena joins that no longer fit are a usage
-// error.
+// The fault key (exp=bulk and exp=outage) takes an internal/fault
+// scenario — space-free by construction, so it embeds in the spec;
+// omitted, an outage runs two eMBB blackouts scaled to dur and a bulk
+// flow runs none. reliable=true (exp=outage only) makes the frame
+// stream reliable. The flows/mix/join/rttspread keys (exp=arena only)
+// shape the contention run: competitor count, weighted CCA mix
+// (cc:weight, assigned cyclically), join stagger, and RTT
+// heterogeneity. DESIGN.md "Spec grammars" lists every key, kind and
+// default; a key that does not apply to the experiment, or an explicit
+// dur=0s, is a usage error (exit 2, nothing on stdout). -quick shortens
+// the spec before its defaults are filled in, so the spec printed is
+// the one run: the default outage schedule scales to the shortened
+// dur, and arena joins that no longer fit are a usage error.
+//
+// A spec of one cell at one seed is the line of one run, the form an
+// hvcchaos counterexample takes, so -spec replays one:
+//
+//	hvcsweep -no-cache -spec "exp=outage policy=dchannel trace=fixed seed=7 dur=3s reliable=true fault=outage:ch=embb,at=1s,dur=500ms"
 //
 // The default grid is the paper's Figure 1a (four CCAs under DChannel
 // steering vs eMBB-only) over five seeds.

@@ -1,3 +1,17 @@
+// Package chaos is the randomized soak harness over the simulator's
+// runtime invariants: it generates fault schedules × experiments ×
+// seeds from a seeded meta-RNG, runs each combination with the
+// invariant layer armed, and — when a run panics with a violation —
+// shrinks the failing combination to a minimal counterexample.
+//
+// A trial is a sweep cell: a sweep.Spec of one cell (bulk or outage)
+// at one seed, run through sweep.RunCell. A counterexample is printed
+// as that cell's line (sweep.Spec.Line), which `hvcchaos -repro` and
+// `hvcsweep -spec` both run.
+//
+// Everything downstream of the meta-seed is deterministic: the same
+// MetaSeed produces the same trial list, the same lowest-index finding,
+// and the same minimal counterexample, for any worker count.
 package chaos
 
 import (
@@ -6,10 +20,10 @@ import (
 	"math/rand"
 	"time"
 
-	"hvc/internal/core"
 	"hvc/internal/flight"
 	"hvc/internal/invariant"
 	"hvc/internal/pool"
+	"hvc/internal/sweep"
 	"hvc/internal/telemetry"
 )
 
@@ -48,16 +62,16 @@ type Options struct {
 // A Finding is one invariant violation the soak surfaced, shrunk to a
 // minimal replayable counterexample.
 type Finding struct {
-	// Job is the original failing trial, Minimal the shrunk one. Both
+	// Trial is the original failing trial, Minimal the shrunk one. Both
 	// fail with the same violation; Minimal is the one to debug.
-	Job, Minimal Job
-	// Violation is the typed invariant failure, nil when the job
+	Trial, Minimal sweep.Spec
+	// Violation is the typed invariant failure, nil when the trial
 	// failed some other way (an unexpected panic or error — still a
 	// finding: chaos runs must not fail at all).
 	Violation *invariant.Violation
-	// Err is the job's raw error.
+	// Err is the trial's raw error.
 	Err error
-	// Shrunk counts the accepted shrink steps from Job to Minimal.
+	// Shrunk counts the accepted shrink steps from Trial to Minimal.
 	Shrunk int
 	// Flight is the recorder captured by replaying Minimal: the last
 	// events leading up to the breach, the breach itself appended as a
@@ -72,7 +86,7 @@ func (f *Finding) String() string {
 		cause = fmt.Sprintf("invariant %s/%s", f.Violation.Layer, f.Violation.Name)
 	}
 	return fmt.Sprintf("%s: %v\n  original: %s\n  minimal (%d shrink steps): %s",
-		cause, f.Err, f.Job, f.Shrunk, f.Minimal)
+		cause, f.Err, f.Trial.Line(), f.Shrunk, f.Minimal.Line())
 }
 
 // Soak generates opts.Jobs trials from the meta-RNG and runs them with
@@ -97,7 +111,7 @@ func Soak(opts Options) (finding *Finding, ran int, err error) {
 	}
 
 	rng := rand.New(rand.NewSource(opts.MetaSeed))
-	jobs := make([]Job, opts.Jobs)
+	jobs := make([]sweep.Spec, opts.Jobs)
 	for i := range jobs {
 		jobs[i] = genJob(rng, opts.Dur)
 	}
@@ -133,7 +147,7 @@ func Soak(opts Options) (finding *Finding, ran int, err error) {
 			j := jobs[lo+je.Index]
 			ran += je.Index + 1
 			logf("job %d failed: %v", lo+je.Index, je.Err)
-			f := &Finding{Job: j, Err: je.Err}
+			f := &Finding{Trial: j, Err: je.Err}
 			errors.As(je.Err, &f.Violation)
 			f.Minimal, f.Shrunk = Shrink(j, f.Violation, logf)
 			f.Flight, _ = RunFlight(f.Minimal, opts.FlightDepth)
@@ -149,17 +163,17 @@ func Soak(opts Options) (finding *Finding, ran int, err error) {
 	return nil, ran, nil
 }
 
-// Run executes one trial with per-job panic isolation: an invariant
+// Run executes one trial with per-trial panic isolation: an invariant
 // violation (or any other panic) inside the simulation surfaces as the
 // returned error instead of killing the process, so one bad trial
 // cannot take the soak — or the other in-flight trials — down with it.
-func Run(j Job) (err error) {
+func Run(trial sweep.Spec) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			err = recovered(r)
 		}
 	}()
-	return dispatch(j, nil)
+	return sweep.RunCell(trial, nil)
 }
 
 // RunFlight executes one trial like Run, with a flight recorder riding
@@ -168,10 +182,10 @@ func Run(j Job) (err error) {
 // synthetic note — the triage context every finding ships with. The
 // recorder is returned in every case; on success its ring is just the
 // tail of a healthy run.
-func RunFlight(j Job, depth int) (rec *flight.Recorder, err error) {
+func RunFlight(trial sweep.Spec, depth int) (rec *flight.Recorder, err error) {
 	rec = flight.NewRecorder(depth)
 	tr := telemetry.New(rec)
-	tr.BeginRun(j.String())
+	tr.BeginRun(trial.Line())
 	defer func() {
 		if r := recover(); r != nil {
 			err = recovered(r)
@@ -186,7 +200,7 @@ func RunFlight(j Job, depth int) (rec *flight.Recorder, err error) {
 			rec.Note("chaos", "failure", err.Error())
 		}
 	}()
-	return rec, dispatch(j, tr)
+	return rec, sweep.RunCell(trial, tr)
 }
 
 // recovered converts a trial panic into its error form, preserving a
@@ -195,24 +209,5 @@ func recovered(r any) error {
 	if e, ok := r.(error); ok {
 		return e
 	}
-	return fmt.Errorf("chaos: job panicked: %v", r)
-}
-
-// dispatch runs the job's experiment under an optional tracer.
-func dispatch(j Job, tr *telemetry.Tracer) (err error) {
-	switch j.Exp {
-	case ExpBulk:
-		_, err = core.RunBulk(core.BulkConfig{
-			Seed: j.Seed, Duration: j.Dur, CC: j.CC,
-			Policy: j.Policy, Fault: j.Fault.String(), Tracer: tr,
-		})
-	case ExpOutage:
-		_, err = core.RunOutage(core.OutageConfig{
-			Seed: j.Seed, Duration: j.Dur,
-			Policy: j.Policy, Fault: j.Fault.String(), Reliable: j.Reliable, Tracer: tr,
-		})
-	default:
-		err = fmt.Errorf("chaos: unknown experiment %q", j.Exp)
-	}
-	return err
+	return fmt.Errorf("chaos: trial panicked: %v", r)
 }

@@ -3,8 +3,10 @@ package chaos
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,7 @@ import (
 	"hvc/internal/fault"
 	"hvc/internal/invariant"
 	"hvc/internal/spec"
+	"hvc/internal/sweep"
 	"hvc/internal/telemetry"
 )
 
@@ -20,60 +23,61 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-func TestJobStringRoundTrip(t *testing.T) {
+// TestTrialLineRoundTrip holds every generated trial to the sweep
+// cell grammar: its line parses, as one cell at one seed, back to the
+// trial itself, and the trial is canonical.
+func TestTrialLineRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 200; i++ {
-		j := genJob(rng, 4*time.Second)
-		if err := spec.RoundTrip(j, ParseJob); err != nil {
+		if err := lineRoundTrip(genJob(rng, 4*time.Second)); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
-func TestParseJobRejects(t *testing.T) {
-	for _, s := range []string{
-		"",
-		"exp=bulk policy=dchannel seed=1 dur=2s fault=none", // bulk without cc
-		"exp=outage cc=bbr policy=dchannel seed=1 dur=2s fault=none",
-		"exp=warp policy=dchannel seed=1 dur=2s fault=none",
-		"exp=outage policy=dchannel seed=1 fault=none", // no dur
-		"exp=outage policy=dchannel seed=x dur=2s fault=none",
-		"exp=outage policy=dchannel seed=1 dur=2s fault=bogus:ch=embb",
-		"exp=outage exp=outage policy=dchannel seed=1 dur=2s fault=none",
-		// Names are checked at parse time: a typo in a -repro string is a
-		// usage error, not a "reproduced" finding with a flight dump.
-		"exp=bulk cc=tahoe policy=dchannel seed=1 dur=2s fault=none",
-		"exp=outage policy=teleport seed=1 dur=2s fault=none",
-	} {
-		if _, err := ParseJob(s); err == nil {
-			t.Errorf("ParseJob(%q) accepted", s)
-		}
+// lineRoundTrip checks that trial is the one run its line names.
+func lineRoundTrip(trial sweep.Spec) error {
+	back, err := sweep.ParseCell(trial.Line())
+	if err != nil {
+		return fmt.Errorf("trial line %q rejected: %v", trial.Line(), err)
 	}
+	if !reflect.DeepEqual(back, trial) {
+		return fmt.Errorf("trial line %q parses to another run:\n in: %+v\nout: %+v", trial.Line(), trial, back)
+	}
+	return spec.RoundTrip(trial, sweep.ParseSpec)
 }
 
-// TestCanonicalGolden pins Job.String() byte for byte against a corpus
-// rendered by the hand-rolled parser this package had before
-// internal/spec (testdata/canonical.txt, "input => String()"): it is
-// the -repro format, so a counterexample saved from an old soak must
-// still replay.
+// TestCanonicalGolden replays the counterexamples saved from older
+// soaks, which the canonical corpus keeps as the lines that spell one
+// seed seed=N: each is still a -repro line (one cell at one seed), and
+// it and every shrink candidate of it round-trip through that line, so
+// shrinking a saved counterexample prints only lines that replay
+// exactly.
 func TestCanonicalGolden(t *testing.T) {
-	data, err := os.ReadFile("testdata/canonical.txt")
+	data, err := os.ReadFile("../sweep/testdata/canonical.txt")
 	if err != nil {
 		t.Fatal(err)
 	}
+	saved := 0
 	for _, line := range strings.Split(strings.TrimSuffix(string(data), "\n"), "\n") {
-		in, want, _ := strings.Cut(line, " => ")
-		j, err := ParseJob(in)
+		in, _, _ := strings.Cut(line, " => ")
+		if !strings.Contains(" "+strings.Join(strings.Fields(in), " "), " seed=") {
+			continue // a sweep spec, not a saved counterexample
+		}
+		saved++
+		trial, err := sweep.ParseCell(in)
 		if err != nil {
-			t.Errorf("ParseJob(%q): %v", in, err)
+			t.Errorf("saved counterexample %q no longer replays: %v", in, err)
 			continue
 		}
-		if j.String() != want {
-			t.Errorf("ParseJob(%q).String()\n got %s\nwant %s", in, j, want)
+		for _, c := range append([]sweep.Spec{trial}, candidates(trial)...) {
+			if err := lineRoundTrip(c); err != nil {
+				t.Errorf("%q: %v", in, err)
+			}
 		}
-		if err := spec.RoundTrip(j, ParseJob); err != nil {
-			t.Errorf("%q: %v", in, err)
-		}
+	}
+	if saved == 0 {
+		t.Fatal("canonical corpus holds no saved counterexample")
 	}
 }
 
@@ -108,9 +112,9 @@ func TestSoakRefusesDisabledInvariants(t *testing.T) {
 }
 
 // TestSoakCatchesSeededBug is the end-to-end proof of the harness: it
-// re-arms the pre-PR 5 duplicate-delivery bug behind the seeded-bug
+// re-arms the historical duplicate-delivery bug behind the seeded-bug
 // switch, soaks until the exactly-once invariant trips, and checks the
-// finding shrinks to a replayable minimal counterexample.
+// finding shrinks to a pinned, replayable minimal counterexample line.
 func TestSoakCatchesSeededBug(t *testing.T) {
 	skipWithoutInvariants(t)
 	invariant.SetBug(invariant.BugDupDeliver, true)
@@ -127,9 +131,15 @@ func TestSoakCatchesSeededBug(t *testing.T) {
 		t.Fatalf("finding is not the exactly-once violation: %v", f)
 	}
 
-	// The minimal counterexample replays: parse its String form (the
-	// shape a user would paste into -repro) and re-run it.
-	min, perr := ParseJob(f.Minimal.String())
+	const want = "exp=outage policy=embb-only trace=fixed seed=608747136543856411 dur=750ms reliable=true " +
+		"fault=outage:ch=embb,at=99ms,dur=376ms"
+	if got := f.Minimal.Line(); got != want {
+		t.Fatalf("minimal counterexample\n got %s\nwant %s", got, want)
+	}
+
+	// The minimal counterexample replays: parse its line (the shape a
+	// user would paste into -repro) and re-run it.
+	min, perr := sweep.ParseCell(f.Minimal.Line())
 	if perr != nil {
 		t.Fatalf("minimal counterexample does not re-parse: %v", perr)
 	}
@@ -140,11 +150,9 @@ func TestSoakCatchesSeededBug(t *testing.T) {
 	}
 
 	// Shrinking must never grow the trial.
-	if f.Minimal.Dur > f.Job.Dur || len(f.Minimal.Fault.Events) > len(f.Job.Fault.Events) {
-		t.Fatalf("shrink grew the job:\n  original: %s\n  minimal:  %s", f.Job, f.Minimal)
-	}
-	if f.Minimal.Exp == ExpOutage && f.Minimal.Fault.Empty() {
-		t.Fatalf("shrink emptied an outage job's schedule (default substitution would change the trial): %s", f.Minimal)
+	clauses := func(s sweep.Spec) int { return strings.Count(s.Fault, ":ch=") }
+	if f.Minimal.Dur > f.Trial.Dur || clauses(f.Minimal) > clauses(f.Trial) {
+		t.Fatalf("shrink grew the trial:\n  original: %s\n  minimal:  %s", f.Trial.Line(), f.Minimal.Line())
 	}
 	t.Logf("finding after %d trials:\n%s", ran, f)
 }
@@ -237,9 +245,47 @@ func TestSoakDeterministicAcrossWorkerCounts(t *testing.T) {
 		if err != nil || f == nil {
 			t.Fatalf("workers=%d: finding=%v err=%v", workers, f, err)
 		}
-		minimals = append(minimals, f.Job.String()+"\n"+f.Minimal.String())
+		minimals = append(minimals, f.Trial.Line()+"\n"+f.Minimal.Line())
 	}
 	if minimals[0] != minimals[1] {
 		t.Fatalf("finding depends on worker count:\n  w=1: %s\n  w=4: %s", minimals[0], minimals[1])
+	}
+}
+
+// TestShrinkKeepsLastOutageClause pins the one rule the shrinker adds
+// to "smaller": an outage trial never loses its last fault clause (its
+// runner would substitute the default schedule, a different trial),
+// while a bulk trial may shed its faults altogether.
+func TestShrinkKeepsLastOutageClause(t *testing.T) {
+	const fault = " seed=1 dur=2s fault=outage:ch=embb,at=1s,dur=500ms"
+	for _, tc := range []struct {
+		line      string
+		faultless bool
+	}{
+		{"exp=outage policy=dchannel" + fault, false},
+		{"exp=bulk cc=cubic" + fault, true},
+	} {
+		trial, err := sweep.ParseCell(tc.line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faultless := false
+		for _, c := range candidates(trial) {
+			if err := lineRoundTrip(c); err != nil {
+				t.Errorf("%s: candidate %v", tc.line, err)
+			}
+			// Dropping an outage trial's last clause would leave the
+			// default schedule's two.
+			switch strings.Count(c.Fault, ":ch=") {
+			case 0:
+				faultless = true
+			case 1:
+			default:
+				t.Errorf("%s: candidate %s gained clauses", tc.line, c.Line())
+			}
+		}
+		if faultless != tc.faultless {
+			t.Errorf("%s: a candidate without faults: %v, want %v", tc.line, faultless, tc.faultless)
+		}
 	}
 }

@@ -34,10 +34,9 @@ func FuzzChaosScheduleGen(f *testing.F) {
 			t.Fatalf("seed=%d dur=%v: %v", seed, dur, err)
 		}
 
-		// The job wrapper must round-trip too: generated jobs are valid by
-		// construction, names included.
-		j := genJob(rand.New(rand.NewSource(seed)), dur)
-		if err := spec.RoundTrip(j, ParseJob); err != nil {
+		// The whole trial must round-trip too, as a sweep cell line:
+		// generated trials are valid by construction, names included.
+		if err := lineRoundTrip(genJob(rand.New(rand.NewSource(seed)), dur)); err != nil {
 			t.Fatalf("seed=%d dur=%v: %v", seed, dur, err)
 		}
 	})

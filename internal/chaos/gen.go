@@ -7,9 +7,10 @@ import (
 	"hvc/internal/channel"
 	"hvc/internal/core"
 	"hvc/internal/fault"
+	"hvc/internal/sweep"
 )
 
-// The pools a generated job draws from. Outage jobs skip embb-only on
+// The pools a generated trial draws from. Outage jobs skip embb-only on
 // purpose only in the sense that it is listed — the baseline that
 // ships onto a dead channel by design is still a valid chaos subject;
 // its policy simply opts out of the liveness invariant.
@@ -23,24 +24,28 @@ var (
 	genKinds    = []fault.Kind{fault.Outage, fault.Burst, fault.Slump, fault.Spike}
 )
 
-// genJob draws one chaos trial from the meta-RNG. The run seed is a
-// fresh 63-bit draw so trials decorrelate even when the schedule
-// collides.
-func genJob(rng *rand.Rand, dur time.Duration) Job {
-	j := Job{
-		Policy: genPolicies[rng.Intn(len(genPolicies))],
-		Seed:   rng.Int63(),
-		Dur:    dur,
-		Fault:  genSpec(rng, dur),
+// genJob draws one chaos trial from the meta-RNG: a bulk or outage
+// cell over the fixed eMBB trace at one seed. The run seed is a fresh
+// 63-bit draw so trials decorrelate even when the schedule collides.
+func genJob(rng *rand.Rand, dur time.Duration) sweep.Spec {
+	s := sweep.Spec{
+		Policies:  []string{genPolicies[rng.Intn(len(genPolicies))]},
+		Traces:    []string{"fixed"},
+		SeedFirst: rng.Int63(),
+		SeedCount: 1,
+		Dur:       dur,
+		Fault:     genSpec(rng, dur).String(),
 	}
 	if rng.Intn(2) == 0 {
-		j.Exp = ExpBulk
-		j.CC = genCCs[rng.Intn(len(genCCs))]
+		s.Exp, s.CCs = sweep.ExpBulk, []string{genCCs[rng.Intn(len(genCCs))]}
 	} else {
-		j.Exp = ExpOutage
-		j.Reliable = rng.Intn(2) == 0
+		s.Exp, s.Reliable = sweep.ExpOutage, rng.Intn(2) == 0
 	}
-	return j
+	c, ok := reparse(s)
+	if !ok {
+		panic("chaos: generated trial does not parse: " + s.Line()) // valid by construction
+	}
+	return c
 }
 
 // genSpec draws a fault schedule that is valid by construction: for

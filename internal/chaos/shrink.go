@@ -6,6 +6,7 @@ import (
 
 	"hvc/internal/fault"
 	"hvc/internal/invariant"
+	"hvc/internal/sweep"
 )
 
 // Shrink greedily minimizes a failing trial: it tries dropping fault
@@ -13,14 +14,14 @@ import (
 // windows earlier, keeping each candidate only if it still fails with
 // the same violation (same layer and name — a candidate that fails
 // differently is a different bug, not a smaller version of this one).
-// It returns the minimal job and the number of accepted steps.
+// It returns the minimal trial and the number of accepted steps.
 //
-// The walk restarts from the shrunk job after every accepted step, so
+// The walk restarts from the shrunk trial after every accepted step, so
 // the result is a local minimum: no single remaining edit both stays
 // valid and still reproduces the violation.
-func Shrink(j Job, v *invariant.Violation, logf func(format string, args ...any)) (Job, int) {
+func Shrink(trial sweep.Spec, v *invariant.Violation, logf func(format string, args ...any)) (sweep.Spec, int) {
 	steps := 0
-	fails := func(c Job) bool {
+	fails := func(c sweep.Spec) bool {
 		err := Run(c)
 		if err == nil {
 			return false
@@ -35,38 +36,48 @@ func Shrink(j Job, v *invariant.Violation, logf func(format string, args ...any)
 	}
 	for {
 		accepted := false
-		for _, c := range candidates(j) {
-			if c.Fault.Validate() != nil {
-				continue // e.g. pulling a window earlier made it overlap
-			}
+		for _, c := range candidates(trial) {
 			if fails(c) {
-				j, accepted = c, true
+				trial, accepted = c, true
 				steps++
-				logf("shrink step %d: %s", steps, j)
-				break // restart the candidate walk from the smaller job
+				logf("shrink step %d: %s", steps, trial.Line())
+				break // restart the candidate walk from the smaller trial
 			}
 		}
 		if !accepted {
-			return j, steps
+			return trial, steps
 		}
 	}
 }
 
-// candidates proposes one-edit reductions of j, most aggressive first.
-func candidates(j Job) []Job {
-	var out []Job
-	events := j.Fault.Events
+// candidates proposes the valid one-edit reductions of trial, most
+// aggressive first.
+func candidates(trial sweep.Spec) []sweep.Spec {
+	faults, err := fault.ParseSpec(trial.Fault)
+	if err != nil {
+		return nil // not a trial Soak made; nothing to edit
+	}
+	events := faults.Events
+	var out []sweep.Spec
+	add := func(c sweep.Spec) {
+		if c, ok := reparse(c); ok { // pulling a window earlier can make it overlap
+			out = append(out, c)
+		}
+	}
+	withFault := func(events []fault.Event) sweep.Spec {
+		c := trial
+		c.Fault = fault.Spec{Events: events}.String()
+		return c
+	}
 
-	// Drop each clause. An outage job must keep at least one: its
+	// Drop each clause. An outage trial must keep at least one: its
 	// runner substitutes the default blackout schedule for an empty
-	// spec, which would change the trial instead of shrinking it.
+	// scenario, which would change the trial instead of shrinking it.
 	for i := range events {
-		if len(events) == 1 && j.Exp == ExpOutage {
+		if len(events) == 1 && trial.Exp == sweep.ExpOutage {
 			break
 		}
-		c := j
-		c.Fault = fault.Spec{Events: append(append([]fault.Event{}, events[:i]...), events[i+1:]...)}
-		out = append(out, c)
+		add(withFault(append(append([]fault.Event{}, events[:i]...), events[i+1:]...)))
 	}
 
 	// Collapse each repetition to a single window.
@@ -74,35 +85,41 @@ func candidates(j Job) []Job {
 		if ev.Count <= 1 {
 			continue
 		}
-		c := withEvent(j, i, func(e *fault.Event) { e.Count, e.Every = 1, 0 })
-		out = append(out, c)
+		add(withFault(withEvent(events, i, func(e *fault.Event) { e.Count, e.Every = 1, 0 })))
 	}
 
 	// Halve the run itself — the strongest time reduction.
-	if half := (j.Dur / 2).Truncate(time.Millisecond); half >= 100*time.Millisecond {
-		c := j
+	if half := (trial.Dur / 2).Truncate(time.Millisecond); half >= 100*time.Millisecond {
+		c := trial
 		c.Dur = half
-		out = append(out, c)
+		add(c)
 	}
 
 	// Halve each window, then pull it earlier.
 	for i, ev := range events {
 		if half := (ev.Dur / 2).Truncate(time.Millisecond); half >= time.Millisecond {
-			out = append(out, withEvent(j, i, func(e *fault.Event) { e.Dur = half }))
+			add(withFault(withEvent(events, i, func(e *fault.Event) { e.Dur = half })))
 		}
 		if ev.At > 0 {
-			out = append(out, withEvent(j, i, func(e *fault.Event) {
+			add(withFault(withEvent(events, i, func(e *fault.Event) {
 				e.At = (e.At / 2).Truncate(time.Millisecond)
-			}))
+			})))
 		}
 	}
 	return out
 }
 
-// withEvent copies j with edit applied to clause i.
-func withEvent(j Job, i int, edit func(*fault.Event)) Job {
-	c := j
-	c.Fault = fault.Spec{Events: append([]fault.Event{}, j.Fault.Events...)}
-	edit(&c.Fault.Events[i])
+// withEvent copies events with edit applied to clause i.
+func withEvent(events []fault.Event, i int, edit func(*fault.Event)) []fault.Event {
+	c := append([]fault.Event{}, events...)
+	edit(&c[i])
 	return c
+}
+
+// reparse returns the trial its line parses to, and whether it parses.
+// A trial is kept in that form, so the line a finding prints replays it
+// exactly.
+func reparse(trial sweep.Spec) (sweep.Spec, bool) {
+	c, err := sweep.ParseCell(trial.Line())
+	return c, err == nil
 }

@@ -177,6 +177,14 @@ func ValidPolicy(name string) bool {
 	return ok
 }
 
+// PolicyNames lists the steering policies NewPolicy accepts.
+func PolicyNames() []string { return names(policyTable) }
+
+// WebRejects reports whether RunWeb refuses policy: message-priority
+// forcing (PolicyPriority) needs per-message priorities, which page
+// loads do not set.
+func WebRejects(policy string) bool { return policy == PolicyPriority }
+
 // CheckNames reports the first of ccs, policies and traces that NewCC,
 // NewPolicy or NewTrace would reject, with the names it would accept.
 // The error carries no package prefix: the spec grammars that validate
@@ -184,7 +192,7 @@ func ValidPolicy(name string) bool {
 func CheckNames(ccs, policies, traces []string) error {
 	return cmp.Or(
 		checkNames("congestion control", ccs, ValidCC, CCNames),
-		checkNames("steering policy", policies, ValidPolicy, func() []string { return names(policyTable) }),
+		checkNames("steering policy", policies, ValidPolicy, PolicyNames),
 		checkNames("trace", traces, ValidTrace, TraceNames))
 }
 

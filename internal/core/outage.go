@@ -70,26 +70,32 @@ func (r OutageResult) DeliveryRate() float64 {
 	return float64(r.Delivered) / float64(r.Sent)
 }
 
-// OutageFault is the scenario RunOutage injects for scenario, written
-// in the internal/fault grammar, over a run of dur: empty or "none"
-// selects the default schedule, two eMBB blackouts scaled to dur
-// (fault.Default). A scenario that names a channel other than eMBB and
-// URLLC, the outage world's two, is an error.
-func OutageFault(scenario string, dur time.Duration) (fault.Spec, error) {
+// CellularFault parses scenario, written in the internal/fault grammar,
+// for a run over the paper's eMBB+URLLC pair (Cellular): a scenario
+// that names any other channel is an error.
+func CellularFault(scenario string) (fault.Spec, error) {
 	spec, err := fault.ParseSpec(scenario)
 	if err != nil {
 		return fault.Spec{}, err
 	}
-	if spec.Empty() {
-		return fault.Default(channel.NameEMBB, dur), nil
-	}
 	for _, ev := range spec.Events {
 		if ev.Channel != channel.NameEMBB && ev.Channel != channel.NameURLLC {
-			return fault.Spec{}, fmt.Errorf("fault names channel %q; the outage experiment runs %s+%s",
+			return fault.Spec{}, fmt.Errorf("fault names channel %q; the run has only %s+%s",
 				ev.Channel, channel.NameEMBB, channel.NameURLLC)
 		}
 	}
 	return spec, nil
+}
+
+// OutageFault is the scenario RunOutage injects for scenario, checked
+// by CellularFault, over a run of dur: empty or "none" selects the
+// default schedule, two eMBB blackouts scaled to dur (fault.Default).
+func OutageFault(scenario string, dur time.Duration) (fault.Spec, error) {
+	spec, err := CellularFault(scenario)
+	if err != nil || !spec.Empty() {
+		return spec, err
+	}
+	return fault.Default(channel.NameEMBB, dur), nil
 }
 
 // RunOutage executes the reliability experiment: ~30 frames/s of

@@ -59,7 +59,7 @@ type WebResult struct {
 // sequence, with a short gap between loads and background flows (when
 // enabled) running for the whole experiment.
 func RunWeb(cfg WebConfig) (WebResult, error) {
-	if !ValidPolicy(cfg.Policy) || cfg.Policy == PolicyPriority {
+	if !ValidPolicy(cfg.Policy) || WebRejects(cfg.Policy) {
 		return WebResult{}, fmt.Errorf("core: web does not support policy %q", cfg.Policy)
 	}
 	cfg.Pages, cfg.Loads = cmp.Or(cfg.Pages, 30), cmp.Or(cfg.Loads, 5)

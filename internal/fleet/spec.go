@@ -38,9 +38,7 @@ import (
 	"strings"
 	"time"
 
-	"hvc/internal/channel"
 	"hvc/internal/core"
-	"hvc/internal/fault"
 	"hvc/internal/spec"
 )
 
@@ -158,21 +156,15 @@ func (s *Spec) Validate() error {
 	if err := core.CheckNames([]string{s.CC}, s.Policies, s.Traces); err != nil {
 		return fmt.Errorf("fleet: %w", err)
 	}
-	if hasApp[AppWeb] && slices.Contains(s.Policies, core.PolicyPriority) {
-		return fmt.Errorf("fleet: web sessions do not support policy %q; drop web from the mix or the policy from the library", core.PolicyPriority)
+	if i := slices.IndexFunc(s.Policies, core.WebRejects); hasApp[AppWeb] && i >= 0 {
+		return fmt.Errorf("fleet: web sessions do not support policy %q; drop web from the mix or the policy from the library", s.Policies[i])
 	}
 
 	// Canonicalize the shared scenario and pin it to the two channels
 	// every session has.
-	fs, err := fault.ParseSpec(s.Fault)
+	fs, err := core.CellularFault(s.Fault)
 	if err != nil {
 		return fmt.Errorf("fleet: %w", err)
-	}
-	for _, ev := range fs.Events {
-		if ev.Channel != channel.NameEMBB && ev.Channel != channel.NameURLLC {
-			return fmt.Errorf("fleet: fault names channel %q; sessions run %s+%s",
-				ev.Channel, channel.NameEMBB, channel.NameURLLC)
-		}
 	}
 	s.Fault = fs.String()
 	return nil

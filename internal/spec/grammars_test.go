@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"hvc/internal/arena"
-	"hvc/internal/chaos"
 	"hvc/internal/fault"
 	"hvc/internal/fleet"
 	"hvc/internal/sweep"
@@ -19,10 +18,11 @@ func errOf[T any](parse func(string) (T, error)) func(string) error {
 	}
 }
 
-// TestUnknownKeyErrors holds the five grammars built on the kernel to
+// TestUnknownKeyErrors holds the four grammars built on the kernel to
 // one error contract: an unknown key is reported under the grammar's
 // own package prefix and lists every valid key in canonical order.
-// Before the kernel, chaos and fault listed nothing.
+// Before the kernel, fault listed nothing. The sweep grammar also reads
+// the line of one run, so a chaos counterexample is held to it too.
 func TestUnknownKeyErrors(t *testing.T) {
 	for _, tc := range []struct {
 		pkg, in string
@@ -31,19 +31,19 @@ func TestUnknownKeyErrors(t *testing.T) {
 	}{
 		{"sweep", "exp=bulk zap=1",
 			errOf(sweep.ParseSpec),
-			"exp, cc, policy, trace, seeds, dur, pages, loads, fault, flows, mix, join, rttspread"},
+			"exp, cc, policy, trace, seeds, seed, dur, pages, loads, reliable, fault, flows, mix, join, rttspread"},
 		{"sweep", "exp=arena epoch=1s",
 			errOf(sweep.ParseSpec),
-			"exp, cc, policy, trace, seeds, dur, pages, loads, fault, flows, mix, join, rttspread"},
+			"exp, cc, policy, trace, seeds, seed, dur, pages, loads, reliable, fault, flows, mix, join, rttspread"},
 		{"fleet", "ues=5 zap=1",
 			errOf(fleet.ParseSpec),
 			"ues, seed, mix, cc, policy, trace, dur, pages, loads, stagger, fault"},
 		{"arena", "flows=2 zap=1",
 			errOf(arena.ParseSpec),
 			"flows, mix, join, rttspread, seed, dur, epoch, policy, trace"},
-		{"chaos", "exp=outage policy=dchannel seed=1 dur=2s zap=1",
-			errOf(chaos.ParseJob),
-			"exp, cc, policy, seed, dur, reliable, fault"},
+		{"sweep", "exp=outage policy=dchannel seed=1 dur=2s zap=1",
+			errOf(sweep.ParseCell),
+			"exp, cc, policy, trace, seeds, seed, dur, pages, loads, reliable, fault, flows, mix, join, rttspread"},
 		{"fault", "outage:ch=embb,at=0s,dur=1s,zap=1",
 			errOf(fault.ParseSpec),
 			"ch, at, dur, every, count"},

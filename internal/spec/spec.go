@@ -1,14 +1,15 @@
 // Package spec is the one implementation of the key=value token
-// grammar behind the sweep, fleet, arena and chaos specs and the
-// clauses of a fault scenario. A grammar is an ordered table of Fields;
-// Parse splits each token at its first '=', rejects malformed tokens,
-// duplicate keys and unknown keys, hands every value to its field's
-// typed setter, prefixes each error with the owning package, and
-// reports which keys were present — so "omitted" and "explicitly zero"
-// stay distinguishable. What a grammar keeps for itself is what differs
-// between them: tokenising (whitespace, or commas inside a fault
-// clause), defaults, cross-field rules and the canonical key order of
-// its String.
+// grammar behind the sweep, fleet and arena specs and the clauses of a
+// fault scenario. (The sweep spec is also the line of one run, the form
+// a chaos counterexample takes.) A grammar is an ordered table of
+// Fields; Parse splits each token at its first '=', rejects malformed
+// tokens, duplicate keys and unknown keys, hands every value to its
+// field's typed setter, prefixes each error with the owning package,
+// and reports which keys were present — so "omitted" and "explicitly
+// zero" stay distinguishable. What a grammar keeps for itself is what
+// differs between them: tokenising (whitespace, or commas inside a
+// fault clause), defaults, cross-field rules and the canonical key
+// order of its String.
 package spec
 
 import (
@@ -58,7 +59,7 @@ func Parse(pkg string, tokens []string, fields []Field) (map[string]bool, error)
 }
 
 // Func is the escape hatch for a value only its grammar can read (the
-// sweep seed range, a fault scenario nested in a chaos job).
+// sweep seed range).
 func Func(key string, set func(val string) error) Field { return Field{key, set} }
 
 // scalar builds the Field of a kind that parses one value: parse

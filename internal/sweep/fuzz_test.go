@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -13,7 +14,8 @@ import (
 // FuzzSweepSpecParse exercises the grid-spec parser with arbitrary
 // input: it must never panic, and any spec it accepts must round-trip
 // — the canonical String reparses to the same spec and is a fixed
-// point. The same holds for what ParseQuickSpec accepts.
+// point. The same holds for what ParseQuickSpec accepts, and for the
+// Line of an accepted spec of one cell at one seed through ParseCell.
 func FuzzSweepSpecParse(f *testing.F) {
 	f.Add("exp=bulk cc=cubic,bbr,vegas,vivace policy=dchannel,embb-only seeds=1..5 dur=15s")
 	f.Add("exp=video policy=priority trace=mmwave-driving seeds=3 dur=20s")
@@ -37,6 +39,10 @@ func FuzzSweepSpecParse(f *testing.F) {
 	f.Add("exp=bulk flows=4")
 	f.Add("exp=bulk dur=0s")
 	f.Add("exp=bulk join=0s")
+	f.Add("exp=bulk cc=bbr seed=4 dur=2s fault=spike:ch=urllc,at=1s,dur=1s")
+	f.Add("exp=outage policy=dchannel seed=9 dur=3s reliable=true fault=none")
+	f.Add("exp=bulk fault=none reliable=false")
+	f.Add("exp=bulk seed=1 seeds=1")
 	f.Fuzz(func(t *testing.T, in string) {
 		// A quick spec is printed and cached as a full one: its String
 		// reparses without -quick to the same spec.
@@ -47,6 +53,11 @@ func FuzzSweepSpecParse(f *testing.F) {
 			}
 			if err := spec.RoundTrip(sp, ParseSpec); err != nil {
 				t.Fatalf("%q: %v", in, err)
+			}
+			if _, err := sp.only(); err == nil {
+				if back, err := ParseCell(sp.Line()); err != nil || !reflect.DeepEqual(back, sp) {
+					t.Fatalf("%q: line %q parses to %+v, %v", in, sp.Line(), back, err)
+				}
 			}
 		}
 	})

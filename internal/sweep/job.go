@@ -5,6 +5,7 @@ import (
 
 	"hvc/internal/arena"
 	"hvc/internal/core"
+	"hvc/internal/telemetry"
 )
 
 // A job is one independent simulation: a cell at one seed.
@@ -21,22 +22,63 @@ type MetricValue struct {
 	Value float64 `json:"value"`
 }
 
-// key renders the job's cache key: its cell at its seed, which is
-// everything the spec decides about its result, and the build that
-// computes it, which is everything else (see cache.go).
-func (j job) key(build string) string {
-	return j.spec.render(j.cell.CC, j.cell.Policy, j.cell.Trace, fmt.Sprintf("seed=%d", j.seed)) +
-		"\nbuild=" + build + "\n"
+// line renders the job as the line of its one run (see Spec.Line).
+func (j job) line() string {
+	return j.spec.render(j.cell.CC, j.cell.Policy, j.cell.Trace, fmt.Sprintf("seed=%d", j.seed))
 }
 
-// run executes the job's simulation and returns its metrics, in the
-// experiment kind's fixed order.
-func (j job) run() ([]MetricValue, error) {
+// key renders the job's cache key: its line, which is everything the
+// spec decides about its result, and the build that computes it, which
+// is everything else (see cache.go).
+func (j job) key(build string) string { return j.line() + "\nbuild=" + build + "\n" }
+
+// ParseCell parses the line of one run: a spec, as ParseSpec reads it,
+// of one cell at one seed. A grid or a seed range is an error.
+func ParseCell(line string) (Spec, error) {
+	s, err := ParseSpec(line)
+	if err != nil {
+		return Spec{}, err
+	}
+	if _, err := s.only(); err != nil {
+		return Spec{}, err
+	}
+	return s, nil
+}
+
+// RunCell validates s, which must hold one cell at one seed, and runs
+// it with tr (nil for none) receiving its telemetry. It returns the
+// run's error; the metrics are the sweep's business. A panic inside the
+// simulation, an invariant violation included, is not recovered.
+func RunCell(s Spec, tr *telemetry.Tracer) error {
+	if err := s.defaultAndValidate(s.setKeys()); err != nil {
+		return err
+	}
+	j, err := s.only()
+	if err != nil {
+		return err
+	}
+	_, err = j.run(tr)
+	return err
+}
+
+// only returns the one job of a validated spec of one cell at one seed.
+func (s Spec) only() (job, error) {
+	cells := s.cells()
+	if len(cells) != 1 || s.SeedCount != 1 {
+		return job{}, fmt.Errorf("sweep: %q is a grid, not one run (one cell at one seed)", s.Line())
+	}
+	return job{spec: s, cell: cells[0], seed: s.SeedFirst}, nil
+}
+
+// run executes the job's simulation with tr (nil for none) receiving
+// its telemetry, and returns its metrics in the experiment kind's fixed
+// order.
+func (j job) run(tr *telemetry.Tracer) ([]MetricValue, error) {
 	switch j.spec.Exp {
 	case ExpBulk:
 		r, err := core.RunBulk(core.BulkConfig{
 			Seed: j.seed, Duration: j.spec.Dur, CC: j.cell.CC,
-			Policy: j.cell.Policy, Trace: j.cell.Trace,
+			Policy: j.cell.Policy, Trace: j.cell.Trace, Fault: j.spec.Fault, Tracer: tr,
 		})
 		if err != nil {
 			return nil, err
@@ -48,7 +90,7 @@ func (j job) run() ([]MetricValue, error) {
 		}, nil
 	case ExpVideo:
 		r, err := core.RunVideo(core.VideoConfig{
-			Seed: j.seed, Duration: j.spec.Dur, Trace: j.cell.Trace, Policy: j.cell.Policy,
+			Seed: j.seed, Duration: j.spec.Dur, Trace: j.cell.Trace, Policy: j.cell.Policy, Tracer: tr,
 		})
 		if err != nil {
 			return nil, err
@@ -63,7 +105,7 @@ func (j job) run() ([]MetricValue, error) {
 	case ExpWeb:
 		r, err := core.RunWeb(core.WebConfig{
 			Seed: j.seed, Trace: j.cell.Trace, Policy: j.cell.Policy,
-			Pages: j.spec.Pages, Loads: j.spec.Loads,
+			Pages: j.spec.Pages, Loads: j.spec.Loads, Tracer: tr,
 		})
 		if err != nil {
 			return nil, err
@@ -89,6 +131,7 @@ func (j job) run() ([]MetricValue, error) {
 	case ExpOutage:
 		r, err := core.RunOutage(core.OutageConfig{
 			Seed: j.seed, Duration: j.spec.Dur, Policy: j.cell.Policy, Fault: j.spec.Fault,
+			Reliable: j.spec.Reliable, Tracer: tr,
 		})
 		if err != nil {
 			return nil, err
@@ -104,7 +147,7 @@ func (j job) run() ([]MetricValue, error) {
 			Flows: j.spec.Flows, Seed: j.seed, Mix: j.spec.Mix,
 			Join: j.spec.Join, RTTSpread: j.spec.RTTSpread, Dur: j.spec.Dur,
 			Policy: j.cell.Policy, Trace: j.cell.Trace,
-		}, arena.Options{})
+		}, arena.Options{Tracer: tr})
 		if err != nil {
 			return nil, err
 		}

@@ -5,6 +5,9 @@
 // deterministic order — the output is bit-identical for any worker
 // count. A content-addressed disk cache (see cache.go) makes repeated
 // sweeps incremental: iterating on one policy re-runs only its column.
+// A spec of one cell at one seed is the line of one run (Spec.Line,
+// ParseCell, RunCell): a cache key starts with it, and the chaos
+// harness draws, shrinks, prints and replays its trials as such lines.
 //
 // This is the machinery evaluation toolkits in the space (ZEUS,
 // CoCo-Beholder) build around a testbed; here the "testbed" is the
@@ -62,10 +65,14 @@ type Spec struct {
 	Dur time.Duration
 	// Pages and Loads size the web corpus; unused otherwise.
 	Pages, Loads int
-	// Fault is the fault scenario (internal/fault grammar, outage
-	// only). Empty defaults to the standard two-blackout schedule
-	// scaled to Dur; stored canonically.
+	// Fault is the fault scenario (internal/fault grammar; bulk and
+	// outage), stored canonically. For outage, empty defaults to the
+	// standard two-blackout schedule scaled to Dur; for bulk it means no
+	// faults, and "none" is stored as empty.
 	Fault string
+	// Reliable switches the outage frame stream to reliable delivery
+	// (core.OutageConfig.Reliable; outage only).
+	Reliable bool
 	// Flows, Mix, Join, and RTTSpread shape the arena contention run
 	// (arena only): competitor count, weighted CCA mix, join stagger, and
 	// RTT heterogeneity. The cc axis does not apply to arena — the mix is
@@ -82,9 +89,12 @@ type Spec struct {
 //
 // Keys (a field table over internal/spec, in canonical order): exp
 // (bulk|video|web|abr|outage|arena), cc, policy, trace, seeds (N or
-// A..B inclusive), dur (positive Go duration), pages, loads, fault (an
-// internal/fault scenario, outage only), flows, mix, join, rttspread
-// (arena contention knobs, arena only). Unknown keys, duplicate keys,
+// A..B inclusive), seed (N, the same as seeds=N; not with seeds), dur
+// (positive Go duration), pages, loads, reliable (outage only), fault
+// (an internal/fault scenario, bulk and outage only), flows, mix, join,
+// rttspread (arena contention knobs, arena only). The line of one run,
+// as Line prints it and ParseCell reads it, is a spec too: one value
+// per axis and seed=N. Unknown keys, duplicate keys,
 // duplicate list values, a key that does not apply to the experiment
 // (whatever its value), and names the core package does not accept are
 // errors. Omitted axes default per experiment (see defaultAndValidate).
@@ -111,9 +121,11 @@ func parseSpec(s string, quick bool) (Spec, error) {
 			sp.SeedFirst, sp.SeedCount, err = parseSeeds(val)
 			return err
 		}),
+		spec.Int64("seed", &sp.SeedFirst),
 		spec.PosDur("dur", &sp.Dur),
 		spec.Int("pages", &sp.Pages),
 		spec.Int("loads", &sp.Loads),
+		spec.Bool("reliable", &sp.Reliable),
 		spec.String("fault", &sp.Fault),
 		spec.Int("flows", &sp.Flows),
 		spec.Weights("mix", "CCA", &sp.Mix),
@@ -122,6 +134,9 @@ func parseSpec(s string, quick bool) (Spec, error) {
 	})
 	if err != nil {
 		return Spec{}, err
+	}
+	if present["seed"] && present["seeds"] {
+		return Spec{}, fmt.Errorf("sweep: seed=N is seeds=N; give one of them")
 	}
 	if quick {
 		if sp.Exp == ExpWeb {
@@ -181,7 +196,7 @@ var expDefaults = map[string]struct {
 func (s Spec) setKeys() map[string]bool {
 	return map[string]bool{
 		"cc": s.CCs != nil, "dur": s.Dur != 0, "pages": s.Pages != 0, "loads": s.Loads != 0,
-		"fault": s.Fault != "", "flows": s.Flows != 0, "mix": s.Mix != nil,
+		"reliable": s.Reliable, "fault": s.Fault != "", "flows": s.Flows != 0, "mix": s.Mix != nil,
 		"join": s.Join != 0, "rttspread": s.RTTSpread != 0,
 	}
 }
@@ -197,9 +212,12 @@ func (s *Spec) defaultAndValidate(present map[string]bool) error {
 		return fmt.Errorf("sweep: unknown experiment %q (bulk, video, web, abr, outage, arena)", s.Exp)
 	}
 	// A key applies to an experiment exactly when the canonical form
-	// prints it (values are space-free), so render alone decides.
-	canonical := " " + s.String()
-	for _, key := range []string{"cc", "dur", "pages", "loads", "fault", "flows", "mix", "join", "rttspread"} {
+	// prints it once set (values are space-free), so render alone
+	// decides. Reliable prints only when true.
+	probe := *s
+	probe.Reliable = present["reliable"]
+	canonical := " " + probe.String()
+	for _, key := range []string{"cc", "dur", "pages", "loads", "reliable", "fault", "flows", "mix", "join", "rttspread"} {
 		if present[key] && !strings.Contains(canonical, " "+key+"=") {
 			return fmt.Errorf("sweep: %s does not apply to exp=%s", key, s.Exp)
 		}
@@ -221,6 +239,14 @@ func (s *Spec) defaultAndValidate(present map[string]bool) error {
 	case ExpBulk:
 		if s.CCs == nil {
 			s.CCs = []string{"cubic"}
+		}
+		fs, err := core.CellularFault(s.Fault)
+		if err != nil {
+			return fmt.Errorf("sweep: %w", err)
+		}
+		s.Fault = ""
+		if !fs.Empty() {
+			s.Fault = fs.String()
 		}
 	case ExpWeb:
 		s.Pages, s.Loads = cmp.Or(s.Pages, 6), cmp.Or(s.Loads, 2)
@@ -247,8 +273,8 @@ func (s *Spec) defaultAndValidate(present map[string]bool) error {
 	if err := core.CheckNames(s.CCs, s.Policies, s.Traces); err != nil {
 		return fmt.Errorf("sweep: %w", err)
 	}
-	if s.Exp == ExpWeb && slices.Contains(s.Policies, core.PolicyPriority) {
-		return fmt.Errorf("sweep: exp=web does not support policy %q", core.PolicyPriority)
+	if i := slices.IndexFunc(s.Policies, core.WebRejects); s.Exp == ExpWeb && i >= 0 {
+		return fmt.Errorf("sweep: exp=web does not support policy %q", s.Policies[i])
 	}
 	if s.Exp == ExpOutage && slices.ContainsFunc(s.Traces, func(tr string) bool { return tr != "fixed" }) {
 		return fmt.Errorf("sweep: exp=outage only supports trace=fixed")
@@ -256,15 +282,30 @@ func (s *Spec) defaultAndValidate(present map[string]bool) error {
 	return nil
 }
 
-// String renders the spec canonically: every applicable key, fixed
-// order, seeds always as A..B. ParseSpec(s.String()) reproduces s.
+// String renders the spec canonically: every applicable key but bulk
+// fault=none and outage reliable=false, fixed order, seeds always as
+// A..B. ParseSpec(s.String()) reproduces s.
 func (s Spec) String() string {
-	return s.render(strings.Join(s.CCs, ","), strings.Join(s.Policies, ","), strings.Join(s.Traces, ","),
-		fmt.Sprintf("seeds=%d..%d", s.SeedFirst, s.SeedFirst+int64(s.SeedCount)-1))
+	return s.withSeeds(fmt.Sprintf("seeds=%d..%d", s.SeedFirst, s.SeedFirst+int64(s.SeedCount)-1))
 }
 
-// render is the one canonical key order, shared by String (the axes as
-// lists) and job.key (one cell at one seed).
+// Line renders the spec like String but spells a single seed seed=N.
+// For a spec of one cell at one seed that is the line of one run: what
+// ParseCell reads, a chaos finding prints, and a cache key starts with.
+func (s Spec) Line() string {
+	if s.SeedCount != 1 {
+		return s.String()
+	}
+	return s.withSeeds(fmt.Sprintf("seed=%d", s.SeedFirst))
+}
+
+// withSeeds renders the spec with its axes as lists.
+func (s Spec) withSeeds(seeds string) string {
+	return s.render(strings.Join(s.CCs, ","), strings.Join(s.Policies, ","), strings.Join(s.Traces, ","), seeds)
+}
+
+// render is the one canonical key order, shared by String and Line (the
+// axes as lists) and job.key (one cell at one seed).
 func (s Spec) render(cc, policy, trace, seeds string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "exp=%s", s.Exp)
@@ -277,7 +318,10 @@ func (s Spec) render(cc, policy, trace, seeds string) string {
 	} else {
 		fmt.Fprintf(&b, " dur=%s", s.Dur)
 	}
-	if s.Exp == ExpOutage {
+	if s.Exp == ExpOutage && s.Reliable {
+		b.WriteString(" reliable=true")
+	}
+	if s.Exp == ExpOutage || s.Exp == ExpBulk && s.Fault != "" {
 		fmt.Fprintf(&b, " fault=%s", s.Fault)
 	}
 	if s.Exp == ExpArena {

@@ -55,7 +55,7 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 		}
 	}
 
-	run := job.run
+	run := func(j job) ([]MetricValue, error) { return j.run(nil) }
 	if testRunJob != nil {
 		run = testRunJob
 	}
@@ -87,7 +87,7 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 		var pe *pool.Error
 		if errors.As(err, &pe) {
 			j := jobs[pe.Index]
-			return nil, fmt.Errorf("sweep: %s: seed %d: %w", j.cell.describe(spec.Exp), j.seed, pe.Err)
+			return nil, fmt.Errorf("sweep: %s: %w", j.line(), pe.Err)
 		}
 		return nil, err
 	}
@@ -111,13 +111,4 @@ func Run(spec Spec, opt Options) (*Matrix, error) {
 		m.Cells = append(m.Cells, cell)
 	}
 	return m, nil
-}
-
-// describe renders a cell for error messages.
-func (c cellKey) describe(exp string) string {
-	s := "exp=" + exp
-	if c.CC != "" {
-		s += " cc=" + c.CC
-	}
-	return s + " policy=" + c.Policy + " trace=" + c.Trace
 }

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -55,6 +56,14 @@ func TestParseSpecCanonicalRoundTrip(t *testing.T) {
 			"exp=outage policy=redundant trace=fixed seeds=1..1 dur=4s " +
 				"fault=burst:ch=urllc,at=1s,dur=2s,pgb=0.5,pbg=0.25,loss=1,lossgood=0"},
 		{"exp=arena", "exp=arena policy=dchannel trace=fixed seeds=1..1 dur=15s flows=2 mix=cubic:1 join=0s rttspread=0s"},
+		// A key at a default written nowhere else parses and is not printed.
+		{"exp=bulk fault=none seed=3", "exp=bulk cc=cubic policy=dchannel trace=fixed seeds=3..3 dur=15s"},
+		{"exp=outage policy=redundant reliable=false dur=4s fault=outage:ch=embb,at=1s,dur=1s",
+			"exp=outage policy=redundant trace=fixed seeds=1..1 dur=4s fault=outage:ch=embb,at=1s,dur=1s"},
+		{"exp=bulk fault=spike:ch=urllc,at=1s,dur=1s dur=2s",
+			"exp=bulk cc=cubic policy=dchannel trace=fixed seeds=1..1 dur=2s fault=spike:ch=urllc,at=1s,dur=1s,delay=100ms"},
+		{"exp=outage policy=dchannel reliable=1 dur=4s fault=outage:ch=embb,at=1s,dur=1s",
+			"exp=outage policy=dchannel trace=fixed seeds=1..1 dur=4s reliable=true fault=outage:ch=embb,at=1s,dur=1s"},
 		{"exp=arena flows=4 mix=cubic:2,bbr join=250ms rttspread=20ms dur=4s seeds=1..2",
 			"exp=arena policy=dchannel trace=fixed seeds=1..2 dur=4s flows=4 mix=cubic:2,bbr:1 join=250ms rttspread=20ms"},
 	}
@@ -92,7 +101,13 @@ func TestParseSpecRejects(t *testing.T) {
 		"exp=bulk trace=starlink",        // unknown trace
 		"exp=bulk pages=0",               // non-positive int
 		"exp=bulk seeds=1..900000000000", // range cap
-		"exp=bulk fault=outage:ch=embb,at=0s,dur=1s",   // fault outside outage
+		"exp=video fault=outage:ch=embb,at=0s,dur=1s",  // fault outside bulk and outage
+		"exp=web fault=none",                           // fault outside bulk and outage, none or not
+		"exp=bulk fault=outage:ch=leo,at=0s,dur=1s",    // channel the runner lacks
+		"exp=bulk reliable=false",                      // reliable outside outage, false or not
+		"exp=outage reliable=maybe",                    // junk boolean
+		"exp=bulk seed=1 seeds=1",                      // one seed spelled twice
+		"exp=bulk seed=1..2",                           // seed takes one seed, not a range
 		"exp=outage fault=meteor:ch=embb,at=0s,dur=1s", // unknown fault kind
 		"exp=outage fault=outage:ch=leo,at=0s,dur=1s",  // channel the runner lacks
 		"exp=outage trace=lowband-driving",             // outage is fixed-trace only
@@ -133,7 +148,7 @@ func TestParseSpecRejects(t *testing.T) {
 func TestParseSpecErrorsAreSweeps(t *testing.T) {
 	for _, in := range []string{
 		"exp=arena dur=-3s", "exp=arena mix=cubic:0", "exp=arena flows=65", "exp=arena mix=tcp-tahoe",
-		"exp=web dur=5s", "exp=bulk fault=none", "exp=bulk seeds=a..b", "exp=bulk trace=starlink",
+		"exp=web dur=5s", "exp=video fault=none", "exp=bulk seeds=a..b", "exp=bulk trace=starlink",
 		"exp=outage fault=meteor:ch=embb,at=0s,dur=1s", "exp=outage fault=outage:ch=embb,zap=1",
 	} {
 		if _, err := ParseSpec(in); err == nil || !strings.HasPrefix(err.Error(), "sweep: ") {
@@ -148,7 +163,11 @@ func TestParseSpecErrorsAreSweeps(t *testing.T) {
 // String()"; testdata/jobkeys.txt, "input => quoted key of the first
 // cell at the first seed, build= line dropped"): the key is the
 // .hvcsweep/ address, so an existing cache stays a hit only if neither
-// moves.
+// moves. The canonical corpus ends with the counterexample lines of
+// the chaos harness's own former grammar, so a trial saved from an
+// older soak still parses to the run it named. A spec of one cell at
+// one seed also round-trips through Line and ParseCell, and a job key's
+// first line is its job's Line.
 func TestCanonicalGolden(t *testing.T) {
 	lines := func(path string) []string {
 		data, err := os.ReadFile(path)
@@ -170,13 +189,23 @@ func TestCanonicalGolden(t *testing.T) {
 		if err := spec.RoundTrip(sp, ParseSpec); err != nil {
 			t.Errorf("%q: %v", in, err)
 		}
+		if _, err := sp.only(); err == nil {
+			if back, err := ParseCell(sp.Line()); err != nil || !reflect.DeepEqual(back, sp) {
+				t.Errorf("%q: line %q parses to %+v, %v", in, sp.Line(), back, err)
+			}
+		}
 	}
 	for _, line := range lines("testdata/jobkeys.txt") {
 		in, want, _ := strings.Cut(line, " => ")
 		sp := mustParse(t, in)
-		key := job{spec: sp, cell: sp.cells()[0], seed: sp.SeedFirst}.key("")
+		j := job{spec: sp, cell: sp.cells()[0], seed: sp.SeedFirst}
+		key := j.key("")
 		if got := strconv.Quote(strings.TrimSuffix(key, "build=\n")); got != want {
 			t.Errorf("job key of %q\n got %s\nwant %s", in, got, want)
+		}
+		cell, err := ParseCell(strings.TrimSuffix(key, "\nbuild=\n"))
+		if err != nil || cell.Line()+"\nbuild=\n" != key {
+			t.Errorf("job key of %q does not start with its job's line: %q, %v", in, cell.Line(), err)
 		}
 	}
 }
@@ -500,8 +529,8 @@ func TestRunRejectsInvalidSpec(t *testing.T) {
 func TestRunErrorNamesCellAndSeed(t *testing.T) {
 	// Inject a failure at one seed, as an error and as a panic: the
 	// engine must report the first failing job in grid order, naming
-	// its cell and seed, regardless of worker count. A panic arrives as
-	// a *pool.Panic in the chain.
+	// it by its line (its cell at its seed), regardless of worker count.
+	// A panic arrives as a *pool.Panic in the chain.
 	defer func() { testRunJob = nil }()
 	spec := mustParse(t, "exp=video policy=embb-only,dchannel trace=lowband-driving seeds=1..3 dur=5s")
 	for _, panics := range []bool{false, true} {
@@ -519,7 +548,7 @@ func TestRunErrorNamesCellAndSeed(t *testing.T) {
 			if err == nil {
 				t.Fatalf("panics=%v workers=%d: job failure not propagated", panics, workers)
 			}
-			for _, want := range []string{"policy=dchannel", "trace=lowband-driving", "seed 2", "simulated trace corruption"} {
+			for _, want := range []string{"sweep: exp=video policy=dchannel trace=lowband-driving seed=2 dur=5s: ", "simulated trace corruption"} {
 				if !strings.Contains(err.Error(), want) {
 					t.Fatalf("panics=%v workers=%d: error %q missing %q", panics, workers, err, want)
 				}
@@ -784,5 +813,80 @@ func TestCacheLoadRejectsFlippedMetric(t *testing.T) {
 		if _, err := os.Stat(path); err == nil {
 			t.Errorf("%s: entry not deleted", name)
 		}
+	}
+}
+
+// TestParseCellTakesOneRun checks the line of one run: one cell at one
+// seed parses, however its seed is spelled, and a grid or a seed range
+// is an error.
+func TestParseCellTakesOneRun(t *testing.T) {
+	for _, in := range []string{
+		"exp=bulk", "exp=bulk cc=bbr seed=4 dur=2s", "exp=video seeds=9", "exp=outage policy=redundant seeds=3..3",
+	} {
+		if _, err := ParseCell(in); err != nil {
+			t.Errorf("ParseCell(%q): %v", in, err)
+		}
+	}
+	for _, in := range []string{
+		"exp=bulk cc=cubic,bbr seed=1", "exp=outage seed=1", "exp=video trace=lowband-driving,fixed",
+		"exp=bulk seeds=1..2", "exp=bulk seed=x", "exp=bulk seed=1 seeds=1",
+	} {
+		if _, err := ParseCell(in); err == nil || !strings.HasPrefix(err.Error(), "sweep: ") {
+			t.Errorf("ParseCell(%q) = %v, want a sweep: error", in, err)
+		}
+	}
+}
+
+// TestRunCellPassesFaultAndReliable runs one bulk cell with faults and
+// one reliable outage cell through RunCell under a tracer, and checks
+// that each is the run core makes of the same configuration: the
+// fault scenario and the reliable stream reach the runner, and the
+// tracer sees the run.
+func TestRunCellPassesFaultAndReliable(t *testing.T) {
+	// The burst drops a tenth of the frames of an unreliable stream.
+	const bulkFault, outageFault = "outage:ch=embb,at=300ms,dur=400ms", "burst:ch=embb,at=0s,dur=3s,pgb=0.05"
+	bulk := mustParse(t, "exp=bulk cc=bbr seed=2 dur=1s fault="+bulkFault)
+	outage := mustParse(t, "exp=outage policy=embb-only seed=2 dur=3s reliable=true fault="+outageFault)
+	for _, sp := range []Spec{bulk, outage} {
+		var jsonl bytes.Buffer
+		if err := RunCell(sp, telemetry.New(telemetry.NewJSONL(&jsonl))); err != nil {
+			t.Fatalf("RunCell(%s): %v", sp.Line(), err)
+		}
+		if !strings.Contains(jsonl.String(), `"layer":"fault"`) {
+			t.Errorf("RunCell(%s): the tracer saw no fault window", sp.Line())
+		}
+	}
+
+	got, err := job{spec: bulk, cell: bulk.cells()[0], seed: 2}.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	br, err := core.RunBulk(core.BulkConfig{Seed: 2, Duration: time.Second, CC: "bbr", Fault: bulkFault})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Value != br.Mbps {
+		t.Errorf("bulk cell goodput %v, core with the fault %v", got[0].Value, br.Mbps)
+	}
+	got, err = job{spec: outage, cell: outage.cells()[0], seed: 2}.run(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	or, err := core.RunOutage(core.OutageConfig{
+		Seed: 2, Duration: 3 * time.Second, Policy: "embb-only", Fault: outageFault, Reliable: true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0].Value != or.DeliveryRate() || got[3].Value != or.Delay.Percentile(99) {
+		t.Errorf("outage cell delivery %v p99 %v, core's reliable stream %v %v",
+			got[0].Value, got[3].Value, or.DeliveryRate(), or.Delay.Percentile(99))
+	}
+
+	if err := RunCell(mustParse(t, "exp=bulk seeds=1..2 dur=1s"), nil); err == nil {
+		t.Error("RunCell ran a seed range")
+	}
+	if err := RunCell(Spec{Exp: ExpBulk, SeedCount: 1, Reliable: true}, nil); err == nil {
+		t.Error("RunCell ran a bulk cell with reliable set")
 	}
 }
